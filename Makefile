@@ -5,14 +5,15 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint docs build test race test-lifecycle test-cluster bench bench-pools bench-batched bench-durable bench-elastic bench-cluster bench-smoke campaign-smoke
+.PHONY: check fmt vet lint build test race test-lifecycle test-cluster bench bench-batched bench-smoke campaign-smoke
 
 check: fmt vet lint build test race test-lifecycle test-cluster
 
 # Lifecycle/elasticity conformance tier (DESIGN.md §13): the shared
 # lifecycletest battery against every component (Domain, Pool,
-# AsyncPool, kvstore.Pool, both NetServers), the -race elasticity
-# hammers (concurrent Resize under load with a mid-run drain), the
+# AsyncPool, kvstore.Pool, the serving frontend bare and under both
+# protocols), the -race elasticity hammers (concurrent Resize under
+# load with a mid-run drain, the frontends' grow-under-burst runs), the
 # retired-worker and durable-acked-write regressions, the controller
 # grow/shrink cycle, and the drain regressions (whole-call drain
 # accounting, controller-teardown deadlock freedom, batch shedding).
@@ -36,10 +37,6 @@ test-cluster:
 lint:
 	$(GO) run ./cmd/sdradlint -json-out LINT_FINDINGS.json ./...
 
-# Back-compat alias: the old docs gate is subsumed by lint (docexport
-# now covers every publicly importable package, not just the root).
-docs: lint
-
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -56,17 +53,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Full E1-E8 + ablation suite with fixed flags, emitting BENCH_PR5.json
-# (name -> iters, ns/op, vops/s, ...) for PR-over-PR perf diffing. The
-# suite includes the batched E1 pair (batch sizes 1/8/32). Pass
-# BASELINE=<prev.json> to embed a previous report for comparison.
-BASELINE ?=
+# The benchmark of record (benchmark/README.md, BENCHMARK.json): every
+# workload against the real binaries over loopback TCP, end-to-end and
+# per-layer, results under .bench_build/. Compare two runs with
+# `go run ./benchmark -compare a.json b.json`.
 bench:
-	$(GO) run ./cmd/benchjson -out BENCH_PR5.json $(if $(BASELINE),-baseline $(BASELINE))
-
-# Throughput-scaling benchmarks for the supervisor pools (E1 parallel).
-bench-pools:
-	$(GO) test -run '^$$' -bench 'E1KVSDRaDParallel|E1HTTPSDRaDParallel' -benchtime 1s .
+	$(GO) run ./benchmark
 
 # Batched-execution benchmarks only: serial-vs-batched E1 at batch
 # sizes 1/8/32 plus the AsyncPool submission path, emitted as JSON (CI
@@ -74,34 +66,6 @@ bench-pools:
 bench-batched:
 	$(GO) run ./cmd/benchjson -bench 'E1KVSDRaD$$|E1HTTPSDRaD$$|E1KVSDRaDBatched|E1HTTPSDRaDBatched|AsyncPoolSubmit' \
 		-benchtime 1x -out BENCH_BATCHED_CI.json
-
-# Durability cost on the E1 hot path: the serial/batched SDRaD pair
-# against BenchmarkE1KVSDRaDDurable (fsync on/off x batch 1/8/32 plus a
-# snapshot-cadence sweep), emitted as BENCH_PR7.json with the PR 5
-# report embedded as baseline. The fsyncs/req metric records the
-# group-commit amortization; vops/s is host-independent.
-bench-durable:
-	$(GO) run ./cmd/benchjson -bench 'E1KVSDRaD$$|E1KVSDRaDBatched|E1KVSDRaDDurable' \
-		-benchtime 200x -out BENCH_PR7.json -baseline BENCH_PR5.json
-
-# Elastic-controller burst benchmark plus the AsyncPool submission
-# baseline, emitted as BENCH_PR9.json with the PR 7 report embedded for
-# comparison. 2000 iterations are needed for real controller activity:
-# the custom metrics (workers_max/workers_final, grown/shrunk,
-# sheds/op) pin the grow-under-burst / shrink-back-to-Min cycle.
-bench-elastic:
-	$(GO) run ./cmd/benchjson -bench 'ElasticBurst|AsyncPoolSubmit' \
-		-benchtime 2000x -out BENCH_PR9.json -baseline BENCH_PR7.json
-
-# Cluster routing overhead on the E1 hot path: routed dispatch at
-# 1/2/4 nodes (rendezvous placement + lease heartbeat + synchronous
-# replication) against the single-pool E1 SDRaD baseline, emitted as
-# BENCH_PR10.json with the PR 9 report embedded for comparison. The
-# vops/s metric uses the cluster's parallel makespan (max across
-# nodes), matching the pool convention.
-bench-cluster:
-	$(GO) run ./cmd/benchjson -bench 'ClusterRouter|E1KVSDRaD$$' \
-		-benchtime 200x -out BENCH_PR10.json -baseline BENCH_PR9.json
 
 # One-iteration smoke pass over the suite (CI: proves the benches run).
 bench-smoke:

@@ -318,12 +318,23 @@ func (a *AsyncPool) Resize(n int) error {
 		if err := a.pool.Resize(n); err != nil {
 			return err
 		}
-		return q.Resize(n)
+		return a.resizeQueues(q, n)
 	}
-	if err := q.Resize(n); err != nil {
+	if err := a.resizeQueues(q, n); err != nil {
 		return err
 	}
 	return a.pool.Resize(n)
+}
+
+// resizeQueues resizes the queue set. A Drain that lands after Resize's
+// lifecycle gate closes the queues underneath it; that refusal is
+// reported as the typed lifecycle error it is, not as a bare ErrClosed.
+func (a *AsyncPool) resizeQueues(q *submit.Queues, n int) error {
+	err := q.Resize(n)
+	if lerr := a.lc.Resizable(); err != nil && lerr != nil {
+		return lerr
+	}
+	return err
 }
 
 // Flush blocks until every call admitted before it has resolved.

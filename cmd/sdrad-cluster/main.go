@@ -21,25 +21,20 @@
 package main
 
 import (
-	"bufio"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net"
-	"os"
-	"os/signal"
-	"sync"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kvstore"
 	"repro/internal/lifecycle"
+	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -72,11 +67,15 @@ func run(addr string, cfg cluster.RouterConfig) error {
 	if err != nil {
 		return err
 	}
+	srv := newFrontend(router, log.Default())
 	defer func() {
-		if cerr := router.Close(); cerr != nil {
+		if cerr := srv.Close(); cerr != nil {
 			log.Printf("close router: %v", cerr)
 		}
 	}()
+	if err := srv.Serving(); err != nil {
+		return err
+	}
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -84,105 +83,54 @@ func run(addr string, cfg cluster.RouterConfig) error {
 	}
 	log.Printf("sdrad-cluster listening on %s (nodes=%d, replicas=%d, lease-cycles=%d, read-replicas=%v)",
 		ln.Addr(), cfg.Nodes, cfg.Replicas, cfg.LeaseCycles, cfg.ReadReplicas)
-
-	var draining atomic.Bool
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCh
-		log.Print("draining")
-		draining.Store(true)
-		if derr := router.Drain(); derr != nil {
-			log.Printf("drain: %v", derr)
-		}
-		if cerr := ln.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
-			log.Printf("close listener: %v", cerr)
-		}
-	}()
-
-	var wg sync.WaitGroup
-	var connID int
-	for {
-		conn, aerr := ln.Accept()
-		if aerr != nil {
-			wg.Wait()
-			if draining.Load() || errors.Is(aerr, net.ErrClosed) {
-				return nil
-			}
-			return aerr
-		}
-		connID++
-		wg.Add(1)
-		go func(id int, c net.Conn) {
-			defer wg.Done()
-			defer func() {
-				if cerr := c.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
-					log.Printf("conn %d: close: %v", id, cerr)
-				}
-			}()
-			serveConn(router, id, c)
-		}(connID, conn)
-	}
+	return srv.ServeUntilSignal(ln)
 }
 
-// serveConn runs the text protocol loop for one connection against the
-// cluster router.
-func serveConn(router *cluster.Router, id int, conn io.ReadWriter) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	defer func() {
-		if err := w.Flush(); err != nil {
-			log.Printf("conn %d: flush: %v", id, err)
-		}
-	}()
-	for {
-		cmd, err := kvstore.ReadCommand(r)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if errors.Is(err, kvstore.ErrProtocol) {
-				fmt.Fprintf(w, "CLIENT_ERROR %s\r\n", err)
-				if ferr := w.Flush(); ferr != nil {
-					return
-				}
-				continue
-			}
-			return
-		}
+// frontend is the shared serving frontend at the kv protocol's types.
+type frontend = serve.Frontend[workload.Request, kvstore.Response]
+
+// newFrontend returns the Initializing serving frontend over router. The
+// router places each request itself, so the frontend is serial (no
+// submission queues) and has nothing to resize.
+func newFrontend(router *cluster.Router, logger *log.Logger) *frontend {
+	var f *frontend
+	f = serve.New(serve.Backend[workload.Request, kvstore.Response]{
+		Name:      "cluster",
+		ServeConn: func(id int, conn io.ReadWriter) { serveConn(f, router, id, conn) },
+		Handle:    router.HandleContext,
+		Shards:    len(router.NodeIDs()),
+		Drain:     router.Drain,
+		Close:     router.Close,
+	}, logger)
+	return f
+}
+
+// serveConn runs the shared kv command loop for one connection against
+// the cluster router, with the cluster's own stats, health and error
+// rendering.
+func serveConn(f *frontend, router *cluster.Router, id int, conn io.ReadWriter) {
+	kvstore.ServeCommands(id, conn, f.Logf, func(w io.Writer, cmd kvstore.Command) error {
 		switch {
-		case cmd.Quit:
-			return
 		case cmd.Stats:
-			err = writeClusterStats(w, router)
+			return writeClusterStats(w, router)
 		case cmd.Health:
-			err = writeClusterHealth(w, router)
+			return writeClusterHealth(w, router)
 		case cmd.Auth:
-			_, err = io.WriteString(w, "CLIENT_ERROR auth not supported by the cluster router\r\n")
+			_, err := io.WriteString(w, "CLIENT_ERROR auth not supported by the cluster router\r\n")
+			return err
 		case cmd.Scan:
-			var res kvstore.ScanResult
-			res, err = router.Scan(cmd.ScanPrefix, cmd.ScanCursor, cmd.ScanLimit)
+			res, err := router.Scan(cmd.ScanPrefix, cmd.ScanCursor, cmd.ScanLimit)
 			if err != nil {
-				err = writeServerError(w, err)
-			} else {
-				err = kvstore.WriteScanResponse(w, res)
+				return writeServerError(w, err)
 			}
-		default:
-			resp := router.HandleContext(context.Background(), id, cmd.Req)
-			if resp.Err != nil {
-				err = writeServerError(w, resp.Err)
-			} else {
-				err = kvstore.WriteResponse(w, cmd.Req, resp)
-			}
+			return kvstore.WriteScanResponse(w, res)
 		}
-		if err != nil {
-			log.Printf("conn %d: write: %v", id, err)
-			return
+		resp := f.Do(id, cmd.Req)
+		if resp.Err != nil {
+			return writeServerError(w, resp.Err)
 		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-	}
+		return kvstore.WriteResponse(w, cmd.Req, resp)
+	})
 }
 
 // writeServerError renders an error line; unavailable slots carry the

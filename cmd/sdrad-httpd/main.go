@@ -39,15 +39,11 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -79,39 +75,13 @@ func main() {
 			QuarantineAfter: *quarantineAfter,
 		}
 	}
-	var ecfg *elasticBounds
-	if *elastic {
-		ecfg = &elasticBounds{min: *minWorkers, max: *maxWorkers}
-	}
-	if err := run(*addr, *mode, *workers, *reqTimeout, *maxInflight, *maxBatch, *tenants, gcfg, ecfg); err != nil {
+	if err := run(*addr, *mode, *workers, *reqTimeout, *maxInflight, *maxBatch, *tenants, gcfg, *elastic, *minWorkers, *maxWorkers); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("sdrad-httpd: %v", err)
 	}
 }
 
-// elasticBounds carries the -elastic autoscaling bounds.
-type elasticBounds struct{ min, max int }
-
-// loadGateway parses the tenant table file and builds the gateway.
-func loadGateway(path string, gcfg *gateway.Config) (*gateway.Gateway, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil {
-			log.Printf("close tenants file: %v", cerr)
-		}
-	}()
-	table, err := gateway.ParseTable(f)
-	if err != nil {
-		return nil, err
-	}
-	gcfg.Table = table
-	return gateway.New(*gcfg)
-}
-
-func run(addr, modeName string, workers int, reqTimeout time.Duration, maxInflight, maxBatch int, tenantsFile string, gcfg *gateway.Config, ecfg *elasticBounds) error {
+func run(addr, modeName string, workers int, reqTimeout time.Duration, maxInflight, maxBatch int, tenantsFile string, gcfg *gateway.Config, elastic bool, minWorkers, maxWorkers int) error {
 	var mode httpd.Mode
 	switch modeName {
 	case "sdrad":
@@ -150,14 +120,14 @@ func run(addr, modeName string, workers int, reqTimeout time.Duration, maxInflig
 	} else {
 		srv = httpd.NewNetServerPool(pool, log.Default())
 	}
-	if ecfg != nil {
-		if err := srv.EnableElastic(ecfg.min, ecfg.max); err != nil {
+	if elastic {
+		if err := srv.EnableElastic(minWorkers, maxWorkers); err != nil {
 			return err
 		}
-		log.Printf("elastic parsing domains on (min=%d, max=%d per worker)", ecfg.min, ecfg.max)
+		log.Printf("elastic parsing domains on (min=%d, max=%d per worker)", minWorkers, maxWorkers)
 	}
 	if gcfg != nil {
-		gw, gerr := loadGateway(tenantsFile, gcfg)
+		gw, gerr := gateway.LoadFile(tenantsFile, *gcfg)
 		if gerr != nil {
 			return gerr
 		}
@@ -166,17 +136,5 @@ func run(addr, modeName string, workers int, reqTimeout time.Duration, maxInflig
 	}
 	srv.SetRequestTimeout(reqTimeout)
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCh
-		log.Print("draining")
-		if derr := srv.Drain(); derr != nil {
-			log.Printf("drain: %v", derr)
-		}
-		if cerr := ln.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
-			log.Printf("close listener: %v", cerr)
-		}
-	}()
-	return srv.Serve(ln)
+	return srv.ServeUntilSignal(ln)
 }

@@ -53,15 +53,11 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -101,39 +97,13 @@ func main() {
 			QuarantineAfter: *quarantineAfter,
 		}
 	}
-	var ecfg *elasticBounds
-	if *elastic {
-		ecfg = &elasticBounds{min: *minWorkers, max: *maxWorkers}
-	}
-	if err := run(*addr, *mode, *capacity, *workers, *reqTimeout, *maxInflight, *maxBatch, pcfg, *tenants, gcfg, ecfg); err != nil {
+	if err := run(*addr, *mode, *capacity, *workers, *reqTimeout, *maxInflight, *maxBatch, pcfg, *tenants, gcfg, *elastic, *minWorkers, *maxWorkers); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("sdrad-kvd: %v", err)
 	}
 }
 
-// elasticBounds carries the -elastic autoscaling bounds.
-type elasticBounds struct{ min, max int }
-
-// loadGateway parses the tenant table file and builds the gateway.
-func loadGateway(path string, gcfg *gateway.Config) (*gateway.Gateway, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil {
-			log.Printf("close tenants file: %v", cerr)
-		}
-	}()
-	table, err := gateway.ParseTable(f)
-	if err != nil {
-		return nil, err
-	}
-	gcfg.Table = table
-	return gateway.New(*gcfg)
-}
-
-func run(addr, modeName string, capacity uint64, workers int, reqTimeout time.Duration, maxInflight, maxBatch int, pcfg *kvstore.PersistConfig, tenantsFile string, gcfg *gateway.Config, ecfg *elasticBounds) error {
+func run(addr, modeName string, capacity uint64, workers int, reqTimeout time.Duration, maxInflight, maxBatch int, pcfg *kvstore.PersistConfig, tenantsFile string, gcfg *gateway.Config, elastic bool, minWorkers, maxWorkers int) error {
 	var mode kvstore.Mode
 	switch modeName {
 	case "sdrad":
@@ -178,11 +148,11 @@ func run(addr, modeName string, capacity uint64, workers int, reqTimeout time.Du
 	} else {
 		srv = kvstore.NewNetServerPool(pool, log.Default())
 	}
-	if ecfg != nil {
-		if err := srv.EnableElastic(ecfg.min, ecfg.max); err != nil {
+	if elastic {
+		if err := srv.EnableElastic(minWorkers, maxWorkers); err != nil {
 			return err
 		}
-		log.Printf("elastic parser workers on (min=%d, max=%d per shard)", ecfg.min, ecfg.max)
+		log.Printf("elastic parser workers on (min=%d, max=%d per shard)", minWorkers, maxWorkers)
 	}
 	// NetServer.Close closes the pool too (idempotently), so it subsumes
 	// the pool's own deferred close above.
@@ -192,7 +162,7 @@ func run(addr, modeName string, capacity uint64, workers int, reqTimeout time.Du
 		}
 	}()
 	if gcfg != nil {
-		gw, gerr := loadGateway(tenantsFile, gcfg)
+		gw, gerr := gateway.LoadFile(tenantsFile, *gcfg)
 		if gerr != nil {
 			return gerr
 		}
@@ -201,20 +171,7 @@ func run(addr, modeName string, capacity uint64, workers int, reqTimeout time.Du
 	}
 	srv.SetRequestTimeout(reqTimeout)
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCh
-		log.Print("draining")
-		// Graceful drain: stop admission, flush queues (every ack made
-		// durable by its batch's WAL commit), final snapshot, release
-		// stores — then close the listener to let Serve return.
-		if derr := srv.Drain(); derr != nil {
-			log.Printf("drain: %v", derr)
-		}
-		if cerr := ln.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
-			log.Printf("close listener: %v", cerr)
-		}
-	}()
-	return srv.Serve(ln)
+	// On SIGINT/SIGTERM: stop admission, flush queues (every ack made
+	// durable by its batch's WAL commit), final snapshot, release stores.
+	return srv.ServeUntilSignal(ln)
 }

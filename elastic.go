@@ -2,7 +2,8 @@ package sdrad
 
 import (
 	"fmt"
-	"sync"
+
+	"repro/internal/serve"
 )
 
 // This file implements the optional elastic-worker controller for
@@ -14,7 +15,10 @@ import (
 // pressure signals the ISSUE names: summed submission-queue depth from
 // internal/submit and the per-batch p99 virtual-cycle latency from the
 // internal/metrics histograms, growing the worker set under pressure
-// and shrinking it back after sustained idleness.
+// and shrinking it back after sustained idleness. The grow/shrink rule
+// itself is serve.Scaler, shared with the serving frontends; what stays
+// here is the kick goroutine, because AsyncPool.Resize waits for removed
+// queues to drain and so must run off the drain loops that kick it.
 
 // ElasticConfig configures the elastic-worker controller.
 type ElasticConfig struct {
@@ -63,20 +67,13 @@ func (c *ElasticConfig) fill(a *AsyncPool) error {
 // many times); the loop re-reads the live signals on every kick so a
 // coalesced burst is never under-observed.
 type elasticController struct {
-	a   *AsyncPool
-	cfg ElasticConfig
+	a      *AsyncPool
+	cfg    ElasticConfig
+	scaler *serve.Scaler
 
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
-
-	// idle counts consecutive low-pressure evaluations (loop-local use
-	// only, but kept here for Stats).
-	mu         sync.Mutex
-	idle       int
-	grown      uint64
-	shrunk     uint64
-	maxWorkers int
 }
 
 // ElasticStats reports the controller's scaling activity.
@@ -116,12 +113,12 @@ func (a *AsyncPool) EnableElastic(cfg ElasticConfig) error {
 		return fmt.Errorf("sdrad: elastic controller already enabled")
 	}
 	c := &elasticController{
-		a:          a,
-		cfg:        cfg,
-		kick:       make(chan struct{}, 1),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		maxWorkers: a.Workers(),
+		a:      a,
+		cfg:    cfg,
+		scaler: serve.NewScaler(cfg.Min, cfg.Max, cfg.GrowDepthPerWorker, cfg.ShrinkIdleEvals, a.Workers()),
+		kick:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	a.ctrl = c
 	go c.loop()
@@ -134,14 +131,10 @@ func (a *AsyncPool) ElasticStats() ElasticStats {
 	a.ctrlMu.Lock()
 	c := a.ctrl
 	a.ctrlMu.Unlock()
-	st := ElasticStats{Workers: a.Workers()}
 	if c == nil {
-		return st
+		return ElasticStats{Workers: a.Workers()}
 	}
-	c.mu.Lock()
-	st.Grown, st.Shrunk, st.MaxWorkers = c.grown, c.shrunk, c.maxWorkers
-	c.mu.Unlock()
-	return st
+	return ElasticStats(c.scaler.Stats(a.Workers()))
 }
 
 // kickController nudges the controller to re-evaluate (no-op when the
@@ -185,60 +178,23 @@ func (c *elasticController) loop() {
 	}
 }
 
-// evaluate reads the pressure signals and resizes if warranted.
+// evaluate reads the pressure signals and hands them to the shared
+// rule: summed queue depth, plus the p99 latency signal as extra grow
+// pressure.
 func (c *elasticController) evaluate() {
 	a := c.a
 	q := a.queues()
 	if q == nil {
 		return
 	}
-	workers := q.Workers()
-	depth := q.TotalLoad()
-
-	grow := depth >= int64(c.cfg.GrowDepthPerWorker)*int64(workers)
-	if !grow && c.cfg.GrowLatencyP99 > 0 {
+	pressure := false
+	if c.cfg.GrowLatencyP99 > 0 {
 		for _, s := range a.BatchLatency() {
 			if s.P99 > 0 && uint64(s.P99) > c.cfg.GrowLatencyP99 {
-				grow = true
+				pressure = true
 				break
 			}
 		}
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case grow && workers < c.cfg.Max:
-		n := workers * 2
-		if n > c.cfg.Max {
-			n = c.cfg.Max
-		}
-		c.idle = 0
-		c.mu.Unlock()
-		err := a.Resize(n)
-		c.mu.Lock()
-		if err == nil {
-			c.grown++
-			if n > c.maxWorkers {
-				c.maxWorkers = n
-			}
-		}
-	case depth <= int64(workers):
-		c.idle++
-		if c.idle >= c.cfg.ShrinkIdleEvals && workers > c.cfg.Min {
-			n := workers / 2
-			if n < c.cfg.Min {
-				n = c.cfg.Min
-			}
-			c.idle = 0
-			c.mu.Unlock()
-			err := a.Resize(n)
-			c.mu.Lock()
-			if err == nil {
-				c.shrunk++
-			}
-		}
-	default:
-		c.idle = 0
-	}
+	c.scaler.Eval(q.Workers, q.TotalLoad(), pressure, a.Resize)
 }

@@ -6,6 +6,7 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 )
@@ -195,4 +196,17 @@ func BearerToken(raw []byte) ([]byte, *AuthError) {
 		return nil, &AuthError{Reason: "missing authorization header"}
 	}
 	return token, nil
+}
+
+// LoadFile builds a gateway from cfg and the tenant table file at path
+// ("<tenant> <token>" per line, see ParseTable).
+func LoadFile(path string, cfg Config) (*Gateway, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Table, err = ParseTable(bytes.NewReader(data)); err != nil {
+		return nil, err
+	}
+	return New(cfg)
 }

@@ -20,6 +20,7 @@ func FuzzParse(f *testing.F) {
 		"GET  HTTP/1.1\r\n\r\n",
 		strings.Repeat("A", 5000) + "\r\n\r\n",
 		"GET / HTTP/1.1\r\n" + strings.Repeat("h: v\r\n", 200) + "\r\n",
+		strings.Repeat("a", maxRequestHead+4096), // a line that never ends
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -21,7 +21,7 @@ func TestLifecycleConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				p.HandleFunc("/", []byte("ok\n"))
-				return NewDeferredNetServerPool(p, nil)
+				return newNetServer(p, nil)
 			},
 			Resize: func(c lifecycle.Component, n int) error {
 				return c.(*NetServer).ResizeWorkers(n)

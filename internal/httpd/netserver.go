@@ -3,479 +3,107 @@ package httpd
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/gateway"
-	"repro/internal/lifecycle"
-	"repro/internal/submit"
+	"repro/internal/serve"
 )
 
-// overloadRetryCyclesPerSlot is the virtual-cycle cost estimate behind
-// the batched path's overload retry hint (one queue slot ≈ one request's
-// service time). The hint is configured depth × this, quantized — the
-// bare OverloadError's worker/occupancy detail depends on host timing
-// and must never reach the wire.
-const overloadRetryCyclesPerSlot = 300_000
-
-// NetServer serves HTTP/1.1 over TCP on top of a Server or a Pool, with
-// connections multiplexing on real sockets. One request per connection
-// (Connection: close semantics) keeps the demo loop simple.
+// NetServer serves HTTP/1.1 over TCP on top of a Pool, one request per
+// connection (Connection: close semantics). The embedded serve.Frontend
+// owns the sockets, the lifecycle, the gateway, the submission queues
+// and the elastic controller; this type adds the protocol: head
+// parsing, response rendering, the admission status mapping, the
+// /healthz and /drainz endpoints, and the least-loaded worker pick.
 type NetServer struct {
-	handle func(ctx context.Context, clientID int, raw []byte) Response
-	log    *log.Logger
-
-	// reqTimeout, when non-zero, caps each request with a context
-	// deadline (mapped to a virtual-cycle budget by the server).
-	reqTimeout time.Duration
-
-	// queues is the async submission layer (batched servers only).
-	queues *submit.Queues
-
-	// gw, when set, fronts every request with tenant admission and adds
-	// the /healthz and /drainz lifecycle endpoints.
-	gw      *gateway.Gateway
-	workers int
-
-	// resizeFn/workersFn abstract the parsing-domain resize over the
-	// Server/Pool split (nil when the backend cannot resize).
-	resizeFn  func(int) error
-	workersFn func() int
-
-	// lc is the shared lifecycle state machine: it memoizes Drain and
-	// Close and rejects illegal transitions with a typed
-	// *LifecycleError. The eager constructors return it pre-advanced to
-	// Healthy; the deferred constructor leaves it Initializing.
-	lc *lifecycle.Machine
-
-	// elastic, when enabled, autoscales the parsing domains from
-	// submission-queue backlog (batched pool servers only).
-	elasticMu sync.Mutex
-	elastic   *netElastic
-
-	connMu sync.Mutex
-	nextID int
-	wg     sync.WaitGroup
+	*serve.Frontend[[]byte, Response]
 }
 
-// NewNetServer wraps srv for TCP serving; logger may be nil. The single
-// Server owns one simulated core, so request handling is serialized
-// behind a mutex.
-func NewNetServer(srv *Server, logger *log.Logger) *NetServer {
-	var mu sync.Mutex
-	return servingNet(&NetServer{
-		log: logger,
-		handle: func(ctx context.Context, clientID int, raw []byte) Response {
-			mu.Lock()
-			defer mu.Unlock()
-			return srv.ServeContext(ctx, clientID, raw)
+// newNetServer returns an Initializing server over p.
+func newNetServer(p *Pool, logger *log.Logger) *NetServer {
+	n := &NetServer{}
+	var rr atomic.Uint64
+	n.Frontend = serve.New(serve.Backend[[]byte, Response]{
+		Name:      "httpd",
+		ServeConn: n.serveConn,
+		Handle:    p.ServeContext,
+		Batch: func(si int, calls []*serve.Call[[]byte, Response]) {
+			batch := make([]BatchRequest, len(calls))
+			for i, c := range calls {
+				batch[i] = BatchRequest{Ctx: c.Ctx, ClientID: c.ClientID, Raw: c.Req}
+			}
+			for i, resp := range p.serveBatch(si, batch) {
+				calls[i].Resp = resp
+			}
 		},
-		workers: 1,
-		resizeFn: func(k int) error {
-			mu.Lock()
-			defer mu.Unlock()
-			return srv.ResizeWorkers(k)
+		// Requests are stateless: least-loaded queue with a round-robin
+		// tiebreak, failing over to any other queue when it is full.
+		Pick: func(_ []byte, load func(int) int64) int {
+			return dispatch.LeastLoaded(p.Workers(), int(rr.Add(1)-1), load)
 		},
-		workersFn: func() int {
-			mu.Lock()
-			defer mu.Unlock()
-			return srv.Workers()
+		Failover: true,
+		// A shed request answers 503; an overload carries the
+		// deterministic cycles-quantized hint as Retry-After.
+		Shed: func(err error) Response {
+			cycles, _ := gateway.RetryAfterCycles(err)
+			return Response{Status: 503, Err: err, RetryAfterCycles: cycles}
 		},
-	})
-}
-
-// servingNet advances a freshly built NetServer's lifecycle machine to
-// Healthy — the eager-constructor pattern (resources were allocated
-// inline, the server serves immediately).
-func servingNet(n *NetServer) *NetServer {
-	n.lc = lifecycle.NewMachine("httpd.NetServer")
-	_ = n.lc.Init(nil)  //lint:errclass fresh machine; Init from StateInitializing cannot fail
-	_ = n.lc.Start(nil) //lint:errclass inited machine; Start cannot fail
+		Shards:     p.Workers(),
+		Workers:    p.ShardWorkers,
+		Resize:     p.ResizeWorkers,
+		MaxWorkers: MaxResizeWorkers,
+	}, logger)
 	return n
+}
+
+// NewNetServer wraps srv for TCP serving as a one-worker pool; logger
+// may be nil. The single Server owns one simulated core, so request
+// handling is serialized behind the worker lock.
+func NewNetServer(srv *Server, logger *log.Logger) *NetServer {
+	return NewNetServerPool(&Pool{shards: []*poolShard{{srv: srv}}}, logger)
 }
 
 // NewNetServerPool wraps a Pool for TCP serving; logger may be nil. The
 // pool synchronizes internally per worker, so requests on different
 // workers execute in parallel.
 func NewNetServerPool(p *Pool, logger *log.Logger) *NetServer {
-	return servingNet(NewDeferredNetServerPool(p, logger))
-}
-
-// NewDeferredNetServerPool is NewNetServerPool without the lifecycle
-// advancement: the returned server is Initializing, and Init + Start
-// must run before it may Drain, Stop, or resize (Serve itself does not
-// consult the machine — legacy constructors advance it for you).
-func NewDeferredNetServerPool(p *Pool, logger *log.Logger) *NetServer {
-	return &NetServer{
-		log:       logger,
-		handle:    p.ServeContext,
-		workers:   p.Workers(),
-		resizeFn:  p.ResizeWorkers,
-		workersFn: p.ShardWorkers,
-		lc:        lifecycle.NewMachine("httpd.NetServer"),
-	}
-}
-
-// asyncReq is one connection request in flight through the submission
-// queues; the drain loop fills resp before resolving the future.
-type asyncReq struct {
-	clientID int
-	raw      []byte
-	resp     Response
+	n := newNetServer(p, logger)
+	_ = n.Serving() //lint:errclass a serial frontend allocates nothing in Init; a fresh machine cannot refuse
+	return n
 }
 
 // NewBatchedNetServerPool wraps a Pool for TCP serving through the
-// asynchronous submission layer: connections enqueue into bounded
-// per-worker queues (internal/submit) and one drain loop per worker
-// coalesces up to maxBatch queued requests into a single pipelined
-// Server.ServeBatch — one domain Enter per parsing-domain group instead
-// of per request. maxInflight bounds admitted-but-unanswered requests
-// across the pool (<= 0 means 1024); at capacity new requests are
-// answered 503 immediately with a deterministic Retry-After hint
-// (admission control / backpressure). Call Close after Serve returns to
+// asynchronous submission layer (serve.Frontend.Queue): one drain loop
+// per worker coalesces up to maxBatch queued requests into a single
+// pipelined Server.ServeBatch — one domain Enter per parsing-domain
+// group instead of per request. maxInflight bounds
+// admitted-but-unanswered requests across the pool (<= 0 means 1024);
+// at capacity new requests are answered 503 immediately with a
+// deterministic Retry-After hint. Call Close after Serve returns to
 // stop the drain loops.
 func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch int) (*NetServer, error) {
-	if maxInflight <= 0 {
-		maxInflight = 1024
-	}
-	depth := maxInflight / p.Workers()
-	if depth < 1 {
-		depth = 1
-	}
-	var rr atomic.Uint64
-	// n is assigned below; the drain loops only observe it after a task
-	// travels through a queue, which happens-after the constructor
-	// returns.
-	var n *NetServer
-	q, err := submit.New(submit.Config{
-		Workers:  p.Workers(),
-		Depth:    depth,
-		MaxBatch: maxBatch,
-		Exec: func(si int, tasks []*submit.Task) {
-			batch := make([]BatchRequest, len(tasks))
-			for i, t := range tasks {
-				a := t.Payload.(*asyncReq)
-				batch[i] = BatchRequest{Ctx: t.Ctx, ClientID: a.clientID, Raw: a.raw}
-			}
-			resps := p.serveBatch(si, batch)
-			for i, t := range tasks {
-				t.Payload.(*asyncReq).resp = resps[i]
-				t.Resolve(nil)
-			}
-			// Elastic evaluation is event-driven (per executed batch):
-			// no wall-clock timers on the simulated-machine side.
-			n.maybeScale()
-		},
-	})
-	if err != nil {
+	n := newNetServer(p, logger)
+	n.Queue(maxInflight, maxBatch)
+	if err := n.Serving(); err != nil {
 		return nil, err
 	}
-	n = servingNet(&NetServer{
-		log:       logger,
-		queues:    q,
-		workers:   p.Workers(),
-		resizeFn:  p.ResizeWorkers,
-		workersFn: p.ShardWorkers,
-	})
-	n.handle = func(ctx context.Context, clientID int, raw []byte) Response {
-		a := &asyncReq{clientID: clientID, raw: raw}
-		w := dispatch.LeastLoaded(p.Workers(), int(rr.Add(1)-1), q.Load)
-		fut, err := q.Submit(w, ctx, a)
-		if _, over := submit.IsOverload(err); over {
-			// Requests are stateless, so a full first pick fails over to
-			// any other worker's queue; only a pool-wide full sheds.
-			for i := 1; i < p.Workers(); i++ {
-				fut, err = q.Submit((w+i)%p.Workers(), ctx, a)
-				if _, over = submit.IsOverload(err); !over {
-					break
-				}
-			}
-		}
-		if err != nil {
-			// Overload (every queue full) or closed: shed with 503. The
-			// overload case carries a deterministic cycles-quantized hint
-			// computed from configuration, not from which queue rejected.
-			if _, over := submit.IsOverload(err); over {
-				cycles := gateway.QuantizeRetryCycles(uint64(q.Depth()) * overloadRetryCyclesPerSlot)
-				return Response{
-					Status:           503,
-					Err:              &gateway.RetryHintError{Cycles: cycles, Cause: err},
-					RetryAfterCycles: cycles,
-				}
-			}
-			return Response{Status: 503, Err: err}
-		}
-		return respondAsync(a, fut)
-	}
 	return n, nil
-}
-
-// respondAsync maps an admitted request's future onto its response,
-// waiting for resolution. A non-nil resolution means the drain loop
-// never filled resp (the queues closed underneath the admitted
-// request), so answer 503 with the typed error instead of a zero
-// Response.
-func respondAsync(a *asyncReq, fut *submit.Future) Response {
-	if ferr := fut.Err(); ferr != nil {
-		return Response{Status: 503, Err: ferr}
-	}
-	return a.resp
-}
-
-// SetGateway installs the tenant admission front tier: every request
-// then requires a bearer token, passes per-tenant admission, and the
-// /healthz and /drainz lifecycle endpoints come alive. Call before
-// Serve.
-func (n *NetServer) SetGateway(gw *gateway.Gateway) { n.gw = gw }
-
-// Close stops the batched submission layer, if this server has one:
-// queued requests are answered and the drain loops exit. Idempotent.
-// Serve must have returned (or never been called).
-func (n *NetServer) Close() error { return n.lc.Close(n.closeImpl) }
-
-// Stop is the strict lifecycle form of Close: same teardown, but a
-// second Stop returns a typed *LifecycleError instead of the memoized
-// outcome. ctx is accepted for interface symmetry; teardown is bounded
-// by the queue flush.
-func (n *NetServer) Stop(ctx context.Context) error {
-	_ = ctx
-	return n.lc.Stop(n.closeImpl)
-}
-
-// closeImpl is the teardown the lifecycle machine memoizes.
-func (n *NetServer) closeImpl() error {
-	if n.queues != nil {
-		n.queues.Flush()
-		n.queues.Close()
-	}
-	return nil
-}
-
-// Init advances the lifecycle machine past resource allocation (the
-// wrapped server or pool was allocated at construction). Only servers
-// from NewDeferredNetServerPool need it; the eager constructors have
-// already advanced the machine.
-func (n *NetServer) Init() error { return n.lc.Init(nil) }
-
-// Start moves the server to StateHealthy (see Init).
-func (n *NetServer) Start() error { return n.lc.Start(nil) }
-
-// State returns the server's lifecycle state.
-func (n *NetServer) State() lifecycle.State { return n.lc.State() }
-
-// Drain shuts the server down gracefully: stop admission (the gateway
-// answers 503 draining), flush the submission queues so every admitted
-// request is answered, then close them so stragglers get typed
-// ErrClosed. The httpd tier holds no durable state, so the drain is
-// complete once the queues are empty. Idempotent.
-func (n *NetServer) Drain() error {
-	return n.lc.Drain(func() error {
-		if n.gw != nil {
-			n.gw.StartDrain()
-		}
-		if n.queues != nil {
-			n.queues.Flush()
-			n.queues.Close()
-		}
-		return nil
-	})
-}
-
-// Draining reports whether Drain has been called (and Stop has not yet
-// superseded it).
-func (n *NetServer) Draining() bool {
-	return n.lc.State() == lifecycle.StateDraining
-}
-
-// ResizeWorkers grows or shrinks the parsing-domain set of the wrapped
-// server (or of every worker of the wrapped pool) to k. Legal while
-// Healthy or Degraded.
-func (n *NetServer) ResizeWorkers(k int) error {
-	if err := n.lc.Resizable(); err != nil {
-		return err
-	}
-	if n.resizeFn == nil {
-		return fmt.Errorf("httpd: resize workers: server has no resizable backend")
-	}
-	return n.resizeFn(k)
-}
-
-// netElastic is the parsing-domain autoscaler state. The controller is
-// deliberately wall-clock-free: it evaluates once per executed batch
-// (an event the virtual-time side already generates) and scales from
-// submission-queue backlog.
-type netElastic struct {
-	min, max int
-	// idle counts consecutive low-backlog evaluations; netShrinkIdleEvals
-	// of them halve the worker set.
-	idle    int
-	grown   uint64
-	shrunk  uint64
-	maxSeen int
-}
-
-// netShrinkIdleEvals is the number of consecutive low-backlog batch
-// evaluations before the elastic controller shrinks.
-const netShrinkIdleEvals = 16
-
-// EnableElastic turns on parsing-domain autoscaling between min and max
-// domains per worker: the set doubles when the queued backlog reaches
-// two batches per live domain and halves after a sustained idle
-// stretch. Requires a batched pool server; call before Serve. The
-// server starts at min domains.
-func (n *NetServer) EnableElastic(min, max int) error {
-	if err := n.lc.Resizable(); err != nil {
-		return err
-	}
-	if n.queues == nil || n.resizeFn == nil {
-		return fmt.Errorf("httpd: elastic mode needs a batched pool server")
-	}
-	if min < 1 || max < min || max > MaxResizeWorkers {
-		return fmt.Errorf("httpd: elastic bounds [%d, %d] out of range [1, %d]", min, max, MaxResizeWorkers)
-	}
-	if err := n.resizeFn(min); err != nil {
-		return err
-	}
-	n.elasticMu.Lock()
-	defer n.elasticMu.Unlock()
-	n.elastic = &netElastic{min: min, max: max, maxSeen: min}
-	return nil
-}
-
-// NetElasticStats reports the autoscaler's activity.
-type NetElasticStats struct {
-	// Grown and Shrunk count resize operations in each direction.
-	Grown, Shrunk uint64
-	// MaxWorkers is the highest per-worker parsing-domain count reached;
-	// Workers is the current one.
-	MaxWorkers, Workers int
-}
-
-// ElasticStats returns the autoscaler's counters (zero value when
-// elastic mode is off).
-func (n *NetServer) ElasticStats() NetElasticStats {
-	n.elasticMu.Lock()
-	defer n.elasticMu.Unlock()
-	if n.elastic == nil {
-		return NetElasticStats{}
-	}
-	return NetElasticStats{
-		Grown:      n.elastic.grown,
-		Shrunk:     n.elastic.shrunk,
-		MaxWorkers: n.elastic.maxSeen,
-		Workers:    n.workersFn(),
-	}
-}
-
-// maybeScale runs one elastic evaluation: grow (double, capped) when
-// the queued backlog reaches two requests per live parsing domain per
-// worker, shrink (halve, floored) after netShrinkIdleEvals consecutive
-// evaluations with at most one queued request per live domain.
-func (n *NetServer) maybeScale() {
-	n.elasticMu.Lock()
-	defer n.elasticMu.Unlock()
-	e := n.elastic
-	if e == nil {
-		return
-	}
-	perShard := n.queues.TotalLoad() / int64(n.workers)
-	cur := n.workersFn()
-	switch {
-	case perShard >= int64(2*cur) && cur < e.max:
-		next := cur * 2
-		if next > e.max {
-			next = e.max
-		}
-		if err := n.resizeFn(next); err == nil {
-			e.grown++
-			e.idle = 0
-			if next > e.maxSeen {
-				e.maxSeen = next
-			}
-		}
-	case perShard <= int64(cur):
-		e.idle++
-		if e.idle >= netShrinkIdleEvals && cur > e.min {
-			next := cur / 2
-			if next < e.min {
-				next = e.min
-			}
-			if err := n.resizeFn(next); err == nil {
-				e.shrunk++
-			}
-			e.idle = 0
-		}
-	default:
-		e.idle = 0
-	}
-}
-
-// Interface compliance: the net server implements the shared lifecycle
-// contract.
-var _ lifecycle.Component = (*NetServer)(nil)
-
-// SetRequestTimeout installs a per-request deadline (0 disables it, the
-// default). Call before Serve.
-func (n *NetServer) SetRequestTimeout(d time.Duration) { n.reqTimeout = d }
-
-func (n *NetServer) logf(format string, args ...any) {
-	if n.log != nil {
-		n.log.Printf(format, args...)
-	}
-}
-
-// Serve accepts connections until ln closes, then drains in-flight
-// connections.
-func (n *NetServer) Serve(ln net.Listener) error {
-	defer n.wg.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("httpd: accept: %w", err)
-		}
-		n.connMu.Lock()
-		n.nextID++
-		id := n.nextID
-		n.connMu.Unlock()
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer func() {
-				if cerr := conn.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
-					n.logf("conn %d close: %v", id, cerr)
-				}
-			}()
-			n.serveConn(id, conn)
-		}()
-	}
 }
 
 func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
 	raw, err := ReadRequestHead(bufio.NewReader(conn))
 	if err != nil {
-		n.logf("conn %d read: %v", id, err)
+		n.Logf("conn %d read: %v", id, err)
 		return
 	}
-	ctx := context.Background()
-	if n.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, n.reqTimeout)
-		defer cancel()
-	}
-	resp := n.dispatch(ctx, id, raw)
+	resp := n.dispatch(id, raw)
 	if resp.Contained {
-		n.logf("conn %d: contained parser exploit (domain rewound)", id)
+		n.Logf("conn %d: contained parser exploit (domain rewound)", id)
 	}
 	WriteHTTPResponse(conn, resp)
 }
@@ -486,25 +114,28 @@ func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
 // per-tenant rate/quota/quarantine (429 + Retry-After), drain (503) —
 // before the backend sees a byte, and reports its outcome to the
 // tenant's circuit breaker afterwards.
-func (n *NetServer) dispatch(ctx context.Context, id int, raw []byte) Response {
-	if n.gw == nil {
-		return n.handle(ctx, id, raw)
+func (n *NetServer) dispatch(id int, raw []byte) Response {
+	gw := n.Gateway()
+	if gw == nil {
+		return n.Do(id, raw)
 	}
 	path := requestPath(raw)
 	if path == "/healthz" {
 		// Unauthenticated by design: load-balancer probes carry no
 		// credentials, and the document holds no tenant secrets (only
-		// tenant names and counters).
-		return n.healthResponse()
+		// tenant names and counters). httpd's workers hold no durable
+		// state, so it carries drain state and tenant counters only.
+		h := n.Health()
+		return Response{Status: h.Status(), Body: h.JSON()}
 	}
 	token, aerr := gateway.BearerToken(raw)
 	if aerr != nil {
-		n.logf("conn %d auth rejected: %v", id, aerr)
+		n.Logf("conn %d auth rejected: %v", id, aerr)
 		return Response{Status: 401, Body: []byte("unauthorized\n")}
 	}
-	tenant, err := n.gw.Authenticate(token)
+	tenant, err := gw.Authenticate(token)
 	if err != nil {
-		n.logf("conn %d auth rejected: %v", id, err)
+		n.Logf("conn %d auth rejected: %v", id, err)
 		return Response{Status: 401, Body: []byte("unauthorized\n")}
 	}
 	if path == "/drainz" {
@@ -513,11 +144,11 @@ func (n *NetServer) dispatch(ctx context.Context, id int, raw []byte) Response {
 		}
 		return Response{Status: 200, Body: []byte("draining\n")}
 	}
-	ticket, err := n.gw.Admit(tenant)
+	ticket, err := gw.Admit(tenant)
 	if err != nil {
 		return admissionResponse(err)
 	}
-	resp := n.handle(ctx, id, raw)
+	resp := n.Do(id, raw)
 	// 408 is the wire mapping of a budget preemption (see finishSDRaD).
 	ticket.Done(resp.Contained, resp.Status == 408)
 	return resp
@@ -534,22 +165,13 @@ func admissionResponse(err error) Response {
 		return Response{
 			Status:           429,
 			Err:              err,
-			RetryAfterCycles: gateway.QuantizeRetryCycles(qe.ProbeIn * overloadRetryCyclesPerSlot),
+			RetryAfterCycles: gateway.QuantizeRetryCycles(qe.ProbeIn * serve.OverloadRetryCyclesPerSlot),
 		}
 	}
 	if cycles, ok := gateway.RetryAfterCycles(err); ok {
 		return Response{Status: 429, Err: err, RetryAfterCycles: cycles}
 	}
 	return Response{Status: 503, Err: err}
-}
-
-// healthResponse renders the health document (shard tier states are the
-// gateway owner's concern on kvstore; httpd's workers hold no durable
-// state, so the document carries drain state and tenant counters).
-func (n *NetServer) healthResponse() Response {
-	draining := n.Draining() || n.gw.Draining()
-	h := gateway.BuildHealth(draining, n.workers, nil, n.gw.Stats().Snapshot())
-	return Response{Status: h.Status(), Body: h.JSON()}
 }
 
 // requestPath extracts the path from an HTTP/1.x request line, "" when
@@ -566,25 +188,38 @@ func requestPath(raw []byte) string {
 	return string(parts[1])
 }
 
+// maxRequestHead bounds a request head: it is read on the trusted side,
+// so a client that never ends it must not grow host memory.
+const maxRequestHead = 64 << 10
+
+// ErrHeadTooLarge rejects a request head over maxRequestHead bytes.
+var ErrHeadTooLarge = errors.New("httpd: request head too large")
+
 // ReadRequestHead reads bytes up to and including the blank line that
-// terminates an HTTP request head.
+// terminates an HTTP request head. The cap applies to every buffer-full
+// of a line, not only to complete lines, so a newline-less stream stops
+// within one bufio buffer of it.
 func ReadRequestHead(r *bufio.Reader) ([]byte, error) {
 	var buf []byte
+	lineStart := 0
 	for {
-		line, err := r.ReadBytes('\n')
-		buf = append(buf, line...)
-		if err != nil {
-			if errors.Is(err, io.EOF) && len(buf) > 0 {
-				return buf, nil
-			}
+		chunk, err := r.ReadSlice('\n')
+		buf = append(buf, chunk...)
+		if len(buf) > maxRequestHead {
+			return nil, ErrHeadTooLarge
+		}
+		switch {
+		case errors.Is(err, bufio.ErrBufferFull):
+			continue
+		case errors.Is(err, io.EOF) && len(buf) > 0:
+			return buf, nil
+		case err != nil:
 			return nil, err
 		}
-		if string(line) == "\r\n" || string(line) == "\n" {
+		if line := string(buf[lineStart:]); line == "\r\n" || line == "\n" {
 			return buf, nil
 		}
-		if len(buf) > 64<<10 {
-			return nil, errors.New("httpd: request head too large")
-		}
+		lineStart = len(buf)
 	}
 }
 

@@ -2,6 +2,7 @@ package httpd
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -136,5 +137,41 @@ func TestStatusText(t *testing.T) {
 		if got := StatusText(code); got != want {
 			t.Errorf("StatusText(%d) = %q", code, got)
 		}
+	}
+}
+
+// endlessA is a client that never sends a newline; n counts the bytes
+// the parser pulled from it.
+type endlessA struct{ n int }
+
+func (e *endlessA) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	e.n += len(p)
+	return len(p), nil
+}
+
+// TestReadRequestHeadBoundsPartialLine: the head cap applies to a line
+// still being read, so a newline-less stream is rejected with
+// ErrHeadTooLarge within the cap plus one bufio buffer — the trusted
+// side never buffers an unbounded line.
+func TestReadRequestHeadBoundsPartialLine(t *testing.T) {
+	for _, size := range []int{16, 4096, 256 << 10} {
+		src := &endlessA{}
+		_, err := ReadRequestHead(bufio.NewReaderSize(src, size))
+		if !errors.Is(err, ErrHeadTooLarge) {
+			t.Fatalf("buffer %d: err = %v, want ErrHeadTooLarge", size, err)
+		}
+		if src.n > maxRequestHead+size {
+			t.Errorf("buffer %d: parser read %d bytes, want at most %d", size, src.n, maxRequestHead+size)
+		}
+	}
+	// A header line that spans several small buffers is one line: its
+	// final fragment "\n" must not be taken for the blank line.
+	head := "GET / HTTP/1.1\r\nx: " + strings.Repeat("v", 27) + "\n\r\n"
+	got, err := ReadRequestHead(bufio.NewReaderSize(strings.NewReader(head+"body"), 16))
+	if err != nil || string(got) != head {
+		t.Fatalf("multi-buffer head = %q, %v", got, err)
 	}
 }

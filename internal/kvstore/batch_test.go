@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -233,7 +232,7 @@ func TestBatchedNetServerOverload(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			req := workload.Request{Op: workload.OpSet, Key: "hot", Value: []byte("v")}
-			resp := ns.handle(context.Background(), g, req)
+			resp := ns.Do(g, req)
 			mu.Lock()
 			defer mu.Unlock()
 			if resp.Err != nil {

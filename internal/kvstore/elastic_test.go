@@ -2,10 +2,11 @@ package kvstore
 
 import (
 	"bytes"
-	"context"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
@@ -86,7 +87,7 @@ func TestResizeDurableAckedWrites(t *testing.T) {
 						}
 					})
 				}
-				resp := srv.handle(context.Background(), pr, workload.Request{
+				resp := srv.Do(pr, workload.Request{
 					Op: workload.OpSet, Key: w.key, Value: []byte(w.val),
 				})
 				mu.Lock()
@@ -133,5 +134,68 @@ func TestResizeDurableAckedWrites(t *testing.T) {
 		if resp := p2.Handle(0, workload.Request{Op: workload.OpGet, Key: key}); resp.OK && resp.Err == nil {
 			t.Fatalf("shed key %q survived recovery with value %q", key, resp.Value)
 		}
+	}
+}
+
+// TestElasticNetServerGrowsUnderBurst drives the frontend's elastic
+// controller end to end over a real socket: with the shard held, eight
+// clients pile one SET each into the queue, so the first batch the drain
+// loop finishes sees a backlog of at least two calls per live worker and
+// the controller doubles the parser worker set — reported in
+// ElasticStats and visible on the pool.
+func TestElasticNetServerGrowsUnderBurst(t *testing.T) {
+	pool, err := NewPool(core.DefaultConfig(), ServerConfig{Mode: ModeSDRaD}, 1, 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := NewBatchedNetServerPool(pool, nil, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.EnableElastic(1, 4); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- ns.Serve(ln) }()
+
+	const clients = 8
+	sh := pool.shards[0]
+	sh.mu.Lock()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, terr := talkErr(ln.Addr().String(), fmt.Sprintf("set k%d 0 0 1\r\nv\r\nquit\r\n", c))
+			if terr != nil || out != "STORED\r\n" {
+				t.Errorf("client %d: %q, %v", c, out, terr)
+			}
+		}()
+	}
+	for ns.Queues().Stats(0).Submitted != clients {
+		time.Sleep(100 * time.Microsecond)
+	}
+	sh.mu.Unlock()
+	wg.Wait()
+
+	st := ns.ElasticStats()
+	if st.Grown == 0 || st.MaxWorkers < 2 || st.MaxWorkers > 4 {
+		t.Fatalf("controller did not grow within [2, 4] under the burst: %+v", st)
+	}
+	if st.Workers != pool.ShardWorkers() {
+		t.Fatalf("stats report %d workers, the pool has %d", st.Workers, pool.ShardWorkers())
+	}
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if err := ns.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -27,6 +27,7 @@ func FuzzReadCommand(f *testing.F) {
 		"\r\n",
 		"get\r\n",
 		"\x00\xff\r\n",
+		strings.Repeat("a", 3*MaxCommandLine), // a line that never ends
 	}
 	for _, s := range seeds {
 		f.Add(s)

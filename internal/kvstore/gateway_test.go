@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -75,7 +74,7 @@ func TestNetServerCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewBatchedNetServerPool: %v", err)
 	}
-	if resp := n.handle(context.Background(), 0, setReq("k", "v")); !resp.OK || resp.Err != nil {
+	if resp := n.Do(0, setReq("k", "v")); !resp.OK || resp.Err != nil {
 		t.Fatalf("set: %+v", resp)
 	}
 	if err := n.Close(); err != nil {
@@ -124,7 +123,7 @@ func TestBatchedOverloadRetryHintBytes(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				resp := n.handle(context.Background(), i, setReq(fmt.Sprintf("k%d", i), "v"))
+				resp := n.Do(i, setReq(fmt.Sprintf("k%d", i), "v"))
 				if resp.Err != nil {
 					t.Errorf("admitted request %d failed: %v", i, resp.Err)
 				}
@@ -133,13 +132,13 @@ func TestBatchedOverloadRetryHintBytes(t *testing.T) {
 			// taken by the drain loop (Batches=1) before the second fills
 			// the queue (Submitted=2).
 			want := uint64(i + 1)
-			for n.queues.Stats(0).Submitted != want || n.queues.Stats(0).Batches != 1 {
+			for n.Queues().Stats(0).Submitted != want || n.Queues().Stats(0).Batches != 1 {
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
 		// Queue full: the third submission sheds with the hint.
 		req := setReq("k-shed", "v")
-		resp := n.handle(context.Background(), 9, req)
+		resp := n.Do(9, req)
 		sh.mu.Unlock()
 		wg.Wait()
 		var hint *gateway.RetryHintError
@@ -198,7 +197,7 @@ func TestDrainHammer(t *testing.T) {
 				}
 				key := fmt.Sprintf("w%d-k%d", wr, seq)
 				val := fmt.Sprintf("v%d-%d", wr, seq)
-				resp := n.handle(context.Background(), wr, setReq(key, val))
+				resp := n.Do(wr, setReq(key, val))
 				if resp.Err == nil && resp.OK {
 					mu.Lock()
 					acked[key] = val
@@ -225,7 +224,7 @@ func TestDrainHammer(t *testing.T) {
 	wg.Wait()
 
 	// Post-drain admission must fail with a typed error on both paths.
-	if resp := n.handle(context.Background(), 99, setReq("late", "x")); resp.Err == nil {
+	if resp := n.Do(99, setReq("late", "x")); resp.Err == nil {
 		t.Fatal("post-drain batched write was admitted")
 	}
 	resp := pool.Handle(99, setReq("late-direct", "x"))

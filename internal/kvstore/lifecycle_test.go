@@ -33,7 +33,7 @@ func TestLifecycleConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { _ = p.Close() })
-				return NewDeferredNetServerPool(p, nil)
+				return newNetServer(p, nil)
 			},
 			Resize: func(c lifecycle.Component, n int) error {
 				return c.(*NetServer).ResizeWorkers(n)

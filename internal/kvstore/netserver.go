@@ -3,20 +3,15 @@ package kvstore
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/lifecycle"
-	"repro/internal/metrics"
-	"repro/internal/submit"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -24,632 +19,197 @@ import (
 // prefix stand in for crafted exploit payloads against the parser.
 const AttackMarker = "!!exploit"
 
-// overloadRetryCyclesPerSlot is the virtual-cycle cost estimate behind
-// the batched path's overload retry hint: one queue slot ≈ one request's
-// service time (the servers' 100µs inter-arrival at the default clock).
-// The hint is depth × this, quantized — pure configuration, so the
-// rejection bytes are identical across runs and hosts.
-const overloadRetryCyclesPerSlot = 300_000
-
 // NetServer serves the memcached text protocol over TCP on top of a
-// Server or a Pool, with connections multiplexing on real sockets.
+// Pool. The embedded serve.Frontend owns the sockets, the lifecycle,
+// the gateway, the submission queues and the elastic controller; this
+// type adds the protocol: the command loop, the auth/health/scan
+// rendering, and the key-hash shard pick.
 type NetServer struct {
-	handle func(ctx context.Context, clientID int, req workload.Request) Response
-	stats  func(w io.Writer) error
-	// scanFn serves one paginated scan page (nil disables the scan
-	// command). Scans bypass the submission queues even on batched
-	// servers: a page is a trusted-side metadata walk, not domain work.
-	scanFn func(prefix, cursor string, limit int) (ScanResult, error)
-	log    *log.Logger
-
-	// reqTimeout, when non-zero, caps each request with a context
-	// deadline (mapped to a virtual-cycle budget by the server).
-	reqTimeout time.Duration
-
-	// queues is the async submission layer (batched servers only).
-	queues *submit.Queues
-
-	// gw, when set, fronts every data command with tenant admission
-	// (auth command, rate limits, quotas, quarantine, drain).
-	gw *gateway.Gateway
-
-	// workers, healthFn, drainFn, closeFn, resizeFn, workersFn abstract
-	// over the Server/Pool split for the lifecycle surface.
-	workers   int
-	healthFn  func() []gateway.ShardHealth
-	drainFn   func() error
-	closeFn   func() error
-	resizeFn  func(int) error
-	workersFn func() int
-
-	// lc is the shared lifecycle state machine: it memoizes Drain and
-	// Close and rejects illegal transitions with a typed
-	// *LifecycleError. The eager constructors return it pre-advanced to
-	// Healthy; the deferred constructor leaves it Initializing.
-	lc *lifecycle.Machine
-
-	// elastic, when enabled, autoscales the parser worker domains from
-	// submission-queue backlog (batched pool servers only).
-	elasticMu sync.Mutex
-	elastic   *netElastic
-
-	connMu sync.Mutex
-	nextID int
-
-	wg sync.WaitGroup
+	*serve.Frontend[workload.Request, Response]
+	pool *Pool
 }
 
-// NewNetServer wraps srv for TCP serving. logger may be nil to disable
-// logging. The single Server owns one simulated core, so request
-// handling is serialized behind a mutex.
-func NewNetServer(srv *Server, logger *log.Logger) *NetServer {
-	var mu sync.Mutex
-	return servingNet(&NetServer{
-		log: logger,
-		handle: func(ctx context.Context, clientID int, req workload.Request) Response {
-			mu.Lock()
-			defer mu.Unlock()
-			return srv.HandleContext(ctx, clientID, req)
+// newNetServer returns an Initializing server over p (which must be
+// initialized: the shard count is fixed here).
+func newNetServer(p *Pool, logger *log.Logger) *NetServer {
+	n := &NetServer{pool: p}
+	n.Frontend = serve.New(serve.Backend[workload.Request, Response]{
+		Name:      "kvstore",
+		ServeConn: n.serveConn,
+		Handle:    p.HandleContext,
+		Batch: func(si int, calls []*serve.Call[workload.Request, Response]) {
+			batch := make([]BatchRequest, len(calls))
+			for i, c := range calls {
+				batch[i] = BatchRequest{Ctx: c.Ctx, ClientID: c.ClientID, Req: c.Req}
+			}
+			for i, resp := range p.handleBatch(si, batch) {
+				calls[i].Resp = resp
+			}
 		},
-		stats: func(w io.Writer) error {
-			mu.Lock()
-			defer mu.Unlock()
-			return WriteStats(w, srv)
-		},
-		scanFn: func(prefix, cursor string, limit int) (ScanResult, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return srv.Scan(prefix, cursor, limit)
-		},
-		workers: 1,
-		healthFn: func() []gateway.ShardHealth {
-			mu.Lock()
-			defer mu.Unlock()
-			return serverHealth(srv)
-		},
-		drainFn: func() error {
-			mu.Lock()
-			defer mu.Unlock()
-			return srv.Drain()
-		},
-		closeFn: func() error {
-			mu.Lock()
-			defer mu.Unlock()
-			return srv.Close()
-		},
-		resizeFn: func(k int) error {
-			mu.Lock()
-			defer mu.Unlock()
-			return srv.ResizeWorkers(k)
-		},
-		workersFn: func() int {
-			mu.Lock()
-			defer mu.Unlock()
-			return srv.Workers()
-		},
-	})
-}
-
-// servingNet advances a freshly built NetServer's lifecycle machine to
-// Healthy — the eager-constructor pattern (resources were allocated
-// inline, the server serves immediately).
-func servingNet(n *NetServer) *NetServer {
-	n.lc = lifecycle.NewMachine("kvstore.NetServer")
-	_ = n.lc.Init(nil)  //lint:errclass fresh machine; Init from StateInitializing cannot fail
-	_ = n.lc.Start(nil) //lint:errclass inited machine; Start cannot fail
+		// Every operation on a key lands on the shard that owns it.
+		Pick:       func(req workload.Request, _ func(int) int64) int { return p.shardIndex(req.Key) },
+		Shed:       func(err error) Response { return Response{Err: err} },
+		Shards:     p.Workers(),
+		Workers:    p.ShardWorkers,
+		Resize:     p.ResizeWorkers,
+		MaxWorkers: MaxResizeWorkers,
+		Health:     p.Health,
+		Drain:      p.Drain,
+		Close:      p.Close,
+	}, logger)
 	return n
 }
 
-// serverHealth is the single-server shard-health row.
-func serverHealth(srv *Server) []gateway.ShardHealth {
-	h := gateway.ShardHealth{Shard: 0, State: gateway.ShardOK}
-	switch {
-	case srv.PersistErr() != nil:
-		h.State = gateway.ShardFailStop
-		h.Detail = srv.PersistErr().Error()
-	case srv.Drained():
-		h.State = gateway.ShardDrained
-	case srv.SnapshotErr() != nil:
-		h.State = gateway.ShardDegraded
-		h.Detail = srv.SnapshotErr().Error()
-	}
-	return []gateway.ShardHealth{h}
+// NewNetServer wraps srv for TCP serving as a one-shard pool; logger
+// may be nil to disable logging. The single Server owns one simulated
+// core, so request handling is serialized behind the shard lock.
+func NewNetServer(srv *Server, logger *log.Logger) *NetServer {
+	p := &Pool{lc: lifecycle.NewMachine("kvstore.Pool"), shards: []*kvShard{{srv: srv, cache: srv.cache}}}
+	_ = p.lc.Init(nil)  //lint:errclass fresh machine; Init from StateInitializing cannot fail
+	_ = p.lc.Start(nil) //lint:errclass inited machine; Start cannot fail
+	return NewNetServerPool(p, logger)
 }
 
 // NewNetServerPool wraps a Pool for TCP serving; logger may be nil. The
 // pool synchronizes internally per shard, so requests for keys on
 // different shards execute in parallel.
 func NewNetServerPool(p *Pool, logger *log.Logger) *NetServer {
-	return servingNet(NewDeferredNetServerPool(p, logger))
-}
-
-// NewDeferredNetServerPool is NewNetServerPool without the lifecycle
-// advancement: the returned server is Initializing, and Init + Start
-// must run before it may Drain, Stop, or resize (Serve itself does not
-// consult the machine — legacy constructors advance it for you).
-func NewDeferredNetServerPool(p *Pool, logger *log.Logger) *NetServer {
-	return &NetServer{
-		log:       logger,
-		handle:    p.HandleContext,
-		stats:     func(w io.Writer) error { return WriteStats(w, p) },
-		scanFn:    p.Scan,
-		workers:   p.Workers(),
-		healthFn:  p.Health,
-		drainFn:   p.Drain,
-		closeFn:   p.Close,
-		resizeFn:  p.ResizeWorkers,
-		workersFn: p.ShardWorkers,
-		lc:        lifecycle.NewMachine("kvstore.NetServer"),
-	}
-}
-
-// asyncReq is one connection request in flight through the submission
-// queues; the drain loop fills resp before resolving the future.
-type asyncReq struct {
-	clientID int
-	req      workload.Request
-	resp     Response
+	n := newNetServer(p, logger)
+	_ = n.Serving() //lint:errclass a serial frontend allocates nothing in Init; a fresh machine cannot refuse
+	return n
 }
 
 // NewBatchedNetServerPool wraps a Pool for TCP serving through the
-// asynchronous submission layer: instead of every connection contending
-// on the shard locks, connections enqueue into bounded per-shard
-// queues (internal/submit) and one drain loop per shard coalesces up
-// to maxBatch queued requests into a single pipelined
-// Server.HandleBatch — one domain Enter per worker group instead of per
-// request. maxInflight bounds admitted-but-unanswered requests across
-// the pool (<= 0 means 1024); at capacity new requests are answered
-// SERVER_ERROR immediately with a deterministic cycles-quantized retry
-// hint (admission control / backpressure). Call Close after Serve
-// returns to stop the drain loops.
+// asynchronous submission layer (serve.Frontend.Queue): one drain loop
+// per shard coalesces up to maxBatch queued requests into a single
+// pipelined Server.HandleBatch — one domain Enter per worker group
+// instead of per request. maxInflight bounds admitted-but-unanswered
+// requests across the pool (<= 0 means 1024); at capacity new requests
+// are answered SERVER_ERROR immediately with a deterministic
+// cycles-quantized retry hint. Call Close after Serve returns to stop
+// the drain loops.
 func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch int) (*NetServer, error) {
-	if maxInflight <= 0 {
-		maxInflight = 1024
-	}
-	depth := maxInflight / p.Workers()
-	if depth < 1 {
-		depth = 1
-	}
-	// n is assigned below; the drain loops only observe it after a task
-	// travels through a queue, which happens-after the constructor
-	// returns.
-	var n *NetServer
-	q, err := submit.New(submit.Config{
-		Workers:  p.Workers(),
-		Depth:    depth,
-		MaxBatch: maxBatch,
-		Exec: func(si int, tasks []*submit.Task) {
-			batch := make([]BatchRequest, len(tasks))
-			for i, t := range tasks {
-				a := t.Payload.(*asyncReq)
-				batch[i] = BatchRequest{Ctx: t.Ctx, ClientID: a.clientID, Req: a.req}
-			}
-			resps := p.handleBatch(si, batch)
-			for i, t := range tasks {
-				t.Payload.(*asyncReq).resp = resps[i]
-				t.Resolve(nil)
-			}
-			// Elastic evaluation is event-driven (per executed batch):
-			// no wall-clock timers on the simulated-machine side.
-			n.maybeScale()
-		},
-	})
-	if err != nil {
+	n := newNetServer(p, logger)
+	n.Queue(maxInflight, maxBatch)
+	if err := n.Serving(); err != nil {
 		return nil, err
-	}
-	n = servingNet(&NetServer{
-		log:       logger,
-		stats:     func(w io.Writer) error { return WriteStats(w, p) },
-		scanFn:    p.Scan,
-		queues:    q,
-		workers:   p.Workers(),
-		healthFn:  p.Health,
-		drainFn:   p.Drain,
-		closeFn:   p.Close,
-		resizeFn:  p.ResizeWorkers,
-		workersFn: p.ShardWorkers,
-	})
-	n.handle = func(ctx context.Context, clientID int, req workload.Request) Response {
-		a := &asyncReq{clientID: clientID, req: req}
-		fut, err := q.Submit(p.shardIndex(req.Key), ctx, a)
-		if err != nil {
-			// Overload (queue full) or closed: shed the request. An
-			// overload is decorated with a deterministic retry hint derived
-			// from the configured queue depth — the bare OverloadError's
-			// occupancy detail is timing-dependent and must not reach the
-			// wire (campaign traces pin the rejection bytes).
-			if _, over := submit.IsOverload(err); over {
-				err = &gateway.RetryHintError{
-					Cycles: gateway.QuantizeRetryCycles(uint64(q.Depth()) * overloadRetryCyclesPerSlot),
-					Cause:  err,
-				}
-			}
-			return Response{Err: err}
-		}
-		// The future resolves when the drain loop answered; the request's
-		// ctx still governs its in-domain budget (deadlines that expire
-		// while queued surface as preemptions, as on the serial path).
-		return respondAsync(a, fut)
 	}
 	return n, nil
 }
 
-// respondAsync maps an admitted request's future onto its wire
-// response, waiting for resolution. A non-nil resolution means the
-// drain loop never filled resp (the queues closed underneath the
-// admitted request), so the typed error must reach the wire instead of
-// a zero-value Response.
-func respondAsync(a *asyncReq, fut *submit.Future) Response {
-	if ferr := fut.Err(); ferr != nil {
-		return Response{Err: ferr}
-	}
-	return a.resp
-}
-
-// SetGateway installs the tenant admission front tier: data commands
-// then require a successful auth command on the connection and pass
-// per-tenant admission before executing. Call before Serve.
-func (n *NetServer) SetGateway(gw *gateway.Gateway) { n.gw = gw }
-
-// Close stops the batched submission layer (queued requests are
-// answered, drain loops exit) and releases the underlying server or
-// pool, propagating its error. Idempotent: later calls return the first
-// outcome. Serve must have returned (or never been called).
-func (n *NetServer) Close() error { return n.lc.Close(n.closeImpl) }
-
-// Stop is the strict lifecycle form of Close: same teardown, but a
-// second Stop returns a typed *LifecycleError instead of the memoized
-// outcome. ctx is accepted for interface symmetry; teardown is bounded
-// by the queue flush and store backends, not the context.
-func (n *NetServer) Stop(ctx context.Context) error {
-	_ = ctx
-	return n.lc.Stop(n.closeImpl)
-}
-
-// closeImpl is the teardown the lifecycle machine memoizes.
-func (n *NetServer) closeImpl() error {
-	if n.queues != nil {
-		n.queues.Flush()
-		n.queues.Close()
-	}
-	if n.closeFn != nil {
-		return n.closeFn()
-	}
-	return nil
-}
-
-// Init advances the lifecycle machine past resource allocation (the
-// wrapped server or pool was allocated at construction). Only servers
-// from NewDeferredNetServerPool need it; the eager constructors have
-// already advanced the machine.
-func (n *NetServer) Init() error { return n.lc.Init(nil) }
-
-// Start moves the server to StateHealthy (see Init).
-func (n *NetServer) Start() error { return n.lc.Start(nil) }
-
-// State returns the server's lifecycle state.
-func (n *NetServer) State() lifecycle.State { return n.lc.State() }
-
-// Drain shuts the server down gracefully, in the order that makes
-// "every ack durable, nothing after" true: (1) stop admission — the
-// gateway rejects new arrivals with *DrainingError; (2) flush the
-// submission queues — every admitted request executes and its batch
-// group-commits to the WAL before its ack is written; (3) close the
-// queues — stragglers get typed ErrClosed; (4) drain the shards — final
-// WAL commit, snapshot, store release, and the ErrDrained gate for any
-// request that still reaches a shard. Idempotent: later calls return
-// the first outcome.
-func (n *NetServer) Drain() error {
-	return n.lc.Drain(func() error {
-		if n.gw != nil {
-			n.gw.StartDrain()
-		}
-		if n.queues != nil {
-			n.queues.Flush()
-			n.queues.Close()
-		}
-		if n.drainFn != nil {
-			return n.drainFn()
-		}
-		return nil
-	})
-}
-
-// Draining reports whether Drain has been called (and Stop has not yet
-// superseded it).
-func (n *NetServer) Draining() bool {
-	return n.lc.State() == lifecycle.StateDraining
-}
-
-// ResizeWorkers grows or shrinks the parser worker-domain set of the
-// wrapped server (or of every shard of the wrapped pool) to k. Legal
-// while Healthy or Degraded.
-func (n *NetServer) ResizeWorkers(k int) error {
-	if err := n.lc.Resizable(); err != nil {
-		return err
-	}
-	if n.resizeFn == nil {
-		return fmt.Errorf("kvstore: resize workers: server has no resizable backend")
-	}
-	return n.resizeFn(k)
-}
-
-// netElastic is the parser-worker autoscaler state. The controller is
-// deliberately wall-clock-free: it evaluates once per executed batch
-// (an event the virtual-time side already generates) and scales from
-// submission-queue backlog.
-type netElastic struct {
-	min, max int
-	// idle counts consecutive low-backlog evaluations; netShrinkIdleEvals
-	// of them halve the worker set.
-	idle    int
-	grown   uint64
-	shrunk  uint64
-	maxSeen int
-}
-
-// netShrinkIdleEvals is the number of consecutive low-backlog batch
-// evaluations before the elastic controller shrinks.
-const netShrinkIdleEvals = 16
-
-// EnableElastic turns on parser-worker autoscaling between min and max
-// workers per shard: the worker set doubles when the queued backlog
-// reaches two batches per live worker and halves after a sustained idle
-// stretch. Requires a batched pool server; call before Serve. The
-// server starts at min workers.
-func (n *NetServer) EnableElastic(min, max int) error {
-	if err := n.lc.Resizable(); err != nil {
-		return err
-	}
-	if n.queues == nil || n.resizeFn == nil {
-		return fmt.Errorf("kvstore: elastic mode needs a batched pool server")
-	}
-	if min < 1 || max < min || max > MaxResizeWorkers {
-		return fmt.Errorf("kvstore: elastic bounds [%d, %d] out of range [1, %d]", min, max, MaxResizeWorkers)
-	}
-	if err := n.resizeFn(min); err != nil {
-		return err
-	}
-	n.elasticMu.Lock()
-	defer n.elasticMu.Unlock()
-	n.elastic = &netElastic{min: min, max: max, maxSeen: min}
-	return nil
-}
-
-// NetElasticStats reports the autoscaler's activity.
-type NetElasticStats struct {
-	// Grown and Shrunk count resize operations in each direction.
-	Grown, Shrunk uint64
-	// MaxWorkers is the highest per-shard worker count reached; Workers
-	// is the current one.
-	MaxWorkers, Workers int
-}
-
-// ElasticStats returns the autoscaler's counters (zero value when
-// elastic mode is off).
-func (n *NetServer) ElasticStats() NetElasticStats {
-	n.elasticMu.Lock()
-	defer n.elasticMu.Unlock()
-	if n.elastic == nil {
-		return NetElasticStats{}
-	}
-	return NetElasticStats{
-		Grown:      n.elastic.grown,
-		Shrunk:     n.elastic.shrunk,
-		MaxWorkers: n.elastic.maxSeen,
-		Workers:    n.workersFn(),
-	}
-}
-
-// maybeScale runs one elastic evaluation: grow (double, capped) when
-// the queued backlog reaches two requests per live worker per shard,
-// shrink (halve, floored) after netShrinkIdleEvals consecutive
-// evaluations with at most one queued request per live worker.
-func (n *NetServer) maybeScale() {
-	n.elasticMu.Lock()
-	defer n.elasticMu.Unlock()
-	e := n.elastic
-	if e == nil {
-		return
-	}
-	perShard := n.queues.TotalLoad() / int64(n.workers)
-	cur := n.workersFn()
-	switch {
-	case perShard >= int64(2*cur) && cur < e.max:
-		next := cur * 2
-		if next > e.max {
-			next = e.max
-		}
-		if err := n.resizeFn(next); err == nil {
-			e.grown++
-			e.idle = 0
-			if next > e.maxSeen {
-				e.maxSeen = next
-			}
-		}
-	case perShard <= int64(cur):
-		e.idle++
-		if e.idle >= netShrinkIdleEvals && cur > e.min {
-			next := cur / 2
-			if next < e.min {
-				next = e.min
-			}
-			if err := n.resizeFn(next); err == nil {
-				e.shrunk++
-			}
-			e.idle = 0
-		}
-	default:
-		e.idle = 0
-	}
-}
-
-// Interface compliance: the net server implements the shared lifecycle
-// contract.
-var _ lifecycle.Component = (*NetServer)(nil)
-
-// SetRequestTimeout installs a per-request deadline (0 disables it, the
-// default). Call before Serve.
-func (n *NetServer) SetRequestTimeout(d time.Duration) { n.reqTimeout = d }
-
-func (n *NetServer) logf(format string, args ...any) {
-	if n.log != nil {
-		n.log.Printf(format, args...)
-	}
-}
-
-// Serve accepts connections on ln until it is closed, then waits for
-// in-flight connections to finish.
-func (n *NetServer) Serve(ln net.Listener) error {
-	defer n.wg.Wait()
+// ServeCommands runs the command loop for one connection: read a
+// command, hand it to handle, flush; quit or EOF ends it. A malformed
+// command answers CLIENT_ERROR and closes the connection: ReadCommand
+// rejects a bad header before consuming its data block, so reading on
+// would parse attacker-supplied bytes as commands.
+func ServeCommands(id int, conn io.ReadWriter, logf func(string, ...any), handle func(w io.Writer, cmd Command) error) {
+	r := bufio.NewReader(conn)
+	w := bufio.NewWriter(conn)
 	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("kvstore: accept: %w", err)
+		cmd, err := ReadCommand(r)
+		if err != nil && !errors.Is(err, io.EOF) {
+			_, _ = fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", err)
+			_ = w.Flush()
 		}
-		n.connMu.Lock()
-		n.nextID++
-		id := n.nextID
-		n.connMu.Unlock()
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer func() {
-				if cerr := conn.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
-					n.logf("conn %d close: %v", id, cerr)
-				}
-			}()
-			n.serveConn(id, conn)
-		}()
+		if err != nil || cmd.Quit {
+			return
+		}
+		if err := handle(w, cmd); err != nil {
+			logf("conn %d write: %v", id, err)
+			return
+		}
+		if err := w.Flush(); err != nil {
+			logf("conn %d flush: %v", id, err)
+			return
+		}
 	}
 }
 
 // serveConn runs the command loop for one connection. With a gateway
-// installed the connection carries tenant state: data commands require
-// a prior successful auth command and pass per-tenant admission.
+// installed the connection carries tenant state: data and scan commands
+// require a prior successful auth command and pass per-tenant
+// admission.
 func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	tenant := ""
-	authed := false
-	for {
-		cmd, err := ReadCommand(r)
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				_, _ = fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", err)
-				_ = w.Flush()
-			}
-			return
-		}
+	tenant, authed := "", false
+	ServeCommands(id, conn, n.Logf, func(w io.Writer, cmd Command) error {
 		switch {
-		case cmd.Quit:
-			_ = w.Flush()
-			return
 		case cmd.Auth:
-			err = n.handleAuth(w, cmd.Token, &tenant, &authed)
+			return n.handleAuth(w, cmd.Token, &tenant, &authed)
 		case cmd.Health:
-			err = n.writeHealth(w)
+			return n.writeHealth(w)
 		case cmd.Stats:
-			err = n.stats(w)
-		case cmd.Scan:
-			err = n.handleScan(w, cmd, tenant, authed)
-		default:
-			req := cmd.Req
-			if bytes.HasPrefix(req.Value, []byte(AttackMarker)) {
-				req.Malicious = true
+			return WriteStats(w, n.pool)
+		}
+		// Data and scan commands pass tenant admission first; a rejection
+		// is a SERVER_ERROR line carrying the typed error's deterministic
+		// rendering. Every scan page is charged one admission token —
+		// pagination is the anti-starvation contract: a tenant walking
+		// the whole table re-enters admission per page.
+		var ticket *gateway.Ticket
+		if gw := n.Gateway(); gw != nil {
+			if !authed {
+				_, err := io.WriteString(w, "CLIENT_ERROR auth required\r\n")
+				return err
 			}
-			err = n.handleData(w, id, req, tenant, authed)
+			var aerr error
+			if ticket, aerr = gw.Admit(tenant); aerr != nil {
+				_, err := fmt.Fprintf(w, "SERVER_ERROR %s\r\n", aerr)
+				return err
+			}
 		}
-		if err != nil {
-			n.logf("conn %d write: %v", id, err)
-			return
+		if cmd.Scan {
+			return n.handleScan(w, cmd, ticket)
 		}
-		if err := w.Flush(); err != nil {
-			n.logf("conn %d flush: %v", id, err)
-			return
-		}
-	}
+		return n.handleData(w, id, cmd.Req, tenant, ticket)
+	})
 }
 
 // handleAuth binds the connection to a tenant. Every failure mode
 // answers the same uniform line — the response never reveals whether
 // the token was close to (or part of) a valid credential.
 func (n *NetServer) handleAuth(w io.Writer, token string, tenant *string, authed *bool) error {
-	if n.gw == nil {
+	gw := n.Gateway()
+	if gw == nil {
 		_, err := io.WriteString(w, "CLIENT_ERROR gateway disabled\r\n")
 		return err
 	}
-	name, aerr := n.gw.Authenticate([]byte(token))
+	name, aerr := gw.Authenticate([]byte(token))
+	*tenant, *authed = name, aerr == nil
 	if aerr != nil {
-		*tenant = ""
-		*authed = false
-		n.logf("auth rejected: %v", aerr)
+		n.Logf("auth rejected: %v", aerr)
 		_, err := io.WriteString(w, "CLIENT_ERROR unauthorized\r\n")
 		return err
 	}
-	*tenant = name
-	*authed = true
 	_, err := io.WriteString(w, "OK\r\n")
 	return err
 }
 
-// handleData executes one data command, running gateway admission first
-// when a gateway is installed: rejections become SERVER_ERROR lines
-// carrying the typed error's deterministic rendering, and admitted
-// requests report their outcome (contained violation, budget
-// preemption) back to the tenant's circuit breaker.
-func (n *NetServer) handleData(w io.Writer, id int, req workload.Request, tenant string, authed bool) error {
-	if n.gw == nil {
-		resp := n.handleTimed(id, req)
-		if resp.Contained {
-			n.logf("conn %d: contained memory-safety violation (domain rewound)", id)
-		}
-		return WriteResponse(w, req, resp)
+// handleData executes one admitted data command and reports its outcome
+// (contained violation, budget preemption) back to the tenant's circuit
+// breaker.
+func (n *NetServer) handleData(w io.Writer, id int, req workload.Request, tenant string, ticket *gateway.Ticket) error {
+	if bytes.HasPrefix(req.Value, []byte(AttackMarker)) {
+		req.Malicious = true
 	}
-	if !authed {
-		_, err := io.WriteString(w, "CLIENT_ERROR auth required\r\n")
-		return err
+	resp := n.Do(id, req)
+	if ticket != nil {
+		_, preempted := core.IsBudget(resp.Err)
+		ticket.Done(resp.Contained, preempted)
 	}
-	ticket, aerr := n.gw.Admit(tenant)
-	if aerr != nil {
-		return WriteResponse(w, req, Response{Err: aerr})
-	}
-	resp := n.handleTimed(id, req)
-	_, preempted := core.IsBudget(resp.Err)
-	ticket.Done(resp.Contained, preempted)
-	if resp.Contained {
-		n.logf("conn %d: tenant %s: contained memory-safety violation (domain rewound)", id, tenant)
+	switch {
+	case resp.Contained && ticket != nil:
+		n.Logf("conn %d: tenant %s: contained memory-safety violation (domain rewound)", id, tenant)
+	case resp.Contained:
+		n.Logf("conn %d: contained memory-safety violation (domain rewound)", id)
 	}
 	return WriteResponse(w, req, resp)
 }
 
-// handleScan serves one paginated scan page. With a gateway installed,
-// every page is charged one admission token against the tenant's quota
-// — pagination is the anti-starvation contract: a tenant walking the
-// whole table re-enters admission per page and cannot lock others out
-// with one giant request.
-func (n *NetServer) handleScan(w io.Writer, cmd Command, tenant string, authed bool) error {
-	if n.scanFn == nil {
-		_, err := io.WriteString(w, "CLIENT_ERROR scan disabled\r\n")
-		return err
-	}
-	var ticket *gateway.Ticket
-	if n.gw != nil {
-		if !authed {
-			_, err := io.WriteString(w, "CLIENT_ERROR auth required\r\n")
-			return err
-		}
-		t, aerr := n.gw.Admit(tenant)
-		if aerr != nil {
-			_, err := fmt.Fprintf(w, "SERVER_ERROR %s\r\n", aerr)
-			return err
-		}
-		ticket = t
-	}
-	res, serr := n.scanFn(cmd.ScanPrefix, cmd.ScanCursor, cmd.ScanLimit)
+// handleScan serves one admitted scan page. Scans bypass the submission
+// queues even on batched servers: a page is a trusted-side metadata
+// walk, not domain work.
+func (n *NetServer) handleScan(w io.Writer, cmd Command, ticket *gateway.Ticket) error {
+	res, serr := n.pool.Scan(cmd.ScanPrefix, cmd.ScanCursor, cmd.ScanLimit)
 	if ticket != nil {
 		ticket.Done(false, false)
 	}
@@ -660,21 +220,11 @@ func (n *NetServer) handleScan(w io.Writer, cmd Command, tenant string, authed b
 	return WriteScanResponse(w, res)
 }
 
-// writeHealth renders the lifecycle health document as STAT lines: the
-// summary state, drain flag, worker count, per-shard states, and (with
-// a gateway) per-tenant counters, all in deterministic order.
+// writeHealth renders the health document as STAT lines: the summary
+// state, drain flag, worker count, per-shard states, and (with a
+// gateway) per-tenant counters, all in deterministic order.
 func (n *NetServer) writeHealth(w io.Writer) error {
-	var shards []gateway.ShardHealth
-	if n.healthFn != nil {
-		shards = n.healthFn()
-	}
-	var tenants []metrics.TenantSnapshot
-	draining := n.Draining()
-	if n.gw != nil {
-		draining = draining || n.gw.Draining()
-		tenants = n.gw.Stats().Snapshot()
-	}
-	h := gateway.BuildHealth(draining, n.workers, shards, tenants)
+	h := n.Health()
 	drainInt := 0
 	if h.Draining {
 		drainInt = 1
@@ -698,16 +248,4 @@ func (n *NetServer) writeHealth(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "END\r\n")
 	return err
-}
-
-// handleTimed wraps handle with the per-request deadline, when one is
-// configured.
-func (n *NetServer) handleTimed(id int, req workload.Request) Response {
-	ctx := context.Background()
-	if n.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, n.reqTimeout)
-		defer cancel()
-	}
-	return n.handle(ctx, id, req)
 }

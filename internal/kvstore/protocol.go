@@ -64,9 +64,33 @@ type Command struct {
 	ScanLimit  int
 }
 
+// MaxCommandLine bounds a command line, terminator included (memcached's
+// own limit): the line is read on the trusted side, so a client that
+// never sends a newline must not grow host memory.
+const MaxCommandLine = 2048
+
+// readLine reads one newline-terminated line of at most MaxCommandLine
+// bytes, whatever r's buffer size.
+func readLine(r *bufio.Reader) (string, error) {
+	var line []byte
+	for {
+		chunk, err := r.ReadSlice('\n')
+		if len(line)+len(chunk) > MaxCommandLine {
+			return "", fmt.Errorf("%w: command line over %d bytes", ErrProtocol, MaxCommandLine)
+		}
+		if err == nil && line == nil {
+			return string(chunk), nil // the common case: one buffer, one allocation
+		}
+		line = append(line, chunk...)
+		if !errors.Is(err, bufio.ErrBufferFull) {
+			return string(line), err
+		}
+	}
+}
+
 // ReadCommand reads and parses one command from r.
 func ReadCommand(r *bufio.Reader) (Command, error) {
-	line, err := r.ReadString('\n')
+	line, err := readLine(r)
 	if err != nil {
 		return Command{}, err
 	}

@@ -169,3 +169,38 @@ func TestProtocolRoundTripThroughServer(t *testing.T) {
 		t.Errorf("transcript:\n%q\nwant:\n%q", out.String(), want)
 	}
 }
+
+// endlessA is a client that never sends a newline; n counts the bytes
+// the parser pulled from it.
+type endlessA struct{ n int }
+
+func (e *endlessA) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	e.n += len(p)
+	return len(p), nil
+}
+
+// TestReadCommandBoundsLine: a newline-less command line is rejected
+// with the typed protocol error within MaxCommandLine plus one bufio
+// buffer, whatever the reader's buffer size — the trusted side never
+// buffers an unbounded line.
+func TestReadCommandBoundsLine(t *testing.T) {
+	for _, size := range []int{16, 512, 4096, 64 << 10} {
+		src := &endlessA{}
+		_, err := ReadCommand(bufio.NewReaderSize(src, size))
+		if !errors.Is(err, ErrProtocol) {
+			t.Fatalf("buffer %d: err = %v, want ErrProtocol", size, err)
+		}
+		if src.n > MaxCommandLine+size {
+			t.Errorf("buffer %d: parser read %d bytes, want at most %d", size, src.n, MaxCommandLine+size)
+		}
+	}
+	// A line that spans several small buffers but fits the cap still parses.
+	key := strings.Repeat("k", 300)
+	cmd, err := ReadCommand(bufio.NewReaderSize(strings.NewReader("get "+key+"\r\n"), 16))
+	if err != nil || cmd.Req.Key != key {
+		t.Fatalf("multi-buffer line: key len %d, err %v", len(cmd.Req.Key), err)
+	}
+}

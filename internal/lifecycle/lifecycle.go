@@ -1,8 +1,8 @@
 // Package lifecycle is the shared component-lifecycle contract of the
 // repository: one typed state machine — Initializing → Healthy →
 // Degraded → Draining → Stopped — implemented by every long-lived
-// component (Domain, Pool, AsyncPool, the kvstore pool, both network
-// servers, the campaign executors, and the future cluster nodes).
+// component (Domain, Pool, AsyncPool, the kvstore pool, the serving
+// frontend, the campaign executors, and the cluster nodes).
 //
 // The pattern follows the Milvus Component Init/Start/Stop/
 // GetComponentStates shape: construction is cheap and deferred (a
