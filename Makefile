@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race test-lifecycle test-cluster bench bench-batched bench-smoke campaign-smoke
+.PHONY: check fmt vet lint build test race test-lifecycle test-cluster bench bench-smoke campaign-smoke
 
 check: fmt vet lint build test race test-lifecycle test-cluster
 
@@ -15,10 +15,11 @@ check: fmt vet lint build test race test-lifecycle test-cluster
 # protocols), the -race elasticity hammers (concurrent Resize under
 # load with a mid-run drain, the frontends' grow-under-burst runs), the
 # retired-worker and durable-acked-write regressions, the controller
-# grow/shrink cycle, and the drain regressions (whole-call drain
-# accounting, controller-teardown deadlock freedom, batch shedding).
+# grow/shrink cycle, the drain regressions (whole-call drain
+# accounting, controller-teardown deadlock freedom, batch shedding), and
+# the connection loops' flush-rule battery (kvd and cluster).
 test-lifecycle:
-	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain' ./...
+	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule' ./...
 
 # Cluster tier gate (DESIGN.md §14): rendezvous placement, lease
 # membership, crash/rolling/partition state-machine tests, the wire
@@ -60,16 +61,10 @@ race:
 bench:
 	$(GO) run ./benchmark
 
-# Batched-execution benchmarks only: serial-vs-batched E1 at batch
-# sizes 1/8/32 plus the AsyncPool submission path, emitted as JSON (CI
-# uploads BENCH_BATCHED_CI.json as an artifact).
-bench-batched:
-	$(GO) run ./cmd/benchjson -bench 'E1KVSDRaD$$|E1HTTPSDRaD$$|E1KVSDRaDBatched|E1HTTPSDRaDBatched|AsyncPoolSubmit' \
-		-benchtime 1x -out BENCH_BATCHED_CI.json
-
-# One-iteration smoke pass over the suite (CI: proves the benches run).
+# One-iteration pass over the go-test benchmarks (CI): its only job is
+# proving they still run; numbers come from `make bench`.
 bench-smoke:
-	$(GO) run ./cmd/benchjson -benchtime 1x -out BENCH_CI.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Deterministic resilience-campaign smoke (CI): fixed seed, three
 # attacked scenarios plus one benign control (so every oracle — same

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kvstore"
+	"repro/internal/kvstore/kvstoretest"
 	"repro/internal/workload"
 )
 
@@ -132,4 +133,14 @@ func TestClusterProtocolErrorClosesConnection(t *testing.T) {
 	if got := talk(f, router, 3, "get victim\r\n"); got != "VALUE victim 0 1\r\nv\r\nEND\r\n" {
 		t.Fatalf("victim did not survive: %q", got)
 	}
+}
+
+// TestFlushRule runs the flush-rule battery against the cluster
+// binary's loop: one write per drained window, nothing stranded behind
+// a half-received command, every way out of the loop flushes.
+func TestFlushRule(t *testing.T) {
+	kvstoretest.FlushRule(t, func(t *testing.T) func(conn io.ReadWriter) {
+		router, f := newTestCluster(t)
+		return func(conn io.ReadWriter) { serveConn(f, router, 1, conn) }
+	})
 }

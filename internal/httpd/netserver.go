@@ -28,18 +28,23 @@ type NetServer struct {
 func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 	n := &NetServer{}
 	var rr atomic.Uint64
+	// scratch[i] is worker i's reusable batch (batches for one worker
+	// never overlap).
+	scratch := make([][]BatchRequest, p.Workers())
 	n.Frontend = serve.New(serve.Backend[[]byte, Response]{
 		Name:      "httpd",
 		ServeConn: n.serveConn,
 		Handle:    p.ServeContext,
 		Batch: func(si int, calls []*serve.Call[[]byte, Response]) {
-			batch := make([]BatchRequest, len(calls))
-			for i, c := range calls {
-				batch[i] = BatchRequest{Ctx: c.Ctx, ClientID: c.ClientID, Raw: c.Req}
+			batch := scratch[si][:0]
+			for _, c := range calls {
+				batch = append(batch, BatchRequest{Ctx: c.Ctx, ClientID: c.ClientID, Raw: c.Req})
 			}
 			for i, resp := range p.serveBatch(si, batch) {
 				calls[i].Resp = resp
 			}
+			clear(batch)
+			scratch[si] = batch
 		},
 		// Requests are stateless: least-loaded queue with a round-robin
 		// tiebreak, failing over to any other queue when it is full.
@@ -101,11 +106,7 @@ func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
 		n.Logf("conn %d read: %v", id, err)
 		return
 	}
-	resp := n.dispatch(id, raw)
-	if resp.Contained {
-		n.Logf("conn %d: contained parser exploit (domain rewound)", id)
-	}
-	WriteHTTPResponse(conn, resp)
+	WriteHTTPResponse(conn, n.dispatch(id, raw))
 }
 
 // dispatch routes one request: without a gateway it goes straight to
@@ -117,7 +118,7 @@ func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
 func (n *NetServer) dispatch(id int, raw []byte) Response {
 	gw := n.Gateway()
 	if gw == nil {
-		return n.Do(id, raw)
+		return n.do(id, raw, "")
 	}
 	path := requestPath(raw)
 	if path == "/healthz" {
@@ -148,9 +149,19 @@ func (n *NetServer) dispatch(id int, raw []byte) Response {
 	if err != nil {
 		return admissionResponse(err)
 	}
-	resp := n.Do(id, raw)
+	resp := n.do(id, raw, tenant)
 	// 408 is the wire mapping of a budget preemption (see finishSDRaD).
 	ticket.Done(resp.Contained, resp.Status == 408)
+	return resp
+}
+
+// do serves one request and reports a contained exploit to the
+// frontend's paced log (tenant is "" without a gateway).
+func (n *NetServer) do(id int, raw []byte, tenant string) Response {
+	resp := n.Do(id, raw)
+	if resp.Contained {
+		n.LogContained(id, tenant)
+	}
 	return resp
 }
 

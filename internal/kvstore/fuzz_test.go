@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bufio"
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,11 +29,29 @@ func FuzzReadCommand(f *testing.F) {
 		"get\r\n",
 		"\x00\xff\r\n",
 		strings.Repeat("a", 3*MaxCommandLine), // a line that never ends
+		// Field splitting: Unicode spaces, every ASCII space, too many fields.
+		"get\u00a0k\r\n",
+		"get k\u2003x\r\n",
+		"get\vk\f\r\n",
+		" \t get \t k \r\n",
+		"stats a b c d e f g\r\n",
+		"set k 0 0 5 extra\u0085\r\nhello\r\n",
+		"get k\xa0\r\n",
+		"0 0 0 0 0 \xc6 0\r\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
+		// The allocation-free splitter must split as strings.Fields does,
+		// up to the one field past the longest command that it keeps.
+		line, _, _ := strings.Cut(in, "\n")
+		line = strings.TrimRight(line, "\r\n")
+		var split [maxFields + 1]string
+		got, want := splitFields(line, &split), strings.Fields(line)
+		if n := len(split); !slices.Equal(got[:min(len(got), n)], want[:min(len(want), n)]) {
+			t.Errorf("splitFields(%q) = %q, want %q", line, got, want)
+		}
 		cmd, err := ReadCommand(bufio.NewReader(strings.NewReader(in)))
 		if err != nil {
 			return

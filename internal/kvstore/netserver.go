@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -33,18 +32,23 @@ type NetServer struct {
 // initialized: the shard count is fixed here).
 func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 	n := &NetServer{pool: p}
+	// scratch[i] is shard i's reusable batch (batches for one shard never
+	// overlap).
+	scratch := make([][]BatchRequest, p.Workers())
 	n.Frontend = serve.New(serve.Backend[workload.Request, Response]{
 		Name:      "kvstore",
 		ServeConn: n.serveConn,
 		Handle:    p.HandleContext,
 		Batch: func(si int, calls []*serve.Call[workload.Request, Response]) {
-			batch := make([]BatchRequest, len(calls))
-			for i, c := range calls {
-				batch[i] = BatchRequest{Ctx: c.Ctx, ClientID: c.ClientID, Req: c.Req}
+			batch := scratch[si][:0]
+			for _, c := range calls {
+				batch = append(batch, BatchRequest{Ctx: c.Ctx, ClientID: c.ClientID, Req: c.Req})
 			}
 			for i, resp := range p.handleBatch(si, batch) {
 				calls[i].Resp = resp
 			}
+			clear(batch)
+			scratch[si] = batch
 		},
 		// Every operation on a key lands on the shard that owns it.
 		Pick:       func(req workload.Request, _ func(int) int64) int { return p.shardIndex(req.Key) },
@@ -98,30 +102,32 @@ func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch 
 }
 
 // ServeCommands runs the command loop for one connection: read a
-// command, hand it to handle, flush; quit or EOF ends it. A malformed
-// command answers CLIENT_ERROR and closes the connection: ReadCommand
-// rejects a bad header before consuming its data block, so reading on
-// would parse attacker-supplied bytes as commands.
+// command, hand it to handle; quit, EOF or a handler error ends it.
+// Commands execute one at a time, in order; their replies collect in
+// the serve.Buffer pair and leave when the loop next reads the socket
+// — one write per window a client pipelined — and, whatever ended the
+// loop, before it returns. A malformed command answers CLIENT_ERROR and
+// closes the connection: ReadCommand rejects a bad header before
+// consuming its data block, so reading on would parse attacker-supplied
+// bytes as commands.
 func ServeCommands(id int, conn io.ReadWriter, logf func(string, ...any), handle func(w io.Writer, cmd Command) error) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	for {
-		cmd, err := ReadCommand(r)
-		if err != nil && !errors.Is(err, io.EOF) {
-			_, _ = fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", err)
-			_ = w.Flush()
+	r, w := serve.Buffer(conn)
+	var err error
+	for err == nil {
+		cmd, rerr := ReadCommand(r)
+		if rerr != nil && !errors.Is(rerr, io.EOF) {
+			_, _ = fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", rerr)
 		}
-		if err != nil || cmd.Quit {
-			return
+		if rerr != nil || cmd.Quit {
+			break
 		}
-		if err := handle(w, cmd); err != nil {
-			logf("conn %d write: %v", id, err)
-			return
-		}
-		if err := w.Flush(); err != nil {
-			logf("conn %d flush: %v", id, err)
-			return
-		}
+		err = handle(w, cmd)
+	}
+	if ferr := w.Flush(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		logf("conn %d write: %v", id, err)
 	}
 }
 
@@ -196,11 +202,8 @@ func (n *NetServer) handleData(w io.Writer, id int, req workload.Request, tenant
 		_, preempted := core.IsBudget(resp.Err)
 		ticket.Done(resp.Contained, preempted)
 	}
-	switch {
-	case resp.Contained && ticket != nil:
-		n.Logf("conn %d: tenant %s: contained memory-safety violation (domain rewound)", id, tenant)
-	case resp.Contained:
-		n.Logf("conn %d: contained memory-safety violation (domain rewound)", id)
+	if resp.Contained {
+		n.LogContained(id, tenant)
 	}
 	return WriteResponse(w, req, resp)
 }

@@ -88,14 +88,48 @@ func readLine(r *bufio.Reader) (string, error) {
 	}
 }
 
+// maxFields is the most fields a command can use (set's five); a line
+// with more is rejected by every arity check whatever their number.
+const maxFields = 5
+
+// splitFields is strings.Fields without the heap slice: it splits line
+// around runs of white space into dst and returns the filled prefix,
+// stopping after maxFields+1 fields. A line holding a byte >= 0x80 may
+// contain Unicode white space and takes strings.Fields itself, so the
+// split — and with it every accept/reject decision — is the same.
+func splitFields(line string, dst *[maxFields + 1]string) []string {
+	n, start := 0, -1
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case c >= 0x80:
+			return strings.Fields(line)
+		case c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r': // strings.Fields' ASCII spaces
+			if start >= 0 {
+				dst[n] = line[start:i]
+				n, start = n+1, -1
+				if n == len(dst) {
+					return dst[:n]
+				}
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst[n] = line[start:]
+		n++
+	}
+	return dst[:n]
+}
+
 // ReadCommand reads and parses one command from r.
 func ReadCommand(r *bufio.Reader) (Command, error) {
 	line, err := readLine(r)
 	if err != nil {
 		return Command{}, err
 	}
-	line = strings.TrimRight(line, "\r\n")
-	fields := strings.Fields(line)
+	var split [maxFields + 1]string
+	fields := splitFields(strings.TrimRight(line, "\r\n"), &split)
 	if len(fields) == 0 {
 		return Command{}, fmt.Errorf("%w: empty command", ErrProtocol)
 	}
@@ -176,6 +210,26 @@ func ReadCommand(r *bufio.Reader) (Command, error) {
 	}
 }
 
+// writeValueLine renders "VALUE <key> <flags> <bytes>\r\n". Into a
+// *bufio.Writer — what every connection loop hands in — it appends to
+// the writer's own spare buffer, so a GET hit renders without garbage.
+func writeValueLine(w io.Writer, key string, flags uint32, size int) error {
+	bw, ok := w.(*bufio.Writer)
+	if !ok {
+		_, err := fmt.Fprintf(w, "VALUE %s %d %d\r\n", key, flags, size)
+		return err
+	}
+	b := append(bw.AvailableBuffer(), "VALUE "...)
+	b = append(b, key...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(flags), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(size), 10)
+	b = append(b, "\r\n"...)
+	_, err := bw.Write(b)
+	return err
+}
+
 // WriteResponse renders resp for req in the memcached wire format.
 func WriteResponse(w io.Writer, req workload.Request, resp Response) error {
 	switch {
@@ -183,7 +237,7 @@ func WriteResponse(w io.Writer, req workload.Request, resp Response) error {
 		_, err := fmt.Fprintf(w, "SERVER_ERROR %s\r\n", resp.Err)
 		return err
 	case req.Op == workload.OpGet && resp.OK:
-		if _, err := fmt.Fprintf(w, "VALUE %s %d %d\r\n", req.Key, resp.Flags, len(resp.Value)); err != nil {
+		if err := writeValueLine(w, req.Key, resp.Flags, len(resp.Value)); err != nil {
 			return err
 		}
 		if _, err := w.Write(resp.Value); err != nil {
@@ -214,7 +268,7 @@ func WriteResponse(w io.Writer, req workload.Request, resp Response) error {
 // table has more matching keys, then END.
 func WriteScanResponse(w io.Writer, res ScanResult) error {
 	for _, it := range res.Items {
-		if _, err := fmt.Fprintf(w, "VALUE %s %d %d\r\n", it.Key, it.Flags, len(it.Value)); err != nil {
+		if err := writeValueLine(w, it.Key, it.Flags, len(it.Value)); err != nil {
 			return err
 		}
 		if _, err := w.Write(it.Value); err != nil {

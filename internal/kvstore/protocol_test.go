@@ -104,6 +104,8 @@ func TestWriteResponseForms(t *testing.T) {
 	}{
 		{"get hit", workload.Request{Op: workload.OpGet, Key: "k"},
 			Response{OK: true, Value: []byte("vv")}, "VALUE k 0 2\r\nvv\r\nEND\r\n"},
+		{"get hit with flags", workload.Request{Op: workload.OpGet, Key: "key-000017"},
+			Response{OK: true, Flags: 4294967295, Value: []byte("0123456789ab")}, "VALUE key-000017 4294967295 12\r\n0123456789ab\r\nEND\r\n"},
 		{"get miss", workload.Request{Op: workload.OpGet, Key: "k"},
 			Response{}, "END\r\n"},
 		{"set", workload.Request{Op: workload.OpSet, Key: "k"},
@@ -124,7 +126,45 @@ func TestWriteResponseForms(t *testing.T) {
 			if buf.String() != c.want {
 				t.Errorf("got %q, want %q", buf.String(), c.want)
 			}
+			// A *bufio.Writer takes the strconv path for the VALUE line; the
+			// bytes must not depend on it, nor on the line fitting the
+			// writer's spare buffer.
+			for _, size := range []int{16, 4096} {
+				var out bytes.Buffer
+				bw := bufio.NewWriterSize(&out, size)
+				if err := WriteResponse(bw, c.req, c.resp); err != nil {
+					t.Fatal(err)
+				}
+				if err := bw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if out.String() != c.want {
+					t.Errorf("through a %d-byte bufio.Writer: got %q, want %q", size, out.String(), c.want)
+				}
+			}
 		})
+	}
+}
+
+// TestCodecAllocatesOnlyTheLine pins the codec's garbage on the hot
+// path: a GET parsed and its hit rendered cost the line's string and
+// nothing else.
+func TestCodecAllocatesOnlyTheLine(t *testing.T) {
+	const n = 100
+	r := reader(strings.Repeat("get key-000017\r\n", n+1))
+	w := bufio.NewWriter(io.Discard)
+	hit := Response{OK: true, Flags: 7, Value: bytes.Repeat([]byte("v"), 128)}
+	allocs := testing.AllocsPerRun(n, func() {
+		cmd, err := ReadCommand(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteResponse(w, cmd.Req, hit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("GET hit: %v allocations per command, want 1", allocs)
 	}
 }
 

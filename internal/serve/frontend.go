@@ -105,7 +105,9 @@ type Frontend[Req, Resp any] struct {
 
 	scaler atomic.Pointer[Scaler]
 	nextID atomic.Int64
-	wg     sync.WaitGroup
+	// contained counts LogContained calls; it only paces the log.
+	contained atomic.Uint64
+	wg        sync.WaitGroup
 }
 
 // New returns an Initializing frontend that calls b.Handle directly,
@@ -219,6 +221,25 @@ func (f *Frontend[Req, Resp]) Logf(format string, args ...any) {
 	if f.log != nil {
 		f.log.Printf(format, args...)
 	}
+}
+
+// LogContained logs a contained violation on connection conn (of
+// tenant, when a gateway named one) — but only when the frontend's
+// running total of them is a power of two. An attacker sets the rate of
+// contained violations, so one line each would let them drive one
+// stderr write per exploit request without bound; this way n of them
+// cost log2(n)+1 lines, the first is still reported at once, and each
+// line carries the total. The exact counts live in the backend's stats
+// and the gateway's tenant counters, which this does not touch.
+func (f *Frontend[Req, Resp]) LogContained(conn int, tenant string) {
+	n := f.contained.Add(1)
+	if n&(n-1) != 0 {
+		return
+	}
+	if tenant != "" {
+		tenant = ": tenant " + tenant
+	}
+	f.Logf("conn %d%s: contained memory-safety violation (domain rewound), %d on this server so far", conn, tenant, n)
 }
 
 // Init allocates the frontend's own resources: a batched frontend's

@@ -54,12 +54,10 @@ type Future struct {
 	err  error
 }
 
-func newFuture() *Future { return &Future{done: make(chan struct{})} }
-
 // Resolved returns a future that is already resolved with err, for
 // callers that must hand back a Future on a rejected submission.
 func Resolved(err error) *Future {
-	f := newFuture()
+	f := &Future{done: make(chan struct{})}
 	f.resolve(err)
 	return f
 }
@@ -94,17 +92,18 @@ func (f *Future) Wait(ctx context.Context) error {
 }
 
 // Task is one queued call: an opaque payload for the executor plus the
-// future producers wait on.
+// future producers wait on (one object, so a submission allocates the
+// pair once).
 type Task struct {
 	// Ctx is the submitter's context; executors should honor it.
 	Ctx context.Context
 	// Payload carries the executor-defined call description.
 	Payload any
-	fut     *Future
+	fut     Future
 }
 
 // Future returns the task's future.
-func (t *Task) Future() *Future { return t.fut }
+func (t *Task) Future() *Future { return &t.fut }
 
 // Resolve records the task's outcome (first resolution wins).
 func (t *Task) Resolve(err error) { t.fut.resolve(err) }
@@ -148,6 +147,9 @@ type workerQ struct {
 	fill  sync.Cond // signaled when a task arrives or the queue closes
 	space sync.Cond // signaled when the drain loop takes tasks
 	items []*Task
+	// batch is the drain loop's reusable batch slice (a queue's batches
+	// never overlap); only the drain goroutine touches it.
+	batch []*Task
 
 	// closing marks a queue being removed by Resize: new submissions
 	// are rejected (overload, so submitters fail over), the backlog is
@@ -300,7 +302,7 @@ func (q *Queues) submit(w int, ctx context.Context, payload any, wait bool) (*Fu
 		}
 		wq.space.Wait()
 	}
-	t := &Task{Ctx: ctx, Payload: payload, fut: newFuture()}
+	t := &Task{Ctx: ctx, Payload: payload, fut: Future{done: make(chan struct{})}}
 	wq.items = append(wq.items, t)
 	wq.submitted++
 	wq.load.Add(1)
@@ -312,7 +314,7 @@ func (q *Queues) submit(w int, ctx context.Context, payload any, wait bool) (*Fu
 	q.flushMu.Unlock()
 	wq.fill.Signal()
 	wq.mu.Unlock()
-	return t.fut, nil
+	return &t.fut, nil
 }
 
 // drain is one queue's loop: block for the first task, take up to
@@ -349,8 +351,7 @@ func (q *Queues) drain(wq *workerQ, w int) {
 		if n > q.cfg.MaxBatch {
 			n = q.cfg.MaxBatch
 		}
-		batch := make([]*Task, n)
-		copy(batch, wq.items)
+		batch := append(wq.batch[:0], wq.items[:n]...)
 		wq.items = append(wq.items[:0], wq.items[n:]...)
 		wq.batches++
 		if n > wq.maxBatch {
@@ -364,6 +365,8 @@ func (q *Queues) drain(wq *workerQ, w int) {
 			t.Resolve(errUnresolved) // backstop; no-op if Exec resolved
 			wq.load.Add(-1)
 		}
+		clear(batch) // resolved tasks belong to their submitters now
+		wq.batch = batch
 		q.finish(n)
 	}
 }
