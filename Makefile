@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race test-lifecycle test-cluster bench bench-smoke campaign-smoke
+.PHONY: check fmt vet lint build test race test-lifecycle test-cluster bench bench-smoke fuzz-smoke campaign-smoke
 
 check: fmt vet lint build test race test-lifecycle test-cluster
 
@@ -60,6 +60,17 @@ race:
 # `go run ./benchmark -compare a.json b.json`.
 bench:
 	$(GO) run ./benchmark
+
+# Fuzz smoke (CI): ten seconds of coverage-guided fuzzing on each target
+# whose parser faces attacker bytes on the trusted side — the HTTP head
+# parser and request path (differential against their Split-based
+# forms), the full SDRaD serve path, and bearer-token extraction.
+# `make test` only replays the seed corpora; this explores past them.
+# A failing input lands under the package's testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/httpd
+	$(GO) test -run '^$$' -fuzz '^FuzzServeSDRaD$$' -fuzztime 10s ./internal/httpd
+	$(GO) test -run '^$$' -fuzz '^FuzzGatewayAuth$$' -fuzztime 10s ./internal/gateway
 
 # One-iteration pass over the go-test benchmarks (CI): its only job is
 # proving they still run; numbers come from `make bench`.

@@ -155,21 +155,24 @@ func (t *Table) Lookup(token []byte) (string, bool) {
 // request head: exactly one Authorization header (case-insensitive
 // name and scheme) of the form "Bearer <token>". Every failure mode —
 // missing, malformed, duplicated, oversized — returns a typed
-// *AuthError and never panics, whatever the input bytes.
+// *AuthError and never panics, whatever the input bytes. The token is a
+// view into raw; the head is walked in place.
 func BearerToken(raw []byte) ([]byte, *AuthError) {
 	head := raw
 	if i := bytes.Index(head, []byte("\r\n\r\n")); i >= 0 {
 		head = head[:i]
 	}
-	lines := bytes.Split(head, []byte("\r\n"))
+	_, rest, more := bytes.Cut(head, []byte("\r\n")) // skip the request line
 	var token []byte
 	found := false
-	for _, line := range lines[1:] { // lines[0] is the request line
+	for more {
+		var line []byte
+		line, rest, more = bytes.Cut(rest, []byte("\r\n"))
 		name, value, ok := bytes.Cut(line, []byte(":"))
 		if !ok {
 			continue
 		}
-		if !strings.EqualFold(string(bytes.TrimSpace(name)), "authorization") {
+		if !bytes.EqualFold(bytes.TrimSpace(name), []byte("authorization")) {
 			continue
 		}
 		if found {
@@ -177,7 +180,7 @@ func BearerToken(raw []byte) ([]byte, *AuthError) {
 		}
 		found = true
 		scheme, cred, ok := bytes.Cut(bytes.TrimSpace(value), []byte(" "))
-		if !ok || !strings.EqualFold(string(scheme), "bearer") {
+		if !ok || !bytes.EqualFold(scheme, []byte("bearer")) {
 			return nil, &AuthError{Reason: "authorization scheme is not Bearer"}
 		}
 		cred = bytes.TrimSpace(cred)

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -62,34 +63,33 @@ type ParsedRequest struct {
 }
 
 // parse parses an HTTP/1.1 request head from b. It is deliberately
-// strict: any structural error returns ErrMalformed.
+// strict: any structural error returns ErrMalformed. The head is walked
+// line by line in place; the only garbage is the request's own strings
+// and header map.
 func parse(b []byte) (ParsedRequest, error) {
 	text := string(b)
 	head, _, found := strings.Cut(text, "\r\n\r\n")
 	if !found {
 		return ParsedRequest{}, fmt.Errorf("%w: missing head terminator", ErrMalformed)
 	}
-	lines := strings.Split(head, "\r\n")
-	if len(lines[0]) > MaxRequestLine {
+	line, rest, more := strings.Cut(head, "\r\n")
+	if len(line) > MaxRequestLine {
 		return ParsedRequest{}, fmt.Errorf("%w: request line too long", ErrMalformed)
 	}
-	parts := strings.Split(lines[0], " ")
-	if len(parts) != 3 {
-		return ParsedRequest{}, fmt.Errorf("%w: bad request line %q", ErrMalformed, lines[0])
+	method, target, ok1 := strings.Cut(line, " ")
+	path, proto, ok2 := strings.Cut(target, " ")
+	if !ok1 || !ok2 || strings.Contains(proto, " ") ||
+		method == "" || !strings.HasPrefix(path, "/") || !strings.HasPrefix(proto, "HTTP/") {
+		return ParsedRequest{}, fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
 	}
-	pr := ParsedRequest{
-		Method:  parts[0],
-		Path:    parts[1],
-		Proto:   parts[2],
-		Headers: make(map[string]string, len(lines)-1),
-	}
-	if pr.Method == "" || !strings.HasPrefix(pr.Path, "/") || !strings.HasPrefix(pr.Proto, "HTTP/") {
-		return ParsedRequest{}, fmt.Errorf("%w: bad request line %q", ErrMalformed, lines[0])
-	}
-	if len(lines)-1 > MaxHeaders {
+	headers := strings.Count(head, "\r\n")
+	if headers > MaxHeaders {
 		return ParsedRequest{}, fmt.Errorf("%w: too many headers", ErrMalformed)
 	}
-	for _, ln := range lines[1:] {
+	pr := ParsedRequest{Method: method, Path: path, Proto: proto, Headers: make(map[string]string, headers)}
+	for more {
+		var ln string
+		ln, rest, more = strings.Cut(rest, "\r\n")
 		if ln == "" {
 			continue
 		}
@@ -420,7 +420,11 @@ func (s *Server) finishSDRaD(d *sdrad.Domain, pr ParsedRequest, perr error, verr
 	}
 	head := s.headBuf[:headLen]
 	clear(head)
-	copy(head, fmt.Sprintf("HTTP/1.1 %d\r\ncontent-length: %d\r\n\r\n", resp.Status, len(resp.Body)))
+	// At most 71 bytes (two 20-digit numbers), so the append stays
+	// inside head.
+	h := strconv.AppendInt(append(head[:0], "HTTP/1.1 "...), int64(resp.Status), 10)
+	h = strconv.AppendInt(append(h, "\r\ncontent-length: "...), int64(len(resp.Body)), 10)
+	_ = append(h, "\r\n\r\n"...)
 	if cerr := d.Write(out, head); cerr != nil {
 		return Response{Status: 500, Err: cerr}
 	}

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"log"
+	"slices"
+	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/dispatch"
@@ -100,13 +102,41 @@ func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch 
 	return n, nil
 }
 
+// connBuffers is the scratch one connection borrows from connPool: the
+// reader its head is read through and the buffer its response is
+// rendered into. Nothing a connection needs outlives its turn with them
+// — the reader is reset to nil before it goes back, the head is a copy
+// — so neither is allocated per connection.
+type connBuffers struct {
+	r   *bufio.Reader
+	out []byte
+}
+
+var connPool = sync.Pool{New: func() any { return &connBuffers{r: bufio.NewReader(nil)} }}
+
+// maxPooledResponse bounds the response buffer a connection hands back
+// to connPool, so one large page does not stay pinned by the pool.
+const maxPooledResponse = 64 << 10
+
+// serveConn answers the connection's one request: one head read, one
+// write of the whole response. A head that cannot be read (a client
+// that connects and hangs up, a port scan, an oversized head) is
+// answered with nothing and logged through the paced log.
 func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
-	raw, err := ReadRequestHead(bufio.NewReader(conn))
+	b := connPool.Get().(*connBuffers)
+	b.r.Reset(conn)
+	raw, err := ReadRequestHead(b.r)
+	b.r.Reset(nil)
 	if err != nil {
-		n.Logf("conn %d read: %v", id, err)
-		return
+		n.LogPaced(serve.EventReadFailed, id, "", err)
+	} else {
+		b.out = appendResponse(b.out[:0], n.dispatch(id, raw))
+		_, _ = conn.Write(b.out) // the peer may be gone; there is no one left to tell
 	}
-	WriteHTTPResponse(conn, n.dispatch(id, raw))
+	if cap(b.out) > maxPooledResponse {
+		b.out = nil
+	}
+	connPool.Put(b)
 }
 
 // dispatch routes one request: without a gateway it goes straight to
@@ -121,7 +151,7 @@ func (n *NetServer) dispatch(id int, raw []byte) Response {
 		return n.do(id, raw, "")
 	}
 	path := requestPath(raw)
-	if path == "/healthz" {
+	if string(path) == "/healthz" {
 		// Unauthenticated by design: load-balancer probes carry no
 		// credentials, and the document holds no tenant secrets (only
 		// tenant names and counters). httpd's workers hold no durable
@@ -129,17 +159,19 @@ func (n *NetServer) dispatch(id int, raw []byte) Response {
 		h := n.Health()
 		return Response{Status: h.Status(), Body: h.JSON()}
 	}
+	// Rejected credentials are logged through the paced log: a client
+	// can send them at will.
 	token, aerr := gateway.BearerToken(raw)
 	if aerr != nil {
-		n.Logf("conn %d auth rejected: %v", id, aerr)
+		n.LogPaced(serve.EventAuthRejected, id, "", aerr)
 		return Response{Status: 401, Body: []byte("unauthorized\n")}
 	}
 	tenant, err := gw.Authenticate(token)
 	if err != nil {
-		n.Logf("conn %d auth rejected: %v", id, err)
+		n.LogPaced(serve.EventAuthRejected, id, "", err)
 		return Response{Status: 401, Body: []byte("unauthorized\n")}
 	}
-	if path == "/drainz" {
+	if string(path) == "/drainz" {
 		if derr := n.Drain(); derr != nil {
 			return Response{Status: 500, Err: derr}
 		}
@@ -160,7 +192,7 @@ func (n *NetServer) dispatch(id int, raw []byte) Response {
 func (n *NetServer) do(id int, raw []byte, tenant string) Response {
 	resp := n.Do(id, raw)
 	if resp.Contained {
-		n.LogContained(id, tenant)
+		n.LogPaced(serve.EventContained, id, tenant, nil)
 	}
 	return resp
 }
@@ -185,18 +217,20 @@ func admissionResponse(err error) Response {
 	return Response{Status: 503, Err: err}
 }
 
-// requestPath extracts the path from an HTTP/1.x request line, "" when
-// malformed (the backend parser then produces the 400).
-func requestPath(raw []byte) string {
-	line := raw
-	if i := bytes.IndexByte(line, '\n'); i >= 0 {
-		line = line[:i]
+// requestPath returns the path of an HTTP/1.x request line as a view
+// into raw, empty when the line is not exactly three space-separated
+// fields (the backend parser then produces the 400).
+func requestPath(raw []byte) []byte {
+	line, _, _ := bytes.Cut(raw, []byte("\n"))
+	_, target, ok := bytes.Cut(bytes.TrimRight(line, "\r"), []byte(" "))
+	if !ok {
+		return nil
 	}
-	parts := bytes.Split(bytes.TrimRight(line, "\r"), []byte(" "))
-	if len(parts) != 3 {
-		return ""
+	path, proto, ok := bytes.Cut(target, []byte(" "))
+	if !ok || bytes.IndexByte(proto, ' ') >= 0 {
+		return nil
 	}
-	return string(parts[1])
+	return path
 }
 
 // maxRequestHead bounds a request head: it is read on the trusted side,
@@ -206,15 +240,27 @@ const maxRequestHead = 64 << 10
 // ErrHeadTooLarge rejects a request head over maxRequestHead bytes.
 var ErrHeadTooLarge = errors.New("httpd: request head too large")
 
+// headPrealloc caps the capacity ReadRequestHead gives its copy up
+// front. What is buffered may run past the head (a body, pipelined
+// bytes), and the copy lives as long as the request is queued; a longer
+// head grows it by append.
+const headPrealloc = 512
+
 // ReadRequestHead reads bytes up to and including the blank line that
 // terminates an HTTP request head. The cap applies to every buffer-full
 // of a line, not only to complete lines, so a newline-less stream stops
-// within one bufio buffer of it.
+// within one bufio buffer of it. The head is returned as a copy, sized
+// once from what is buffered when its first line is read (at most
+// headPrealloc): a short head that arrived in one segment costs one
+// allocation.
 func ReadRequestHead(r *bufio.Reader) ([]byte, error) {
 	var buf []byte
 	lineStart := 0
 	for {
 		chunk, err := r.ReadSlice('\n')
+		if buf == nil {
+			buf = make([]byte, 0, min(len(chunk)+r.Buffered(), headPrealloc))
+		}
 		buf = append(buf, chunk...)
 		if len(buf) > maxRequestHead {
 			return nil, ErrHeadTooLarge
@@ -227,7 +273,7 @@ func ReadRequestHead(r *bufio.Reader) ([]byte, error) {
 		case err != nil:
 			return nil, err
 		}
-		if line := string(buf[lineStart:]); line == "\r\n" || line == "\n" {
+		if line := buf[lineStart:]; string(line) == "\r\n" || string(line) == "\n" {
 			return buf, nil
 		}
 		lineStart = len(buf)
@@ -236,26 +282,48 @@ func ReadRequestHead(r *bufio.Reader) ([]byte, error) {
 
 // WriteHTTPResponse renders resp on the wire with Connection: close,
 // including a Retry-After header when the response carries a retry
-// hint.
+// hint, in one Write.
 func WriteHTTPResponse(w io.Writer, resp Response) {
+	_, _ = w.Write(appendResponse(nil, resp))
+}
+
+// responseHeadroom covers a rendered head with the numbers the server
+// emits: the status line, the fixed headers and a Retry-After.
+const responseHeadroom = 128
+
+// appendResponse appends resp as HTTP/1.1 to dst: status line,
+// Content-Length, Retry-After when the response carries a retry hint,
+// Connection: close, then the body — resp.Err's text and a newline
+// when there is no body but an error. dst is grown once, up front.
+func appendResponse(dst []byte, resp Response) []byte {
 	status := resp.Status
 	if status == 0 {
 		status = 500
 	}
-	body := resp.Body
-	if body == nil && resp.Err != nil {
-		body = []byte(resp.Err.Error() + "\n")
+	errText, errBody := "", resp.Body == nil && resp.Err != nil
+	length := len(resp.Body)
+	if errBody {
+		errText = resp.Err.Error()
+		length = len(errText) + 1
 	}
-	retry := ""
+	dst = slices.Grow(dst, responseHeadroom+length)
+	dst = append(dst, "HTTP/1.1 "...)
+	dst = strconv.AppendInt(dst, int64(status), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, StatusText(status)...)
+	dst = append(dst, "\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(length), 10)
+	dst = append(dst, "\r\n"...)
 	if resp.RetryAfterCycles > 0 {
-		retry = fmt.Sprintf("Retry-After: %d\r\n", gateway.RetrySeconds(resp.RetryAfterCycles))
+		dst = append(dst, "Retry-After: "...)
+		dst = strconv.AppendInt(dst, int64(gateway.RetrySeconds(resp.RetryAfterCycles)), 10)
+		dst = append(dst, "\r\n"...)
 	}
-	_, err := fmt.Fprintf(w, "HTTP/1.1 %d %s\r\nContent-Length: %d\r\n%sConnection: close\r\n\r\n",
-		status, StatusText(status), len(body), retry)
-	if err != nil {
-		return
+	dst = append(dst, "Connection: close\r\n\r\n"...)
+	if errBody {
+		return append(append(dst, errText...), '\n')
 	}
-	_, _ = w.Write(body)
+	return append(dst, resp.Body...)
 }
 
 // StatusText returns the reason phrase for the status codes the server

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gateway"
 	"repro/internal/kvstore/kvstoretest"
 )
 
@@ -85,5 +86,27 @@ func TestContainedViolationsLogSparsely(t *testing.T) {
 	}
 	if !strings.Contains(logs.String(), "conn 3: contained memory-safety violation (domain rewound), 512 on this server so far") {
 		t.Errorf("log lines do not name the connection and the running total:\n%s", logs.String())
+	}
+}
+
+// TestAuthRejectionsLogSparsely: a client that sends rejected tokens
+// gets every rejection answered, but n of them cost about log2(n) log
+// lines, not n.
+func TestAuthRejectionsLogSparsely(t *testing.T) {
+	var logs strings.Builder
+	n := kvdServer(t, log.New(&logs, "", 0))
+	n.SetGateway(testGateway(t, gateway.Limits{Burst: 8, RefillEvery: 1, MaxInflight: 8}))
+	const rejected = 1000
+	conn := kvstoretest.NewConn(strings.Repeat("auth tok-wrong\r\n", rejected) + "auth tok-alice\r\n")
+	n.serveConn(5, conn)
+	out := conn.Out.String()
+	if got := strings.Count(out, "CLIENT_ERROR unauthorized\r\n"); got != rejected || !strings.HasSuffix(out, "OK\r\n") {
+		t.Errorf("%d rejections answered (want %d), then %q", got, rejected, out[len(out)-min(len(out), 8):])
+	}
+	if lines := strings.Count(logs.String(), "\n"); lines == 0 || lines > 11 {
+		t.Errorf("%d log lines for %d rejected tokens, want 1..11:\n%s", lines, rejected, logs.String())
+	}
+	if want := "conn 5: auth rejected: gateway: unauthorized: unknown token, 512 on this server so far\n"; !strings.Contains(logs.String(), want) {
+		t.Errorf("log lines do not name the connection, the reason and the running total:\n%s", logs.String())
 	}
 }

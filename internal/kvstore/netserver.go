@@ -140,7 +140,7 @@ func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
 	ServeCommands(id, conn, n.Logf, func(w io.Writer, cmd Command) error {
 		switch {
 		case cmd.Auth:
-			return n.handleAuth(w, cmd.Token, &tenant, &authed)
+			return n.handleAuth(w, id, cmd.Token, &tenant, &authed)
 		case cmd.Health:
 			return n.writeHealth(w)
 		case cmd.Stats:
@@ -170,10 +170,12 @@ func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
 	})
 }
 
-// handleAuth binds the connection to a tenant. Every failure mode
+// handleAuth binds connection id to a tenant. Every failure mode
 // answers the same uniform line — the response never reveals whether
-// the token was close to (or part of) a valid credential.
-func (n *NetServer) handleAuth(w io.Writer, token string, tenant *string, authed *bool) error {
+// the token was close to (or part of) a valid credential — and is
+// logged through the paced log (a client can send rejected tokens at
+// will).
+func (n *NetServer) handleAuth(w io.Writer, id int, token string, tenant *string, authed *bool) error {
 	gw := n.Gateway()
 	if gw == nil {
 		_, err := io.WriteString(w, "CLIENT_ERROR gateway disabled\r\n")
@@ -182,7 +184,7 @@ func (n *NetServer) handleAuth(w io.Writer, token string, tenant *string, authed
 	name, aerr := gw.Authenticate([]byte(token))
 	*tenant, *authed = name, aerr == nil
 	if aerr != nil {
-		n.Logf("auth rejected: %v", aerr)
+		n.LogPaced(serve.EventAuthRejected, id, "", aerr)
 		_, err := io.WriteString(w, "CLIENT_ERROR unauthorized\r\n")
 		return err
 	}
@@ -203,7 +205,7 @@ func (n *NetServer) handleData(w io.Writer, id int, req workload.Request, tenant
 		ticket.Done(resp.Contained, preempted)
 	}
 	if resp.Contained {
-		n.LogContained(id, tenant)
+		n.LogPaced(serve.EventContained, id, tenant, nil)
 	}
 	return WriteResponse(w, req, resp)
 }

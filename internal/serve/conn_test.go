@@ -70,17 +70,42 @@ func TestLogContainedPacesTheLog(t *testing.T) {
 	var logs strings.Builder
 	f := New(Backend[string, string]{Name: "echo"}, log.New(&logs, "", 0))
 	for i := 0; i < 1000; i++ {
-		f.LogContained(4, "")
+		f.LogPaced(EventContained, 4, "", nil)
 	}
 	if lines := strings.Count(logs.String(), "\n"); lines != 10 { // 1, 2, 4, … 512
 		t.Errorf("%d lines for 1000 violations, want 10:\n%s", lines, logs.String())
 	}
 	logs.Reset()
 	for i := 0; i < 24; i++ { // 1001 … 1024
-		f.LogContained(9, "mallory")
+		f.LogPaced(EventContained, 9, "mallory", nil)
 	}
 	want := "conn 9: tenant mallory: contained memory-safety violation (domain rewound), 1024 on this server so far\n"
 	if logs.String() != want {
 		t.Errorf("logged %q, want %q", logs.String(), want)
+	}
+}
+
+// TestLogPacedCountsEachEventApart: one event's flood neither silences
+// another's first line nor shares its total, and a cause is appended.
+func TestLogPacedCountsEachEventApart(t *testing.T) {
+	var logs strings.Builder
+	f := New(Backend[string, string]{Name: "echo"}, log.New(&logs, "", 0))
+	for i := 0; i < 3; i++ {
+		f.LogPaced(EventReadFailed, 1, "", io.EOF)
+	}
+	logs.Reset()
+	f.LogPaced(EventAuthRejected, 2, "", errors.New("bad token"))
+	f.LogPaced(EventReadFailed, 3, "", io.EOF) // the fourth read failure
+	want := "conn 2: auth rejected: bad token, 1 on this server so far\n" +
+		"conn 3: read: EOF, 4 on this server so far\n"
+	if logs.String() != want {
+		t.Errorf("logged %q, want %q", logs.String(), want)
+	}
+	// Only the written lines may allocate: totals 1026 … 1126 write none.
+	for i := 0; i < 1025; i++ {
+		f.LogPaced(EventContained, 1000, "mallory", io.EOF)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.LogPaced(EventContained, 1000, "mallory", io.EOF) }); allocs != 0 {
+		t.Errorf("%v allocations per unlogged event, want none", allocs)
 	}
 }

@@ -105,9 +105,9 @@ type Frontend[Req, Resp any] struct {
 
 	scaler atomic.Pointer[Scaler]
 	nextID atomic.Int64
-	// contained counts LogContained calls; it only paces the log.
-	contained atomic.Uint64
-	wg        sync.WaitGroup
+	// paced counts LogPaced calls per event; it only paces the log.
+	paced [numEvents]atomic.Uint64
+	wg    sync.WaitGroup
 }
 
 // New returns an Initializing frontend that calls b.Handle directly,
@@ -223,23 +223,51 @@ func (f *Frontend[Req, Resp]) Logf(format string, args ...any) {
 	}
 }
 
-// LogContained logs a contained violation on connection conn (of
-// tenant, when a gateway named one) — but only when the frontend's
-// running total of them is a power of two. An attacker sets the rate of
-// contained violations, so one line each would let them drive one
-// stderr write per exploit request without bound; this way n of them
-// cost log2(n)+1 lines, the first is still reported at once, and each
-// line carries the total. The exact counts live in the backend's stats
-// and the gateway's tenant counters, which this does not touch.
-func (f *Frontend[Req, Resp]) LogContained(conn int, tenant string) {
-	n := f.contained.Add(1)
+// Event is a kind of log line a client can trigger at will. Each kind
+// keeps its own running total for LogPaced.
+type Event uint8
+
+// The paced events.
+const (
+	// EventContained is a contained memory-safety violation.
+	EventContained Event = iota
+	// EventReadFailed is a connection whose request could not be read
+	// (a connect-and-close, a port scan, an oversized head).
+	EventReadFailed
+	// EventAuthRejected is a rejected credential.
+	EventAuthRejected
+	numEvents
+)
+
+// eventText is what a paced line says happened.
+var eventText = [numEvents]string{
+	EventContained:    "contained memory-safety violation (domain rewound)",
+	EventReadFailed:   "read",
+	EventAuthRejected: "auth rejected",
+}
+
+// LogPaced logs one event on connection conn (of tenant, when a gateway
+// named one; with cause, when there is one) — but only when the
+// frontend's running total of that event is a power of two. A client
+// sets the rate of these events, so one line each would let it drive
+// one stderr write per request without bound; this way n of them cost
+// log2(n)+1 lines, the first is still reported at once, and each line
+// carries the total. The exact counts live in the backend's stats and
+// the gateway's tenant counters, which this does not touch. Nothing is
+// formatted (or allocated) for a line that is not written.
+func (f *Frontend[Req, Resp]) LogPaced(ev Event, conn int, tenant string, cause error) {
+	n := f.paced[ev].Add(1)
 	if n&(n-1) != 0 {
 		return
 	}
 	if tenant != "" {
 		tenant = ": tenant " + tenant
 	}
-	f.Logf("conn %d%s: contained memory-safety violation (domain rewound), %d on this server so far", conn, tenant, n)
+	why := ""
+	if cause != nil {
+		why = ": " + cause.Error()
+	}
+	f.Logf("conn %d%s: %s%s, %d on this server so far", conn, tenant, eventText[ev], why, n)
 }
 
 // Init allocates the frontend's own resources: a batched frontend's
