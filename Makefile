@@ -77,17 +77,20 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Deterministic resilience-campaign smoke (CI): fixed seed, three
-# attacked scenarios plus one benign control (so every oracle — same
-# seed, worker counts, benign cycle parity — actually runs) plus the
-# elastic-resize scenario (so the resize oracle replays its grow/shrink
-# schedule), plus the cluster==single-pool differential oracle at node
-# counts 1/2/4, serial and batched 8/32, through node-crash,
-# rolling-restart, and partition schedules. Writes the JSON trace to
-# CAMPAIGN_CI.json for artifact upload; two runs of this target produce
-# byte-identical traces.
+# Deterministic resilience-campaign smoke (CI): fixed seed, five
+# scenarios — three attacked ones, one benign control (so every oracle —
+# same seed, worker counts, benign cycle parity — actually runs), and
+# the elastic-resize scenario (so the resize oracle replays its
+# grow/shrink schedule) — plus one gateway scenario with its isolation
+# oracle, the crash-recovery oracle, and the cluster==single-pool
+# differential oracle at node counts 1/2/4, serial and batched 8/32,
+# through node-crash, rolling-restart, and partition schedules. The
+# JSON trace is byte-pinned: the target regenerates CAMPAIGN_CI.json
+# and fails if it differs from the committed file, so a trace change
+# lands only as a deliberate commit of the new file.
 campaign-smoke:
 	$(GO) run ./cmd/sdrad-campaign -seed 42 -requests 100 \
 		-scenarios kv-pool-mixed,http-domain-malformed,ffi-bridge-binary,kv-pool-benign,kv-pool-resize \
 		-gateway gw-attack-tenants \
 		-oracles -cluster -out CAMPAIGN_CI.json
+	git diff --exit-code CAMPAIGN_CI.json

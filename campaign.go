@@ -18,35 +18,22 @@ import (
 
 // RunCampaign executes a deterministic resilience campaign against the
 // real Domain/Pool/Bridge backends and returns its structured trace.
-// Same cfg.Seed ⇒ byte-identical Trace.JSON(). See DESIGN.md §8 for the
-// scenario schema and the differential oracles built on this entry
-// point.
+// Same cfg ⇒ byte-identical Trace.JSON(). cfg.Batch > 1 coalesces each
+// wave's requests into per-worker batches, so pool-target scenarios
+// exercise the amortized batch entry: outcomes and survivor digests
+// stay those of the serial run, virtual cycles fall. See DESIGN.md §8
+// for the scenario schema and the differential oracles built on this
+// entry point.
 func RunCampaign(cfg campaign.Config) (*campaign.Trace, error) {
 	return campaign.Run(cfg, CampaignFactory())
 }
 
-// RunCampaignBatched is RunCampaign through the batched execution
-// pipeline: requests coalesce into per-worker batches of batchSize, so
-// pool-target scenarios exercise the amortized batch entry. Per-request
-// outcomes and survivor digests are oracle-identical to RunCampaign
-// (campaign.CheckBatched asserts this); virtual cycles differ — that is
-// the amortization.
-func RunCampaignBatched(cfg campaign.Config, batchSize int) (*campaign.Trace, error) {
-	return campaign.RunBatched(cfg, CampaignFactory(), batchSize)
-}
-
 // CheckCampaignOracles runs every differential oracle (same-seed
-// determinism, worker-count invariance, benign cycle parity, and
-// batched==serial outcome/digest equality) for cfg against the real
-// backends.
+// determinism, worker-count invariance, benign cycle parity,
+// batched==serial and resize outcome/digest equality) for cfg against
+// the real backends, over one serial base run whatever cfg.Batch says.
 func CheckCampaignOracles(cfg campaign.Config, workerCounts ...int) ([]campaign.OracleResult, error) {
 	return campaign.CheckAll(cfg, CampaignFactory(), workerCounts...)
-}
-
-// CheckCampaignOraclesAgainst is CheckCampaignOracles reusing a trace
-// already produced by RunCampaign(cfg), saving one campaign execution.
-func CheckCampaignOraclesAgainst(trace *campaign.Trace, cfg campaign.Config, workerCounts ...int) ([]campaign.OracleResult, error) {
-	return campaign.CheckAllAgainst(trace, cfg, CampaignFactory(), workerCounts...)
 }
 
 // CampaignFactory provisions campaign executors over the public Runner

@@ -2,12 +2,14 @@ package sdrad_test
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
 	sdrad "repro"
 	"repro/internal/campaign"
 	"repro/internal/campaign/scenarios"
+	"repro/internal/core"
 )
 
 // quickCampaign is the shipped scenario table at a CI-friendly request
@@ -154,12 +156,11 @@ func TestCampaignContainmentSurvivesEveryScenario(t *testing.T) {
 }
 
 // TestCampaignBatchedOracle is the acceptance check for the batched
-// execution layer: driving every shipped scenario through the batched
-// pipeline at batch sizes 1, 8, and 32 must reproduce the serial
-// campaign's per-request outcomes and survivor digests exactly
-// (pool-target scenarios exercise real coalesced batches; domain and
-// bridge targets fall back to serial inside the batched pipeline, which
-// must be equally invisible).
+// execution layer: driving every shipped scenario through waves of 8
+// and 32 must reproduce the serial campaign's per-request outcomes and
+// survivor digests exactly (pool-target scenarios exercise real
+// coalesced batches; domain and bridge targets fall back to Exec inside
+// the wave, which must be equally invisible).
 func TestCampaignBatchedOracle(t *testing.T) {
 	cfg := quickCampaign(42)
 	cfg.Requests = 100
@@ -167,12 +168,12 @@ func TestCampaignBatchedOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := campaign.CheckBatchedAgainst(base, cfg, sdrad.CampaignFactory(), 1, 8, 32)
+	results, err := campaign.CheckBatched(base, cfg, sdrad.CampaignFactory(), 8, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3*len(cfg.Scenarios) {
-		t.Fatalf("got %d oracle rows, want %d", len(results), 3*len(cfg.Scenarios))
+	if len(results) != 2*len(cfg.Scenarios) {
+		t.Fatalf("got %d oracle rows, want %d", len(results), 2*len(cfg.Scenarios))
 	}
 	for _, r := range campaign.Failures(results) {
 		t.Errorf("%s", r)
@@ -194,12 +195,130 @@ func TestCampaignBatchedAmortizesCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := sdrad.RunCampaignBatched(cfg, 32)
+	cfg.Batch = 32
+	batched, err := sdrad.RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc, bc := serial.Scenarios[0].VirtualCycles, batched.Scenarios[0].VirtualCycles
 	if bc >= sc {
 		t.Errorf("batched campaign spent %d cycles vs %d serial — no amortization", bc, sc)
+	}
+}
+
+// TestCampaignOraclesTakeSerialBase pins that the oracle suite ignores
+// cfg.Batch: its base run is always serial, so asking for batch 8
+// yields exactly the verdicts of batch 0. A batched base would break
+// benign cycle parity on the pool scenario (batched entries are
+// amortized; the benign replay is serial).
+func TestCampaignOraclesTakeSerialBase(t *testing.T) {
+	cfg := campaign.Config{Seed: 5, Requests: 60, Scenarios: []campaign.Scenario{
+		{Name: "kv-pool-benign", Workload: campaign.WorkloadKV, Target: campaign.TargetPool},
+		{Name: "http-domain-benign", Workload: campaign.WorkloadHTTP, Target: campaign.TargetDomain},
+	}}
+	serial, err := sdrad.CheckCampaignOracles(cfg, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Batch = 8
+	batched, err := sdrad.CheckCampaignOracles(cfg, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, batched) {
+		t.Errorf("verdicts depend on cfg.Batch:\nbatch 0: %v\nbatch 8: %v", serial, batched)
+	}
+	benign := 0
+	for _, r := range serial {
+		if r.Oracle == "benign" {
+			benign++
+		}
+	}
+	if benign != len(cfg.Scenarios) {
+		t.Errorf("got %d benign verdicts, want %d", benign, len(cfg.Scenarios))
+	}
+	for _, r := range campaign.Failures(serial) {
+		t.Errorf("%s", r)
+	}
+}
+
+// TestGatewayCampaignHonoursBatch pins that RunGatewayCampaign reads
+// cfg.Batch. On gw-noisy-neighbor (pool target, no quarantine) every
+// tenant's trace is wave-size-independent, while the batched run
+// spends fewer virtual cycles because its entries are amortized. The
+// quarantine scenarios are deliberately not compared: their breaker
+// sees completions one wave late, so their tenant counters
+// legitimately depend on the wave size.
+func TestGatewayCampaignHonoursBatch(t *testing.T) {
+	gscs, err := scenarios.SelectGateway("gw-noisy-neighbor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := campaign.Config{Seed: 42, Requests: 200, Batch: 1}
+	serial, err := sdrad.RunGatewayCampaign(gscs[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Batch = 8
+	batched, err := sdrad.RunGatewayCampaign(gscs[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial.Tenants, batched.Tenants) {
+		t.Errorf("tenant traces differ between batch 1 and 8:\n%+v\n%+v", serial.Tenants, batched.Tenants)
+	}
+	t.Logf("virtual cycles: %d at batch 1, %d at batch 8", serial.VirtualCycles, batched.VirtualCycles)
+	if batched.VirtualCycles >= serial.VirtualCycles {
+		t.Errorf("batch 8 spent %d virtual cycles vs %d at batch 1 — cfg.Batch ignored",
+			batched.VirtualCycles, serial.VirtualCycles)
+	}
+}
+
+// workerSpy records the executor's live worker count at every Exec.
+type workerSpy struct {
+	campaign.ResizableExecutor
+	seen map[int]bool
+}
+
+func (s workerSpy) Exec(w int, budget uint64, fn func(*core.DomainCtx) error) error {
+	s.seen[s.Workers()] = true
+	return s.ResizableExecutor.Exec(w, budget, fn)
+}
+
+// TestCampaignResizeFollowsScenarioRequests is the regression test for
+// a resize oracle that checked nothing: the grow/shrink schedule must
+// be laid out over each scenario's own request count, so a 10-request
+// scenario under a 400-request campaign really walks workers 1→4→8→2.
+func TestCampaignResizeFollowsScenarioRequests(t *testing.T) {
+	cfg := campaign.Config{Seed: 3, Requests: 400, Scenarios: []campaign.Scenario{{
+		Name: "kv-pool-short", Workload: campaign.WorkloadKV, Target: campaign.TargetPool,
+		Faults: []campaign.FaultClass{campaign.FaultUAF}, AttackEvery: 3, Requests: 10,
+	}}}
+	base, err := sdrad.RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int]bool)
+	factory := func(target campaign.Target, workers int) (campaign.Executor, error) {
+		ex, err := sdrad.CampaignFactory()(target, workers)
+		if err != nil {
+			return nil, err
+		}
+		return workerSpy{ResizableExecutor: ex.(campaign.ResizableExecutor), seen: seen}, nil
+	}
+	results, err := campaign.CheckResize(base, cfg, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("got %d resize verdicts, want 3: %v", len(results), results)
+	}
+	for _, r := range campaign.Failures(results) {
+		t.Errorf("%s", r)
+	}
+	for _, n := range []int{1, 4, 8, 2} {
+		if !seen[n] {
+			t.Errorf("no request ran at %d live workers (saw %v): the schedule never fired", n, seen)
+		}
 	}
 }

@@ -12,11 +12,14 @@
 // produces byte-identical output, which is the property the campaign's
 // differential oracles (-oracles) verify — same-seed determinism,
 // worker-count invariance (1/4/8), benign cycle parity, batched==serial
-// outcome/digest equality at batch sizes 8 and 32, and crash recovery
-// (a durable server killed mid-group-commit must recover exactly the
+// outcome/digest equality at batch sizes 8 and 32, resize invisibility
+// on pool scenarios (workers 1→4→8→2 mid-run), and crash recovery (a
+// durable server killed mid-group-commit must recover exactly the
 // acknowledged prefix, across worker counts 1/4/8 and batches 8/32).
-// -batch K drives the campaign itself through the batched execution
-// pipeline (coalesced domain entries on pool targets). -gateway runs
+// -batch K sets the wave size of the printed campaign and gateway runs
+// (campaign.Config.Batch; coalesced domain entries on pool targets).
+// The oracles always diff against a serial base and pick their own
+// batch sizes, so their verdicts do not depend on -batch. -gateway runs
 // the selected multi-tenant gateway scenarios (noisy neighbor, tenant
 // attacks, mid-run drain, quarantine/probe) and, with -oracles, their
 // isolation oracle: every benign tenant's outcomes and survivor digest
@@ -88,14 +91,9 @@ func run(args []string, stdout *os.File) int {
 		fmt.Fprintf(os.Stderr, "sdrad-campaign: %v\n", err)
 		return 2
 	}
-	cfg := campaign.Config{Seed: *seed, Workers: *workers, Requests: *requests, Scenarios: scs}
+	cfg := campaign.Config{Seed: *seed, Workers: *workers, Requests: *requests, Batch: *batch, Scenarios: scs}
 
-	var trace *campaign.Trace
-	if *batch > 0 {
-		trace, err = sdrad.RunCampaignBatched(cfg, *batch)
-	} else {
-		trace, err = sdrad.RunCampaign(cfg)
-	}
+	trace, err := sdrad.RunCampaign(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdrad-campaign: %v\n", err)
 		return 1
@@ -127,12 +125,7 @@ func run(args []string, stdout *os.File) int {
 			return 2
 		}
 		for _, gsc := range gscs {
-			var gtr *campaign.GatewayTrace
-			if *batch > 0 {
-				gtr, err = sdrad.RunGatewayCampaignBatched(gsc, cfg, *batch)
-			} else {
-				gtr, err = sdrad.RunGatewayCampaign(gsc, cfg)
-			}
+			gtr, err := sdrad.RunGatewayCampaign(gsc, cfg)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sdrad-campaign: %v\n", err)
 				return 1
@@ -144,14 +137,7 @@ func run(args []string, stdout *os.File) int {
 	if !*oracles {
 		return 0
 	}
-	var results []campaign.OracleResult
-	if *batch > 0 {
-		// The printed trace is batched; the oracle suite needs a serial
-		// base (the same-seed check compares serial trace bytes).
-		results, err = sdrad.CheckCampaignOracles(cfg, 1, 4, 8)
-	} else {
-		results, err = sdrad.CheckCampaignOraclesAgainst(trace, cfg, 1, 4, 8)
-	}
+	results, err := sdrad.CheckCampaignOracles(cfg, 1, 4, 8)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
 		return 1

@@ -12,18 +12,11 @@ import (
 // RunGatewayCampaign executes one multi-tenant gateway scenario against
 // the real backends: weighted tenant arrivals admitted through a real
 // gateway.Gateway (token buckets, quotas, circuit breaker, drain) in
-// front of a campaign executor. Same cfg.Seed ⇒ byte-identical
-// GatewayTrace.JSON(). See DESIGN.md §12 for the tenant-locality
-// argument the trace's determinism rests on.
+// front of a campaign executor, in waves of cfg.Batch. Same cfg ⇒
+// byte-identical GatewayTrace.JSON(). See DESIGN.md §12 for the
+// tenant-locality argument the trace's determinism rests on.
 func RunGatewayCampaign(sc campaign.GatewayScenario, cfg campaign.Config) (*campaign.GatewayTrace, error) {
 	return campaign.RunGateway(sc, cfg, CampaignFactory())
-}
-
-// RunGatewayCampaignBatched is RunGatewayCampaign through the batched
-// pipeline: arrivals admit in waves of batchSize and admitted calls
-// coalesce into per-worker batched domain executions.
-func RunGatewayCampaignBatched(sc campaign.GatewayScenario, cfg campaign.Config, batchSize int) (*campaign.GatewayTrace, error) {
-	return campaign.RunGatewayBatched(sc, cfg, CampaignFactory(), batchSize)
 }
 
 // CheckGatewayIsolation runs the gateway isolation oracle against the

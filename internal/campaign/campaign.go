@@ -200,6 +200,10 @@ type Config struct {
 	// Requests is the per-scenario request count (default 400), unless a
 	// scenario overrides it.
 	Requests int
+	// Batch is the wave size requests are drawn and executed in (default
+	// 1 = serial): a wave's calls coalesce per worker into one batched
+	// domain execution where the executor supports it.
+	Batch int
 	// Scenarios is the scenario table to run, in order.
 	Scenarios []Scenario
 }
@@ -210,6 +214,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Requests <= 0 {
 		c.Requests = 400
+	}
+	if c.Batch <= 0 {
+		c.Batch = 1
 	}
 	return c
 }
@@ -267,8 +274,8 @@ type BatchCall struct {
 
 // BatchExecutor is implemented by executors that can coalesce
 // same-worker calls into one batched domain execution (one Enter/Exit,
-// one integrity sweep, one discard decision). The contract RunBatched
-// and the batched oracle rely on: results are positional and each
+// one integrity sweep, one discard decision). The contract the wave
+// loop and the batched oracle rely on: results are positional and each
 // errs[i] must be what serial Exec(worker, calls[i].Budget,
 // calls[i].Fn) would have returned — batched backends achieve this by
 // re-deriving outcomes serially whenever a batch faults (the replay

@@ -22,16 +22,17 @@
 // count): no wall clock, no map-iteration dependence, no goroutines.
 // See DESIGN.md §8 for the scenario schema and oracle definitions.
 //
-// # Batched execution
+// # One wave loop
 //
-// RunBatched drives the same scenarios through coalesced per-worker
-// batches (campaign.BatchExecutor — the pool backend implements it via
-// the batch engine's replay rule): requests are drawn in schedule
-// order, executed in per-worker groups sharing one domain entry, and
-// applied to survivor state in arrival order. CheckBatched asserts the
-// resulting outcome streams and survivor digests are identical to the
-// serial run — the batched==serial oracle. Virtual cycles and detection
-// totals are exempt: amortized entries spend fewer cycles, and an
-// aborted batch re-derives outcomes serially, legitimately recounting
-// detections. DESIGN.md §9 develops the argument.
+// Every run — plain, batched, resized, gateway — goes through one wave
+// loop: requests are drawn in arrival order into waves of Config.Batch
+// (1 = serial), admitted through the gateway if there is one, executed
+// in per-worker groups sharing one domain entry where the executor is a
+// BatchExecutor (the pool backend, via the batch engine's replay rule),
+// and applied to survivor state in arrival order. CheckBatched asserts
+// the resulting outcome streams and survivor digests are identical to
+// the serial run — the batched==serial oracle. Virtual cycles and
+// detection totals are exempt: amortized entries spend fewer cycles,
+// and an aborted batch re-derives outcomes serially, legitimately
+// recounting detections. DESIGN.md §9 develops the argument.
 package campaign

@@ -11,6 +11,7 @@ import (
 	"repro/internal/attackgen"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/gateway"
 	"repro/internal/serde"
 	"repro/internal/workload"
 )
@@ -107,10 +108,10 @@ func classify(err error) (outcome, mech string) {
 
 // preparedCall is one request after its workload draws: the in-domain
 // function (with its cycle budget) and the trusted-side completion.
-// Splitting prepare from finish lets the batched pipeline draw a whole
-// wave of requests in schedule order, execute them grouped per worker,
-// and then apply outcomes in arrival order — consuming exactly the PRNG
-// streams and survivor-state transitions of the serial loop.
+// Splitting prepare from finish lets the wave loop draw a whole wave of
+// requests in schedule order, execute them grouped per worker, and then
+// apply outcomes in arrival order — consuming exactly the PRNG streams
+// and survivor-state transitions of a wave of one.
 type preparedCall struct {
 	// budget is the per-request virtual-cycle budget (0 = none).
 	budget uint64
@@ -131,12 +132,6 @@ type adapter interface {
 	prepare(w, i int, fc FaultClass) *preparedCall
 	// digest fingerprints the survivor state.
 	digest() string
-}
-
-// runOne executes one prepared request serially — the per-request path.
-func runOne(ad adapter, ex Executor, w, i int, fc FaultClass) RequestOutcome {
-	pc := ad.prepare(w, i, fc)
-	return pc.finish(ex.Exec(w, pc.budget, pc.fn))
 }
 
 func newAdapter(sc Scenario, seed uint64) (adapter, error) {
@@ -562,16 +557,23 @@ func (a *ffiAdapter) digest() string {
 // ---- engine ----
 
 // Run executes every scenario in cfg against executors provisioned by
-// factory and returns the campaign trace. It is a pure function of
+// factory and returns the campaign trace, drawing each scenario's
+// requests in waves of cfg.Batch (1 = serial). It is a pure function of
 // (cfg, factory behavior): same seed, same trace bytes.
 func Run(cfg Config, factory ExecutorFactory) (*Trace, error) {
+	return runCampaign(cfg, factory, false)
+}
+
+// runCampaign is Run, optionally replaying every scenario under the
+// canonical grow/shrink schedule (resize.go) — the resize oracle's run.
+func runCampaign(cfg Config, factory ExecutorFactory, resized bool) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	tr := &Trace{Seed: cfg.Seed, Workers: cfg.Workers, Requests: cfg.Requests}
 	for _, sc := range cfg.Scenarios {
-		st, err := runScenario(sc, cfg, factory)
+		st, err := runScenario(sc, cfg, factory, resized)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: scenario %q: %w", sc.Name, err)
 		}
@@ -587,258 +589,253 @@ func scenarioRequests(sc Scenario, cfg Config) int {
 	return cfg.Requests
 }
 
-func runScenario(sc Scenario, cfg Config, factory ExecutorFactory) (ScenarioTrace, error) {
-	return runScenarioPlan(sc, cfg, factory, nil)
-}
-
-// runScenarioPlan is the serial scenario loop, optionally applying a
-// resize plan (resize.go) between requests. plan == nil is the plain
-// fixed-size run.
-func runScenarioPlan(sc Scenario, cfg Config, factory ExecutorFactory, plan *ResizePlan) (st ScenarioTrace, err error) {
-	ex, err := factory(sc.Target, cfg.Workers)
+// withExecutor provisions one executor, hands it to body, and closes
+// it. A teardown failure is a finding, not noise: an executor that
+// cannot close cleanly after a run invalidates the run.
+func withExecutor(factory ExecutorFactory, target Target, workers int, run string, body func(Executor) error) (err error) {
+	ex, err := factory(target, workers)
 	if err != nil {
-		return ScenarioTrace{}, err
+		return err
 	}
-	// A teardown failure is a finding, not noise: an executor that cannot
-	// close cleanly after a scenario invalidates the run, so surface the
-	// error instead of discarding the typed result.
 	defer func() {
 		if cerr := ex.Close(); cerr != nil && err == nil {
-			st, err = ScenarioTrace{}, fmt.Errorf("campaign: closing %s executor after %q: %w", sc.Target, sc.Name, cerr)
+			err = fmt.Errorf("campaign: closing %s executor after %q: %w", target, run, cerr)
 		}
 	}()
-
-	pa, err := newPlanApplier(ex, plan)
-	if err != nil {
-		return ScenarioTrace{}, err
-	}
-	ad, err := newAdapter(sc, cfg.Seed)
-	if err != nil {
-		return ScenarioTrace{}, err
-	}
-	sched := newSchedule(sc, cfg.Seed)
-	dispatch := workload.NewRNG(subseed(cfg.Seed, sc.Name, "dispatch"))
-
-	n := scenarioRequests(sc, cfg)
-	st = ScenarioTrace{
-		Scenario: sc.Name,
-		Workload: sc.Workload.String(),
-		Target:   sc.Target.String(),
-		Requests: n,
-		Outcomes: make([]RequestOutcome, 0, n),
-	}
-	for i := 0; i < n; i++ {
-		if err := pa.before(i); err != nil {
-			return ScenarioTrace{}, err
-		}
-		fc := sched.next()
-		w := dispatch.Intn(cfg.Workers)
-		out := runOne(ad, ex, w, i, fc)
-		st.Outcomes = append(st.Outcomes, out)
-		switch out.Outcome {
-		case OutcomeOK:
-			st.OK++
-		case OutcomeRejected:
-			st.Rejected++
-		case OutcomePreempted:
-			st.Preemptions++
-		case OutcomeError:
-			return ScenarioTrace{}, fmt.Errorf("request %d (worker %d, fault %q) failed unexpectedly", i, w, out.Fault)
-		}
-	}
-	st.Detections = ex.Detections()
-	//lint:detorder commutative uint64 sum; iteration order cannot change the total
-	for _, v := range st.Detections {
-		st.DetectionTotal += v
-	}
-	st.Rewinds = ex.Rewinds()
-	st.VirtualCycles = ex.VirtualCycles()
-	st.SurvivorDigest = ad.digest()
-	return st, nil
+	return body(ex)
 }
 
-// replayBenign re-executes a benign scenario through a minimal loop with
-// none of the engine's bookkeeping — no schedule draws, no outcome
-// records — and returns the executor's virtual cycles and the survivor
-// digest. The benign oracle compares these against the campaign run to
-// prove the engine adds no hidden virtual cost.
-func replayBenign(sc Scenario, cfg Config, factory ExecutorFactory) (cycles uint64, dig string, err error) {
-	cfg = cfg.withDefaults()
-	if !sc.Benign() {
-		return 0, "", fmt.Errorf("campaign: replay of non-benign scenario %q", sc.Name)
-	}
-	ex, err := factory(sc.Target, cfg.Workers)
-	if err != nil {
-		return 0, "", err
-	}
-	// As in runScenario: a Close failure invalidates the replay.
-	defer func() {
-		if cerr := ex.Close(); cerr != nil && err == nil {
-			cycles, dig, err = 0, "", fmt.Errorf("campaign: closing %s executor after replay of %q: %w", sc.Target, sc.Name, cerr)
-		}
-	}()
-	ad, err := newAdapter(sc, cfg.Seed)
-	if err != nil {
-		return 0, "", err
-	}
-	dispatch := workload.NewRNG(subseed(cfg.Seed, sc.Name, "dispatch"))
-	n := scenarioRequests(sc, cfg)
-	for i := 0; i < n; i++ {
-		out := runOne(ad, ex, dispatch.Intn(cfg.Workers), i, FaultNone)
-		if out.Outcome == OutcomeError {
-			return 0, "", fmt.Errorf("campaign: replay request %d failed", i)
-		}
-	}
-	return ex.VirtualCycles(), ad.digest(), nil
+// stream is one seeded arrival source: an adapter (workload draws and
+// survivor state), its fault schedule, and its worker dispatch, all
+// keyed by one (pseudo-)scenario name. A plain scenario is one stream;
+// a gateway scenario is one per tenant.
+type stream struct {
+	// name is the tenant the gateway admits the stream's arrivals as.
+	name     string
+	ad       adapter
+	sched    *schedule
+	dispatch *workload.RNG
+	arrivals int
 }
 
-// RunBatched executes every scenario like Run, but drives requests
-// through the batched execution path: requests are drawn in schedule
-// order into waves of batchSize, each wave is partitioned per worker
-// (stable), every worker group executes as one coalesced batch via the
-// executor's ExecBatch, and outcomes are applied to the survivor state
-// in arrival order. Scenario traces carry the same per-request outcome
-// streams and survivor digests as the serial Run — the property
-// CheckBatched asserts — while virtual cycles and detection totals may
-// differ (amortized entries; aborted batches re-derive serially).
-// Executors that do not implement BatchExecutor fall back to serial
-// execution.
-func RunBatched(cfg Config, factory ExecutorFactory, batchSize int) (*Trace, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+func newStream(sc Scenario, seed uint64) (*stream, error) {
+	ad, err := newAdapter(sc, seed)
+	if err != nil {
 		return nil, err
 	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	tr := &Trace{Seed: cfg.Seed, Workers: cfg.Workers, Requests: cfg.Requests}
-	for _, sc := range cfg.Scenarios {
-		st, err := runScenarioBatched(sc, cfg, factory, batchSize)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: scenario %q: %w", sc.Name, err)
-		}
-		tr.Scenarios = append(tr.Scenarios, st)
-	}
-	return tr, nil
+	return &stream{
+		ad:       ad,
+		sched:    newSchedule(sc, seed),
+		dispatch: workload.NewRNG(subseed(seed, sc.Name, "dispatch")),
+	}, nil
 }
 
-func runScenarioBatched(sc Scenario, cfg Config, factory ExecutorFactory, batchSize int) (ScenarioTrace, error) {
-	return runScenarioBatchedPlan(sc, cfg, factory, batchSize, nil)
+// waves is the campaign's one request loop. Requests are drawn in
+// arrival order into waves of batch; a resize step ends a wave early,
+// so a resize always lands between waves. Each arrival is admitted
+// through the gateway if there is one, otherwise always. The wave then
+// executes grouped per worker — ExecBatch when the executor batches and
+// the window is longer than 1, Exec otherwise — and completes in
+// arrival order. A wave of one draws and executes exactly as a serial
+// loop would, so serial runs need no loop of their own.
+type waves struct {
+	ex Executor
+	// workers is the dispatch key space: the configured worker count,
+	// whatever the live count is after a resize.
+	workers int
+	batch   int
+	// resize is the grow/shrink schedule (nil = fixed size).
+	resize *resizer
+	// gw admits arrivals (nil = every arrival is admitted).
+	gw *gateway.Gateway
+	// next returns arrival i's stream, or nil when its slot stays empty.
+	next func(i int) *stream
+	// done receives every arrival's outcome, in arrival order.
+	done func(s *stream, out RequestOutcome)
 }
 
-// runScenarioBatchedPlan is the batched scenario loop, optionally
-// applying a resize plan between waves (waves split at resize
-// boundaries so a resize never lands inside a coalesced batch). plan ==
-// nil is the plain fixed-size run.
-func runScenarioBatchedPlan(sc Scenario, cfg Config, factory ExecutorFactory, batchSize int, plan *ResizePlan) (st ScenarioTrace, err error) {
-	ex, err := factory(sc.Target, cfg.Workers)
-	if err != nil {
-		return ScenarioTrace{}, err
-	}
-	// As in runScenario: a Close failure invalidates the run.
-	defer func() {
-		if cerr := ex.Close(); cerr != nil && err == nil {
-			st, err = ScenarioTrace{}, fmt.Errorf("campaign: closing %s executor after %q: %w", sc.Target, sc.Name, cerr)
-		}
-	}()
-	bex, batchable := ex.(BatchExecutor)
-	pa, err := newPlanApplier(ex, plan)
-	if err != nil {
-		return ScenarioTrace{}, err
-	}
+// arrival is one drawn request of a wave.
+type arrival struct {
+	s  *stream
+	i  int
+	w  int
+	fc FaultClass
+	pc *preparedCall
+	tk *gateway.Ticket
+	// rejected is the admission outcome ("" = admitted).
+	rejected string
+	err      error
+}
 
-	ad, err := newAdapter(sc, cfg.Seed)
-	if err != nil {
-		return ScenarioTrace{}, err
-	}
-	sched := newSchedule(sc, cfg.Seed)
-	dispatch := workload.NewRNG(subseed(cfg.Seed, sc.Name, "dispatch"))
-
-	n := scenarioRequests(sc, cfg)
-	st = ScenarioTrace{
-		Scenario: sc.Name,
-		Workload: sc.Workload.String(),
-		Target:   sc.Target.String(),
-		Requests: n,
-		Outcomes: make([]RequestOutcome, 0, n),
-	}
-	type pending struct {
-		w   int
-		fc  FaultClass
-		pc  *preparedCall
-		err error
-	}
+// run drives n arrivals through the loop.
+func (l *waves) run(n int) error {
+	bex, batchable := l.ex.(BatchExecutor)
 	for base := 0; base < n; {
-		if err := pa.before(base); err != nil {
-			return ScenarioTrace{}, err
+		if err := l.resize.before(base); err != nil {
+			return err
 		}
-		end := base + batchSize
-		if end > n {
-			end = n
+		end := l.resize.cut(min(base+l.batch, n))
+		// Draw and admit in arrival order: stream consumption and every
+		// admission decision are a pure function of the arrival sequence,
+		// whatever the wave shape.
+		wave := make([]arrival, 0, end-base)
+		for i := base; i < end; i++ {
+			s := l.next(i)
+			if s == nil {
+				continue
+			}
+			s.arrivals++
+			a := arrival{s: s, i: i, fc: s.sched.next()}
+			a.w = s.dispatch.Intn(l.workers)
+			// Draw-and-discard: the workload stream advances on every
+			// arrival, admitted or not, so a stream's position depends only
+			// on its own arrival count.
+			a.pc = s.ad.prepare(a.w, i, a.fc)
+			if l.gw != nil {
+				tk, err := l.gw.Admit(s.name)
+				if err != nil {
+					a.rejected = admissionOutcome(err)
+					if a.rejected == OutcomeError {
+						return fmt.Errorf("arrival %d (tenant %s): unexpected admission error: %w", i, s.name, err)
+					}
+				}
+				a.tk = tk
+			}
+			wave = append(wave, a)
 		}
-		// A resize boundary inside the wave truncates it: the resize
-		// happens between batches, never mid-batch.
-		if stop := pa.nextBoundary(base, n); stop < end {
-			end = stop
-		}
-		k := end - base
-		// Draw the wave in request order: stream consumption (workload,
-		// schedule, dispatch, corruption) is identical to the serial loop.
-		wave := make([]pending, k)
-		for j := range wave {
-			fc := sched.next()
-			w := dispatch.Intn(cfg.Workers)
-			wave[j] = pending{w: w, fc: fc, pc: ad.prepare(w, base+j, fc)}
-		}
-		// Execute grouped per worker (stable partition): each group is
-		// one coalesced batch on that worker's machine.
-		if batchable && k > 1 {
-			groups := make([][]int, cfg.Workers)
-			for j := range wave {
-				groups[wave[j].w] = append(groups[wave[j].w], j)
+		// Execute admitted calls grouped per worker (stable partition):
+		// each group is one coalesced batch on that worker's machine.
+		if batchable && end-base > 1 {
+			groups := make([][]int, l.workers)
+			for j, a := range wave {
+				if a.rejected == "" {
+					groups[a.w] = append(groups[a.w], j)
+				}
 			}
 			for w, idxs := range groups {
 				if len(idxs) == 0 {
 					continue
 				}
 				calls := make([]BatchCall, len(idxs))
-				for k2, j := range idxs {
-					calls[k2] = BatchCall{Budget: wave[j].pc.budget, Fn: wave[j].pc.fn}
+				for k, j := range idxs {
+					calls[k] = BatchCall{Budget: wave[j].pc.budget, Fn: wave[j].pc.fn}
 				}
-				for k2, berr := range bex.ExecBatch(w, calls) {
-					wave[idxs[k2]].err = berr
+				for k, err := range bex.ExecBatch(w, calls) {
+					wave[idxs[k]].err = err
 				}
 			}
 		} else {
 			for j := range wave {
-				wave[j].err = ex.Exec(wave[j].w, wave[j].pc.budget, wave[j].pc.fn)
+				if a := &wave[j]; a.rejected == "" {
+					a.err = l.ex.Exec(a.w, a.pc.budget, a.pc.fn)
+				}
 			}
 		}
-		// Apply in arrival order: survivor-state evolution matches serial.
-		for j := range wave {
-			out := wave[j].pc.finish(wave[j].err)
-			st.Outcomes = append(st.Outcomes, out)
-			switch out.Outcome {
-			case OutcomeOK:
-				st.OK++
-			case OutcomeRejected:
-				st.Rejected++
-			case OutcomePreempted:
-				st.Preemptions++
-			case OutcomeError:
-				return ScenarioTrace{}, fmt.Errorf("request %d (worker %d, fault %q) failed unexpectedly",
-					out.I, out.W, out.Fault)
+		// Complete in arrival order: survivor state and the gateway's
+		// detection windows evolve exactly as the arrival sequence says.
+		for _, a := range wave {
+			out := RequestOutcome{I: a.i, W: a.w, Fault: a.fc.String(), Outcome: a.rejected}
+			if a.rejected == "" {
+				out = a.pc.finish(a.err)
+				if a.tk != nil {
+					a.tk.Done(out.Outcome == OutcomeDetected, out.Outcome == OutcomePreempted)
+				}
+				if out.Outcome == OutcomeError {
+					return fmt.Errorf("request %d (worker %d, fault %q) failed unexpectedly", out.I, out.W, out.Fault)
+				}
 			}
+			l.done(a.s, out)
 		}
 		base = end
 	}
-	st.Detections = ex.Detections()
-	//lint:detorder commutative uint64 sum; iteration order cannot change the total
-	for _, v := range st.Detections {
-		st.DetectionTotal += v
+	return nil
+}
+
+// runScenario runs one plain scenario: a single arrival stream through
+// the wave loop, optionally under the canonical resize schedule.
+func runScenario(sc Scenario, cfg Config, factory ExecutorFactory, resized bool) (ScenarioTrace, error) {
+	s, err := newStream(sc, cfg.Seed)
+	if err != nil {
+		return ScenarioTrace{}, err
 	}
-	st.Rewinds = ex.Rewinds()
-	st.VirtualCycles = ex.VirtualCycles()
-	st.SurvivorDigest = ad.digest()
+	n := scenarioRequests(sc, cfg)
+	st := ScenarioTrace{
+		Scenario: sc.Name,
+		Workload: sc.Workload.String(),
+		Target:   sc.Target.String(),
+		Requests: n,
+		Outcomes: make([]RequestOutcome, 0, n),
+	}
+	err = withExecutor(factory, sc.Target, cfg.Workers, sc.Name, func(ex Executor) error {
+		l := waves{ex: ex, workers: cfg.Workers, batch: cfg.Batch,
+			next: func(int) *stream { return s },
+			done: func(_ *stream, out RequestOutcome) {
+				st.Outcomes = append(st.Outcomes, out)
+				switch out.Outcome {
+				case OutcomeOK:
+					st.OK++
+				case OutcomeRejected:
+					st.Rejected++
+				case OutcomePreempted:
+					st.Preemptions++
+				}
+			},
+		}
+		if resized {
+			var err error
+			if l.resize, err = newResizer(ex, n); err != nil {
+				return err
+			}
+		}
+		if err := l.run(n); err != nil {
+			return err
+		}
+		st.Detections = ex.Detections()
+		//lint:detorder commutative uint64 sum; iteration order cannot change the total
+		for _, v := range st.Detections {
+			st.DetectionTotal += v
+		}
+		st.Rewinds = ex.Rewinds()
+		st.VirtualCycles = ex.VirtualCycles()
+		return nil
+	})
+	if err != nil {
+		return ScenarioTrace{}, err
+	}
+	st.SurvivorDigest = s.ad.digest()
 	return st, nil
+}
+
+// replayBenign re-executes a benign scenario through a bare loop with
+// none of the engine's bookkeeping — no schedule draws, no waves, no
+// outcome records — and returns the executor's virtual cycles and the
+// survivor digest. The benign oracle compares these against the
+// campaign run to prove the wave loop adds no hidden virtual cost, which
+// is why this loop stays separate from it.
+func replayBenign(sc Scenario, cfg Config, factory ExecutorFactory) (cycles uint64, dig string, err error) {
+	cfg = cfg.withDefaults()
+	if !sc.Benign() {
+		return 0, "", fmt.Errorf("campaign: replay of non-benign scenario %q", sc.Name)
+	}
+	ad, err := newAdapter(sc, cfg.Seed)
+	if err != nil {
+		return 0, "", err
+	}
+	dispatch := workload.NewRNG(subseed(cfg.Seed, sc.Name, "dispatch"))
+	n := scenarioRequests(sc, cfg)
+	err = withExecutor(factory, sc.Target, cfg.Workers, "replay of "+sc.Name, func(ex Executor) error {
+		for i := 0; i < n; i++ {
+			w := dispatch.Intn(cfg.Workers)
+			pc := ad.prepare(w, i, FaultNone)
+			if pc.finish(ex.Exec(w, pc.budget, pc.fn)).Outcome == OutcomeError {
+				return fmt.Errorf("campaign: replay request %d failed", i)
+			}
+		}
+		cycles = ex.VirtualCycles()
+		return nil
+	})
+	if err != nil {
+		return 0, "", err
+	}
+	return cycles, ad.digest(), nil
 }

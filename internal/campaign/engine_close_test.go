@@ -23,8 +23,9 @@ func (c closeFail) Close() error {
 // TestScenarioCloseFailureInvalidatesRun pins a fix sdradlint's
 // errclass analyzer surfaced: executor Close errors were silently
 // swallowed after each scenario. A teardown failure is a finding — an
-// executor that cannot close cleanly invalidates the run — so Run must
-// fail and wrap the typed error.
+// executor that cannot close cleanly invalidates the run — so every
+// run through the wave loop, serial, batched or gateway, must fail and
+// wrap the typed error.
 func TestScenarioCloseFailureInvalidatesRun(t *testing.T) {
 	base := coreFactory(t)
 	wantErr := errors.New("stub: close failed")
@@ -35,36 +36,41 @@ func TestScenarioCloseFailureInvalidatesRun(t *testing.T) {
 		}
 		return closeFail{Executor: ex, err: wantErr}, nil
 	}
-	cfg := Config{Seed: 11, Workers: 2, Requests: 30, Scenarios: testScenarios()[:1]}
-	tr, err := Run(cfg, factory)
-	if err == nil {
-		t.Fatal("Run succeeded despite a failing executor Close")
+	cases := []struct {
+		name    string
+		batch   int
+		gateway bool
+	}{
+		{"batch=1", 1, false},
+		{"batch=8", 8, false},
+		{"gateway", 8, true},
 	}
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("Run error %v does not wrap the executor's Close error", err)
-	}
-	if !strings.Contains(err.Error(), "closing") {
-		t.Errorf("Run error %q does not name the teardown phase", err)
-	}
-	if tr != nil {
-		t.Errorf("Run returned a trace alongside the error: %+v", tr)
-	}
-}
-
-// TestScenarioBatchedCloseFailureInvalidatesRun covers the batched
-// engine path the same way.
-func TestScenarioBatchedCloseFailureInvalidatesRun(t *testing.T) {
-	base := coreFactory(t)
-	wantErr := errors.New("stub: close failed")
-	factory := func(target Target, workers int) (Executor, error) {
-		ex, err := base(target, workers)
-		if err != nil {
-			return nil, err
-		}
-		return closeFail{Executor: ex, err: wantErr}, nil
-	}
-	cfg := Config{Seed: 11, Workers: 2, Requests: 30, Scenarios: testScenarios()[:1]}
-	if _, err := RunBatched(cfg, factory, 8); err == nil || !errors.Is(err, wantErr) {
-		t.Fatalf("RunBatched error %v, want one wrapping the executor's Close error", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Seed: 11, Workers: 2, Requests: 30, Batch: tc.batch, Scenarios: testScenarios()[:1]}
+			var err error
+			traced := false
+			if tc.gateway {
+				var tr *GatewayTrace
+				tr, err = RunGateway(testGatewayScenario(), cfg, factory)
+				traced = tr != nil
+			} else {
+				var tr *Trace
+				tr, err = Run(cfg, factory)
+				traced = tr != nil
+			}
+			if err == nil {
+				t.Fatal("run succeeded despite a failing executor Close")
+			}
+			if !errors.Is(err, wantErr) {
+				t.Fatalf("run error %v does not wrap the executor's Close error", err)
+			}
+			if !strings.Contains(err.Error(), "closing") {
+				t.Errorf("run error %q does not name the teardown phase", err)
+			}
+			if traced {
+				t.Error("run returned a trace alongside the error")
+			}
+		})
 	}
 }

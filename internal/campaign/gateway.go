@@ -7,7 +7,6 @@ import (
 	"regexp"
 
 	"repro/internal/gateway"
-	"repro/internal/workload"
 )
 
 // This file drives multi-tenant traffic through a real gateway.Gateway
@@ -260,42 +259,6 @@ func slotOrder(tenants []TenantSpec) []int {
 	return out
 }
 
-// tenantRun is one tenant's live state during a scenario run: its own
-// adapter (survivor state), fault schedule, and dispatch stream, all
-// seeded under the pseudo-scenario name "<scenario>/<tenant>" so streams
-// are independent across tenants and never shared with other scenarios.
-type tenantRun struct {
-	spec     TenantSpec
-	ad       adapter
-	sched    *schedule
-	dispatch *workload.RNG
-	arrivals int
-}
-
-func newTenantRuns(sc GatewayScenario, seed uint64) ([]*tenantRun, error) {
-	runs := make([]*tenantRun, len(sc.Tenants))
-	for i, t := range sc.Tenants {
-		pseudo := Scenario{
-			Name:        sc.Name + "/" + t.Name,
-			Workload:    t.Workload,
-			Target:      sc.Target,
-			Faults:      t.Faults,
-			AttackEvery: t.AttackEvery,
-		}
-		ad, err := newAdapter(pseudo, seed)
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = &tenantRun{
-			spec:     t,
-			ad:       ad,
-			sched:    newSchedule(pseudo, seed),
-			dispatch: workload.NewRNG(subseed(seed, pseudo.Name, "dispatch")),
-		}
-	}
-	return runs, nil
-}
-
 // admissionOutcome maps a typed gateway rejection to its trace outcome.
 // Quota rejections land in "throttled" with the rate-limit ones: both
 // are overload shedding. An unexpected error class maps to
@@ -316,29 +279,10 @@ func admissionOutcome(err error) string {
 	return OutcomeError
 }
 
-// RunGateway executes one gateway scenario serially: composed arrivals
-// in weighted round-robin order, each drawn from its tenant's streams,
+// RunGateway executes one gateway scenario: composed arrivals in
+// weighted round-robin order, each drawn from its tenant's streams,
 // admitted through a real gateway, and executed on the factory's
-// backend. Same seed, same trace bytes.
-func RunGateway(sc GatewayScenario, cfg Config, factory ExecutorFactory) (*GatewayTrace, error) {
-	return runGateway(sc, cfg, factory, 1, false)
-}
-
-// RunGatewayBatched is RunGateway through the batched pipeline:
-// arrivals are drawn and admitted in waves of batchSize, admitted calls
-// coalesce per worker (one batched domain execution where the executor
-// supports it), and outcomes complete in arrival order.
-func RunGatewayBatched(sc GatewayScenario, cfg Config, factory ExecutorFactory, batchSize int) (*GatewayTrace, error) {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	return runGateway(sc, cfg, factory, batchSize, false)
-}
-
-// runGateway is the shared engine. skipHostile is the isolation
-// oracle's control run: hostile tenants' arrivals simply never happen —
-// their slots stay empty, so every other tenant keeps its composed
-// arrival positions, wave boundaries, and stream draws.
+// backend in waves of cfg.Batch. Same seed, same trace bytes.
 //
 // Admission (and the drain trigger) happens at draw time in arrival
 // order; completions feed back to the gateway in arrival order after
@@ -347,149 +291,88 @@ func RunGatewayBatched(sc GatewayScenario, cfg Config, factory ExecutorFactory, 
 // MaxInflight at or above the largest oracle batch size — it makes the
 // quota check wave-shape-independent, preserving the isolation
 // differential in batched mode.
-func runGateway(sc GatewayScenario, cfg Config, factory ExecutorFactory, batchSize int, skipHostile bool) (tr *GatewayTrace, err error) {
+func RunGateway(sc GatewayScenario, cfg Config, factory ExecutorFactory) (*GatewayTrace, error) {
+	return runGateway(sc, cfg, factory, false)
+}
+
+// runGateway is RunGateway with the isolation oracle's control switch:
+// with skipHostile, hostile tenants' arrivals simply never happen —
+// their slots stay empty, so every other tenant keeps its composed
+// arrival positions, wave boundaries, and stream draws.
+func runGateway(sc GatewayScenario, cfg Config, factory ExecutorFactory, skipHostile bool) (*GatewayTrace, error) {
 	cfg = cfg.withDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	ex, err := factory(sc.Target, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	// As in runScenario: an executor that cannot close cleanly
-	// invalidates the run.
-	defer func() {
-		if cerr := ex.Close(); cerr != nil && err == nil {
-			tr, err = nil, fmt.Errorf("campaign: closing %s executor after %q: %w", sc.Target, sc.Name, cerr)
-		}
-	}()
-	bex, batchable := ex.(BatchExecutor)
-
 	gw, err := newGatewayFor(sc)
 	if err != nil {
 		return nil, err
 	}
-	runs, err := newTenantRuns(sc, cfg.Seed)
-	if err != nil {
-		return nil, err
+	// Each tenant is one stream seeded under the pseudo-scenario name
+	// "<scenario>/<tenant>", so streams are independent across tenants
+	// and never shared with other scenarios.
+	tenants := make([]*stream, len(sc.Tenants))
+	for k, t := range sc.Tenants {
+		tenants[k], err = newStream(Scenario{
+			Name:        sc.Name + "/" + t.Name,
+			Workload:    t.Workload,
+			Target:      sc.Target,
+			Faults:      t.Faults,
+			AttackEvery: t.AttackEvery,
+		}, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		tenants[k].name = t.Name
 	}
 	slots := slotOrder(sc.Tenants)
 
 	n := gwRequests(sc, cfg)
-	tr = &GatewayTrace{
+	tr := &GatewayTrace{
 		Scenario: sc.Name,
 		Target:   sc.Target.String(),
 		Workers:  cfg.Workers,
 		Requests: n,
 		Outcomes: make([]GatewayOutcome, 0, n),
 	}
-
-	type pending struct {
-		t   *tenantRun
-		idx int
-		w   int
-		fc  FaultClass
-		pc  *preparedCall
-		tk  *gateway.Ticket
-		// rejected is the admission outcome ("" = admitted).
-		rejected string
-		err      error
-	}
-	for base := 0; base < n; base += batchSize {
-		end := base + batchSize
-		if end > n {
-			end = n
+	err = withExecutor(factory, sc.Target, cfg.Workers, sc.Name, func(ex Executor) error {
+		l := waves{ex: ex, workers: cfg.Workers, batch: cfg.Batch, gw: gw,
+			next: func(i int) *stream {
+				if sc.DrainAt > 0 && i == sc.DrainAt {
+					gw.StartDrain()
+					tr.Drained = true
+				}
+				k := slots[i%len(slots)]
+				if skipHostile && sc.Tenants[k].Hostile {
+					return nil
+				}
+				return tenants[k]
+			},
+			done: func(s *stream, out RequestOutcome) {
+				tr.Outcomes = append(tr.Outcomes, GatewayOutcome{Tenant: s.name, RequestOutcome: out})
+			},
 		}
-		// Draw and admit in composed arrival order. The drain trigger and
-		// every admission decision happen here, before any execution, so
-		// their order is a pure function of the arrival sequence.
-		wave := make([]pending, 0, end-base)
-		for idx := base; idx < end; idx++ {
-			if sc.DrainAt > 0 && idx == sc.DrainAt {
-				gw.StartDrain()
-				tr.Drained = true
-			}
-			t := runs[slots[idx%len(slots)]]
-			if skipHostile && t.spec.Hostile {
-				continue
-			}
-			t.arrivals++
-			fc := t.sched.next()
-			w := t.dispatch.Intn(cfg.Workers)
-			// Draw-and-discard: the workload stream advances on every
-			// arrival, admitted or not, so a tenant's stream position
-			// depends only on its own arrival count.
-			pc := t.ad.prepare(w, idx, fc)
-			p := pending{t: t, idx: idx, w: w, fc: fc, pc: pc}
-			tk, aerr := gw.Admit(t.spec.Name)
-			if aerr != nil {
-				p.rejected = admissionOutcome(aerr)
-				if p.rejected == OutcomeError {
-					return nil, fmt.Errorf("campaign: gateway scenario %q: arrival %d (tenant %s): unexpected admission error: %w",
-						sc.Name, idx, t.spec.Name, aerr)
-				}
-			} else {
-				p.tk = tk
-			}
-			wave = append(wave, p)
+		if err := l.run(n); err != nil {
+			return fmt.Errorf("campaign: gateway scenario %q: %w", sc.Name, err)
 		}
-		// Execute admitted calls grouped per worker.
-		if batchable && end-base > 1 {
-			groups := make([][]int, cfg.Workers)
-			for j := range wave {
-				if wave[j].tk != nil {
-					groups[wave[j].w] = append(groups[wave[j].w], j)
-				}
-			}
-			for w, idxs := range groups {
-				if len(idxs) == 0 {
-					continue
-				}
-				calls := make([]BatchCall, len(idxs))
-				for k, j := range idxs {
-					calls[k] = BatchCall{Budget: wave[j].pc.budget, Fn: wave[j].pc.fn}
-				}
-				for k, berr := range bex.ExecBatch(w, calls) {
-					wave[idxs[k]].err = berr
-				}
-			}
-		} else {
-			for j := range wave {
-				if wave[j].tk != nil {
-					wave[j].err = ex.Exec(wave[j].w, wave[j].pc.budget, wave[j].pc.fn)
-				}
-			}
-		}
-		// Complete in arrival order: survivor state and the gateway's
-		// detection windows evolve exactly as the arrival sequence says.
-		for j := range wave {
-			p := &wave[j]
-			var out RequestOutcome
-			if p.tk == nil {
-				out = RequestOutcome{I: p.idx, W: p.w, Fault: p.fc.String(), Outcome: p.rejected}
-			} else {
-				out = p.pc.finish(p.err)
-				p.tk.Done(out.Outcome == OutcomeDetected, out.Outcome == OutcomePreempted)
-				if out.Outcome == OutcomeError {
-					return nil, fmt.Errorf("campaign: gateway scenario %q: arrival %d (tenant %s, fault %q) failed unexpectedly",
-						sc.Name, out.I, p.t.spec.Name, out.Fault)
-				}
-			}
-			tr.Outcomes = append(tr.Outcomes, GatewayOutcome{Tenant: p.t.spec.Name, RequestOutcome: out})
-		}
+		tr.VirtualCycles = ex.VirtualCycles()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	for _, t := range runs {
+	for k, t := range sc.Tenants {
 		tt := TenantTrace{
-			Tenant:         t.spec.Name,
-			Hostile:        t.spec.Hostile,
-			Arrivals:       t.arrivals,
-			SurvivorDigest: t.ad.digest(),
+			Tenant:         t.Name,
+			Hostile:        t.Hostile,
+			Arrivals:       tenants[k].arrivals,
+			SurvivorDigest: tenants[k].ad.digest(),
 		}
-		c := gw.Stats().Get(t.spec.Name)
+		c := gw.Stats().Get(t.Name)
 		tt.Quarantines, tt.Probes, tt.Readmissions = c.Quarantines, c.Probes, c.Readmissions
 		for _, out := range tr.Outcomes {
-			if out.Tenant != t.spec.Name {
+			if out.Tenant != t.Name {
 				continue
 			}
 			switch out.Outcome {
@@ -511,7 +394,6 @@ func runGateway(sc GatewayScenario, cfg Config, factory ExecutorFactory, batchSi
 		}
 		tr.Tenants = append(tr.Tenants, tt)
 	}
-	tr.VirtualCycles = ex.VirtualCycles()
 	return tr, nil
 }
 
@@ -522,8 +404,8 @@ func runGateway(sc GatewayScenario, cfg Config, factory ExecutorFactory, batchSi
 // per-arrival outcomes and survivor digest must be identical in both
 // runs. A divergence means a hostile co-tenant moved a benign tenant's
 // admission decisions, stream draws, or surviving state — the isolation
-// property the gateway exists to provide. Defaults: workers 1/4/8,
-// batches 8/32.
+// property the gateway exists to provide. Each check sets its own
+// cfg.Workers and cfg.Batch. Defaults: workers 1/4/8, batches 8/32.
 func CheckIsolation(sc GatewayScenario, cfg Config, factory ExecutorFactory, workerCounts, batchSizes []int) ([]OracleResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -543,11 +425,12 @@ func CheckIsolation(sc GatewayScenario, cfg Config, factory ExecutorFactory, wor
 	}
 	var out []OracleResult
 	check := func(oracle string, w, batch int) error {
-		full, err := runGateway(sc, withWorkers(cfg, w), factory, batch, false)
+		cfg.Workers, cfg.Batch = w, batch
+		full, err := runGateway(sc, cfg, factory, false)
 		if err != nil {
 			return fmt.Errorf("campaign: isolation full run (w=%d,b=%d): %w", w, batch, err)
 		}
-		ctrl, err := runGateway(sc, withWorkers(cfg, w), factory, batch, true)
+		ctrl, err := runGateway(sc, cfg, factory, true)
 		if err != nil {
 			return fmt.Errorf("campaign: isolation control run (w=%d,b=%d): %w", w, batch, err)
 		}
@@ -571,11 +454,6 @@ func CheckIsolation(sc GatewayScenario, cfg Config, factory ExecutorFactory, wor
 		}
 	}
 	return out, nil
-}
-
-func withWorkers(cfg Config, w int) Config {
-	cfg.Workers = w
-	return cfg
 }
 
 // diffIsolation compares every non-hostile tenant between the full run

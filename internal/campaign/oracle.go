@@ -10,7 +10,9 @@ import (
 // compares structured outcomes; none of them encodes absolute numbers,
 // so they stay valid as the implementation gets faster (a perf PR that
 // changes *behavior* trips them, one that only changes host-side speed
-// does not).
+// does not). Every oracle but worker-count is one function over a base
+// trace — a run already produced with exactly cfg — and CheckAll runs
+// that base once, serially, for all of them.
 
 // OracleResult is one oracle verdict.
 type OracleResult struct {
@@ -40,31 +42,20 @@ func (r OracleResult) String() string {
 	return s
 }
 
-// CheckSameSeed runs the campaign twice with identical configuration and
+// CheckSameSeed runs the campaign again with exactly base's cfg and
 // asserts the two JSON traces are byte-identical — the determinism
 // contract every other oracle (and every perf-regression bisect) builds
 // on.
-func CheckSameSeed(cfg Config, factory ExecutorFactory) ([]OracleResult, error) {
-	t1, err := Run(cfg, factory)
+func CheckSameSeed(base *Trace, cfg Config, factory ExecutorFactory) ([]OracleResult, error) {
+	again, err := Run(cfg, factory)
 	if err != nil {
 		return nil, err
 	}
-	return CheckSameSeedAgainst(t1, cfg, factory)
-}
-
-// CheckSameSeedAgainst is CheckSameSeed with the first run supplied by
-// the caller (a trace already produced with exactly cfg), saving one
-// campaign execution.
-func CheckSameSeedAgainst(t1 *Trace, cfg Config, factory ExecutorFactory) ([]OracleResult, error) {
-	t2, err := Run(cfg, factory)
+	j1, err := base.JSON()
 	if err != nil {
 		return nil, err
 	}
-	j1, err := t1.JSON()
-	if err != nil {
-		return nil, err
-	}
-	j2, err := t2.JSON()
+	j2, err := again.JSON()
 	if err != nil {
 		return nil, err
 	}
@@ -156,32 +147,19 @@ func diffOutcomes(a, b ScenarioTrace, wa, wb int) string {
 }
 
 // CheckBenign asserts, for every benign-only scenario in cfg, that the
-// campaign run recorded zero detections and zero rewinds, and that a
+// serial base run recorded zero detections and zero rewinds, and that a
 // direct replay — the same requests driven through a bare loop with no
 // schedule or trace bookkeeping — lands on exactly the same virtual
 // cycle count and survivor digest. Cycle parity proves the engine's
 // orchestration is free on the simulated machine; a divergence means
 // the engine itself perturbs the system under test.
-func CheckBenign(cfg Config, factory ExecutorFactory) ([]OracleResult, error) {
-	cfg = cfg.withDefaults()
-	tr, err := Run(cfg, factory)
-	if err != nil {
-		return nil, err
-	}
-	return CheckBenignAgainst(tr, cfg, factory)
-}
-
-// CheckBenignAgainst is CheckBenign with the campaign run supplied by
-// the caller (a trace already produced with exactly cfg); only the
-// direct replays execute.
-func CheckBenignAgainst(tr *Trace, cfg Config, factory ExecutorFactory) ([]OracleResult, error) {
-	cfg = cfg.withDefaults()
+func CheckBenign(base *Trace, cfg Config, factory ExecutorFactory) ([]OracleResult, error) {
 	var out []OracleResult
 	for _, sc := range cfg.Scenarios {
 		if !sc.Benign() {
 			continue
 		}
-		st := tr.Scenario(sc.Name)
+		st := base.Scenario(sc.Name)
 		res := OracleResult{Oracle: "benign", Scenario: sc.Name, Pass: true}
 		switch {
 		case st == nil:
@@ -210,48 +188,56 @@ func CheckBenignAgainst(tr *Trace, cfg Config, factory ExecutorFactory) ([]Oracl
 	return out, nil
 }
 
-// CheckBatched runs the campaign through the batched execution pipeline
-// (RunBatched) at each batch size (default 8 and 32) and asserts, per
-// scenario, per-request outcome streams (fault class, outcome, detection
-// mechanism) and survivor digests identical to the serial base trace.
-// This is the batched==serial contract: coalescing calls into shared
-// domain entries must not change what any single request experiences or
-// what state survives. Virtual cycles and detection totals are NOT
-// compared — batching amortizes entry costs, and an aborted batch's
-// serial re-derivation legitimately counts extra detections.
-func CheckBatched(cfg Config, factory ExecutorFactory, batchSizes ...int) ([]OracleResult, error) {
-	base, err := Run(cfg.withDefaults(), factory)
-	if err != nil {
-		return nil, err
-	}
-	return CheckBatchedAgainst(base, cfg, factory, batchSizes...)
-}
-
-// CheckBatchedAgainst is CheckBatched with the serial base trace
-// supplied by the caller (a trace already produced with exactly cfg).
-func CheckBatchedAgainst(base *Trace, cfg Config, factory ExecutorFactory, batchSizes ...int) ([]OracleResult, error) {
-	cfg = cfg.withDefaults()
+// CheckBatched re-runs the campaign at each batch size (default 8 and
+// 32) and asserts, per scenario, per-request outcome streams (fault
+// class, outcome, detection mechanism) and survivor digests identical
+// to the serial base trace. This is the batched==serial contract:
+// coalescing calls into shared domain entries must not change what any
+// single request experiences or what state survives. Virtual cycles and
+// detection totals are NOT compared — batching amortizes entry costs,
+// and an aborted batch's serial re-derivation legitimately counts extra
+// detections.
+func CheckBatched(base *Trace, cfg Config, factory ExecutorFactory, batchSizes ...int) ([]OracleResult, error) {
 	if len(batchSizes) == 0 {
 		batchSizes = []int{8, 32}
 	}
+	names := make([]string, len(base.Scenarios))
+	for i, st := range base.Scenarios {
+		names[i] = st.Scenario
+	}
 	var out []OracleResult
 	for _, k := range batchSizes {
-		bt, err := RunBatched(cfg, factory, k)
+		cfg.Batch = k
+		bt, err := Run(cfg, factory)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: batched oracle at batch %d: %w", k, err)
 		}
-		for _, sc := range base.Scenarios {
-			res := OracleResult{Oracle: fmt.Sprintf("batched(%d)", k), Scenario: sc.Scenario, Pass: true}
-			other := bt.Scenario(sc.Scenario)
-			if other == nil {
-				res.Pass, res.Detail = false, "missing from batched trace"
-			} else if d := diffBatched(sc, *other, k); d != "" {
-				res.Pass, res.Detail = false, d
-			}
-			out = append(out, res)
-		}
+		out = append(out, diffTraces(fmt.Sprintf("batched(%d)", k), names, base, bt,
+			func(b, o ScenarioTrace) string { return diffBatched(b, o, k) })...)
 	}
 	return out, nil
+}
+
+// diffTraces renders one verdict per named scenario, comparing its base
+// trace against the other run's with diff.
+func diffTraces(oracle string, names []string, base, other *Trace, diff func(b, o ScenarioTrace) string) []OracleResult {
+	out := make([]OracleResult, 0, len(names))
+	for _, name := range names {
+		res := OracleResult{Oracle: oracle, Scenario: name, Pass: true}
+		b, o := base.Scenario(name), other.Scenario(name)
+		switch {
+		case b == nil:
+			res.Pass, res.Detail = false, "missing from base trace"
+		case o == nil:
+			res.Pass, res.Detail = false, "missing from "+oracle+" trace"
+		default:
+			if d := diff(*b, *o); d != "" {
+				res.Pass, res.Detail = false, d
+			}
+		}
+		out = append(out, res)
+	}
+	return out
 }
 
 // diffBatched compares the batching-invariant fields of a serial and a
@@ -276,28 +262,17 @@ func diffBatched(serial, batched ScenarioTrace, k int) string {
 	return ""
 }
 
-// CheckResize runs the campaign's pool-target scenarios under the
-// canonical grow/shrink schedule (workers 1→4→8→2 across the run's
-// quarters, DefaultResizePlan) and asserts per-request outcomes,
-// survivor digests, and detection totals identical to the fixed-size
-// base run — serially and through the batched pipeline at each batch
-// size (default 8 and 32). This is the resize-invisibility contract
-// (DESIGN.md §13): growing or shrinking a live pool must not change
-// what any single request experiences or what state survives. Virtual
-// cycles are NOT compared — hot-added workers pay a warm-up entry.
-func CheckResize(cfg Config, factory ExecutorFactory, batchSizes ...int) ([]OracleResult, error) {
-	base, err := Run(cfg.withDefaults(), factory)
-	if err != nil {
-		return nil, err
-	}
-	return CheckResizeAgainst(base, cfg, factory, batchSizes...)
-}
-
-// CheckResizeAgainst is CheckResize with the fixed-size base trace
-// supplied by the caller (a trace already produced with exactly cfg).
-// Scenarios whose target cannot resize are skipped; with no resizable
-// scenarios the result set is empty.
-func CheckResizeAgainst(base *Trace, cfg Config, factory ExecutorFactory, batchSizes ...int) ([]OracleResult, error) {
+// CheckResize replays the campaign's resizable scenarios under the
+// canonical grow/shrink schedule (workers 1→4→8→2 across each
+// scenario's quarters) and asserts per-request outcomes, survivor
+// digests, and detection totals identical to the fixed-size base trace
+// — serially and at each batch size (default 8 and 32). This is the
+// resize-invisibility contract (DESIGN.md §13): growing or shrinking a
+// live pool must not change what any single request experiences or
+// what state survives. Virtual cycles are NOT compared — hot-added
+// workers pay a warm-up entry. Scenarios whose executor cannot resize
+// are skipped; with none left the result set is empty.
+func CheckResize(base *Trace, cfg Config, factory ExecutorFactory, batchSizes ...int) ([]OracleResult, error) {
 	cfg = cfg.withDefaults()
 	if len(batchSizes) == 0 {
 		batchSizes = []int{8, 32}
@@ -309,6 +284,7 @@ func CheckResizeAgainst(base *Trace, cfg Config, factory ExecutorFactory, batchS
 	resizable := make(map[Target]bool)
 	sub := cfg
 	sub.Scenarios = nil
+	var names []string
 	for _, sc := range cfg.Scenarios {
 		ok, probed := resizable[sc.Target]
 		if !probed {
@@ -324,84 +300,53 @@ func CheckResizeAgainst(base *Trace, cfg Config, factory ExecutorFactory, batchS
 		}
 		if ok {
 			sub.Scenarios = append(sub.Scenarios, sc)
+			names = append(names, sc.Name)
 		}
 	}
-	if len(sub.Scenarios) == 0 {
+	if len(names) == 0 {
 		return nil, nil
 	}
-	plan := DefaultResizePlan(sub.Requests)
 	var out []OracleResult
-
-	rt, err := RunResized(sub, factory, plan)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: resize oracle: %w", err)
-	}
-	for _, sc := range sub.Scenarios {
-		res := OracleResult{Oracle: "resize", Scenario: sc.Name, Pass: true}
-		b, r := base.Scenario(sc.Name), rt.Scenario(sc.Name)
-		switch {
-		case b == nil:
-			res.Pass, res.Detail = false, "missing from base trace"
-		case r == nil:
-			res.Pass, res.Detail = false, "missing from resized trace"
-		default:
-			if d := diffOutcomes(*b, *r, cfg.Workers, -1); d != "" {
-				res.Pass, res.Detail = false, d
-			}
-		}
-		out = append(out, res)
-	}
-
-	for _, k := range batchSizes {
-		bt, err := RunResizedBatched(sub, factory, k, plan)
+	for i, k := range append([]int{1}, batchSizes...) {
+		sub.Batch = k
+		rt, err := runCampaign(sub, factory, true)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: resize oracle at batch %d: %w", k, err)
 		}
-		for _, sc := range sub.Scenarios {
-			res := OracleResult{Oracle: fmt.Sprintf("resize-batched(%d)", k), Scenario: sc.Name, Pass: true}
-			b, r := base.Scenario(sc.Name), bt.Scenario(sc.Name)
-			switch {
-			case b == nil:
-				res.Pass, res.Detail = false, "missing from base trace"
-			case r == nil:
-				res.Pass, res.Detail = false, "missing from resized batched trace"
-			default:
-				if d := diffBatched(*b, *r, k); d != "" {
-					res.Pass, res.Detail = false, d
-				}
-			}
-			out = append(out, res)
+		if i == 0 {
+			out = append(out, diffTraces("resize", names, base, rt,
+				func(b, o ScenarioTrace) string { return diffOutcomes(b, o, cfg.Workers, -1) })...)
+			continue
 		}
+		out = append(out, diffTraces(fmt.Sprintf("resize-batched(%d)", k), names, base, rt,
+			func(b, o ScenarioTrace) string { return diffBatched(b, o, k) })...)
 	}
 	return out, nil
 }
 
-// CheckAll runs every oracle: same-seed determinism, worker-count
-// invariance at the given counts (default 1/4/8), the benign
-// zero-detection + cycle-parity check, the batched==serial check at
-// batch sizes 8 and 32, and the elastic-resize invariance check.
+// CheckAll runs the serial base once and then every oracle over it:
+// same-seed determinism, worker-count invariance at the given counts
+// (default 1/4/8), the benign zero-detection + cycle-parity check, the
+// batched==serial check at batch sizes 8 and 32, and the elastic-resize
+// invariance check. cfg.Batch is ignored: the oracles always compare
+// against a serial base (benign parity replays serially), and the
+// batched and resize oracles set their own batch sizes.
 func CheckAll(cfg Config, factory ExecutorFactory, counts ...int) ([]OracleResult, error) {
-	base, err := Run(cfg.withDefaults(), factory)
+	cfg = cfg.withDefaults()
+	cfg.Batch = 1
+	base, err := Run(cfg, factory)
 	if err != nil {
 		return nil, err
 	}
-	return CheckAllAgainst(base, cfg, factory, counts...)
-}
-
-// CheckAllAgainst is CheckAll with the base campaign run supplied by
-// the caller (a trace already produced with exactly cfg) — the CLI's
-// -oracles path reuses the trace it just printed instead of re-running
-// the campaign.
-func CheckAllAgainst(base *Trace, cfg Config, factory ExecutorFactory, counts ...int) ([]OracleResult, error) {
 	var all []OracleResult
-	for _, f := range []func() ([]OracleResult, error){
-		func() ([]OracleResult, error) { return CheckSameSeedAgainst(base, cfg, factory) },
+	for _, check := range []func() ([]OracleResult, error){
+		func() ([]OracleResult, error) { return CheckSameSeed(base, cfg, factory) },
 		func() ([]OracleResult, error) { return CheckWorkerCounts(cfg, factory, counts...) },
-		func() ([]OracleResult, error) { return CheckBenignAgainst(base, cfg.withDefaults(), factory) },
-		func() ([]OracleResult, error) { return CheckBatchedAgainst(base, cfg, factory) },
-		func() ([]OracleResult, error) { return CheckResizeAgainst(base, cfg, factory) },
+		func() ([]OracleResult, error) { return CheckBenign(base, cfg, factory) },
+		func() ([]OracleResult, error) { return CheckBatched(base, cfg, factory) },
+		func() ([]OracleResult, error) { return CheckResize(base, cfg, factory) },
 	} {
-		res, err := f()
+		res, err := check()
 		if err != nil {
 			return all, err
 		}

@@ -62,7 +62,11 @@ func TestBenignOracleCatchesPhantomDetections(t *testing.T) {
 	cfg := Config{Seed: 5, Requests: 40, Scenarios: []Scenario{
 		{Name: "kv-benign", Workload: WorkloadKV, Target: TargetDomain},
 	}}
-	results, err := CheckBenign(cfg, factory)
+	base, err := Run(cfg, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := CheckBenign(base, cfg, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +136,11 @@ func TestSameSeedOracleCatchesNondeterminism(t *testing.T) {
 		{Name: "kv-attack", Workload: WorkloadKV, Target: TargetDomain,
 			Faults: []FaultClass{FaultCrash}, AttackEvery: 3},
 	}}
-	results, err := CheckSameSeed(cfg, factory)
+	base, err := Run(cfg, factory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := CheckSameSeed(base, cfg, factory)
 	if err != nil {
 		t.Fatal(err)
 	}

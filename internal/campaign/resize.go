@@ -2,19 +2,17 @@ package campaign
 
 import (
 	"fmt"
-	"sort"
 )
 
 // This file adds the elastic-resize dimension to the campaign engine:
-// a deterministic grow/shrink schedule (ResizePlan) applied to a
-// resizable executor mid-run, and the RunResized/RunResizedBatched
-// entry points the resize oracle (oracle.go CheckResize) compares
-// against fixed-size runs. The engine's dispatch stream stays keyed by
-// the configured worker count — a scheduled worker index is an affinity
-// key, not a physical slot — so every PRNG draw, request placement
-// label, and survivor-state transition is identical whatever the live
-// worker count happens to be. That is the resize-invisibility argument
-// (DESIGN.md §13), and the oracle makes it a regression test.
+// the canonical grow/shrink schedule the wave loop applies to a
+// resizable executor mid-run when the resize oracle (oracle.go
+// CheckResize) replays a scenario. The engine's dispatch stream stays
+// keyed by the configured worker count — a scheduled worker index is an
+// affinity key, not a physical slot — so every PRNG draw, request
+// placement label, and survivor-state transition is identical whatever
+// the live worker count happens to be. That is the resize-invisibility
+// argument (DESIGN.md §13), and the oracle makes it a regression test.
 
 // ResizableExecutor is implemented by executors whose worker set can
 // grow and shrink mid-scenario (the pool backend). Scheduled worker
@@ -28,165 +26,61 @@ type ResizableExecutor interface {
 	Workers() int
 }
 
-// ResizeStep is one scheduled resize: when the engine reaches request
-// index At (0-based, applied before that request executes), the live
-// worker set becomes Workers.
-type ResizeStep struct {
-	// At is the request index the step fires before.
-	At int
-	// Workers is the live worker count to resize to.
-	Workers int
-}
+// resizeStep is one scheduled resize: before request at executes, the
+// live worker set becomes workers.
+type resizeStep struct{ at, workers int }
 
-// ResizePlan is a deterministic grow/shrink schedule for one scenario
-// run: the worker count to start at and the steps to apply at fixed
-// request indices. The plan is part of the experiment's identity — same
-// (seed, plan) ⇒ same resize sequence.
-type ResizePlan struct {
-	// Initial is the live worker count before request 0 (0 leaves the
-	// executor at the configured count).
-	Initial int
-	// Steps fire in At order; At indices must be strictly ascending.
-	Steps []ResizeStep
-}
-
-// Validate reports structural problems with the plan.
-func (p ResizePlan) Validate() error {
-	if p.Initial < 0 {
-		return fmt.Errorf("campaign: resize plan initial %d < 0", p.Initial)
-	}
-	if !sort.SliceIsSorted(p.Steps, func(i, j int) bool { return p.Steps[i].At < p.Steps[j].At }) {
-		return fmt.Errorf("campaign: resize plan steps not ascending by At")
-	}
-	for i, s := range p.Steps {
-		if s.Workers < 1 {
-			return fmt.Errorf("campaign: resize plan step %d: %d workers (want >= 1)", i, s.Workers)
-		}
-		if i > 0 && p.Steps[i-1].At == s.At {
-			return fmt.Errorf("campaign: resize plan has two steps at request %d", s.At)
-		}
-	}
-	return nil
-}
-
-// DefaultResizePlan returns the canonical grow/shrink schedule over n
-// requests: start at 1 worker, grow to 4 at the first quarter, to 8 at
-// the half, and shrink to 2 at the last quarter — the workers
-// 1→4→8→2 sequence the resize oracle pins.
-func DefaultResizePlan(n int) ResizePlan {
-	return ResizePlan{
-		Initial: 1,
-		Steps: []ResizeStep{
-			{At: n / 4, Workers: 4},
-			{At: n / 2, Workers: 8},
-			{At: 3 * n / 4, Workers: 2},
-		},
-	}
-}
-
-// planApplier walks a plan's steps as the scenario loop advances. A nil
-// applier (no plan) is valid and does nothing.
-type planApplier struct {
+// resizer walks the canonical schedule over one scenario's n requests
+// as the wave loop advances: start at 1 worker, grow to 4 at the first
+// quarter, to 8 at the half, and shrink to 2 at the last quarter — the
+// workers 1→4→8→2 sequence the resize oracle pins. A nil resizer is a
+// fixed-size run and does nothing.
+type resizer struct {
 	rex   ResizableExecutor
-	steps []ResizeStep
+	steps []resizeStep
 	next  int
 }
 
-// newPlanApplier validates the plan against ex and applies the initial
-// resize. plan == nil means a fixed-size run.
-func newPlanApplier(ex Executor, plan *ResizePlan) (*planApplier, error) {
-	if plan == nil {
-		return nil, nil
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
+// newResizer applies the initial resize and lays out the steps for n
+// requests. Below three requests some quarters coincide; only the first
+// step at each index is kept, so for every n ≥ 1 each step fires at a
+// distinct request inside the run.
+func newResizer(ex Executor, n int) (*resizer, error) {
 	rex, ok := ex.(ResizableExecutor)
 	if !ok {
 		return nil, fmt.Errorf("campaign: %T does not support resizing", ex)
 	}
-	if plan.Initial > 0 {
-		if err := rex.Resize(plan.Initial); err != nil {
-			return nil, fmt.Errorf("campaign: initial resize to %d: %w", plan.Initial, err)
+	if err := rex.Resize(1); err != nil {
+		return nil, fmt.Errorf("campaign: initial resize to 1: %w", err)
+	}
+	r := &resizer{rex: rex}
+	for _, s := range []resizeStep{{n / 4, 4}, {n / 2, 8}, {3 * n / 4, 2}} {
+		if len(r.steps) == 0 || r.steps[len(r.steps)-1].at < s.at {
+			r.steps = append(r.steps, s)
 		}
 	}
-	return &planApplier{rex: rex, steps: plan.Steps}, nil
+	return r, nil
 }
 
 // before applies every step scheduled at or before request index i.
-func (p *planApplier) before(i int) error {
-	if p == nil {
+func (r *resizer) before(i int) error {
+	if r == nil {
 		return nil
 	}
-	for p.next < len(p.steps) && p.steps[p.next].At <= i {
-		s := p.steps[p.next]
-		if err := p.rex.Resize(s.Workers); err != nil {
-			return fmt.Errorf("campaign: resize to %d before request %d: %w", s.Workers, s.At, err)
+	for ; r.next < len(r.steps) && r.steps[r.next].at <= i; r.next++ {
+		s := r.steps[r.next]
+		if err := r.rex.Resize(s.workers); err != nil {
+			return fmt.Errorf("campaign: resize to %d before request %d: %w", s.workers, s.at, err)
 		}
-		p.next++
 	}
 	return nil
 }
 
-// nextBoundary returns the first unapplied step index strictly after i,
-// or n — the wave-split point for the batched pipeline, so a resize
-// always lands between batches, never inside one.
-func (p *planApplier) nextBoundary(i, n int) int {
-	if p == nil {
-		return n
+// cut truncates a wave ending at end to the next unapplied step, so a
+// resize always lands between waves, never inside one.
+func (r *resizer) cut(end int) int {
+	if r != nil && r.next < len(r.steps) && r.steps[r.next].at < end {
+		return r.steps[r.next].at
 	}
-	for _, s := range p.steps[p.next:] {
-		if s.At > i {
-			if s.At < n {
-				return s.At
-			}
-			break
-		}
-	}
-	return n
-}
-
-// RunResized executes every scenario like Run, applying plan's
-// grow/shrink schedule to the executor as the request loop advances.
-// Every executor in cfg must support resizing (use pool-target
-// scenarios). Per-request outcomes and survivor digests are identical
-// to the fixed-size Run — the property CheckResize asserts; virtual
-// cycles may differ (hot-added workers pay a warm-up entry).
-func RunResized(cfg Config, factory ExecutorFactory, plan ResizePlan) (*Trace, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	tr := &Trace{Seed: cfg.Seed, Workers: cfg.Workers, Requests: cfg.Requests}
-	for _, sc := range cfg.Scenarios {
-		st, err := runScenarioPlan(sc, cfg, factory, &plan)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: scenario %q: %w", sc.Name, err)
-		}
-		tr.Scenarios = append(tr.Scenarios, st)
-	}
-	return tr, nil
-}
-
-// RunResizedBatched is RunResized through the batched execution
-// pipeline: waves additionally split at resize boundaries so a resize
-// always happens between coalesced batches. Outcomes and survivor
-// digests match the fixed-size batched (and serial) runs.
-func RunResizedBatched(cfg Config, factory ExecutorFactory, batchSize int, plan ResizePlan) (*Trace, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	tr := &Trace{Seed: cfg.Seed, Workers: cfg.Workers, Requests: cfg.Requests}
-	for _, sc := range cfg.Scenarios {
-		st, err := runScenarioBatchedPlan(sc, cfg, factory, batchSize, &plan)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: scenario %q: %w", sc.Name, err)
-		}
-		tr.Scenarios = append(tr.Scenarios, st)
-	}
-	return tr, nil
+	return end
 }

@@ -13,7 +13,7 @@ import (
 // graceful drain mid-run, and a quarantine/probe recovery cycle. Every
 // scenario keeps per-tenant MaxInflight at or above the isolation
 // oracle's largest batch size (32), so the inflight quota stays
-// wave-shape-independent in batched mode (see campaign.runGateway).
+// wave-shape-independent in batched mode (see campaign.RunGateway).
 func Gateway() []campaign.GatewayScenario {
 	return []campaign.GatewayScenario{
 		{

@@ -131,6 +131,45 @@ func hashBytes(b []byte) uint64 {
 	return h
 }
 
+// play drives the schedule through one side of the differential: one
+// request at a time through one when batch <= 0, otherwise waves of
+// batch through many, so both dispatch paths stay covered. before
+// (cluster side) fires ahead of each request or wave; indices in skip
+// (single side) are recorded unavailable and never executed.
+func play(reqs []workload.Request, batch int,
+	one func(context.Context, int, workload.Request) kvstore.Response,
+	many func([]kvstore.BatchRequest) []kvstore.Response,
+	before func(i int) error, skip map[int]bool) ([]campaign.ClusterOutcome, error) {
+	ctx := context.Background()
+	out := make([]campaign.ClusterOutcome, len(reqs))
+	wave := max(batch, 1)
+	for ws := 0; ws < len(reqs); ws += wave {
+		if before != nil {
+			if err := before(ws); err != nil {
+				return nil, err
+			}
+		}
+		var calls []kvstore.BatchRequest
+		for i := ws; i < min(ws+wave, len(reqs)); i++ {
+			if skip[i] {
+				out[i] = campaign.ClusterOutcome{I: i, Outcome: campaign.OutcomeUnavailable}
+				continue
+			}
+			calls = append(calls, kvstore.BatchRequest{Ctx: ctx, ClientID: i, Req: reqs[i]})
+		}
+		if batch <= 0 {
+			for _, c := range calls {
+				out[c.ClientID] = classify(c.ClientID, one(ctx, c.ClientID, c.Req))
+			}
+			continue
+		}
+		for k, resp := range many(calls) {
+			out[calls[k].ClientID] = classify(calls[k].ClientID, resp)
+		}
+	}
+	return out, nil
+}
+
 // RunCluster implements campaign.ClusterRunner.
 func (h *Harness) RunCluster(sc campaign.ClusterScenario) (campaign.ClusterRun, error) {
 	var run campaign.ClusterRun
@@ -157,8 +196,6 @@ func (h *Harness) RunCluster(sc campaign.ClusterScenario) (campaign.ClusterRun, 
 	defer func() {
 		_ = router.Close() //lint:errclass harness teardown after the run's state is captured
 	}()
-	ctx := context.Background()
-	outcomes := make([]campaign.ClusterOutcome, sc.Requests)
 	evIdx := 0
 	fire := func(upTo int) error {
 		for evIdx < len(sc.Events) && sc.Events[evIdx].At <= upTo {
@@ -171,30 +208,8 @@ func (h *Harness) RunCluster(sc campaign.ClusterScenario) (campaign.ClusterRun, 
 		}
 		return nil
 	}
-	if sc.Batch <= 0 {
-		for i, req := range reqs {
-			if err := fire(i); err != nil {
-				return run, err
-			}
-			outcomes[i] = classify(i, router.HandleContext(ctx, i, req))
-		}
-	} else {
-		for ws := 0; ws < sc.Requests; ws += sc.Batch {
-			if err := fire(ws); err != nil {
-				return run, err
-			}
-			n := sc.Batch
-			if remain := sc.Requests - ws; remain < n {
-				n = remain
-			}
-			wave := make([]kvstore.BatchRequest, n)
-			for k := range wave {
-				wave[k] = kvstore.BatchRequest{Ctx: ctx, ClientID: ws + k, Req: reqs[ws+k]}
-			}
-			for k, resp := range router.HandleBatch(wave) {
-				outcomes[ws+k] = classify(ws+k, resp)
-			}
-		}
+	if run.Cluster, err = play(reqs, sc.Batch, router.HandleContext, router.HandleBatch, fire, nil); err != nil {
+		return run, err
 	}
 	// Any plan events past the last request fire before the final dump.
 	if err := fire(sc.Requests); err != nil {
@@ -204,11 +219,10 @@ func (h *Harness) RunCluster(sc campaign.ClusterScenario) (campaign.ClusterRun, 
 	if err != nil {
 		return run, fmt.Errorf("cluster: scenario %q: cluster dump: %w", sc.Name, err)
 	}
-	run.Cluster = outcomes
 	run.ClusterDigest = campaign.DigestState(clusterState)
 	run.Handoffs = router.Handoffs()
 	skip := make(map[int]bool)
-	for _, o := range outcomes {
+	for _, o := range run.Cluster {
 		if o.Outcome == campaign.OutcomeUnavailable {
 			skip[o.I] = true
 			run.Unavailable++
@@ -224,42 +238,13 @@ func (h *Harness) RunCluster(sc campaign.ClusterScenario) (campaign.ClusterRun, 
 	defer func() {
 		_ = pool.Close() //lint:errclass harness teardown after the run's state is captured
 	}()
-	single := make([]campaign.ClusterOutcome, sc.Requests)
-	if sc.Batch <= 0 {
-		for i, req := range reqs {
-			if skip[i] {
-				single[i] = campaign.ClusterOutcome{I: i, Outcome: campaign.OutcomeUnavailable}
-				continue
-			}
-			single[i] = classify(i, pool.HandleContext(ctx, i, req))
-		}
-	} else {
-		for ws := 0; ws < sc.Requests; ws += sc.Batch {
-			n := sc.Batch
-			if remain := sc.Requests - ws; remain < n {
-				n = remain
-			}
-			var wave []kvstore.BatchRequest
-			var idxs []int
-			for k := 0; k < n; k++ {
-				i := ws + k
-				if skip[i] {
-					single[i] = campaign.ClusterOutcome{I: i, Outcome: campaign.OutcomeUnavailable}
-					continue
-				}
-				wave = append(wave, kvstore.BatchRequest{Ctx: ctx, ClientID: i, Req: reqs[i]})
-				idxs = append(idxs, i)
-			}
-			for k, resp := range pool.HandleBatchMixed(wave) {
-				single[idxs[k]] = classify(idxs[k], resp)
-			}
-		}
+	if run.Single, err = play(reqs, sc.Batch, pool.HandleContext, pool.HandleBatchMixed, nil, skip); err != nil {
+		return run, err
 	}
 	singleState, err := pool.DumpAll()
 	if err != nil {
 		return run, fmt.Errorf("cluster: scenario %q: single dump: %w", sc.Name, err)
 	}
-	run.Single = single
 	run.SingleDigest = campaign.DigestState(singleState)
 	return run, nil
 }
