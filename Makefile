@@ -16,10 +16,16 @@ check: fmt vet lint build test race test-lifecycle test-cluster
 # load with a mid-run drain, the frontends' grow-under-burst runs), the
 # retired-worker and durable-acked-write regressions, the controller
 # grow/shrink cycle, the drain regressions (whole-call drain
-# accounting, controller-teardown deadlock freedom, batch shedding), and
-# the connection loops' flush-rule battery (kvd and cluster).
+# accounting, controller-teardown deadlock freedom, batch shedding, and
+# the bounded drain: an idle client does not hold SIGTERM — the kvd
+# session and httpd's idle-connection test), the connection loops'
+# flush-rule and settle-rule batteries (kvd and cluster) with the
+# settle rule's exceptions (demotion after a detection, gateway
+# barriers, overload retry, the window's allocation pin), the
+# frontend's Submit/Wait and serve.Buffer's settle hook, and the
+# pipelined-vs-serial kvd session.
 test-lifecycle:
-	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule' ./...
+	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestBuffer|TestPipelinedWindow' ./...
 
 # Cluster tier gate (DESIGN.md §14): rendezvous placement, lease
 # membership, crash/rolling/partition state-machine tests, the wire

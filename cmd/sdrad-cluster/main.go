@@ -86,14 +86,11 @@ func run(addr string, cfg cluster.RouterConfig) error {
 	return srv.ServeUntilSignal(ln)
 }
 
-// frontend is the shared serving frontend at the kv protocol's types.
-type frontend = serve.Frontend[workload.Request, kvstore.Response]
-
 // newFrontend returns the Initializing serving frontend over router. The
 // router places each request itself, so the frontend is serial (no
 // submission queues) and has nothing to resize.
-func newFrontend(router *cluster.Router, logger *log.Logger) *frontend {
-	var f *frontend
+func newFrontend(router *cluster.Router, logger *log.Logger) *kvstore.Frontend {
+	var f *kvstore.Frontend
 	f = serve.New(serve.Backend[workload.Request, kvstore.Response]{
 		Name:      "cluster",
 		ServeConn: func(id int, conn io.ReadWriter) { serveConn(f, router, id, conn) },
@@ -108,29 +105,48 @@ func newFrontend(router *cluster.Router, logger *log.Logger) *frontend {
 // serveConn runs the shared kv command loop for one connection against
 // the cluster router, with the cluster's own stats, health and error
 // rendering.
-func serveConn(f *frontend, router *cluster.Router, id int, conn io.ReadWriter) {
-	kvstore.ServeCommands(id, conn, f.Logf, func(w io.Writer, cmd kvstore.Command) error {
-		switch {
-		case cmd.Stats:
-			return writeClusterStats(w, router)
-		case cmd.Health:
-			return writeClusterHealth(w, router)
-		case cmd.Auth:
-			_, err := io.WriteString(w, "CLIENT_ERROR auth not supported by the cluster router\r\n")
-			return err
-		case cmd.Scan:
-			res, err := router.Scan(cmd.ScanPrefix, cmd.ScanCursor, cmd.ScanLimit)
-			if err != nil {
-				return writeServerError(w, err)
-			}
-			return kvstore.WriteScanResponse(w, res)
+func serveConn(f *kvstore.Frontend, router *cluster.Router, id int, conn io.ReadWriter) {
+	kvstore.ServeCommands(id, conn, f, &session{f: f, router: router, id: id})
+}
+
+// session is the cluster router's side of one connection. Data commands
+// always pipeline: the serial frontend executes each as it is
+// submitted, so the loop runs with nothing in flight.
+type session struct {
+	f      *kvstore.Frontend
+	router *cluster.Router
+	id     int
+}
+
+// Pipeline pipelines every data command.
+func (s *session) Pipeline(req workload.Request) (workload.Request, bool) { return req, true }
+
+// Serve answers a barrier command.
+func (s *session) Serve(w io.Writer, cmd kvstore.Command) error {
+	switch {
+	case cmd.Stats:
+		return writeClusterStats(w, s.router)
+	case cmd.Health:
+		return writeClusterHealth(w, s.router)
+	case cmd.Auth:
+		_, err := io.WriteString(w, "CLIENT_ERROR auth not supported by the cluster router\r\n")
+		return err
+	case cmd.Scan:
+		res, err := s.router.Scan(cmd.ScanPrefix, cmd.ScanCursor, cmd.ScanLimit)
+		if err != nil {
+			return writeServerError(w, err)
 		}
-		resp := f.Do(id, cmd.Req)
-		if resp.Err != nil {
-			return writeServerError(w, resp.Err)
-		}
-		return kvstore.WriteResponse(w, cmd.Req, resp)
-	})
+		return kvstore.WriteScanResponse(w, res)
+	}
+	return s.Reply(w, cmd.Req, s.f.Do(s.id, cmd.Req))
+}
+
+// Reply renders a data command's response.
+func (s *session) Reply(w io.Writer, req workload.Request, resp kvstore.Response) error {
+	if resp.Err != nil {
+		return writeServerError(w, resp.Err)
+	}
+	return kvstore.WriteResponse(w, req, resp)
 }
 
 // writeServerError renders an error line; unavailable slots carry the

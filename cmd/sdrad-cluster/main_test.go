@@ -24,7 +24,7 @@ type duplex struct {
 
 // newTestCluster builds a serving 3-node, 1-replica router behind the
 // binary's frontend.
-func newTestCluster(t *testing.T) (*cluster.Router, *frontend) {
+func newTestCluster(t *testing.T) (*cluster.Router, *kvstore.Frontend) {
 	t.Helper()
 	router, err := cluster.NewRouter(cluster.RouterConfig{
 		Nodes:         3,
@@ -51,7 +51,7 @@ func newTestCluster(t *testing.T) (*cluster.Router, *frontend) {
 }
 
 // talk runs script through one connection and returns the transcript.
-func talk(f *frontend, router *cluster.Router, id int, script string) string {
+func talk(f *kvstore.Frontend, router *cluster.Router, id int, script string) string {
 	var out bytes.Buffer
 	serveConn(f, router, id, &duplex{strings.NewReader(script), &out})
 	return out.String()
@@ -135,12 +135,18 @@ func TestClusterProtocolErrorClosesConnection(t *testing.T) {
 	}
 }
 
+// clusterLoop is the batteries' factory for the cluster binary's loop.
+func clusterLoop(t *testing.T) kvstoretest.Loop {
+	router, f := newTestCluster(t)
+	return kvstoretest.Loop{Serve: func(conn io.ReadWriter) { serveConn(f, router, 1, conn) }}
+}
+
 // TestFlushRule runs the flush-rule battery against the cluster
 // binary's loop: one write per drained window, nothing stranded behind
 // a half-received command, every way out of the loop flushes.
-func TestFlushRule(t *testing.T) {
-	kvstoretest.FlushRule(t, func(t *testing.T) func(conn io.ReadWriter) {
-		router, f := newTestCluster(t)
-		return func(conn io.ReadWriter) { serveConn(f, router, 1, conn) }
-	})
-}
+func TestFlushRule(t *testing.T) { kvstoretest.FlushRule(t, clusterLoop) }
+
+// TestSettleRule runs the settle-rule battery against the cluster
+// binary's loop: its serial frontend executes each request as it is
+// submitted, and the replies, their order and stats are the same.
+func TestSettleRule(t *testing.T) { kvstoretest.SettleRule(t, clusterLoop) }

@@ -173,3 +173,49 @@ func TestServesAuthenticatedRequestsAndDrains(t *testing.T) {
 		t.Errorf("log does not show the containment and the drain:\n%s", logs)
 	}
 }
+
+// TestIdleConnectionDoesNotHoldDrain: a client that connects and never
+// sends its head does not keep SIGTERM from returning run. The drain
+// expires the connection's read; the server hangs up without a reply.
+func TestIdleConnectionDoesNotHoldDrain(t *testing.T) {
+	sink := &logSink{addr: make(chan string, 1)}
+	log.SetOutput(sink)
+	defer log.SetOutput(os.Stderr)
+	done := make(chan error, 1)
+	go func() {
+		done <- run("127.0.0.1:0", "sdrad", 2, 0, 1024, 32, "", nil, false, 1, 8)
+	}()
+	var addr string
+	select {
+	case addr = <-sink.addr:
+	case err := <-done:
+		t.Fatalf("run returned before listening: %v", err)
+	}
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = idle.Close() }() // the server hangs up first; closing twice is harmless
+	if err := idle.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// Connections are accepted in order, so once a later one is answered
+	// the idle one is being served: its head read is what SIGTERM meets.
+	if rep := get(t, addr, "/health", nil); rep.status != 200 {
+		t.Fatalf("GET /health: %+v", rep)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after SIGTERM with an idle client connected")
+	}
+	if n, err := idle.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("idle connection read %d bytes, %v; want EOF", n, err)
+	}
+}

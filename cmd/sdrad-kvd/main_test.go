@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -32,7 +33,8 @@ func (w addrWriter) Write(p []byte) (int, error) {
 // session starts the server exactly as main does — run, on a free port,
 // the flag defaults at two shards — plays script on its first
 // connection, either as one segment or one command at a time, and shuts
-// the server down with SIGTERM. It returns each command's reply.
+// the server down with SIGTERM while the client is still connected. It
+// returns each command's reply.
 func session(t *testing.T, script []string, oneSegment bool) []string {
 	t.Helper()
 	sink := addrWriter{addr: make(chan string, 1)}
@@ -77,14 +79,15 @@ func session(t *testing.T, script []string, oneSegment bool) []string {
 		replies = append(replies, reply)
 	}
 
-	// Serve waits for open connections, so hang up first. SIGTERM to
-	// ourselves is then the operator's shutdown: ServeUntilSignal
+	// SIGTERM to ourselves is the operator's shutdown: ServeUntilSignal
 	// registered for it before the first reply above could be written.
-	if err := conn.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// The client stays connected and idle; the drain expires the
+	// connection's read, so the server hangs up and run returns.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
+	}
+	if n, err := r.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("after the replies and SIGTERM: read %d bytes, %v; want EOF", n, err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"errors"
 	"io"
 	"log"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/kvstore/kvstoretest"
+	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 // kvdServer returns sdrad-kvd's server (batched frontend, the binary's
@@ -33,12 +36,29 @@ func kvdServer(t *testing.T, logger *log.Logger) *NetServer {
 	return n
 }
 
+// kvdLoop is the battery's factory for sdrad-kvd's loop.
+func kvdLoop(t *testing.T) kvstoretest.Loop {
+	n := kvdServer(t, nil)
+	return kvstoretest.Loop{Serve: func(conn io.ReadWriter) { n.serveConn(1, conn) }, Queues: n.Queues()}
+}
+
 // TestFlushRule runs the flush-rule battery against sdrad-kvd's loop.
-func TestFlushRule(t *testing.T) {
-	kvstoretest.FlushRule(t, func(t *testing.T) func(conn io.ReadWriter) {
-		n := kvdServer(t, nil)
-		return func(conn io.ReadWriter) { n.serveConn(1, conn) }
-	})
+func TestFlushRule(t *testing.T) { kvstoretest.FlushRule(t, kvdLoop) }
+
+// failingSession pipelines every data command through a serial frontend
+// and fails rendering the reply to key "c".
+type failingSession struct{ err error }
+
+func (s failingSession) Pipeline(req workload.Request) (workload.Request, bool) { return req, true }
+
+func (s failingSession) Serve(io.Writer, Command) error { return nil }
+
+func (s failingSession) Reply(w io.Writer, req workload.Request, _ Response) error {
+	if req.Key == "c" {
+		return s.err
+	}
+	_, err := io.WriteString(w, "END "+req.Key+"\r\n")
+	return err
 }
 
 // TestFlushRuleHandlerError covers the one way out of the loop the
@@ -46,20 +66,17 @@ func TestFlushRule(t *testing.T) {
 // earlier reply reach the connection, and is logged.
 func TestFlushRuleHandlerError(t *testing.T) {
 	conn := kvstoretest.NewConn("get a\r\nget b\r\nget c\r\nget d\r\n")
-	boom := errors.New("boom")
-	var logged []any
-	ServeCommands(7, conn, func(_ string, args ...any) { logged = args }, func(w io.Writer, cmd Command) error {
-		if cmd.Req.Key == "c" {
-			return boom
-		}
-		_, err := io.WriteString(w, "END "+cmd.Req.Key+"\r\n")
-		return err
-	})
+	var logs strings.Builder
+	f := serve.New(serve.Backend[workload.Request, Response]{
+		Name:   "test",
+		Handle: func(context.Context, int, workload.Request) Response { return Response{} },
+	}, log.New(&logs, "", 0))
+	ServeCommands(7, conn, f, failingSession{errors.New("boom")})
 	if got, want := conn.Out.String(), "END a\r\nEND b\r\n"; got != want || conn.Writes != 1 {
 		t.Errorf("replies %q in %d writes, want %q in 1", got, conn.Writes, want)
 	}
-	if len(logged) != 2 || logged[0] != 7 || logged[1] != error(boom) {
-		t.Errorf("logged %v, want conn 7 and the handler's error", logged)
+	if got, want := logs.String(), "conn 7 write: boom\n"; got != want {
+		t.Errorf("logged %q, want %q", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -479,5 +480,37 @@ func TestFlagsRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadCommand(reader("set k abc 0 2\r\nxy\r\n")); !errors.Is(err, ErrProtocol) {
 		t.Errorf("bad flags = %v, want ErrProtocol", err)
+	}
+}
+
+// fmtPayload is payload as it was written with fmt, the reference the
+// append form must match byte for byte: the bytes are what the domain
+// parses, so they set its virtual cycles.
+func fmtPayload(req workload.Request) []byte {
+	switch req.Op {
+	case workload.OpSet:
+		return append([]byte(fmt.Sprintf("set %s 0 0 %d\r\n", req.Key, len(req.Value))), append(req.Value, '\r', '\n')...)
+	case workload.OpDelete:
+		return []byte(fmt.Sprintf("delete %s\r\n", req.Key))
+	default:
+		return []byte(fmt.Sprintf("get %s\r\n", req.Key))
+	}
+}
+
+// TestPayloadMatchesFmt pins payload's bytes and its one allocation.
+func TestPayloadMatchesFmt(t *testing.T) {
+	for _, req := range []workload.Request{
+		{Op: workload.OpGet, Key: "k"},
+		{Op: workload.OpDelete, Key: "key-with-dashes"},
+		{Op: workload.OpSet, Key: "k", Value: []byte{}},
+		{Op: workload.OpSet, Key: "victim", Value: []byte(AttackMarker + "-payload")},
+		{Op: workload.OpSet, Key: "big", Value: bytes.Repeat([]byte("v"), 123456)},
+	} {
+		if got, want := payload(req), fmtPayload(req); !bytes.Equal(got, want) {
+			t.Errorf("payload(%v %q, %d bytes) = %q, want %q", req.Op, req.Key, len(req.Value), got[:min(len(got), 40)], want[:min(len(want), 40)])
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = payload(req) }); allocs != 1 {
+			t.Errorf("payload(%v %q) allocates %v times, want 1", req.Op, req.Key, allocs)
+		}
 	}
 }

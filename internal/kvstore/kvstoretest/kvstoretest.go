@@ -1,8 +1,8 @@
 // Package kvstoretest is the conformance battery for connection loops
 // built on kvstore.ServeCommands (sdrad-kvd's and sdrad-cluster's): it
-// checks when replies reach the connection — the flush rule of
-// serve.Buffer, DESIGN.md §13 — over a scripted connection that needs
-// no socket. Run it from the loop's own tests with a factory that
+// checks when replies reach the connection and when requests execute —
+// the settle rule, DESIGN.md §13 — over a scripted connection that
+// needs no socket. Run it from the loop's own tests with a factory that
 // builds a loop over a fresh, empty store.
 package kvstoretest
 
@@ -10,9 +10,21 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/submit"
 )
+
+// Loop is a connection loop under test over a fresh, empty store.
+type Loop struct {
+	// Serve runs the loop on one connection.
+	Serve func(conn io.ReadWriter)
+	// Queues is the loop's submission layer, nil on a serial frontend.
+	Queues *submit.Queues
+}
 
 // Conn is a scripted connection: each Read delivers the next segment
 // (what one read(2) would return), then io.EOF; every Write is counted
@@ -77,15 +89,28 @@ func join(cmds []command) (in, replies string) {
 	return i.String(), r.String()
 }
 
-// FlushRule runs the battery. newLoop returns a connection loop over a
-// fresh, empty store; it is called once per scripted connection.
-func FlushRule(t *testing.T, newLoop func(t *testing.T) func(conn io.ReadWriter)) {
-	t.Helper()
-	serve := func(t *testing.T, segments ...string) *Conn {
-		conn := NewConn(segments...)
-		newLoop(t)(conn)
-		return conn
+// serveOn runs a fresh loop from newLoop on a scripted connection.
+func serveOn(t *testing.T, newLoop func(t *testing.T) Loop, segments ...string) *Conn {
+	conn := NewConn(segments...)
+	newLoop(t).Serve(conn)
+	return conn
+}
+
+// oneCommandPerRead returns cmds as segments, one command each: the
+// session of a client that waits for each reply.
+func oneCommandPerRead(cmds []command) []string {
+	segments := make([]string, len(cmds))
+	for i, c := range cmds {
+		segments[i] = c.in
 	}
+	return segments
+}
+
+// FlushRule runs the battery of when replies reach the connection.
+// newLoop is called once per scripted connection.
+func FlushRule(t *testing.T, newLoop func(t *testing.T) Loop) {
+	t.Helper()
+	serve := func(t *testing.T, segments ...string) *Conn { return serveOn(t, newLoop, segments...) }
 	check := func(t *testing.T, conn *Conn, want string, writes int) {
 		t.Helper()
 		if got := conn.Out.String(); got != want {
@@ -108,11 +133,7 @@ func FlushRule(t *testing.T, newLoop func(t *testing.T) func(conn io.ReadWriter)
 
 		// The same commands one per read — a client that waits for each
 		// reply — draw the same bytes with one write per request.
-		var serial []string
-		for _, c := range cmds {
-			serial = append(serial, c.in)
-		}
-		check(t, serve(t, serial...), want, len(cmds))
+		check(t, serve(t, oneCommandPerRead(cmds)...), want, len(cmds))
 	})
 
 	t.Run("a half-received command strands no reply", func(t *testing.T) {
@@ -156,3 +177,75 @@ func FlushRule(t *testing.T, newLoop func(t *testing.T) func(conn io.ReadWriter)
 		}
 	})
 }
+
+// SettleRule runs the battery of when pipelined requests execute.
+// newLoop is called once per scripted connection.
+func SettleRule(t *testing.T, newLoop func(t *testing.T) Loop) {
+	t.Helper()
+	t.Run("a window is submitted before the loop waits", func(t *testing.T) {
+		// One P, as a saturated server runs: a drain loop then starts when
+		// the connection waits, not while it is still parsing the window —
+		// with spare Ps it may wake for the first request and again for
+		// each few that follow, however slow the parse (a race build).
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		cmds := window()
+		in, want := join(cmds)
+		loop := newLoop(t)
+		conn := NewConn(in)
+		loop.Serve(conn)
+		if got := conn.Out.String(); got != want {
+			t.Errorf("replies:\n%q\nwant:\n%q", got, want)
+		}
+		if loop.Queues != nil {
+			var submitted uint64
+			for w := 0; w < loop.Queues.Workers(); w++ {
+				st := loop.Queues.Stats(w)
+				submitted += st.Submitted
+				// A preempted parse may let the drain loop start early: one
+				// batch before, one after.
+				if st.Batches > 2 {
+					t.Errorf("shard %d ran the window in %d batches, want at most 2", w, st.Batches)
+				}
+			}
+			if submitted != uint64(len(cmds)) {
+				t.Errorf("%d requests submitted, want %d", submitted, len(cmds))
+			}
+		}
+		if got := serveOn(t, newLoop, oneCommandPerRead(cmds)...).Out.String(); got != want {
+			t.Errorf("one command per read:\n%q\nwant:\n%q", got, want)
+		}
+	})
+
+	t.Run("a key's requests keep their order", func(t *testing.T) {
+		conn := serveOn(t, newLoop, "set k 0 0 1\r\na\r\nget k\r\nset k 0 0 1\r\nb\r\nget k\r\ndelete k\r\nget k\r\n")
+		want := "STORED\r\nVALUE k 0 1\r\na\r\nEND\r\nSTORED\r\nVALUE k 0 1\r\nb\r\nEND\r\nDELETED\r\nEND\r\n"
+		if got := conn.Out.String(); got != want {
+			t.Errorf("replies:\n%q\nwant:\n%q", got, want)
+		}
+	})
+
+	t.Run("stats waits for every earlier command", func(t *testing.T) {
+		cmds := window()
+		before, after := cmds[:20], cmds[20:]
+		in, _ := join(before)
+		rest, _ := join(after)
+		conn := serveOn(t, newLoop, in+"stats\r\n"+rest)
+		m := cmdTotal.FindStringSubmatch(conn.Out.String())
+		if m == nil {
+			t.Fatalf("no cmd_total in the replies:\n%s", conn.Out.String())
+		}
+		var total int
+		if _, err := fmt.Sscan(m[1], &total); err != nil || total < len(before) {
+			t.Errorf("stats after %d commands counts cmd_total %s", len(before), m[1])
+		}
+		serial := oneCommandPerRead(before)
+		serial = append(serial, "stats\r\n")
+		serial = append(serial, oneCommandPerRead(after)...)
+		if got, want := conn.Out.String(), serveOn(t, newLoop, serial...).Out.String(); got != want {
+			t.Errorf("one segment:\n%q\none command per read:\n%q", got, want)
+		}
+	})
+}
+
+// cmdTotal finds the stats command's request count.
+var cmdTotal = regexp.MustCompile(`STAT cmd_total (\d+)\r\n`)

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -24,7 +25,7 @@ const AttackMarker = "!!exploit"
 // type adds the protocol: the command loop, the auth/health/scan
 // rendering, and the key-hash shard pick.
 type NetServer struct {
-	*serve.Frontend[workload.Request, Response]
+	*Frontend
 	pool *Pool
 }
 
@@ -101,90 +102,239 @@ func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch 
 	return n, nil
 }
 
+// Frontend is the serving frontend at the kv protocol's types, the one
+// ServeCommands submits a connection's data commands through.
+type Frontend = serve.Frontend[workload.Request, Response]
+
+// Session is one connection's side of ServeCommands: what the shared
+// command loop cannot know about the store or the tenant behind it.
+type Session interface {
+	// Pipeline returns the request a data command submits without
+	// waiting for the commands before it, or false to make the command
+	// a barrier that Serve answers.
+	Pipeline(req workload.Request) (workload.Request, bool)
+	// Serve answers a barrier command. Every earlier reply has been
+	// written to w.
+	Serve(w io.Writer, cmd Command) error
+	// Reply renders the response to a pipelined request.
+	Reply(w io.Writer, req workload.Request, resp Response) error
+}
+
 // ServeCommands runs the command loop for one connection: read a
-// command, hand it to handle; quit, EOF or a handler error ends it.
-// Commands execute one at a time, in order; their replies collect in
-// the serve.Buffer pair and leave when the loop next reads the socket
-// — one write per window a client pipelined — and, whatever ended the
-// loop, before it returns. A malformed command answers CLIENT_ERROR and
-// closes the connection: ReadCommand rejects a bad header before
-// consuming its data block, so reading on would parse attacker-supplied
-// bytes as commands.
-func ServeCommands(id int, conn io.ReadWriter, logf func(string, ...any), handle func(w io.Writer, cmd Command) error) {
-	r, w := serve.Buffer(conn)
-	var err error
-	for err == nil {
+// command and submit it through f, or hand it to s; quit, EOF or an
+// error from s ends it. A data command s pipelines is submitted as soon
+// as it is parsed, so a window a client sent in one segment reaches each
+// shard queue as one batch. A reply the loop cannot render at once (see
+// handle) waits in a FIFO until the loop settles: before every read of
+// the socket, before a barrier command, before the CLIENT_ERROR of a
+// malformed command, and on the way out, the loop waits for each
+// pending request in order and renders its reply. Replies therefore
+// keep command order; a key's requests keep their order because its
+// shard queue is FIFO, and pipelined requests on different shards run
+// concurrently. Replies collect in the serve.Buffer pair and leave when
+// the loop next reads the socket — one write per window — and, whatever
+// ended the loop, before it returns.
+//
+// stats, health, auth and scan are barriers, and so is every command
+// after a reply that reported a detection (a contained violation or a
+// budget preemption): that connection is back to one request in flight,
+// so an attacker's exploits do not share batches with anyone's requests
+// once one was seen. A submission refused as overloaded while the
+// connection has requests pending is retried once after they settle,
+// so a connection is never shed for its own backlog.
+//
+// A malformed command answers CLIENT_ERROR and closes the connection:
+// ReadCommand rejects a bad header before consuming its data block, so
+// reading on would parse attacker-supplied bytes as commands.
+func ServeCommands(id int, conn io.ReadWriter, f *Frontend, s Session) {
+	c := &commandLoop{id: id, f: f, s: s}
+	r, w := serve.Buffer(conn, c.settle)
+	c.w = w
+	for c.err == nil {
 		cmd, rerr := ReadCommand(r)
-		if rerr != nil && !errors.Is(rerr, io.EOF) {
-			_, _ = fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", rerr)
-		}
-		if rerr != nil || cmd.Quit {
+		if rerr != nil {
+			if errors.Is(rerr, ErrProtocol) && c.settle() == nil {
+				_, _ = fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", rerr)
+			}
 			break
 		}
-		err = handle(w, cmd)
+		if cmd.Quit {
+			break
+		}
+		c.handle(&cmd, r.Buffered() > 0)
 	}
+	err := c.settle()
 	if ferr := w.Flush(); err == nil {
 		err = ferr
 	}
 	if err != nil {
-		logf("conn %d write: %v", id, err)
+		f.Logf("conn %d write: %v", id, err)
 	}
 }
 
-// serveConn runs the command loop for one connection. With a gateway
-// installed the connection carries tenant state: data and scan commands
-// require a prior successful auth command and pass per-tenant
-// admission.
-func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
-	tenant, authed := "", false
-	ServeCommands(id, conn, n.Logf, func(w io.Writer, cmd Command) error {
-		switch {
-		case cmd.Auth:
-			return n.handleAuth(w, id, cmd.Token, &tenant, &authed)
-		case cmd.Health:
-			return n.writeHealth(w)
-		case cmd.Stats:
-			return WriteStats(w, n.pool)
-		}
-		// Data and scan commands pass tenant admission first; a rejection
-		// is a SERVER_ERROR line carrying the typed error's deterministic
-		// rendering. Every scan page is charged one admission token —
-		// pagination is the anti-starvation contract: a tenant walking
-		// the whole table re-enters admission per page.
-		var ticket *gateway.Ticket
-		if gw := n.Gateway(); gw != nil {
-			if !authed {
-				_, err := io.WriteString(w, "CLIENT_ERROR auth required\r\n")
-				return err
-			}
-			var aerr error
-			if ticket, aerr = gw.Admit(tenant); aerr != nil {
-				_, err := fmt.Fprintf(w, "SERVER_ERROR %s\r\n", aerr)
-				return err
-			}
-		}
-		if cmd.Scan {
-			return n.handleScan(w, cmd, ticket)
-		}
-		return n.handleData(w, id, cmd.Req, tenant, ticket)
-	})
+// commandLoop is one connection's ServeCommands state.
+type commandLoop struct {
+	id int
+	f  *Frontend
+	s  Session
+	w  *bufio.Writer
+	// pending holds the submitted requests whose replies are not yet
+	// rendered, in command order.
+	pending []pendingReply
+	// demoted is set by the first reply that reports a detection.
+	demoted bool
+	// err is the first error from s or from writing a reply; it ends
+	// the loop.
+	err error
 }
 
-// handleAuth binds connection id to a tenant. Every failure mode
+// pendingReply is one submitted request waiting for its reply.
+type pendingReply struct {
+	req workload.Request
+	p   serve.Pending[workload.Request, Response]
+}
+
+// handle pipelines cmd or, when it is a barrier, settles and serves it.
+// more reports input already buffered behind cmd. A pipelined request
+// with no reply ahead of it is answered at once when its call has
+// completed (always, on a serial frontend) or when nothing more is
+// buffered — the loop would settle at its next read anyway — so only a
+// window's requests wait in the FIFO.
+func (c *commandLoop) handle(cmd *Command, more bool) {
+	if cmd.data() && !c.demoted {
+		if req, ok := c.s.Pipeline(cmd.Req); ok {
+			p := c.f.Submit(c.id, req)
+			if p.Overloaded() && len(c.pending) > 0 && c.settle() == nil {
+				p = c.f.Submit(c.id, req)
+			}
+			if len(c.pending) == 0 && (!more || p.Settled()) {
+				c.reply(req, &p)
+				return
+			}
+			c.pending = append(c.pending, pendingReply{req: req, p: p})
+			return
+		}
+	}
+	if c.settle() == nil {
+		c.err = c.s.Serve(c.w, *cmd)
+	}
+}
+
+// settle waits for every pending request in order and renders its
+// reply. After an error it still waits for each, rendering nothing, so
+// no request outlives the loop that submitted it.
+func (c *commandLoop) settle() error {
+	for i := range c.pending {
+		c.reply(c.pending[i].req, &c.pending[i].p)
+	}
+	clear(c.pending)
+	c.pending = c.pending[:0]
+	return c.err
+}
+
+// reply waits for p, demotes the connection if its response reports a
+// detection, and renders it unless the loop already failed.
+func (c *commandLoop) reply(req workload.Request, p *serve.Pending[workload.Request, Response]) {
+	resp := c.f.Wait(p)
+	c.demoted = c.demoted || resp.Contained
+	if resp.Err != nil { // IsBudget allocates: classify errors only
+		_, preempted := core.IsBudget(resp.Err)
+		c.demoted = c.demoted || preempted
+	}
+	if c.err == nil {
+		c.err = c.s.Reply(c.w, req, resp)
+	}
+}
+
+// serveConn runs the command loop for one connection.
+func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
+	ServeCommands(id, conn, n.Frontend, &session{n: n, id: id})
+}
+
+// session is sdrad-kvd's side of one connection. With a gateway
+// installed the connection carries tenant state: data and scan commands
+// require a prior successful auth command and pass per-tenant
+// admission, one at a time — every command is a barrier, because
+// admission reads the tenant's inflight count and circuit breaker,
+// which earlier completions change.
+type session struct {
+	n      *NetServer
+	id     int
+	tenant string
+	authed bool
+}
+
+// Pipeline marks an attack payload and pipelines the request unless a
+// gateway is installed.
+func (s *session) Pipeline(req workload.Request) (workload.Request, bool) {
+	return markAttack(req), s.n.Gateway() == nil
+}
+
+// markAttack makes a SET whose value carries AttackMarker malicious.
+func markAttack(req workload.Request) workload.Request {
+	if bytes.HasPrefix(req.Value, []byte(AttackMarker)) {
+		req.Malicious = true
+	}
+	return req
+}
+
+// Serve answers a barrier command.
+func (s *session) Serve(w io.Writer, cmd Command) error {
+	switch {
+	case cmd.Auth:
+		return s.handleAuth(w, cmd.Token)
+	case cmd.Health:
+		return s.n.writeHealth(w)
+	case cmd.Stats:
+		return WriteStats(w, s.n.pool)
+	}
+	// Data and scan commands pass tenant admission first; a rejection
+	// is a SERVER_ERROR line carrying the typed error's deterministic
+	// rendering. Every scan page is charged one admission token —
+	// pagination is the anti-starvation contract: a tenant walking
+	// the whole table re-enters admission per page.
+	var ticket *gateway.Ticket
+	if gw := s.n.Gateway(); gw != nil {
+		if !s.authed {
+			_, err := io.WriteString(w, "CLIENT_ERROR auth required\r\n")
+			return err
+		}
+		var aerr error
+		if ticket, aerr = gw.Admit(s.tenant); aerr != nil {
+			_, err := fmt.Fprintf(w, "SERVER_ERROR %s\r\n", aerr)
+			return err
+		}
+	}
+	if cmd.Scan {
+		return s.n.handleScan(w, cmd, ticket)
+	}
+	return s.handleData(w, markAttack(cmd.Req), ticket)
+}
+
+// Reply renders a data command's response and reports a contained
+// violation to the paced log.
+func (s *session) Reply(w io.Writer, req workload.Request, resp Response) error {
+	if resp.Contained {
+		s.n.LogPaced(serve.EventContained, s.id, s.tenant, nil)
+	}
+	return WriteResponse(w, req, resp)
+}
+
+// handleAuth binds the connection to a tenant. Every failure mode
 // answers the same uniform line — the response never reveals whether
 // the token was close to (or part of) a valid credential — and is
 // logged through the paced log (a client can send rejected tokens at
 // will).
-func (n *NetServer) handleAuth(w io.Writer, id int, token string, tenant *string, authed *bool) error {
-	gw := n.Gateway()
+func (s *session) handleAuth(w io.Writer, token string) error {
+	gw := s.n.Gateway()
 	if gw == nil {
 		_, err := io.WriteString(w, "CLIENT_ERROR gateway disabled\r\n")
 		return err
 	}
 	name, aerr := gw.Authenticate([]byte(token))
-	*tenant, *authed = name, aerr == nil
+	s.tenant, s.authed = name, aerr == nil
 	if aerr != nil {
-		n.LogPaced(serve.EventAuthRejected, id, "", aerr)
+		s.n.LogPaced(serve.EventAuthRejected, s.id, "", aerr)
 		_, err := io.WriteString(w, "CLIENT_ERROR unauthorized\r\n")
 		return err
 	}
@@ -192,22 +342,16 @@ func (n *NetServer) handleAuth(w io.Writer, id int, token string, tenant *string
 	return err
 }
 
-// handleData executes one admitted data command and reports its outcome
-// (contained violation, budget preemption) back to the tenant's circuit
-// breaker.
-func (n *NetServer) handleData(w io.Writer, id int, req workload.Request, tenant string, ticket *gateway.Ticket) error {
-	if bytes.HasPrefix(req.Value, []byte(AttackMarker)) {
-		req.Malicious = true
-	}
-	resp := n.Do(id, req)
+// handleData executes one admitted data command, waiting for it, and
+// reports its outcome (contained violation, budget preemption) back to
+// the tenant's circuit breaker.
+func (s *session) handleData(w io.Writer, req workload.Request, ticket *gateway.Ticket) error {
+	resp := s.n.Do(s.id, req)
 	if ticket != nil {
 		_, preempted := core.IsBudget(resp.Err)
 		ticket.Done(resp.Contained, preempted)
 	}
-	if resp.Contained {
-		n.LogPaced(serve.EventContained, id, tenant, nil)
-	}
-	return WriteResponse(w, req, resp)
+	return s.Reply(w, req, resp)
 }
 
 // handleScan serves one admitted scan page. Scans bypass the submission

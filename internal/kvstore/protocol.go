@@ -64,6 +64,12 @@ type Command struct {
 	ScanLimit  int
 }
 
+// data reports whether c is a get, set or delete: a request for the
+// store rather than a command for the connection or the server.
+func (c *Command) data() bool {
+	return !(c.Stats || c.Quit || c.Auth || c.Health || c.Scan)
+}
+
 // MaxCommandLine bounds a command line, terminator included (memcached's
 // own limit): the line is read on the trusted side, so a client that
 // never sends a newline must not grow host memory.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	sdrad "repro"
@@ -136,6 +138,7 @@ type Server struct {
 	// parseBuf is the reusable host-side staging buffer for the parse
 	// scan (the server is single-threaded, so one buffer suffices).
 	parseBuf []byte
+	batch    batchScratch
 
 	downUntil uint64 // virtual cycle until which the native server is down
 
@@ -329,21 +332,28 @@ func (s *Server) Stats() ServerStats {
 }
 
 // payload renders the request in a memcached-text-like shape; this is the
-// untrusted byte string the handler parses.
+// untrusted byte string the handler parses. One allocation: it is on the
+// path of every request.
 func payload(req workload.Request) []byte {
 	switch req.Op {
 	case workload.OpSet:
-		head := fmt.Sprintf("set %s 0 0 %d\r\n", req.Key, len(req.Value))
-		out := make([]byte, 0, len(head)+len(req.Value)+2)
-		out = append(out, head...)
-		out = append(out, req.Value...)
-		out = append(out, '\r', '\n')
-		return out
+		var digits [20]byte // the most an int needs
+		size := strconv.AppendInt(digits[:0], int64(len(req.Value)), 10)
+		out := make([]byte, 0, len("set  0 0 \r\n\r\n")+len(req.Key)+len(size)+len(req.Value))
+		out = append(append(append(out, "set "...), req.Key...), " 0 0 "...)
+		out = append(append(out, size...), "\r\n"...)
+		return append(append(out, req.Value...), "\r\n"...)
 	case workload.OpDelete:
-		return []byte(fmt.Sprintf("delete %s\r\n", req.Key))
+		return commandLine("delete", req.Key)
 	default:
-		return []byte(fmt.Sprintf("get %s\r\n", req.Key))
+		return commandLine("get", req.Key)
 	}
+}
+
+// commandLine renders "<verb> <key>\r\n".
+func commandLine(verb, key string) []byte {
+	out := make([]byte, 0, len(verb)+len(" \r\n")+len(key))
+	return append(append(append(append(out, verb...), ' '), key...), "\r\n"...)
 }
 
 // Handle serves one request from clientID. It is HandleContext with a
@@ -437,28 +447,8 @@ func (s *Server) parseFn(req workload.Request, raw []byte) func(*sdrad.Ctx) erro
 // applies the operation to the protected cache and stages the response
 // into the worker domain.
 func (s *Server) finishSDRaD(d *sdrad.Domain, req workload.Request, verr error) (Response, error) {
-	if v, ok := core.IsViolation(verr); ok {
-		// Contained: the worker domain was rewound and discarded; the
-		// malicious client's connection is dropped, everyone else is
-		// unaffected.
-		s.violations++
-		return Response{Err: v, Contained: true}, nil
-	}
-	if b, ok := core.IsBudget(verr); ok {
-		// Preempted: the run blew its deadline-derived cycle budget and
-		// was rewound; the slow request fails, the cache is untouched.
-		s.preempted++
-		return Response{Err: b}, nil
-	}
-	if errors.Is(verr, context.DeadlineExceeded) || errors.Is(verr, context.Canceled) {
-		// The deadline passed (or the caller cancelled) before the worker
-		// domain was ever entered — e.g. the request sat queued behind a
-		// busy shard. Same client-visible outcome as a mid-run preemption.
-		s.preempted++
-		return Response{Err: verr}, nil
-	}
 	if verr != nil {
-		return Response{}, verr
+		return s.failSDRaD(verr)
 	}
 	resp, err := s.apply(req)
 	if err != nil {
@@ -481,6 +471,32 @@ func (s *Server) finishSDRaD(d *sdrad.Domain, req workload.Request, verr error) 
 		}
 	}
 	return resp, nil
+}
+
+// failSDRaD classifies a failed parse. A clean parse never gets here:
+// the typed-error checks allocate, and they would on every request.
+func (s *Server) failSDRaD(verr error) (Response, error) {
+	if v, ok := core.IsViolation(verr); ok {
+		// Contained: the worker domain was rewound and discarded; the
+		// malicious client's connection is dropped, everyone else is
+		// unaffected.
+		s.violations++
+		return Response{Err: v, Contained: true}, nil
+	}
+	if b, ok := core.IsBudget(verr); ok {
+		// Preempted: the run blew its deadline-derived cycle budget and
+		// was rewound; the slow request fails, the cache is untouched.
+		s.preempted++
+		return Response{Err: b}, nil
+	}
+	if errors.Is(verr, context.DeadlineExceeded) || errors.Is(verr, context.Canceled) {
+		// The deadline passed (or the caller cancelled) before the worker
+		// domain was ever entered — e.g. the request sat queued behind a
+		// busy shard. Same client-visible outcome as a mid-run preemption.
+		s.preempted++
+		return Response{Err: verr}, nil
+	}
+	return Response{}, verr
 }
 
 // BatchRequest is one request of a server batch: the submitting client,
@@ -537,8 +553,13 @@ func (s *Server) HandleBatch(batch []BatchRequest) []Response {
 	clk.Advance(2 * cost.Syscall) // one pipelined receive + send for the batch
 
 	// Partition by worker domain (stable): every group shares one entry.
-	verrs := make([]error, len(batch))
-	groups := make([][]int, len(s.workers))
+	// The working slices are the server's, reused from batch to batch.
+	bs := &s.batch
+	verrs := resized(bs.verrs, len(batch))
+	groups := resized(bs.groups, len(s.workers))
+	for w := range groups {
+		groups[w] = groups[w][:0]
+	}
 	for i, r := range batch {
 		w := r.ClientID % len(s.workers)
 		groups[w] = append(groups[w], i)
@@ -547,21 +568,23 @@ func (s *Server) HandleBatch(batch []BatchRequest) []Response {
 		if len(idxs) == 0 {
 			continue
 		}
-		items := make([]sdrad.BatchItem, len(idxs))
-		for k, i := range idxs {
-			items[k] = sdrad.BatchItem{
+		items := bs.items[:0]
+		for _, i := range idxs {
+			items = append(items, sdrad.BatchItem{
 				Ctx: batchCtx(batch[i].Ctx),
 				Fn:  s.parseFn(batch[i].Req, payload(batch[i].Req)),
-			}
+			})
 		}
 		for k, err := range s.workers[w].DoBatchItems(items) {
 			verrs[idxs[k]] = err
 		}
+		clear(items)
+		bs.items = items
 	}
 
 	// Apply to the protected cache in arrival order, remembering which
 	// requests staged WAL records.
-	staged := make([]bool, len(batch))
+	staged := resized(bs.staged, len(batch))
 	for i, r := range batch {
 		d := s.workers[r.ClientID%len(s.workers)]
 		before := len(s.pending)
@@ -589,8 +612,25 @@ func (s *Server) HandleBatch(batch []BatchRequest) []Response {
 			}
 		}
 	}
+	clear(verrs)
+	bs.verrs, bs.groups, bs.staged = verrs, groups, staged
 	return out
 }
+
+// batchScratch is HandleBatch's working memory, kept on the server
+// between batches (the server is single-threaded, so one set suffices):
+// per-request parse outcomes and staged flags, the worker-domain groups,
+// and one group's batch items.
+type batchScratch struct {
+	verrs  []error
+	staged []bool
+	groups [][]int
+	items  []sdrad.BatchItem
+}
+
+// resized returns s with length n, reusing its array when it is large
+// enough.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 func batchCtx(ctx context.Context) context.Context {
 	if ctx == nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"log"
@@ -19,12 +20,15 @@ type failingWriter struct{ err error }
 
 func (f failingWriter) Write([]byte) (int, error) { return 0, f.err }
 
+// settled is the settle hook of a loop with nothing pending.
+func settled() error { return nil }
+
 // TestBufferFlushesBeforeEveryRead checks the rule at its source: what
 // the loop wrote is on the connection by the time the connection is
 // read, and not before.
 func TestBufferFlushesBeforeEveryRead(t *testing.T) {
 	var out strings.Builder
-	r, w := Buffer(&halfDuplex{strings.NewReader("one\ntwo\n"), &out})
+	r, w := Buffer(&halfDuplex{strings.NewReader("one\ntwo\n"), &out}, settled)
 	if _, err := r.ReadString('\n'); err != nil { // reads the socket: both lines arrive
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestBufferFlushesBeforeEveryRead(t *testing.T) {
 // the loop must not block reading for more requests.
 func TestBufferReadReportsFailedFlush(t *testing.T) {
 	reset := errors.New("connection reset")
-	r, w := Buffer(&halfDuplex{strings.NewReader("never read\n"), failingWriter{reset}})
+	r, w := Buffer(&halfDuplex{strings.NewReader("never read\n"), failingWriter{reset}}, settled)
 	if _, err := io.WriteString(w, "reply\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +65,41 @@ func TestBufferReadReportsFailedFlush(t *testing.T) {
 	}
 	if err := w.Flush(); !errors.Is(err, reset) {
 		t.Fatalf("flush err = %v, want the write error kept", err)
+	}
+}
+
+// TestBufferSettlesBeforeEveryRead: what settle writes is on the
+// connection before the read, behind what the loop wrote earlier, and a
+// failed settle ends the read without touching the socket.
+func TestBufferSettlesBeforeEveryRead(t *testing.T) {
+	var out strings.Builder
+	var w *bufio.Writer
+	pending := []string{"ONE\n", "TWO\n"}
+	var stop error
+	r, w := Buffer(&halfDuplex{strings.NewReader("one\ntwo\n"), &out}, func() error {
+		for _, reply := range pending {
+			if _, err := io.WriteString(w, reply); err != nil {
+				return err
+			}
+		}
+		pending = nil
+		return stop
+	})
+	if _, err := io.WriteString(w, "ZERO\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != "ZERO\nONE\nTWO\n" {
+		t.Fatalf("on the connection at the first read: %q", out.String())
+	}
+	stop = errors.New("handler failed")
+	if _, err := r.ReadString('\n'); err != nil { // buffered: no read, no settle
+		t.Fatal(err)
+	}
+	if _, err := r.ReadString('\n'); !errors.Is(err, stop) {
+		t.Fatalf("read after a failed settle: %v, want the settle error", err)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -97,7 +98,7 @@ type Frontend[Req, Resp any] struct {
 	// qcfg is set by Queue; Init builds queues from it.
 	qcfg   *submit.Config
 	queues *submit.Queues
-	// load is queues.Load, bound once so Do allocates no method value.
+	// load is queues.Load, bound once so Submit allocates no method value.
 	load func(int) int64
 	// scratch[i] is shard i's reusable batch slice (batches for one
 	// shard never overlap).
@@ -108,6 +109,10 @@ type Frontend[Req, Resp any] struct {
 	// paced counts LogPaced calls per event; it only paces the log.
 	paced [numEvents]atomic.Uint64
 	wg    sync.WaitGroup
+	// conns holds the open connections by id, so that a drain can expire
+	// their reads.
+	connMu sync.Mutex
+	conns  map[int]net.Conn
 }
 
 // New returns an Initializing frontend that calls b.Handle directly,
@@ -152,34 +157,71 @@ func (f *Frontend[Req, Resp]) exec(shard int, tasks []*submit.Task) {
 	}
 }
 
-// Do serves one request under the configured deadline: a direct call on
-// a serial frontend, one queued Call on a batched one. A request the
-// queues refuse is shed with a typed error — an overload carries a
-// deterministic retry hint derived from the configured depth. The
-// request's context still governs its in-domain budget once queued
-// (deadlines that expire while queued surface as preemptions).
-func (f *Frontend[Req, Resp]) Do(clientID int, req Req) Resp {
+// Pending is a submitted request: what Submit returns and Wait settles.
+// A batched frontend's call waits in its shard queue or executes while
+// the submitter goes on; a serial frontend's call, and a refused one,
+// was settled by Submit itself.
+type Pending[Req, Resp any] struct {
+	call   *Call[Req, Resp]
+	fut    *submit.Future
+	cancel context.CancelFunc
+	// resp is a serial call's response; err is a refusal, shed by Wait.
+	resp Resp
+	err  error
+	over bool
+}
+
+// Settled reports whether Wait would return without blocking: the call
+// has executed, or Submit settled it.
+func (p *Pending[Req, Resp]) Settled() bool {
+	if p.fut == nil {
+		return true
+	}
+	select {
+	case <-p.fut.Done():
+		return true
+	default:
+		return false
+	}
+}
+
+// Overloaded reports that the queues refused the request as full. The
+// refusal holds nothing: a submitter still waiting on earlier requests
+// may wait for them and submit again.
+func (p *Pending[Req, Resp]) Overloaded() bool { return p.over }
+
+// Submit starts one request under the configured deadline and returns
+// without waiting for it on a batched frontend: the call is queued, and
+// its response is Wait's. A serial frontend executes it at once. A
+// request the queues refuse is settled as refused: Wait sheds it with a
+// typed error — an overload carries a deterministic retry hint derived
+// from the configured depth. The request's context governs its
+// in-domain budget once queued (deadlines that expire while queued
+// surface as preemptions); Wait releases it.
+func (f *Frontend[Req, Resp]) Submit(clientID int, req Req) Pending[Req, Resp] {
 	ctx := context.Background()
+	var cancel context.CancelFunc
 	if f.reqTimeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, f.reqTimeout)
-		defer cancel()
 	}
 	if f.queues == nil {
-		return f.b.Handle(ctx, clientID, req)
+		return Pending[Req, Resp]{resp: f.b.Handle(ctx, clientID, req), cancel: cancel}
 	}
 	c := &Call[Req, Resp]{Ctx: ctx, ClientID: clientID, Req: req}
 	w := f.b.Pick(req, f.load)
 	fut, err := f.queues.Submit(w, ctx, c)
 	if err == nil {
-		return f.await(c, fut)
+		return Pending[Req, Resp]{call: c, fut: fut, cancel: cancel}
 	}
 	_, over := submit.IsOverload(err)
 	for i := 1; over && f.b.Failover && i < f.b.Shards; i++ {
 		if fut, err = f.queues.Submit((w+i)%f.b.Shards, ctx, c); err == nil {
-			return f.await(c, fut)
+			return Pending[Req, Resp]{call: c, fut: fut, cancel: cancel}
 		}
 		_, over = submit.IsOverload(err)
+	}
+	if cancel != nil {
+		cancel() // nothing runs under a refused request's context
 	}
 	if over {
 		err = &gateway.RetryHintError{
@@ -187,18 +229,35 @@ func (f *Frontend[Req, Resp]) Do(clientID int, req Req) Resp {
 			Cause:  err,
 		}
 	}
-	return f.b.Shed(err)
+	return Pending[Req, Resp]{err: err, over: over}
 }
 
-// await maps an admitted call's future onto its response. A non-nil
-// resolution means the drain loop never filled Resp (the queues closed
-// underneath the admitted call), so the typed error must reach the wire
-// instead of a zero-value response.
-func (f *Frontend[Req, Resp]) await(c *Call[Req, Resp], fut *submit.Future) Resp {
-	if err := fut.Err(); err != nil {
+// Wait returns p's response, blocking until its call has executed, and
+// releases the request's deadline. A refused request is shed with its
+// typed error, and so is an admitted call whose future resolved with
+// one: the drain loop never filled Resp (the queues closed underneath
+// it), so the error must reach the wire instead of a zero-value
+// response.
+func (f *Frontend[Req, Resp]) Wait(p *Pending[Req, Resp]) Resp {
+	if p.cancel != nil {
+		defer p.cancel()
+	}
+	switch {
+	case p.err != nil:
+		return f.b.Shed(p.err)
+	case p.fut == nil:
+		return p.resp
+	}
+	if err := p.fut.Err(); err != nil {
 		return f.b.Shed(err)
 	}
-	return c.Resp
+	return p.call.Resp
+}
+
+// Do serves one request and waits for its response: Submit, then Wait.
+func (f *Frontend[Req, Resp]) Do(clientID int, req Req) Resp {
+	p := f.Submit(clientID, req)
+	return f.Wait(&p)
 }
 
 // SetGateway installs the tenant admission front tier; the protocol
@@ -416,28 +475,72 @@ func (f *Frontend[Req, Resp]) Health() *gateway.Health {
 }
 
 // Serve accepts connections on ln until it is closed, then waits for
-// in-flight connections to finish.
+// in-flight connections to finish. If the frontend is draining by then
+// (ServeUntilSignal drains before it closes ln), every open
+// connection's reads are expired first, so a loop waiting for a client
+// that sends nothing answers what it has and returns instead of holding
+// the drain forever.
 func (f *Frontend[Req, Resp]) Serve(ln net.Listener) error {
 	defer f.wg.Wait()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
+				if lifecycle.Monotone(lifecycle.StateDraining, f.State()) {
+					f.expireReads()
+				}
 				return nil
 			}
 			return fmt.Errorf("%s: accept: %w", f.b.Name, err)
 		}
 		id := int(f.nextID.Add(1))
+		f.track(id, conn)
 		f.wg.Add(1)
 		go func() {
 			defer f.wg.Done()
 			defer func() {
+				f.track(id, nil)
 				if cerr := conn.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
 					f.Logf("conn %d close: %v", id, cerr)
 				}
 			}()
 			f.b.ServeConn(id, conn)
 		}()
+	}
+}
+
+// track records conn as connection id, or forgets id when conn is nil.
+func (f *Frontend[Req, Resp]) track(id int, conn net.Conn) {
+	f.connMu.Lock()
+	defer f.connMu.Unlock()
+	if conn == nil {
+		delete(f.conns, id)
+		return
+	}
+	if f.conns == nil {
+		f.conns = make(map[int]net.Conn)
+	}
+	f.conns[id] = conn
+}
+
+// expireReads sets a read deadline in the past on every open
+// connection: a read in progress or to come fails at once with
+// os.ErrDeadlineExceeded, and a protocol loop takes that as the end of
+// its input. The deadline is a fixed instant, not a clock reading.
+// Writes keep working, so replies still leave; a write blocked on a
+// stalled peer is not bounded here.
+func (f *Frontend[Req, Resp]) expireReads() {
+	f.connMu.Lock()
+	defer f.connMu.Unlock()
+	ids := make([]int, 0, len(f.conns))
+	for id := range f.conns {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := f.conns[id].SetReadDeadline(time.Unix(1, 0)); err != nil && !errors.Is(err, net.ErrClosed) {
+			f.Logf("conn %d expire reads: %v", id, err)
+		}
 	}
 }
 

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/lifecycle"
@@ -126,17 +128,121 @@ func mustTable(t *testing.T, s string) *gateway.Table {
 	return table
 }
 
-// TestAwait pins both resolutions of an admitted call: the drain loop's
+// TestAwait pins every way Wait settles a request: an admitted call's
 // response verbatim, or — when the queues closed underneath it — the
-// typed error through Shed instead of a zero-value response.
+// typed error through Shed instead of a zero-value response; a refusal
+// through Shed; a serial call's response as Submit left it.
 func TestAwait(t *testing.T) {
 	f := newEcho(1).f
 	c := &Call[string, string]{Resp: "filled"}
-	if got := f.await(c, submit.Resolved(nil)); got != "filled" {
-		t.Fatalf("clean resolution returned %q", got)
+	for _, tc := range []struct {
+		name string
+		p    Pending[string, string]
+		want string
+	}{
+		{"clean resolution", Pending[string, string]{call: c, fut: submit.Resolved(nil)}, "filled"},
+		{"closed-queue resolution", Pending[string, string]{call: c, fut: submit.Resolved(submit.ErrClosed)}, "ERR " + submit.ErrClosed.Error()},
+		{"refusal", Pending[string, string]{err: submit.ErrClosed}, "ERR " + submit.ErrClosed.Error()},
+		{"serial", Pending[string, string]{resp: "done"}, "done"},
+	} {
+		if got := f.Wait(&tc.p); got != tc.want {
+			t.Errorf("%s: Wait = %q, want %q", tc.name, got, tc.want)
+		}
 	}
-	if got := f.await(c, submit.Resolved(submit.ErrClosed)); got != "ERR "+submit.ErrClosed.Error() {
-		t.Fatalf("closed-queue resolution returned %q", got)
+}
+
+// TestSubmitQueuesWithoutWaiting: a batched frontend's Submit returns
+// before the call has executed, Wait returns its response, and the
+// request's deadline is released by Wait, not before.
+func TestSubmitQueuesWithoutWaiting(t *testing.T) {
+	release := make(chan struct{})
+	e := newEcho(1)
+	batch := e.f.b.Batch
+	e.f.b.Batch = func(shard int, calls []*Call[string, string]) {
+		<-release
+		batch(shard, calls)
+	}
+	e.f.Queue(16, 4)
+	e.f.SetRequestTimeout(time.Hour)
+	if err := e.f.Serving(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := e.f.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	p := e.f.Submit(1, "a")
+	q := e.f.Submit(1, "b")
+	if p.Overloaded() || q.Overloaded() {
+		t.Fatal("a queue with room refused a request")
+	}
+	select {
+	case <-p.fut.Done():
+		t.Fatal("Submit waited for the call to execute")
+	default:
+	}
+	close(release)
+	if got := e.f.Wait(&p); got != "A" {
+		t.Fatalf("Wait = %q, want A", got)
+	}
+	if p.call.Ctx.Err() == nil {
+		t.Error("the request's deadline outlived Wait")
+	}
+	if q.call.Ctx.Err() != nil {
+		t.Error("Wait on one request released another's deadline")
+	}
+	if got := e.f.Wait(&q); got != "B" {
+		t.Fatalf("Wait = %q, want B", got)
+	}
+}
+
+// TestSubmitOverload: a full queue refuses at once, the refusal is
+// flagged as an overload and sheds with the deterministic retry hint,
+// and a submit after the queue drained is admitted.
+func TestSubmitOverload(t *testing.T) {
+	release := make(chan struct{})
+	e := newEcho(1)
+	batch := e.f.b.Batch
+	e.f.b.Batch = func(shard int, calls []*Call[string, string]) {
+		<-release
+		batch(shard, calls)
+	}
+	e.f.Queue(1, 1)
+	if err := e.f.Serving(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := e.f.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	// The drain loop takes the first call and blocks in Batch; the second
+	// fills the one slot; the third is refused.
+	first := e.f.Submit(1, "a")
+	for e.f.Queues().Stats(0).Batches == 0 {
+		runtime.Gosched()
+	}
+	second := e.f.Submit(1, "b")
+	third := e.f.Submit(1, "c")
+	if first.Overloaded() || second.Overloaded() || !third.Overloaded() {
+		t.Fatalf("overloaded = %v %v %v, want false false true", first.Overloaded(), second.Overloaded(), third.Overloaded())
+	}
+	if got := e.f.Wait(&third); !strings.HasPrefix(got, "ERR ") || !strings.Contains(got, "retry") {
+		t.Fatalf("refused request answered %q, want a shed with a retry hint", got)
+	}
+	close(release)
+	for _, p := range []*Pending[string, string]{&first, &second} {
+		if got := e.f.Wait(p); got != strings.ToUpper(p.call.Req) {
+			t.Fatalf("Wait = %q for %q", got, p.call.Req)
+		}
+	}
+	again := e.f.Submit(1, "c")
+	if again.Overloaded() {
+		t.Fatal("a drained queue refused the resubmission")
+	}
+	if got := e.f.Wait(&again); got != "C" {
+		t.Fatalf("resubmitted request answered %q", got)
 	}
 }
 
