@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race test-lifecycle test-cluster bench bench-smoke fuzz-smoke campaign-smoke
+.PHONY: check fmt vet lint build test race test-lifecycle test-cluster report-check bench bench-smoke fuzz-smoke campaign-smoke
 
-check: fmt vet lint build test race test-lifecycle test-cluster
+check: fmt vet lint build test race test-lifecycle test-cluster report-check
 
 # Lifecycle/elasticity conformance tier (DESIGN.md §13): the shared
 # lifecycletest battery against every component (Domain, Pool,
@@ -100,3 +100,11 @@ campaign-smoke:
 		-gateway gw-attack-tenants \
 		-oracles -cluster -out CAMPAIGN_CI.json
 	git diff --exit-code CAMPAIGN_CI.json
+
+# The paper's tables, byte-pinned: the target regenerates EXPERIMENTS.md
+# (every experiment in full mode at seed 1, ~10 s) and fails if it
+# differs from the committed file, so a change to a measured cell lands
+# only as a deliberate commit of the new report.
+report-check:
+	$(GO) run ./cmd/sdrad-report -seed 1 -o EXPERIMENTS.md
+	git diff --exit-code EXPERIMENTS.md
