@@ -22,8 +22,10 @@ check: fmt vet lint build test race test-lifecycle test-cluster report-check
 # flush-rule and settle-rule batteries (kvd and cluster) with the
 # settle rule's exceptions (demotion after a detection, gateway
 # barriers, overload retry, the window's allocation pin), the
-# frontend's Submit/Wait and serve.Buffer's settle hook, and the
-# pipelined-vs-serial kvd session.
+# frontend's Submit/Wait and serve.Buffer's settle hook, the
+# pipelined-vs-serial kvd session, and the retrofit shell's table run
+# against both servers (TestResizableShell: resize bounds and key reuse,
+# the native restart window, the failed-run classifier).
 test-lifecycle:
 	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestBuffer|TestPipelinedWindow' ./...
 

@@ -458,6 +458,19 @@ func (r Runner) runE4() (*Result, error) {
 
 // ---- E5: retrofit effort ----
 
+// retrofitCount is one server's retrofit effort: the non-test files of
+// its package that name the root sdrad package or the retrofit shell,
+// and the lines in them that do.
+type retrofitCount struct{ Files, Lines int }
+
+// The two servers' retrofit effort, counted from source by
+// TestRetrofitCounts (which fails, printing the new counts, when the
+// code drifts from these). Constants keep sdrad-report hermetic.
+var (
+	kvRetrofit    = retrofitCount{Files: 6, Lines: 78}
+	httpdRetrofit = retrofitCount{Files: 3, Lines: 44}
+)
+
 func (r Runner) runE5() (*Result, error) {
 	// Manual-retrofit numbers reported by the SDRaD paper; the FFI
 	// column counts the annotations our reproduction actually needs (one
@@ -473,11 +486,11 @@ func (r Runner) runE5() (*Result, error) {
 		"use case", "approach", "files changed", "wrapper LoC / annotations", "eng. hours", "effort kgCO2e")
 	t.AddRow("Memcached (paper)", "manual SDRaD API", 2, "484 LoC",
 		fmt.Sprintf("%.0f", manual.EngineerHours), fmt.Sprintf("%.2f", manual.KgCO2e()))
-	t.AddRow("memcached-like KV (ours)", "domain-per-connection", 1, "~40 LoC handler split",
+	t.AddRow("memcached-like KV (ours)", "domain-per-connection", kvRetrofit.Files, fmt.Sprintf("%d LoC", kvRetrofit.Lines),
 		fmt.Sprintf("%.0f", ffiEff.EngineerHours), fmt.Sprintf("%.2f", ffiEff.KgCO2e()))
 	t.AddRow("tlslib via SDRaD-FFI (ours)", "Foreign registrations", 1, "3 annotations (1/function)",
 		fmt.Sprintf("%.0f", ffiEff.EngineerHours), fmt.Sprintf("%.2f", ffiEff.KgCO2e()))
-	t.AddRow("httpd (ours)", "domain-per-request", 1, "~35 LoC handler split",
+	t.AddRow("httpd (ours)", "domain-per-request", httpdRetrofit.Files, fmt.Sprintf("%d LoC", httpdRetrofit.Lines),
 		fmt.Sprintf("%.0f", ffiEff.EngineerHours), fmt.Sprintf("%.2f", ffiEff.KgCO2e()))
 	t.AddRow("replicated pair (baseline)", "deploy + failover ops", "—", "runbooks, drills",
 		fmt.Sprintf("%.0f", ops.EngineerHours), fmt.Sprintf("%.2f", ops.KgCO2e()))
@@ -486,7 +499,9 @@ func (r Runner) runE5() (*Result, error) {
 	saving := energy.Assess(sc, procmodel.ActivePassive{}).TotalKgCO2e() -
 		energy.Assess(sc, procmodel.SDRaDRewind{ZeroOnDiscard: true}).TotalKgCO2e()
 	t.Caption = fmt.Sprintf(
-		"even the manual retrofit (%.1f kgCO2e of engineering) repays in <1%% of a year against the %.0f kgCO2e/yr saved vs an active-passive pair",
+		"even the manual retrofit (%.1f kgCO2e of engineering) repays in <1%% of a year against the %.0f kgCO2e/yr saved vs an active-passive pair; "+
+			"ours counts the non-test files and lines of internal/kvstore and internal/httpd that import or name the root sdrad package or the retrofit shell "+
+			"(any identifier either declares), comments and blank lines excluded",
 		manual.KgCO2e(), saving)
 	res := &Result{Table: t, Notes: "the FFI bridge hides argument marshalling, domain entry, and alternate actions behind one registration per function"}
 	res.metric("manual_effort_kgco2e", manual.KgCO2e())

@@ -72,27 +72,6 @@ func TestServeContextDeadlinePreempts(t *testing.T) {
 	}
 }
 
-// TestServeContextExpiredDeadline: a context that is already dead when
-// the request arrives gets a 408 without entering a domain, and counts
-// as preempted.
-func TestServeContextExpiredDeadline(t *testing.T) {
-	sys := core.NewSystem(core.DefaultConfig())
-	srv, err := NewServer(sys, Config{Mode: ModeSDRaD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.HandleFunc("/", []byte("content"))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	resp := srv.ServeContext(ctx, 0, BuildRequest("GET", "/", nil))
-	if resp.Status != 408 {
-		t.Fatalf("status = %d (err %v), want 408", resp.Status, resp.Err)
-	}
-	if st := srv.Stats(); st.Preempted != 1 {
-		t.Errorf("Preempted = %d, want 1", st.Preempted)
-	}
-}
-
 // TestServeContextNoDeadlineUnbounded: the same request succeeds without
 // a deadline, proving the 408 above came from the budget.
 func TestServeContextNoDeadlineUnbounded(t *testing.T) {

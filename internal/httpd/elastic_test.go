@@ -37,8 +37,8 @@ func TestElasticNetServerGrowsUnderBurst(t *testing.T) {
 	go func() { done <- ns.Serve(ln) }()
 
 	const clients = 8
-	sh := pool.shards[0]
-	sh.mu.Lock()
+	sh := pool.Shards[0]
+	sh.Lock()
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -71,7 +71,7 @@ func TestElasticNetServerGrowsUnderBurst(t *testing.T) {
 	for ns.Queues().Stats(0).Submitted != clients {
 		time.Sleep(100 * time.Microsecond)
 	}
-	sh.mu.Unlock()
+	sh.Unlock()
 	wg.Wait()
 
 	st := ns.ElasticStats()

@@ -16,18 +16,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	sdrad "repro"
-	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/pku"
-	"repro/internal/procmodel"
-	"repro/internal/vclock"
+	"repro/internal/retrofit"
 )
 
 // Parser limits, mirroring nginx defaults.
@@ -177,55 +175,40 @@ func (c *Config) fill() {
 // Server is the static web server. Create with NewServer; not safe for
 // concurrent use.
 type Server struct {
-	sys     *core.System
-	cfg     Config
-	routes  map[string][]byte
-	workers []*sdrad.Domain
-	scratch *alloc.Heap
-	// parseBuf and headBuf are reusable host-side staging buffers (the
-	// server is single-threaded): parseBuf stages the request bytes for
-	// the parse, headBuf the fixed-size response head.
-	parseBuf []byte
-	headBuf  []byte
+	sys    *core.System
+	cfg    Config
+	routes map[string][]byte
+	// shell owns the parsing domains (SDRaD), the scratch heap and restart
+	// window (native), and the request counters.
+	shell retrofit.Shell
+	// headBuf is the reusable fixed-size response head; parsed is
+	// ServeBatch's per-request parse results. Both are reused from
+	// request to request (the server is single-threaded).
+	headBuf []byte
+	parsed  []parseResult
+}
 
-	downUntil uint64
-
-	requests   uint64
-	violations uint64
-	crashes    uint64
-	dropped    uint64
-	preempted  uint64
+// parseResult is one request's in-domain parse outcome.
+type parseResult struct {
+	pr   ParsedRequest
+	perr error
 }
 
 // NewServer builds a server on sys.
 func NewServer(sys *core.System, cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{sys: sys, cfg: cfg, routes: make(map[string][]byte)}
+	sc := retrofit.Config{Name: "httpd", InterArrival: cfg.InterArrival}
 	switch cfg.Mode {
 	case ModeSDRaD:
-		sup := sdrad.Attach(sys)
-		for i := 0; i < cfg.Workers; i++ {
-			udi := cfg.FirstWorkerUDI + core.UDI(i)
-			if _, err := sys.InitDomain(udi, core.DomainConfig{
-				HeapPages:  8,
-				StackPages: 4,
-			}); err != nil {
-				return nil, fmt.Errorf("httpd: worker %d: %w", i, err)
-			}
-			d, err := sup.DomainAt(int(udi))
-			if err != nil {
-				return nil, fmt.Errorf("httpd: worker %d: %w", i, err)
-			}
-			s.workers = append(s.workers, d)
-		}
+		sc.Workers, sc.FirstUDI = cfg.Workers, cfg.FirstWorkerUDI
 	case ModeNative:
-		h, err := alloc.New(sys.Mem(), pku.DefaultKey, alloc.Config{InitialPages: 8})
-		if err != nil {
-			return nil, fmt.Errorf("httpd: scratch heap: %w", err)
-		}
-		s.scratch = h
 	default:
 		return nil, fmt.Errorf("httpd: unknown mode %v", cfg.Mode)
+	}
+	var err error
+	if s.shell, err = retrofit.New(sys, sc); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -234,75 +217,22 @@ func NewServer(sys *core.System, cfg Config) (*Server, error) {
 func (s *Server) Mode() Mode { return s.cfg.Mode }
 
 // Workers returns the live parsing-domain count (0 outside SDRaD mode).
-func (s *Server) Workers() int { return len(s.workers) }
-
-// MaxResizeWorkers caps ResizeWorkers: each parsing domain consumes one
-// of the simulated machine's 16 protection keys, and the default key
-// and the root-protected key are spoken for.
-const MaxResizeWorkers = 12
+func (s *Server) Workers() int { return s.shell.Workers() }
 
 // ResizeWorkers grows or shrinks the parsing-domain set to n (SDRaD
-// mode only). Parsing domains are pristine between requests, so the
-// count is purely a concurrency/placement knob: a request's response is
-// identical whichever domain parses it. Grown workers are fresh domains
-// at the next UDIs; shrinking deinitializes the tail workers (releasing
-// their protection keys and pages).
-func (s *Server) ResizeWorkers(n int) error {
-	if s.cfg.Mode != ModeSDRaD {
-		return fmt.Errorf("httpd: resize workers: mode %v has no parsing domains", s.cfg.Mode)
-	}
-	if n < 1 || n > MaxResizeWorkers {
-		return fmt.Errorf("httpd: resize workers: %d out of range [1, %d]", n, MaxResizeWorkers)
-	}
-	cur := len(s.workers)
-	if n > cur {
-		sup := sdrad.Attach(s.sys)
-		for i := cur; i < n; i++ {
-			udi := s.cfg.FirstWorkerUDI + core.UDI(i)
-			if _, err := s.sys.InitDomain(udi, core.DomainConfig{
-				HeapPages:  8,
-				StackPages: 4,
-			}); err != nil {
-				return fmt.Errorf("httpd: resize worker %d: %w", i, err)
-			}
-			d, err := sup.DomainAt(int(udi))
-			if err != nil {
-				return fmt.Errorf("httpd: resize worker %d: %w", i, err)
-			}
-			s.workers = append(s.workers, d)
-		}
-	}
-	for i := cur - 1; i >= n; i-- {
-		if err := s.workers[i].Close(); err != nil {
-			return fmt.Errorf("httpd: retire worker %d: %w", i, err)
-		}
-		s.workers = s.workers[:i]
-	}
-	s.cfg.Workers = n
-	return nil
-}
+// mode only; see retrofit.Shell.Resize).
+func (s *Server) ResizeWorkers(n int) error { return s.shell.Resize(n) }
 
 // HandleFunc registers static content for GET path.
 func (s *Server) HandleFunc(path string, content []byte) {
 	s.routes[path] = content
 }
 
-// Stats reports server accounting.
-type Stats struct {
-	Requests   uint64
-	Violations uint64
-	Crashes    uint64
-	Dropped    uint64
-	// Preempted counts requests cancelled by their context: the parse
-	// run exhausted its deadline-derived virtual-cycle budget, or the
-	// context expired before the domain was entered.
-	Preempted uint64
-}
+// Stats reports server accounting: the shell's counters.
+type Stats = retrofit.Counters
 
 // Stats returns a snapshot of the counters.
-func (s *Server) Stats() Stats {
-	return Stats{Requests: s.requests, Violations: s.violations, Crashes: s.crashes, Dropped: s.dropped, Preempted: s.preempted}
-}
+func (s *Server) Stats() Stats { return s.shell.Counters }
 
 // ContentBytes returns the total bytes of registered content (the state a
 // restart reloads).
@@ -326,19 +256,10 @@ func (s *Server) Serve(clientID int, raw []byte) Response {
 // request that exhausts it gets a 408 and the parsing domain is rewound,
 // exactly like a contained exploit.
 func (s *Server) ServeContext(ctx context.Context, clientID int, raw []byte) Response {
-	s.requests++
-	clk := s.sys.Clock()
-	cost := clk.Model()
-	clk.AdvanceTime(s.cfg.InterArrival)
-
-	if s.cfg.Mode == ModeNative && clk.Cycles() < s.downUntil {
-		s.dropped++
+	start, ok := s.shell.Begin() // accept/read + write/close
+	if !ok {                     // the native worker is restarting
 		return Response{Status: 503, Err: ErrUnavailable}
 	}
-
-	start := clk.Cycles()
-	clk.Advance(2 * cost.Syscall) // accept/read + write/close
-
 	var resp Response
 	switch s.cfg.Mode {
 	case ModeSDRaD:
@@ -346,34 +267,29 @@ func (s *Server) ServeContext(ctx context.Context, clientID int, raw []byte) Res
 	default:
 		resp = s.serveNative(raw)
 	}
-	resp.Latency = vclock.CyclesToDuration(clk.Cycles()-start, cost.CPUHz)
+	resp.Latency = s.shell.Since(start)
 	return resp
 }
 
 // serveSDRaD parses inside the client's parsing domain via the Runner
 // API; routing and content live in the trusted root.
 func (s *Server) serveSDRaD(ctx context.Context, clientID int, raw []byte) Response {
-	d := s.workers[clientID%len(s.workers)]
-	var pr ParsedRequest
-	var perr error
-	verr := d.Do(ctx, s.parseFn(raw, &pr, &perr))
-	return s.finishSDRaD(d, pr, perr, verr)
+	var r parseResult
+	verr := s.shell.Do(ctx, clientID, s.parseFn(raw, &r))
+	return s.finishSDRaD(clientID, &r, verr)
 }
 
 // parseFn builds the in-domain half of one request: stage the raw bytes
 // into the parsing domain, parse them there, trigger the injected bug
-// on attack-marked requests. The results land in *pr/*perr (overwritten
-// on a batch replay — the at-least-once contract). Shared by the serial
-// and batched paths.
-func (s *Server) parseFn(raw []byte, pr *ParsedRequest, perr *error) func(*sdrad.Ctx) error {
+// on attack-marked requests. The result lands in *r (overwritten on a
+// batch replay — the at-least-once contract). Shared by the serial and
+// batched paths.
+func (s *Server) parseFn(raw []byte, r *parseResult) func(*sdrad.Ctx) error {
 	return func(c *sdrad.Ctx) error {
-		buf := c.MustAlloc(len(raw) + 1)
-		c.MustStore(buf, raw)
-		tmp := s.stage(len(raw))
-		c.MustLoad(buf, tmp)
-		*pr, *perr = parse(tmp)
-		if *perr == nil {
-			if _, attacked := pr.Headers[AttackHeader]; attacked {
+		buf, tmp := s.shell.Stage(c, len(raw)+1, raw)
+		r.pr, r.perr = parse(tmp)
+		if r.perr == nil {
+			if _, attacked := r.pr.Headers[AttackHeader]; attacked {
 				fault.Inject(c, s.cfg.AttackKind, 0)
 			}
 		}
@@ -382,39 +298,26 @@ func (s *Server) parseFn(raw []byte, pr *ParsedRequest, perr *error) func(*sdrad
 	}
 }
 
-// finishSDRaD classifies the parse outcome and, for clean requests,
-// routes and stages the response head into the parsing domain.
-func (s *Server) finishSDRaD(d *sdrad.Domain, pr ParsedRequest, perr error, verr error) Response {
-	if v, ok := core.IsViolation(verr); ok {
-		s.violations++
-		return Response{Status: 400, Err: v, Contained: true}
-	}
-	if b, ok := core.IsBudget(verr); ok {
-		s.preempted++
-		return Response{Status: 408, Err: b}
-	}
-	if errors.Is(verr, context.DeadlineExceeded) || errors.Is(verr, context.Canceled) {
-		// The deadline passed (or the caller cancelled) before the parse
-		// domain was ever entered — e.g. the request sat queued behind a
-		// busy shard. Same client-visible outcome as a mid-run preemption.
-		s.preempted++
-		return Response{Status: 408, Err: verr}
-	}
+// finishSDRaD classifies a failed parse — a contained exploit answers
+// 400, a preemption 408 — or, for clean requests, routes and stages the
+// response head into the client's parsing domain (the connection's
+// output buffer).
+func (s *Server) finishSDRaD(clientID int, r *parseResult, verr error) Response {
 	if verr != nil {
-		return Response{Status: 500, Err: verr}
+		switch out, err := s.shell.Classify(verr); out {
+		case retrofit.Contained:
+			return Response{Status: 400, Err: err, Contained: true}
+		case retrofit.Preempted:
+			return Response{Status: 408, Err: err}
+		default:
+			return Response{Status: 500, Err: err}
+		}
 	}
-	if perr != nil {
-		return Response{Status: 400, Err: perr}
+	if r.perr != nil {
+		return Response{Status: 400, Err: r.perr}
 	}
-	resp := s.route(pr)
-	// Response staging: the status line and headers are written into the
-	// connection's output buffer, which belongs to the parsing domain.
-	// This cross-boundary copy exists only in SDRaD mode.
+	resp := s.route(r.pr)
 	const headLen = 128
-	out, aerr := d.Alloc(headLen)
-	if aerr != nil {
-		return Response{Status: 500, Err: aerr}
-	}
 	if cap(s.headBuf) < headLen {
 		s.headBuf = make([]byte, headLen)
 	}
@@ -425,11 +328,8 @@ func (s *Server) finishSDRaD(d *sdrad.Domain, pr ParsedRequest, perr error, verr
 	h := strconv.AppendInt(append(head[:0], "HTTP/1.1 "...), int64(resp.Status), 10)
 	h = strconv.AppendInt(append(h, "\r\ncontent-length: "...), int64(len(resp.Body)), 10)
 	_ = append(h, "\r\n\r\n"...)
-	if cerr := d.Write(out, head); cerr != nil {
-		return Response{Status: 500, Err: cerr}
-	}
-	if ferr := d.Free(out); ferr != nil {
-		return Response{Status: 500, Err: ferr}
+	if err := s.shell.StageReply(clientID, headLen, head); err != nil {
+		return Response{Status: 500, Err: err}
 	}
 	return resp
 }
@@ -457,102 +357,53 @@ func (s *Server) ServeBatch(batch []BatchRequest) []Response {
 		return out
 	}
 	if s.cfg.Mode != ModeSDRaD || len(batch) == 1 {
-		for i, r := range batch {
-			out[i] = s.ServeContext(batchCtx(r.Ctx), r.ClientID, r.Raw)
+		for i := range batch {
+			out[i] = s.ServeContext(batch[i].Ctx, batch[i].ClientID, batch[i].Raw)
 		}
 		return out
 	}
-	clk := s.sys.Clock()
-	cost := clk.Model()
-	s.requests += uint64(len(batch))
-	clk.AdvanceTime(time.Duration(len(batch)) * s.cfg.InterArrival) // arrival spacing
-	start := clk.Cycles()
-	clk.Advance(2 * cost.Syscall) // one pipelined accept/read + write for the batch
-
-	// Partition by parsing domain (stable): every group shares one entry.
-	type parseResult struct {
-		pr   ParsedRequest
-		perr error
-		verr error
+	start := s.shell.BeginBatch(len(batch)) // one pipelined accept/read + write
+	s.parsed = slices.Grow(s.parsed[:0], len(batch))[:len(batch)]
+	for i := range batch {
+		s.shell.Queue(batch[i].Ctx, batch[i].ClientID, s.parseFn(batch[i].Raw, &s.parsed[i]))
 	}
-	res := make([]parseResult, len(batch))
-	groups := make([][]int, len(s.workers))
-	for i, r := range batch {
-		w := r.ClientID % len(s.workers)
-		groups[w] = append(groups[w], i)
-	}
-	for w, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		items := make([]sdrad.BatchItem, len(idxs))
-		for k, i := range idxs {
-			items[k] = sdrad.BatchItem{
-				Ctx: batchCtx(batch[i].Ctx),
-				Fn:  s.parseFn(batch[i].Raw, &res[i].pr, &res[i].perr),
-			}
-		}
-		for k, err := range s.workers[w].DoBatchItems(items) {
-			res[idxs[k]].verr = err
-		}
-	}
+	verrs := s.shell.RunBatch()
 
 	// Route in arrival order.
-	for i, r := range batch {
-		d := s.workers[r.ClientID%len(s.workers)]
-		resp := s.finishSDRaD(d, res[i].pr, res[i].perr, res[i].verr)
-		resp.Latency = vclock.CyclesToDuration(clk.Cycles()-start, cost.CPUHz)
+	for i := range batch {
+		resp := s.finishSDRaD(batch[i].ClientID, &s.parsed[i], verrs[i])
+		resp.Latency = s.shell.Since(start)
 		out[i] = resp
 	}
+	clear(s.parsed)
 	return out
-}
-
-func batchCtx(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
 }
 
 // serveNative parses in unprotected memory; the injected bug crashes the
 // process.
 func (s *Server) serveNative(raw []byte) Response {
-	buf, err := s.scratch.Alloc(len(raw) + 1)
+	buf, tmp, err := s.shell.StageNative(len(raw)+1, raw)
 	if err != nil {
-		return Response{Status: 500, Err: err}
-	}
-	m := s.sys.Mem()
-	if err := m.StoreBytes(pku.PKRUAllowAll, buf, raw); err != nil {
-		return Response{Status: 500, Err: err}
-	}
-	tmp := s.stage(len(raw))
-	if err := m.LoadBytes(pku.PKRUAllowAll, buf, tmp); err != nil {
 		return Response{Status: 500, Err: err}
 	}
 	pr, perr := parse(tmp)
 	if perr == nil {
 		if _, attacked := pr.Headers[AttackHeader]; attacked {
-			return s.crash()
+			// The worker dies and restarts, reloading its content.
+			restart, err := s.shell.Crash(s.ContentBytes())
+			if err == nil {
+				err = fmt.Errorf("httpd: worker crashed (restart %v): %w", restart, ErrUnavailable)
+			}
+			return Response{Status: 500, Err: err}
 		}
 	}
-	if err := s.scratch.Free(buf); err != nil {
+	if err := s.shell.Unstage(buf); err != nil {
 		return Response{Status: 500, Err: err}
 	}
 	if perr != nil {
 		return Response{Status: 400, Err: perr}
 	}
 	return s.route(pr)
-}
-
-func (s *Server) crash() Response {
-	s.crashes++
-	clk := s.sys.Clock()
-	restart := procmodel.ProcessRestart{Cost: clk.Model()}.RecoveryTime(s.ContentBytes())
-	s.downUntil = clk.Cycles() + vclock.DurationToCycles(restart, clk.Model().CPUHz)
-	if err := s.scratch.ResetNoZero(); err != nil {
-		return Response{Status: 500, Err: err}
-	}
-	return Response{Status: 500, Err: fmt.Errorf("httpd: worker crashed (restart %v): %w", restart, ErrUnavailable)}
 }
 
 // route resolves the parsed request against the static routing table and
@@ -598,11 +449,3 @@ func BuildRequest(method, path string, headers map[string]string) []byte {
 
 // Interface compliance check.
 var _ fmt.Stringer = ModeNative
-
-// stage returns the server's reusable n-byte parse staging buffer.
-func (s *Server) stage(n int) []byte {
-	if cap(s.parseBuf) < n {
-		s.parseBuf = make([]byte, n)
-	}
-	return s.parseBuf[:n]
-}

@@ -134,29 +134,6 @@ func TestSDRaDContainsParserExploit(t *testing.T) {
 	}
 }
 
-func TestNativeExploitCausesCrashAndDowntime(t *testing.T) {
-	srv, _ := newServer(t, ModeNative)
-	// Enough content to make the restart window span many arrivals.
-	srv.HandleFunc("/bulk", make([]byte, 4<<20))
-	evil := BuildRequest("GET", "/", map[string]string{AttackHeader: "1"})
-	resp := srv.Serve(1, evil)
-	if !errors.Is(resp.Err, ErrUnavailable) || resp.Status != 500 {
-		t.Fatalf("crash resp = %+v", resp)
-	}
-	if srv.Stats().Crashes != 1 {
-		t.Errorf("crashes = %d", srv.Stats().Crashes)
-	}
-	dropped := 0
-	for i := 0; i < 50; i++ {
-		if r := srv.Serve(0, BuildRequest("GET", "/", nil)); errors.Is(r.Err, ErrUnavailable) {
-			dropped++
-		}
-	}
-	if dropped != 50 {
-		t.Errorf("dropped %d/50 during restart", dropped)
-	}
-}
-
 func TestRepeatedAttacksSDRaDStaysUp(t *testing.T) {
 	srv, _ := newServer(t, ModeSDRaD)
 	evil := BuildRequest("GET", "/", map[string]string{AttackHeader: "1"})

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/gateway"
+	"repro/internal/retrofit"
 	"repro/internal/serve"
 )
 
@@ -63,7 +64,7 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 		Shards:     p.Workers(),
 		Workers:    p.ShardWorkers,
 		Resize:     p.ResizeWorkers,
-		MaxWorkers: MaxResizeWorkers,
+		MaxWorkers: retrofit.MaxWorkers,
 	}, logger)
 	return n
 }
@@ -72,7 +73,7 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 // may be nil. The single Server owns one simulated core, so request
 // handling is serialized behind the worker lock.
 func NewNetServer(srv *Server, logger *log.Logger) *NetServer {
-	return NewNetServerPool(&Pool{shards: []*poolShard{{srv: srv}}}, logger)
+	return NewNetServerPool(poolOf(retrofit.Shards[*Server]{retrofit.NewShard(srv, &srv.shell)}), logger)
 }
 
 // NewNetServerPool wraps a Pool for TCP serving; logger may be nil. The

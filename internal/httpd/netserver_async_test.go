@@ -30,8 +30,8 @@ func TestRespondAsyncClosedQueue(t *testing.T) {
 	// request executing and one admitted but still queued, then close
 	// the queues underneath the queued one.
 	raw := BuildRequest("GET", "/", nil)
-	sh := pool.shards[0]
-	sh.mu.Lock()
+	sh := pool.Shards[0]
+	sh.Lock()
 	resps := make([]Response, 2)
 	var wg sync.WaitGroup
 	for i := range resps {
@@ -58,7 +58,7 @@ func TestRespondAsyncClosedQueue(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	sh.mu.Unlock()
+	sh.Unlock()
 	wg.Wait()
 	<-closed
 	if resps[0].Status != 200 {

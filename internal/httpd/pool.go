@@ -3,12 +3,11 @@ package httpd
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dispatch"
+	"repro/internal/retrofit"
 )
 
 // Pool runs N Servers in parallel, one per worker, each on a private
@@ -19,17 +18,14 @@ import (
 // replicated), so dispatch is least-loaded with a round-robin tiebreak.
 //
 // Pool is safe for concurrent use; per-worker locking upholds each
-// simulated machine's single-goroutine contract.
+// simulated machine's single-goroutine contract. The embedded Shards
+// supply the aggregates (counters, virtual time, worker resizing).
 type Pool struct {
-	shards []*poolShard
-	rr     atomic.Uint64
-}
-
-type poolShard struct {
-	mu  sync.Mutex
-	srv *Server
-	// inflight drives least-loaded dispatch; read without the lock.
-	inflight atomic.Int64
+	retrofit.Shards[*Server]
+	// inflight[i] drives least-loaded dispatch to worker i; read without
+	// the lock.
+	inflight []atomic.Int64
+	rr       atomic.Uint64
 }
 
 // NewPool builds n parallel Servers (n <= 0 means 1), each on a fresh
@@ -38,57 +34,32 @@ func NewPool(syscfg core.Config, cfg Config, n int) (*Pool, error) {
 	if n <= 0 {
 		n = 1
 	}
-	p := &Pool{shards: make([]*poolShard, n)}
-	for i := range p.shards {
+	shards := make(retrofit.Shards[*Server], n)
+	for i := range shards {
 		srv, err := NewServer(core.NewSystem(syscfg), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("httpd: pool worker %d: %w", i, err)
 		}
-		p.shards[i] = &poolShard{srv: srv}
+		shards[i] = retrofit.NewShard(srv, &srv.shell)
 	}
-	return p, nil
+	return poolOf(shards), nil
 }
 
-// Workers returns the number of parallel workers.
-func (p *Pool) Workers() int { return len(p.shards) }
-
-// ResizeWorkers grows or shrinks every worker's parsing-domain set to n
-// (SDRaD mode only). The workers (simulated machines) themselves are
-// fixed; the per-machine parsing domains are pristine between requests,
-// so their count is purely a concurrency knob. A partial failure leaves
-// workers at different counts and reports the first error.
-func (p *Pool) ResizeWorkers(n int) error {
-	var first error
-	for i, sh := range p.shards {
-		sh.mu.Lock()
-		err := sh.srv.ResizeWorkers(n)
-		sh.mu.Unlock()
-		if err != nil && first == nil {
-			first = fmt.Errorf("httpd: pool worker %d resize: %w", i, err)
-		}
-	}
-	return first
-}
-
-// ShardWorkers returns worker 0's parsing-domain count (every worker is
-// kept at the same count by ResizeWorkers).
-func (p *Pool) ShardWorkers() int {
-	sh := p.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.srv.Workers()
+// poolOf returns the pool over shards.
+func poolOf(shards retrofit.Shards[*Server]) *Pool {
+	return &Pool{Shards: shards, inflight: make([]atomic.Int64, len(shards))}
 }
 
 // Mode returns the pool's resilience mode.
-func (p *Pool) Mode() Mode { return p.shards[0].srv.Mode() }
+func (p *Pool) Mode() Mode { return p.Shards[0].Srv.Mode() }
 
 // HandleFunc registers static content for GET path on every worker (the
 // routing table is trusted, replicated state).
 func (p *Pool) HandleFunc(path string, content []byte) {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		sh.srv.HandleFunc(path, content)
-		sh.mu.Unlock()
+	for _, sh := range p.Shards {
+		sh.Lock()
+		sh.Srv.HandleFunc(path, content)
+		sh.Unlock()
 	}
 }
 
@@ -105,66 +76,24 @@ func (p *Pool) ServeContext(ctx context.Context, clientID int, raw []byte) Respo
 	// Acquire reserves the inflight slot atomically with the pick, so a
 	// burst of concurrent requests spreads across workers instead of all
 	// observing the same idle shard (see sdrad.Pool.pick).
-	best := dispatch.Acquire(len(p.shards), int(p.rr.Add(1)-1), func(i int) *atomic.Int64 {
-		return &p.shards[i].inflight
+	best := dispatch.Acquire(len(p.Shards), int(p.rr.Add(1)-1), func(i int) *atomic.Int64 {
+		return &p.inflight[i]
 	})
-	sh := p.shards[best]
-	defer sh.inflight.Add(-1)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.srv.ServeContext(ctx, clientID, raw)
+	defer p.inflight[best].Add(-1)
+	sh := p.Shards[best]
+	sh.Lock()
+	defer sh.Unlock()
+	return sh.Srv.ServeContext(ctx, clientID, raw)
 }
 
 // serveBatch serves a batch of requests on worker si as one pipelined
 // unit (Server.ServeBatch) under the worker lock. The batched
 // NetServer's per-worker submission queues pick si.
 func (p *Pool) serveBatch(si int, batch []BatchRequest) []Response {
-	sh := p.shards[si]
-	sh.inflight.Add(int64(len(batch)))
-	defer sh.inflight.Add(-int64(len(batch)))
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.srv.ServeBatch(batch)
-}
-
-// Stats aggregates server accounting across workers.
-func (p *Pool) Stats() Stats {
-	var agg Stats
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		st := sh.srv.Stats()
-		sh.mu.Unlock()
-		agg.Requests += st.Requests
-		agg.Violations += st.Violations
-		agg.Crashes += st.Crashes
-		agg.Dropped += st.Dropped
-		agg.Preempted += st.Preempted
-	}
-	return agg
-}
-
-// VirtualTime returns the pool's parallel makespan: the maximum virtual
-// time across workers, which run concurrently.
-func (p *Pool) VirtualTime() time.Duration {
-	var max time.Duration
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		vt := sh.srv.sys.Clock().Now()
-		sh.mu.Unlock()
-		if vt > max {
-			max = vt
-		}
-	}
-	return max
-}
-
-// TotalVirtualTime returns the summed virtual CPU time across workers.
-func (p *Pool) TotalVirtualTime() time.Duration {
-	var sum time.Duration
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		sum += sh.srv.sys.Clock().Now()
-		sh.mu.Unlock()
-	}
-	return sum
+	p.inflight[si].Add(int64(len(batch)))
+	defer p.inflight[si].Add(-int64(len(batch)))
+	sh := p.Shards[si]
+	sh.Lock()
+	defer sh.Unlock()
+	return sh.Srv.ServeBatch(batch)
 }

@@ -51,10 +51,10 @@ func (s *Server) Apply(req workload.Request) error {
 // Apply routes a trusted-side replica apply to the shard owning
 // req.Key (see Server.Apply).
 func (p *Pool) Apply(req workload.Request) error {
-	sh := p.shardFor(req.Key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.srv.Apply(req)
+	sh := p.Shards[p.shardIndex(req.Key)]
+	sh.Lock()
+	defer sh.Unlock()
+	return sh.Srv.Apply(req)
 }
 
 // DumpAll returns the pool's full key→value state — the union of the
@@ -62,10 +62,10 @@ func (p *Pool) Apply(req workload.Request) error {
 // the currency of cluster handoff syncs and survivor digests.
 func (p *Pool) DumpAll() (map[string][]byte, error) {
 	out := make(map[string][]byte)
-	for i, sh := range p.shards {
-		sh.mu.Lock()
-		m, err := sh.cache.Dump()
-		sh.mu.Unlock()
+	for i, sh := range p.Shards {
+		sh.Lock()
+		m, err := sh.Srv.cache.Dump()
+		sh.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("kvstore: pool shard %d dump: %w", i, err)
 		}
@@ -93,7 +93,7 @@ func (p *Pool) HandleBatchMixed(batch []BatchRequest) []Response {
 	if len(batch) == 0 {
 		return out
 	}
-	groups := make([][]int, len(p.shards))
+	groups := make([][]int, len(p.Shards))
 	for i, r := range batch {
 		si := p.shardIndex(r.Req.Key)
 		groups[si] = append(groups[si], i)

@@ -116,8 +116,8 @@ func TestBatchedOverloadRetryHintBytes(t *testing.T) {
 		}()
 		// Hold the shard lock so the drain loop blocks mid-batch, then
 		// fill the queue: one request executing (blocked), one queued.
-		sh := pool.shards[0]
-		sh.mu.Lock()
+		sh := pool.Shards[0]
+		sh.Lock()
 		var wg sync.WaitGroup
 		for i := 0; i < 2; i++ {
 			wg.Add(1)
@@ -139,7 +139,7 @@ func TestBatchedOverloadRetryHintBytes(t *testing.T) {
 		// Queue full: the third submission sheds with the hint.
 		req := setReq("k-shed", "v")
 		resp := n.Do(9, req)
-		sh.mu.Unlock()
+		sh.Unlock()
 		wg.Wait()
 		var hint *gateway.RetryHintError
 		if !errors.As(resp.Err, &hint) {

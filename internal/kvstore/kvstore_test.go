@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/procmodel"
 	"repro/internal/workload"
 )
 
@@ -202,48 +201,6 @@ func TestSDRaDContainsMaliciousRequest(t *testing.T) {
 	}
 }
 
-func TestNativeCrashCausesDowntime(t *testing.T) {
-	srv, sys := newServer(t, ModeNative)
-	// Warm ~2 MB of state so the modeled restart (fork/exec + state
-	// warm-up at ~85 MB/s) lasts tens of milliseconds — hundreds of
-	// arrival intervals.
-	if _, err := Warmup(srv.Cache(), 2<<20, 4096); err != nil {
-		t.Fatal(err)
-	}
-	_ = srv.Handle(0, workload.Request{Op: workload.OpSet, Key: "k", Value: make([]byte, 1024)})
-
-	evil := workload.Request{Op: workload.OpSet, Key: "x", Value: []byte("evil"), Malicious: true}
-	resp := srv.Handle(1, evil)
-	if !errors.Is(resp.Err, ErrUnavailable) {
-		t.Fatalf("crash response = %+v", resp)
-	}
-	if srv.Stats().Crashes != 1 {
-		t.Errorf("crashes = %d", srv.Stats().Crashes)
-	}
-	// Requests during the restart window are dropped.
-	dropped := 0
-	for i := 0; i < 100; i++ {
-		r := srv.Handle(0, workload.Request{Op: workload.OpGet, Key: "k"})
-		if errors.Is(r.Err, ErrUnavailable) {
-			dropped++
-		}
-	}
-	if dropped != 100 {
-		t.Errorf("dropped %d/100 during restart, want all (restart lasts seconds, arrivals are 100µs apart)", dropped)
-	}
-	// After the window the service recovers.
-	sys.Clock().AdvanceTime(srv.cacheRestartTime())
-	r := srv.Handle(0, workload.Request{Op: workload.OpGet, Key: "k"})
-	if errors.Is(r.Err, ErrUnavailable) {
-		t.Error("service still down after restart window")
-	}
-}
-
-// cacheRestartTime exposes the modeled restart duration for tests.
-func (s *Server) cacheRestartTime() time.Duration {
-	return procmodel.ProcessRestart{Cost: s.sys.Clock().Model()}.RecoveryTime(s.cache.Bytes())
-}
-
 func TestSDRaDModeNeverDropsBenignTraffic(t *testing.T) {
 	srv, _ := newServer(t, ModeSDRaD)
 	gen, err := workload.NewKV(workload.KVConfig{Seed: 1, Keys: 100})
@@ -421,7 +378,7 @@ func TestWorkersCannotTouchCacheStorage(t *testing.T) {
 	// Find the value's address via a root-side lookup of the element.
 	el := cache.item["secret"]
 	addr := el.Value.(*entry).addr
-	verr := sys.Enter(core.UDI(srv.workers[0].UDI()), func(c *core.DomainCtx) error {
+	verr := sys.Enter(srv.cfg.FirstWorkerUDI, func(c *core.DomainCtx) error {
 		buf := make([]byte, 5)
 		c.MustLoad(addr, buf) // must trap: storage-domain key not enabled
 		return nil

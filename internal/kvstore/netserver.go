@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/lifecycle"
+	"repro/internal/retrofit"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -57,7 +58,7 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 		Shards:     p.Workers(),
 		Workers:    p.ShardWorkers,
 		Resize:     p.ResizeWorkers,
-		MaxWorkers: MaxResizeWorkers,
+		MaxWorkers: retrofit.MaxWorkers,
 		Health:     p.Health,
 		Drain:      p.Drain,
 		Close:      p.Close,
@@ -69,7 +70,7 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 // may be nil to disable logging. The single Server owns one simulated
 // core, so request handling is serialized behind the shard lock.
 func NewNetServer(srv *Server, logger *log.Logger) *NetServer {
-	p := &Pool{lc: lifecycle.NewMachine("kvstore.Pool"), shards: []*kvShard{{srv: srv, cache: srv.cache}}}
+	p := &Pool{lc: lifecycle.NewMachine("kvstore.Pool"), Shards: retrofit.Shards[*Server]{newShard(srv)}}
 	_ = p.lc.Init(nil)  //lint:errclass fresh machine; Init from StateInitializing cannot fail
 	_ = p.lc.Start(nil) //lint:errclass inited machine; Start cannot fail
 	return NewNetServerPool(p, logger)

@@ -29,8 +29,8 @@ func TestRespondAsyncClosedQueue(t *testing.T) {
 	// Hold the shard lock so the drain loop blocks mid-batch with one
 	// request executing and one admitted but still queued, then close
 	// the queues underneath the queued one.
-	sh := pool.shards[0]
-	sh.mu.Lock()
+	sh := pool.Shards[0]
+	sh.Lock()
 	resps := make([]Response, 2)
 	var wg sync.WaitGroup
 	for i := range resps {
@@ -57,7 +57,7 @@ func TestRespondAsyncClosedQueue(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	sh.mu.Unlock()
+	sh.Unlock()
 	wg.Wait()
 	<-closed
 	if !resps[0].OK || resps[0].Err != nil {

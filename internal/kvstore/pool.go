@@ -4,12 +4,11 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/lifecycle"
+	"repro/internal/retrofit"
 	"repro/internal/workload"
 )
 
@@ -22,9 +21,10 @@ import (
 // writes on one cache shard — the consistency invariant.
 //
 // Pool is safe for concurrent use; per-shard locking upholds each
-// simulated machine's single-goroutine contract.
+// simulated machine's single-goroutine contract. The embedded Shards
+// supply the aggregates (counters, virtual time, worker counts).
 type Pool struct {
-	shards []*kvShard
+	retrofit.Shards[*Server]
 
 	// lc is the shared lifecycle state machine (internal/lifecycle): it
 	// memoizes Close (a second Close must not re-run the shard closes —
@@ -38,12 +38,6 @@ type Pool struct {
 	cfg      ServerConfig
 	n        int
 	capacity uint64
-}
-
-type kvShard struct {
-	mu    sync.Mutex
-	srv   *Server
-	cache *Cache
 }
 
 // StorageUDIForPool is the UDI each shard's storage domain uses.
@@ -94,7 +88,7 @@ func (p *Pool) Init() error {
 		if perShard < MaxValueSize {
 			perShard = MaxValueSize
 		}
-		shards := make([]*kvShard, p.n)
+		shards := make(retrofit.Shards[*Server], p.n)
 		for i := range shards {
 			sys := core.NewSystem(p.syscfg)
 			cache, err := NewCache(sys, StorageUDIForPool, perShard)
@@ -116,19 +110,22 @@ func (p *Pool) Init() error {
 				closeShards(shards[:i])
 				return fmt.Errorf("kvstore: pool shard %d: %w", i, err)
 			}
-			shards[i] = &kvShard{srv: srv, cache: cache}
+			shards[i] = newShard(srv)
 		}
-		p.shards = shards
+		p.Shards = shards
 		return nil
 	})
 }
 
+// newShard returns the pool shard of srv.
+func newShard(srv *Server) *retrofit.Shard[*Server] { return retrofit.NewShard(srv, &srv.shell) }
+
 // closeShards best-effort-releases partially built shards after a
 // failed Init; the init failure is the error callers must see.
-func closeShards(shards []*kvShard) {
+func closeShards(shards retrofit.Shards[*Server]) {
 	for _, sh := range shards {
 		if sh != nil {
-			_ = sh.srv.Close() //lint:errclass best-effort unwind; the init failure is the error callers must see
+			_ = sh.Srv.Close() //lint:errclass best-effort unwind; the init failure is the error callers must see
 		}
 	}
 }
@@ -159,10 +156,10 @@ func (p *Pool) Stop(ctx context.Context) error {
 // teardown closes every shard; first error wins.
 func (p *Pool) teardown() error {
 	var first error
-	for i, sh := range p.shards {
-		sh.mu.Lock()
-		err := sh.srv.Close()
-		sh.mu.Unlock()
+	for i, sh := range p.Shards {
+		sh.Lock()
+		err := sh.Srv.Close()
+		sh.Unlock()
 		if err != nil && first == nil {
 			first = fmt.Errorf("kvstore: pool shard %d: %w", i, err)
 		}
@@ -179,10 +176,10 @@ func (p *Pool) teardown() error {
 func (p *Pool) Drain() error {
 	return p.lc.Drain(func() error {
 		var first error
-		for i, sh := range p.shards {
-			sh.mu.Lock()
-			err := sh.srv.Drain()
-			sh.mu.Unlock()
+		for i, sh := range p.Shards {
+			sh.Lock()
+			err := sh.Srv.Drain()
+			sh.Unlock()
 			if err != nil && first == nil {
 				first = fmt.Errorf("kvstore: pool shard %d drain: %w", i, err)
 			}
@@ -201,25 +198,7 @@ func (p *Pool) ResizeWorkers(n int) error {
 	if err := p.lc.Resizable(); err != nil {
 		return err
 	}
-	var first error
-	for i, sh := range p.shards {
-		sh.mu.Lock()
-		err := sh.srv.ResizeWorkers(n)
-		sh.mu.Unlock()
-		if err != nil && first == nil {
-			first = fmt.Errorf("kvstore: pool shard %d resize: %w", i, err)
-		}
-	}
-	return first
-}
-
-// ShardWorkers returns shard 0's parser worker-domain count (every
-// shard is kept at the same count by ResizeWorkers).
-func (p *Pool) ShardWorkers() int {
-	sh := p.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.srv.Workers()
+	return p.Shards.ResizeWorkers(n)
 }
 
 // Interface compliance: the pool implements the shared lifecycle
@@ -230,21 +209,21 @@ var _ lifecycle.Component = (*Pool)(nil)
 // endpoints: fail-stop dominates, then drained, then degraded
 // (log-only after a snapshot failure), then ok.
 func (p *Pool) Health() []gateway.ShardHealth {
-	out := make([]gateway.ShardHealth, len(p.shards))
-	for i, sh := range p.shards {
-		sh.mu.Lock()
+	out := make([]gateway.ShardHealth, len(p.Shards))
+	for i, sh := range p.Shards {
+		sh.Lock()
 		h := gateway.ShardHealth{Shard: i, State: gateway.ShardOK}
 		switch {
-		case sh.srv.PersistErr() != nil:
+		case sh.Srv.PersistErr() != nil:
 			h.State = gateway.ShardFailStop
-			h.Detail = sh.srv.PersistErr().Error()
-		case sh.srv.Drained():
+			h.Detail = sh.Srv.PersistErr().Error()
+		case sh.Srv.Drained():
 			h.State = gateway.ShardDrained
-		case sh.srv.SnapshotErr() != nil:
+		case sh.Srv.SnapshotErr() != nil:
 			h.State = gateway.ShardDegraded
-			h.Detail = sh.srv.SnapshotErr().Error()
+			h.Detail = sh.Srv.SnapshotErr().Error()
 		}
-		sh.mu.Unlock()
+		sh.Unlock()
 		out[i] = h
 	}
 	return out
@@ -252,24 +231,21 @@ func (p *Pool) Health() []gateway.ShardHealth {
 
 // Shard returns shard i's server, for tests that need to reach a
 // specific shard's durability backend.
-func (p *Pool) Shard(i int) *Server { return p.shards[i].srv }
-
-// Workers returns the number of shards.
-func (p *Pool) Workers() int { return len(p.shards) }
+func (p *Pool) Shard(i int) *Server { return p.Shards[i].Srv }
 
 // Capacity returns the pool's effective total cache capacity — the sum
 // of the shard capacities, which exceeds the requested capacity when the
 // per-shard MaxValueSize floor kicked in.
 func (p *Pool) Capacity() uint64 {
 	var n uint64
-	for _, sh := range p.shards {
-		n += sh.cache.Capacity()
+	for _, sh := range p.Shards {
+		n += sh.Srv.cache.Capacity()
 	}
 	return n
 }
 
 // Mode returns the pool's resilience mode.
-func (p *Pool) Mode() Mode { return p.shards[0].srv.Mode() }
+func (p *Pool) Mode() Mode { return p.Shards[0].Srv.Mode() }
 
 // FNV-1a constants (hash/fnv), inlined so the per-request dispatch path
 // allocates nothing.
@@ -287,11 +263,7 @@ func (p *Pool) shardIndex(key string) int {
 		h ^= uint32(key[i])
 		h *= fnvPrime32
 	}
-	return int(h % uint32(len(p.shards)))
-}
-
-func (p *Pool) shardFor(key string) *kvShard {
-	return p.shards[p.shardIndex(key)]
+	return int(h % uint32(len(p.Shards)))
 }
 
 // Handle serves one request on the shard owning req.Key. It is
@@ -303,10 +275,10 @@ func (p *Pool) Handle(clientID int, req workload.Request) Response {
 // HandleContext serves one request on the shard owning req.Key; the
 // context's deadline bounds the in-domain run (see Server.HandleContext).
 func (p *Pool) HandleContext(ctx context.Context, clientID int, req workload.Request) Response {
-	sh := p.shardFor(req.Key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.srv.HandleContext(ctx, clientID, req)
+	sh := p.Shards[p.shardIndex(req.Key)]
+	sh.Lock()
+	defer sh.Unlock()
+	return sh.Srv.HandleContext(ctx, clientID, req)
 }
 
 // handleBatch serves a batch of requests that all hash to shard si as
@@ -314,35 +286,23 @@ func (p *Pool) HandleContext(ctx context.Context, clientID int, req workload.Req
 // batched NetServer's per-shard submission queues uphold the
 // same-shard precondition.
 func (p *Pool) handleBatch(si int, batch []BatchRequest) []Response {
-	sh := p.shards[si]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.srv.HandleBatch(batch)
+	sh := p.Shards[si]
+	sh.Lock()
+	defer sh.Unlock()
+	return sh.Srv.HandleBatch(batch)
 }
 
-// Stats aggregates server accounting across shards.
-func (p *Pool) Stats() ServerStats {
-	var agg ServerStats
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		st := sh.srv.Stats()
-		sh.mu.Unlock()
-		agg.Requests += st.Requests
-		agg.Violations += st.Violations
-		agg.Crashes += st.Crashes
-		agg.Dropped += st.Dropped
-		agg.Preempted += st.Preempted
-	}
-	return agg
-}
+// Stats aggregates the shards' counters (the batch resolutions are
+// per shard; see Shard).
+func (p *Pool) Stats() ServerStats { return ServerStats{Counters: p.Shards.Stats()} }
 
 // CacheStats aggregates cache counters across shards.
 func (p *Pool) CacheStats() CacheStats {
 	var agg CacheStats
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		cs := sh.cache.Stats()
-		sh.mu.Unlock()
+	for _, sh := range p.Shards {
+		sh.Lock()
+		cs := sh.Srv.cache.Stats()
+		sh.Unlock()
 		agg.Hits += cs.Hits
 		agg.Misses += cs.Misses
 		agg.Evictions += cs.Evictions
@@ -354,10 +314,10 @@ func (p *Pool) CacheStats() CacheStats {
 // CacheBytes returns the summed stored bytes across shards.
 func (p *Pool) CacheBytes() uint64 {
 	var n uint64
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += sh.cache.Bytes()
-		sh.mu.Unlock()
+	for _, sh := range p.Shards {
+		sh.Lock()
+		n += sh.Srv.cache.Bytes()
+		sh.Unlock()
 	}
 	return n
 }
@@ -365,38 +325,12 @@ func (p *Pool) CacheBytes() uint64 {
 // CacheItems returns the summed item count across shards.
 func (p *Pool) CacheItems() int {
 	var n int
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		n += sh.cache.Items()
-		sh.mu.Unlock()
+	for _, sh := range p.Shards {
+		sh.Lock()
+		n += sh.Srv.cache.Items()
+		sh.Unlock()
 	}
 	return n
-}
-
-// VirtualTime returns the pool's parallel makespan: the maximum virtual
-// time across shards, which run concurrently.
-func (p *Pool) VirtualTime() time.Duration {
-	var max time.Duration
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		vt := sh.srv.sys.Clock().Now()
-		sh.mu.Unlock()
-		if vt > max {
-			max = vt
-		}
-	}
-	return max
-}
-
-// TotalVirtualTime returns the summed virtual CPU time across shards.
-func (p *Pool) TotalVirtualTime() time.Duration {
-	var sum time.Duration
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		sum += sh.srv.sys.Clock().Now()
-		sh.mu.Unlock()
-	}
-	return sum
 }
 
 // Warmup bulk-loads approximately stateBytes of valueSize-byte items,
@@ -411,24 +345,24 @@ func (p *Pool) Warmup(stateBytes uint64, valueSize int) (int, error) {
 	val := make([]byte, valueSize)
 	items := 0
 	var loaded uint64
-	full := make([]bool, len(p.shards))
+	full := make([]bool, len(p.Shards))
 	fullCount := 0
-	for k := 0; loaded+uint64(valueSize) <= stateBytes && fullCount < len(p.shards); k++ {
+	for k := 0; loaded+uint64(valueSize) <= stateBytes && fullCount < len(p.Shards); k++ {
 		key := workload.Key(k)
 		si := p.shardIndex(key)
 		if full[si] {
 			continue
 		}
-		sh := p.shards[si]
-		sh.mu.Lock()
-		if sh.cache.Bytes()+uint64(valueSize) > sh.cache.Capacity() {
-			sh.mu.Unlock()
+		sh := p.Shards[si]
+		sh.Lock()
+		if sh.Srv.cache.Bytes()+uint64(valueSize) > sh.Srv.cache.Capacity() {
+			sh.Unlock()
 			full[si] = true
 			fullCount++
 			continue
 		}
-		err := sh.cache.Set(key, val)
-		sh.mu.Unlock()
+		err := sh.Srv.cache.Set(key, val)
+		sh.Unlock()
 		if err != nil {
 			return items, fmt.Errorf("kvstore: pool warmup item %d: %w", items, err)
 		}

@@ -99,8 +99,8 @@ func TestPoolParallelMixedWorkload(t *testing.T) {
 	}
 	// Per-shard violation counts sum to the aggregate.
 	var shardSum uint64
-	for _, sh := range p.shards {
-		shardSum += sh.srv.Stats().Violations
+	for _, sh := range p.Shards {
+		shardSum += sh.Srv.Stats().Violations
 	}
 	if shardSum != st.Violations {
 		t.Errorf("shard violations sum to %d, aggregate says %d", shardSum, st.Violations)

@@ -103,20 +103,14 @@ func (c *Cache) Scan(prefix, cursor string, limit int) (ScanResult, error) {
 // charges per item visited (see Cache.Scan).
 func (s *Server) Scan(prefix, cursor string, limit int) (ScanResult, error) {
 	if s.drained {
-		s.requests++
-		s.dropped++
+		s.shell.Drop(1)
 		return ScanResult{}, ErrDrained
 	}
 	if s.persistErr != nil {
-		s.requests++
-		s.dropped++
+		s.shell.Drop(1)
 		return ScanResult{}, s.failStopResponse().Err
 	}
-	s.requests++
-	clk := s.sys.Clock()
-	cost := clk.Model()
-	clk.AdvanceTime(s.cfg.InterArrival) // arrival spacing
-	clk.Advance(2 * cost.Syscall)       // network receive + send
+	s.shell.BeginBatch(1) // arrival slot + network round trip, no restart window
 	return s.cache.Scan(prefix, cursor, limit)
 }
 
@@ -132,10 +126,10 @@ func (p *Pool) Scan(prefix, cursor string, limit int) (ScanResult, error) {
 	}
 	var items []ScanItem
 	more := false
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		res, err := sh.srv.Scan(prefix, cursor, limit)
-		sh.mu.Unlock()
+	for _, sh := range p.Shards {
+		sh.Lock()
+		res, err := sh.Srv.Scan(prefix, cursor, limit)
+		sh.Unlock()
 		if err != nil {
 			return ScanResult{}, err
 		}

@@ -9,14 +9,10 @@ import (
 	"time"
 
 	sdrad "repro"
-	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/mem"
 	"repro/internal/persist"
-	"repro/internal/pku"
-	"repro/internal/procmodel"
-	"repro/internal/vclock"
+	"repro/internal/retrofit"
 	"repro/internal/workload"
 )
 
@@ -130,17 +126,15 @@ type Response struct {
 // Server is the memcached-like server. Create with NewServer. Not safe
 // for concurrent use (the simulation is single-core).
 type Server struct {
-	sys     *core.System
-	cache   *Cache
-	cfg     ServerConfig
-	workers []*sdrad.Domain
-	scratch *alloc.Heap // native-mode parse buffers (key 0)
-	// parseBuf is the reusable host-side staging buffer for the parse
-	// scan (the server is single-threaded, so one buffer suffices).
-	parseBuf []byte
-	batch    batchScratch
-
-	downUntil uint64 // virtual cycle until which the native server is down
+	sys   *core.System
+	cache *Cache
+	cfg   ServerConfig
+	// shell owns the worker domains (SDRaD), the scratch heap and restart
+	// window (native, sandbox), and the request counters.
+	shell retrofit.Shell
+	// staged is HandleBatch's per-request "staged WAL records" flags,
+	// reused from batch to batch.
+	staged []bool
 
 	// Durability state (nil store = memory-only; see persist.go).
 	store      persist.Store
@@ -153,12 +147,6 @@ type Server struct {
 	snapErr    error    // last snapshot failure (degraded log-only operation)
 	drained    bool     // graceful drain completed: reject all requests
 
-	// stats
-	requests   uint64
-	violations uint64
-	crashes    uint64
-	dropped    uint64
-	preempted  uint64
 	// Batch-resolution accounting, fed by the root batch commit hook
 	// (Domain.OnBatch).
 	batchesCommitted uint64
@@ -170,32 +158,17 @@ type Server struct {
 func NewServer(sys *core.System, cache *Cache, cfg ServerConfig) (*Server, error) {
 	cfg.fill()
 	s := &Server{sys: sys, cache: cache, cfg: cfg}
+	sc := retrofit.Config{Name: "kvstore", InterArrival: cfg.InterArrival}
 	switch cfg.Mode {
 	case ModeSDRaD:
-		sup := sdrad.Attach(sys)
-		for i := 0; i < cfg.Workers; i++ {
-			udi := cfg.FirstWorkerUDI + core.UDI(i)
-			if _, err := sys.InitDomain(udi, core.DomainConfig{
-				HeapPages:  8,
-				StackPages: 4,
-			}); err != nil {
-				return nil, fmt.Errorf("kvstore: worker %d: %w", i, err)
-			}
-			d, err := sup.DomainAt(int(udi))
-			if err != nil {
-				return nil, fmt.Errorf("kvstore: worker %d: %w", i, err)
-			}
-			d.OnBatch(s.observeBatch)
-			s.workers = append(s.workers, d)
-		}
+		sc.Workers, sc.FirstUDI, sc.OnBatch = cfg.Workers, cfg.FirstWorkerUDI, s.observeBatch
 	case ModeNative, ModeSandbox:
-		h, err := alloc.New(sys.Mem(), pku.DefaultKey, alloc.Config{InitialPages: 8})
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: scratch heap: %w", err)
-		}
-		s.scratch = h
 	default:
 		return nil, fmt.Errorf("kvstore: unknown mode %v", cfg.Mode)
+	}
+	var err error
+	if s.shell, err = retrofit.New(sys, sc); err != nil {
+		return nil, err
 	}
 	if cfg.Persist != nil && cfg.Persist.Dir != "" {
 		st, err := persist.OpenFile(cfg.Persist.Dir, persist.FileConfig{
@@ -231,55 +204,11 @@ func (s *Server) Mode() Mode { return s.cfg.Mode }
 
 // Workers returns the live parser worker-domain count (0 outside SDRaD
 // mode).
-func (s *Server) Workers() int { return len(s.workers) }
-
-// MaxResizeWorkers caps ResizeWorkers: each worker domain consumes one
-// of the simulated machine's 16 protection keys, and the storage
-// domain, the default key, and the root-protected key are spoken for.
-const MaxResizeWorkers = 12
+func (s *Server) Workers() int { return s.shell.Workers() }
 
 // ResizeWorkers grows or shrinks the parser worker-domain set to n
-// (SDRaD mode only). Worker domains are pristine between requests —
-// each request stages, parses, and discards — so the count is purely a
-// concurrency/placement knob: a request's result is identical whichever
-// worker parses it. Grown workers are fresh domains at the next UDIs;
-// shrinking deinitializes the tail workers (releasing their protection
-// keys and pages), so client→worker placement keeps its stable prefix.
-func (s *Server) ResizeWorkers(n int) error {
-	if s.cfg.Mode != ModeSDRaD {
-		return fmt.Errorf("kvstore: resize workers: mode %v has no worker domains", s.cfg.Mode)
-	}
-	if n < 1 || n > MaxResizeWorkers {
-		return fmt.Errorf("kvstore: resize workers: %d out of range [1, %d]", n, MaxResizeWorkers)
-	}
-	cur := len(s.workers)
-	if n > cur {
-		sup := sdrad.Attach(s.sys)
-		for i := cur; i < n; i++ {
-			udi := s.cfg.FirstWorkerUDI + core.UDI(i)
-			if _, err := s.sys.InitDomain(udi, core.DomainConfig{
-				HeapPages:  8,
-				StackPages: 4,
-			}); err != nil {
-				return fmt.Errorf("kvstore: resize worker %d: %w", i, err)
-			}
-			d, err := sup.DomainAt(int(udi))
-			if err != nil {
-				return fmt.Errorf("kvstore: resize worker %d: %w", i, err)
-			}
-			d.OnBatch(s.observeBatch)
-			s.workers = append(s.workers, d)
-		}
-	}
-	for i := cur - 1; i >= n; i-- {
-		if err := s.workers[i].Close(); err != nil {
-			return fmt.Errorf("kvstore: retire worker %d: %w", i, err)
-		}
-		s.workers = s.workers[:i]
-	}
-	s.cfg.Workers = n
-	return nil
-}
+// (SDRaD mode only; see retrofit.Shell.Resize).
+func (s *Server) ResizeWorkers(n int) error { return s.shell.Resize(n) }
 
 // Cache returns the underlying cache.
 func (s *Server) Cache() *Cache { return s.cache }
@@ -293,20 +222,11 @@ func (s *Server) CacheBytes() uint64 { return s.cache.Bytes() }
 // CacheItems returns the cache's item count (StatsSource).
 func (s *Server) CacheItems() int { return s.cache.Items() }
 
-// ServerStats reports server accounting.
+// ServerStats reports server accounting: the shell's counters (Dropped
+// also counts requests refused by a fail-stopped or drained durable
+// shard) and the batch resolutions.
 type ServerStats struct {
-	Requests uint64
-	// Violations is the number of contained memory-safety events (SDRaD).
-	Violations uint64
-	// Crashes is the number of full-process crashes (native).
-	Crashes uint64
-	// Dropped is the number of requests rejected during restart downtime
-	// or refused by a fail-stopped durable shard (ErrShardFailed).
-	Dropped uint64
-	// Preempted is the number of requests cancelled by their context:
-	// the in-domain run exhausted its deadline-derived virtual-cycle
-	// budget, or the context expired before the domain was entered.
-	Preempted uint64
+	retrofit.Counters
 	// BatchesCommitted counts worker-domain batches whose optimistic
 	// pass stood (one shared entry, one sweep); BatchesDegraded counts
 	// batches a detection or application error pushed to serial replay;
@@ -320,11 +240,7 @@ type ServerStats struct {
 // Stats returns a snapshot of server accounting.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		Requests:         s.requests,
-		Violations:       s.violations,
-		Crashes:          s.crashes,
-		Dropped:          s.dropped,
-		Preempted:        s.preempted,
+		Counters:         s.shell.Counters,
 		BatchesCommitted: s.batchesCommitted,
 		BatchesDegraded:  s.batchesDegraded,
 		CallsReplayed:    s.callsReplayed,
@@ -369,30 +285,17 @@ func (s *Server) Handle(clientID int, req workload.Request) Response {
 // exhausts it is rewound and answered with a *core.BudgetError.
 func (s *Server) HandleContext(ctx context.Context, clientID int, req workload.Request) Response {
 	if s.drained {
-		s.requests++
-		s.dropped++
+		s.shell.Drop(1)
 		return Response{Err: ErrDrained}
 	}
 	if s.persistErr != nil {
-		s.requests++
-		s.dropped++
+		s.shell.Drop(1)
 		return s.failStopResponse()
 	}
-	s.requests++
-	clk := s.sys.Clock()
-	cost := clk.Model()
-	clk.AdvanceTime(s.cfg.InterArrival) // arrival spacing
-
-	// Native server down: drop the request (client-visible error).
-	if s.cfg.Mode == ModeNative && clk.Cycles() < s.downUntil {
-		s.dropped++
-		return Response{Err: ErrUnavailable, Latency: 0}
+	start, ok := s.shell.Begin()
+	if !ok { // the native server is restarting
+		return Response{Err: ErrUnavailable}
 	}
-
-	start := clk.Cycles()
-	// Network receive + send round trip.
-	clk.Advance(2 * cost.Syscall)
-
 	raw := payload(req)
 	var resp Response
 	var err error
@@ -414,7 +317,7 @@ func (s *Server) HandleContext(ctx context.Context, clientID int, req workload.R
 		resp.OK = false
 		resp.Err = ferr
 	}
-	resp.Latency = vclock.CyclesToDuration(clk.Cycles()-start, cost.CPUHz)
+	resp.Latency = s.shell.Since(start)
 	return resp
 }
 
@@ -422,9 +325,7 @@ func (s *Server) HandleContext(ctx context.Context, clientID int, req workload.R
 // the Runner API, then applies the operation to the protected cache from
 // the trusted side.
 func (s *Server) handleSDRaD(ctx context.Context, clientID int, req workload.Request, raw []byte) (Response, error) {
-	d := s.workers[clientID%len(s.workers)]
-	verr := d.Do(ctx, s.parseFn(req, raw))
-	return s.finishSDRaD(d, req, verr)
+	return s.finishSDRaD(clientID, req, s.shell.Do(ctx, clientID, s.parseFn(req, raw)))
 }
 
 // parseFn builds the in-domain half of one request: stage the untrusted
@@ -432,9 +333,8 @@ func (s *Server) handleSDRaD(ctx context.Context, clientID int, req workload.Req
 // malicious payloads. Shared by the serial and batched paths.
 func (s *Server) parseFn(req workload.Request, raw []byte) func(*sdrad.Ctx) error {
 	return func(c *sdrad.Ctx) error {
-		buf := c.MustAlloc(len(raw))
-		c.MustStore(buf, raw)
-		parseInDomain(c, buf, s.stage(len(raw)))
+		buf, tmp := s.shell.Stage(c, len(raw), raw)
+		scan(tmp)
 		if req.Malicious {
 			fault.Inject(c, s.cfg.MaliciousKind, 0)
 		}
@@ -443,60 +343,27 @@ func (s *Server) parseFn(req workload.Request, raw []byte) func(*sdrad.Ctx) erro
 	}
 }
 
-// finishSDRaD classifies the parse outcome and, for clean requests,
-// applies the operation to the protected cache and stages the response
-// into the worker domain.
-func (s *Server) finishSDRaD(d *sdrad.Domain, req workload.Request, verr error) (Response, error) {
+// finishSDRaD classifies a failed parse or, for clean requests, applies
+// the operation to the protected cache and stages a GET hit's value into
+// the client's worker domain (the connection's output buffer).
+func (s *Server) finishSDRaD(clientID int, req workload.Request, verr error) (Response, error) {
 	if verr != nil {
-		return s.failSDRaD(verr)
+		// A contained violation drops only the malicious client's
+		// connection; a preempted request fails with the cache untouched.
+		switch out, err := s.shell.Classify(verr); out {
+		case retrofit.Contained:
+			return Response{Err: err, Contained: true}, nil
+		case retrofit.Preempted:
+			return Response{Err: err}, nil
+		default:
+			return Response{}, err
+		}
 	}
 	resp, err := s.apply(req)
-	if err != nil {
-		return resp, err
+	if err == nil && req.Op == workload.OpGet && resp.OK && len(resp.Value) > 0 {
+		err = s.shell.StageReply(clientID, len(resp.Value)+32, resp.Value)
 	}
-	// Response staging: the connection's output buffer belongs to the
-	// worker domain, so a GET hit is copied into domain memory before the
-	// send. This cross-boundary copy exists only in SDRaD mode and is the
-	// dominant component of the paper's 2–4% overhead.
-	if req.Op == workload.OpGet && resp.OK && len(resp.Value) > 0 {
-		out, aerr := d.Alloc(len(resp.Value) + 32)
-		if aerr != nil {
-			return resp, fmt.Errorf("kvstore: response staging: %w", aerr)
-		}
-		if cerr := d.Write(out, resp.Value); cerr != nil {
-			return resp, fmt.Errorf("kvstore: response staging: %w", cerr)
-		}
-		if ferr := d.Free(out); ferr != nil {
-			return resp, fmt.Errorf("kvstore: response staging: %w", ferr)
-		}
-	}
-	return resp, nil
-}
-
-// failSDRaD classifies a failed parse. A clean parse never gets here:
-// the typed-error checks allocate, and they would on every request.
-func (s *Server) failSDRaD(verr error) (Response, error) {
-	if v, ok := core.IsViolation(verr); ok {
-		// Contained: the worker domain was rewound and discarded; the
-		// malicious client's connection is dropped, everyone else is
-		// unaffected.
-		s.violations++
-		return Response{Err: v, Contained: true}, nil
-	}
-	if b, ok := core.IsBudget(verr); ok {
-		// Preempted: the run blew its deadline-derived cycle budget and
-		// was rewound; the slow request fails, the cache is untouched.
-		s.preempted++
-		return Response{Err: b}, nil
-	}
-	if errors.Is(verr, context.DeadlineExceeded) || errors.Is(verr, context.Canceled) {
-		// The deadline passed (or the caller cancelled) before the worker
-		// domain was ever entered — e.g. the request sat queued behind a
-		// busy shard. Same client-visible outcome as a mid-run preemption.
-		s.preempted++
-		return Response{Err: verr}, nil
-	}
-	return Response{}, verr
+	return resp, err
 }
 
 // BatchRequest is one request of a server batch: the submitting client,
@@ -524,76 +391,43 @@ func (s *Server) HandleBatch(batch []BatchRequest) []Response {
 		return out
 	}
 	if s.drained {
-		s.requests += uint64(len(batch))
-		s.dropped += uint64(len(batch))
+		s.shell.Drop(len(batch))
 		for i := range out {
 			out[i] = Response{Err: ErrDrained}
 		}
 		return out
 	}
 	if s.persistErr != nil {
-		s.requests += uint64(len(batch))
-		s.dropped += uint64(len(batch))
+		s.shell.Drop(len(batch))
 		for i := range out {
 			out[i] = s.failStopResponse()
 		}
 		return out
 	}
 	if s.cfg.Mode != ModeSDRaD || len(batch) == 1 {
-		for i, r := range batch {
-			out[i] = s.HandleContext(batchCtx(r.Ctx), r.ClientID, r.Req)
+		for i := range batch {
+			out[i] = s.HandleContext(batch[i].Ctx, batch[i].ClientID, batch[i].Req)
 		}
 		return out
 	}
-	clk := s.sys.Clock()
-	cost := clk.Model()
-	s.requests += uint64(len(batch))
-	clk.AdvanceTime(time.Duration(len(batch)) * s.cfg.InterArrival) // arrival spacing
-	start := clk.Cycles()
-	clk.Advance(2 * cost.Syscall) // one pipelined receive + send for the batch
-
-	// Partition by worker domain (stable): every group shares one entry.
-	// The working slices are the server's, reused from batch to batch.
-	bs := &s.batch
-	verrs := resized(bs.verrs, len(batch))
-	groups := resized(bs.groups, len(s.workers))
-	for w := range groups {
-		groups[w] = groups[w][:0]
+	start := s.shell.BeginBatch(len(batch)) // one pipelined receive + send
+	for i := range batch {
+		s.shell.Queue(batch[i].Ctx, batch[i].ClientID, s.parseFn(batch[i].Req, payload(batch[i].Req)))
 	}
-	for i, r := range batch {
-		w := r.ClientID % len(s.workers)
-		groups[w] = append(groups[w], i)
-	}
-	for w, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		items := bs.items[:0]
-		for _, i := range idxs {
-			items = append(items, sdrad.BatchItem{
-				Ctx: batchCtx(batch[i].Ctx),
-				Fn:  s.parseFn(batch[i].Req, payload(batch[i].Req)),
-			})
-		}
-		for k, err := range s.workers[w].DoBatchItems(items) {
-			verrs[idxs[k]] = err
-		}
-		clear(items)
-		bs.items = items
-	}
+	verrs := s.shell.RunBatch()
 
 	// Apply to the protected cache in arrival order, remembering which
 	// requests staged WAL records.
-	staged := resized(bs.staged, len(batch))
+	s.staged = slices.Grow(s.staged[:0], len(batch))[:len(batch)]
+	staged := s.staged
 	for i, r := range batch {
-		d := s.workers[r.ClientID%len(s.workers)]
 		before := len(s.pending)
-		resp, err := s.finishSDRaD(d, r.Req, verrs[i])
+		resp, err := s.finishSDRaD(r.ClientID, r.Req, verrs[i])
 		if err != nil {
 			resp.Err = err
 		}
 		staged[i] = len(s.pending) > before
-		resp.Latency = vclock.CyclesToDuration(clk.Cycles()-start, cost.CPUHz)
+		resp.Latency = s.shell.Since(start)
 		out[i] = resp
 	}
 	// The group commit: every mutation the batch acknowledged goes out
@@ -612,50 +446,29 @@ func (s *Server) HandleBatch(batch []BatchRequest) []Response {
 			}
 		}
 	}
-	clear(verrs)
-	bs.verrs, bs.groups, bs.staged = verrs, groups, staged
 	return out
 }
 
-// batchScratch is HandleBatch's working memory, kept on the server
-// between batches (the server is single-threaded, so one set suffices):
-// per-request parse outcomes and staged flags, the worker-domain groups,
-// and one group's batch items.
-type batchScratch struct {
-	verrs  []error
-	staged []bool
-	groups [][]int
-	items  []sdrad.BatchItem
-}
-
-// resized returns s with length n, reusing its array when it is large
-// enough.
-func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
-
-func batchCtx(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
-
 // handleNative parses the request in unprotected memory; a triggered bug
-// crashes the whole process.
+// crashes the whole process, which restarts (taking the full
+// state-dependent restart time) while requests arriving in the window
+// are dropped.
 func (s *Server) handleNative(req workload.Request, raw []byte) (Response, error) {
-	buf, err := s.scratch.Alloc(len(raw))
+	buf, tmp, err := s.shell.StageNative(len(raw), raw)
 	if err != nil {
-		return Response{}, fmt.Errorf("kvstore: scratch alloc: %w", err)
+		return Response{}, err
 	}
-	m := s.sys.Mem()
-	if err := m.StoreBytes(pku.PKRUAllowAll, buf, raw); err != nil {
-		return Response{}, fmt.Errorf("kvstore: scratch store: %w", err)
-	}
-	parseNative(m, buf, s.stage(len(raw)))
+	scan(tmp)
 	if req.Malicious {
-		return s.crash()
+		restart, err := s.shell.Crash(s.cache.Bytes())
+		if err != nil {
+			return Response{}, err
+		}
+		return Response{Err: fmt.Errorf("kvstore: process crashed (restart %v): %w",
+			restart, ErrUnavailable)}, nil
 	}
-	if err := s.scratch.Free(buf); err != nil {
-		return Response{}, fmt.Errorf("kvstore: scratch free: %w", err)
+	if err := s.shell.Unstage(buf); err != nil {
+		return Response{}, err
 	}
 	return s.apply(req)
 }
@@ -671,42 +484,21 @@ func (s *Server) handleSandbox(req workload.Request, raw []byte) (Response, erro
 	// IPC round trip into and out of the sandbox process.
 	clk.Advance(2*cost.ContextSwitch + 2*cost.Syscall + cost.MemPerByte*uint64(len(raw)))
 
-	buf, err := s.scratch.Alloc(len(raw))
+	buf, tmp, err := s.shell.StageNative(len(raw), raw)
 	if err != nil {
-		return Response{}, fmt.Errorf("kvstore: sandbox alloc: %w", err)
+		return Response{}, err
 	}
-	m := s.sys.Mem()
-	if err := m.StoreBytes(pku.PKRUAllowAll, buf, raw); err != nil {
-		return Response{}, fmt.Errorf("kvstore: sandbox store: %w", err)
-	}
-	parseNative(m, buf, s.stage(len(raw)))
-	if err := s.scratch.Free(buf); err != nil {
-		return Response{}, fmt.Errorf("kvstore: sandbox free: %w", err)
+	scan(tmp)
+	if err := s.shell.Unstage(buf); err != nil {
+		return Response{}, err
 	}
 	if req.Malicious {
 		// The sandbox child dies; re-fork it. Contained, but expensive.
-		s.violations++
+		s.shell.Violations++
 		clk.Advance(cost.ForkExec)
 		return Response{Err: fmt.Errorf("kvstore: sandbox worker killed"), Contained: true}, nil
 	}
 	return s.apply(req)
-}
-
-// crash models the native fault path: the process dies and restarts,
-// which takes the full state-dependent restart time; requests arriving in
-// the window are dropped.
-func (s *Server) crash() (Response, error) {
-	s.crashes++
-	clk := s.sys.Clock()
-	restart := procmodel.ProcessRestart{Cost: clk.Model()}.RecoveryTime(s.cache.Bytes())
-	s.downUntil = clk.Cycles() + vclock.DurationToCycles(restart, clk.Model().CPUHz)
-	// Reset the scratch heap: the dying process loses its transient
-	// state (the cache state is reloaded during the restart window).
-	if err := s.scratch.ResetNoZero(); err != nil {
-		return Response{}, err
-	}
-	return Response{Err: fmt.Errorf("kvstore: process crashed (restart %v): %w",
-		restart, ErrUnavailable)}, nil
 }
 
 // apply executes the parsed operation against the protected cache.
@@ -738,33 +530,10 @@ func (s *Server) apply(req workload.Request) (Response, error) {
 	}
 }
 
-// stage returns the server's reusable n-byte parse staging buffer.
-func (s *Server) stage(n int) []byte {
-	if cap(s.parseBuf) < n {
-		s.parseBuf = make([]byte, n)
-	}
-	return s.parseBuf[:n]
-}
-
-// parseInDomain models request parsing inside a domain: a linear scan of
-// the buffer (token split + length validation), costed through real
-// simulated loads. tmp is host-side staging for the scan.
-func parseInDomain(c *core.DomainCtx, buf mem.Addr, tmp []byte) {
-	c.MustLoad(buf, tmp)
-	scan(tmp)
-}
-
-// parseNative is the same parse against unprotected memory.
-func parseNative(m *mem.Memory, buf mem.Addr, tmp []byte) {
-	// The native server runs with full rights.
-	if err := m.LoadBytes(pku.PKRUAllowAll, buf, tmp); err != nil {
-		return
-	}
-	scan(tmp)
-}
-
-// scan is the shared token walk (the Go-side compute is identical in both
-// modes; the simulated-memory traffic above is what differs).
+// scan models request parsing: a linear token walk of the staged bytes
+// (token split + length validation). The Go-side compute is identical in
+// every mode; the simulated-memory traffic of the staging is what
+// differs.
 func scan(b []byte) int {
 	tokens := 0
 	inTok := false
