@@ -72,13 +72,18 @@ bench:
 # Fuzz smoke (CI): ten seconds of coverage-guided fuzzing on each target
 # whose parser faces attacker bytes on the trusted side — the HTTP head
 # parser and request path (differential against their Split-based
-# forms), the full SDRaD serve path, and bearer-token extraction.
-# `make test` only replays the seed corpora; this explores past them.
-# A failing input lands under the package's testdata/fuzz/.
+# forms), the full SDRaD serve path, bearer-token extraction, the
+# cluster wire codec, the router's bounds check (differential against
+# the codec round trip it replaces) and WAL recovery over an arbitrary
+# tail. `make test` only replays the seed corpora; this explores past
+# them. A failing input lands under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/httpd
 	$(GO) test -run '^$$' -fuzz '^FuzzServeSDRaD$$' -fuzztime 10s ./internal/httpd
 	$(GO) test -run '^$$' -fuzz '^FuzzGatewayAuth$$' -fuzztime 10s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckRequest$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s ./internal/persist
 
 # One-iteration pass over the go-test benchmarks (CI): its only job is
 # proving they still run; numbers come from `make bench`.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"repro/internal/lifecycle"
@@ -52,8 +51,11 @@ type Registry struct {
 	now   uint64 // membership clock
 	epoch uint64 // bumped on every membership change
 	// members holds the live and dead sessions; iteration always goes
-	// through sortedIDs for determinism.
+	// through sortedIDsLocked for determinism.
 	members map[NodeID]*session
+	// ids caches members' keys, ascending; nil when a registration or
+	// deregistration changed the key set since it was built.
+	ids []NodeID
 }
 
 // session is one node's registration.
@@ -117,7 +119,7 @@ func (r *Registry) Close() error { return r.lc.Close(r.teardown) }
 func (r *Registry) teardown() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.members = nil
+	r.members, r.ids = nil, nil
 	return nil
 }
 
@@ -151,8 +153,12 @@ func (r *Registry) Register(id NodeID) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s, ok := r.members[id]; ok && !s.dead && r.stateLocked(s) != lifecycle.StateStopped {
+	s, ok := r.members[id]
+	if ok && !s.dead && r.stateLocked(s) != lifecycle.StateStopped {
 		return &MembershipError{Node: id, Op: "Register", Reason: "session already live"}
+	}
+	if !ok {
+		r.ids = nil
 	}
 	r.members[id] = &session{renewedAt: r.now}
 	r.epoch++
@@ -188,6 +194,7 @@ func (r *Registry) Deregister(id NodeID) error {
 		return &MembershipError{Node: id, Op: "Deregister", Reason: "unknown node"}
 	}
 	delete(r.members, id)
+	r.ids = nil
 	r.epoch++
 	return nil
 }
@@ -293,13 +300,12 @@ func (r *Registry) Live() []NodeID {
 	return out
 }
 
-// sortedIDsLocked collects member ids in ascending order (caller holds
-// mu) — the deterministic-iteration idiom for the member map.
+// sortedIDsLocked returns member ids in ascending order (caller holds
+// mu), sorting only after the key set changed. The slice is shared:
+// callers iterate it and never hand it out.
 func (r *Registry) sortedIDsLocked() []NodeID {
-	ids := make([]NodeID, 0, len(r.members))
-	for id := range r.members {
-		ids = append(ids, id)
+	if r.ids == nil {
+		r.ids = sortedIDs(r.members)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return r.ids
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,9 +62,14 @@ type Router struct {
 	lc  *lifecycle.Machine
 	cfg RouterConfig
 
-	mu          sync.RWMutex
-	reg         *Registry
-	nodes       map[NodeID]*Node
+	mu    sync.RWMutex
+	reg   *Registry
+	nodes map[NodeID]*Node
+	// ids is nodes' keys, ascending: the deterministic iteration order of
+	// the fleet. It is rebuilt under the write lock whenever nodes
+	// changes and only read under the read lock, so a request never
+	// sorts.
+	ids         []NodeID
 	partitioned map[NodeID]bool
 	leaving     map[NodeID]bool
 	// assign maps each slot to its holders, primary first, recomputed on
@@ -135,6 +141,7 @@ func (r *Router) Init() error {
 				return err
 			}
 			r.nodes[n.ID()] = n
+			r.ids = sortedIDs(r.nodes)
 		}
 		return nil
 	})
@@ -159,7 +166,7 @@ func (r *Router) Start() error {
 	return r.lc.Start(func() error {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		for _, id := range r.sortedNodeIDsLocked() {
+		for _, id := range r.ids {
 			if err := r.nodes[id].Start(); err != nil {
 				return err
 			}
@@ -175,7 +182,7 @@ func (r *Router) Drain() error {
 	return r.lc.Drain(func() error {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		for _, id := range r.sortedNodeIDsLocked() {
+		for _, id := range r.ids {
 			if err := r.nodes[id].Drain(); err != nil {
 				return err
 			}
@@ -199,12 +206,12 @@ func (r *Router) teardown() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var first error
-	for _, id := range r.sortedNodeIDsLocked() {
+	for _, id := range r.ids {
 		if err := r.nodes[id].Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	r.nodes = nil
+	r.nodes, r.ids = nil, nil
 	if r.reg != nil {
 		if err := r.reg.Close(); err != nil && first == nil {
 			first = err
@@ -229,14 +236,15 @@ func (r *Router) serving(op string) error {
 	return &lifecycle.LifecycleError{Component: "cluster.Router", Op: op, From: s}
 }
 
-// sortedNodeIDsLocked collects node ids in ascending order (caller
-// holds mu) — the deterministic-iteration idiom for the node map.
-func (r *Router) sortedNodeIDsLocked() []NodeID {
-	ids := make([]NodeID, 0, len(r.nodes))
-	for id := range r.nodes {
+// sortedIDs collects m's keys in ascending order — the
+// deterministic-iteration idiom for the node and member maps, run once
+// per membership change.
+func sortedIDs[V any](m map[NodeID]V) []NodeID {
+	ids := make([]NodeID, 0, len(m))
+	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -244,7 +252,7 @@ func (r *Router) sortedNodeIDsLocked() []NodeID {
 // the fleet that are neither partitioned nor leaving, ascending.
 func (r *Router) availableLocked() []NodeID {
 	var out []NodeID
-	for _, id := range r.sortedNodeIDsLocked() {
+	for _, id := range r.ids {
 		if !r.partitioned[id] && !r.leaving[id] {
 			out = append(out, id)
 		}
@@ -257,7 +265,7 @@ func (r *Router) availableLocked() []NodeID {
 // fell out of the registry (its session died while it was reachable,
 // which only happens across an explicit membership event) re-registers.
 func (r *Router) heartbeatLocked() {
-	for _, id := range r.sortedNodeIDsLocked() {
+	for _, id := range r.ids {
 		if r.partitioned[id] {
 			continue
 		}
@@ -335,10 +343,11 @@ func (r *Router) replicateLocked(holders []NodeID, req workload.Request) {
 }
 
 // HandleContext serves one request: it advances the membership clock by
-// one arrival, routes the key through the wire codec to its slot's
-// primary (or a read replica for GETs when enabled), executes there,
-// and synchronously replicates an acknowledged mutation to the slot's
-// remaining holders before returning the ack. A request whose slot has
+// one arrival, checks the request against the wire bounds
+// (checkRequest), routes the key to its slot's primary (or a read
+// replica for GETs when enabled), executes there, and synchronously
+// replicates an acknowledged mutation to the slot's remaining holders
+// before returning the ack. A request whose slot has
 // no reachable primary gets a typed *UnavailableError in Response.Err
 // and was not executed anywhere.
 func (r *Router) HandleContext(ctx context.Context, clientID int, req workload.Request) kvstore.Response {
@@ -348,34 +357,33 @@ func (r *Router) HandleContext(ctx context.Context, clientID int, req workload.R
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	r.tickLocked(1)
-	f, err := DecodeRequest(EncodeRequest(clientID, req))
-	if err != nil {
+	if err := checkRequest(clientID, req); err != nil {
 		return kvstore.Response{Err: err}
 	}
-	_, holders, err := r.routeLocked(f.Req.Key)
+	_, holders, err := r.routeLocked(req.Key)
 	if err != nil {
 		r.unavailable.Add(1)
 		return kvstore.Response{Err: err}
 	}
 	seq := r.dispatched.Add(1)
 	target := holders[0]
-	if f.Req.Op == workload.OpGet {
+	if req.Op == workload.OpGet {
 		target = r.readTargetLocked(holders, seq)
 	}
-	resp := r.nodes[target].HandleContext(ctx, f.ClientID, f.Req)
-	if f.Req.Op != workload.OpGet && resp.OK && resp.Err == nil && !resp.Contained {
-		r.replicateLocked(holders, f.Req)
+	resp := r.nodes[target].HandleContext(ctx, clientID, req)
+	if req.Op != workload.OpGet && resp.OK && resp.Err == nil && !resp.Contained {
+		r.replicateLocked(holders, req)
 	}
 	return resp
 }
 
 // HandleBatch serves a wave of requests: the membership clock advances
-// by the wave's arrival count, each request routes through the wire
-// codec to its slot's primary, per-node sub-batches execute as
-// pipelined units (preserving every key's arrival order, since a key
-// maps to one slot and a slot to one primary), and acknowledged
-// mutations replicate to their slots' remaining holders in arrival
-// order before the wave returns. Unroutable requests get typed
+// by the wave's arrival count, each request is checked against the
+// wire bounds (checkRequest) and routed to its slot's primary, per-node
+// sub-batches execute as pipelined units (preserving every key's
+// arrival order, since a key maps to one slot and a slot to one
+// primary), and acknowledged mutations replicate to their slots'
+// remaining holders in arrival order before the wave returns. Unroutable requests get typed
 // *UnavailableError responses and are not executed.
 func (r *Router) HandleBatch(batch []kvstore.BatchRequest) []kvstore.Response {
 	out := make([]kvstore.Response, len(batch))
@@ -391,17 +399,14 @@ func (r *Router) HandleBatch(batch []kvstore.BatchRequest) []kvstore.Response {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	r.tickLocked(uint64(len(batch)))
-	frames := make([]RequestFrame, len(batch))
 	routed := make([][]NodeID, len(batch))
 	groups := make(map[NodeID][]int)
 	for i, br := range batch {
-		f, err := DecodeRequest(EncodeRequest(br.ClientID, br.Req))
-		if err != nil {
+		if err := checkRequest(br.ClientID, br.Req); err != nil {
 			out[i] = kvstore.Response{Err: err}
 			continue
 		}
-		frames[i] = f
-		_, holders, err := r.routeLocked(f.Req.Key)
+		_, holders, err := r.routeLocked(br.Req.Key)
 		if err != nil {
 			r.unavailable.Add(1)
 			out[i] = kvstore.Response{Err: err}
@@ -414,16 +419,12 @@ func (r *Router) HandleBatch(batch []kvstore.BatchRequest) []kvstore.Response {
 	for id := range groups {
 		gids = append(gids, id)
 	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
+	slices.Sort(gids)
 	for _, id := range gids {
 		idxs := groups[id]
 		sub := make([]kvstore.BatchRequest, len(idxs))
 		for k, i := range idxs {
-			sub[k] = kvstore.BatchRequest{
-				Ctx:      batch[i].Ctx,
-				ClientID: frames[i].ClientID,
-				Req:      frames[i].Req,
-			}
+			sub[k] = batch[i]
 		}
 		for k, resp := range r.nodes[id].HandleBatch(sub) {
 			out[idxs[k]] = resp
@@ -431,11 +432,11 @@ func (r *Router) HandleBatch(batch []kvstore.BatchRequest) []kvstore.Response {
 	}
 	r.dispatched.Add(uint64(len(batch)))
 	for i := range batch {
-		if routed[i] == nil || frames[i].Req.Op == workload.OpGet {
+		if routed[i] == nil || batch[i].Req.Op == workload.OpGet {
 			continue
 		}
 		if out[i].OK && out[i].Err == nil && !out[i].Contained {
-			r.replicateLocked(routed[i], frames[i].Req)
+			r.replicateLocked(routed[i], batch[i].Req)
 		}
 	}
 	return out
@@ -458,6 +459,7 @@ func (r *Router) FailNode(id NodeID) error {
 		return &MembershipError{Node: id, Op: "FailNode", Reason: "unknown node"}
 	}
 	delete(r.nodes, id)
+	r.ids = sortedIDs(r.nodes)
 	delete(r.partitioned, id)
 	_ = n.Close() //lint:errclass crash semantics: the process is gone; release host resources and ignore the refusal
 	r.expireLocked()
@@ -550,6 +552,7 @@ func (r *Router) RetireNode(id NodeID) error {
 	}
 	delete(r.leaving, id)
 	delete(r.nodes, id)
+	r.ids = sortedIDs(r.nodes)
 	if err := n.Drain(); err != nil {
 		return err
 	}
@@ -578,6 +581,7 @@ func (r *Router) JoinNode(id NodeID) error {
 		return err
 	}
 	r.nodes[id] = n
+	r.ids = sortedIDs(r.nodes)
 	return r.rebalanceLocked()
 }
 
@@ -768,7 +772,7 @@ func (r *Router) Scan(prefix, cursor string, limit int) (kvstore.ScanResult, err
 	defer r.mu.RUnlock()
 	r.tickLocked(1)
 	merged := make(map[string]kvstore.ScanItem)
-	for _, id := range r.sortedNodeIDsLocked() {
+	for _, id := range r.ids {
 		if r.partitioned[id] {
 			continue
 		}
@@ -836,11 +840,12 @@ func (r *Router) Epoch() uint64 {
 	return r.reg.Epoch()
 }
 
-// NodeIDs returns the current fleet's ids, ascending.
+// NodeIDs returns the current fleet's ids, ascending, in a slice the
+// caller owns.
 func (r *Router) NodeIDs() []NodeID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.sortedNodeIDsLocked()
+	return slices.Clone(r.ids)
 }
 
 // Stats aggregates server accounting across the fleet.
@@ -848,7 +853,7 @@ func (r *Router) Stats() kvstore.ServerStats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var agg kvstore.ServerStats
-	for _, id := range r.sortedNodeIDsLocked() {
+	for _, id := range r.ids {
 		st := r.nodes[id].Stats()
 		agg.Requests += st.Requests
 		agg.Violations += st.Violations
@@ -865,7 +870,7 @@ func (r *Router) VirtualTime() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var max int64
-	for _, id := range r.sortedNodeIDsLocked() {
+	for _, id := range r.ids {
 		if vt := r.nodes[id].VirtualTime(); vt > max {
 			max = vt
 		}

@@ -1,0 +1,132 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/kvstore"
+	"repro/internal/workload"
+)
+
+// TestRouterRefusesOutOfBoundRequests: the router checks every request
+// against the wire bounds before it routes it, and a refusal carries the
+// typed ErrWire text DecodeRequest gives the same request's frame — on
+// the single-request and the batched path alike. Nothing refused runs.
+func TestRouterRefusesOutOfBoundRequests(t *testing.T) {
+	r := testRouter(t, 3, 1, false)
+	for _, tc := range []struct {
+		name string
+		req  workload.Request
+		want string
+	}{
+		{"empty key", workload.Request{Op: workload.OpSet, Key: "", Value: []byte("v")}, "cluster: malformed wire frame: key length"},
+		{"long key", workload.Request{Op: workload.OpGet, Key: strings.Repeat("k", MaxWireKeyLen+1)}, "cluster: malformed wire frame: key length"},
+		{"ttl overflow", workload.Request{Op: workload.OpSet, Key: "k", Value: []byte("v"), TTL: time.Duration(1<<62 + 1)}, "cluster: malformed wire frame: ttl"},
+	} {
+		if _, err := DecodeRequest(EncodeRequest(0, tc.req)); err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: the codec says %v, want %q", tc.name, err, tc.want)
+		}
+		before := r.Stats().Requests
+		resp := r.HandleContext(context.Background(), 0, tc.req)
+		if !errors.Is(resp.Err, ErrWire) || resp.Err.Error() != tc.want {
+			t.Errorf("%s: HandleContext err = %v, want %q", tc.name, resp.Err, tc.want)
+		}
+		good := workload.Request{Op: workload.OpSet, Key: "fine", Value: []byte("v")}
+		out := r.HandleBatch([]kvstore.BatchRequest{{Req: good}, {Req: tc.req}, {Req: good}})
+		if !errors.Is(out[1].Err, ErrWire) || out[1].Err.Error() != tc.want {
+			t.Errorf("%s: HandleBatch err = %v, want %q", tc.name, out[1].Err, tc.want)
+		}
+		if !out[0].OK || !out[2].OK {
+			t.Errorf("%s: the batch's valid requests failed: %+v, %+v", tc.name, out[0], out[2])
+		}
+		if got := r.Stats().Requests - before; got != 2 {
+			t.Errorf("%s: %d requests reached a node, want the batch's 2 valid ones", tc.name, got)
+		}
+	}
+}
+
+// TestRouterIDsFollowMembership: the router's cached fleet order and the
+// registry's cached member order equal a fresh sort of their maps after
+// every membership change, and NodeIDs hands out a copy.
+func TestRouterIDsFollowMembership(t *testing.T) {
+	r := testRouter(t, 4, 1, false)
+	check := func(step string) {
+		t.Helper()
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		want := make([]NodeID, 0, len(r.nodes))
+		for id := range r.nodes {
+			want = append(want, id)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if !slices.Equal(r.ids, want) {
+			t.Errorf("%s: router ids %v, want %v", step, r.ids, want)
+		}
+		reg := r.reg
+		reg.mu.Lock()
+		defer reg.mu.Unlock()
+		members := make([]NodeID, 0, len(reg.members))
+		for id := range reg.members {
+			members = append(members, id)
+		}
+		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		if got := reg.sortedIDsLocked(); !slices.Equal(got, members) {
+			t.Errorf("%s: registry ids %v, want %v", step, got, members)
+		}
+	}
+	check("start")
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"fail 1", func() error { return r.FailNode(1) }},
+		{"join 6", func() error { return r.JoinNode(6) }},
+		{"join 1", func() error { return r.JoinNode(1) }},
+		{"retire 2", func() error { return r.RetireNode(2) }},
+		{"fail 0", func() error { return r.FailNode(0) }},
+		{"join 2", func() error { return r.JoinNode(2) }},
+		{"deregister 0", func() error { return r.Registry().Deregister(0) }},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		getKey(r, "tick") // one request: ticks, heartbeats and sweeps
+		check(step.name)
+	}
+	ids := r.NodeIDs()
+	ids[0] = 99
+	if r.NodeIDs()[0] == 99 {
+		t.Error("NodeIDs shares the router's slice")
+	}
+}
+
+// TestRouterHandleAllocations pins the host garbage of one routed
+// request: a SET over a resident key allocates nothing — no codec round
+// trip, no sort of the fleet or the members, no per-request staging
+// buffer, no new cache entry on the primary or the replica — and a GET
+// hit allocates only the value it copies out of the storage domain.
+func TestRouterHandleAllocations(t *testing.T) {
+	r := testRouter(t, 3, 1, false)
+	ctx := context.Background()
+	set := workload.Request{Op: workload.OpSet, Key: "key-00000042", Value: []byte("value-of-some-length")}
+	get := workload.Request{Op: workload.OpGet, Key: set.Key}
+	for _, tc := range []struct {
+		req  workload.Request
+		want float64
+	}{{set, 0}, {get, 1}} {
+		serve := func() {
+			if resp := r.HandleContext(ctx, 0, tc.req); !resp.OK || resp.Err != nil {
+				t.Fatalf("%v: ok=%v err=%v", tc.req.Op, resp.OK, resp.Err)
+			}
+		}
+		serve() // the key is resident and the staging buffers are grown
+		if allocs := testing.AllocsPerRun(100, serve); allocs != tc.want {
+			t.Errorf("a routed %v allocates %v times, want %v", tc.req.Op, allocs, tc.want)
+		}
+	}
+}

@@ -11,13 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the cluster wire codec: the compact binary frames the
-// router ships to nodes (requests) and to operators/peers (membership
-// snapshots). The router's dispatch path really encodes and decodes
-// every forwarded request — the hop is in-process today, but the codec
-// is the seam a TCP transport plugs into, and it is the attack surface
-// the FuzzWireDecode target hardens: DecodeRequest and
-// DecodeMembership must reject arbitrary bytes with ErrWire, never
+// This file is the cluster wire codec: the compact binary frames a
+// cross-process transport would ship to nodes (requests) and to
+// operators/peers (membership snapshots). The router's hop to a node is
+// in-process, so it does not round-trip the codec: checkRequest applies
+// DecodeRequest's bounds to the request the router already holds, with
+// the same ErrWire errors (FuzzCheckRequest pins the two to each other).
+// The codec stays the fuzzed format a TCP transport would plug into, and
+// the attack surface the FuzzWireDecode target hardens: DecodeRequest
+// and DecodeMembership must reject arbitrary bytes with ErrWire, never
 // panic or over-allocate.
 
 // Wire framing constants.
@@ -86,6 +88,30 @@ func uvarint(b []byte) (uint64, int) {
 		return 0, 0
 	}
 	return v, n
+}
+
+// checkRequest applies DecodeRequest's bounds to an in-memory request,
+// in DecodeRequest's order and with its errors: it accepts exactly the
+// requests DecodeRequest(EncodeRequest(clientID, req)) accepts. The
+// op's byte, the malicious flag and the flags word always fit their
+// fields, so only the client id, op, TTL, key and value are checked.
+func checkRequest(clientID int, req workload.Request) error {
+	if uint64(clientID) > uint64(1)<<31 { // a negative id wraps above the bound
+		return fmt.Errorf("%w: client id", ErrWire)
+	}
+	if req.Op != workload.OpGet && req.Op != workload.OpSet && req.Op != workload.OpDelete {
+		return fmt.Errorf("%w: unknown op %d", ErrWire, byte(req.Op))
+	}
+	if uint64(req.TTL) > uint64(1)<<62 { // so does a negative TTL
+		return fmt.Errorf("%w: ttl", ErrWire)
+	}
+	if len(req.Key) == 0 || len(req.Key) > MaxWireKeyLen {
+		return fmt.Errorf("%w: key length", ErrWire)
+	}
+	if len(req.Value) > kvstore.MaxValueSize {
+		return fmt.Errorf("%w: value length", ErrWire)
+	}
+	return nil
 }
 
 // EncodeRequest renders one forwarded request as a wire frame.

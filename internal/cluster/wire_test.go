@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,5 +123,42 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		_, _ = DecodeMembership(b)
+	})
+}
+
+// FuzzCheckRequest pins the router's in-memory bounds check to the wire
+// codec it stands in for: for any client id, op, key, value, flags and
+// TTL, checkRequest accepts exactly when DecodeRequest(EncodeRequest(…))
+// does, refuses with the same ErrWire text, and what it accepts is what
+// the codec would have delivered.
+func FuzzCheckRequest(f *testing.F) {
+	f.Add(int64(3), byte(workload.OpGet), "key-00000001", []byte(nil), uint32(0), int64(0), false)
+	f.Add(int64(1), byte(workload.OpSet), "k", []byte("value"), uint32(7), int64(time.Second), false)
+	f.Add(int64(0), byte(workload.OpDelete), "key-00000002", []byte(nil), uint32(0), int64(0), true)
+	f.Add(int64(-1), byte(workload.OpGet), "k", []byte(nil), uint32(0), int64(0), false)
+	f.Add(int64(1)<<31, byte(workload.OpGet), "k", []byte(nil), uint32(0), int64(0), false)
+	f.Add(int64(1)<<31+1, byte(workload.OpGet), "k", []byte(nil), uint32(0), int64(0), false)
+	f.Add(int64(0), byte(9), "k", []byte(nil), uint32(0), int64(0), false)
+	f.Add(int64(0), byte(workload.OpSet), "", []byte("v"), uint32(0), int64(0), false)
+	f.Add(int64(0), byte(workload.OpGet), strings.Repeat("k", MaxWireKeyLen+1), []byte(nil), uint32(0), int64(0), false)
+	f.Add(int64(0), byte(workload.OpSet), "k", []byte("v"), uint32(0), int64(1)<<62+1, false)
+	f.Add(int64(0), byte(workload.OpSet), "k", []byte("v"), ^uint32(0), int64(-1), false)
+	f.Fuzz(func(t *testing.T, clientID int64, op byte, key string, value []byte, flags uint32, ttl int64, malicious bool) {
+		req := workload.Request{Op: workload.Op(op), Key: key, Value: value, Flags: flags, TTL: time.Duration(ttl), Malicious: malicious}
+		err := checkRequest(int(clientID), req)
+		fr, derr := DecodeRequest(EncodeRequest(int(clientID), req))
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("checkRequest = %v, codec round trip = %v", err, derr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrWire) || err.Error() != derr.Error() {
+				t.Fatalf("checkRequest refused with %q, the codec with %q", err, derr)
+			}
+			return
+		}
+		if fr.ClientID != int(clientID) || fr.Req.Op != req.Op || fr.Req.Key != req.Key || !bytes.Equal(fr.Req.Value, req.Value) ||
+			fr.Req.Flags != req.Flags || fr.Req.TTL != req.TTL || fr.Req.Malicious != req.Malicious {
+			t.Fatalf("accepted %d %+v, the codec delivers %d %+v", clientID, req, fr.ClientID, fr.Req)
+		}
 	})
 }

@@ -42,6 +42,9 @@ func (e *BudgetError) Error() string {
 
 // IsBudget reports whether err is (or wraps) a *BudgetError, returning it.
 func IsBudget(err error) (*BudgetError, bool) {
+	if err == nil {
+		return nil, false
+	}
 	var b *BudgetError
 	if errors.As(err, &b) {
 		return b, true

@@ -63,8 +63,12 @@ func (v *ViolationError) Error() string {
 func (v *ViolationError) Unwrap() error { return v.Cause }
 
 // IsViolation reports whether err is (or wraps) a *ViolationError,
-// returning it.
+// returning it. A nil err returns at once: the errors.As target would
+// otherwise escape to the heap on every clean run.
 func IsViolation(err error) (*ViolationError, bool) {
+	if err == nil {
+		return nil, false
+	}
 	var v *ViolationError
 	if errors.As(err, &v) {
 		return v, true
@@ -181,6 +185,10 @@ type Domain struct {
 	readKeys map[pku.Key]bool
 	// maxViolations quarantines the domain once exceeded (0 = unlimited).
 	maxViolations int
+	// ctx is the view every entry hands to domain code. It is immutable
+	// (the PKRU in force is read from the System), so one per domain
+	// serves every entry, nested ones included.
+	ctx DomainCtx
 }
 
 // NewSystem creates a fresh SDRaD runtime with its own simulated machine.
@@ -231,6 +239,11 @@ func (s *System) Counters() *detect.Counters { return &s.counters }
 // the default).
 func (s *System) SetTracer(r trace.Recorder) { s.tracer = r }
 
+// tracing reports whether a tracer is installed. Call sites that build
+// an event's detail with fmt check it first, so an untraced run formats
+// nothing.
+func (s *System) tracing() bool { return s.tracer != nil }
+
 // emit records a lifecycle event if tracing is enabled.
 func (s *System) emit(kind trace.Kind, udi UDI, detail string) {
 	if s.tracer == nil {
@@ -273,9 +286,12 @@ func (s *System) InitDomain(udi UDI, cfg DomainConfig) (*Domain, error) {
 		return nil, fmt.Errorf("sdrad: init domain %d stack: %w", udi, err)
 	}
 	d := &Domain{udi: udi, key: key, heap: h, stack: st, sys: s}
+	d.ctx = DomainCtx{sys: s, d: d}
 	d.pkru = pkruFor(d)
 	s.domains[udi] = d
-	s.emit(trace.KindInit, udi, fmt.Sprintf("key=%v", key))
+	if s.tracing() {
+		s.emit(trace.KindInit, udi, fmt.Sprintf("key=%v", key))
+	}
 	if udi >= s.nextUDI {
 		s.nextUDI = udi + 1
 	}
@@ -438,8 +454,7 @@ func (s *System) EnterWithBudget(udi UDI, budget uint64, fn func(*DomainCtx) err
 	d.stats.Entries++
 	s.emit(trace.KindEnter, udi, "")
 
-	ctx := &DomainCtx{sys: s, d: d}
-	err := s.runGuarded(ctx, fn)
+	err := s.runGuarded(&d.ctx, fn)
 
 	// Leave the domain: restore the caller's PKRU and budget.
 	s.active = s.active[:len(s.active)-1]
@@ -462,7 +477,9 @@ func (s *System) EnterWithBudget(udi UDI, budget uint64, fn func(*DomainCtx) err
 			return rerr
 		}
 		d.stats.Preemptions++
-		s.emit(trace.KindRewind, d.udi, fmt.Sprintf("budget=%d used=%d", limit-entry, used))
+		if s.tracing() {
+			s.emit(trace.KindRewind, d.udi, fmt.Sprintf("budget=%d used=%d", limit-entry, used))
+		}
 		return &BudgetError{UDI: d.udi, Budget: limit - entry, Used: used, sys: s}
 	}
 	if vs, ok := err.(*violationSignal); ok {
@@ -556,7 +573,9 @@ func (s *System) rewind(d *Domain, snap stack.Snapshot, cause error) error {
 	s.counters.Add(mech)
 	d.stats.Violations++
 	s.emit(trace.KindViolation, d.udi, mech.String())
-	s.emit(trace.KindRewind, d.udi, fmt.Sprintf("cycles=%d", s.clock.Cycles()-start))
+	if s.tracing() {
+		s.emit(trace.KindRewind, d.udi, fmt.Sprintf("cycles=%d", s.clock.Cycles()-start))
+	}
 
 	return &ViolationError{UDI: d.udi, Mechanism: mech, Cause: cause, sys: s}
 }

@@ -53,7 +53,9 @@ func (s *System) GrantRead(viewer, owner UDI) error {
 	}
 	v.readKeys[o.key] = true
 	s.refreshPKRU(v)
-	s.emit(trace.KindGrant, viewer, fmt.Sprintf("owner=%d", owner))
+	if s.tracing() {
+		s.emit(trace.KindGrant, viewer, fmt.Sprintf("owner=%d", owner))
+	}
 	return nil
 }
 
@@ -69,7 +71,9 @@ func (s *System) RevokeRead(viewer, owner UDI) error {
 	}
 	delete(v.readKeys, o.key)
 	s.refreshPKRU(v)
-	s.emit(trace.KindRevoke, viewer, fmt.Sprintf("owner=%d", owner))
+	if s.tracing() {
+		s.emit(trace.KindRevoke, viewer, fmt.Sprintf("owner=%d", owner))
+	}
 	return nil
 }
 

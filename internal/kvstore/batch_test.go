@@ -252,3 +252,41 @@ func TestBatchedNetServerOverload(t *testing.T) {
 	}
 	t.Logf("admitted %d, shed %d of 32 burst requests", ok, overloads)
 }
+
+// TestRenderBufferBounded: the server keeps the buffer requests render
+// into from request to request, on the serial and the batched path,
+// but drops one that a large value or window grew past maxKeptRaw.
+func TestRenderBufferBounded(t *testing.T) {
+	sys := core.NewSystem(core.DefaultConfig())
+	cache, err := NewCache(sys, 1, 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(sys, cache, ServerConfig{Mode: ModeSDRaD, InterArrival: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := workload.Request{Op: workload.OpSet, Key: "k", Value: []byte("v")}
+	large := workload.Request{Op: workload.OpSet, Key: "big", Value: make([]byte, maxKeptRaw)}
+	for _, tc := range []struct {
+		name  string
+		serve func(workload.Request)
+	}{
+		{"serial", func(req workload.Request) { srv.Handle(0, req) }},
+		{"batched", func(req workload.Request) {
+			srv.HandleBatch([]BatchRequest{{Req: req}, {ClientID: 1, Req: req}})
+		}},
+	} {
+		tc.serve(small)
+		if cap(srv.raw) == 0 {
+			t.Errorf("%s: the render buffer was not kept", tc.name)
+		}
+		tc.serve(large)
+		if cap(srv.raw) > maxKeptRaw {
+			t.Errorf("%s: kept a %d-byte render buffer, want at most %d", tc.name, cap(srv.raw), maxKeptRaw)
+		}
+		if v, hit, err := cache.Get("big"); err != nil || !hit || len(v) != maxKeptRaw {
+			t.Errorf("%s: the large SET did not land: %d bytes, hit=%v, err=%v", tc.name, len(v), hit, err)
+		}
+	}
+}

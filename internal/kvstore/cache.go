@@ -142,38 +142,66 @@ func (c *Cache) SetItem(key string, val []byte, ttl time.Duration, flags uint32)
 	if uint64(len(val)) > c.cap {
 		return fmt.Errorf("%w: %d > %d", ErrCapacity, len(val), c.cap)
 	}
-	// Replace in place if present.
-	if el, ok := c.item[key]; ok {
-		if err := c.removeElement(el); err != nil {
-			return err
+	el, resident := c.item[key]
+	if resident {
+		// Overwrite: free the old value first, as a delete would, but keep
+		// the entry and its list element. At the front of the list, with
+		// its size no longer counted in used, the element is out of
+		// eviction's reach: evicting down to it leaves used at 0, and
+		// len(val) <= cap.
+		e := el.Value.(*entry)
+		if err := c.dom.Heap().Free(e.addr); err != nil {
+			return fmt.Errorf("kvstore: free %q: %w", e.key, err)
 		}
+		c.used -= uint64(e.size)
+		c.lru.MoveToFront(el)
 	}
-	for c.used+uint64(len(val)) > c.cap {
-		if err := c.evictOne(); err != nil {
-			return err
-		}
-	}
-	size := len(val)
-	store := val
-	if size == 0 {
-		// The allocator needs at least one byte; remember true size.
-		store = []byte{0}
-	}
-	addr, err := c.dom.Heap().Alloc(len(store))
+	addr, err := c.place(key, val)
 	if err != nil {
-		return fmt.Errorf("kvstore: set %q: %w", key, err)
-	}
-	if err := c.sys.CopyToDomain(addr, store); err != nil {
-		return fmt.Errorf("kvstore: set %q: %w", key, err)
+		if resident {
+			// The old value is already freed: the key goes, as it would
+			// after a delete.
+			c.lru.Remove(el)
+			delete(c.item, key)
+		}
+		return err
 	}
 	var expireAt time.Duration
 	if ttl > 0 {
 		expireAt = c.sys.Clock().Now() + ttl
 	}
-	el := c.lru.PushFront(&entry{key: key, addr: addr, size: size, flags: flags, expireAt: expireAt})
-	c.item[key] = el
-	c.used += uint64(size)
+	if resident {
+		e := el.Value.(*entry)
+		e.addr, e.size, e.flags, e.expireAt = addr, len(val), flags, expireAt
+	} else {
+		c.item[key] = c.lru.PushFront(&entry{key: key, addr: addr, size: len(val), flags: flags, expireAt: expireAt})
+	}
+	c.used += uint64(len(val))
 	return nil
+}
+
+// place evicts LRU items until val fits, then copies val into a fresh
+// block of the storage heap.
+func (c *Cache) place(key string, val []byte) (mem.Addr, error) {
+	for c.used+uint64(len(val)) > c.cap {
+		if err := c.evictOne(); err != nil {
+			return 0, err
+		}
+	}
+	store := val
+	if len(val) == 0 {
+		// The allocator needs at least one byte; the entry keeps the true
+		// size.
+		store = []byte{0}
+	}
+	addr, err := c.dom.Heap().Alloc(len(store))
+	if err != nil {
+		return 0, fmt.Errorf("kvstore: set %q: %w", key, err)
+	}
+	if err := c.sys.CopyToDomain(addr, store); err != nil {
+		return 0, fmt.Errorf("kvstore: set %q: %w", key, err)
+	}
+	return addr, nil
 }
 
 // Flags returns the flags word stored with key (0 when absent).

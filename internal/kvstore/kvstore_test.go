@@ -65,6 +65,69 @@ func TestCacheReplace(t *testing.T) {
 	}
 }
 
+// TestCacheOverwriteInPlace: a SET of a resident key reuses the key's
+// entry and list element, so it allocates nothing on the host, and makes
+// the storage heap's calls in the order a delete then a set would — the
+// same virtual cycles. The overwritten key becomes most recently used,
+// and an overwrite that needs every other item's room evicts them all
+// but never itself.
+func TestCacheOverwriteInPlace(t *testing.T) {
+	c, sys := newCache(t, 1<<20)
+	ref, refSys := newCache(t, 1<<20)
+	v1, v2 := bytes.Repeat([]byte("a"), 128), bytes.Repeat([]byte("b"), 200)
+	for _, cc := range []*Cache{c, ref} {
+		if err := cc.SetItem("k", v1, time.Second, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SetItem("k", v2, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetItem("k", v2, 0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sys.Clock().Cycles(), refSys.Clock().Cycles(); got != want {
+		t.Errorf("overwrite took %d cycles, delete+set %d", got, want)
+	}
+	sys.Clock().AdvanceTime(2 * time.Second) // past the first SET's TTL
+	if v, hit, err := c.Get("k"); err != nil || !hit || !bytes.Equal(v, v2) || c.Flags("k") != 7 {
+		t.Errorf("after overwrite: %q hit=%v flags=%d err=%v", v, hit, c.Flags("k"), err)
+	}
+	if c.Items() != 1 || c.Bytes() != uint64(len(v2)) {
+		t.Errorf("Items = %d, Bytes = %d", c.Items(), c.Bytes())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := c.SetItem("k", v1, 0, 3); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("overwriting a resident key allocates %v times, want 0", allocs)
+	}
+
+	small, _ := newCache(t, 1024)
+	v := make([]byte, 300)
+	for _, k := range []string{"a", "b", "c"} {
+		_ = small.Set(k, v)
+	}
+	_ = small.Set("a", v) // "a" is now the most recently used
+	_ = small.Set("d", v) // evicts "b"
+	if _, hit, _ := small.Get("b"); hit {
+		t.Error("LRU item survived eviction")
+	}
+	if _, hit, _ := small.Get("a"); !hit {
+		t.Error("overwritten item was evicted before older ones")
+	}
+	if err := small.Set("a", make([]byte, 1024)); err != nil {
+		t.Fatalf("overwrite filling the cache: %v", err)
+	}
+	if got, hit, _ := small.Get("a"); !hit || len(got) != 1024 || small.Items() != 1 || small.Bytes() != 1024 {
+		t.Errorf("after a cache-filling overwrite: hit=%v len=%d items=%d bytes=%d", hit, len(got), small.Items(), small.Bytes())
+	}
+}
+
 func TestCacheEmptyValue(t *testing.T) {
 	c, _ := newCache(t, 1<<20)
 	if err := c.Set("empty", nil); err != nil {
@@ -440,9 +503,9 @@ func TestFlagsRoundTrip(t *testing.T) {
 	}
 }
 
-// fmtPayload is payload as it was written with fmt, the reference the
-// append form must match byte for byte: the bytes are what the domain
-// parses, so they set its virtual cycles.
+// fmtPayload is appendPayload as it was written with fmt, the reference
+// the append form must match byte for byte: the bytes are what the
+// domain parses, so they set its virtual cycles.
 func fmtPayload(req workload.Request) []byte {
 	switch req.Op {
 	case workload.OpSet:
@@ -454,8 +517,11 @@ func fmtPayload(req workload.Request) []byte {
 	}
 }
 
-// TestPayloadMatchesFmt pins payload's bytes and its one allocation.
+// TestPayloadMatchesFmt pins appendPayload's bytes, appended after what
+// dst already holds, and that rendering into a buffer with room
+// allocates nothing.
 func TestPayloadMatchesFmt(t *testing.T) {
+	buf := make([]byte, 0, 200000)
 	for _, req := range []workload.Request{
 		{Op: workload.OpGet, Key: "k"},
 		{Op: workload.OpDelete, Key: "key-with-dashes"},
@@ -463,11 +529,15 @@ func TestPayloadMatchesFmt(t *testing.T) {
 		{Op: workload.OpSet, Key: "victim", Value: []byte(AttackMarker + "-payload")},
 		{Op: workload.OpSet, Key: "big", Value: bytes.Repeat([]byte("v"), 123456)},
 	} {
-		if got, want := payload(req), fmtPayload(req); !bytes.Equal(got, want) {
-			t.Errorf("payload(%v %q, %d bytes) = %q, want %q", req.Op, req.Key, len(req.Value), got[:min(len(got), 40)], want[:min(len(want), 40)])
+		want := fmtPayload(req)
+		if got := appendPayload(buf[:0], req); !bytes.Equal(got, want) {
+			t.Errorf("appendPayload(%v %q, %d bytes) = %q, want %q", req.Op, req.Key, len(req.Value), got[:min(len(got), 40)], want[:min(len(want), 40)])
 		}
-		if allocs := testing.AllocsPerRun(20, func() { _ = payload(req) }); allocs != 1 {
-			t.Errorf("payload(%v %q) allocates %v times, want 1", req.Op, req.Key, allocs)
+		if got := appendPayload([]byte("prefix"), req); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Errorf("appendPayload(%v %q) after a prefix = %q", req.Op, req.Key, got[:min(len(got), 40)])
+		}
+		if allocs := testing.AllocsPerRun(20, func() { buf = appendPayload(buf[:0], req) }); allocs != 0 {
+			t.Errorf("appendPayload(%v %q) into a sized buffer allocates %v times, want 0", req.Op, req.Key, allocs)
 		}
 	}
 }

@@ -135,6 +135,10 @@ type Server struct {
 	// staged is HandleBatch's per-request "staged WAL records" flags,
 	// reused from batch to batch.
 	staged []bool
+	// raw is the reused buffer requests are rendered into for the parse
+	// (appendPayload): one request's bytes on the serial path, a whole
+	// window's on the batched one. See keepRaw.
+	raw []byte
 
 	// Durability state (nil store = memory-only; see persist.go).
 	store      persist.Store
@@ -247,29 +251,35 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// payload renders the request in a memcached-text-like shape; this is the
-// untrusted byte string the handler parses. One allocation: it is on the
-// path of every request.
-func payload(req workload.Request) []byte {
-	switch req.Op {
-	case workload.OpSet:
-		var digits [20]byte // the most an int needs
-		size := strconv.AppendInt(digits[:0], int64(len(req.Value)), 10)
-		out := make([]byte, 0, len("set  0 0 \r\n\r\n")+len(req.Key)+len(size)+len(req.Value))
-		out = append(append(append(out, "set "...), req.Key...), " 0 0 "...)
-		out = append(append(out, size...), "\r\n"...)
-		return append(append(out, req.Value...), "\r\n"...)
-	case workload.OpDelete:
-		return commandLine("delete", req.Key)
-	default:
-		return commandLine("get", req.Key)
+// maxKeptRaw bounds the render buffer a server keeps between requests:
+// one that grew past it for a large request or window is dropped
+// afterwards, so a shard does not hold a window of maximum-size values
+// for the rest of its life.
+const maxKeptRaw = 64 << 10
+
+// keepRaw drops the render buffer if it grew past maxKeptRaw. Call it
+// once the parse that read the buffer has run.
+func (s *Server) keepRaw() {
+	if cap(s.raw) > maxKeptRaw {
+		s.raw = nil
 	}
 }
 
-// commandLine renders "<verb> <key>\r\n".
-func commandLine(verb, key string) []byte {
-	out := make([]byte, 0, len(verb)+len(" \r\n")+len(key))
-	return append(append(append(append(out, verb...), ' '), key...), "\r\n"...)
+// appendPayload appends the request rendered in a memcached-text-like
+// shape to dst: the untrusted byte string the handler parses. It is on
+// the path of every request, so it renders into a buffer the server
+// reuses and allocates only when that buffer grows.
+func appendPayload(dst []byte, req workload.Request) []byte {
+	switch req.Op {
+	case workload.OpSet:
+		dst = append(append(append(dst, "set "...), req.Key...), " 0 0 "...)
+		dst = strconv.AppendInt(dst, int64(len(req.Value)), 10)
+		return append(append(append(dst, "\r\n"...), req.Value...), "\r\n"...)
+	case workload.OpDelete:
+		return append(append(append(dst, "delete "...), req.Key...), "\r\n"...)
+	default:
+		return append(append(append(dst, "get "...), req.Key...), "\r\n"...)
+	}
 }
 
 // Handle serves one request from clientID. It is HandleContext with a
@@ -296,7 +306,8 @@ func (s *Server) HandleContext(ctx context.Context, clientID int, req workload.R
 	if !ok { // the native server is restarting
 		return Response{Err: ErrUnavailable}
 	}
-	raw := payload(req)
+	s.raw = appendPayload(s.raw[:0], req)
+	raw := s.raw
 	var resp Response
 	var err error
 	switch s.cfg.Mode {
@@ -307,6 +318,7 @@ func (s *Server) HandleContext(ctx context.Context, clientID int, req workload.R
 	default:
 		resp, err = s.handleNative(req, raw)
 	}
+	s.keepRaw()
 	if err != nil {
 		resp.Err = err
 	}
@@ -411,10 +423,18 @@ func (s *Server) HandleBatch(batch []BatchRequest) []Response {
 		return out
 	}
 	start := s.shell.BeginBatch(len(batch)) // one pipelined receive + send
+	// The window renders into one arena. A request's bytes are its own
+	// slice of it; if the arena grows mid-window, the earlier slices keep
+	// the old array, which nothing writes again.
+	s.raw = s.raw[:0]
 	for i := range batch {
-		s.shell.Queue(batch[i].Ctx, batch[i].ClientID, s.parseFn(batch[i].Req, payload(batch[i].Req)))
+		lo := len(s.raw)
+		s.raw = appendPayload(s.raw, batch[i].Req)
+		raw := s.raw[lo:len(s.raw):len(s.raw)]
+		s.shell.Queue(batch[i].Ctx, batch[i].ClientID, s.parseFn(batch[i].Req, raw))
 	}
 	verrs := s.shell.RunBatch()
+	s.keepRaw()
 
 	// Apply to the protected cache in arrival order, remembering which
 	// requests staged WAL records.

@@ -132,19 +132,28 @@ func (s *FileStore) loadSnapshot() error {
 }
 
 // openWAL opens the log, truncates a torn tail at the first bad frame,
-// and decodes the committed batches into the record suffix.
+// and decodes the committed batches into the record suffix. With Fsync
+// on it also syncs the directory, so the log's directory entry — new
+// when the store is — is durable before the first acknowledged append;
+// until the first snapshot nothing else would sync it.
 func (s *FileStore) openWAL() error {
 	f, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: wal: %w", err)
+	}
+	if s.cfg.Fsync {
+		if err := syncDir(s.dir); err != nil {
+			cerr := f.Close()
+			return fmt.Errorf("persist: wal dir sync: %w", firstErr(err, cerr))
+		}
 	}
 	raw, err := io.ReadAll(f)
 	if err != nil {
 		cerr := f.Close()
 		return fmt.Errorf("persist: wal read: %w", firstErr(err, cerr))
 	}
-	payloads, valid, scanErr := ScanFrames(raw)
-	if scanErr != nil {
+	payloads, valid := committedPrefix(raw)
+	if valid < len(raw) {
 		// Torn tail: everything from the first bad frame on is an
 		// uncommitted append cut short by a crash. Truncate, so the next
 		// append starts on a frame boundary.

@@ -116,6 +116,73 @@ func TestFileStoreKillTearsTail(t *testing.T) {
 	}
 }
 
+// TestFileStoreZeroFilledTail: a crash can leave the log's size on disk
+// ahead of its data, so the tail reads back as zeros. Eight or more zero
+// bytes decode as a checksummed frame of length 0, which no append
+// writes; recovery truncates them like any torn frame and keeps every
+// batch in front of them.
+func TestFileStoreZeroFilledTail(t *testing.T) {
+	for _, zeros := range []int{4, 8, 12, 4096} {
+		dir := t.TempDir()
+		st, err := OpenFile(dir, FileConfig{Fsync: true})
+		if err != nil {
+			t.Fatalf("OpenFile: %v", err)
+		}
+		if err := st.Append([][]byte{[]byte("acked")}); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		committed := st.WALBytes()
+		if err := st.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		wal := filepath.Join(dir, walName)
+		f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(make([]byte, zeros)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		st2, err := OpenFile(dir, FileConfig{Fsync: true})
+		if err != nil {
+			t.Fatalf("%d zero bytes: reopen: %v", zeros, err)
+		}
+		_, records, err := st2.Recover()
+		if err != nil {
+			t.Fatalf("%d zero bytes: Recover: %v", zeros, err)
+		}
+		if len(records) != 1 || string(records[0]) != "acked" {
+			t.Errorf("%d zero bytes: records = %q, want [acked]", zeros, records)
+		}
+		if info := st2.Info(); info.Batches != 1 || info.TornBytes != int64(zeros) {
+			t.Errorf("%d zero bytes: info = %+v, want 1 batch and %d torn bytes", zeros, info, zeros)
+		}
+		if fi, err := os.Stat(wal); err != nil || fi.Size() != committed {
+			t.Errorf("%d zero bytes: log not truncated to %d bytes: %v, %v", zeros, committed, fi, err)
+		}
+		if err := st2.Append([][]byte{[]byte("next")}); err != nil {
+			t.Fatalf("%d zero bytes: append after repair: %v", zeros, err)
+		}
+		if err := st2.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		st3, err := OpenFile(dir, FileConfig{})
+		if err != nil {
+			t.Fatalf("%d zero bytes: second reopen: %v", zeros, err)
+		}
+		if info := st3.Info(); info.Batches != 2 || info.TornBytes != 0 {
+			t.Errorf("%d zero bytes: after repair info = %+v, want 2 batches, none torn", zeros, info)
+		}
+		if err := st3.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+}
+
 func TestFileStoreSnapshotSupersedesLog(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenFile(dir, FileConfig{Fsync: true})

@@ -24,6 +24,9 @@ import (
 const (
 	// FrameHeaderSize is the fixed per-frame overhead in bytes.
 	FrameHeaderSize = 8
+	// batchHeaderSize is a batch payload's record count: the fewest
+	// bytes EncodeBatch writes.
+	batchHeaderSize = 4
 	// MaxFrameSize bounds one frame's payload, so a corrupt length field
 	// can never drive an over-read or an absurd allocation. 64 MiB holds
 	// any realistic batch (kvstore values cap at 1 MiB).
@@ -96,6 +99,26 @@ func ScanFrames(b []byte) (payloads [][]byte, valid int, err error) {
 	return payloads, len(b), nil
 }
 
+// committedPrefix is ScanFrames with recovery's one further rule: a
+// frame whose payload is too short to hold a batch's record count ends
+// the committed prefix like a torn frame. EncodeBatch never writes one,
+// and a crash can leave one behind: a zero-filled tail — the file's
+// size reached disk before its data — decodes as a run of them, since
+// eight zero bytes are a header of length 0 whose CRC (the CRC-32 of
+// nothing) is 0. It returns the committed payloads and the offset the
+// log is truncated at (len(b) when nothing is torn).
+func committedPrefix(b []byte) (payloads [][]byte, valid int) {
+	payloads, valid, _ = ScanFrames(b) //lint:errclass the error only says why the prefix ended; valid says where, which is all recovery acts on
+	off := 0
+	for i, p := range payloads {
+		if len(p) < batchHeaderSize {
+			return payloads[:i], off
+		}
+		off += FrameHeaderSize + len(p)
+	}
+	return payloads, valid
+}
+
 // EncodeBatch encodes records as one frame payload.
 func EncodeBatch(records [][]byte) []byte {
 	size := 4
@@ -119,7 +142,7 @@ func EncodeBatch(records [][]byte) []byte {
 // CRC already vouched for the bytes, so a malformed batch means a
 // writer bug or version skew, not a torn write.
 func DecodeBatch(payload []byte) ([][]byte, error) {
-	if len(payload) < 4 {
+	if len(payload) < batchHeaderSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadBatch, len(payload))
 	}
 	count := binary.LittleEndian.Uint32(payload[0:])

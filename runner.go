@@ -81,7 +81,13 @@ func withTargetProbe(t *runTarget) RunOption {
 	return func(s *runSettings) { s.target = t }
 }
 
+// applyRunOptions resolves opts. With none it returns at once: calling
+// an option through &set moves set to the heap, and most calls carry no
+// option.
 func applyRunOptions(opts []RunOption) runSettings {
+	if len(opts) == 0 {
+		return runSettings{}
+	}
 	var set runSettings
 	for _, o := range opts {
 		o(&set)
@@ -229,12 +235,12 @@ type BatchItem struct {
 	Opts []RunOption
 }
 
-func (it *BatchItem) toCall() *batchCall {
+func (it *BatchItem) toCall() batchCall {
 	ctx := it.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &batchCall{ctx: ctx, fn: it.Fn, set: applyRunOptions(it.Opts)}
+	return batchCall{ctx: ctx, fn: it.Fn, set: applyRunOptions(it.Opts)}
 }
 
 // DoBatch executes fns back to back inside one domain entry: one
@@ -259,9 +265,11 @@ func (d *Domain) DoBatch(ctx context.Context, fns []func(*Ctx) error, opts ...Ru
 // policies can still share one domain entry. Network servers batching
 // concurrent connections use this form.
 func (d *Domain) DoBatchItems(items []BatchItem) []error {
+	slab := make([]batchCall, len(items)) // one allocation for the batch, not one per call
 	calls := make([]*batchCall, len(items))
 	for i := range items {
-		calls[i] = items[i].toCall()
+		slab[i] = items[i].toCall()
+		calls[i] = &slab[i]
 	}
 	b := &batchBackend{
 		sys:        d.sup.sys,

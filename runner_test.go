@@ -472,3 +472,36 @@ func TestPoolDoHammer(t *testing.T) {
 			clean.Load(), contained.Load(), preempted.Load(), cancelled.Load())
 	}
 }
+
+// TestDomainDoCleanRunAllocatesNothing pins the host cost of a clean
+// Domain.Do with no options at zero heap allocations: the domain hands
+// every entry its one DomainCtx, no option set is resolved, and a nil
+// error skips the typed violation and budget checks. The run itself
+// allocates, stores, loads and frees simulated memory, which costs
+// virtual cycles, not host garbage.
+func TestDomainDoCleanRunAllocatesNothing(t *testing.T) {
+	sup := sdrad.New()
+	dom, err := sup.NewDomain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dom.Close() }()
+	ctx := context.Background()
+	buf := make([]byte, 64)
+	fn := func(c *sdrad.Ctx) error {
+		p := c.MustAlloc(len(buf))
+		c.MustStore(p, buf)
+		c.MustLoad(p, buf)
+		c.MustFree(p)
+		return nil
+	}
+	run := func() {
+		if err := dom.Do(ctx, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the heap's free lists
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("a clean Domain.Do allocates %v times, want 0", allocs)
+	}
+}
