@@ -75,8 +75,11 @@ bench:
 # forms), the full SDRaD serve path, bearer-token extraction, the
 # cluster wire codec, the router's bounds check (differential against
 # the codec round trip it replaces) and WAL recovery over an arbitrary
-# tail. `make test` only replays the seed corpora; this explores past
-# them. A failing input lands under the package's testdata/fuzz/.
+# tail — plus the containment path: the kv SDRaD request path, whose
+# malicious inputs run detect → trap → rewind → classify, and the
+# allocation-free error classifier (differential against errors.As).
+# `make test` only replays the seed corpora; this explores past them. A
+# failing input lands under the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/httpd
 	$(GO) test -run '^$$' -fuzz '^FuzzServeSDRaD$$' -fuzztime 10s ./internal/httpd
@@ -84,6 +87,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckRequest$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleSDRaD$$' -fuzztime 10s ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzAsMatchesErrorsAs$$' -fuzztime 10s ./internal/errtype
 
 # One-iteration pass over the go-test benchmarks (CI): its only job is
 # proving they still run; numbers come from `make bench`.

@@ -21,7 +21,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -152,8 +151,7 @@ func (s *session) Reply(w io.Writer, req workload.Request, resp kvstore.Response
 // writeServerError renders an error line; unavailable slots carry the
 // router's deterministic retry hint so clients can back off precisely.
 func writeServerError(w io.Writer, err error) error {
-	var ue *cluster.UnavailableError
-	if errors.As(err, &ue) {
+	if ue, ok := cluster.IsUnavailable(err); ok {
 		_, werr := fmt.Fprintf(w, "SERVER_ERROR %s (retry-cycles %d)\r\n", ue, ue.RetryCycles)
 		return werr
 	}

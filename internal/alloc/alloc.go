@@ -151,19 +151,20 @@ func (h *Heap) grow(npages int) error {
 	return nil
 }
 
-// classFor returns the size-class index for a payload of n bytes.
-func classFor(n int) (int, error) {
+// classFor returns the size-class index for a payload of n bytes; ok
+// is false when no class holds n (n <= 0, or above the largest class).
+func classFor(n int) (c int, ok bool) {
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: size %d", ErrTooLarge, n)
+		return 0, false
 	}
 	if n <= minClass {
-		return 0, nil
+		return 0, true
 	}
-	c := bits.Len64(uint64(n-1)) - 4 // smallest c with minClass<<c >= n
+	c = bits.Len64(uint64(n-1)) - 4 // smallest c with minClass<<c >= n
 	if c >= numClasses {
-		return 0, fmt.Errorf("%w: %d bytes (max %d)", ErrTooLarge, n, minClass<<(numClasses-1))
+		return 0, false
 	}
-	return c, nil
+	return c, true
 }
 
 // ClassSize returns the payload capacity of size class c.
@@ -220,8 +221,8 @@ func (h *Heap) isChunkStart(chunk mem.Addr) bool {
 			if err != nil {
 				return true
 			}
-			c, err := classFor(int(size))
-			if err != nil {
+			c, ok := classFor(int(size))
+			if !ok {
 				return true
 			}
 			off += uint64(ClassSize(c)) + Overhead
@@ -252,13 +253,17 @@ func (h *Heap) chunkOf(p mem.Addr) (mem.Addr, bool) {
 // Alloc allocates n bytes and returns the payload address. The payload is
 // zeroed.
 func (h *Heap) Alloc(n int) (mem.Addr, error) {
-	c, err := classFor(n)
-	if err != nil {
-		return 0, err
+	c, ok := classFor(n)
+	if !ok {
+		if n <= 0 {
+			return 0, fmt.Errorf("%w: size %d", ErrTooLarge, n)
+		}
+		return 0, fmt.Errorf("%w: %d bytes (max %d)", ErrTooLarge, n, minClass<<(numClasses-1))
 	}
 	chunkSize := uint64(ClassSize(c) + Overhead)
 
 	var chunk mem.Addr
+	var err error
 	if fl := h.free[c]; len(fl) > 0 {
 		chunk = fl[len(fl)-1]
 		// Validate the chunk before recycling it — the tcache-key check of
@@ -337,16 +342,14 @@ func (h *Heap) checkFreedChunk(chunk mem.Addr, c int) error {
 		return fmt.Errorf("alloc: freed canary read: %w", err)
 	}
 	if got != want^freedMark {
-		return fmt.Errorf("%w: freed chunk header at %#x smashed (got %#x want %#x)",
-			ErrHeapCorruption, uint64(chunk), got, want^freedMark)
+		return &CheckError{Check: FreedHeader, Addr: chunk, Got: got, Want: want ^ freedMark}
 	}
 	rz, err := h.m.Peek64(chunk + headerSize + mem.Addr(ClassSize(c)))
 	if err != nil {
 		return fmt.Errorf("alloc: freed redzone read: %w", err)
 	}
 	if rz != want {
-		return fmt.Errorf("%w: freed chunk redzone at %#x smashed (got %#x want %#x)",
-			ErrHeapCorruption, uint64(chunk), rz, want)
+		return &CheckError{Check: FreedRedzone, Addr: chunk, Got: rz, Want: want}
 	}
 	return nil
 }
@@ -360,16 +363,14 @@ func (h *Heap) checkChunk(p mem.Addr, class int) error {
 		return fmt.Errorf("alloc: canary read: %w", err)
 	}
 	if got != want {
-		return fmt.Errorf("%w: header canary at %#x (got %#x want %#x)",
-			ErrHeapCorruption, uint64(chunk), got, want)
+		return &CheckError{Check: HeaderCanary, Addr: chunk, Got: got, Want: want}
 	}
 	rz, err := h.m.Load64(h.pkru, p+mem.Addr(ClassSize(class)))
 	if err != nil {
 		return fmt.Errorf("alloc: redzone read: %w", err)
 	}
 	if rz != want {
-		return fmt.Errorf("%w: redzone at %#x (got %#x want %#x)",
-			ErrHeapCorruption, uint64(p)+uint64(ClassSize(class)), rz, want)
+		return &CheckError{Check: Redzone, Addr: p + mem.Addr(ClassSize(class)), Got: rz, Want: want}
 	}
 	return nil
 }
@@ -381,7 +382,7 @@ func (h *Heap) checkChunk(p mem.Addr, class int) error {
 func (h *Heap) Free(p mem.Addr) error {
 	chunk, ok := h.chunkOf(p)
 	if !ok {
-		return fmt.Errorf("%w: %#x", ErrBadFree, uint64(p))
+		return &CheckError{Check: BadFree, Addr: p}
 	}
 	want := h.canary(chunk)
 	got, err := h.m.Load64(h.pkru, chunk+8)
@@ -389,7 +390,7 @@ func (h *Heap) Free(p mem.Addr) error {
 		return fmt.Errorf("alloc: canary read: %w", err)
 	}
 	if got == want^freedMark {
-		return fmt.Errorf("%w: double free of %#x", ErrBadFree, uint64(p))
+		return &CheckError{Check: DoubleFree, Addr: p}
 	}
 	if got != want {
 		// The canary alone cannot tell a real chunk with a smashed
@@ -398,27 +399,25 @@ func (h *Heap) Free(p mem.Addr) error {
 		// chunk start means corruption (seed semantics — the live map
 		// knew it was an allocation), anything else is an invalid free.
 		if h.isChunkStart(chunk) {
-			return fmt.Errorf("%w: header canary at %#x (got %#x want %#x)",
-				ErrHeapCorruption, uint64(chunk), got, want)
+			return &CheckError{Check: HeaderCanary, Addr: chunk, Got: got, Want: want}
 		}
-		return fmt.Errorf("%w: %#x is not an allocation", ErrBadFree, uint64(p))
+		return &CheckError{Check: NotAllocation, Addr: p}
 	}
 	size, err := h.m.Load64(h.pkru, chunk)
 	if err != nil {
 		return fmt.Errorf("alloc: size read: %w", err)
 	}
-	c, err := classFor(int(size))
-	if err != nil {
+	c, ok := classFor(int(size))
+	if !ok {
 		// The size field was overwritten: the header itself is corrupt.
-		return fmt.Errorf("%w: size field at %#x smashed (%d)", ErrHeapCorruption, uint64(chunk), size)
+		return &CheckError{Check: SizeField, Addr: chunk, Got: size}
 	}
 	rz, err := h.m.Load64(h.pkru, p+mem.Addr(ClassSize(c)))
 	if err != nil {
 		return fmt.Errorf("alloc: redzone read: %w", err)
 	}
 	if rz != want {
-		return fmt.Errorf("%w: redzone at %#x (got %#x want %#x)",
-			ErrHeapCorruption, uint64(p)+uint64(ClassSize(c)), rz, want)
+		return &CheckError{Check: Redzone, Addr: p + mem.Addr(ClassSize(c)), Got: rz, Want: want}
 	}
 	// Mark the header freed. Kernel-side metadata write: no virtual cost,
 	// matching the seed's host-side map delete.
@@ -440,22 +439,22 @@ func (h *Heap) Free(p mem.Addr) error {
 func (h *Heap) UsableSize(p mem.Addr) (int, error) {
 	chunk, ok := h.chunkOf(p)
 	if !ok {
-		return 0, fmt.Errorf("%w: %#x", ErrBadFree, uint64(p))
+		return 0, &CheckError{Check: BadFree, Addr: p}
 	}
 	got, err := h.m.Peek64(chunk + 8)
 	if err != nil {
 		return 0, fmt.Errorf("alloc: canary read: %w", err)
 	}
 	if got != h.canary(chunk) {
-		return 0, fmt.Errorf("%w: %#x", ErrBadFree, uint64(p))
+		return 0, &CheckError{Check: BadFree, Addr: p}
 	}
 	size, err := h.m.Peek64(chunk)
 	if err != nil {
 		return 0, fmt.Errorf("alloc: size read: %w", err)
 	}
-	c, err := classFor(int(size))
-	if err != nil {
-		return 0, fmt.Errorf("%w: size field at %#x smashed (%d)", ErrHeapCorruption, uint64(chunk), size)
+	c, ok := classFor(int(size))
+	if !ok {
+		return 0, &CheckError{Check: SizeField, Addr: chunk, Got: size}
 	}
 	return ClassSize(c), nil
 }
@@ -477,9 +476,9 @@ func (h *Heap) CheckIntegrity() error {
 			if err != nil {
 				return fmt.Errorf("alloc: sweep header read: %w", err)
 			}
-			c, err := classFor(int(size))
-			if err != nil {
-				return fmt.Errorf("%w: size field at %#x smashed (%d)", ErrHeapCorruption, uint64(chunk), size)
+			c, ok := classFor(int(size))
+			if !ok {
+				return &CheckError{Check: SizeField, Addr: chunk, Got: size}
 			}
 			got, err := h.m.Peek64(chunk + 8)
 			if err != nil {
@@ -504,12 +503,10 @@ func (h *Heap) CheckIntegrity() error {
 					return fmt.Errorf("alloc: sweep redzone read: %w", err)
 				}
 				if rz != want {
-					return fmt.Errorf("%w: freed chunk at %#x size/redzone mismatch (redzone %#x want %#x)",
-						ErrHeapCorruption, uint64(chunk), rz, want)
+					return &CheckError{Check: FreedSize, Addr: chunk, Got: rz, Want: want}
 				}
 			default:
-				return fmt.Errorf("%w: header canary at %#x (got %#x want %#x)",
-					ErrHeapCorruption, uint64(chunk), got, want)
+				return &CheckError{Check: HeaderCanary, Addr: chunk, Got: got, Want: want}
 			}
 			off += uint64(ClassSize(c)) + Overhead
 		}

@@ -253,9 +253,9 @@ func TestClassForBoundaries(t *testing.T) {
 		{1, 0}, {16, 0}, {17, 1}, {32, 1}, {33, 2}, {4096, 8},
 	}
 	for _, c := range cases {
-		got, err := classFor(c.n)
-		if err != nil || got != c.class {
-			t.Errorf("classFor(%d) = %d, %v; want %d", c.n, got, err, c.class)
+		got, ok := classFor(c.n)
+		if !ok || got != c.class {
+			t.Errorf("classFor(%d) = %d, %v; want %d", c.n, got, ok, c.class)
 		}
 	}
 }

@@ -159,8 +159,8 @@ func (h *Heap) reindex() error {
 			if err != nil {
 				return fmt.Errorf("alloc: reindex header read: %w", err)
 			}
-			c, err := classFor(int(size))
-			if err != nil {
+			c, ok := classFor(int(size))
+			if !ok {
 				return fmt.Errorf("%w: restored size field at %#x (%d)", ErrHeapCorruption, uint64(chunk), size)
 			}
 			got, err := h.m.Peek64(chunk + 8)

@@ -39,9 +39,9 @@ func TestAllocFreeCycleParity(t *testing.T) {
 	mdl := clk.Model()
 
 	for _, n := range []int{1, 16, 100, 1000} {
-		c, err := classFor(n)
-		if err != nil {
-			t.Fatal(err)
+		c, ok := classFor(n)
+		if !ok {
+			t.Fatalf("classFor(%d) found no class", n)
 		}
 		wantAlloc := 3*store64Cost(mdl) + mdl.MemStore + uint64(ClassSize(c))*mdl.MemPerByte
 

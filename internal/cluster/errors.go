@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
+	"repro/internal/errtype"
 	"repro/internal/gateway"
 )
 
@@ -45,11 +45,7 @@ func (e *UnavailableError) Error() string {
 // IsUnavailable reports whether err is (or wraps) an
 // *UnavailableError, returning it.
 func IsUnavailable(err error) (*UnavailableError, bool) {
-	var u *UnavailableError
-	if errors.As(err, &u) {
-		return u, true
-	}
-	return nil, false
+	return errtype.As[*UnavailableError](err)
 }
 
 // newUnavailable builds the typed refusal with its quantized hint.
@@ -82,9 +78,5 @@ func (e *MembershipError) Error() string {
 // IsMembership reports whether err is (or wraps) a *MembershipError,
 // returning it.
 func IsMembership(err error) (*MembershipError, bool) {
-	var m *MembershipError
-	if errors.As(err, &m) {
-		return m, true
-	}
-	return nil, false
+	return errtype.As[*MembershipError](err)
 }

@@ -312,16 +312,33 @@ func (r *Router) readTargetLocked(holders []NodeID, seq uint64) NodeID {
 	if !r.cfg.ReadReplicas || len(holders) < 2 {
 		return holders[0]
 	}
-	var reachable []NodeID
+	reachable := 0
 	for _, id := range holders {
-		if _, ok := r.nodes[id]; ok && !r.partitioned[id] {
-			reachable = append(reachable, id)
+		if r.reachableLocked(id) {
+			reachable++
 		}
 	}
-	if len(reachable) == 0 {
+	if reachable == 0 {
 		return holders[0]
 	}
-	return reachable[int(seq%uint64(len(reachable)))]
+	// The (seq mod reachable)-th reachable holder, found by a second
+	// walk rather than a per-GET slice of the reachable ones.
+	nth := int(seq % uint64(reachable))
+	for _, id := range holders {
+		if r.reachableLocked(id) {
+			if nth == 0 {
+				return id
+			}
+			nth--
+		}
+	}
+	return holders[0] // not reached: the count above found nth+1 reachable holders
+}
+
+// reachableLocked reports whether node id is live and not partitioned.
+func (r *Router) reachableLocked(id NodeID) bool {
+	_, ok := r.nodes[id]
+	return ok && !r.partitioned[id]
 }
 
 // replicateLocked applies an acknowledged mutation to the slot's
@@ -614,7 +631,7 @@ func (r *Router) rebalanceLocked() error {
 		}
 		var source NodeID = -1
 		for _, id := range old {
-			if _, ok := r.nodes[id]; ok && !r.partitioned[id] {
+			if r.reachableLocked(id) {
 				source = id
 				break
 			}

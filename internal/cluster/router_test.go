@@ -111,22 +111,75 @@ func TestRouterIDsFollowMembership(t *testing.T) {
 // buffer, no new cache entry on the primary or the replica — and a GET
 // hit allocates only the value it copies out of the storage domain.
 func TestRouterHandleAllocations(t *testing.T) {
-	r := testRouter(t, 3, 1, false)
 	ctx := context.Background()
 	set := workload.Request{Op: workload.OpSet, Key: "key-00000042", Value: []byte("value-of-some-length")}
 	get := workload.Request{Op: workload.OpGet, Key: set.Key}
-	for _, tc := range []struct {
-		req  workload.Request
-		want float64
-	}{{set, 0}, {get, 1}} {
-		serve := func() {
-			if resp := r.HandleContext(ctx, 0, tc.req); !resp.OK || resp.Err != nil {
-				t.Fatalf("%v: ok=%v err=%v", tc.req.Op, resp.OK, resp.Err)
+	for _, readReplicas := range []bool{false, true} {
+		r := testRouter(t, 3, 1, readReplicas)
+		for _, tc := range []struct {
+			req  workload.Request
+			want float64
+		}{{set, 0}, {get, 1}} {
+			serve := func() {
+				if resp := r.HandleContext(ctx, 0, tc.req); !resp.OK || resp.Err != nil {
+					t.Fatalf("%v: ok=%v err=%v", tc.req.Op, resp.OK, resp.Err)
+				}
+			}
+			serve() // the key is resident and the staging buffers are grown
+			if allocs := testing.AllocsPerRun(100, serve); allocs != tc.want {
+				t.Errorf("ReadReplicas=%v: a routed %v allocates %v times, want %v",
+					readReplicas, tc.req.Op, allocs, tc.want)
 			}
 		}
-		serve() // the key is resident and the staging buffers are grown
-		if allocs := testing.AllocsPerRun(100, serve); allocs != tc.want {
-			t.Errorf("a routed %v allocates %v times, want %v", tc.req.Op, allocs, tc.want)
+	}
+}
+
+// TestReadTargetRotation pins which holder serves each read-replica GET:
+// the (seq mod n)-th of the slot's n reachable holders, in holder order,
+// with the primary as the answer when none is reachable. The oracle is
+// the rotation written out as a slice of the reachable holders.
+func TestReadTargetRotation(t *testing.T) {
+	r := testRouter(t, 4, 2, true)
+	oracle := func(holders []NodeID, seq uint64) NodeID {
+		var reachable []NodeID
+		for _, id := range holders {
+			if _, ok := r.nodes[id]; ok && !r.partitioned[id] {
+				reachable = append(reachable, id)
+			}
+		}
+		if len(reachable) == 0 {
+			return holders[0]
+		}
+		return reachable[int(seq%uint64(len(reachable)))]
+	}
+	check := func(stage string) {
+		t.Helper()
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		for slot := 0; slot < NumSlots; slot += 97 {
+			holders := r.assign[slot]
+			for seq := uint64(0); seq < 12; seq++ {
+				if got, want := r.readTargetLocked(holders, seq), oracle(holders, seq); got != want {
+					t.Fatalf("%s: slot %d holders %v seq %d: read target %d, want %d",
+						stage, slot, holders, seq, got, want)
+				}
+			}
 		}
 	}
+	check("all reachable")
+	r.mu.RLock()
+	partitioned := r.assign[0][1]
+	r.mu.RUnlock()
+	if err := r.PartitionNode(partitioned); err != nil {
+		t.Fatal(err)
+	}
+	check("one holder partitioned")
+	for _, id := range r.NodeIDs() {
+		if id != partitioned {
+			if err := r.PartitionNode(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("every holder partitioned")
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+
+	"repro/internal/errtype"
 )
 
 // This file implements virtual-cycle budgets: a deterministic preemption
@@ -42,14 +43,7 @@ func (e *BudgetError) Error() string {
 
 // IsBudget reports whether err is (or wraps) a *BudgetError, returning it.
 func IsBudget(err error) (*BudgetError, bool) {
-	if err == nil {
-		return nil, false
-	}
-	var b *BudgetError
-	if errors.As(err, &b) {
-		return b, true
-	}
-	return nil, false
+	return errtype.As[*BudgetError](err)
 }
 
 // RewoundBy reports whether err records a rewind-and-discard of domain

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/alloc"
 	"repro/internal/detect"
+	"repro/internal/errtype"
 	"repro/internal/mem"
 	"repro/internal/pku"
 	"repro/internal/stack"
@@ -54,34 +56,47 @@ type ViolationError struct {
 	sys *System
 }
 
-// Error implements error.
+// Error implements error. It renders what
+// fmt.Sprintf("sdrad: domain %d violation (%s): %v", ...) would, in one
+// allocation past the cause's own text.
 func (v *ViolationError) Error() string {
-	return fmt.Sprintf("sdrad: domain %d violation (%s): %v", v.UDI, v.Mechanism, v.Cause)
+	cause := "<nil>"
+	if v.Cause != nil {
+		cause = v.Cause.Error()
+	}
+	var udi [20]byte
+	return "sdrad: domain " + string(strconv.AppendInt(udi[:0], int64(v.UDI), 10)) +
+		" violation (" + v.Mechanism.String() + "): " + cause
 }
 
 // Unwrap returns the underlying cause.
 func (v *ViolationError) Unwrap() error { return v.Cause }
 
 // IsViolation reports whether err is (or wraps) a *ViolationError,
-// returning it. A nil err returns at once: the errors.As target would
-// otherwise escape to the heap on every clean run.
+// returning it. It allocates nothing, hit or miss (errtype.As).
 func IsViolation(err error) (*ViolationError, bool) {
-	if err == nil {
-		return nil, false
-	}
-	var v *ViolationError
-	if errors.As(err, &v) {
-		return v, true
-	}
-	return nil, false
+	return errtype.As[*ViolationError](err)
 }
 
-// violationPanic carries a detected violation up to the domain boundary,
-// emulating the hardware trap + signal delivery path. It is recovered in
-// Enter and never escapes the package.
-type violationPanic struct {
+// trapSlot carries a detected violation up to the domain boundary,
+// emulating the hardware trap + signal delivery path: DomainCtx.trap
+// stores the cause in its System's slot and panics with a pointer to
+// the slot, which runGuarded recovers and empties. The panic value is a
+// pointer into the System, so a trap allocates nothing, and the cause is
+// read from the System that trapped even when the recovering Enter
+// belongs to another. It never escapes the package.
+type trapSlot struct {
 	cause error
 }
+
+// panicError is the cause recorded when domain code panics (a Go
+// runtime panic models an in-domain crash). It renders
+// "domain panic: <value>" only when asked.
+type panicError struct {
+	value any
+}
+
+func (e *panicError) Error() string { return "domain panic: " + fmt.Sprint(e.value) }
 
 // Config configures a System.
 type Config struct {
@@ -166,6 +181,8 @@ type System struct {
 	// current budgeted Enter preempts (0 = no budget in force). Nested
 	// budgeted enters keep the tighter limit.
 	budgetLimit uint64
+	// trap holds the cause of the trap in flight (see trapSlot).
+	trap trapSlot
 }
 
 // Domain is one isolated domain.
@@ -454,7 +471,7 @@ func (s *System) EnterWithBudget(udi UDI, budget uint64, fn func(*DomainCtx) err
 	d.stats.Entries++
 	s.emit(trace.KindEnter, udi, "")
 
-	err := s.runGuarded(&d.ctx, fn)
+	err, trapped := s.runGuarded(&d.ctx, fn)
 
 	// Leave the domain: restore the caller's PKRU and budget.
 	s.active = s.active[:len(s.active)-1]
@@ -464,8 +481,8 @@ func (s *System) EnterWithBudget(udi UDI, budget uint64, fn func(*DomainCtx) err
 	s.clock.Advance(s.cfg.Cost.WRPKRU)
 
 	if err == nil && s.cfg.IntegrityCheckOnExit {
-		if ierr := d.heap.CheckIntegrity(); ierr != nil {
-			err = &violationSignal{cause: ierr}
+		if err = d.heap.CheckIntegrity(); err != nil {
+			trapped = true
 		}
 	}
 
@@ -482,8 +499,8 @@ func (s *System) EnterWithBudget(udi UDI, budget uint64, fn func(*DomainCtx) err
 		}
 		return &BudgetError{UDI: d.udi, Budget: limit - entry, Used: used, sys: s}
 	}
-	if vs, ok := err.(*violationSignal); ok {
-		return s.rewind(d, snap, vs.cause)
+	if trapped {
+		return s.rewind(d, snap, err)
 	}
 	if err == nil {
 		d.stats.CleanExits++
@@ -492,22 +509,20 @@ func (s *System) EnterWithBudget(udi UDI, budget uint64, fn func(*DomainCtx) err
 	return err
 }
 
-// violationSignal is an internal marker distinguishing "a detector fired"
-// from application errors on the non-panic path.
-type violationSignal struct{ cause error }
-
-func (v *violationSignal) Error() string { return v.cause.Error() }
-
-// runGuarded executes fn, converting violation panics (and any other
-// panic from domain code) into violationSignal errors.
-func (s *System) runGuarded(ctx *DomainCtx, fn func(*DomainCtx) error) (err error) {
+// runGuarded executes fn. trapped reports that a detector fired — a
+// trap, any other panic from domain code, or a returned error that is a
+// memory-safety detection — and err is then its cause. A budget
+// preemption returns a *budgetSignal, untrapped; anything else fn
+// returns passes through untrapped.
+func (s *System) runGuarded(ctx *DomainCtx, fn func(*DomainCtx) error) (err error, trapped bool) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		if vp, ok := r.(violationPanic); ok {
-			err = &violationSignal{cause: vp.cause}
+		if slot, ok := r.(*trapSlot); ok {
+			err, slot.cause = slot.cause, nil
+			trapped = true
 			return
 		}
 		if _, ok := r.(budgetPanic); ok {
@@ -516,13 +531,10 @@ func (s *System) runGuarded(ctx *DomainCtx, fn func(*DomainCtx) error) (err erro
 		}
 		// A Go runtime panic in domain code models an in-domain crash
 		// (e.g. a null dereference compiled into the component).
-		err = &violationSignal{cause: fmt.Errorf("domain panic: %v", r)}
+		err, trapped = &panicError{value: r}, true
 	}()
 	err = fn(ctx)
-	if err != nil && detect.IsViolation(err) {
-		err = &violationSignal{cause: err}
-	}
-	return err
+	return err, err != nil && detect.IsViolation(err)
 }
 
 // discardAndRewind performs the mechanical half of secure rewind and

@@ -652,10 +652,66 @@ func TestRewindCyclesAccessors(t *testing.T) {
 	}
 }
 
-func TestViolationSignalErrorString(t *testing.T) {
-	vs := &violationSignal{cause: errors.New("inner")}
-	if vs.Error() != "inner" {
-		t.Errorf("violationSignal.Error = %q", vs.Error())
+// TestTrapSlotCarriesEachCause: a trap's cause travels to the Enter
+// boundary in its System's trap slot, not in the panic value. A trap in
+// a nested domain rewinds that domain with its own cause; the outer
+// domain's later trap carries the outer cause, not the inner one left
+// behind; and the slot is empty once each trap is recovered.
+func TestTrapSlotCarriesEachCause(t *testing.T) {
+	s := newSys(t)
+	outerD, innerD := mustDomain(t, s, 1), mustDomain(t, s, 2)
+	innerCause, outerCause := errors.New("inner fault"), errors.New("outer fault")
+	err := s.Enter(1, func(c *DomainCtx) error {
+		verr := c.Enter(2, func(c2 *DomainCtx) error {
+			c2.Violate(innerCause)
+			return nil
+		})
+		if v, ok := IsViolation(verr); !ok || v.UDI != 2 || !errors.Is(v.Cause, innerCause) {
+			t.Errorf("nested trap = %v, want domain 2 rewound for the inner fault", verr)
+		}
+		if s.trap.cause != nil {
+			t.Errorf("trap slot still holds %v after the nested rewind", s.trap.cause)
+		}
+		c.Violate(outerCause)
+		return nil
+	})
+	v, ok := IsViolation(err)
+	if !ok || v.UDI != 1 || !errors.Is(v.Cause, outerCause) || errors.Is(v.Cause, innerCause) {
+		t.Fatalf("outer trap = %v, want domain 1 rewound for the outer fault", err)
+	}
+	if s.trap.cause != nil {
+		t.Errorf("trap slot still holds %v after the outer rewind", s.trap.cause)
+	}
+	if outerD.Stats().Rewinds != 1 || innerD.Stats().Rewinds != 1 {
+		t.Errorf("rewinds outer=%d inner=%d, want 1 each", outerD.Stats().Rewinds, innerD.Stats().Rewinds)
+	}
+
+	// A ctx of one System trapping inside another System's Enter: the
+	// innermost Enter rewinds its own domain, and the cause is read from
+	// the System that trapped.
+	other := newSys(t)
+	mustDomain(t, other, 1)
+	err = s.Enter(1, func(c *DomainCtx) error {
+		return other.Enter(1, func(*DomainCtx) error {
+			c.Violate(outerCause)
+			return nil
+		})
+	})
+	if v, ok := IsViolation(err); !ok || !errors.Is(v.Cause, outerCause) || !RewoundBy(err, other, 1) || RewoundBy(err, s, 1) {
+		t.Errorf("cross-System trap = %v, want the other System's domain 1 rewound for the outer fault", err)
+	}
+	if s.trap.cause != nil || other.trap.cause != nil {
+		t.Errorf("trap slots hold %v / %v after the cross-System rewind", s.trap.cause, other.trap.cause)
+	}
+}
+
+// TestPanicCauseRendering: an in-domain Go panic's cause renders as the
+// fmt.Errorf("domain panic: %v", r) it replaced.
+func TestPanicCauseRendering(t *testing.T) {
+	for _, r := range []any{"boom", errors.New("an error value"), 42, nil} {
+		if got, want := (&panicError{value: r}).Error(), fmt.Sprintf("domain panic: %v", r); got != want {
+			t.Errorf("panic %#v renders %q, want %q", r, got, want)
+		}
 	}
 }
 

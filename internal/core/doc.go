@@ -32,9 +32,11 @@
 //     run and at any GOMAXPROCS — the property the campaign oracles
 //     (DESIGN.md §8) and budget preemption (deadlines map to cycle
 //     budgets, not wall-clock timers) are built on.
-//   - Violations never escape as panics: in-domain traps (violationPanic,
-//     budgetPanic) are recovered at the Enter boundary and surface as
-//     typed errors.
+//   - Violations never escape as panics: a trap stores its cause in the
+//     System's trap slot and unwinds with a pointer to that slot (a
+//     budget preemption unwinds with budgetPanic); both are recovered at
+//     the Enter boundary and surface as typed errors. The slot is emptied
+//     on recovery, so each rewind carries its own trap's cause.
 //
 // See DESIGN.md §2 for the simulated-machine substitution argument and
 // §9 for how batched execution shares one Enter across many calls.

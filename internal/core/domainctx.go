@@ -43,9 +43,11 @@ func (c *DomainCtx) Key() pku.Key { return c.d.key }
 // with the nested domain's rights — exactly as on real hardware.
 func (c *DomainCtx) pkru() pku.PKRU { return c.sys.pkru }
 
-// trap aborts the compartment with cause, unwinding to Enter.
+// trap aborts the compartment with cause, unwinding to Enter (see
+// trapSlot).
 func (c *DomainCtx) trap(cause error) {
-	panic(violationPanic{cause: cause})
+	c.sys.trap.cause = cause
+	panic(&c.sys.trap)
 }
 
 // Violate explicitly raises a domain violation, unwinding to the Enter

@@ -134,12 +134,12 @@ func Inject(c *core.DomainCtx, kind Kind, victim mem.Addr) {
 		}
 		c.MustStore64(victim, 0x41414141)
 	case DoubleFree:
+		// The second free hits the freed marker: the allocator refuses
+		// it (ErrBadFree), and MustFree aborts the compartment as
+		// glibc's double-free check aborts the process.
 		p := c.MustAlloc(16)
 		c.MustFree(p)
-		if err := c.Free(p); err != nil {
-			// Invalid free: glibc would abort; we raise a violation.
-			c.Violate(fmt.Errorf("%w: double free: %v", ErrInjected, err))
-		}
+		c.MustFree(p)
 	case NullDeref:
 		c.MustStore64(0, 1)
 	case UseAfterFree:

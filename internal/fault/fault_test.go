@@ -27,7 +27,7 @@ func TestEveryKindIsDetectedAndRewound(t *testing.T) {
 		WildWrite:        {detect.MechSegfault},
 		OOBRead:          {detect.MechSegfault, detect.MechGuardPage},
 		CrossDomainWrite: {detect.MechDomainViolation},
-		DoubleFree:       {detect.MechSegfault}, // explicit Violate classifies as generic
+		DoubleFree:       {detect.MechSegfault}, // a refused free is no substrate detection: generic
 		NullDeref:        {detect.MechSegfault},
 		UseAfterFree:     {detect.MechHeapCanary},
 		FreedHeaderSmash: {detect.MechHeapCanary},
@@ -144,5 +144,39 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(200).String() == "" {
 		t.Error("unknown kind should render")
+	}
+}
+
+// TestContainmentAllocations pins the host garbage of containing each
+// bug class through System.Enter at 2: the *core.ViolationError and its
+// typed cause. Detection, the trap, the rewind and classification
+// allocate nothing more; rendering the error's text is the caller's
+// cost, paid only if it asks.
+func TestContainmentAllocations(t *testing.T) {
+	for _, k := range Kinds() {
+		s := newSys(t)
+		if _, err := s.InitDomain(2, core.DomainConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		var victim mem.Addr
+		if err := s.Enter(2, func(c *core.DomainCtx) error {
+			victim = c.MustAlloc(16)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		attack := func(c *core.DomainCtx) error {
+			Inject(c, k, victim)
+			return nil
+		}
+		contain := func() {
+			if _, ok := core.IsViolation(s.Enter(1, attack)); !ok {
+				t.Fatalf("%v: not contained", k)
+			}
+		}
+		contain() // map the pages the attack and its rewind touch
+		if allocs := testing.AllocsPerRun(50, contain); allocs > 2 {
+			t.Errorf("%v: containing the attack allocates %v times, want at most 2", k, allocs)
+		}
 	}
 }

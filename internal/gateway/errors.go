@@ -1,16 +1,16 @@
 package gateway
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
+	"repro/internal/errtype"
 	"repro/internal/vclock"
 )
 
 // This file defines the gateway's typed-error vocabulary. Every
 // admission rejection is a distinct error type so servers can classify
-// it (errors.As via the Is* helpers, per the errclass lint invariant)
+// it (errtype.As via the Is* helpers, per the errclass lint invariant)
 // and map it onto the right wire response: 401 for authentication, 429
 // with a Retry-After hint for rate/quota/quarantine rejections, and 503
 // while draining. Retry hints are virtual-cycle quantities — derived
@@ -60,11 +60,7 @@ func (e *AuthError) Error() string { return "gateway: unauthorized: " + e.Reason
 
 // IsAuth reports whether err is (or wraps) an *AuthError, returning it.
 func IsAuth(err error) (*AuthError, bool) {
-	var a *AuthError
-	if errors.As(err, &a) {
-		return a, true
-	}
-	return nil, false
+	return errtype.As[*AuthError](err)
 }
 
 // RateLimitError reports a token-bucket rejection: the tenant exceeded
@@ -85,11 +81,7 @@ func (e *RateLimitError) Error() string {
 // IsRateLimit reports whether err is (or wraps) a *RateLimitError,
 // returning it.
 func IsRateLimit(err error) (*RateLimitError, bool) {
-	var r *RateLimitError
-	if errors.As(err, &r) {
-		return r, true
-	}
-	return nil, false
+	return errtype.As[*RateLimitError](err)
 }
 
 // QuotaError reports a per-tenant inflight-quota rejection: the tenant
@@ -112,11 +104,7 @@ func (e *QuotaError) Error() string {
 
 // IsQuota reports whether err is (or wraps) a *QuotaError, returning it.
 func IsQuota(err error) (*QuotaError, bool) {
-	var q *QuotaError
-	if errors.As(err, &q) {
-		return q, true
-	}
-	return nil, false
+	return errtype.As[*QuotaError](err)
 }
 
 // QuarantinedError reports that the circuit breaker has the tenant
@@ -142,11 +130,7 @@ func (e *QuarantinedError) Error() string {
 // IsQuarantined reports whether err is (or wraps) a *QuarantinedError,
 // returning it.
 func IsQuarantined(err error) (*QuarantinedError, bool) {
-	var q *QuarantinedError
-	if errors.As(err, &q) {
-		return q, true
-	}
-	return nil, false
+	return errtype.As[*QuarantinedError](err)
 }
 
 // DrainingError reports that the gateway has stopped admission for a
@@ -158,8 +142,8 @@ func (e *DrainingError) Error() string { return "gateway: draining, admission st
 
 // IsDraining reports whether err is (or wraps) a *DrainingError.
 func IsDraining(err error) bool {
-	var d *DrainingError
-	return errors.As(err, &d)
+	_, ok := errtype.As[*DrainingError](err)
+	return ok
 }
 
 // RetryHintError decorates an admission rejection (the wrapped cause,
@@ -190,8 +174,7 @@ func RetryAfterCycles(err error) (uint64, bool) {
 	// The outermost hint decorator wins: a *RetryHintError may wrap a
 	// hintless cause (e.g. a bare quota error), and its Cycles is the
 	// authoritative quantized value.
-	var h *RetryHintError
-	if errors.As(err, &h) {
+	if h, ok := errtype.As[*RetryHintError](err); ok {
 		return h.Cycles, true
 	}
 	if r, ok := IsRateLimit(err); ok {

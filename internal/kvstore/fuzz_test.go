@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -117,6 +118,12 @@ func FuzzHandleSDRaD(f *testing.F) {
 		if req.Malicious {
 			if !resp.Contained {
 				t.Errorf("malicious request not contained: %+v", resp)
+			}
+			// The violation renders what its fmt form would.
+			if v, ok := core.IsViolation(resp.Err); !ok {
+				t.Errorf("contained request's error %v is no violation", resp.Err)
+			} else if want := fmt.Sprintf("sdrad: domain %d violation (%s): %v", v.UDI, v.Mechanism, v.Cause); v.Error() != want {
+				t.Errorf("violation renders %q, want %q", v.Error(), want)
 			}
 			if sys.Counters().Total() == 0 {
 				t.Error("contained violation recorded no detection")

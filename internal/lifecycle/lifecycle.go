@@ -23,10 +23,11 @@ package lifecycle
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/errtype"
 )
 
 // State is one point in the lifecycle state machine. The zero value is
@@ -113,11 +114,7 @@ func (e *LifecycleError) Error() string {
 // IsLifecycle reports whether err is (or wraps) a *LifecycleError,
 // returning it — the comma-ok classifier for lifecycle rejections.
 func IsLifecycle(err error) (*LifecycleError, bool) {
-	var le *LifecycleError
-	if errors.As(err, &le) {
-		return le, true
-	}
-	return nil, false
+	return errtype.As[*LifecycleError](err)
 }
 
 // Component is the shared lifecycle interface: Init allocates, Start

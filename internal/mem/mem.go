@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
+	"repro/internal/errtype"
 	"repro/internal/pku"
 	"repro/internal/vclock"
 )
@@ -88,22 +90,21 @@ type Fault struct {
 	Key pku.Key
 }
 
-// Error implements error.
+// Error implements error, with the text of
+// fmt.Sprintf("mem: %s fault (%s) at %#x key=%v", op, Kind, Addr, Key).
 func (f *Fault) Error() string {
 	op := "read"
 	if f.Write {
 		op = "write"
 	}
-	return fmt.Sprintf("mem: %s fault (%s) at %#x key=%v", op, f.Kind, uint64(f.Addr), f.Key)
+	var addr [16]byte
+	return "mem: " + op + " fault (" + f.Kind.String() + ") at 0x" +
+		string(strconv.AppendUint(addr[:0], uint64(f.Addr), 16)) + " key=" + f.Key.String()
 }
 
 // IsFault reports whether err is (or wraps) a *Fault, returning it.
 func IsFault(err error) (*Fault, bool) {
-	var f *Fault
-	if errors.As(err, &f) {
-		return f, true
-	}
-	return nil, false
+	return errtype.As[*Fault](err)
 }
 
 // ErrBadRange is returned for invalid map/unmap/protect ranges.

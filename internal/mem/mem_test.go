@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -380,5 +381,24 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.Faults-before.Faults != 1 {
 		t.Errorf("fault counter: %+v", st)
+	}
+}
+
+// TestFaultRendering: a fault renders the text fmt formatted before
+// Error was built from appends.
+func TestFaultRendering(t *testing.T) {
+	for _, f := range []Fault{
+		{Kind: FaultPkey, Addr: 0x5f0c8, Write: true, Key: 3},
+		{Kind: FaultUnmapped, Addr: 0},
+		{Kind: FaultProt, Addr: 1<<64 - 1, Key: 15},
+		{Kind: FaultKind(9), Addr: 0xdead_beef_000, Key: 200},
+	} {
+		op := "read"
+		if f.Write {
+			op = "write"
+		}
+		if got, want := f.Error(), fmt.Sprintf("mem: %s fault (%s) at %#x key=%v", op, f.Kind, uint64(f.Addr), f.Key); got != want {
+			t.Errorf("renders %q, want %q", got, want)
+		}
 	}
 }

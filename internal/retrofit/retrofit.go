@@ -282,8 +282,7 @@ const (
 // budget error or a context deadline/cancellation is preempted, anything
 // else failed. It returns the error the client sees — the typed
 // violation or budget error, else err itself. Call it only when the run
-// returned an error: the typed checks allocate, and a clean request must
-// not pay for them.
+// returned an error; it allocates nothing.
 func (sh *Shell) Classify(err error) (Outcome, error) {
 	if v, ok := core.IsViolation(err); ok {
 		sh.Violations++

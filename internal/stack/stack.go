@@ -19,6 +19,7 @@ package stack
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/mem"
 	"repro/internal/pku"
@@ -143,6 +144,23 @@ func (s *Stack) Push(size int) (Frame, error) {
 	return fr, nil
 }
 
+// smashError reports a clobbered frame canary. It renders its text only
+// when Error is called, so a detection costs one allocation.
+type smashError struct {
+	// At is the canary word's address.
+	At mem.Addr
+}
+
+// Error implements error, with the text of
+// fmt.Errorf("%w: canary at %#x clobbered", ErrStackSmash, At).
+func (e *smashError) Error() string {
+	var at [16]byte
+	return ErrStackSmash.Error() + ": canary at 0x" + string(strconv.AppendUint(at[:0], uint64(e.At), 16)) + " clobbered"
+}
+
+// Unwrap returns ErrStackSmash.
+func (e *smashError) Unwrap() error { return ErrStackSmash }
+
 // Pop validates the frame's canary and releases it. Frames must pop in
 // LIFO order.
 func (s *Stack) Pop(fr Frame) error {
@@ -158,7 +176,7 @@ func (s *Stack) Pop(fr Frame) error {
 		return fmt.Errorf("stack: canary load: %w", err)
 	}
 	if got != s.canary(fr.canaryAt) {
-		return fmt.Errorf("%w: canary at %#x clobbered", ErrStackSmash, uint64(fr.canaryAt))
+		return &smashError{At: fr.canaryAt}
 	}
 	s.frames = s.frames[:len(s.frames)-1]
 	s.sp = top.sp
@@ -177,7 +195,7 @@ func (s *Stack) CheckTop() error {
 		return fmt.Errorf("stack: canary load: %w", err)
 	}
 	if got != s.canary(at) {
-		return fmt.Errorf("%w: canary at %#x clobbered", ErrStackSmash, uint64(at))
+		return &smashError{At: at}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package stack
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -259,5 +260,20 @@ func TestGuardPageNeverTLBResident(t *testing.T) {
 	// And a Push that would cross into the guard is still refused.
 	if _, err := s.Push(s.Remaining() + 1); err == nil {
 		t.Fatal("overflowing Push succeeded")
+	}
+}
+
+// TestSmashErrorRendering: a clobbered canary renders the text its sites
+// formatted with fmt before the error became typed, and unwraps to
+// ErrStackSmash.
+func TestSmashErrorRendering(t *testing.T) {
+	for _, at := range []mem.Addr{0, 0x7ff8, 1<<64 - 1} {
+		e := &smashError{At: at}
+		if got, want := e.Error(), fmt.Errorf("%w: canary at %#x clobbered", ErrStackSmash, uint64(at)).Error(); got != want {
+			t.Errorf("renders %q, want %q", got, want)
+		}
+		if !errors.Is(e, ErrStackSmash) {
+			t.Errorf("%v does not unwrap to ErrStackSmash", e)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/errtype"
 )
 
 // ErrClosed is returned by Submit after Close, and resolves any task
@@ -39,11 +41,7 @@ func (e *OverloadError) Error() string {
 // IsOverload reports whether err is (or wraps) an *OverloadError,
 // returning it.
 func IsOverload(err error) (*OverloadError, bool) {
-	var o *OverloadError
-	if errors.As(err, &o) {
-		return o, true
-	}
-	return nil, false
+	return errtype.As[*OverloadError](err)
 }
 
 // Future is the pending result of a submitted task. It is resolved
