@@ -74,8 +74,9 @@ bench:
 # parser and request path (differential against their Split-based
 # forms), the full SDRaD serve path, bearer-token extraction, the
 # cluster wire codec, the router's bounds check (differential against
-# the codec round trip it replaces) and WAL recovery over an arbitrary
-# tail — plus the containment path: the kv SDRaD request path, whose
+# the codec round trip it replaces), WAL recovery over an arbitrary
+# tail and the WAL record decoder (differential against the record
+# encoder) — plus the containment path: the kv SDRaD request path, whose
 # malicious inputs run detect → trap → rewind → classify, and the
 # allocation-free error classifier (differential against errors.As).
 # `make test` only replays the seed corpora; this explores past them. A
@@ -87,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckRequest$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleSDRaD$$' -fuzztime 10s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzAsMatchesErrorsAs$$' -fuzztime 10s ./internal/errtype
 

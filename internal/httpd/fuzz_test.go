@@ -3,7 +3,6 @@ package httpd
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"strings"
 	"testing"
 
@@ -14,8 +13,9 @@ import (
 // FuzzParse checks the HTTP head parser never panics, that accepted
 // requests satisfy the structural limits, and that parse and
 // requestPath agree with the Split-based forms they replaced
-// (splitParse, splitRequestPath): same fields, same header map, same
-// error text.
+// (splitParse, splitRequestPath): same fields, same error text, and
+// Header finds what the reference's header map holds — every name in
+// it, and no name absent from it.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"GET / HTTP/1.1\r\n\r\n",
@@ -39,6 +39,10 @@ func FuzzParse(f *testing.F) {
 		"GET / HTTP/1.1\nhost: x\r\n\r\n",
 		"GET /healthz HTTP/1.1\r\nauthorization: Bearer a\r\nAuthorization: Bearer b\r\n\r\n",
 		"GET /drainz HTTP/1.1\r\r\r\n\r\n",
+		"GET / HTTP/1.1\r\nx-a: 1\r\nx-b: 2\r\nx-a: 3\r\n\r\n",               // duplicate name: last wins
+		"GET / HTTP/1.1\r\nX-Exploit: 1\r\nHoSt: Mixed\r\n\r\n",              // mixed-case names
+		"GET / HTTP/1.1\r\n  x-pad \t: v \r\n\thost:x\r\n \t: blank\r\n\r\n", // padded names
+		"GET / HTTP/1.1\r\n\xc4\xb0: dotted\r\n\xff: a\r\n\xfe: b\r\n\xe2\x84\xaa: kelvin\r\n\r\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -55,56 +59,78 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if pr.Method != want.Method || pr.Path != want.Path || pr.Proto != want.Proto || !maps.Equal(pr.Headers, want.Headers) {
+		if pr.Method != want.Method || pr.Path != want.Path || pr.Proto != want.Proto {
 			t.Errorf("parse(%q) = %+v, the Split form says %+v", in, pr, want)
+		}
+		for name, value := range want.Headers {
+			if got, ok := pr.Header(name); !ok || got != value {
+				t.Errorf("parse(%q).Header(%q) = %q, %v; the Split form says %q", in, name, got, ok, value)
+			}
+		}
+		absent := "x-absent"
+		for _, sent := want.Headers[absent]; sent; _, sent = want.Headers[absent] {
+			absent += "-"
+		}
+		if got, ok := pr.Header(absent); ok {
+			t.Errorf("parse(%q).Header(%q) = %q for a header the request did not send", in, absent, got)
 		}
 		if pr.Method == "" || !strings.HasPrefix(pr.Path, "/") || !strings.HasPrefix(pr.Proto, "HTTP/") {
 			t.Errorf("accepted malformed request line: %+v", pr)
 		}
-		if len(pr.Headers) > MaxHeaders {
-			t.Errorf("accepted %d headers", len(pr.Headers))
+		if len(want.Headers) > MaxHeaders {
+			t.Errorf("accepted %d headers", len(want.Headers))
 		}
 	})
 }
 
+// splitRequest is what splitParse returns: the request line's fields
+// and the header map parse once built.
+type splitRequest struct {
+	Method  string
+	Path    string
+	Proto   string
+	Headers map[string]string
+}
+
 // splitParse is parse as it was written with strings.Split, kept
-// verbatim as the reference the Cut loop must agree with.
-func splitParse(b []byte) (ParsedRequest, error) {
+// verbatim as the reference the Cut loop must agree with, apart from
+// returning its result as a splitRequest.
+func splitParse(b []byte) (splitRequest, error) {
 	text := string(b)
 	head, _, found := strings.Cut(text, "\r\n\r\n")
 	if !found {
-		return ParsedRequest{}, fmt.Errorf("%w: missing head terminator", ErrMalformed)
+		return splitRequest{}, fmt.Errorf("%w: missing head terminator", ErrMalformed)
 	}
 	lines := strings.Split(head, "\r\n")
 	if len(lines[0]) > MaxRequestLine {
-		return ParsedRequest{}, fmt.Errorf("%w: request line too long", ErrMalformed)
+		return splitRequest{}, fmt.Errorf("%w: request line too long", ErrMalformed)
 	}
 	parts := strings.Split(lines[0], " ")
 	if len(parts) != 3 {
-		return ParsedRequest{}, fmt.Errorf("%w: bad request line %q", ErrMalformed, lines[0])
+		return splitRequest{}, fmt.Errorf("%w: bad request line %q", ErrMalformed, lines[0])
 	}
-	pr := ParsedRequest{
+	pr := splitRequest{
 		Method:  parts[0],
 		Path:    parts[1],
 		Proto:   parts[2],
 		Headers: make(map[string]string, len(lines)-1),
 	}
 	if pr.Method == "" || !strings.HasPrefix(pr.Path, "/") || !strings.HasPrefix(pr.Proto, "HTTP/") {
-		return ParsedRequest{}, fmt.Errorf("%w: bad request line %q", ErrMalformed, lines[0])
+		return splitRequest{}, fmt.Errorf("%w: bad request line %q", ErrMalformed, lines[0])
 	}
 	if len(lines)-1 > MaxHeaders {
-		return ParsedRequest{}, fmt.Errorf("%w: too many headers", ErrMalformed)
+		return splitRequest{}, fmt.Errorf("%w: too many headers", ErrMalformed)
 	}
 	for _, ln := range lines[1:] {
 		if ln == "" {
 			continue
 		}
 		if len(ln) > MaxHeaderLine {
-			return ParsedRequest{}, fmt.Errorf("%w: header line too long", ErrMalformed)
+			return splitRequest{}, fmt.Errorf("%w: header line too long", ErrMalformed)
 		}
 		name, value, found := strings.Cut(ln, ":")
 		if !found || name == "" {
-			return ParsedRequest{}, fmt.Errorf("%w: bad header %q", ErrMalformed, ln)
+			return splitRequest{}, fmt.Errorf("%w: bad header %q", ErrMalformed, ln)
 		}
 		pr.Headers[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
 	}
@@ -155,7 +181,7 @@ func FuzzServeSDRaD(f *testing.F) {
 		srv.HandleFunc("/index.html", []byte("index"))
 
 		pr, perr := parse(in)
-		_, attacked := pr.Headers[AttackHeader]
+		_, attacked := pr.Header(AttackHeader)
 		attacked = attacked && perr == nil
 
 		resp := srv.Serve(0, in)

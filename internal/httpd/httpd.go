@@ -21,6 +21,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	sdrad "repro"
 	"repro/internal/core"
@@ -54,23 +56,60 @@ const AttackHeader = "x-exploit"
 
 // ParsedRequest is the outcome of parsing one HTTP/1.1 request.
 type ParsedRequest struct {
-	Method  string
-	Path    string
-	Proto   string
-	Headers map[string]string
+	Method string
+	Path   string
+	Proto  string
+	// header is the validated header block: the head's lines after the
+	// request line, read by Header.
+	header string
+}
+
+// Header returns the value of header name and whether the request sent
+// it. A sent header matches when its name, trimmed of surrounding white
+// space and lower-cased, equals name; of several that match, the last
+// wins. The value is trimmed of surrounding white space.
+func (pr ParsedRequest) Header(name string) (value string, ok bool) {
+	rest, more := pr.header, pr.header != ""
+	for more {
+		var ln string
+		ln, rest, more = strings.Cut(rest, "\r\n")
+		if ln == "" {
+			continue
+		}
+		h, v, _ := strings.Cut(ln, ":")
+		if lowerEqual(strings.TrimSpace(h), name) {
+			value, ok = strings.TrimSpace(v), true
+		}
+	}
+	return value, ok
+}
+
+// lowerEqual reports whether strings.ToLower(s) == lower without
+// building the lowered string: s is lowered rune by rune, an invalid
+// byte becoming the U+FFFD that strings.ToLower writes for it.
+func lowerEqual(s, lower string) bool {
+	var buf [utf8.UTFMax]byte
+	for _, r := range s {
+		n := utf8.EncodeRune(buf[:], unicode.ToLower(r))
+		if len(lower) < n || lower[:n] != string(buf[:n]) {
+			return false
+		}
+		lower = lower[n:]
+	}
+	return lower == ""
 }
 
 // parse parses an HTTP/1.1 request head from b. It is deliberately
 // strict: any structural error returns ErrMalformed. The head is walked
-// line by line in place; the only garbage is the request's own strings
-// and header map.
+// line by line in place; the only garbage is the one string the head is
+// copied into, which the request's fields and Header read.
 func parse(b []byte) (ParsedRequest, error) {
 	text := string(b)
 	head, _, found := strings.Cut(text, "\r\n\r\n")
 	if !found {
 		return ParsedRequest{}, fmt.Errorf("%w: missing head terminator", ErrMalformed)
 	}
-	line, rest, more := strings.Cut(head, "\r\n")
+	line, header, more := strings.Cut(head, "\r\n")
 	if len(line) > MaxRequestLine {
 		return ParsedRequest{}, fmt.Errorf("%w: request line too long", ErrMalformed)
 	}
@@ -80,12 +119,10 @@ func parse(b []byte) (ParsedRequest, error) {
 		method == "" || !strings.HasPrefix(path, "/") || !strings.HasPrefix(proto, "HTTP/") {
 		return ParsedRequest{}, fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
 	}
-	headers := strings.Count(head, "\r\n")
-	if headers > MaxHeaders {
+	if strings.Count(head, "\r\n") > MaxHeaders {
 		return ParsedRequest{}, fmt.Errorf("%w: too many headers", ErrMalformed)
 	}
-	pr := ParsedRequest{Method: method, Path: path, Proto: proto, Headers: make(map[string]string, headers)}
-	for more {
+	for rest := header; more; {
 		var ln string
 		ln, rest, more = strings.Cut(rest, "\r\n")
 		if ln == "" {
@@ -94,13 +131,11 @@ func parse(b []byte) (ParsedRequest, error) {
 		if len(ln) > MaxHeaderLine {
 			return ParsedRequest{}, fmt.Errorf("%w: header line too long", ErrMalformed)
 		}
-		name, value, found := strings.Cut(ln, ":")
-		if !found || name == "" {
+		if name, _, found := strings.Cut(ln, ":"); !found || name == "" {
 			return ParsedRequest{}, fmt.Errorf("%w: bad header %q", ErrMalformed, ln)
 		}
-		pr.Headers[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
 	}
-	return pr, nil
+	return ParsedRequest{Method: method, Path: path, Proto: proto, header: header}, nil
 }
 
 // Mode selects the server's resilience strategy.
@@ -127,7 +162,9 @@ func (m Mode) String() string {
 // Response is the outcome of serving one request.
 type Response struct {
 	Status int
-	Body   []byte
+	// Body is the response body. A routed page's body is the content
+	// registered for its path, not a copy: read it, never modify it.
+	Body []byte
 	// Err is the transport-level failure, if any.
 	Err error
 	// Latency is the virtual service time.
@@ -182,14 +219,17 @@ type Server struct {
 	// window (native), and the request counters.
 	shell retrofit.Shell
 	// headBuf is the reusable fixed-size response head; parsed is
-	// ServeBatch's per-request parse results. Both are reused from
-	// request to request (the server is single-threaded).
+	// ServeBatch's per-request parses, by batch slot (see runSlot). Both
+	// are reused from request to request (the server is
+	// single-threaded).
 	headBuf []byte
 	parsed  []parseResult
 }
 
-// parseResult is one request's in-domain parse outcome.
+// parseResult is one request's in-domain parse: the raw bytes it reads
+// and the outcome it writes.
 type parseResult struct {
+	raw  []byte
 	pr   ParsedRequest
 	perr error
 }
@@ -201,7 +241,7 @@ func NewServer(sys *core.System, cfg Config) (*Server, error) {
 	sc := retrofit.Config{Name: "httpd", InterArrival: cfg.InterArrival}
 	switch cfg.Mode {
 	case ModeSDRaD:
-		sc.Workers, sc.FirstUDI = cfg.Workers, cfg.FirstWorkerUDI
+		sc.Workers, sc.FirstUDI, sc.Slot = cfg.Workers, cfg.FirstWorkerUDI, s.runSlot
 	case ModeNative:
 	default:
 		return nil, fmt.Errorf("httpd: unknown mode %v", cfg.Mode)
@@ -223,7 +263,9 @@ func (s *Server) Workers() int { return s.shell.Workers() }
 // mode only; see retrofit.Shell.Resize).
 func (s *Server) ResizeWorkers(n int) error { return s.shell.Resize(n) }
 
-// HandleFunc registers static content for GET path.
+// HandleFunc registers static content for GET path. The server keeps
+// content itself and serves it as the body of every routed response, so
+// it must not be modified once registered.
 func (s *Server) HandleFunc(path string, content []byte) {
 	s.routes[path] = content
 }
@@ -274,28 +316,31 @@ func (s *Server) ServeContext(ctx context.Context, clientID int, raw []byte) Res
 // serveSDRaD parses inside the client's parsing domain via the Runner
 // API; routing and content live in the trusted root.
 func (s *Server) serveSDRaD(ctx context.Context, clientID int, raw []byte) Response {
-	var r parseResult
-	verr := s.shell.Do(ctx, clientID, s.parseFn(raw, &r))
+	r := parseResult{raw: raw}
+	verr := s.shell.Do(ctx, clientID, func(c *sdrad.Ctx) error { return s.domainParse(c, &r) })
 	return s.finishSDRaD(clientID, &r, verr)
 }
 
-// parseFn builds the in-domain half of one request: stage the raw bytes
-// into the parsing domain, parse them there, trigger the injected bug
-// on attack-marked requests. The result lands in *r (overwritten on a
+// domainParse is the in-domain half of one request: stage r.raw into
+// the parsing domain, parse it there, trigger the injected bug on
+// attack-marked requests. The outcome lands in r (overwritten on a
 // batch replay — the at-least-once contract). Shared by the serial and
 // batched paths.
-func (s *Server) parseFn(raw []byte, r *parseResult) func(*sdrad.Ctx) error {
-	return func(c *sdrad.Ctx) error {
-		buf, tmp := s.shell.Stage(c, len(raw)+1, raw)
-		r.pr, r.perr = parse(tmp)
-		if r.perr == nil {
-			if _, attacked := r.pr.Headers[AttackHeader]; attacked {
-				fault.Inject(c, s.cfg.AttackKind, 0)
-			}
+func (s *Server) domainParse(c *sdrad.Ctx, r *parseResult) error {
+	buf, tmp := s.shell.Stage(c, len(r.raw)+1, r.raw)
+	r.pr, r.perr = parse(tmp)
+	if r.perr == nil {
+		if _, attacked := r.pr.Header(AttackHeader); attacked {
+			fault.Inject(c, s.cfg.AttackKind, 0)
 		}
-		c.MustFree(buf)
-		return nil
 	}
+	c.MustFree(buf)
+	return nil
+}
+
+// runSlot runs batch slot i's parse (retrofit.Config.Slot).
+func (s *Server) runSlot(c *sdrad.Ctx, i int) error {
+	return s.domainParse(c, &s.parsed[i])
 }
 
 // finishSDRaD classifies a failed parse — a contained exploit answers
@@ -365,7 +410,8 @@ func (s *Server) ServeBatch(batch []BatchRequest) []Response {
 	start := s.shell.BeginBatch(len(batch)) // one pipelined accept/read + write
 	s.parsed = slices.Grow(s.parsed[:0], len(batch))[:len(batch)]
 	for i := range batch {
-		s.shell.Queue(batch[i].Ctx, batch[i].ClientID, s.parseFn(batch[i].Raw, &s.parsed[i]))
+		s.parsed[i].raw = batch[i].Raw
+		s.shell.Queue(batch[i].Ctx, batch[i].ClientID)
 	}
 	verrs := s.shell.RunBatch()
 
@@ -388,7 +434,7 @@ func (s *Server) serveNative(raw []byte) Response {
 	}
 	pr, perr := parse(tmp)
 	if perr == nil {
-		if _, attacked := pr.Headers[AttackHeader]; attacked {
+		if _, attacked := pr.Header(AttackHeader); attacked {
 			// The worker dies and restarts, reloading its content.
 			restart, err := s.shell.Crash(s.ContentBytes())
 			if err == nil {
@@ -407,7 +453,8 @@ func (s *Server) serveNative(raw []byte) Response {
 }
 
 // route resolves the parsed request against the static routing table and
-// charges the content copy.
+// charges the content copy. The body is the registered content itself,
+// capped so an append to it cannot write into the table's array.
 func (s *Server) route(pr ParsedRequest) Response {
 	if pr.Method != "GET" && pr.Method != "HEAD" {
 		return Response{Status: 405}
@@ -421,9 +468,7 @@ func (s *Server) route(pr ParsedRequest) Response {
 	if pr.Method == "HEAD" {
 		return Response{Status: 200}
 	}
-	body := make([]byte, len(content))
-	copy(body, content)
-	return Response{Status: 200, Body: body}
+	return Response{Status: 200, Body: content[:len(content):len(content)]}
 }
 
 // BuildRequest renders a well-formed HTTP/1.1 request for tests and

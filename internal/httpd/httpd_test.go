@@ -20,8 +20,10 @@ func TestParseValidRequest(t *testing.T) {
 	if pr.Method != "GET" || pr.Path != "/index.html" || pr.Proto != "HTTP/1.1" {
 		t.Errorf("parsed = %+v", pr)
 	}
-	if pr.Headers["accept"] != "text/html" || pr.Headers["host"] != "localhost" {
-		t.Errorf("headers = %v", pr.Headers)
+	accept, _ := pr.Header("accept")
+	host, _ := pr.Header("host")
+	if accept != "text/html" || host != "localhost" {
+		t.Errorf("headers: accept %q, host %q", accept, host)
 	}
 }
 
@@ -31,8 +33,8 @@ func TestParseHeaderNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.Headers["x-custom-header"] != "spaced value" {
-		t.Errorf("header = %q", pr.Headers["x-custom-header"])
+	if v, _ := pr.Header("x-custom-header"); v != "spaced value" {
+		t.Errorf("header = %q", v)
 	}
 }
 
@@ -194,7 +196,7 @@ func TestParseAgainstStdlibOracle(t *testing.T) {
 		}
 		for name, vals := range std.Header {
 			want := strings.Join(vals, ", ")
-			if got := ours.Headers[strings.ToLower(name)]; got != want {
+			if got, _ := ours.Header(strings.ToLower(name)); got != want {
 				t.Errorf("corpus %d: header %s = %q vs stdlib %q", i, name, got, want)
 			}
 		}

@@ -104,20 +104,23 @@ func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch 
 }
 
 // connBuffers is the scratch one connection borrows from connPool: the
-// reader its head is read through and the buffer its response is
-// rendered into. Nothing a connection needs outlives its turn with them
-// — the reader is reset to nil before it goes back, the head is a copy
-// — so neither is allocated per connection.
+// reader its head is read through, the buffer the head is read into and
+// the buffer its response is rendered into. Nothing a connection needs
+// outlives its turn with them — the reader is reset to nil before it
+// goes back, and the head goes back only once its request is answered —
+// so none is allocated per connection.
 type connBuffers struct {
-	r   *bufio.Reader
-	out []byte
+	r    *bufio.Reader
+	head []byte
+	out  []byte
 }
 
 var connPool = sync.Pool{New: func() any { return &connBuffers{r: bufio.NewReader(nil)} }}
 
-// maxPooledResponse bounds the response buffer a connection hands back
-// to connPool, so one large page does not stay pinned by the pool.
-const maxPooledResponse = 64 << 10
+// maxPooledBuffer bounds the head and response buffers a connection
+// hands back to connPool, so one large head or page does not stay
+// pinned by the pool.
+const maxPooledBuffer = 64 << 10
 
 // serveConn answers the connection's one request: one head read, one
 // write of the whole response. A head that cannot be read (a client
@@ -126,7 +129,7 @@ const maxPooledResponse = 64 << 10
 func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
 	b := connPool.Get().(*connBuffers)
 	b.r.Reset(conn)
-	raw, err := ReadRequestHead(b.r)
+	raw, err := AppendRequestHead(b.head[:0], b.r)
 	b.r.Reset(nil)
 	if err != nil {
 		n.LogPaced(serve.EventReadFailed, id, "", err)
@@ -134,7 +137,11 @@ func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
 		b.out = appendResponse(b.out[:0], n.dispatch(id, raw))
 		_, _ = conn.Write(b.out) // the peer may be gone; there is no one left to tell
 	}
-	if cap(b.out) > maxPooledResponse {
+	b.head = raw
+	if cap(b.head) > maxPooledBuffer {
+		b.head = nil
+	}
+	if cap(b.out) > maxPooledBuffer {
 		b.out = nil
 	}
 	connPool.Put(b)
@@ -241,51 +248,63 @@ const maxRequestHead = 64 << 10
 // ErrHeadTooLarge rejects a request head over maxRequestHead bytes.
 var ErrHeadTooLarge = errors.New("httpd: request head too large")
 
-// headPrealloc caps the capacity ReadRequestHead gives its copy up
-// front. What is buffered may run past the head (a body, pipelined
-// bytes), and the copy lives as long as the request is queued; a longer
-// head grows it by append.
+// headPrealloc caps the capacity AppendRequestHead gives an empty
+// buffer up front. What is buffered may run past the head (a body,
+// pipelined bytes), and the head lives as long as the request is
+// queued; a longer head grows it by append.
 const headPrealloc = 512
 
-// ReadRequestHead reads bytes up to and including the blank line that
-// terminates an HTTP request head. The cap applies to every buffer-full
-// of a line, not only to complete lines, so a newline-less stream stops
-// within one bufio buffer of it. The head is returned as a copy, sized
-// once from what is buffered when its first line is read (at most
-// headPrealloc): a short head that arrived in one segment costs one
-// allocation.
+// ReadRequestHead reads a request head into a copy of its own: it is
+// AppendRequestHead(nil, r).
 func ReadRequestHead(r *bufio.Reader) ([]byte, error) {
-	var buf []byte
-	lineStart := 0
+	return AppendRequestHead(nil, r)
+}
+
+// AppendRequestHead reads bytes up to and including the blank line that
+// terminates an HTTP request head, appends them to dst and returns the
+// extended slice. The cap applies to every buffer-full of a line, not
+// only to complete lines, so a newline-less stream stops within one
+// bufio buffer of it. A dst with no capacity is sized once from what is
+// buffered when the head's first line is read (at most headPrealloc): a
+// short head that arrived in one segment costs one allocation, and one
+// read into a reused dst none. On error it returns dst as it was given,
+// in whatever array it has grown into.
+func AppendRequestHead(dst []byte, r *bufio.Reader) ([]byte, error) {
+	start, lineStart := len(dst), len(dst)
 	for {
 		chunk, err := r.ReadSlice('\n')
-		if buf == nil {
-			buf = make([]byte, 0, min(len(chunk)+r.Buffered(), headPrealloc))
+		if cap(dst) == 0 {
+			dst = make([]byte, 0, min(len(chunk)+r.Buffered(), headPrealloc))
 		}
-		buf = append(buf, chunk...)
-		if len(buf) > maxRequestHead {
-			return nil, ErrHeadTooLarge
+		dst = append(dst, chunk...)
+		if len(dst)-start > maxRequestHead {
+			return dst[:start], ErrHeadTooLarge
 		}
 		switch {
 		case errors.Is(err, bufio.ErrBufferFull):
 			continue
-		case errors.Is(err, io.EOF) && len(buf) > 0:
-			return buf, nil
+		case errors.Is(err, io.EOF) && len(dst) > start:
+			return dst, nil
 		case err != nil:
-			return nil, err
+			return dst[:start], err
 		}
-		if line := buf[lineStart:]; string(line) == "\r\n" || string(line) == "\n" {
-			return buf, nil
+		if line := dst[lineStart:]; string(line) == "\r\n" || string(line) == "\n" {
+			return dst, nil
 		}
-		lineStart = len(buf)
+		lineStart = len(dst)
 	}
 }
 
 // WriteHTTPResponse renders resp on the wire with Connection: close,
 // including a Retry-After header when the response carries a retry
-// hint, in one Write.
+// hint, in one Write. A writer with an AvailableBuffer method (a
+// bufio.Writer, a bytes.Buffer) is rendered into directly.
 func WriteHTTPResponse(w io.Writer, resp Response) {
-	_, _ = w.Write(appendResponse(nil, resp))
+	var dst []byte
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		dst = ab.AvailableBuffer()
+	}
+	_, _ = w.Write(appendResponse(dst, resp))
 }
 
 // responseHeadroom covers a rendered head with the numbers the server

@@ -3,7 +3,9 @@ package kvstore
 import (
 	"container/list"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/alloc"
@@ -60,29 +62,21 @@ const (
 	recDelete = 'D'
 )
 
-// encodeSet builds a SET record: opcode, key, flags, the absolute
-// virtual expiry, and the value bytes.
+// appendSet appends a SET record to dst: opcode, key, flags, the
+// absolute virtual expiry, and the value bytes.
 //
 //	['S'][u32 keylen][key][u32 flags][i64 expireAt][value...]
-func encodeSet(key string, flags uint32, expireAt time.Duration, val []byte) []byte {
-	out := make([]byte, 0, 1+4+len(key)+4+8+len(val))
-	out = append(out, recSet)
-	var b8 [8]byte
-	binary.LittleEndian.PutUint32(b8[:4], uint32(len(key)))
-	out = append(out, b8[:4]...)
-	out = append(out, key...)
-	binary.LittleEndian.PutUint32(b8[:4], flags)
-	out = append(out, b8[:4]...)
-	binary.LittleEndian.PutUint64(b8[:], uint64(expireAt))
-	out = append(out, b8[:]...)
-	return append(out, val...)
+func appendSet(dst []byte, key string, flags uint32, expireAt time.Duration, val []byte) []byte {
+	dst = slices.Grow(dst, 1+4+len(key)+4+8+len(val))
+	dst = binary.LittleEndian.AppendUint32(append(dst, recSet), uint32(len(key)))
+	dst = binary.LittleEndian.AppendUint32(append(dst, key...), flags)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(expireAt))
+	return append(dst, val...)
 }
 
-// encodeDelete builds a DELETE record: ['D'][key...].
-func encodeDelete(key string) []byte {
-	out := make([]byte, 0, 1+len(key))
-	out = append(out, recDelete)
-	return append(out, key...)
+// appendDelete appends a DELETE record to dst: ['D'][key...].
+func appendDelete(dst []byte, key string) []byte {
+	return append(append(dst, recDelete), key...)
 }
 
 // mutation is one decoded WAL record.
@@ -94,9 +88,16 @@ type mutation struct {
 	value    []byte
 }
 
+// ErrBadRecord marks a committed WAL record that does not decode as a
+// mutation: the log's CRC vouched for its bytes, so it means a writer
+// bug or version skew, and recovery stops rather than guess.
+var ErrBadRecord = errors.New("kvstore: malformed wal record")
+
+// decodeRecord decodes one record appendSet or appendDelete wrote. The
+// key is a copy; the value aliases rec. Every error wraps ErrBadRecord.
 func decodeRecord(rec []byte) (mutation, error) {
 	if len(rec) == 0 {
-		return mutation{}, fmt.Errorf("kvstore: empty wal record")
+		return mutation{}, fmt.Errorf("%w: empty", ErrBadRecord)
 	}
 	switch rec[0] {
 	case recDelete:
@@ -104,12 +105,12 @@ func decodeRecord(rec []byte) (mutation, error) {
 	case recSet:
 		rest := rec[1:]
 		if len(rest) < 4 {
-			return mutation{}, fmt.Errorf("kvstore: wal set record truncated")
+			return mutation{}, fmt.Errorf("%w: set record truncated", ErrBadRecord)
 		}
 		klen := binary.LittleEndian.Uint32(rest)
 		rest = rest[4:]
 		if uint64(len(rest)) < uint64(klen)+12 {
-			return mutation{}, fmt.Errorf("kvstore: wal set record truncated")
+			return mutation{}, fmt.Errorf("%w: set record truncated", ErrBadRecord)
 		}
 		key := string(rest[:klen])
 		rest = rest[klen:]
@@ -117,7 +118,7 @@ func decodeRecord(rec []byte) (mutation, error) {
 		expire := time.Duration(binary.LittleEndian.Uint64(rest[4:12]))
 		return mutation{op: recSet, key: key, flags: flags, expireAt: expire, value: rest[12:]}, nil
 	default:
-		return mutation{}, fmt.Errorf("kvstore: unknown wal opcode %#x", rec[0])
+		return mutation{}, fmt.Errorf("%w: unknown opcode %#x", ErrBadRecord, rec[0])
 	}
 }
 
@@ -354,7 +355,8 @@ func (s *Server) stageSet(key string, flags uint32, val []byte) {
 	if el, ok := s.cache.item[key]; ok {
 		expireAt = el.Value.(*entry).expireAt
 	}
-	s.pending = append(s.pending, encodeSet(key, flags, expireAt, val))
+	s.walBuf = appendSet(s.walBuf, key, flags, expireAt, val)
+	s.walEnds = append(s.walEnds, len(s.walBuf))
 }
 
 // stageDelete stages a DELETE that found its key.
@@ -362,12 +364,16 @@ func (s *Server) stageDelete(key string) {
 	if s.store == nil || s.replaying {
 		return
 	}
-	s.pending = append(s.pending, encodeDelete(key))
+	s.walBuf = appendDelete(s.walBuf, key)
+	s.walEnds = append(s.walEnds, len(s.walBuf))
 }
 
 // flushWAL group-commits the staged records: one Append (one frame, at
 // most one fsync) for everything the resolved batch acknowledged. On
-// the configured cadence it then takes an incremental snapshot.
+// the configured cadence it then takes an incremental snapshot. The
+// records are views into the staging arena, which the next batch
+// reuses: the Store contract is that Append keeps no reference to
+// them.
 //
 // The two failure modes are deliberately asymmetric. A failed Append
 // means the batch's records are NOT durable while its mutations are
@@ -378,12 +384,21 @@ func (s *Server) stageDelete(key string) {
 // degrades to log-only operation (snapErr) and retries on the next
 // cadence point (the Store contract retains the delta).
 func (s *Server) flushWAL() error {
-	if s.store == nil || len(s.pending) == 0 {
+	if s.store == nil || len(s.walEnds) == 0 {
 		return nil
 	}
-	recs := s.pending
-	s.pending = nil
-	if err := s.store.Append(recs); err != nil {
+	lo := 0
+	for _, end := range s.walEnds {
+		s.pending = append(s.pending, s.walBuf[lo:end])
+		lo = end
+	}
+	err := s.store.Append(s.pending)
+	clear(s.pending)
+	s.pending, s.walEnds, s.walBuf = s.pending[:0], s.walEnds[:0], s.walBuf[:0]
+	if cap(s.walBuf) > maxKeptRaw {
+		s.walBuf = nil
+	}
+	if err != nil {
 		err = fmt.Errorf("kvstore: wal commit: %w", err)
 		s.persistErr = err
 		return err

@@ -2,8 +2,13 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -435,5 +440,167 @@ func TestPoolPersistsPerShard(t *testing.T) {
 		if !resp.OK || string(resp.Value) != fmt.Sprintf("val-%d", i) {
 			t.Fatalf("recovered get %d: %+v", i, resp)
 		}
+	}
+}
+
+// referenceEncodeSet, referenceEncodeDelete, referenceEncodeBatch and
+// referenceAppendFrame are the record, batch and frame encoders as they
+// were written before the server staged records in a reused arena and
+// the store framed them in a reused buffer, kept verbatim: the
+// reference the log's bytes are compared against.
+func referenceEncodeSet(key string, flags uint32, expireAt time.Duration, val []byte) []byte {
+	out := make([]byte, 0, 1+4+len(key)+4+8+len(val))
+	out = append(out, recSet)
+	var b8 [8]byte
+	binary.LittleEndian.PutUint32(b8[:4], uint32(len(key)))
+	out = append(out, b8[:4]...)
+	out = append(out, key...)
+	binary.LittleEndian.PutUint32(b8[:4], flags)
+	out = append(out, b8[:4]...)
+	binary.LittleEndian.PutUint64(b8[:], uint64(expireAt))
+	out = append(out, b8[:]...)
+	return append(out, val...)
+}
+
+func referenceEncodeDelete(key string) []byte {
+	out := make([]byte, 0, 1+len(key))
+	out = append(out, recDelete)
+	return append(out, key...)
+}
+
+func referenceEncodeBatch(records [][]byte) []byte {
+	size := 4
+	for _, r := range records {
+		size += 4 + len(r)
+	}
+	out := make([]byte, 0, size)
+	var n [4]byte
+	binary.LittleEndian.PutUint32(n[:], uint32(len(records)))
+	out = append(out, n[:]...)
+	for _, r := range records {
+		binary.LittleEndian.PutUint32(n[:], uint32(len(r)))
+		out = append(out, n[:]...)
+		out = append(out, r...)
+	}
+	return out
+}
+
+func referenceAppendFrame(dst, payload []byte) []byte {
+	var hdr [persist.FrameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	dst = append(dst, hdr[:]...)
+	return append(dst, payload...)
+}
+
+// TestWALMatchesReferenceEncoding: the log a server writes holds
+// exactly the bytes the reference encoders give for what it
+// acknowledged — SETs (with flags and an expiry) and DELETEs that found
+// their key, batched and serial — through a staging arena that is
+// reused, grown past maxKeptRaw by a batch over 64 KiB and dropped.
+func TestWALMatchesReferenceEncoding(t *testing.T) {
+	dir := t.TempDir()
+	srv := newDurableServer(t, dir, 0, nil)
+	del := func(key string) workload.Request { return workload.Request{Op: workload.OpDelete, Key: key} }
+	big := bytes.Repeat([]byte{'v'}, 40<<10)
+	var want []byte
+	for _, c := range []struct {
+		name    string
+		reqs    []workload.Request
+		dropped bool // the staging arena must be gone afterwards
+	}{
+		{"sets and deletes", []workload.Request{
+			{Op: workload.OpSet, Key: "a", Value: []byte("alpha"), Flags: 7, TTL: time.Hour},
+			setReq("b", "beta"),
+			del("missing"),
+			{Op: workload.OpGet, Key: "b"},
+		}, false},
+		{"serial", []workload.Request{setReq("c", "gamma")}, false},
+		{"over 64 KiB", []workload.Request{
+			{Op: workload.OpSet, Key: "d", Value: big},
+			{Op: workload.OpSet, Key: "e", Value: big},
+		}, true},
+		{"after the drop", []workload.Request{setReq("f", ""), del("a"), del("b")}, false},
+	} {
+		batch := make([]BatchRequest, len(c.reqs))
+		for i, req := range c.reqs {
+			batch[i] = BatchRequest{ClientID: i, Req: req}
+		}
+		var records [][]byte
+		for i, resp := range srv.HandleBatch(batch) {
+			req := c.reqs[i]
+			if resp.Err != nil {
+				t.Fatalf("%s: request %d: %v", c.name, i, resp.Err)
+			}
+			switch {
+			case req.Op == workload.OpSet:
+				expireAt := srv.cache.item[req.Key].Value.(*entry).expireAt
+				records = append(records, referenceEncodeSet(req.Key, req.Flags, expireAt, req.Value))
+			case req.Op == workload.OpDelete && resp.OK:
+				records = append(records, referenceEncodeDelete(req.Key))
+			}
+		}
+		want = referenceAppendFrame(want, referenceEncodeBatch(records))
+		if cap(srv.walBuf) > maxKeptRaw || (srv.walBuf == nil) != c.dropped {
+			t.Errorf("%s: staging arena has capacity %d (nil: %v), want it dropped: %v",
+				c.name, cap(srv.walBuf), srv.walBuf == nil, c.dropped)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatalf("read log: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("log is %d bytes that differ from the reference encoding's %d", len(got), len(want))
+	}
+}
+
+// TestDurableCommitAllocations: committing a batch costs no host
+// allocations of its own. A 32-SET HandleBatch with a FileStore
+// attached — staging, group commit, framing and the write — allocates
+// no more than the same batch on a memory-only server.
+func TestDurableCommitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	batch := make([]BatchRequest, 32)
+	for i := range batch {
+		batch[i] = BatchRequest{ClientID: i, Req: setReq(fmt.Sprintf("key-%02d", i), strings.Repeat("v", 100))}
+	}
+	allocs := func(persistDir string) float64 {
+		sys := core.NewSystem(core.DefaultConfig())
+		cache, err := NewCache(sys, 1, 8<<20)
+		if err != nil {
+			t.Fatalf("NewCache: %v", err)
+		}
+		cfg := ServerConfig{Mode: ModeSDRaD, Workers: 2, InterArrival: time.Nanosecond}
+		if persistDir != "" {
+			cfg.Persist = &PersistConfig{Dir: persistDir}
+		}
+		srv, err := NewServer(sys, cache, cfg)
+		if err != nil {
+			t.Fatalf("NewServer: %v", err)
+		}
+		defer func() {
+			if err := srv.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}()
+		serve := func() {
+			for i, resp := range srv.HandleBatch(batch) {
+				if !resp.OK || resp.Err != nil {
+					t.Fatalf("request %d: %+v", i, resp)
+				}
+			}
+		}
+		serve() // warm the shard scratch, the store's buffers and the cache's chunks
+		return testing.AllocsPerRun(50, serve)
+	}
+	memory, durable := allocs(""), allocs(t.TempDir())
+	if durable > memory {
+		t.Errorf("a durable 32-SET batch allocates %v times, a memory-only one %v", durable, memory)
 	}
 }

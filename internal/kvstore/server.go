@@ -132,9 +132,10 @@ type Server struct {
 	// shell owns the worker domains (SDRaD), the scratch heap and restart
 	// window (native, sandbox), and the request counters.
 	shell retrofit.Shell
-	// staged is HandleBatch's per-request "staged WAL records" flags,
-	// reused from batch to batch.
+	// staged is HandleBatch's per-request "staged WAL records" flags and
+	// slots its parse inputs (see runSlot), reused from batch to batch.
 	staged []bool
+	slots  []parseSlot
 	// raw is the reused buffer requests are rendered into for the parse
 	// (appendPayload): one request's bytes on the serial path, a whole
 	// window's on the batched one. See keepRaw.
@@ -143,7 +144,9 @@ type Server struct {
 	// Durability state (nil store = memory-only; see persist.go).
 	store      persist.Store
 	snapEvery  int
-	pending    [][]byte // records staged by apply, flushed per batch
+	walBuf     []byte   // the arena apply stages WAL records into, reused per batch
+	walEnds    []int    // where each staged record ends in walBuf
+	pending    [][]byte // flushWAL's views of the staged records, reused
 	replaying  bool     // recovery replay in progress: do not re-log
 	sinceSnap  int      // committed batches since the last snapshot
 	snapCount  int      // snapshots taken (or restored) this process
@@ -165,7 +168,7 @@ func NewServer(sys *core.System, cache *Cache, cfg ServerConfig) (*Server, error
 	sc := retrofit.Config{Name: "kvstore", InterArrival: cfg.InterArrival}
 	switch cfg.Mode {
 	case ModeSDRaD:
-		sc.Workers, sc.FirstUDI, sc.OnBatch = cfg.Workers, cfg.FirstWorkerUDI, s.observeBatch
+		sc.Workers, sc.FirstUDI, sc.OnBatch, sc.Slot = cfg.Workers, cfg.FirstWorkerUDI, s.observeBatch, s.runSlot
 	case ModeNative, ModeSandbox:
 	default:
 		return nil, fmt.Errorf("kvstore: unknown mode %v", cfg.Mode)
@@ -251,10 +254,10 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// maxKeptRaw bounds the render buffer a server keeps between requests:
-// one that grew past it for a large request or window is dropped
-// afterwards, so a shard does not hold a window of maximum-size values
-// for the rest of its life.
+// maxKeptRaw bounds each buffer a server reuses between requests — the
+// render buffer and the WAL staging arena: one that grew past it for a
+// large request or window is dropped afterwards, so a shard does not
+// hold a window of maximum-size values for the rest of its life.
 const maxKeptRaw = 64 << 10
 
 // keepRaw drops the render buffer if it grew past maxKeptRaw. Call it
@@ -337,22 +340,32 @@ func (s *Server) HandleContext(ctx context.Context, clientID int, req workload.R
 // the Runner API, then applies the operation to the protected cache from
 // the trusted side.
 func (s *Server) handleSDRaD(ctx context.Context, clientID int, req workload.Request, raw []byte) (Response, error) {
-	return s.finishSDRaD(clientID, req, s.shell.Do(ctx, clientID, s.parseFn(req, raw)))
+	verr := s.shell.Do(ctx, clientID, func(c *sdrad.Ctx) error { return s.domainParse(c, raw, req.Malicious) })
+	return s.finishSDRaD(clientID, req, verr)
 }
 
-// parseFn builds the in-domain half of one request: stage the untrusted
+// domainParse is the in-domain half of one request: stage the untrusted
 // bytes into the domain, parse them there, trigger the injected bug on
 // malicious payloads. Shared by the serial and batched paths.
-func (s *Server) parseFn(req workload.Request, raw []byte) func(*sdrad.Ctx) error {
-	return func(c *sdrad.Ctx) error {
-		buf, tmp := s.shell.Stage(c, len(raw), raw)
-		scan(tmp)
-		if req.Malicious {
-			fault.Inject(c, s.cfg.MaliciousKind, 0)
-		}
-		c.MustFree(buf)
-		return nil
+func (s *Server) domainParse(c *sdrad.Ctx, raw []byte, malicious bool) error {
+	buf, tmp := s.shell.Stage(c, len(raw), raw)
+	scan(tmp)
+	if malicious {
+		fault.Inject(c, s.cfg.MaliciousKind, 0)
 	}
+	c.MustFree(buf)
+	return nil
+}
+
+// parseSlot is one batched request's parse input.
+type parseSlot struct {
+	raw       []byte
+	malicious bool
+}
+
+// runSlot runs batch slot i's parse (retrofit.Config.Slot).
+func (s *Server) runSlot(c *sdrad.Ctx, i int) error {
+	return s.domainParse(c, s.slots[i].raw, s.slots[i].malicious)
 }
 
 // finishSDRaD classifies a failed parse or, for clean requests, applies
@@ -427,13 +440,15 @@ func (s *Server) HandleBatch(batch []BatchRequest) []Response {
 	// slice of it; if the arena grows mid-window, the earlier slices keep
 	// the old array, which nothing writes again.
 	s.raw = s.raw[:0]
+	s.slots = slices.Grow(s.slots[:0], len(batch))[:len(batch)]
 	for i := range batch {
 		lo := len(s.raw)
 		s.raw = appendPayload(s.raw, batch[i].Req)
-		raw := s.raw[lo:len(s.raw):len(s.raw)]
-		s.shell.Queue(batch[i].Ctx, batch[i].ClientID, s.parseFn(batch[i].Req, raw))
+		s.slots[i] = parseSlot{raw: s.raw[lo:len(s.raw):len(s.raw)], malicious: batch[i].Req.Malicious}
+		s.shell.Queue(batch[i].Ctx, batch[i].ClientID)
 	}
 	verrs := s.shell.RunBatch()
+	clear(s.slots)
 	s.keepRaw()
 
 	// Apply to the protected cache in arrival order, remembering which
@@ -441,12 +456,12 @@ func (s *Server) HandleBatch(batch []BatchRequest) []Response {
 	s.staged = slices.Grow(s.staged[:0], len(batch))[:len(batch)]
 	staged := s.staged
 	for i, r := range batch {
-		before := len(s.pending)
+		before := len(s.walEnds)
 		resp, err := s.finishSDRaD(r.ClientID, r.Req, verrs[i])
 		if err != nil {
 			resp.Err = err
 		}
-		staged[i] = len(s.pending) > before
+		staged[i] = len(s.walEnds) > before
 		resp.Latency = s.shell.Since(start)
 		out[i] = resp
 	}

@@ -67,7 +67,16 @@ type FileStore struct {
 	recovered *Snapshot
 	records   [][]byte
 	info      RecoveryInfo
+
+	// frame is the buffer Append encodes each frame into, reused from
+	// append to append (see maxKeptFrame).
+	frame []byte
 }
+
+// maxKeptFrame bounds the frame buffer a store keeps between appends:
+// one that grew past it for a large batch is dropped afterwards, so a
+// store does not hold its largest batch for the rest of its life.
+const maxKeptFrame = 64 << 10
 
 // OpenFile opens (creating as needed) the store rooted at dir and
 // performs recovery: it loads the latest committed snapshot, truncates
@@ -233,21 +242,26 @@ func (s *FileStore) KillNextAppend(frac float64) {
 // reaches the file (the store stays usable); a failed write or sync
 // kills the store — the commit offset may now hold a torn partial
 // frame, and committing anything after it would let recovery's
-// first-bad-frame rule truncate those later, acknowledged batches.
+// first-bad-frame rule truncate those later, acknowledged batches. The
+// batch is encoded straight into a frame buffer the store reuses, so
+// an append allocates nothing once that buffer has grown to fit.
 func (s *FileStore) Append(records [][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead {
 		return ErrClosed
 	}
-	payload := EncodeBatch(records)
-	if len(payload) > MaxFrameSize {
+	if size := batchSize(records); size > MaxFrameSize {
 		// Enforced at append time, not just decode time: a frame the
 		// decoder would refuse must never be written, or recovery would
 		// discard it — and everything after it — as a torn tail.
-		return fmt.Errorf("persist: append: %w: %d bytes", ErrFrameTooLarge, len(payload))
+		return fmt.Errorf("persist: append: %w: %d bytes", ErrFrameTooLarge, size)
 	}
-	frame := AppendFrame(nil, payload)
+	s.frame = appendBatchFrame(s.frame[:0], records)
+	frame := s.frame
+	if cap(s.frame) > maxKeptFrame {
+		s.frame = nil // this append still writes frame; the next starts afresh
+	}
 	if s.killFrac >= 0 {
 		n := int(s.killFrac * float64(len(frame)))
 		if n >= len(frame) {

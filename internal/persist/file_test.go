@@ -2,7 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -355,5 +357,96 @@ func TestFileStoreCorruptSnapshotRejected(t *testing.T) {
 	// the rename committed it atomically — so open refuses.
 	if _, err := OpenFile(dir, FileConfig{}); err == nil {
 		t.Fatal("open succeeded on corrupt snapshot")
+	}
+}
+
+// referenceEncodeBatch and referenceAppendFrame are the batch and frame
+// encoders as they were written before Append encoded into a reused
+// frame buffer, kept verbatim: the reference the log's bytes are
+// compared against.
+func referenceEncodeBatch(records [][]byte) []byte {
+	size := 4
+	for _, r := range records {
+		size += 4 + len(r)
+	}
+	out := make([]byte, 0, size)
+	var n [4]byte
+	binary.LittleEndian.PutUint32(n[:], uint32(len(records)))
+	out = append(out, n[:]...)
+	for _, r := range records {
+		binary.LittleEndian.PutUint32(n[:], uint32(len(r)))
+		out = append(out, n[:]...)
+		out = append(out, r...)
+	}
+	return out
+}
+
+func referenceAppendFrame(dst, payload []byte) []byte {
+	var hdr [FrameHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	dst = append(dst, hdr[:]...)
+	return append(dst, payload...)
+}
+
+// TestAppendMatchesReferenceEncoding: the log holds exactly the bytes
+// the reference encoders give for the committed batches — through a
+// frame buffer that is reused, grown past maxKeptFrame and dropped, and
+// left alone by an oversized batch, which is refused with the store
+// still usable.
+func TestAppendMatchesReferenceEncoding(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenFile(dir, FileConfig{})
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
+	}
+	defer func() {
+		if err := st.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	big := bytes.Repeat([]byte{'v'}, 40<<10)
+	mib := make([]byte, 1<<20)
+	oversized := make([][]byte, MaxFrameSize>>20) // 64 × 1 MiB plus framing
+	for i := range oversized {
+		oversized[i] = mib
+	}
+	var want []byte
+	for _, c := range []struct {
+		name    string
+		records [][]byte
+		refused bool // Append must refuse the batch
+		dropped bool // the frame buffer must be gone afterwards
+	}{
+		{"empty batch", nil, false, false},
+		{"small", [][]byte{[]byte("Skey\x00value"), []byte("Dkey")}, false, false},
+		{"reused buffer", [][]byte{[]byte("one")}, false, false},
+		{"over 64 KiB", [][]byte{big, big}, false, true},
+		{"after the drop", [][]byte{[]byte("two"), {}}, false, false},
+		{"oversized", oversized, true, false},
+		{"after the refusal", [][]byte{[]byte("three")}, false, false},
+	} {
+		err := st.Append(c.records)
+		if c.refused {
+			if !errors.Is(err, ErrFrameTooLarge) {
+				t.Fatalf("%s: err = %v, want ErrFrameTooLarge", c.name, err)
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("%s: Append: %v", c.name, err)
+			}
+			want = referenceAppendFrame(want, referenceEncodeBatch(c.records))
+		}
+		if cap(st.frame) > maxKeptFrame || (st.frame == nil) != c.dropped {
+			t.Errorf("%s: frame buffer has capacity %d (nil: %v), want it dropped: %v",
+				c.name, cap(st.frame), st.frame == nil, c.dropped)
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatalf("read log: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("log is %d bytes that differ from the reference encoding's %d", len(got), len(want))
 	}
 }

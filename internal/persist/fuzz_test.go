@@ -22,10 +22,10 @@ import (
 // testdata/fuzz/FuzzWALDecode holds those tail shapes.
 func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(AppendFrame(nil, EncodeBatch(nil)))
-	f.Add(AppendFrame(nil, EncodeBatch([][]byte{[]byte("Skey\x00value")})))
-	two := AppendFrame(nil, EncodeBatch([][]byte{[]byte("a")}))
-	two = AppendFrame(two, EncodeBatch([][]byte{[]byte("b"), []byte("c")}))
+	f.Add(AppendFrame(nil, AppendBatch(nil, nil)))
+	f.Add(AppendFrame(nil, AppendBatch(nil, [][]byte{[]byte("Skey\x00value")})))
+	two := AppendFrame(nil, AppendBatch(nil, [][]byte{[]byte("a")}))
+	two = AppendFrame(two, AppendBatch(nil, [][]byte{[]byte("b"), []byte("c")}))
 	f.Add(two)
 	f.Add(two[:len(two)-3])                           // torn tail
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length
@@ -35,8 +35,8 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(make([]byte, 4096)) // zero fill
 
 	committed := [][]byte{[]byte("Skey-1\x00val-1"), []byte("Dkey-2"), []byte("Skey-3\x00val-3")}
-	prefix := AppendFrame(nil, EncodeBatch(committed[:1]))
-	prefix = AppendFrame(prefix, EncodeBatch(committed[1:]))
+	prefix := AppendFrame(nil, AppendBatch(nil, committed[:1]))
+	prefix = AppendFrame(prefix, AppendBatch(nil, committed[1:]))
 	// One store directory per fuzzing process, rewritten by every input:
 	// inputs run one at a time within a process.
 	dir := f.TempDir()
@@ -71,7 +71,7 @@ func FuzzWALDecode(f *testing.F) {
 				refused = true
 				break
 			}
-			if !bytes.Equal(EncodeBatch(records), payload) {
+			if !bytes.Equal(AppendBatch(nil, records), payload) {
 				t.Fatalf("batch round-trip mismatch")
 			}
 		}

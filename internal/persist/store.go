@@ -44,6 +44,9 @@ type Store interface {
 	// reached the log kills the store (later calls return ErrClosed) —
 	// committing past a possibly-torn frame would let recovery's
 	// first-bad-frame truncation discard acknowledged batches.
+	// Records are only read during the call: the store keeps no
+	// reference to them once Append returns, so the caller may reuse
+	// their bytes for the next batch.
 	Append(records [][]byte) error
 	// Snapshot atomically commits a checkpoint: the metadata blob plus
 	// the page images modified since the previous snapshot (the backend

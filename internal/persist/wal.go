@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // WAL frame format. Each committed batch is exactly one frame:
@@ -25,7 +26,7 @@ const (
 	// FrameHeaderSize is the fixed per-frame overhead in bytes.
 	FrameHeaderSize = 8
 	// batchHeaderSize is a batch payload's record count: the fewest
-	// bytes EncodeBatch writes.
+	// bytes AppendBatch writes.
 	batchHeaderSize = 4
 	// MaxFrameSize bounds one frame's payload, so a corrupt length field
 	// can never drive an over-read or an absurd allocation. 64 MiB holds
@@ -51,11 +52,27 @@ var (
 // AppendFrame appends one framed payload to dst and returns the
 // extended slice.
 func AppendFrame(dst, payload []byte) []byte {
-	var hdr [FrameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(slices.Grow(dst, FrameHeaderSize+len(payload)), make([]byte, FrameHeaderSize)...)
+	return sealFrame(append(dst, payload...), start)
+}
+
+// appendBatchFrame appends records to dst as one framed batch, encoding
+// the batch straight into the frame: the bytes of
+// AppendFrame(dst, AppendBatch(nil, records)) without the payload copy.
+func appendBatchFrame(dst []byte, records [][]byte) []byte {
+	start := len(dst)
+	dst = append(slices.Grow(dst, FrameHeaderSize+batchSize(records)), make([]byte, FrameHeaderSize)...)
+	return sealFrame(AppendBatch(dst, records), start)
+}
+
+// sealFrame fills in the header of the frame that starts at dst[start]
+// and runs to the end of dst: the payload's length and CRC.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+FrameHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // DecodeFrame decodes the first frame of b, returning its payload
@@ -101,7 +118,7 @@ func ScanFrames(b []byte) (payloads [][]byte, valid int, err error) {
 
 // committedPrefix is ScanFrames with recovery's one further rule: a
 // frame whose payload is too short to hold a batch's record count ends
-// the committed prefix like a torn frame. EncodeBatch never writes one,
+// the committed prefix like a torn frame. AppendBatch never writes one,
 // and a crash can leave one behind: a zero-filled tail — the file's
 // size reached disk before its data — decodes as a run of them, since
 // eight zero bytes are a header of length 0 whose CRC (the CRC-32 of
@@ -119,22 +136,25 @@ func committedPrefix(b []byte) (payloads [][]byte, valid int) {
 	return payloads, valid
 }
 
-// EncodeBatch encodes records as one frame payload.
-func EncodeBatch(records [][]byte) []byte {
-	size := 4
+// batchSize is the encoded size of records as a batch payload.
+func batchSize(records [][]byte) int {
+	size := batchHeaderSize
 	for _, r := range records {
 		size += 4 + len(r)
 	}
-	out := make([]byte, 0, size)
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(records)))
-	out = append(out, n[:]...)
+	return size
+}
+
+// AppendBatch appends records to dst as one frame payload and returns
+// the extended slice. dst grows at most once.
+func AppendBatch(dst []byte, records [][]byte) []byte {
+	dst = slices.Grow(dst, batchSize(records))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(records)))
 	for _, r := range records {
-		binary.LittleEndian.PutUint32(n[:], uint32(len(r)))
-		out = append(out, n[:]...)
-		out = append(out, r...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r)))
+		dst = append(dst, r...)
 	}
-	return out
+	return dst
 }
 
 // DecodeBatch decodes a frame payload back into its records (aliasing

@@ -97,7 +97,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		{[]byte("a"), {}, []byte("ccc")},
 	}
 	for ci, records := range cases {
-		payload := EncodeBatch(records)
+		payload := AppendBatch(nil, records)
 		got, err := DecodeBatch(payload)
 		if err != nil {
 			t.Fatalf("case %d: DecodeBatch: %v", ci, err)
@@ -118,8 +118,8 @@ func TestDecodeBatchMalformed(t *testing.T) {
 		"empty":           {},
 		"short header":    {1, 0},
 		"absurd count":    {0xff, 0xff, 0xff, 0xff},
-		"record torn":     append(EncodeBatch([][]byte{[]byte("abcdef")})[:8], 0x01),
-		"trailing":        append(EncodeBatch([][]byte{[]byte("x")}), 0x00),
+		"record torn":     append(AppendBatch(nil, [][]byte{[]byte("abcdef")})[:8], 0x01),
+		"trailing":        append(AppendBatch(nil, [][]byte{[]byte("x")}), 0x00),
 		"count too large": {2, 0, 0, 0, 1, 0, 0, 0, 'x'},
 	}
 	for name, payload := range cases {

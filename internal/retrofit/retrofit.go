@@ -69,6 +69,10 @@ type Config struct {
 	// OnBatch, when set, observes every worker batch's resolution
 	// (sdrad.Domain.OnBatch).
 	OnBatch func(sdrad.BatchReport)
+	// Slot is the in-domain call of a batched request: the i-th Queue of
+	// a batch runs Slot(c, i). The server keeps the batch's requests by
+	// position, so queueing one builds no closure.
+	Slot func(c *sdrad.Ctx, i int) error
 }
 
 // Shell is the SDRaD half of one server. Create with New; not safe for
@@ -81,6 +85,7 @@ type Shell struct {
 	first        core.UDI
 	interArrival time.Duration
 	onBatch      func(sdrad.BatchReport)
+	slot         func(*sdrad.Ctx, int) error
 
 	workers []*sdrad.Domain
 	scratch *alloc.Heap // native shells only
@@ -96,6 +101,9 @@ type Shell struct {
 	groups []group
 	queued int
 	verrs  []error
+	// slotFns[i] is batch slot i's call, slot(c, i): built the first
+	// time a batch reaches slot i, reused by every later batch.
+	slotFns []func(*sdrad.Ctx) error
 }
 
 // group is one worker domain's share of a batch.
@@ -112,6 +120,7 @@ func New(sys *core.System, cfg Config) (Shell, error) {
 		first:        cfg.FirstUDI,
 		interArrival: cfg.InterArrival,
 		onBatch:      cfg.OnBatch,
+		slot:         cfg.Slot,
 	}
 	if cfg.Workers > 0 {
 		return sh, sh.grow(cfg.Workers)
@@ -226,15 +235,19 @@ func (sh *Shell) Do(ctx context.Context, clientID int, fn func(*sdrad.Ctx) error
 	return sh.workers[clientID%len(sh.workers)].Do(ctx, fn)
 }
 
-// Queue adds one call to the batch RunBatch runs next: fn in client
+// Queue adds the next call to the batch RunBatch runs next: the i-th
+// Queue since the last RunBatch runs Config.Slot(c, i) in client
 // clientID's worker domain, under ctx (nil means no deadline).
-func (sh *Shell) Queue(ctx context.Context, clientID int, fn func(*sdrad.Ctx) error) {
+func (sh *Shell) Queue(ctx context.Context, clientID int) {
 	if n := len(sh.workers); len(sh.groups) < n {
 		sh.groups = append(sh.groups, make([]group, n-len(sh.groups))...)
 	}
+	if i := sh.queued; i == len(sh.slotFns) {
+		sh.slotFns = append(sh.slotFns, func(c *sdrad.Ctx) error { return sh.slot(c, i) })
+	}
 	g := &sh.groups[clientID%len(sh.workers)]
 	g.at = append(g.at, sh.queued)
-	g.items = append(g.items, sdrad.BatchItem{Ctx: ctx, Fn: fn})
+	g.items = append(g.items, sdrad.BatchItem{Ctx: ctx, Fn: sh.slotFns[sh.queued]})
 	sh.queued++
 }
 
