@@ -22,12 +22,14 @@ check: fmt vet lint build test race test-lifecycle test-cluster report-check
 # flush-rule and settle-rule batteries (kvd and cluster) with the
 # settle rule's exceptions (demotion after a detection, gateway
 # barriers, overload retry, the window's allocation pin), the
-# frontend's Submit/Wait and serve.Buffer's settle hook, the
-# pipelined-vs-serial kvd session, and the retrofit shell's table run
-# against both servers (TestResizableShell: resize bounds and key reuse,
-# the native restart window, the failed-run classifier).
+# frontend's Submit/Wait and serve.Buffer's settle hook, call and task
+# recycling (a reused task gets its own outcome, published once; the
+# recycling hammer), the pipelined-vs-serial kvd session, and the
+# retrofit shell's table run against both servers (TestResizableShell:
+# resize bounds and key reuse, the native restart window, the failed-run
+# classifier).
 test-lifecycle:
-	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestBuffer|TestPipelinedWindow' ./...
+	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow' ./...
 
 # Cluster tier gate (DESIGN.md §14): rendezvous placement, lease
 # membership, crash/rolling/partition state-machine tests, the wire

@@ -3,7 +3,6 @@ package sdrad
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/detect"
 )
 
@@ -69,9 +68,6 @@ type batchCall struct {
 // simulated machine. The caller must hold whatever lock confines that
 // machine for the whole batch (including replays).
 type batchBackend struct {
-	// sys and udi identify the domain, for rewind attribution.
-	sys *core.System
-	udi core.UDI
 	// hz converts context deadlines to cycle budgets.
 	hz uint64
 	// persistent marks Domain-style backends whose heap survives clean
@@ -85,6 +81,15 @@ type batchBackend struct {
 	// serial executes one call through the backend's full serial path —
 	// per-call budget, retries, fallback — on the same worker.
 	serial func(c *batchCall) error
+
+	// run's working state: the calls that enter the domain, and where
+	// and how the in-domain loop stopped early. body is that loop
+	// (inDomain), bound once. A backend kept from batch to batch — a
+	// Domain keeps one — therefore runs a batch without allocating.
+	live   []*batchCall
+	appIdx int
+	appErr error
+	body   func(*Ctx) error
 }
 
 // batchReport describes how a batch resolved, for metrics.
@@ -136,7 +141,7 @@ func minBudget(calls []*batchCall, hz uint64) uint64 {
 func (b *batchBackend) run(calls []*batchCall) batchReport {
 	// Calls whose context is already done never enter a domain, exactly
 	// like the serial path's pre-attempt check.
-	live := calls[:0:0]
+	live := b.live[:0]
 	for _, c := range calls {
 		if err := c.ctx.Err(); err != nil {
 			c.err = err
@@ -144,6 +149,7 @@ func (b *batchBackend) run(calls []*batchCall) batchReport {
 		}
 		live = append(live, c)
 	}
+	b.live = live
 	if len(live) == 0 {
 		return batchReport{Committed: true}
 	}
@@ -153,24 +159,13 @@ func (b *batchBackend) run(calls []*batchCall) batchReport {
 		return batchReport{Replayed: 1}
 	}
 
-	appIdx := -1
-	var appErr error
-	enterErr := b.enter(minBudget(live, b.hz), func(c *Ctx) error {
-		for i, call := range live {
-			if err := call.fn(c); err != nil {
-				appIdx = i
-				if detect.IsViolation(err) {
-					// A substrate fault propagated as a return value: hand
-					// it to Enter, which classifies and rewinds exactly as
-					// the serial path would (runGuarded's conversion).
-					return err
-				}
-				appErr = err
-				return nil // exit the batch early; the sweep still runs
-			}
-		}
-		return nil
-	})
+	if b.body == nil {
+		b.body = b.inDomain
+	}
+	b.appIdx, b.appErr = -1, nil
+	enterErr := b.enter(minBudget(live, b.hz), b.body)
+	appIdx, appErr := b.appIdx, b.appErr
+	b.appErr = nil
 
 	if enterErr != nil {
 		// A detection aborted the batch (or the enter itself was
@@ -230,4 +225,24 @@ func (b *batchBackend) run(calls []*batchCall) batchReport {
 		c.err = b.serial(c)
 	}
 	return batchReport{Committed: false, Replayed: len(live) - appIdx}
+}
+
+// inDomain is the batch's single domain entry: it runs the live calls
+// back to back and stops at the first error, recording where (appIdx)
+// and, for an application error, what (appErr).
+func (b *batchBackend) inDomain(c *Ctx) error {
+	for i, call := range b.live {
+		if err := call.fn(c); err != nil {
+			b.appIdx = i
+			if detect.IsViolation(err) {
+				// A substrate fault propagated as a return value: hand
+				// it to Enter, which classifies and rewinds exactly as
+				// the serial path would (runGuarded's conversion).
+				return err
+			}
+			b.appErr = err
+			return nil // exit the batch early; the sweep still runs
+		}
+	}
+	return nil
 }

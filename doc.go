@@ -109,7 +109,8 @@
 // amortized cost; any detection rewinds the domain and re-derives every
 // call's outcome through the serial path (the replay rule), so fault
 // isolation, retries, and fallbacks behave per call. The synchronous
-// doors Domain.DoBatch, Domain.DoBatchItems, and Pool.DoBatch expose
+// doors Domain.DoBatch, Domain.DoBatchItems (Domain.AppendBatchItems
+// for a caller that reuses its result slice), and Pool.DoBatch expose
 // the same engine for callers that already hold a batch. Because an
 // aborted batch re-executes its calls, batched fns are under the same
 // at-least-once contract as WithRetries. See DESIGN.md §9 for queue

@@ -219,11 +219,12 @@ type Server struct {
 	// window (native), and the request counters.
 	shell retrofit.Shell
 	// headBuf is the reusable fixed-size response head; parsed is
-	// ServeBatch's per-request parses, by batch slot (see runSlot). Both
-	// are reused from request to request (the server is
-	// single-threaded).
+	// ServeBatch's per-request parses, by batch slot (see runSlot), and
+	// out its responses. All are reused from request to request (the
+	// server is single-threaded).
 	headBuf []byte
 	parsed  []parseResult
+	out     []Response
 }
 
 // parseResult is one request's in-domain parse: the raw bytes it reads
@@ -395,9 +396,12 @@ type BatchRequest struct {
 // (Domain.DoBatchItems; a faulting group transparently re-derives
 // outcomes serially, so per-request results match serial ServeContext).
 // Routing runs in arrival order after the parses. Native mode falls
-// back to per-request handling.
+// back to per-request handling. The returned slice is the server's: it
+// holds the responses until the next ServeBatch.
 func (s *Server) ServeBatch(batch []BatchRequest) []Response {
-	out := make([]Response, len(batch))
+	clear(s.out)
+	s.out = slices.Grow(s.out[:0], len(batch))[:len(batch)]
+	out := s.out
 	if len(batch) == 0 {
 		return out
 	}

@@ -43,9 +43,7 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 			for _, c := range calls {
 				batch = append(batch, BatchRequest{Ctx: c.Ctx, ClientID: c.ClientID, Raw: c.Req})
 			}
-			for i, resp := range p.serveBatch(si, batch) {
-				calls[i].Resp = resp
-			}
+			p.serveBatch(si, batch, func(i int, resp Response) { calls[i].Resp = resp })
 			clear(batch)
 			scratch[si] = batch
 		},

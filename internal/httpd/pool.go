@@ -87,13 +87,17 @@ func (p *Pool) ServeContext(ctx context.Context, clientID int, raw []byte) Respo
 }
 
 // serveBatch serves a batch of requests on worker si as one pipelined
-// unit (Server.ServeBatch) under the worker lock. The batched
-// NetServer's per-worker submission queues pick si.
-func (p *Pool) serveBatch(si int, batch []BatchRequest) []Response {
+// unit (Server.ServeBatch) under the worker lock, and hands each
+// response to put before releasing it: the server reuses its response
+// slice in its next batch. The batched NetServer's per-worker
+// submission queues pick si.
+func (p *Pool) serveBatch(si int, batch []BatchRequest, put func(i int, resp Response)) {
 	p.inflight[si].Add(int64(len(batch)))
 	defer p.inflight[si].Add(-int64(len(batch)))
 	sh := p.Shards[si]
 	sh.Lock()
 	defer sh.Unlock()
-	return sh.Srv.ServeBatch(batch)
+	for i, resp := range sh.Srv.ServeBatch(batch) {
+		put(i, resp)
+	}
 }

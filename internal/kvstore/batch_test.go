@@ -285,7 +285,7 @@ func TestRenderBufferBounded(t *testing.T) {
 		if cap(srv.raw) > maxKeptRaw {
 			t.Errorf("%s: kept a %d-byte render buffer, want at most %d", tc.name, cap(srv.raw), maxKeptRaw)
 		}
-		if v, hit, err := cache.Get("big"); err != nil || !hit || len(v) != maxKeptRaw {
+		if v, _, hit, err := cache.Get("big"); err != nil || !hit || len(v) != maxKeptRaw {
 			t.Errorf("%s: the large SET did not land: %d bytes, hit=%v, err=%v", tc.name, len(v), hit, err)
 		}
 	}

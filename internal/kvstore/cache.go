@@ -97,30 +97,31 @@ func (c *Cache) StorageUDI() core.UDI { return c.dom.UDI() }
 // to verify workers cannot touch it).
 func (c *Cache) StorageKey() mem.Addr { return mem.Addr(c.dom.Key()) }
 
-// Get returns a copy of the value for key, with a hit flag. Expired
-// items are lazily removed and count as misses (memcached semantics).
-func (c *Cache) Get(key string) ([]byte, bool, error) {
+// Get returns a copy of the value for key and the flags word stored
+// with it, with a hit flag (a miss has flags 0). Expired items are
+// lazily removed and count as misses (memcached semantics).
+func (c *Cache) Get(key string) (val []byte, flags uint32, hit bool, err error) {
 	el, ok := c.item[key]
 	if !ok {
 		c.misses++
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
 	e := el.Value.(*entry)
 	if e.expireAt > 0 && c.sys.Clock().Now() >= e.expireAt {
 		if err := c.removeElement(el); err != nil {
-			return nil, false, err
+			return nil, 0, false, err
 		}
 		c.expired++
 		c.misses++
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
-	val, err := c.sys.CopyFromDomain(e.addr, e.size)
+	val, err = c.sys.CopyFromDomain(e.addr, e.size)
 	if err != nil {
-		return nil, false, fmt.Errorf("kvstore: get %q: %w", key, err)
+		return nil, 0, false, fmt.Errorf("kvstore: get %q: %w", key, err)
 	}
 	c.lru.MoveToFront(el)
 	c.hits++
-	return val, true, nil
+	return val, e.flags, true, nil
 }
 
 // Set stores a copy of val under key, evicting LRU items as needed.
@@ -202,14 +203,6 @@ func (c *Cache) place(key string, val []byte) (mem.Addr, error) {
 		return 0, fmt.Errorf("kvstore: set %q: %w", key, err)
 	}
 	return addr, nil
-}
-
-// Flags returns the flags word stored with key (0 when absent).
-func (c *Cache) Flags(key string) uint32 {
-	if el, ok := c.item[key]; ok {
-		return el.Value.(*entry).flags
-	}
-	return 0
 }
 
 // Delete removes key, reporting whether it was present.

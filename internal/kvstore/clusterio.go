@@ -106,9 +106,7 @@ func (p *Pool) HandleBatchMixed(batch []BatchRequest) []Response {
 		for k, i := range idxs {
 			sub[k] = batch[i]
 		}
-		for k, resp := range p.handleBatch(si, sub) {
-			out[idxs[k]] = resp
-		}
+		p.handleBatch(si, sub, func(k int, resp Response) { out[idxs[k]] = resp })
 	}
 	return out
 }

@@ -130,7 +130,7 @@ func FuzzHandleSDRaD(f *testing.F) {
 			if sys.Counters().Total() == 0 {
 				t.Error("contained violation recorded no detection")
 			}
-			if _, hit, _ := cache.Get(req.Key); hit {
+			if _, _, hit, _ := cache.Get(req.Key); hit {
 				t.Error("malicious SET reached the cache")
 			}
 		} else if resp.Contained {

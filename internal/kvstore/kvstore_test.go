@@ -26,18 +26,18 @@ func TestCacheSetGetDelete(t *testing.T) {
 	if err := c.Set("a", []byte("hello")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
-	v, hit, err := c.Get("a")
+	v, _, hit, err := c.Get("a")
 	if err != nil || !hit || !bytes.Equal(v, []byte("hello")) {
 		t.Fatalf("Get = %q, %v, %v", v, hit, err)
 	}
-	if _, hit, _ := c.Get("missing"); hit {
+	if _, _, hit, _ := c.Get("missing"); hit {
 		t.Error("phantom hit")
 	}
 	found, err := c.Delete("a")
 	if err != nil || !found {
 		t.Fatalf("Delete = %v, %v", found, err)
 	}
-	if _, hit, _ := c.Get("a"); hit {
+	if _, _, hit, _ := c.Get("a"); hit {
 		t.Error("deleted key still present")
 	}
 	if found, _ := c.Delete("a"); found {
@@ -53,7 +53,7 @@ func TestCacheReplace(t *testing.T) {
 	c, _ := newCache(t, 1<<20)
 	_ = c.Set("k", []byte("old"))
 	_ = c.Set("k", []byte("newer"))
-	v, hit, _ := c.Get("k")
+	v, _, hit, _ := c.Get("k")
 	if !hit || string(v) != "newer" {
 		t.Errorf("replace failed: %q", v)
 	}
@@ -93,8 +93,8 @@ func TestCacheOverwriteInPlace(t *testing.T) {
 		t.Errorf("overwrite took %d cycles, delete+set %d", got, want)
 	}
 	sys.Clock().AdvanceTime(2 * time.Second) // past the first SET's TTL
-	if v, hit, err := c.Get("k"); err != nil || !hit || !bytes.Equal(v, v2) || c.Flags("k") != 7 {
-		t.Errorf("after overwrite: %q hit=%v flags=%d err=%v", v, hit, c.Flags("k"), err)
+	if v, flags, hit, err := c.Get("k"); err != nil || !hit || !bytes.Equal(v, v2) || flags != 7 {
+		t.Errorf("after overwrite: %q hit=%v flags=%d err=%v", v, hit, flags, err)
 	}
 	if c.Items() != 1 || c.Bytes() != uint64(len(v2)) {
 		t.Errorf("Items = %d, Bytes = %d", c.Items(), c.Bytes())
@@ -114,16 +114,16 @@ func TestCacheOverwriteInPlace(t *testing.T) {
 	}
 	_ = small.Set("a", v) // "a" is now the most recently used
 	_ = small.Set("d", v) // evicts "b"
-	if _, hit, _ := small.Get("b"); hit {
+	if _, _, hit, _ := small.Get("b"); hit {
 		t.Error("LRU item survived eviction")
 	}
-	if _, hit, _ := small.Get("a"); !hit {
+	if _, _, hit, _ := small.Get("a"); !hit {
 		t.Error("overwritten item was evicted before older ones")
 	}
 	if err := small.Set("a", make([]byte, 1024)); err != nil {
 		t.Fatalf("overwrite filling the cache: %v", err)
 	}
-	if got, hit, _ := small.Get("a"); !hit || len(got) != 1024 || small.Items() != 1 || small.Bytes() != 1024 {
+	if got, _, hit, _ := small.Get("a"); !hit || len(got) != 1024 || small.Items() != 1 || small.Bytes() != 1024 {
 		t.Errorf("after a cache-filling overwrite: hit=%v len=%d items=%d bytes=%d", hit, len(got), small.Items(), small.Bytes())
 	}
 }
@@ -133,7 +133,7 @@ func TestCacheEmptyValue(t *testing.T) {
 	if err := c.Set("empty", nil); err != nil {
 		t.Fatalf("Set(nil): %v", err)
 	}
-	v, hit, err := c.Get("empty")
+	v, _, hit, err := c.Get("empty")
 	if err != nil || !hit || len(v) != 0 {
 		t.Errorf("Get = %q, %v, %v", v, hit, err)
 	}
@@ -146,12 +146,12 @@ func TestCacheLRUEviction(t *testing.T) {
 	_ = c.Set("b", v)
 	_ = c.Set("c", v)
 	// Touch "a" so "b" is LRU.
-	_, _, _ = c.Get("a")
+	_, _, _, _ = c.Get("a")
 	_ = c.Set("d", v) // evicts "b"
-	if _, hit, _ := c.Get("b"); hit {
+	if _, _, hit, _ := c.Get("b"); hit {
 		t.Error("LRU item survived eviction")
 	}
-	if _, hit, _ := c.Get("a"); !hit {
+	if _, _, hit, _ := c.Get("a"); !hit {
 		t.Error("recently-used item was evicted")
 	}
 	if c.Stats().Evictions == 0 {
@@ -180,7 +180,7 @@ func TestCacheFlush(t *testing.T) {
 	if c.Items() != 0 || c.Bytes() != 0 {
 		t.Error("flush incomplete")
 	}
-	if _, hit, _ := c.Get("a"); hit {
+	if _, _, hit, _ := c.Get("a"); hit {
 		t.Error("item survived flush")
 	}
 	// Cache usable after flush.
@@ -313,15 +313,15 @@ func TestTTLExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Before expiry: hit.
-	if _, hit, _ := c.Get("ephemeral"); !hit {
+	if _, _, hit, _ := c.Get("ephemeral"); !hit {
 		t.Fatal("item expired too early")
 	}
 	// Advance virtual time past the TTL.
 	sys.Clock().AdvanceTime(11 * time.Second)
-	if _, hit, _ := c.Get("ephemeral"); hit {
+	if _, _, hit, _ := c.Get("ephemeral"); hit {
 		t.Error("item survived its TTL")
 	}
-	if _, hit, _ := c.Get("forever"); !hit {
+	if _, _, hit, _ := c.Get("forever"); !hit {
 		t.Error("non-TTL item vanished")
 	}
 	st := c.Stats()
@@ -343,7 +343,7 @@ func TestTTLReplaceResetsExpiry(t *testing.T) {
 	sys.Clock().AdvanceTime(900 * time.Millisecond)
 	_ = c.SetTTL("k", []byte("v2"), time.Second) // replace: fresh TTL
 	sys.Clock().AdvanceTime(500 * time.Millisecond)
-	v, hit, err := c.Get("k")
+	v, _, hit, err := c.Get("k")
 	if err != nil || !hit || string(v) != "v2" {
 		t.Errorf("Get = %q, %v, %v (replace should reset expiry)", v, hit, err)
 	}
@@ -450,7 +450,7 @@ func TestWorkersCannotTouchCacheStorage(t *testing.T) {
 		t.Fatalf("worker read of cache storage = %v, want violation", verr)
 	}
 	// Data unchanged.
-	v, hit, _ := cache.Get("secret")
+	v, _, hit, _ := cache.Get("secret")
 	if !hit || string(v) != "cache payload" {
 		t.Errorf("cache damaged: %q %v", v, hit)
 	}

@@ -46,9 +46,7 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 			for _, c := range calls {
 				batch = append(batch, BatchRequest{Ctx: c.Ctx, ClientID: c.ClientID, Req: c.Req})
 			}
-			for i, resp := range p.handleBatch(si, batch) {
-				calls[i].Resp = resp
-			}
+			p.handleBatch(si, batch, func(i int, resp Response) { calls[i].Resp = resp })
 			clear(batch)
 			scratch[si] = batch
 		},
@@ -237,11 +235,8 @@ func (c *commandLoop) settle() error {
 // detection, and renders it unless the loop already failed.
 func (c *commandLoop) reply(req workload.Request, p *serve.Pending[workload.Request, Response]) {
 	resp := c.f.Wait(p)
-	c.demoted = c.demoted || resp.Contained
-	if resp.Err != nil { // IsBudget allocates: classify errors only
-		_, preempted := core.IsBudget(resp.Err)
-		c.demoted = c.demoted || preempted
-	}
+	_, preempted := core.IsBudget(resp.Err)
+	c.demoted = c.demoted || resp.Contained || preempted
 	if c.err == nil {
 		c.err = c.s.Reply(c.w, req, resp)
 	}

@@ -282,14 +282,17 @@ func (p *Pool) HandleContext(ctx context.Context, clientID int, req workload.Req
 }
 
 // handleBatch serves a batch of requests that all hash to shard si as
-// one pipelined unit (Server.HandleBatch) under the shard lock. The
-// batched NetServer's per-shard submission queues uphold the
-// same-shard precondition.
-func (p *Pool) handleBatch(si int, batch []BatchRequest) []Response {
+// one pipelined unit (Server.HandleBatch) under the shard lock, and
+// hands each response to put before releasing it: the server reuses its
+// response slice in its next batch. The batched NetServer's per-shard
+// submission queues uphold the same-shard precondition.
+func (p *Pool) handleBatch(si int, batch []BatchRequest, put func(i int, resp Response)) {
 	sh := p.Shards[si]
 	sh.Lock()
 	defer sh.Unlock()
-	return sh.Srv.HandleBatch(batch)
+	for i, resp := range sh.Srv.HandleBatch(batch) {
+		put(i, resp)
+	}
 }
 
 // Stats aggregates the shards' counters (the batch resolutions are

@@ -132,10 +132,12 @@ type Server struct {
 	// shell owns the worker domains (SDRaD), the scratch heap and restart
 	// window (native, sandbox), and the request counters.
 	shell retrofit.Shell
-	// staged is HandleBatch's per-request "staged WAL records" flags and
-	// slots its parse inputs (see runSlot), reused from batch to batch.
+	// staged is HandleBatch's per-request "staged WAL records" flags,
+	// slots its parse inputs (see runSlot) and out its responses, reused
+	// from batch to batch.
 	staged []bool
 	slots  []parseSlot
+	out    []Response
 	// raw is the reused buffer requests are rendered into for the parse
 	// (appendPayload): one request's bytes on the serial path, a whole
 	// window's on the batched one. See keepRaw.
@@ -409,9 +411,12 @@ type BatchRequest struct {
 // results match serial HandleContext). Cache operations are applied in
 // arrival order after the parses, preserving the serial store
 // semantics. Native and sandbox modes fall back to per-request
-// handling.
+// handling. The returned slice is the server's: it holds the responses
+// until the next HandleBatch.
 func (s *Server) HandleBatch(batch []BatchRequest) []Response {
-	out := make([]Response, len(batch))
+	clear(s.out)
+	s.out = slices.Grow(s.out[:0], len(batch))[:len(batch)]
+	out := s.out
 	if len(batch) == 0 {
 		return out
 	}
@@ -540,11 +545,11 @@ func (s *Server) handleSandbox(req workload.Request, raw []byte) (Response, erro
 func (s *Server) apply(req workload.Request) (Response, error) {
 	switch req.Op {
 	case workload.OpGet:
-		val, hit, err := s.cache.Get(req.Key)
+		val, flags, hit, err := s.cache.Get(req.Key)
 		if err != nil {
 			return Response{}, err
 		}
-		return Response{OK: hit, Value: val, Flags: s.cache.Flags(req.Key)}, nil
+		return Response{OK: hit, Value: val, Flags: flags}, nil
 	case workload.OpSet:
 		if err := s.cache.SetItem(req.Key, req.Value, req.TTL, req.Flags); err != nil {
 			return Response{}, err

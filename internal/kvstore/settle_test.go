@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -184,11 +185,14 @@ func TestSettleOverloadRetriesOnce(t *testing.T) {
 
 // TestSettleWindowAllocations pins the garbage of a pipelined window
 // through sdrad-kvd's loop — connection, parse, submit, batch, settle
-// and render — at 204 allocations per 32-command window (6.4 per
-// command). Serving the window one request in flight at a time, with
-// fmt-rendered payloads, cost 459; before the window rendered into one
-// reused arena and the batch's calls shared one slab, it cost 332; and
-// 236 while every queued request built its own parse closure.
+// and render — at 84 allocations per 32-command window on a fresh
+// connection (2.6 per command; TestPipelinedCommandAllocations takes
+// the connection's own share out). Serving the window one request in
+// flight at a time, with fmt-rendered payloads, cost 459; before the
+// window rendered into one reused arena and the batch's calls shared
+// one slab, it cost 332; 236 while every queued request built its own
+// parse closure; and 204 while every queued request allocated its call,
+// task and future channel and every batch its engine slices.
 func TestSettleWindowAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -203,7 +207,70 @@ func TestSettleWindowAllocations(t *testing.T) {
 		}
 	}
 	serve() // warm the shard scratch and the store's chunks
-	if allocs := testing.AllocsPerRun(50, serve); allocs > 204 {
-		t.Errorf("%v allocations per 32-command window, want at most 204", allocs)
+	if allocs := testing.AllocsPerRun(50, serve); allocs > 84 {
+		t.Errorf("%v allocations per 32-command window, want at most 84", allocs)
 	}
+}
+
+// TestPipelinedCommandAllocations pins what a pipelined command costs on
+// a connection already open: the allocations of one more 32-command
+// window on the same connection. 64 of them are the requests' own — 32
+// command lines, 8 SET values, the 8 cache items and 8 LRU elements
+// those SETs fill, and 8 GET hits' copies of the value, 2.0 per command
+// — and one more is allowed for a pooled call the garbage collector
+// dropped. The frontend's queueing, the batch engine and the batch hook
+// reuse their calls, tasks and slices and add nothing; the connection's
+// buffers and loop state are paid once and cancel out.
+func TestPipelinedCommandAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	n := kvdServer(t, nil)
+	in, replies := settleWindow()
+	conn := &repeatConn{window: in}
+	allocs := func(windows int) float64 {
+		serve := func() {
+			conn.reset(windows, len(replies))
+			n.serveConn(1, conn)
+			if want := strings.Repeat(replies, windows); string(conn.out) != want {
+				t.Fatalf("replies:\n%q\nwant:\n%q", conn.out, want)
+			}
+		}
+		serve() // warm the shard scratch, the call pool and the store's chunks
+		return testing.AllocsPerRun(50, serve)
+	}
+	one, five := allocs(1), allocs(5)
+	if perWindow := (five - one) / 4; perWindow > 65 {
+		t.Errorf("%v allocations per further 32-command window (%v per 1-window connection, %v per 5-window one), want at most 65", perWindow, one, five)
+	}
+}
+
+// repeatConn is a connection that delivers the same window a set number
+// of times, one window per Read, and keeps what is written in a buffer
+// sized beforehand, so that it allocates nothing itself.
+type repeatConn struct {
+	window string
+	left   int
+	out    []byte
+}
+
+func (c *repeatConn) reset(windows, replyLen int) {
+	c.left = windows
+	if cap(c.out) < windows*replyLen {
+		c.out = make([]byte, 0, windows*replyLen)
+	}
+	c.out = c.out[:0]
+}
+
+func (c *repeatConn) Read(p []byte) (int, error) {
+	if c.left == 0 {
+		return 0, io.EOF
+	}
+	c.left--
+	return copy(p, c.window), nil
+}
+
+func (c *repeatConn) Write(p []byte) (int, error) {
+	c.out = append(c.out, p...)
+	return len(p), nil
 }

@@ -97,10 +97,12 @@ type Shell struct {
 	stage []byte
 
 	// The batch being built by Queue: per worker domain, the items and
-	// their positions in the batch; verrs is RunBatch's result.
+	// their positions in the batch; verrs is RunBatch's result and gerrs
+	// one group's.
 	groups []group
 	queued int
 	verrs  []error
+	gerrs  []error
 	// slotFns[i] is batch slot i's call, slot(c, i): built the first
 	// time a batch reaches slot i, reused by every later batch.
 	slotFns []func(*sdrad.Ctx) error
@@ -253,7 +255,7 @@ func (sh *Shell) Queue(ctx context.Context, clientID int) {
 
 // RunBatch runs the queued calls, partitioned by worker domain (stably):
 // each domain's calls share one entry and one integrity sweep
-// (Domain.DoBatchItems; a faulting group re-derives its outcomes
+// (Domain.AppendBatchItems; a faulting group re-derives its outcomes
 // serially, so each call's result matches a serial Do). It returns each
 // call's error in the order queued, in a slice that is the shell's until
 // the next RunBatch.
@@ -265,9 +267,11 @@ func (sh *Shell) RunBatch() []error {
 		if len(g.items) == 0 {
 			continue
 		}
-		for k, err := range sh.workers[w].DoBatchItems(g.items) {
+		sh.gerrs = sh.workers[w].AppendBatchItems(sh.gerrs[:0], g.items)
+		for k, err := range sh.gerrs {
 			sh.verrs[g.at[k]] = err
 		}
+		clear(sh.gerrs)
 		clear(g.items)
 		g.items, g.at = g.items[:0], g.at[:0]
 	}

@@ -44,12 +44,15 @@ const OverloadRetryCyclesPerSlot = 300_000
 const shrinkIdleEvals = 16
 
 // Call is one request in flight: the record a batched frontend queues.
-// The drain loop fills Resp before the call's future resolves.
+// The drain loop fills Resp before the call's task resolves. A call
+// carries its own queue task and is recycled by Wait, so queueing a
+// request allocates nothing in steady state.
 type Call[Req, Resp any] struct {
 	Ctx      context.Context
 	ClientID int
 	Req      Req
 	Resp     Resp
+	task     submit.Task
 }
 
 // Backend is the protocol/backend seam: what a Frontend cannot know
@@ -103,6 +106,9 @@ type Frontend[Req, Resp any] struct {
 	// scratch[i] is shard i's reusable batch slice (batches for one
 	// shard never overlap).
 	scratch [][]*Call[Req, Resp]
+	// calls holds the calls Wait recycled, each with its task's Payload
+	// pointing back at it.
+	calls sync.Pool
 
 	scaler atomic.Pointer[Scaler]
 	nextID atomic.Int64
@@ -135,6 +141,11 @@ func (f *Frontend[Req, Resp]) Queue(maxInflight, maxBatch int) {
 		maxInflight = 1024
 	}
 	f.scratch = make([][]*Call[Req, Resp], f.b.Shards)
+	f.calls.New = func() any {
+		c := new(Call[Req, Resp])
+		c.task.Payload = c
+		return c
+	}
 	f.qcfg = &submit.Config{Workers: f.b.Shards, Depth: max(maxInflight/f.b.Shards, 1), MaxBatch: maxBatch, Exec: f.exec}
 }
 
@@ -160,12 +171,13 @@ func (f *Frontend[Req, Resp]) exec(shard int, tasks []*submit.Task) {
 // Pending is a submitted request: what Submit returns and Wait settles.
 // A batched frontend's call waits in its shard queue or executes while
 // the submitter goes on; a serial frontend's call, and a refused one,
-// was settled by Submit itself.
+// was settled by Submit itself. Wait recycles the call: wait for a
+// Pending once, and through one copy only.
 type Pending[Req, Resp any] struct {
 	call   *Call[Req, Resp]
-	fut    *submit.Future
 	cancel context.CancelFunc
-	// resp is a serial call's response; err is a refusal, shed by Wait.
+	// resp is the response once settled; err is a refusal (or the
+	// resolution error of a call the queues never ran), shed by Wait.
 	resp Resp
 	err  error
 	over bool
@@ -174,15 +186,7 @@ type Pending[Req, Resp any] struct {
 // Settled reports whether Wait would return without blocking: the call
 // has executed, or Submit settled it.
 func (p *Pending[Req, Resp]) Settled() bool {
-	if p.fut == nil {
-		return true
-	}
-	select {
-	case <-p.fut.Done():
-		return true
-	default:
-		return false
-	}
+	return p.call == nil || p.call.task.Future().Settled()
 }
 
 // Overloaded reports that the queues refused the request as full. The
@@ -207,19 +211,22 @@ func (f *Frontend[Req, Resp]) Submit(clientID int, req Req) Pending[Req, Resp] {
 	if f.queues == nil {
 		return Pending[Req, Resp]{resp: f.b.Handle(ctx, clientID, req), cancel: cancel}
 	}
-	c := &Call[Req, Resp]{Ctx: ctx, ClientID: clientID, Req: req}
+	c := f.calls.Get().(*Call[Req, Resp])
+	c.Ctx, c.ClientID, c.Req = ctx, clientID, req
+	c.task.Ctx = ctx
 	w := f.b.Pick(req, f.load)
-	fut, err := f.queues.Submit(w, ctx, c)
+	err := f.queues.SubmitTask(w, &c.task)
 	if err == nil {
-		return Pending[Req, Resp]{call: c, fut: fut, cancel: cancel}
+		return Pending[Req, Resp]{call: c, cancel: cancel}
 	}
 	_, over := submit.IsOverload(err)
 	for i := 1; over && f.b.Failover && i < f.b.Shards; i++ {
-		if fut, err = f.queues.Submit((w+i)%f.b.Shards, ctx, c); err == nil {
-			return Pending[Req, Resp]{call: c, fut: fut, cancel: cancel}
+		if err = f.queues.SubmitTask((w+i)%f.b.Shards, &c.task); err == nil {
+			return Pending[Req, Resp]{call: c, cancel: cancel}
 		}
 		_, over = submit.IsOverload(err)
 	}
+	f.recycle(c)
 	if cancel != nil {
 		cancel() // nothing runs under a refused request's context
 	}
@@ -237,21 +244,36 @@ func (f *Frontend[Req, Resp]) Submit(clientID int, req Req) Pending[Req, Resp] {
 // typed error, and so is an admitted call whose future resolved with
 // one: the drain loop never filled Resp (the queues closed underneath
 // it), so the error must reach the wire instead of a zero-value
-// response.
+// response. The call goes back to the frontend for the next Submit; p
+// keeps the outcome, so a second Wait returns it again.
 func (f *Frontend[Req, Resp]) Wait(p *Pending[Req, Resp]) Resp {
 	if p.cancel != nil {
 		defer p.cancel()
 	}
-	switch {
-	case p.err != nil:
+	if c := p.call; c != nil {
+		p.call = nil
+		if err := c.task.Future().Err(); err != nil {
+			p.err = err
+		} else {
+			p.resp = c.Resp
+		}
+		f.recycle(c)
+	}
+	if p.err != nil {
 		return f.b.Shed(p.err)
-	case p.fut == nil:
-		return p.resp
 	}
-	if err := p.fut.Err(); err != nil {
-		return f.b.Shed(err)
-	}
-	return p.call.Resp
+	return p.resp
+}
+
+// recycle clears c's request and response, so that a pooled call holds
+// no memory of them, and returns it to the pool. c's task is settled
+// (or was never accepted): nothing else refers to it.
+func (f *Frontend[Req, Resp]) recycle(c *Call[Req, Resp]) {
+	var req Req
+	var resp Resp
+	c.Ctx, c.Req, c.Resp = nil, req, resp
+	c.task.Ctx = nil
+	f.calls.Put(c)
 }
 
 // Do serves one request and waits for its response: Submit, then Wait.

@@ -131,24 +131,49 @@ func mustTable(t *testing.T, s string) *gateway.Table {
 // TestAwait pins every way Wait settles a request: an admitted call's
 // response verbatim, or — when the queues closed underneath it — the
 // typed error through Shed instead of a zero-value response; a refusal
-// through Shed; a serial call's response as Submit left it.
+// through Shed; a serial call's response as Submit left it. A second
+// Wait returns the same outcome.
 func TestAwait(t *testing.T) {
 	f := newEcho(1).f
-	c := &Call[string, string]{Resp: "filled"}
 	for _, tc := range []struct {
 		name string
 		p    Pending[string, string]
 		want string
 	}{
-		{"clean resolution", Pending[string, string]{call: c, fut: submit.Resolved(nil)}, "filled"},
-		{"closed-queue resolution", Pending[string, string]{call: c, fut: submit.Resolved(submit.ErrClosed)}, "ERR " + submit.ErrClosed.Error()},
+		{"clean resolution", Pending[string, string]{call: settledCall(t, "filled", nil)}, "filled"},
+		{"closed-queue resolution", Pending[string, string]{call: settledCall(t, "filled", submit.ErrClosed)}, "ERR " + submit.ErrClosed.Error()},
 		{"refusal", Pending[string, string]{err: submit.ErrClosed}, "ERR " + submit.ErrClosed.Error()},
 		{"serial", Pending[string, string]{resp: "done"}, "done"},
 	} {
-		if got := f.Wait(&tc.p); got != tc.want {
-			t.Errorf("%s: Wait = %q, want %q", tc.name, got, tc.want)
+		for i := 1; i <= 2; i++ {
+			if got := f.Wait(&tc.p); got != tc.want {
+				t.Errorf("%s: Wait %d = %q, want %q", tc.name, i, got, tc.want)
+			}
 		}
 	}
+}
+
+// settledCall returns a call holding resp whose task a queue resolved
+// with err.
+func settledCall(t *testing.T, resp string, err error) *Call[string, string] {
+	t.Helper()
+	q, qerr := submit.New(submit.Config{Workers: 1, Exec: func(_ int, batch []*submit.Task) {
+		for _, task := range batch {
+			task.Resolve(err)
+		}
+	}})
+	if qerr != nil {
+		t.Fatal(qerr)
+	}
+	defer q.Close()
+	c := &Call[string, string]{Resp: resp}
+	if serr := q.SubmitTask(0, &c.task); serr != nil {
+		t.Fatal(serr)
+	}
+	if got := c.task.Future().Err(); got != err {
+		t.Fatalf("task resolved with %v, want %v", got, err)
+	}
+	return c
 }
 
 // TestSubmitQueuesWithoutWaiting: a batched frontend's Submit returns
@@ -178,18 +203,23 @@ func TestSubmitQueuesWithoutWaiting(t *testing.T) {
 		t.Fatal("a queue with room refused a request")
 	}
 	select {
-	case <-p.fut.Done():
+	case <-p.call.task.Future().Done():
 		t.Fatal("Submit waited for the call to execute")
 	default:
 	}
+	if p.Settled() {
+		t.Fatal("a queued call reports itself settled")
+	}
+	// Wait recycles the call, so take the contexts it checks first.
+	pctx, qctx := p.call.Ctx, q.call.Ctx
 	close(release)
 	if got := e.f.Wait(&p); got != "A" {
 		t.Fatalf("Wait = %q, want A", got)
 	}
-	if p.call.Ctx.Err() == nil {
+	if pctx.Err() == nil {
 		t.Error("the request's deadline outlived Wait")
 	}
-	if q.call.Ctx.Err() != nil {
+	if qctx.Err() != nil {
 		t.Error("Wait on one request released another's deadline")
 	}
 	if got := e.f.Wait(&q); got != "B" {
@@ -232,9 +262,12 @@ func TestSubmitOverload(t *testing.T) {
 		t.Fatalf("refused request answered %q, want a shed with a retry hint", got)
 	}
 	close(release)
-	for _, p := range []*Pending[string, string]{&first, &second} {
-		if got := e.f.Wait(p); got != strings.ToUpper(p.call.Req) {
-			t.Fatalf("Wait = %q for %q", got, p.call.Req)
+	for _, w := range []struct {
+		p    *Pending[string, string]
+		want string
+	}{{&first, "A"}, {&second, "B"}} {
+		if got := e.f.Wait(w.p); got != w.want {
+			t.Fatalf("Wait = %q, want %q", got, w.want)
 		}
 	}
 	again := e.f.Submit(1, "c")

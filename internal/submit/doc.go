@@ -8,8 +8,8 @@
 // per worker drains up to MaxBatch queued tasks at a time and hands the
 // batch to an executor callback, which amortizes a fixed per-entry cost
 // (for SDRaD: one domain Enter/Exit, one heap-integrity sweep, one
-// discard decision) across the whole batch and resolves each task's
-// Future. A full queue rejects immediately with *OverloadError — the
+// discard decision) across the whole batch and records each task's
+// outcome; the drain loop then publishes each outcome to its Future. A full queue rejects immediately with *OverloadError — the
 // backpressure signal servers translate into 503/SERVER_ERROR — instead
 // of queueing unboundedly.
 //
@@ -18,9 +18,14 @@
 //   - Per-worker FIFO: tasks submitted to one worker are handed to the
 //     executor in submission order, and batches never interleave (one
 //     batch per worker is in flight at a time).
-//   - Every accepted task is resolved exactly once — by the executor,
-//     or by the drain loop's backstop if the executor misses one, or
-//     with ErrClosed when Close discards it. Futures never leak.
+//   - Every accepted task is resolved exactly once, by its drain loop:
+//     with the outcome the executor recorded, with errUnresolved if it
+//     recorded none, or with ErrClosed when Close discards it. Futures
+//     never leak.
+//   - A resolved task is its submitter's again. The drain loop touches
+//     no task after publishing its outcome, so a submitter that owns
+//     its tasks (SubmitTask) may reuse one as soon as its Future's Err
+//     returns; a request queued that way allocates nothing here.
 //   - Flush returns only when every task accepted before the call has
 //     been resolved.
 //

@@ -14,8 +14,8 @@ import (
 // still queued when Close discards the backlog.
 var ErrClosed = errors.New("submit: queues closed")
 
-// errUnresolved is the backstop outcome for a task an executor failed to
-// resolve; seeing it means the executor callback is buggy.
+// errUnresolved is the outcome published for a task whose executor
+// recorded none; seeing it means the executor callback is buggy.
 var errUnresolved = errors.New("submit: executor did not resolve task")
 
 // OverloadError reports that a submission was rejected because the
@@ -45,35 +45,69 @@ func IsOverload(err error) (*OverloadError, bool) {
 }
 
 // Future is the pending result of a submitted task. It is resolved
-// exactly once; Done is closed at resolution.
+// exactly once, by the queue's drain loop. Resolution costs no channel:
+// Settled reads an atomic state and Err waits on a WaitGroup; the Done
+// channel is made only when Done (or Wait with a cancellable context)
+// asks for it.
 type Future struct {
+	state atomic.Bool // set once the outcome is published
+	wg    sync.WaitGroup
+	err   error
+	// mu guards done, which is made by the first Done call.
+	mu   sync.Mutex
 	done chan struct{}
-	once sync.Once
-	err  error
 }
 
 // Resolved returns a future that is already resolved with err, for
 // callers that must hand back a Future on a rejected submission.
 func Resolved(err error) *Future {
-	f := &Future{done: make(chan struct{})}
+	f := &Future{}
+	f.wg.Add(1)
 	f.resolve(err)
 	return f
 }
 
-// resolve sets the outcome (first resolution wins) and closes Done.
-func (f *Future) resolve(err error) {
-	f.once.Do(func() {
-		f.err = err
-		close(f.done)
-	})
+// reset makes f pending again, for a task being (re)submitted.
+func (f *Future) reset() {
+	f.state.Store(false)
+	f.err, f.done = nil, nil
+	f.wg.Add(1)
 }
 
+// resolve publishes the outcome. It is called once per submission, and
+// its last step releases Err: a submitter that reuses the task waits in
+// Err first, so nothing here touches f after the task changes hands.
+func (f *Future) resolve(err error) {
+	f.mu.Lock()
+	f.err = err
+	f.state.Store(true)
+	if f.done != nil {
+		close(f.done)
+	}
+	f.mu.Unlock()
+	f.wg.Done()
+}
+
+// Settled reports, without blocking, whether the task has been
+// resolved.
+func (f *Future) Settled() bool { return f.state.Load() }
+
 // Done returns a channel closed when the task has been resolved.
-func (f *Future) Done() <-chan struct{} { return f.done }
+func (f *Future) Done() <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.done == nil {
+		f.done = make(chan struct{})
+		if f.state.Load() {
+			close(f.done)
+		}
+	}
+	return f.done
+}
 
 // Err blocks until the task is resolved and returns its outcome.
 func (f *Future) Err() error {
-	<-f.done
+	f.wg.Wait()
 	return f.err
 }
 
@@ -81,9 +115,12 @@ func (f *Future) Err() error {
 // task's outcome or ctx.Err(). A task abandoned by Wait still executes;
 // its outcome is simply no longer observed.
 func (f *Future) Wait(ctx context.Context) error {
+	if f.Settled() || ctx.Done() == nil {
+		return f.Err()
+	}
 	select {
-	case <-f.done:
-		return f.err
+	case <-f.Done():
+		return f.Err()
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -91,20 +128,43 @@ func (f *Future) Wait(ctx context.Context) error {
 
 // Task is one queued call: an opaque payload for the executor plus the
 // future producers wait on (one object, so a submission allocates the
-// pair once).
+// pair once, or not at all when the submitter owns and reuses its
+// tasks; see SubmitTask).
 type Task struct {
 	// Ctx is the submitter's context; executors should honor it.
 	Ctx context.Context
 	// Payload carries the executor-defined call description.
 	Payload any
 	fut     Future
+	// outcome is what the executor recorded; recorded says it did. Only
+	// the drain loop touches them while the task is queued.
+	outcome  error
+	recorded bool
 }
 
 // Future returns the task's future.
 func (t *Task) Future() *Future { return &t.fut }
 
-// Resolve records the task's outcome (first resolution wins).
-func (t *Task) Resolve(err error) { t.fut.resolve(err) }
+// Resolve records the task's outcome (first resolution wins). The
+// executor calls it during Exec; the drain loop publishes the recorded
+// outcome to the task's future once Exec returns.
+func (t *Task) Resolve(err error) {
+	if !t.recorded {
+		t.outcome, t.recorded = err, true
+	}
+}
+
+// publish resolves the task's future with its recorded outcome, or with
+// errUnresolved when the executor recorded none. After publish the task
+// belongs to its submitter again: the caller must not touch it.
+func (t *Task) publish() {
+	err := t.outcome
+	if !t.recorded {
+		err = errUnresolved
+	}
+	t.outcome, t.recorded = nil, false
+	t.fut.resolve(err)
+}
 
 // Config configures Queues.
 type Config struct {
@@ -115,9 +175,10 @@ type Config struct {
 	// MaxBatch bounds how many tasks one executor call receives
 	// (default 16).
 	MaxBatch int
-	// Exec executes one batch for one worker and must resolve every
-	// task. Batches for the same worker never overlap; batches for
-	// different workers run concurrently.
+	// Exec executes one batch for one worker and must record every
+	// task's outcome (Task.Resolve) before it returns; the drain loop
+	// then publishes them. Batches for the same worker never overlap;
+	// batches for different workers run concurrently.
 	Exec func(worker int, batch []*Task)
 }
 
@@ -262,7 +323,7 @@ func (q *Queues) TotalLoad() int64 {
 // the task for the executor; a ctx already cancelled is still accepted
 // (the executor resolves it).
 func (q *Queues) Submit(w int, ctx context.Context, payload any) (*Future, error) {
-	return q.submit(w, ctx, payload, false)
+	return q.submitNew(w, ctx, payload, false)
 }
 
 // SubmitWait is Submit, but when the queue is full it blocks until space
@@ -270,16 +331,34 @@ func (q *Queues) Submit(w int, ctx context.Context, payload any) (*Future, error
 // It exists for callers that provide their own admission control, like
 // DoBatch.
 func (q *Queues) SubmitWait(w int, ctx context.Context, payload any) (*Future, error) {
-	return q.submit(w, ctx, payload, true)
+	return q.submitNew(w, ctx, payload, true)
 }
 
-func (q *Queues) submit(w int, ctx context.Context, payload any, wait bool) (*Future, error) {
+// SubmitTask is Submit for a task the caller owns, so that a submitter
+// can reuse one task for request after request and queue without
+// allocating. The caller sets t.Ctx and t.Payload; t.Future() is reset
+// when the task is accepted. A refused task (the error is Submit's) is
+// untouched and still the caller's. An accepted task is the queue's
+// until its future resolves and the caller's again once t.Future().Err()
+// has returned: only then may it be submitted again.
+func (q *Queues) SubmitTask(w int, t *Task) error { return q.submit(w, t, false) }
+
+// submitNew submits a fresh task carrying payload.
+func (q *Queues) submitNew(w int, ctx context.Context, payload any, wait bool) (*Future, error) {
+	t := &Task{Ctx: ctx, Payload: payload}
+	if err := q.submit(w, t, wait); err != nil {
+		return nil, err
+	}
+	return &t.fut, nil
+}
+
+func (q *Queues) submit(w int, t *Task, wait bool) error {
 	wq, w := at(q.snapshot(), w)
 	wq.mu.Lock()
 	for {
 		if q.closed.Load() {
 			wq.mu.Unlock()
-			return nil, ErrClosed
+			return ErrClosed
 		}
 		if wq.closing {
 			// The queue is being removed: reject as overload so the
@@ -287,7 +366,7 @@ func (q *Queues) submit(w int, ctx context.Context, payload any, wait bool) (*Fu
 			depth := len(wq.items)
 			wq.rejected++
 			wq.mu.Unlock()
-			return nil, &OverloadError{Worker: w, Depth: depth, Capacity: q.cfg.Depth}
+			return &OverloadError{Worker: w, Depth: depth, Capacity: q.cfg.Depth}
 		}
 		if len(wq.items) < q.cfg.Depth {
 			break
@@ -296,11 +375,11 @@ func (q *Queues) submit(w int, ctx context.Context, payload any, wait bool) (*Fu
 			depth := len(wq.items)
 			wq.rejected++
 			wq.mu.Unlock()
-			return nil, &OverloadError{Worker: w, Depth: depth, Capacity: q.cfg.Depth}
+			return &OverloadError{Worker: w, Depth: depth, Capacity: q.cfg.Depth}
 		}
 		wq.space.Wait()
 	}
-	t := &Task{Ctx: ctx, Payload: payload, fut: Future{done: make(chan struct{})}}
+	t.fut.reset()
 	wq.items = append(wq.items, t)
 	wq.submitted++
 	wq.load.Add(1)
@@ -312,7 +391,7 @@ func (q *Queues) submit(w int, ctx context.Context, payload any, wait bool) (*Fu
 	q.flushMu.Unlock()
 	wq.fill.Signal()
 	wq.mu.Unlock()
-	return &t.fut, nil
+	return nil
 }
 
 // drain is one queue's loop: block for the first task, take up to
@@ -334,6 +413,7 @@ func (q *Queues) drain(wq *workerQ, w int) {
 			for _, t := range rest {
 				t.Resolve(ErrClosed)
 				wq.load.Add(-1)
+				t.publish()
 			}
 			q.finish(len(rest))
 			return
@@ -359,11 +439,13 @@ func (q *Queues) drain(wq *workerQ, w int) {
 		wq.mu.Unlock()
 
 		q.cfg.Exec(w, batch)
-		for _, t := range batch {
-			t.Resolve(errUnresolved) // backstop; no-op if Exec resolved
+		// Each task's outcome is published once, here, and the task is
+		// not touched again: its submitter may reuse it at once.
+		for i, t := range batch {
+			batch[i] = nil
 			wq.load.Add(-1)
+			t.publish()
 		}
-		clear(batch) // resolved tasks belong to their submitters now
 		wq.batch = batch
 		q.finish(n)
 	}

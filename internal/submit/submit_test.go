@@ -341,3 +341,77 @@ func TestConcurrentSubmitFlushHammer(t *testing.T) {
 		t.Errorf("executed %d tasks, accepted %d", len(r.seen), accepted.Load())
 	}
 }
+
+// TestSubmitTaskOutcome: a caller-owned task reused from submission to
+// submission gets each submission's own outcome, published once by the
+// drain loop — errUnresolved when the executor records none — and the
+// outcome reaches a future whether its Done channel was taken before
+// the resolution or after it.
+func TestSubmitTaskOutcome(t *testing.T) {
+	gate := make(chan struct{})
+	q, err := New(Config{Workers: 1, Exec: func(_ int, batch []*Task) {
+		<-gate
+		for _, t := range batch {
+			if err, ok := t.Payload.(error); ok {
+				t.Resolve(err)
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	var task Task
+	submit := func(payload any) *Future {
+		task.Payload = payload
+		if err := q.SubmitTask(0, &task); err != nil {
+			t.Fatal(err)
+		}
+		if task.Future().Settled() {
+			t.Fatal("a queued task reports itself settled")
+		}
+		return task.Future()
+	}
+
+	t.Run("an executor that records nothing", func(t *testing.T) {
+		f := submit(nil)
+		gate <- struct{}{}
+		if err := f.Err(); !errors.Is(err, errUnresolved) {
+			t.Fatalf("Err = %v, want errUnresolved", err)
+		}
+	})
+	t.Run("Done taken before resolution", func(t *testing.T) {
+		want := errors.New("before")
+		f := submit(want)
+		done := f.Done()
+		select {
+		case <-done:
+			t.Fatal("Done closed before the task ran")
+		default:
+		}
+		gate <- struct{}{}
+		<-done
+		if !f.Settled() {
+			t.Error("Done closed but the future is not settled")
+		}
+		if err := f.Err(); err != want {
+			t.Fatalf("Err = %v, want %v", err, want)
+		}
+	})
+	t.Run("Done taken after resolution", func(t *testing.T) {
+		want := errors.New("after")
+		f := submit(want)
+		gate <- struct{}{}
+		if err := f.Err(); err != want {
+			t.Fatalf("Err = %v, want %v", err, want)
+		}
+		select {
+		case <-f.Done():
+		default:
+			t.Fatal("Done taken after resolution is open")
+		}
+		if err := f.Wait(context.Background()); err != want {
+			t.Fatalf("Wait = %v, want %v", err, want)
+		}
+	})
+}

@@ -576,9 +576,7 @@ func (p *Pool) execBatchOn(w *poolWorker, calls []*batchCall) (rep batchReport, 
 	w.requests.Add(attempted)
 	hz := w.sup.sys.Clock().Model().CPUHz
 	b := &batchBackend{
-		sys: w.sup.sys,
-		udi: w.dom.udi,
-		hz:  hz,
+		hz: hz,
 		enter: func(budget uint64, fn func(*Ctx) error) error {
 			return w.sup.sys.EnterWithBudget(w.dom.udi, budget, fn)
 		},

@@ -3,6 +3,7 @@ package sdrad
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/serde"
@@ -265,32 +266,55 @@ func (d *Domain) DoBatch(ctx context.Context, fns []func(*Ctx) error, opts ...Ru
 // policies can still share one domain entry. Network servers batching
 // concurrent connections use this form.
 func (d *Domain) DoBatchItems(items []BatchItem) []error {
-	slab := make([]batchCall, len(items)) // one allocation for the batch, not one per call
-	calls := make([]*batchCall, len(items))
+	return d.AppendBatchItems(make([]error, 0, len(items)), items)
+}
+
+// AppendBatchItems is DoBatchItems appending each item's result to errs
+// and returning the extended slice. The batch's working slices are the
+// domain's, reused from batch to batch, so a caller that reuses errs
+// runs a batch without allocating. Like every run on the domain, it
+// must not overlap another.
+func (d *Domain) AppendBatchItems(errs []error, items []BatchItem) []error {
+	b := d.batcher()
+	b.slab = slices.Grow(b.slab[:0], len(items))[:len(items)]
+	b.calls = slices.Grow(b.calls[:0], len(items))[:len(items)]
 	for i := range items {
-		slab[i] = items[i].toCall()
-		calls[i] = &slab[i]
+		b.slab[i] = items[i].toCall()
+		b.calls[i] = &b.slab[i]
 	}
-	b := &batchBackend{
-		sys:        d.sup.sys,
-		udi:        d.udi,
-		hz:         d.sup.sys.Clock().Model().CPUHz,
-		persistent: true,
-		enter: func(budget uint64, fn func(*Ctx) error) error {
-			return d.sup.sys.EnterWithBudget(d.udi, budget, fn)
-		},
-		discard: d.Discard,
-		serial:  func(c *batchCall) error { return d.doSettings(c.ctx, c.set, c.fn) },
-	}
-	rep := b.run(calls)
+	rep := b.run(b.calls)
 	if d.onBatch != nil {
-		d.onBatch(BatchReport{Size: len(calls), Committed: rep.Committed, Replayed: rep.Replayed})
+		d.onBatch(BatchReport{Size: len(items), Committed: rep.Committed, Replayed: rep.Replayed})
 	}
-	errs := make([]error, len(calls))
-	for i, c := range calls {
-		errs[i] = c.err
+	for _, c := range b.calls {
+		errs = append(errs, c.err)
 	}
+	clear(b.slab) // hold no call's context, function or error
 	return errs
+}
+
+// domainBatch is a Domain's batch engine, built on its first batch, and
+// the call slab AppendBatchItems fills for each batch.
+type domainBatch struct {
+	batchBackend
+	slab  []batchCall
+	calls []*batchCall
+}
+
+// batcher returns the domain's batch engine, building it on first use.
+func (d *Domain) batcher() *domainBatch {
+	if d.batch == nil {
+		d.batch = &domainBatch{batchBackend: batchBackend{
+			hz:         d.sup.sys.Clock().Model().CPUHz,
+			persistent: true,
+			enter: func(budget uint64, fn func(*Ctx) error) error {
+				return d.sup.sys.EnterWithBudget(d.udi, budget, fn)
+			},
+			discard: d.Discard,
+			serial:  func(c *batchCall) error { return d.doSettings(c.ctx, c.set, c.fn) },
+		}}
+	}
+	return d.batch
 }
 
 // Do implements Runner on the bridge's backing domain: fn runs isolated

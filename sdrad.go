@@ -200,6 +200,8 @@ type Domain struct {
 	// onBatch, when set, observes every DoBatch/DoBatchItems resolution
 	// on this handle — the batch commit hook (see BatchReport).
 	onBatch func(BatchReport)
+	// batch is the batch engine and its reused slices (see batcher).
+	batch *domainBatch
 }
 
 // Init allocates the domain's pages and protection key (lifecycle:
