@@ -1,13 +1,14 @@
 # SDRaD-Go development targets. `make check` is the full gate: the
 # tier-1 verify (build + test) plus formatting, vet, the sdradlint
-# invariant analyzers, and the race detector over the concurrent
-# Supervisor-pool and submission-queue paths.
+# invariant analyzers, the race detector over every package, and the
+# byte-pinned paper tables. test-lifecycle and test-cluster are focused
+# subsets of race, for running one tier alone.
 
 GO ?= go
 
 .PHONY: check fmt vet lint build test race test-lifecycle test-cluster report-check bench bench-smoke fuzz-smoke campaign-smoke
 
-check: fmt vet lint build test race test-lifecycle test-cluster report-check
+check: fmt vet lint build test race report-check
 
 # Lifecycle/elasticity conformance tier (DESIGN.md §13): the shared
 # lifecycletest battery against every component (Domain, Pool,
@@ -41,9 +42,9 @@ test-cluster:
 
 # Lint gate: the sdradlint invariant analyzers (internal/analysis) over
 # every package — wall-clock ban, uncharged-accessor containment,
-# deterministic map iteration, typed-error classification, and
-# exported-symbol docs (DESIGN.md §10 maps each to its soundness
-# argument). Findings land in LINT_FINDINGS.json; CI publishes the file
+# deterministic map iteration, typed-error classification,
+# exported-symbol docs, and no internal export without a non-test user
+# (DESIGN.md §10 maps each to its soundness argument). Findings land in LINT_FINDINGS.json; CI publishes the file
 # when the gate fails.
 lint:
 	$(GO) run ./cmd/sdradlint -json-out LINT_FINDINGS.json ./...

@@ -314,7 +314,7 @@ func benchKVPool(b *testing.B, workers int) {
 			return
 		}
 		for pb.Next() {
-			if resp := pool.Handle(id, gen.Next()); resp.Err != nil {
+			if resp := pool.HandleContext(context.Background(), id, gen.Next()); resp.Err != nil {
 				b.Error(resp.Err)
 				return
 			}

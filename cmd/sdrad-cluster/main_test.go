@@ -90,10 +90,8 @@ func TestClusterConnRoundTrip(t *testing.T) {
 // error's text plus the router's deterministic retry hint.
 func TestClusterUnavailableRendering(t *testing.T) {
 	router, f := newTestCluster(t)
-	owner, ok := router.Owner("k")
-	if !ok {
-		t.Fatal("no owner for k")
-	}
+	// A fresh cluster places each slot on its rendezvous ranking.
+	owner := cluster.RankNodes(cluster.KeySlot("k"), router.NodeIDs())[0]
 	if err := router.PartitionNode(owner); err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,8 @@
 // supervisors, each its own simulated machine with private parsing
 // domains. Concurrent connections pipeline through bounded per-worker
 // submission queues that coalesce requests into batched domain
-// executions; -max-inflight bounds the admitted backlog (overload
-// answers 503 immediately) and -max-inflight=0 disables the async layer
-// entirely (one domain entry per request, as before).
+// executions; -max-inflight (at least 1) bounds the admitted backlog:
+// overload answers 503 immediately.
 //
 // With -tenants FILE the gateway tier comes on: every request needs an
 // Authorization: Bearer token from the file ("<tenant> <token>" per
@@ -23,8 +22,7 @@
 //
 // With -elastic the per-worker parsing-domain sets autoscale between
 // -min-workers and -max-workers: the set doubles when the submission
-// queues back up and halves again after a sustained idle stretch
-// (requires the batched path, -max-inflight > 0).
+// queues back up and halves again after a sustained idle stretch.
 //
 // Usage:
 //
@@ -43,6 +41,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"runtime"
 	"time"
 
@@ -56,17 +55,22 @@ func main() {
 	mode := flag.String("mode", "sdrad", "resilience mode: sdrad or native")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel supervisor shards (least-loaded dispatch)")
 	reqTimeout := flag.Duration("req-timeout", 0, "per-request deadline, mapped to a deterministic virtual-cycle budget (0 = none)")
-	maxInflight := flag.Int("max-inflight", 1024, "admission bound on queued+executing requests across all workers; overload answers 503 (0 = serial path, no batching)")
+	maxInflight := flag.Int("max-inflight", 1024, "admission bound on queued+executing requests across all workers; overload answers 503 (at least 1)")
 	maxBatch := flag.Int("max-batch", 32, "max pipelined requests coalesced into one batched domain execution")
 	tenants := flag.String("tenants", "", "tenant table file (\"<tenant> <token>\" per line); enables the gateway tier")
 	tenantBurst := flag.Int("tenant-burst", 8, "per-tenant token-bucket burst (with -tenants)")
 	tenantRefill := flag.Uint64("tenant-refill-every", 2, "grant one admission token per N tenant arrivals (with -tenants)")
 	tenantInflight := flag.Int("tenant-max-inflight", 64, "per-tenant inflight quota (with -tenants)")
 	quarantineAfter := flag.Int("quarantine-after", 3, "detections in the sliding window that quarantine a tenant (with -tenants; -1 disables)")
-	elastic := flag.Bool("elastic", false, "autoscale the per-worker parsing domains between -min-workers and -max-workers from queue backlog (needs the batched path, -max-inflight > 0)")
+	elastic := flag.Bool("elastic", false, "autoscale the per-worker parsing domains between -min-workers and -max-workers from queue backlog")
 	minWorkers := flag.Int("min-workers", 1, "elastic lower bound on parsing domains per worker (with -elastic)")
 	maxWorkers := flag.Int("max-workers", 8, "elastic upper bound on parsing domains per worker (with -elastic)")
 	flag.Parse()
+	if *maxInflight < 1 {
+		fmt.Fprintf(os.Stderr, "sdrad-httpd: -max-inflight must be at least 1, got %d\n", *maxInflight)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var gcfg *gateway.Config
 	if *tenants != "" {
@@ -105,21 +109,16 @@ func run(addr, modeName string, workers int, reqTimeout time.Duration, maxInflig
 	}
 	log.Printf("sdrad-httpd listening on %s (mode=%s, workers=%d)", ln.Addr(), mode, pool.Workers())
 
-	var srv *httpd.NetServer
-	if maxInflight > 0 {
-		srv, err = httpd.NewBatchedNetServerPool(pool, log.Default(), maxInflight, maxBatch)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := srv.Close(); cerr != nil {
-				log.Printf("close server: %v", cerr)
-			}
-		}()
-		log.Printf("async submission queues on (max-inflight=%d, max-batch=%d)", maxInflight, maxBatch)
-	} else {
-		srv = httpd.NewNetServerPool(pool, log.Default())
+	srv, err := httpd.NewBatchedNetServerPool(pool, log.Default(), maxInflight, maxBatch)
+	if err != nil {
+		return err
 	}
+	defer func() {
+		if cerr := srv.Close(); cerr != nil {
+			log.Printf("close server: %v", cerr)
+		}
+	}()
+	log.Printf("async submission queues on (max-inflight=%d, max-batch=%d)", maxInflight, maxBatch)
 	if elastic {
 		if err := srv.EnableElastic(minWorkers, maxWorkers); err != nil {
 			return err

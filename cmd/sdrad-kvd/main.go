@@ -2,22 +2,23 @@
 // demonstrating SDRaD containment end to end.
 //
 // It speaks a subset of the memcached text protocol (get/set/delete/
-// stats/quit). Request handling runs inside per-connection SDRaD domains:
-// a value whose payload starts with the attack marker "!!exploit" makes
-// the parser trigger a heap overflow, which is contained — the connection
-// gets SERVER_ERROR, the cache and every other connection keep working,
-// and `stats` shows the contained_violations counter climbing. In
-// -mode=native the same payload crashes the worker and the service drops
-// requests for the modeled restart window.
+// stats/quit). Request handling runs inside SDRaD worker domains — each
+// client is placed on one of at most 12 per shard, pristine between
+// requests, so a rewind discards one request. A value whose payload
+// starts with the attack marker "!!exploit" makes the parser trigger a
+// heap overflow, which is contained — the connection gets SERVER_ERROR,
+// the cache and every other connection keep working, and `stats` shows
+// the contained_violations counter climbing. In -mode=native the same
+// payload crashes the worker and the service drops requests for the
+// modeled restart window.
 //
 // Request handling is sharded across -workers parallel supervisors, each
 // its own simulated machine; keys map to shards by hash, so related
 // requests serialize on one shard while the rest run concurrently.
 // Concurrent connections pipeline through bounded per-shard submission
 // queues that coalesce requests into batched domain executions;
-// -max-inflight bounds the admitted backlog (overload answers
-// SERVER_ERROR immediately) and -max-inflight=0 disables the async
-// layer entirely (one domain entry per request, as before).
+// -max-inflight (at least 1) bounds the admitted backlog: overload
+// answers SERVER_ERROR immediately.
 //
 // With -data-dir the cache becomes durable: every committed batch is
 // group-committed to a per-shard write-ahead log (one append — and with
@@ -38,7 +39,7 @@
 // With -elastic the per-shard parser worker-domain sets autoscale
 // between -min-workers and -max-workers: the set doubles when the
 // submission queues back up and halves again after a sustained idle
-// stretch (requires the batched path, -max-inflight > 0).
+// stretch.
 //
 // Usage:
 //
@@ -57,6 +58,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"runtime"
 	"time"
 
@@ -71,7 +73,7 @@ func main() {
 	capacity := flag.Uint64("capacity", 64<<20, "cache capacity in bytes")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel supervisor shards (key-hashed)")
 	reqTimeout := flag.Duration("req-timeout", 0, "per-request deadline, mapped to a deterministic virtual-cycle budget (0 = none)")
-	maxInflight := flag.Int("max-inflight", 1024, "admission bound on queued+executing requests across all shards; overload answers SERVER_ERROR (0 = serial path, no batching)")
+	maxInflight := flag.Int("max-inflight", 1024, "admission bound on queued+executing requests across all shards; overload answers SERVER_ERROR (at least 1)")
 	maxBatch := flag.Int("max-batch", 32, "max pipelined requests coalesced into one batched domain execution")
 	dataDir := flag.String("data-dir", "", "durability root: per-shard WAL + snapshots under this directory (empty = memory-only)")
 	fsync := flag.Bool("fsync", true, "fsync the WAL on every group commit (only with -data-dir)")
@@ -81,10 +83,15 @@ func main() {
 	tenantRefill := flag.Uint64("tenant-refill-every", 2, "grant one admission token per N tenant arrivals (with -tenants)")
 	tenantInflight := flag.Int("tenant-max-inflight", 64, "per-tenant inflight quota (with -tenants)")
 	quarantineAfter := flag.Int("quarantine-after", 3, "detections in the sliding window that quarantine a tenant (with -tenants; -1 disables)")
-	elastic := flag.Bool("elastic", false, "autoscale the per-shard parser worker domains between -min-workers and -max-workers from queue backlog (needs the batched path, -max-inflight > 0)")
+	elastic := flag.Bool("elastic", false, "autoscale the per-shard parser worker domains between -min-workers and -max-workers from queue backlog")
 	minWorkers := flag.Int("min-workers", 1, "elastic lower bound on parser workers per shard (with -elastic)")
 	maxWorkers := flag.Int("max-workers", 8, "elastic upper bound on parser workers per shard (with -elastic)")
 	flag.Parse()
+	if *maxInflight < 1 {
+		fmt.Fprintf(os.Stderr, "sdrad-kvd: -max-inflight must be at least 1, got %d\n", *maxInflight)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var pcfg *kvstore.PersistConfig
 	if *dataDir != "" {
@@ -138,16 +145,11 @@ func run(addr, modeName string, capacity uint64, workers int, reqTimeout time.Du
 			eff, capacity, pool.Workers(), kvstore.MaxValueSize)
 	}
 
-	var srv *kvstore.NetServer
-	if maxInflight > 0 {
-		srv, err = kvstore.NewBatchedNetServerPool(pool, log.Default(), maxInflight, maxBatch)
-		if err != nil {
-			return err
-		}
-		log.Printf("async submission queues on (max-inflight=%d, max-batch=%d)", maxInflight, maxBatch)
-	} else {
-		srv = kvstore.NewNetServerPool(pool, log.Default())
+	srv, err := kvstore.NewBatchedNetServerPool(pool, log.Default(), maxInflight, maxBatch)
+	if err != nil {
+		return err
 	}
+	log.Printf("async submission queues on (max-inflight=%d, max-batch=%d)", maxInflight, maxBatch)
 	if elastic {
 		if err := srv.EnableElastic(minWorkers, maxWorkers); err != nil {
 			return err

@@ -1,7 +1,7 @@
 // Command sdradlint runs the SDRaD invariant analyzers (wallclock,
-// unchargedmem, detorder, errclass, docexport) over Go packages and
-// reports findings in file:line:col form. It exits 0 when clean, 1 on
-// findings, 2 on load or usage errors.
+// unchargedmem, detorder, errclass, docexport, unusedexport) over Go
+// packages and reports findings in file:line:col form. It exits 0 when
+// clean, 1 on findings, 2 on load or usage errors.
 //
 // Usage:
 //

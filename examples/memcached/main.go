@@ -3,7 +3,7 @@
 // A memcached-like server holds a warm cache. Eight benign clients issue
 // a zipf-skewed GET/SET mix while a malicious client periodically sends
 // exploit payloads. The demo runs the same workload twice — native
-// (crash + process restart) and SDRaD (per-connection domains with secure
+// (crash + process restart) and SDRaD (worker domains with secure
 // rewind) — and prints what the benign clients experienced.
 //
 //	go run ./examples/memcached

@@ -13,7 +13,7 @@ import (
 // the real backends: weighted tenant arrivals admitted through a real
 // gateway.Gateway (token buckets, quotas, circuit breaker, drain) in
 // front of a campaign executor, in waves of cfg.Batch. Same cfg ⇒
-// byte-identical GatewayTrace.JSON(). See DESIGN.md §12 for the
+// byte-identical trace JSON. See DESIGN.md §12 for the
 // tenant-locality argument the trace's determinism rests on.
 func RunGatewayCampaign(sc campaign.GatewayScenario, cfg campaign.Config) (*campaign.GatewayTrace, error) {
 	return campaign.RunGateway(sc, cfg, CampaignFactory())

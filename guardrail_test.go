@@ -70,29 +70,47 @@ func TestUnchargedAccessorsContained(t *testing.T) {
 	expectClean(t, analysis.UnchargedMem)
 }
 
+// TestNoUnusedInternalExports asserts every exported identifier under
+// internal/ has a non-test user in the module (cmd/, examples/ and
+// benchmark/ count), so an export kept alive only by its own tests
+// cannot accumulate.
+func TestNoUnusedInternalExports(t *testing.T) {
+	expectClean(t, analysis.UnusedExport)
+}
+
 // TestSeededViolationsAreCaught writes a deliberately violating package
 // to a temporary fixture tree and asserts each module-gating analyzer
 // still flags it: proof the clean runs above cannot pass vacuously.
 func TestSeededViolationsAreCaught(t *testing.T) {
 	root := t.TempDir()
-	dir := filepath.Join(root, "seeded")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := `package seeded
+	files := map[string]string{
+		"seeded/seeded.go": `package seeded
 
 import "time"
 
 func Stamp() time.Time { return time.Now() }
-`
-	if err := os.WriteFile(filepath.Join(dir, "seeded.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+`,
+		// An internal export nothing outside its tests calls.
+		"seeded/internal/dead/dead.go": `package dead
+
+// Dead has no user.
+func Dead() {}
+`,
 	}
-	u, err := analysis.LoadFixtureTree(root, "seeded")
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u, err := analysis.LoadFixtureTree(root, "seeded/...")
 	if err != nil {
 		t.Fatalf("loading seeded fixture: %v", err)
 	}
-	for _, a := range []*analysis.Analyzer{analysis.Wallclock, analysis.DocExport} {
+	for _, a := range []*analysis.Analyzer{analysis.Wallclock, analysis.DocExport, analysis.UnusedExport} {
 		findings, err := analysis.Run([]*analysis.Analyzer{a}, u)
 		if err != nil {
 			t.Fatalf("running %s over seeded fixture: %v", a.Name, err)

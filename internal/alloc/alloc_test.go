@@ -225,12 +225,12 @@ func TestReleaseUnmapsPages(t *testing.T) {
 func TestHeapPagesCarryDomainKey(t *testing.T) {
 	h, m := newHeap(t)
 	p, _ := h.Alloc(16)
-	k, err := m.KeyOf(p)
-	if err != nil || k != h.Key() {
-		t.Errorf("KeyOf = %v, %v; want key %v", k, err, h.Key())
+	// A PKRU with the domain key reads the payload; one without it
+	// cannot touch it.
+	if err := m.LoadBytes(pku.OnlyKeys(pku.DefaultKey, h.Key()), p, make([]byte, 1)); err != nil {
+		t.Errorf("domain-key read = %v, want nil", err)
 	}
-	// A PKRU without the domain key cannot touch the payload.
-	_, lerr := m.Load8(pku.OnlyKeys(pku.DefaultKey), p)
+	lerr := m.LoadBytes(pku.OnlyKeys(pku.DefaultKey), p, make([]byte, 1))
 	if f, ok := mem.IsFault(lerr); !ok || f.Kind != mem.FaultPkey {
 		t.Errorf("foreign read = %v, want FaultPkey", lerr)
 	}

@@ -33,11 +33,11 @@ type Diagnostic struct {
 }
 
 // Fact is a marker interface for analyzer facts. A fact is a claim an
-// analyzer attaches to a package or object while analyzing its defining
-// package; downstream packages (analyzed later, in dependency order)
-// can query it. Exemptions and sanctioned-function marks are facts, so
-// policy travels with the code that declares it instead of living in
-// path lists inside the driver.
+// analyzer attaches to an object while analyzing its defining package;
+// downstream packages (analyzed later, in dependency order) can query
+// it. Sanctioned-function marks are facts, so policy travels with the
+// code that declares it instead of living in path lists inside the
+// driver.
 type Fact interface{ AFact() }
 
 // Pass carries one analyzer's view of one package: syntax, types, the
@@ -54,6 +54,10 @@ type Pass struct {
 	// opposed to the standard library. Analyzers use it to scope checks
 	// to our own code.
 	InModule func(path string) bool
+	// Universe holds every loaded package. A package is analyzed before
+	// its importers, so a check that needs a package's users (such as
+	// unusedexport) reads them here rather than from facts.
+	Universe *Universe
 
 	facts *factStore
 	diags *[]Diagnostic
@@ -77,17 +81,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // its package clause, exempting the whole package from this analyzer.
 func (p *Pass) Allowed() bool { return p.pkgAllowed }
 
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.facts.exportPackage(p.Pkg, fact)
-}
-
-// PackageFact reports whether pkg carries a fact with the same dynamic
-// type as sample, returning it if so.
-func (p *Pass) PackageFact(pkg *types.Package, sample Fact) (Fact, bool) {
-	return p.facts.packageFact(pkg, sample)
-}
-
 // ExportObjectFact attaches fact to obj, which must belong to the
 // package under analysis.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
@@ -106,27 +99,15 @@ func (p *Pass) ObjectFact(obj types.Object, sample Fact) (Fact, bool) {
 // *types.Func seen by the defining package is the same object seen by
 // its importers.
 type factStore struct {
-	pkg map[*types.Package][]Fact
 	obj map[types.Object][]Fact
 }
 
 func newFactStore() *factStore {
-	return &factStore{
-		pkg: make(map[*types.Package][]Fact),
-		obj: make(map[types.Object][]Fact),
-	}
-}
-
-func (s *factStore) exportPackage(pkg *types.Package, f Fact) {
-	s.pkg[pkg] = append(s.pkg[pkg], f)
+	return &factStore{obj: make(map[types.Object][]Fact)}
 }
 
 func (s *factStore) exportObject(obj types.Object, f Fact) {
 	s.obj[obj] = append(s.obj[obj], f)
-}
-
-func (s *factStore) packageFact(pkg *types.Package, sample Fact) (Fact, bool) {
-	return matchFact(s.pkg[pkg], sample)
 }
 
 func (s *factStore) objectFact(obj types.Object, sample Fact) (Fact, bool) {

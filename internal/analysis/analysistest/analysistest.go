@@ -10,6 +10,8 @@
 // they may import each other by relative path; the Go toolchain ignores
 // testdata directories, so fixture packages can contain deliberate
 // invariant violations without tripping the repo-wide lint.
+//
+//lint:allow unusedexport a fixture runner: only the analyzers' tests import it
 package analysistest
 
 import (

@@ -21,6 +21,7 @@ var fixturePatterns = map[string]string{
 	"detorder":     "detorder/...",
 	"errclass":     "errclass/...",
 	"docexport":    "docexport/...",
+	"unusedexport": "unusedexport/...",
 }
 
 func TestWallclockFixtures(t *testing.T) {
@@ -41,6 +42,10 @@ func TestErrClassFixtures(t *testing.T) {
 
 func TestDocExportFixtures(t *testing.T) {
 	analysistest.Run(t, srcRoot, analysis.DocExport, fixturePatterns["docexport"])
+}
+
+func TestUnusedExportFixtures(t *testing.T) {
+	analysistest.Run(t, srcRoot, analysis.UnusedExport, fixturePatterns["unusedexport"])
 }
 
 // recorder satisfies analysistest.TB, capturing failures instead of
@@ -77,32 +82,41 @@ func TestFixturesFailWhenCheckDisabled(t *testing.T) {
 // themselves findings, and neither takes effect (the suppressed site is
 // still reported).
 func TestEmptyDirectiveReasonsAreFindings(t *testing.T) {
-	u, err := analysis.LoadFixtureTree(srcRoot, "directives/empty")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	fs, err := analysis.Run([]*analysis.Analyzer{analysis.Wallclock}, u)
-	if err != nil {
-		t.Fatalf("running wallclock: %v", err)
-	}
-	var msgs []string
-	for _, f := range fs {
-		msgs = append(msgs, f.Message)
-	}
-	for _, want := range []string{"needs a reason", "needs a justification", "reference to time.Now"} {
-		found := false
-		for _, m := range msgs {
-			if strings.Contains(m, want) {
-				found = true
-				break
+	for _, tc := range []struct {
+		a       *analysis.Analyzer
+		fixture string
+		site    string
+	}{
+		{analysis.Wallclock, "directives/empty", "reference to time.Now"},
+		{analysis.UnusedExport, "directives/internal/bare", "exported func Orphan"},
+	} {
+		u, err := analysis.LoadFixtureTree(srcRoot, tc.fixture)
+		if err != nil {
+			t.Fatalf("loading fixture: %v", err)
+		}
+		fs, err := analysis.Run([]*analysis.Analyzer{tc.a}, u)
+		if err != nil {
+			t.Fatalf("running %s: %v", tc.a.Name, err)
+		}
+		var msgs []string
+		for _, f := range fs {
+			msgs = append(msgs, f.Message)
+		}
+		for _, want := range []string{"needs a reason", "needs a justification", tc.site} {
+			found := false
+			for _, m := range msgs {
+				if strings.Contains(m, want) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s: no finding containing %q in %v", tc.a.Name, want, msgs)
 			}
 		}
-		if !found {
-			t.Errorf("no finding containing %q in %v", want, msgs)
+		if len(fs) != 3 {
+			t.Errorf("%s: got %d findings, want 3: %v", tc.a.Name, len(fs), msgs)
 		}
-	}
-	if len(fs) != 3 {
-		t.Errorf("got %d findings, want 3: %v", len(fs), msgs)
 	}
 }
 

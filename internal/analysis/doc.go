@@ -21,16 +21,20 @@
 //     IsOverload), never compared with == or silently dropped.
 //   - docexport: exported declarations of public packages carry doc
 //     comments.
+//   - unusedexport: every exported identifier under internal/ has a
+//     non-test user in the module; an export only tests call is dead.
+//     The one check that reads the whole universe: a package's users
+//     are analyzed after it.
 //
-// Exemptions are declared in the exempted code itself as directives and
-// carried as analyzer facts, never as path lists in a driver:
+// Exemptions are declared in the exempted code itself as directives,
+// never as path lists in a driver:
 //
 //	//lint:allow <analyzer> <reason>    package-wide, on the package clause
 //	//lint:<analyzer> <justification>   one site, on or above the line
 //	//lint:uncharged                    marks a sanctioned accessor decl
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
-// package/object facts, an analysistest-style fixture runner in the
+// object facts, an analysistest-style fixture runner in the
 // analysistest subpackage) but is self-contained: packages are loaded
 // via `go list -deps -export` and type-checked from source in one
 // shared object universe, with standard-library imports resolved from

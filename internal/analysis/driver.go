@@ -40,6 +40,7 @@ func Run(analyzers []*Analyzer, u *Universe) ([]Finding, error) {
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				InModule:  u.InModule,
+				Universe:  u,
 				facts:     facts,
 				diags:     &diags,
 			}

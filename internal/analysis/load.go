@@ -313,7 +313,9 @@ func (l *fixtureLoader) load(path string) (*Package, error) {
 	}
 	var goFiles []string
 	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		// Test files are left out, as `go list` leaves them out of
+		// GoFiles: a fixture's _test.go file models a test-only user.
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
 			goFiles = append(goFiles, e.Name())
 		}
 	}

@@ -17,12 +17,6 @@ type unchargedFact struct{}
 
 func (unchargedFact) AFact() {}
 
-// allowUnchargedFact marks a package sanctioned to call uncharged
-// accessors.
-type allowUnchargedFact struct{}
-
-func (allowUnchargedFact) AFact() {}
-
 // UnchargedMem reports calls to uncharged kernel-side memory accessors
 // from unsanctioned packages. Everything outside the sanctioned set
 // must go through the charged Load/Store paths so cycle accounting
@@ -49,7 +43,6 @@ func runUnchargedMem(pass *Pass) error {
 		}
 	}
 	if pass.Allowed() {
-		pass.ExportPackageFact(allowUnchargedFact{})
 		return nil
 	}
 	//lint:detorder findings are sorted by the driver, so map order is harmless here

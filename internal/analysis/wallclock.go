@@ -2,17 +2,6 @@ package analysis
 
 import "go/types"
 
-// allowWallClockFact marks a package that declared itself exempt from
-// the wall-clock ban via "//lint:allow wallclock <reason>" — the
-// virtual clock itself (internal/vclock owns the one sanctioned
-// deadline-to-cycles conversion) and binaries that report host-side
-// timings. The exemption is a fact the package states about itself, not
-// a path list in the driver, so moving or adding a package never
-// silently changes coverage.
-type allowWallClockFact struct{}
-
-func (allowWallClockFact) AFact() {}
-
 // wallForbidden is the set of time-package functions that read the wall
 // clock. Library code reaching any of them breaks virtual-time
 // determinism: two runs with the same seed would charge different
@@ -35,7 +24,6 @@ var Wallclock = &Analyzer{
 
 func runWallclock(pass *Pass) error {
 	if pass.Allowed() {
-		pass.ExportPackageFact(allowWallClockFact{})
 		return nil
 	}
 	//lint:detorder findings are sorted by the driver, so map order is harmless here

@@ -10,15 +10,15 @@ import (
 	"repro/internal/kvstore"
 )
 
-// startServer brings up a real sdrad-kvd-equivalent TCP server.
+// startServer brings up a real sdrad-kvd-equivalent TCP server: one
+// shard behind the batched frontend at the binary's default flags.
 func startServer(t *testing.T, mode kvstore.Mode) (string, func()) {
 	t.Helper()
-	sys := core.NewSystem(core.DefaultConfig())
-	cache, err := kvstore.NewCache(sys, 1, 16<<20)
+	pool, err := kvstore.NewPool(core.DefaultConfig(), kvstore.ServerConfig{Mode: mode}, 1, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := kvstore.NewServer(sys, cache, kvstore.ServerConfig{Mode: mode})
+	ns, err := kvstore.NewBatchedNetServerPool(pool, nil, 1024, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,13 +26,15 @@ func startServer(t *testing.T, mode kvstore.Mode) (string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := kvstore.NewNetServer(srv, nil)
 	done := make(chan error, 1)
 	go func() { done <- ns.Serve(ln) }()
 	return ln.Addr().String(), func() {
 		_ = ln.Close()
 		if err := <-done; err != nil {
 			t.Errorf("Serve: %v", err)
+		}
+		if err := ns.Close(); err != nil {
+			t.Errorf("Close: %v", err)
 		}
 	}
 }

@@ -132,7 +132,9 @@ func (c *Corruptor) Corrupt(payload []byte) ([]byte, Mutation) {
 // MalformedKVCorpus returns n deterministic malformed memcached-text
 // command payloads: well-formed commands from a seeded KV workload run
 // through the corruptor. The corpus seeds the kvstore parser fuzz target
-// and the campaign engine's malformed-payload fault class.
+// and its campaign-mirror test.
+//
+//lint:unusedexport fuzz seeds shared by other packages' tests
 func MalformedKVCorpus(seed uint64, n int) [][]byte {
 	c := NewCorruptor(seed)
 	gen, err := workload.NewKV(workload.KVConfig{Seed: seed, Keys: 64, ValueSize: 24})
@@ -149,7 +151,9 @@ func MalformedKVCorpus(seed uint64, n int) [][]byte {
 }
 
 // MalformedHTTPCorpus returns n deterministic malformed HTTP request
-// heads, for the httpd parser fuzz target and the campaign engine.
+// heads, for the httpd parser fuzz target and its campaign-mirror test.
+//
+//lint:unusedexport fuzz seeds shared by other packages' tests
 func MalformedHTTPCorpus(seed uint64, n int) [][]byte {
 	c := NewCorruptor(seed)
 	gen, err := workload.NewHTTP(workload.HTTPConfig{Seed: seed})

@@ -91,12 +91,6 @@ func MaxRecoveries(target float64, recovery time.Duration) float64 {
 	return float64(DowntimeBudget(target)) / float64(recovery)
 }
 
-// MaxFaultRate returns the largest sustainable fault rate (faults/year)
-// that still meets the target, given the recovery time.
-func MaxFaultRate(target float64, recovery time.Duration) float64 {
-	return MaxRecoveries(target, recovery)
-}
-
 // FormatAvailability renders an availability fraction in the conventional
 // "99.999%" style with enough digits to show the nines.
 func FormatAvailability(a float64) string {
@@ -123,29 +117,4 @@ func FormatAvailability(a float64) string {
 	scale := math.Pow(10, float64(decimals))
 	truncated := math.Floor(a*100*scale) / scale
 	return fmt.Sprintf("%.*f%%", decimals, truncated)
-}
-
-// SteadyState computes the classic renewal-theory availability
-// MTTF/(MTTF+MTTR): the long-run fraction of time the service is up when
-// failures arrive with mean time to failure MTTF and each takes MTTR to
-// repair. It is the continuous-time counterpart of Downtime/Availability
-// and agrees with them when faults are rare (MTTF >> MTTR).
-func SteadyState(mttf, mttr time.Duration) float64 {
-	if mttf <= 0 {
-		return 0
-	}
-	if mttr < 0 {
-		mttr = 0
-	}
-	return float64(mttf) / float64(mttf+mttr)
-}
-
-// MTTFFromRate converts a fault rate (faults per year) to the mean time
-// to failure. A zero or negative rate returns the maximum representable
-// duration (a practical "never").
-func MTTFFromRate(faultsPerYear float64) time.Duration {
-	if faultsPerYear <= 0 {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(float64(Year) / faultsPerYear)
 }

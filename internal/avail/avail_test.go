@@ -100,8 +100,19 @@ func TestMaxRecoveriesEdge(t *testing.T) {
 	if !math.IsInf(MaxRecoveries(0.99999, 0), 1) {
 		t.Error("zero recovery time should allow infinite recoveries")
 	}
-	if MaxFaultRate(0.99999, time.Minute) != MaxRecoveries(0.99999, time.Minute) {
-		t.Error("MaxFaultRate should equal MaxRecoveries")
+}
+
+func TestSteadyStateAgreesWithRateFormulation(t *testing.T) {
+	// The paper's arithmetic (rate x recovery) and renewal theory's
+	// steady state MTTF/(MTTF+MTTR) must agree in the rare-fault regime.
+	for _, f := range []float64{1, 3, 10, 100} {
+		recovery := 2 * time.Minute
+		viaRate := Availability(Downtime(f, recovery))
+		mttf := time.Duration(float64(Year) / f)
+		viaMTTF := float64(mttf) / float64(mttf+recovery)
+		if math.Abs(viaRate-viaMTTF) > 1e-6 {
+			t.Errorf("f=%v: rate formulation %v vs renewal %v", f, viaRate, viaMTTF)
+		}
 	}
 }
 
@@ -147,43 +158,5 @@ func TestMeetsMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSteadyStateFormulation(t *testing.T) {
-	// MTTF = MTTR means 50% availability.
-	if a := SteadyState(time.Hour, time.Hour); math.Abs(a-0.5) > 1e-12 {
-		t.Errorf("SteadyState(1h,1h) = %v", a)
-	}
-	if SteadyState(0, time.Hour) != 0 {
-		t.Error("zero MTTF should be 0")
-	}
-	if SteadyState(time.Hour, -time.Minute) != 1 {
-		t.Error("negative MTTR should clamp to perfect")
-	}
-}
-
-func TestSteadyStateAgreesWithRateFormulation(t *testing.T) {
-	// The paper's arithmetic (rate x recovery) and the renewal formula
-	// must agree in the rare-fault regime.
-	for _, f := range []float64{1, 3, 10, 100} {
-		recovery := 2 * time.Minute
-		viaRate := Availability(Downtime(f, recovery))
-		viaMTTF := SteadyState(MTTFFromRate(f), recovery)
-		if math.Abs(viaRate-viaMTTF) > 1e-6 {
-			t.Errorf("f=%v: rate formulation %v vs renewal %v", f, viaRate, viaMTTF)
-		}
-	}
-}
-
-func TestMTTFFromRate(t *testing.T) {
-	if MTTFFromRate(1) != Year {
-		t.Errorf("MTTF(1/yr) = %v, want a year", MTTFFromRate(1))
-	}
-	if got := MTTFFromRate(365.25 * 24); got < 59*time.Minute || got > 61*time.Minute {
-		t.Errorf("hourly faults MTTF = %v, want ~1h", got)
-	}
-	if MTTFFromRate(0) <= Year {
-		t.Error("zero rate should be effectively never")
 	}
 }

@@ -45,9 +45,6 @@ func TestNegativeInputsClamp(t *testing.T) {
 	if n := NinesTarget(-4); n != 0 {
 		t.Errorf("NinesTarget(-4) = %v", n)
 	}
-	if s := SteadyState(5*time.Minute, -time.Minute); s != 1 {
-		t.Errorf("SteadyState with negative MTTR = %v, want 1", s)
-	}
 }
 
 // TestDowntimeSaturatesAtYear: a fault rate so high the downtime
@@ -85,9 +82,6 @@ func TestMaxRecoveriesExtremes(t *testing.T) {
 	if n := MaxRecoveries(1, time.Microsecond); n != 0 {
 		t.Errorf("perfect target admits %v recoveries, want 0", n)
 	}
-	if MaxFaultRate(0.999, time.Second) != MaxRecoveries(0.999, time.Second) {
-		t.Error("MaxFaultRate must equal MaxRecoveries")
-	}
 }
 
 // TestFormatAvailabilityNeverRoundsUp: the rendering must truncate —
@@ -114,35 +108,5 @@ func TestFormatAvailabilityNeverRoundsUp(t *testing.T) {
 		if tc.excludes != "" && strings.Contains(got, tc.excludes) {
 			t.Errorf("FormatAvailability(%v) = %q, must not contain %q", tc.a, got, tc.excludes)
 		}
-	}
-}
-
-// TestSteadyStateExtremes: zero MTTF means never up; huge MTTF with
-// tiny MTTR approaches (but never exceeds) 1.
-func TestSteadyStateExtremes(t *testing.T) {
-	if s := SteadyState(0, time.Minute); s != 0 {
-		t.Errorf("SteadyState(0, 1m) = %v", s)
-	}
-	if s := SteadyState(-time.Hour, time.Minute); s != 0 {
-		t.Errorf("SteadyState(-1h, 1m) = %v", s)
-	}
-	s := SteadyState(1000*time.Hour, time.Microsecond)
-	if s <= 0.999999 || s > 1 {
-		t.Errorf("SteadyState(1000h, 1µs) = %v", s)
-	}
-}
-
-// TestMTTFFromRateExtremes: zero and negative rates mean "never fails".
-func TestMTTFFromRateExtremes(t *testing.T) {
-	never := time.Duration(math.MaxInt64)
-	if d := MTTFFromRate(0); d != never {
-		t.Errorf("MTTFFromRate(0) = %v", d)
-	}
-	if d := MTTFFromRate(-1); d != never {
-		t.Errorf("MTTFFromRate(-1) = %v", d)
-	}
-	// One fault per year: MTTF is the year itself.
-	if d := MTTFFromRate(1); d != Year {
-		t.Errorf("MTTFFromRate(1) = %v, want %v", d, Year)
 	}
 }

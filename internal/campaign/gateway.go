@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"regexp"
@@ -167,12 +166,6 @@ type GatewayTrace struct {
 	Tenants []TenantTrace `json:"tenants"`
 	// VirtualCycles is the executor's summed virtual time.
 	VirtualCycles uint64 `json:"virtual_cycles"`
-}
-
-// JSON renders the trace as stable, indented JSON: same seed, same
-// bytes.
-func (t *GatewayTrace) JSON() ([]byte, error) {
-	return json.MarshalIndent(t, "", "  ")
 }
 
 // Tenant returns the named tenant's trace, or nil.

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -68,11 +69,11 @@ func TestGatewaySameSeedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := t1.JSON()
+	j1, err := json.MarshalIndent(t1, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := t2.JSON()
+	j2, err := json.MarshalIndent(t2, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestGatewaySameSeedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j3, err := t3.JSON()
+	j3, err := json.MarshalIndent(t3, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,10 @@ func keyOwnedBy(t *testing.T, r *Router, id NodeID) string {
 	t.Helper()
 	for i := 0; i < 10_000; i++ {
 		k := fmt.Sprintf("key-%08d", i)
-		if owner, ok := r.Owner(k); ok && owner == id {
+		r.mu.RLock()
+		holders := r.assign[KeySlot(k)]
+		r.mu.RUnlock()
+		if len(holders) > 0 && holders[0] == id {
 			return k
 		}
 	}
@@ -60,11 +63,28 @@ func keyOwnedBy(t *testing.T, r *Router, id NodeID) string {
 	return ""
 }
 
+// memberState returns id's lease-derived state in r's snapshot: an
+// unregistered id is Stopped.
+func memberState(r *Registry, id NodeID) MemberState {
+	for _, m := range r.Snapshot() {
+		if m.ID == id {
+			return m.State
+		}
+	}
+	return lifecycle.StateStopped
+}
+
 // TestRegistryLeaseTransitions walks a session through the lease state
 // machine: Healthy within the lease, Degraded in the grace window,
 // Dead beyond it, and rejoin-only-by-reregistering afterwards.
 func TestRegistryLeaseTransitions(t *testing.T) {
-	r := NewRegistry(4)
+	r := NewDeferredRegistry(4)
+	if err := r.Init(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
 	defer r.Close()
 	if err := r.Register(0); err != nil {
 		t.Fatal(err)
@@ -80,22 +100,22 @@ func TestRegistryLeaseTransitions(t *testing.T) {
 	epoch := r.Epoch()
 
 	r.Tick(4)
-	if st := r.MemberState(0); st != lifecycle.StateHealthy {
+	if st := memberState(r, 0); st != lifecycle.StateHealthy {
 		t.Fatalf("age=lease state = %v, want Healthy", st)
 	}
 	r.Tick(1)
-	if st := r.MemberState(0); st != lifecycle.StateDegraded {
+	if st := memberState(r, 0); st != lifecycle.StateDegraded {
 		t.Fatalf("age=lease+1 state = %v, want Degraded", st)
 	}
 	if err := r.Renew(0); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.MemberState(0); st != lifecycle.StateHealthy {
+	if st := memberState(r, 0); st != lifecycle.StateHealthy {
 		t.Fatalf("renewed state = %v, want Healthy", st)
 	}
 
 	r.Tick(4) // node 1's age is now 9 > 2*lease
-	if st := r.MemberState(1); st != lifecycle.StateStopped {
+	if st := memberState(r, 1); st != lifecycle.StateStopped {
 		t.Fatalf("expired state = %v, want Stopped", st)
 	}
 	died := r.Sweep()
@@ -111,13 +131,13 @@ func TestRegistryLeaseTransitions(t *testing.T) {
 	if err := r.Register(1); err != nil {
 		t.Fatalf("rejoin after death: %v", err)
 	}
-	if st := r.MemberState(1); st != lifecycle.StateHealthy {
+	if st := memberState(r, 1); st != lifecycle.StateHealthy {
 		t.Fatalf("rejoined state = %v, want Healthy", st)
 	}
 	if err := r.Deregister(0); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.MemberState(0); st != lifecycle.StateStopped {
+	if st := memberState(r, 0); st != lifecycle.StateStopped {
 		t.Fatalf("deregistered state = %v, want Stopped", st)
 	}
 }

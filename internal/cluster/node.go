@@ -183,7 +183,3 @@ func (n *Node) Stats() kvstore.ServerStats { return n.pool.Stats() }
 // VirtualTime returns the node's parallel makespan (max across its
 // shards' simulated machines).
 func (n *Node) VirtualTime() int64 { return int64(n.pool.VirtualTime()) }
-
-// Pool exposes the underlying pool for tests that need shard-level
-// access.
-func (n *Node) Pool() *kvstore.Pool { return n.pool }

@@ -64,15 +64,6 @@ type session struct {
 	dead      bool
 }
 
-// NewRegistry builds, initializes, and starts a registry with the given
-// lease duration in cycles (<= 0 means DefaultLeaseCycles).
-func NewRegistry(leaseCycles uint64) *Registry {
-	r := NewDeferredRegistry(leaseCycles)
-	_ = r.Init()  //lint:errclass fresh machine; Init from StateInitializing cannot fail
-	_ = r.Start() //lint:errclass inited machine; Start cannot fail
-	return r
-}
-
 // NewDeferredRegistry constructs a registry without allocating its
 // member table: the lifecycle pattern's cheap construction. Call Init
 // and Start before registering nodes.
@@ -208,13 +199,6 @@ func (r *Registry) Tick(n uint64) {
 	r.mu.Unlock()
 }
 
-// Now returns the membership clock.
-func (r *Registry) Now() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.now
-}
-
 // Epoch returns the membership epoch (bumped on every register,
 // deregister, and death).
 func (r *Registry) Epoch() uint64 {
@@ -237,19 +221,6 @@ func (r *Registry) stateLocked(s *session) MemberState {
 	default:
 		return lifecycle.StateStopped
 	}
-}
-
-// MemberState returns id's lease-derived health; unknown ids report
-// StateStopped (an unregistered node is indistinguishable from a dead
-// one, as with a deleted etcd session key).
-func (r *Registry) MemberState(id NodeID) MemberState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.members[id]
-	if !ok {
-		return lifecycle.StateStopped
-	}
-	return r.stateLocked(s)
 }
 
 // Sweep pins newly expired sessions as dead and returns their ids in
@@ -281,21 +252,6 @@ func (r *Registry) Snapshot() []Member {
 	for _, id := range r.sortedIDsLocked() {
 		s := r.members[id]
 		out = append(out, Member{ID: id, State: r.stateLocked(s), Age: r.now - s.renewedAt})
-	}
-	return out
-}
-
-// Live returns the ids whose sessions are serving (Healthy or
-// Degraded), ascending.
-func (r *Registry) Live() []NodeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []NodeID
-	for _, id := range r.sortedIDsLocked() {
-		st := r.stateLocked(r.members[id])
-		if st == lifecycle.StateHealthy || st == lifecycle.StateDegraded {
-			out = append(out, id)
-		}
 	}
 	return out
 }

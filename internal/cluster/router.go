@@ -820,18 +820,6 @@ func (r *Router) Scan(prefix, cursor string, limit int) (kvstore.ScanResult, err
 	return out, nil
 }
 
-// Owner returns the node currently holding key's slot as primary; ok
-// is false when the slot has no holders.
-func (r *Router) Owner(key string) (NodeID, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	holders := r.assign[KeySlot(key)]
-	if len(holders) == 0 {
-		return -1, false
-	}
-	return holders[0], true
-}
-
 // Handoffs returns the count of slot-primary moves performed by
 // rebalances (crash failovers, retires, joins).
 func (r *Router) Handoffs() uint64 { return r.handoffs.Load() }
@@ -893,12 +881,4 @@ func (r *Router) VirtualTime() int64 {
 		}
 	}
 	return max
-}
-
-// Registry exposes the lease registry for tests and the campaign
-// harness.
-func (r *Router) Registry() *Registry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.reg
 }

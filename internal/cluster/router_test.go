@@ -90,7 +90,7 @@ func TestRouterIDsFollowMembership(t *testing.T) {
 		{"retire 2", func() error { return r.RetireNode(2) }},
 		{"fail 0", func() error { return r.FailNode(0) }},
 		{"join 2", func() error { return r.JoinNode(2) }},
-		{"deregister 0", func() error { return r.Registry().Deregister(0) }},
+		{"deregister 0", func() error { return r.reg.Deregister(0) }},
 	} {
 		if err := step.do(); err != nil {
 			t.Fatalf("%s: %v", step.name, err)

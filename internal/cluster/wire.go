@@ -7,20 +7,18 @@ import (
 	"time"
 
 	"repro/internal/kvstore"
-	"repro/internal/lifecycle"
 	"repro/internal/workload"
 )
 
-// This file is the cluster wire codec: the compact binary frames a
-// cross-process transport would ship to nodes (requests) and to
-// operators/peers (membership snapshots). The router's hop to a node is
-// in-process, so it does not round-trip the codec: checkRequest applies
-// DecodeRequest's bounds to the request the router already holds, with
-// the same ErrWire errors (FuzzCheckRequest pins the two to each other).
-// The codec stays the fuzzed format a TCP transport would plug into, and
-// the attack surface the FuzzWireDecode target hardens: DecodeRequest
-// and DecodeMembership must reject arbitrary bytes with ErrWire, never
-// panic or over-allocate.
+// This file is the cluster wire codec: the compact binary request
+// frames a cross-process transport would ship to nodes. The router's
+// hop to a node is in-process, so it does not round-trip the codec:
+// checkRequest applies DecodeRequest's bounds to the request the router
+// already holds, with the same ErrWire errors (FuzzCheckRequest pins
+// the two to each other). The codec stays the fuzzed format a TCP
+// transport would plug into, and the attack surface the FuzzWireDecode
+// target hardens: DecodeRequest must reject arbitrary bytes with
+// ErrWire, never panic or over-allocate.
 
 // Wire framing constants.
 const (
@@ -28,9 +26,8 @@ const (
 	wireMagic = 'S'
 	// wireVersion is the codec version.
 	wireVersion = 1
-	// frameRequest and frameMembership are the frame type bytes.
-	frameRequest    = 1
-	frameMembership = 3
+	// frameRequest is the request frame's type byte.
+	frameRequest = 1
 )
 
 // Decode hardening bounds: a frame claiming more than these is
@@ -38,8 +35,6 @@ const (
 const (
 	// MaxWireKeyLen bounds a request frame's key.
 	MaxWireKeyLen = 256
-	// MaxWireMembers bounds a membership frame's member count.
-	MaxWireMembers = 1024
 )
 
 // ErrWire is the typed rejection for malformed wire frames.
@@ -52,25 +47,6 @@ type RequestFrame struct {
 	ClientID int
 	// Req is the operation.
 	Req workload.Request
-}
-
-// MemberRecord is one node's row in a membership frame.
-type MemberRecord struct {
-	// ID is the node.
-	ID NodeID
-	// State is the lease-derived health.
-	State MemberState
-	// Age is the cycles since the last lease renewal.
-	Age uint64
-}
-
-// MembershipFrame is a decoded membership snapshot.
-type MembershipFrame struct {
-	// Epoch is the membership epoch; Now the membership clock.
-	Epoch uint64
-	Now   uint64
-	// Members is the membership in ascending id order.
-	Members []MemberRecord
 }
 
 // appendUvarint appends v as a uvarint.
@@ -115,6 +91,8 @@ func checkRequest(clientID int, req workload.Request) error {
 }
 
 // EncodeRequest renders one forwarded request as a wire frame.
+//
+//lint:unusedexport the reference codec FuzzCheckRequest holds checkRequest to
 func EncodeRequest(clientID int, req workload.Request) []byte {
 	out := make([]byte, 0, 16+len(req.Key)+len(req.Value))
 	out = append(out, wireMagic, wireVersion, frameRequest)
@@ -136,6 +114,8 @@ func EncodeRequest(clientID int, req workload.Request) []byte {
 
 // DecodeRequest parses a request frame, rejecting malformed or
 // out-of-bounds input with ErrWire.
+//
+//lint:unusedexport the reference codec FuzzCheckRequest holds checkRequest to
 func DecodeRequest(b []byte) (RequestFrame, error) {
 	var f RequestFrame
 	if len(b) < 3 || b[0] != wireMagic || b[1] != wireVersion || b[2] != frameRequest {
@@ -198,79 +178,5 @@ func DecodeRequest(b []byte) (RequestFrame, error) {
 	if vlen > 0 {
 		f.Req.Value = append([]byte(nil), b[:vlen]...)
 	}
-	return f, nil
-}
-
-// EncodeMembership renders a membership snapshot as a wire frame.
-func EncodeMembership(epoch, now uint64, members []Member) []byte {
-	out := make([]byte, 0, 8+8*len(members))
-	out = append(out, wireMagic, wireVersion, frameMembership)
-	out = appendUvarint(out, epoch)
-	out = appendUvarint(out, now)
-	out = appendUvarint(out, uint64(len(members)))
-	for _, m := range members {
-		out = appendUvarint(out, uint64(uint32(m.ID)))
-		out = append(out, byte(m.State))
-		out = appendUvarint(out, m.Age)
-	}
-	return out
-}
-
-// DecodeMembership parses a membership frame, rejecting malformed or
-// out-of-bounds input with ErrWire.
-func DecodeMembership(b []byte) (MembershipFrame, error) {
-	var f MembershipFrame
-	if len(b) < 3 || b[0] != wireMagic || b[1] != wireVersion || b[2] != frameMembership {
-		return f, fmt.Errorf("%w: bad header", ErrWire)
-	}
-	b = b[3:]
-	epoch, n := uvarint(b)
-	if n == 0 {
-		return f, fmt.Errorf("%w: epoch", ErrWire)
-	}
-	b = b[n:]
-	now, n := uvarint(b)
-	if n == 0 {
-		return f, fmt.Errorf("%w: clock", ErrWire)
-	}
-	b = b[n:]
-	count, n := uvarint(b)
-	if n == 0 || count > MaxWireMembers {
-		return f, fmt.Errorf("%w: member count", ErrWire)
-	}
-	b = b[n:]
-	members := make([]MemberRecord, 0, count)
-	var prev int64 = -1
-	for i := uint64(0); i < count; i++ {
-		id, n := uvarint(b)
-		if n == 0 || id > uint64(^uint32(0)) {
-			return f, fmt.Errorf("%w: member id", ErrWire)
-		}
-		b = b[n:]
-		if int64(id) <= prev {
-			return f, fmt.Errorf("%w: member ids not ascending", ErrWire)
-		}
-		prev = int64(id)
-		if len(b) < 1 {
-			return f, fmt.Errorf("%w: truncated state", ErrWire)
-		}
-		st := lifecycle.State(b[0])
-		if st < lifecycle.StateInitializing || st > lifecycle.StateStopped {
-			return f, fmt.Errorf("%w: member state %d", ErrWire, b[0])
-		}
-		b = b[1:]
-		age, n := uvarint(b)
-		if n == 0 {
-			return f, fmt.Errorf("%w: member age", ErrWire)
-		}
-		b = b[n:]
-		members = append(members, MemberRecord{ID: NodeID(id), State: st, Age: age})
-	}
-	if len(b) != 0 {
-		return f, fmt.Errorf("%w: trailing bytes", ErrWire)
-	}
-	f.Epoch = epoch
-	f.Now = now
-	f.Members = members
 	return f, nil
 }

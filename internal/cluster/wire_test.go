@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/lifecycle"
 	"repro/internal/workload"
 )
 
@@ -46,32 +45,6 @@ func TestWireRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireMembershipRoundTrip encodes and decodes a membership
-// snapshot and asserts fidelity.
-func TestWireMembershipRoundTrip(t *testing.T) {
-	members := []Member{
-		{ID: 0, State: lifecycle.StateHealthy, Age: 0},
-		{ID: 1, State: lifecycle.StateDegraded, Age: 9},
-		{ID: 4, State: lifecycle.StateStopped, Age: 40},
-	}
-	f, err := DecodeMembership(EncodeMembership(17, 123, members))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if f.Epoch != 17 || f.Now != 123 {
-		t.Errorf("epoch/now = %d/%d, want 17/123", f.Epoch, f.Now)
-	}
-	if len(f.Members) != len(members) {
-		t.Fatalf("members = %d, want %d", len(f.Members), len(members))
-	}
-	for i, m := range members {
-		got := f.Members[i]
-		if got.ID != m.ID || got.State != m.State || got.Age != m.Age {
-			t.Errorf("member %d = %+v, want %+v", i, got, m)
-		}
-	}
-}
-
 // TestWireDecodeRejections asserts the codec rejects malformed frames
 // with typed ErrWire, exercising each validation branch.
 func TestWireDecodeRejections(t *testing.T) {
@@ -83,7 +56,7 @@ func TestWireDecodeRejections(t *testing.T) {
 		{"empty", nil},
 		{"bad-magic", []byte{'X', 1, 1, 0}},
 		{"bad-version", []byte{'S', 9, 1, 0}},
-		{"wrong-frame-type", EncodeMembership(1, 1, nil)},
+		{"wrong-frame-type", []byte{'S', 1, 3, 1, 1, 0}},
 		{"truncated", good[:len(good)-1]},
 		{"trailing", append(append([]byte{}, good...), 0)},
 		{"bad-op", []byte{'S', 1, 1, 0, 9, 0, 0, 0, 1, 'k', 0}},
@@ -96,21 +69,19 @@ func TestWireDecodeRejections(t *testing.T) {
 			}
 		})
 	}
-	if _, err := DecodeMembership([]byte{'S', 1, 3, 1, 1, 2, 1, 2, 0, 0, 2, 0}); !errors.Is(err, ErrWire) {
-		t.Errorf("non-ascending membership ids: err = %v, want ErrWire", err)
-	}
 }
 
-// FuzzWireDecode hardens the router's decode surface: arbitrary bytes
-// must either decode cleanly or be rejected with an error — never
-// panic, and a successful request decode must survive a re-encode
-// round trip (canonicalization check).
+// FuzzWireDecode hardens the request decoder: arbitrary bytes must
+// either decode cleanly or be rejected with an error — never panic —
+// and an accepted frame must survive a re-encode round trip whole:
+// client id, op, key, value, flags, TTL and the malicious bit.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeRequest(3, workload.Request{Op: workload.OpGet, Key: "key-00000001"}))
 	f.Add(EncodeRequest(1, workload.Request{Op: workload.OpSet, Key: "k", Value: []byte("value"), Flags: 7, TTL: time.Second}))
 	f.Add(EncodeRequest(0, workload.Request{Op: workload.OpDelete, Key: "key-00000002", Malicious: true}))
-	f.Add(EncodeMembership(3, 99, []Member{{ID: 0, State: 1, Age: 2}, {ID: 7, State: 4, Age: 30}}))
+	f.Add(EncodeRequest(1<<31, workload.Request{Op: workload.OpSet, Key: strings.Repeat("k", MaxWireKeyLen), Value: []byte("v"),
+		Flags: ^uint32(0), TTL: time.Hour, Malicious: true}))
 	f.Add([]byte{'S', 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if fr, err := DecodeRequest(b); err == nil {
@@ -118,11 +89,12 @@ func FuzzWireDecode(f *testing.F) {
 			if err2 != nil {
 				t.Fatalf("re-encode of accepted frame rejected: %v", err2)
 			}
-			if fr2.Req.Key != fr.Req.Key || fr2.Req.Op != fr.Req.Op {
+			if fr2.ClientID != fr.ClientID || fr2.Req.Op != fr.Req.Op || fr2.Req.Key != fr.Req.Key ||
+				!bytes.Equal(fr2.Req.Value, fr.Req.Value) || fr2.Req.Flags != fr.Req.Flags ||
+				fr2.Req.TTL != fr.Req.TTL || fr2.Req.Malicious != fr.Req.Malicious {
 				t.Fatalf("round trip diverged: %+v vs %+v", fr2, fr)
 			}
 		}
-		_, _ = DecodeMembership(b)
 	})
 }
 

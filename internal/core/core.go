@@ -32,9 +32,6 @@ var (
 	// ErrDomainActive is returned when deinitializing a domain that is
 	// currently executing.
 	ErrDomainActive = errors.New("sdrad: domain is active")
-	// ErrNotEntered is returned for operations that require an active
-	// domain.
-	ErrNotEntered = errors.New("sdrad: no active domain")
 )
 
 // ViolationError is returned by Enter when the entered domain suffered a
@@ -238,11 +235,6 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
-// RootKey returns the protection key tagging root-owned protected pages
-// (adopted heaps). Root-side accessors (CopyFromDomain/CopyToDomain) run
-// with full rights and can always touch it.
-func (s *System) RootKey() pku.Key { return s.rootKey }
-
 // Clock returns the system's virtual clock.
 func (s *System) Clock() *vclock.Clock { return s.clock }
 
@@ -268,9 +260,6 @@ func (s *System) emit(kind trace.Kind, udi UDI, detail string) {
 	}
 	s.tracer.Record(trace.Event{At: s.clock.Now(), Kind: kind, UDI: int(udi), Detail: detail})
 }
-
-// PKRU returns the current simulated PKRU register value.
-func (s *System) PKRU() pku.PKRU { return s.pkru }
 
 // InitDomain initializes a domain at an explicit UDI (sdrad_init analog):
 // allocates a protection key and maps the domain's heap and stack.
@@ -607,9 +596,6 @@ func (d *Domain) Stats() DomainStats { return d.stats }
 
 // UDI returns the domain's index.
 func (d *Domain) UDI() UDI { return d.udi }
-
-// Key returns the domain's protection key.
-func (d *Domain) Key() pku.Key { return d.key }
 
 // Heap exposes the domain heap for root-privileged inspection.
 func (d *Domain) Heap() *alloc.Heap { return d.heap }

@@ -32,7 +32,7 @@ func TestInitAndDeinitDomain(t *testing.T) {
 	if d.UDI() != 1 {
 		t.Errorf("UDI = %d", d.UDI())
 	}
-	if d.Key() == pku.DefaultKey {
+	if d.key == pku.DefaultKey {
 		t.Error("domain got the default key")
 	}
 	if s.Domains() != 1 {
@@ -488,18 +488,18 @@ func TestCountersAccumulate(t *testing.T) {
 func TestPKRUAcrossEnterExit(t *testing.T) {
 	s := newSys(t)
 	d := mustDomain(t, s, 1)
-	if s.PKRU() != pku.PKRUAllowAll {
-		t.Fatalf("root PKRU = %v", s.PKRU())
+	if s.pkru != pku.PKRUAllowAll {
+		t.Fatalf("root PKRU = %v", s.pkru)
 	}
 	_ = s.Enter(1, func(c *DomainCtx) error {
-		want := pku.OnlyKeys(pku.DefaultKey, d.Key())
-		if s.PKRU() != want {
-			t.Errorf("in-domain PKRU = %v, want %v", s.PKRU(), want)
+		want := pku.OnlyKeys(pku.DefaultKey, d.key)
+		if s.pkru != want {
+			t.Errorf("in-domain PKRU = %v, want %v", s.pkru, want)
 		}
 		return nil
 	})
-	if s.PKRU() != pku.PKRUAllowAll {
-		t.Errorf("PKRU not restored: %v", s.PKRU())
+	if s.pkru != pku.PKRUAllowAll {
+		t.Errorf("PKRU not restored: %v", s.pkru)
 	}
 }
 
@@ -555,7 +555,7 @@ func TestDomainCtxAccessorsAndErrorPaths(t *testing.T) {
 	s := newSys(t)
 	d := mustDomain(t, s, 3)
 	err := s.Enter(3, func(c *DomainCtx) error {
-		if c.UDI() != 3 || c.Key() != d.Key() {
+		if c.UDI() != 3 || c.Key() != d.key {
 			t.Errorf("ctx identity: udi=%d key=%v", c.UDI(), c.Key())
 		}
 		// Error-returning variants.
@@ -647,7 +647,7 @@ func TestRewindCyclesAccessors(t *testing.T) {
 	if d.Stats().RewindCycles() != cycles {
 		t.Error("DomainStats.RewindCycles disagrees with System.RewindCycles")
 	}
-	if s.RootKey() == pku.DefaultKey {
+	if s.rootKey == pku.DefaultKey {
 		t.Error("root key should not be the default key")
 	}
 }

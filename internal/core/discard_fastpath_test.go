@@ -100,7 +100,7 @@ func TestAdoptHeapInvalidatesStaleTranslations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldKey := d.Key()
+	oldKey := d.key
 	var addr mem.Addr
 	// Warm the TLB for (heap pages, domain PKRU).
 	err = sys.Enter(d.UDI(), func(c *DomainCtx) error {
@@ -115,8 +115,8 @@ func TestAdoptHeapInvalidatesStaleTranslations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adopted.Key() != sys.RootKey() {
-		t.Fatalf("adopted heap key = %v, want root key %v", adopted.Key(), sys.RootKey())
+	if adopted.Key() != sys.rootKey {
+		t.Fatalf("adopted heap key = %v, want root key %v", adopted.Key(), sys.rootKey)
 	}
 	// A fresh domain gets the freed key back — its PKRU equals the old
 	// domain's, so a stale TLB entry would wrongly allow the access.
@@ -124,8 +124,8 @@ func TestAdoptHeapInvalidatesStaleTranslations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Key() != oldKey {
-		t.Skipf("key allocator did not reuse %v (got %v)", oldKey, d2.Key())
+	if d2.key != oldKey {
+		t.Skipf("key allocator did not reuse %v (got %v)", oldKey, d2.key)
 	}
 	err = sys.Enter(d2.UDI(), func(c *DomainCtx) error {
 		return c.Store64(addr, 0x41)
@@ -177,7 +177,7 @@ func TestGrantRevokeReadRefreshesCachedPKRU(t *testing.T) {
 	if err := sys.GrantRead(viewer.UDI(), owner.UDI()); err != nil {
 		t.Fatal(err)
 	}
-	if !viewer.pkru.CanRead(owner.Key()) || viewer.pkru.CanWrite(owner.Key()) {
+	if !viewer.pkru.CanRead(owner.key) || viewer.pkru.CanWrite(owner.key) {
 		t.Fatalf("cached PKRU %v does not reflect read grant", viewer.pkru)
 	}
 	err = sys.Enter(viewer.UDI(), func(c *DomainCtx) error {
@@ -196,7 +196,7 @@ func TestGrantRevokeReadRefreshesCachedPKRU(t *testing.T) {
 	if err := sys.RevokeRead(viewer.UDI(), owner.UDI()); err != nil {
 		t.Fatal(err)
 	}
-	if viewer.pkru.CanRead(owner.Key()) {
+	if viewer.pkru.CanRead(owner.key) {
 		t.Fatalf("cached PKRU %v still allows revoked key", viewer.pkru)
 	}
 }

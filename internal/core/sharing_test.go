@@ -204,7 +204,7 @@ func TestAdoptHeapZeroCopy(t *testing.T) {
 	}
 	// Adopted pages carry the root-protected key: the default-key PKRU of
 	// domain code cannot touch them.
-	if _, lerr := s.Mem().Load8(pku.OnlyKeys(pku.DefaultKey), result); lerr == nil {
+	if lerr := s.Mem().LoadBytes(pku.OnlyKeys(pku.DefaultKey), result, make([]byte, 1)); lerr == nil {
 		t.Error("default-key rights could read root-protected page")
 	}
 	// The adopted heap remains a working allocator.

@@ -94,14 +94,6 @@ type Counters struct {
 	counts [MechSegfault + 1]uint64
 }
 
-// Record classifies err and increments the matching counter, returning
-// the mechanism. MechNone is not counted.
-func (c *Counters) Record(err error) Mechanism {
-	m := Classify(err)
-	c.Add(m)
-	return m
-}
-
 // Add increments the counter for an already-classified mechanism.
 // MechNone is not counted.
 func (c *Counters) Add(m Mechanism) {
@@ -117,15 +109,3 @@ func (c *Counters) Count(m Mechanism) uint64 {
 	}
 	return c.counts[m]
 }
-
-// Total returns the number of detections across all mechanisms.
-func (c *Counters) Total() uint64 {
-	var t uint64
-	for _, n := range c.counts {
-		t += n
-	}
-	return t
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() { c.counts = [MechSegfault + 1]uint64{} }

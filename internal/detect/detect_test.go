@@ -53,23 +53,23 @@ func TestIsViolation(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	var c Counters
-	c.Record(&mem.Fault{Kind: mem.FaultPkey})
-	c.Record(&mem.Fault{Kind: mem.FaultPkey})
-	c.Record(stack.ErrStackSmash)
-	c.Record(nil)                 // not counted
-	c.Record(errors.New("other")) // not counted
+	for _, err := range []error{
+		&mem.Fault{Kind: mem.FaultPkey},
+		&mem.Fault{Kind: mem.FaultPkey},
+		stack.ErrStackSmash,
+		nil,                 // not counted
+		errors.New("other"), // not counted
+	} {
+		c.Add(Classify(err))
+	}
 	if got := c.Count(MechDomainViolation); got != 2 {
 		t.Errorf("domain violations = %d, want 2", got)
 	}
 	if got := c.Count(MechStackCanary); got != 1 {
 		t.Errorf("stack canaries = %d, want 1", got)
 	}
-	if got := c.Total(); got != 3 {
-		t.Errorf("Total = %d, want 3", got)
-	}
-	c.Reset()
-	if c.Total() != 0 {
-		t.Error("Reset did not clear counters")
+	if got := total(&c); got != 3 {
+		t.Errorf("total = %d, want 3", got)
 	}
 }
 

@@ -14,8 +14,6 @@
 package energy
 
 import (
-	"time"
-
 	"repro/internal/avail"
 	"repro/internal/procmodel"
 )
@@ -193,11 +191,4 @@ func SavingsVs(a, b Assessment) float64 {
 		return 0
 	}
 	return 1 - a.TotalKgCO2e()/tb
-}
-
-// RecoveryEnergy returns the energy in joules consumed by one recovery of
-// the given duration at recovery-time utilization (the server is up but
-// not serving — we charge full power as the machine spins on warm-up).
-func RecoveryEnergy(s ServerModel, recovery time.Duration) float64 {
-	return s.PowerAt(1) * recovery.Seconds()
 }

@@ -1,11 +1,5 @@
 package energy
 
-import (
-	"math"
-
-	"repro/internal/avail"
-)
-
 // This file extends the operational model with the life-cycle dimensions
 // §IV of the paper calls for: the energy cost of the *development effort*
 // a retrofit requires ("that drives up the cost of software development,
@@ -65,15 +59,6 @@ func (d DevEffort) KgCO2e() float64 {
 	return d.KWh() * g / 1000
 }
 
-// AmortizedKgCO2ePerYear spreads the one-time effort over the service's
-// expected lifetime in years.
-func (d DevEffort) AmortizedKgCO2ePerYear(lifetimeYears float64) float64 {
-	if lifetimeYears <= 0 {
-		return d.KgCO2e()
-	}
-	return d.KgCO2e() / lifetimeYears
-}
-
 // Rebound applies a rebound factor to a projected saving: a rebound of
 // 0.3 means 30% of the saved capacity is re-consumed (e.g. freed servers
 // absorb new workloads), so only 70% of the projected saving
@@ -86,46 +71,4 @@ func Rebound(projectedSavingKgCO2e, factor float64) float64 {
 		return 0
 	}
 	return projectedSavingKgCO2e * (1 - factor)
-}
-
-// BreakEvenYears returns how long the annual operational saving of a vs
-// b must accrue to pay back the extra development effort of a. Returns
-// +Inf when a does not save anything.
-func BreakEvenYears(a, b Assessment, effortA, effortB DevEffort) float64 {
-	annualSaving := b.TotalKgCO2e() - a.TotalKgCO2e()
-	extraEffort := effortA.KgCO2e() - effortB.KgCO2e()
-	if annualSaving <= 0 {
-		return math.Inf(1)
-	}
-	if extraEffort <= 0 {
-		return 0
-	}
-	return extraEffort / annualSaving
-}
-
-// LifecycleSummary combines the operational assessment with the
-// development effort and a rebound discount.
-type LifecycleSummary struct {
-	Assessment Assessment
-	Effort     DevEffort
-	// NetAnnualKgCO2e includes amortized development emissions.
-	NetAnnualKgCO2e float64
-}
-
-// Lifecycle builds the combined view for one strategy.
-func Lifecycle(a Assessment, effort DevEffort, lifetimeYears float64) LifecycleSummary {
-	return LifecycleSummary{
-		Assessment:      a,
-		Effort:          effort,
-		NetAnnualKgCO2e: a.TotalKgCO2e() + effort.AmortizedKgCO2ePerYear(lifetimeYears),
-	}
-}
-
-// RecoveriesPerBudget is a convenience re-export tying the availability
-// arithmetic into sustainability reports.
-func RecoveriesPerBudget(target float64, recoverySeconds float64) float64 {
-	if recoverySeconds <= 0 {
-		return math.Inf(1)
-	}
-	return avail.DowntimeBudget(target).Seconds() / recoverySeconds
 }

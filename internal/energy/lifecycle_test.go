@@ -1,10 +1,8 @@
 package energy
 
 import (
-	"math"
 	"testing"
 
-	"repro/internal/avail"
 	"repro/internal/procmodel"
 )
 
@@ -30,12 +28,6 @@ func TestDevEffortEnergyArithmetic(t *testing.T) {
 	if got := d.KgCO2e(); got != 1 {
 		t.Errorf("KgCO2e = %v, want 1", got)
 	}
-	if got := d.AmortizedKgCO2ePerYear(4); got != 0.25 {
-		t.Errorf("amortized = %v, want 0.25", got)
-	}
-	if got := d.AmortizedKgCO2ePerYear(0); got != 1 {
-		t.Errorf("zero lifetime amortized = %v, want full", got)
-	}
 	// Zero fields get defaults.
 	z := DevEffort{EngineerHours: 1}
 	if z.KWh() <= 0 || z.KgCO2e() <= 0 {
@@ -57,30 +49,6 @@ func TestDevEffortIsNegligibleVsReplication(t *testing.T) {
 	}
 }
 
-func TestBreakEven(t *testing.T) {
-	sc := DefaultScenario()
-	ap := Assess(sc, procmodel.ActivePassive{})
-	rewind := Assess(sc, procmodel.SDRaDRewind{ZeroOnDiscard: true})
-	manual := DefaultDevEffortFor("manual-sdrad")
-	opsEffort := DefaultDevEffortFor("replication-ops")
-
-	// SDRaD saves versus replication AND needs less engineering: break
-	// even immediately.
-	if y := BreakEvenYears(rewind, ap, manual, opsEffort); y != 0 {
-		t.Errorf("break-even = %v, want 0 (less effort and cheaper)", y)
-	}
-	// Against a hypothetical zero-effort baseline, break-even is a small
-	// fraction of a year.
-	y := BreakEvenYears(rewind, ap, manual, DevEffort{})
-	if y <= 0 || y > 0.1 {
-		t.Errorf("break-even vs zero-effort = %v yr, want (0, 0.1]", y)
-	}
-	// No saving -> +Inf.
-	if y := BreakEvenYears(ap, rewind, manual, manual); !math.IsInf(y, 1) {
-		t.Errorf("negative saving break-even = %v, want +Inf", y)
-	}
-}
-
 func TestRebound(t *testing.T) {
 	if got := Rebound(100, 0.3); got != 70 {
 		t.Errorf("Rebound(100, 0.3) = %v, want 70", got)
@@ -96,29 +64,5 @@ func TestRebound(t *testing.T) {
 	}
 	if got := Rebound(100, -0.2); got != 100 {
 		t.Errorf("negative factor = %v, want clamped to 100", got)
-	}
-}
-
-func TestLifecycleSummary(t *testing.T) {
-	sc := DefaultScenario()
-	a := Assess(sc, procmodel.SDRaDRewind{ZeroOnDiscard: true})
-	effort := DefaultDevEffortFor("manual-sdrad")
-	ls := Lifecycle(a, effort, 4)
-	if ls.NetAnnualKgCO2e <= a.TotalKgCO2e() {
-		t.Error("lifecycle must add the amortized effort")
-	}
-	if ls.NetAnnualKgCO2e-a.TotalKgCO2e() > 2 {
-		t.Errorf("amortized effort %v kg/yr implausibly large",
-			ls.NetAnnualKgCO2e-a.TotalKgCO2e())
-	}
-}
-
-func TestRecoveriesPerBudget(t *testing.T) {
-	n := RecoveriesPerBudget(avail.NinesTarget(5), 3.5e-6)
-	if n < 9e7 {
-		t.Errorf("recoveries at 3.5µs = %.3g, want > 9e7 (the paper's number)", n)
-	}
-	if !math.IsInf(RecoveriesPerBudget(0.99999, 0), 1) {
-		t.Error("zero recovery should be +Inf")
 	}
 }

@@ -98,7 +98,7 @@ func (r Runner) runA2() (*Result, error) {
 			fmt.Sprintf("%.1f%%", (base-perReq)/base*100))
 	}
 	t.Caption = "per-request domains give the strongest isolation; batching amortizes the enter/exit cost at the price of a larger blast radius per rewind"
-	return &Result{Table: t, Notes: "the kvstore/httpd servers use per-connection domains (batch ≈ connection lifetime)"}, nil
+	return &Result{Table: t, Notes: "the kvstore/httpd servers place each client on one of at most 12 worker domains (client id mod workers), pristine between requests, so a rewind discards one request"}, nil
 }
 
 // runA3 — detection surface: cost of the exit-time integrity sweep as a

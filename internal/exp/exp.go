@@ -96,16 +96,6 @@ func IDs() []string {
 	return ids
 }
 
-// Claim returns the paper claim for an experiment ID.
-func Claim(id string) (string, error) {
-	for _, e := range registry() {
-		if e.id == id {
-			return e.claim, nil
-		}
-	}
-	return "", fmt.Errorf("exp: unknown experiment %q", id)
-}
-
 // Run executes one experiment by ID.
 func (r Runner) Run(id string) (*Result, error) {
 	for _, e := range registry() {

@@ -8,23 +8,31 @@ import (
 
 	"repro/internal/httpd"
 	"repro/internal/kvstore"
+	"repro/internal/metrics"
 )
 
 func quick() Runner { return Runner{Quick: true} }
+
+// rows returns tb's data rows as its Markdown rendering prints them.
+func rows(tb *metrics.Table) [][]string {
+	var out [][]string
+	for _, line := range strings.Split(tb.Markdown(), "\n") {
+		if strings.HasPrefix(line, "| ") {
+			out = append(out, strings.Split(strings.TrimSuffix(line[2:], " |"), " | "))
+		}
+	}
+	return out[2:] // the header and separator lines
+}
 
 func TestIDsAndClaims(t *testing.T) {
 	ids := IDs()
 	if len(ids) != 13 {
 		t.Fatalf("IDs = %v", ids)
 	}
-	for _, id := range ids {
-		c, err := Claim(id)
-		if err != nil || c == "" {
-			t.Errorf("Claim(%s) = %q, %v", id, c, err)
+	for _, e := range registry() {
+		if e.claim == "" {
+			t.Errorf("%s has no paper claim", e.id)
 		}
-	}
-	if _, err := Claim("E99"); err == nil {
-		t.Error("unknown claim accepted")
 	}
 	if _, err := quick().Run("E99"); err == nil {
 		t.Error("unknown experiment accepted")
@@ -70,11 +78,11 @@ func TestE1OverheadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := res.Table.Rows()
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
+	e1rows := rows(res.Table)
+	if len(e1rows) != 4 {
+		t.Fatalf("rows = %d", len(e1rows))
 	}
-	for _, row := range rows {
+	for _, row := range e1rows {
 		oh := parseOverhead(t, row[3])
 		if strings.Contains(row[0], "sandbox") {
 			// §IV: conventional process isolation costs far more than the
@@ -133,7 +141,7 @@ func TestE3ShapeMatchesPaperArithmetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The 3-faults/yr row: restart must violate, rewind must meet.
-	for _, row := range res.Table.Rows() {
+	for _, row := range rows(res.Table) {
 		if row[0] == "3" {
 			if row[5] != "false / true" {
 				t.Errorf("3 faults/yr verdict = %q, want 'false / true'", row[5])
@@ -228,16 +236,15 @@ func TestAblationShapes(t *testing.T) {
 	}
 	// Zeroing must cost more than fast discard, increasingly so with heap
 	// size: check the last row's speedup exceeds the first row's.
-	rows := a1.Table.Rows()
-	if len(rows) != 4 {
-		t.Fatalf("A1 rows = %d", len(rows))
+	if a1rows := rows(a1.Table); len(a1rows) != 4 {
+		t.Fatalf("A1 rows = %d", len(a1rows))
 	}
 
 	a2, err := r.Run("A2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2rows := a2.Table.Rows()
+	a2rows := rows(a2.Table)
 	// Larger batches must not be slower per request than batch=1.
 	if len(a2rows) != 4 {
 		t.Fatalf("A2 rows = %d", len(a2rows))
@@ -287,12 +294,6 @@ func TestVerifyHelpers(t *testing.T) {
 	if !isFalse("x", 0).Pass || isFalse("x", 1).Pass {
 		t.Error("isFalse")
 	}
-	if !AllPass([]Check{{Pass: true}, {Pass: true}}) {
-		t.Error("AllPass true case")
-	}
-	if AllPass([]Check{{Pass: true}, {Pass: false}}) {
-		t.Error("AllPass false case")
-	}
 }
 
 func TestS1SensitivityNeverFlips(t *testing.T) {
@@ -313,21 +314,5 @@ func TestS1SensitivityNeverFlips(t *testing.T) {
 	}
 	if res.Table.NumRows() != 9 {
 		t.Errorf("rows = %d, want 9", res.Table.NumRows())
-	}
-}
-
-func TestRestartViolationThreshold(t *testing.T) {
-	// At 3 faults/yr and five nines, the threshold must sit well below
-	// 10 GB (the paper's example violates) and above 1 MB.
-	th := RestartViolationThreshold(0.99999, 3)
-	if th >= 10_000_000_000 {
-		t.Errorf("threshold %d: the paper's 10GB example would not violate", th)
-	}
-	if th < 1_000_000 {
-		t.Errorf("threshold %d implausibly small", th)
-	}
-	// Impossible budget -> 0.
-	if RestartViolationThreshold(1, 3) != 0 {
-		t.Error("perfect availability should be unreachable by restart")
 	}
 }

@@ -467,8 +467,8 @@ type retrofitCount struct{ Files, Lines int }
 // TestRetrofitCounts (which fails, printing the new counts, when the
 // code drifts from these). Constants keep sdrad-report hermetic.
 var (
-	kvRetrofit    = retrofitCount{Files: 6, Lines: 78}
-	httpdRetrofit = retrofitCount{Files: 3, Lines: 44}
+	kvRetrofit    = retrofitCount{Files: 6, Lines: 71}
+	httpdRetrofit = retrofitCount{Files: 3, Lines: 39}
 )
 
 func (r Runner) runE5() (*Result, error) {
@@ -486,7 +486,7 @@ func (r Runner) runE5() (*Result, error) {
 		"use case", "approach", "files changed", "wrapper LoC / annotations", "eng. hours", "effort kgCO2e")
 	t.AddRow("Memcached (paper)", "manual SDRaD API", 2, "484 LoC",
 		fmt.Sprintf("%.0f", manual.EngineerHours), fmt.Sprintf("%.2f", manual.KgCO2e()))
-	t.AddRow("memcached-like KV (ours)", "domain-per-connection", kvRetrofit.Files, fmt.Sprintf("%d LoC", kvRetrofit.Lines),
+	t.AddRow("memcached-like KV (ours)", "domain-per-request", kvRetrofit.Files, fmt.Sprintf("%d LoC", kvRetrofit.Lines),
 		fmt.Sprintf("%.0f", ffiEff.EngineerHours), fmt.Sprintf("%.2f", ffiEff.KgCO2e()))
 	t.AddRow("tlslib via SDRaD-FFI (ours)", "Foreign registrations", 1, "3 annotations (1/function)",
 		fmt.Sprintf("%.0f", ffiEff.EngineerHours), fmt.Sprintf("%.2f", ffiEff.KgCO2e()))

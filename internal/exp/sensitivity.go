@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/avail"
 	"repro/internal/metrics"
@@ -69,17 +68,4 @@ func (r Runner) runS1() (*Result, error) {
 	res.metric("rewind_flips", float64(rewindFlips))
 	res.metric("restart_meets_count", float64(restartMeetsCount))
 	return res, nil
-}
-
-// restartMeetsBound is exported for tests: the smallest state size at
-// which a 3-faults/yr process-restart policy starts violating the target.
-func RestartViolationThreshold(target float64, faultsPerYear float64) uint64 {
-	budgetPerFault := time.Duration(float64(avail.DowntimeBudget(target)) / faultsPerYear)
-	// Invert the restart model: exec + state/bw <= budgetPerFault.
-	cost := vclock.DefaultCostModel()
-	exec := vclock.CyclesToDuration(cost.ForkExec, cost.CPUHz)
-	if budgetPerFault <= exec {
-		return 0
-	}
-	return uint64(float64(budgetPerFault-exec) / float64(time.Second) * float64(cost.WarmupBytesPerSec))
 }

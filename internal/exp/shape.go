@@ -134,13 +134,3 @@ func Verify(r *Result) []Check {
 		}}
 	}
 }
-
-// AllPass reports whether every check passes.
-func AllPass(checks []Check) bool {
-	for _, c := range checks {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}

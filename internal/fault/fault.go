@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
-	"repro/internal/workload"
 )
 
 // Kind identifies a bug class.
@@ -53,11 +52,6 @@ const (
 	// contained violation.
 	Crash
 )
-
-// Kinds returns all bug classes.
-func Kinds() []Kind {
-	return []Kind{HeapOverflow, StackSmash, WildWrite, OOBRead, CrossDomainWrite, DoubleFree, NullDeref, UseAfterFree, FreedHeaderSmash, Crash}
-}
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
@@ -166,24 +160,4 @@ func Inject(c *core.DomainCtx, kind Kind, victim mem.Addr) {
 	default:
 		c.Violate(fmt.Errorf("%w: unknown kind %d", ErrInjected, kind))
 	}
-}
-
-// Campaign drives a deterministic attack sequence.
-type Campaign struct {
-	rng   *workload.RNG
-	kinds []Kind
-}
-
-// NewCampaign builds a campaign over the given bug classes (all classes
-// if none given).
-func NewCampaign(seed uint64, kinds ...Kind) *Campaign {
-	if len(kinds) == 0 {
-		kinds = Kinds()
-	}
-	return &Campaign{rng: workload.NewRNG(seed), kinds: kinds}
-}
-
-// Next returns the next bug class to inject.
-func (c *Campaign) Next() Kind {
-	return c.kinds[c.rng.Intn(len(c.kinds))]
 }

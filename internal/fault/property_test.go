@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/detect"
 	"repro/internal/mem"
 	"repro/internal/workload"
 )
@@ -18,7 +19,8 @@ func TestSystemConsistencyUnderRandomOps(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := workload.NewRNG(seed)
 		s := core.NewSystem(core.DefaultConfig())
-		campaign := NewCampaign(seed)
+		attacks := workload.NewRNG(seed)
+		ks := kinds()
 
 		live := map[core.UDI]bool{}
 		var expectedViolations uint64
@@ -55,7 +57,7 @@ func TestSystemConsistencyUnderRandomOps(t *testing.T) {
 				if udi == 0 {
 					continue
 				}
-				kind := campaign.Next()
+				kind := ks[attacks.Intn(len(ks))]
 				err := s.Enter(udi, func(c *core.DomainCtx) error {
 					Inject(c, kind, 0)
 					return nil
@@ -87,7 +89,11 @@ func TestSystemConsistencyUnderRandomOps(t *testing.T) {
 		}
 		// Violations of deinited domains are gone from per-domain stats but
 		// stay in the global counters.
-		if s.Counters().Total() != expectedViolations {
+		var total uint64
+		for m := detect.MechDomainViolation; m <= detect.MechSegfault; m++ {
+			total += s.Counters().Count(m)
+		}
+		if total != expectedViolations {
 			return false
 		}
 		_ = got
@@ -194,8 +200,8 @@ func TestRewindAlwaysRestoresEntryState(t *testing.T) {
 		if _, err := s.InitDomain(1, core.DomainConfig{}); err != nil {
 			return false
 		}
-		kinds := Kinds()
-		kind := kinds[int(kindRaw)%len(kinds)]
+		ks := kinds()
+		kind := ks[int(kindRaw)%len(ks)]
 		err := s.Enter(1, func(c *core.DomainCtx) error {
 			for _, a := range allocs {
 				n := int(a)%512 + 1
@@ -222,7 +228,7 @@ func TestRewindAlwaysRestoresEntryState(t *testing.T) {
 
 func TestErrorsAreDistinguishable(t *testing.T) {
 	// The public error taxonomy: sentinel errors never alias.
-	sentinels := []error{core.ErrDomainExists, core.ErrNoDomain, core.ErrDomainActive, core.ErrNotEntered, core.ErrQuarantined}
+	sentinels := []error{core.ErrDomainExists, core.ErrNoDomain, core.ErrDomainActive, core.ErrQuarantined}
 	for i, a := range sentinels {
 		for j, b := range sentinels {
 			if i != j && errors.Is(a, b) {

@@ -90,9 +90,6 @@ func NewBridge(sys *core.System, udi core.UDI, codec serde.Codec) (*Bridge, erro
 	}, nil
 }
 
-// Codec returns the bridge's codec.
-func (b *Bridge) Codec() serde.Codec { return b.codec }
-
 // Register wraps a foreign function; it replaces any previous
 // registration with the same name. This is the analogue of annotating a
 // Rust function with the SDRaD-FFI macro.
@@ -103,9 +100,6 @@ func (b *Bridge) Register(reg Registration) error {
 	b.funcs[reg.Name] = reg
 	return nil
 }
-
-// Funcs returns the number of registered foreign functions.
-func (b *Bridge) Funcs() int { return len(b.funcs) }
 
 // Stats reports bridge accounting.
 type Stats struct {

@@ -83,8 +83,8 @@ func TestUnknownFunc(t *testing.T) {
 
 func TestDefaultCodecIsBinary(t *testing.T) {
 	b, _ := newBridge(t, nil)
-	if b.Codec().Name() != "binary" {
-		t.Errorf("default codec = %q", b.Codec().Name())
+	if b.codec.Name() != "binary" {
+		t.Errorf("default codec = %q", b.codec.Name())
 	}
 }
 
@@ -96,7 +96,7 @@ func TestRegisterValidation(t *testing.T) {
 	if err := b.Register(Registration{Name: "f"}); err == nil {
 		t.Error("nil Fn accepted")
 	}
-	if b.Funcs() != 0 {
+	if len(b.funcs) != 0 {
 		t.Error("invalid registrations were stored")
 	}
 }

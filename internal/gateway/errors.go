@@ -58,11 +58,6 @@ type AuthError struct {
 // Error implements error.
 func (e *AuthError) Error() string { return "gateway: unauthorized: " + e.Reason }
 
-// IsAuth reports whether err is (or wraps) an *AuthError, returning it.
-func IsAuth(err error) (*AuthError, bool) {
-	return errtype.As[*AuthError](err)
-}
-
 // RateLimitError reports a token-bucket rejection: the tenant exceeded
 // its admission rate. RetryCycles is the quantized virtual-cycle hint
 // until the bucket refills.

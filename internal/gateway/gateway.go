@@ -177,10 +177,6 @@ type Ticket struct {
 	done   bool
 }
 
-// Probe reports whether this admission is a quarantine re-admission
-// probe.
-func (t *Ticket) Probe() bool { return t.probe }
-
 // Admit runs the admission pipeline for one arrival of tenant: drain
 // gate, token-bucket refill and charge, circuit-breaker gate (with
 // probe scheduling), and inflight quota. It returns a Ticket, or a
@@ -314,14 +310,6 @@ func (t *Ticket) Done(detected, preempted bool) {
 		ts.probeInflight = false
 		g.stats.Observe(t.tenant, func(c *metrics.TenantCounters) { c.Quarantines++ })
 	}
-}
-
-// Quarantined reports whether tenant is currently quarantined.
-func (g *Gateway) Quarantined(tenant string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	ts := g.tenants[tenant]
-	return ts != nil && ts.quarantined
 }
 
 // StartDrain stops admission permanently: every later Admit returns

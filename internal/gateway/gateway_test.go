@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// quarantined reports whether tenant is currently quarantined.
+func quarantined(g *Gateway, tenant string) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ts := g.tenants[tenant]
+	return ts != nil && ts.quarantined
+}
+
 func testTable(t *testing.T) *Table {
 	t.Helper()
 	tab, err := NewTable(map[string]string{
@@ -184,7 +192,7 @@ func TestQuarantineAndProbe(t *testing.T) {
 		}
 		tk.Done(true, false)
 	}
-	if !g.Quarantined("alice") {
+	if !quarantined(g, "alice") {
 		t.Fatal("alice not quarantined after 3 detections")
 	}
 	// Quarantine rejects with typed error and a probe countdown.
@@ -210,12 +218,12 @@ func TestQuarantineAndProbe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe admit: %v", err)
 	}
-	if !probe.Probe() {
+	if !probe.probe {
 		t.Fatal("4th arrival not marked as probe")
 	}
 	// A dirty probe keeps the quarantine.
 	probe.Done(true, false)
-	if !g.Quarantined("alice") {
+	if !quarantined(g, "alice") {
 		t.Fatal("quarantine lifted by dirty probe")
 	}
 	// Next probe cycle: 4 arrivals, last is a probe; clean → readmitted.
@@ -226,11 +234,11 @@ func TestQuarantineAndProbe(t *testing.T) {
 			probe2 = tk
 		}
 	}
-	if probe2 == nil || !probe2.Probe() {
+	if probe2 == nil || !probe2.probe {
 		t.Fatalf("no second probe admitted (ticket %v)", probe2)
 	}
 	probe2.Done(false, false)
-	if g.Quarantined("alice") {
+	if quarantined(g, "alice") {
 		t.Fatal("quarantine not lifted by clean probe")
 	}
 	if _, err := g.Admit("alice"); err != nil {

@@ -14,8 +14,7 @@ import (
 // controller end to end over a real socket: with the worker held, eight
 // clients pile one GET each into the queue, so the first batch the drain
 // loop finishes sees a backlog of at least two calls per live parsing
-// domain and the controller doubles the set — reported in ElasticStats
-// and visible on the pool.
+// domain and the controller doubles the set, as the pool shows.
 func TestElasticNetServerGrowsUnderBurst(t *testing.T) {
 	pool, err := NewPool(core.DefaultConfig(), Config{Mode: ModeSDRaD}, 1)
 	if err != nil {
@@ -74,12 +73,11 @@ func TestElasticNetServerGrowsUnderBurst(t *testing.T) {
 	sh.Unlock()
 	wg.Wait()
 
-	st := ns.ElasticStats()
-	if st.Grown == 0 || st.MaxWorkers < 2 || st.MaxWorkers > 4 {
-		t.Fatalf("controller did not grow within [2, 4] under the burst: %+v", st)
-	}
-	if st.Workers != pool.ShardWorkers() {
-		t.Fatalf("stats report %d domains, the pool has %d", st.Workers, pool.ShardWorkers())
+	// The controller starts at one worker and needs 16 idle evaluations
+	// to shrink, more than the burst's batches: the pool still holds
+	// what it grew to.
+	if w := pool.ShardWorkers(); w < 2 || w > 4 {
+		t.Fatalf("controller did not grow the pool within [2, 4] under the burst: %d domains", w)
 	}
 	if err := ln.Close(); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/attackgen"
 	"repro/internal/core"
+	"repro/internal/detect"
 )
 
 // FuzzParse checks the HTTP head parser never panics, that accepted
@@ -191,7 +192,11 @@ func FuzzServeSDRaD(f *testing.F) {
 			if !resp.Contained {
 				t.Errorf("attack request not contained: %+v", resp)
 			}
-			if sys.Counters().Total() == 0 {
+			var detections uint64
+			for m := detect.MechDomainViolation; m <= detect.MechSegfault; m++ {
+				detections += sys.Counters().Count(m)
+			}
+			if detections == 0 {
 				t.Error("contained violation recorded no detection")
 			}
 			if st := srv.Stats(); st.Violations == 0 {

@@ -33,7 +33,7 @@ func startGatewayNet(t *testing.T, gw *gateway.Gateway) (string, *NetServer, fun
 		t.Fatal(err)
 	}
 	pool.HandleFunc("/", []byte("<html>home</html>"))
-	ns := NewNetServerPool(pool, nil)
+	ns := serveQueued(t, pool, nil)
 	ns.SetGateway(gw)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -205,7 +205,7 @@ func TestHTTPGatewayQuarantine(t *testing.T) {
 			t.Fatalf("exploit request %d: %q", i, out)
 		}
 	}
-	if !gw.Quarantined("mal") {
+	if gw.Stats().Get("mal").Quarantines != 1 {
 		t.Fatal("hostile tenant not quarantined after 3 contained exploits")
 	}
 	out := httpDo(t, addr, "GET", "/", evil)

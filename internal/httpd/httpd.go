@@ -254,16 +254,6 @@ func NewServer(sys *core.System, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Mode returns the server's mode.
-func (s *Server) Mode() Mode { return s.cfg.Mode }
-
-// Workers returns the live parsing-domain count (0 outside SDRaD mode).
-func (s *Server) Workers() int { return s.shell.Workers() }
-
-// ResizeWorkers grows or shrinks the parsing-domain set to n (SDRaD
-// mode only; see retrofit.Shell.Resize).
-func (s *Server) ResizeWorkers(n int) error { return s.shell.Resize(n) }
-
 // HandleFunc registers static content for GET path. The server keeps
 // content itself and serves it as the body of every routed response, so
 // it must not be modified once registered.

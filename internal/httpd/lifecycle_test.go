@@ -23,11 +23,6 @@ func TestLifecycleConformance(t *testing.T) {
 				p.HandleFunc("/", []byte("ok\n"))
 				return newNetServer(p, nil)
 			},
-			Resize: func(c lifecycle.Component, n int) error {
-				return c.(*NetServer).ResizeWorkers(n)
-			},
-			Grow:   6,
-			Shrink: 2,
 		},
 	})
 }

@@ -67,22 +67,6 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 	return n
 }
 
-// NewNetServer wraps srv for TCP serving as a one-worker pool; logger
-// may be nil. The single Server owns one simulated core, so request
-// handling is serialized behind the worker lock.
-func NewNetServer(srv *Server, logger *log.Logger) *NetServer {
-	return NewNetServerPool(poolOf(retrofit.Shards[*Server]{retrofit.NewShard(srv, &srv.shell)}), logger)
-}
-
-// NewNetServerPool wraps a Pool for TCP serving; logger may be nil. The
-// pool synchronizes internally per worker, so requests on different
-// workers execute in parallel.
-func NewNetServerPool(p *Pool, logger *log.Logger) *NetServer {
-	n := newNetServer(p, logger)
-	_ = n.Serving() //lint:errclass a serial frontend allocates nothing in Init; a fresh machine cannot refuse
-	return n
-}
-
 // NewBatchedNetServerPool wraps a Pool for TCP serving through the
 // asynchronous submission layer (serve.Frontend.Queue): one drain loop
 // per worker coalesces up to maxBatch queued requests into a single

@@ -3,6 +3,7 @@ package httpd
 import (
 	"bufio"
 	"errors"
+	"log"
 	"net"
 	"strings"
 	"testing"
@@ -10,19 +11,34 @@ import (
 	"repro/internal/core"
 )
 
-func startNet(t *testing.T, mode Mode) (string, func()) {
+// serveQueued wraps pool as sdrad-httpd does at its default flags. The
+// server closes when the test ends.
+func serveQueued(t *testing.T, pool *Pool, logger *log.Logger) *NetServer {
 	t.Helper()
-	sys := core.NewSystem(core.DefaultConfig())
-	srv, err := NewServer(sys, Config{Mode: mode, Workers: 2})
+	n, err := NewBatchedNetServerPool(pool, logger, 1024, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.HandleFunc("/", []byte("<html>home</html>"))
+	t.Cleanup(func() {
+		if cerr := n.Close(); cerr != nil {
+			t.Errorf("close: %v", cerr)
+		}
+	})
+	return n
+}
+
+func startNet(t *testing.T, mode Mode) (string, func()) {
+	t.Helper()
+	pool, err := NewPool(core.DefaultConfig(), Config{Mode: mode, Workers: 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.HandleFunc("/", []byte("<html>home</html>"))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(srv, nil)
+	ns := serveQueued(t, pool, nil)
 	done := make(chan error, 1)
 	go func() { done <- ns.Serve(ln) }()
 	return ln.Addr().String(), func() {

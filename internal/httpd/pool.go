@@ -42,16 +42,8 @@ func NewPool(syscfg core.Config, cfg Config, n int) (*Pool, error) {
 		}
 		shards[i] = retrofit.NewShard(srv, &srv.shell)
 	}
-	return poolOf(shards), nil
+	return &Pool{Shards: shards, inflight: make([]atomic.Int64, len(shards))}, nil
 }
-
-// poolOf returns the pool over shards.
-func poolOf(shards retrofit.Shards[*Server]) *Pool {
-	return &Pool{Shards: shards, inflight: make([]atomic.Int64, len(shards))}
-}
-
-// Mode returns the pool's resilience mode.
-func (p *Pool) Mode() Mode { return p.Shards[0].Srv.Mode() }
 
 // HandleFunc registers static content for GET path on every worker (the
 // routing table is trusted, replicated state).

@@ -97,7 +97,7 @@ func TestPoolParallelMixedTraffic(t *testing.T) {
 // TestPoolNetServerEndToEnd drives the pooled TCP path.
 func TestPoolNetServerEndToEnd(t *testing.T) {
 	p := newPool(t, 3)
-	addr, stop := startNetWith(t, NewNetServerPool(p, nil))
+	addr, stop := startNetWith(t, serveQueued(t, p, nil))
 	defer stop()
 
 	out := httpGet(t, addr, nil)
@@ -126,7 +126,7 @@ func TestPoolDefaults(t *testing.T) {
 	if p.Workers() != 1 {
 		t.Errorf("Workers = %d, want 1", p.Workers())
 	}
-	if p.Mode() != ModeSDRaD {
-		t.Errorf("Mode = %v", p.Mode())
+	if m := p.Shards[0].Srv.cfg.Mode; m != ModeSDRaD {
+		t.Errorf("Mode = %v", m)
 	}
 }

@@ -63,7 +63,7 @@ func fmtWriteHTTPResponse(w io.Writer, resp Response) {
 	_, _ = w.Write(body)
 }
 
-// gatewayServer returns a serial server over a two-worker pool behind a
+// gatewayServer returns a server over a two-worker pool behind a
 // gateway that grants each tenant a burst of one request.
 func gatewayServer(t *testing.T, logger *log.Logger) *NetServer {
 	t.Helper()
@@ -72,7 +72,7 @@ func gatewayServer(t *testing.T, logger *log.Logger) *NetServer {
 		t.Fatal(err)
 	}
 	pool.HandleFunc("/", []byte("<html>home</html>"))
-	n := NewNetServerPool(pool, logger)
+	n := serveQueued(t, pool, logger)
 	n.SetGateway(testGateway(t, gateway.Limits{Burst: 1, RefillEvery: 100, MaxInflight: 8}))
 	return n
 }

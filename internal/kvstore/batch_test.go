@@ -118,7 +118,7 @@ func TestHandleBatchAmortizesEntries(t *testing.T) {
 		}
 	}
 	// All 16 requests map to worker 3%4; its domain saw one entry.
-	d, err := sys.Domain(srv.cfg.FirstWorkerUDI + core.UDI(3%srv.Workers()))
+	d, err := sys.Domain(srv.cfg.FirstWorkerUDI + core.UDI(3%srv.shell.Workers()))
 	if err != nil {
 		t.Fatal(err)
 	}

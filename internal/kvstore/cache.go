@@ -5,10 +5,10 @@
 // the cache contents (the long-lived 10 GB state whose loss makes a
 // restart cost two minutes) live in a dedicated storage domain whose
 // protection key no worker ever enables, while request parsing and
-// handling run inside per-connection worker domains. A memory-safety bug
-// triggered by a malicious request corrupts only the worker domain, which
-// is rewound and discarded in microseconds — the cache, and every other
-// client's traffic, survive untouched. The same server can run in
+// handling run inside worker domains, each client on one of them. A
+// memory-safety bug triggered by a malicious request corrupts only the
+// worker domain, which is rewound and discarded in microseconds — the
+// cache, and every other client's traffic, survive untouched. The same server can run in
 // "native" mode (no domains, crash-on-fault + process restart) as the
 // baseline.
 package kvstore
@@ -90,13 +90,6 @@ func NewCache(sys *core.System, udi core.UDI, capacityBytes uint64) (*Cache, err
 	}, nil
 }
 
-// StorageUDI returns the storage domain's UDI.
-func (c *Cache) StorageUDI() core.UDI { return c.dom.UDI() }
-
-// StorageKey returns the storage domain's protection key (used by tests
-// to verify workers cannot touch it).
-func (c *Cache) StorageKey() mem.Addr { return mem.Addr(c.dom.Key()) }
-
 // Get returns a copy of the value for key and the flags word stored
 // with it, with a hit flag (a miss has flags 0). Expired items are
 // lazily removed and count as misses (memcached semantics).
@@ -127,12 +120,6 @@ func (c *Cache) Get(key string) (val []byte, flags uint32, hit bool, err error) 
 // Set stores a copy of val under key, evicting LRU items as needed.
 func (c *Cache) Set(key string, val []byte) error {
 	return c.SetItem(key, val, 0, 0)
-}
-
-// SetTTL stores a copy of val under key with a lifetime (0 = no expiry),
-// measured in virtual time.
-func (c *Cache) SetTTL(key string, val []byte, ttl time.Duration) error {
-	return c.SetItem(key, val, ttl, 0)
 }
 
 // SetItem stores a copy of val with a lifetime and an opaque flags word.
@@ -234,18 +221,6 @@ func (c *Cache) removeElement(el *list.Element) error {
 	c.lru.Remove(el)
 	delete(c.item, e.key)
 	c.used -= uint64(e.size)
-	return nil
-}
-
-// Flush drops every item (the cold-cache state after a crash without
-// state reload).
-func (c *Cache) Flush() error {
-	if err := c.dom.Heap().Reset(); err != nil {
-		return fmt.Errorf("kvstore: flush: %w", err)
-	}
-	c.item = make(map[string]*list.Element)
-	c.lru = list.New()
-	c.used = 0
 	return nil
 }
 

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -53,7 +54,7 @@ func TestResizeDurableAckedWrites(t *testing.T) {
 				return
 			default:
 			}
-			if rerr := srv.ResizeWorkers(sizes[i%len(sizes)]); rerr != nil {
+			if rerr := p.ResizeWorkers(sizes[i%len(sizes)]); rerr != nil {
 				if _, ok := lifecycle.IsLifecycle(rerr); !ok {
 					t.Errorf("ResizeWorkers(%d): %v", sizes[i%len(sizes)], rerr)
 				}
@@ -122,7 +123,7 @@ func TestResizeDurableAckedWrites(t *testing.T) {
 		}
 	}()
 	for key, val := range acked {
-		resp := p2.Handle(0, workload.Request{Op: workload.OpGet, Key: key})
+		resp := p2.HandleContext(context.Background(), 0, workload.Request{Op: workload.OpGet, Key: key})
 		if !resp.OK || resp.Err != nil {
 			t.Fatalf("acked key %q lost after recovery: %+v", key, resp)
 		}
@@ -131,7 +132,7 @@ func TestResizeDurableAckedWrites(t *testing.T) {
 		}
 	}
 	for key := range shed {
-		if resp := p2.Handle(0, workload.Request{Op: workload.OpGet, Key: key}); resp.OK && resp.Err == nil {
+		if resp := p2.HandleContext(context.Background(), 0, workload.Request{Op: workload.OpGet, Key: key}); resp.OK && resp.Err == nil {
 			t.Fatalf("shed key %q survived recovery with value %q", key, resp.Value)
 		}
 	}
@@ -141,8 +142,7 @@ func TestResizeDurableAckedWrites(t *testing.T) {
 // controller end to end over a real socket: with the shard held, eight
 // clients pile one SET each into the queue, so the first batch the drain
 // loop finishes sees a backlog of at least two calls per live worker and
-// the controller doubles the parser worker set — reported in
-// ElasticStats and visible on the pool.
+// the controller doubles the parser worker set, as the pool shows.
 func TestElasticNetServerGrowsUnderBurst(t *testing.T) {
 	pool, err := NewPool(core.DefaultConfig(), ServerConfig{Mode: ModeSDRaD}, 1, 16<<20)
 	if err != nil {
@@ -182,12 +182,11 @@ func TestElasticNetServerGrowsUnderBurst(t *testing.T) {
 	sh.Unlock()
 	wg.Wait()
 
-	st := ns.ElasticStats()
-	if st.Grown == 0 || st.MaxWorkers < 2 || st.MaxWorkers > 4 {
-		t.Fatalf("controller did not grow within [2, 4] under the burst: %+v", st)
-	}
-	if st.Workers != pool.ShardWorkers() {
-		t.Fatalf("stats report %d workers, the pool has %d", st.Workers, pool.ShardWorkers())
+	// The controller starts at one worker and needs 16 idle evaluations
+	// to shrink, more than the burst's batches: the pool still holds
+	// what it grew to.
+	if w := pool.ShardWorkers(); w < 2 || w > 4 {
+		t.Fatalf("controller did not grow the pool within [2, 4] under the burst: %d workers", w)
 	}
 	if err := ln.Close(); err != nil {
 		t.Fatal(err)

@@ -24,6 +24,13 @@ func kvdServer(t *testing.T, logger *log.Logger) *NetServer {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveQueued(t, pool, logger)
+}
+
+// serveQueued wraps pool as sdrad-kvd does at its default flags. The
+// server, and with it the pool, closes when the test ends.
+func serveQueued(t *testing.T, pool *Pool, logger *log.Logger) *NetServer {
+	t.Helper()
 	n, err := NewBatchedNetServerPool(pool, logger, 1024, 32)
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/attackgen"
 	"repro/internal/core"
+	"repro/internal/detect"
 	"repro/internal/workload"
 )
 
@@ -127,7 +128,11 @@ func FuzzHandleSDRaD(f *testing.F) {
 			} else if want := fmt.Sprintf("sdrad: domain %d violation (%s): %v", v.UDI, v.Mechanism, v.Cause); v.Error() != want {
 				t.Errorf("violation renders %q, want %q", v.Error(), want)
 			}
-			if sys.Counters().Total() == 0 {
+			var detections uint64
+			for m := detect.MechDomainViolation; m <= detect.MechSegfault; m++ {
+				detections += sys.Counters().Count(m)
+			}
+			if detections == 0 {
 				t.Error("contained violation recorded no detection")
 			}
 			if _, _, hit, _ := cache.Get(req.Key); hit {

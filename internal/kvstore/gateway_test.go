@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -44,7 +45,7 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
-	if resp := pool.Handle(0, setReq("k", "v")); !resp.OK || resp.Err != nil {
+	if resp := pool.HandleContext(context.Background(), 0, setReq("k", "v")); !resp.OK || resp.Err != nil {
 		t.Fatalf("set: %+v", resp)
 	}
 	if err := pool.Close(); err != nil {
@@ -227,7 +228,7 @@ func TestDrainHammer(t *testing.T) {
 	if resp := n.Do(99, setReq("late", "x")); resp.Err == nil {
 		t.Fatal("post-drain batched write was admitted")
 	}
-	resp := pool.Handle(99, setReq("late-direct", "x"))
+	resp := pool.HandleContext(context.Background(), 99, setReq("late-direct", "x"))
 	if !errors.Is(resp.Err, ErrDrained) {
 		t.Fatalf("post-drain direct write err = %v, want ErrDrained", resp.Err)
 	}
@@ -252,7 +253,7 @@ func TestDrainHammer(t *testing.T) {
 	}()
 	recovered := make(map[string]string)
 	for i := 0; i < pool2.Workers(); i++ {
-		for k, v := range dumpOrFatal(t, pool2.Shard(i).Cache()) {
+		for k, v := range dumpOrFatal(t, pool2.Shards[i].Srv.Cache()) {
 			recovered[k] = string(v)
 		}
 	}
@@ -278,7 +279,7 @@ func startGatewayNet(t *testing.T, gw *gateway.Gateway) (string, *NetServer, fun
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
-	ns := NewNetServerPool(pool, nil)
+	ns := serveQueued(t, pool, nil)
 	ns.SetGateway(gw)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -381,7 +382,7 @@ func TestGatewayIsolationDirect(t *testing.T) {
 					}
 					req := workload.Request{Op: workload.OpSet, Key: fmt.Sprintf("m%d-%d", i, j),
 						Value: []byte(AttackMarker), Malicious: true}
-					resp := pool.Handle(1, req)
+					resp := pool.HandleContext(context.Background(), 1, req)
 					tk.Done(resp.Contained, false)
 				}
 			}
@@ -390,7 +391,7 @@ func TestGatewayIsolationDirect(t *testing.T) {
 				outcomes = append(outcomes, "rejected:"+aerr.Error())
 				continue
 			}
-			resp := pool.Handle(0, setReq(fmt.Sprintf("a%d", i), "v"))
+			resp := pool.HandleContext(context.Background(), 0, setReq(fmt.Sprintf("a%d", i), "v"))
 			tk.Done(resp.Contained, false)
 			if resp.Err != nil {
 				outcomes = append(outcomes, "err")

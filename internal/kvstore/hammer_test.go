@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -47,7 +48,7 @@ func TestRecoveryHammer(t *testing.T) {
 			for k := 0; k < keysPerG; k++ {
 				key := fmt.Sprintf("g%d-k%d", g, k)
 				lastTried[g][key] = seq
-				resp := pool.Handle(g, workload.Request{
+				resp := pool.HandleContext(context.Background(), g, workload.Request{
 					Op: workload.OpSet, Key: key, Value: []byte(val(key, seq)),
 				})
 				if resp.OK && resp.Err == nil {
@@ -72,9 +73,9 @@ func TestRecoveryHammer(t *testing.T) {
 	// Mid-run crash: arm the kill on one shard from this goroutine while
 	// the writers hammer on — the cross-goroutine surface the race
 	// detector is here to check.
-	fs, ok := pool.Shard(1).Store().(*persist.FileStore)
+	fs, ok := pool.Shards[1].Srv.Store().(*persist.FileStore)
 	if !ok {
-		t.Fatalf("shard store is %T", pool.Shard(1).Store())
+		t.Fatalf("shard store is %T", pool.Shards[1].Srv.Store())
 	}
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
@@ -107,7 +108,7 @@ func TestRecoveryHammer(t *testing.T) {
 			if acked < tried {
 				sawKill = true
 			}
-			resp := pool2.Handle(0, workload.Request{Op: workload.OpGet, Key: key})
+			resp := pool2.HandleContext(context.Background(), 0, workload.Request{Op: workload.OpGet, Key: key})
 			if resp.Err != nil {
 				t.Fatalf("recovered get %q: %v", key, resp.Err)
 			}

@@ -170,25 +170,6 @@ func TestCacheLimits(t *testing.T) {
 	}
 }
 
-func TestCacheFlush(t *testing.T) {
-	c, _ := newCache(t, 1<<20)
-	_ = c.Set("a", []byte("x"))
-	_ = c.Set("b", []byte("y"))
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Items() != 0 || c.Bytes() != 0 {
-		t.Error("flush incomplete")
-	}
-	if _, _, hit, _ := c.Get("a"); hit {
-		t.Error("item survived flush")
-	}
-	// Cache usable after flush.
-	if err := c.Set("c", []byte("z")); err != nil {
-		t.Errorf("Set after flush: %v", err)
-	}
-}
-
 func TestWarmupPopulates(t *testing.T) {
 	c, _ := newCache(t, 1<<20)
 	n, err := Warmup(c, 512<<10, 4096)
@@ -306,7 +287,7 @@ func TestModeString(t *testing.T) {
 
 func TestTTLExpiry(t *testing.T) {
 	c, sys := newCache(t, 1<<20)
-	if err := c.SetTTL("ephemeral", []byte("gone soon"), 10*time.Second); err != nil {
+	if err := c.SetItem("ephemeral", []byte("gone soon"), 10*time.Second, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Set("forever", []byte("stays")); err != nil {
@@ -339,9 +320,9 @@ func TestTTLExpiry(t *testing.T) {
 
 func TestTTLReplaceResetsExpiry(t *testing.T) {
 	c, sys := newCache(t, 1<<20)
-	_ = c.SetTTL("k", []byte("v1"), time.Second)
+	_ = c.SetItem("k", []byte("v1"), time.Second, 0)
 	sys.Clock().AdvanceTime(900 * time.Millisecond)
-	_ = c.SetTTL("k", []byte("v2"), time.Second) // replace: fresh TTL
+	_ = c.SetItem("k", []byte("v2"), time.Second, 0) // replace: fresh TTL
 	sys.Clock().AdvanceTime(500 * time.Millisecond)
 	v, _, hit, err := c.Get("k")
 	if err != nil || !hit || string(v) != "v2" {
@@ -412,12 +393,6 @@ func TestSandboxModeString(t *testing.T) {
 
 func TestCacheAccessors(t *testing.T) {
 	c, _ := newCache(t, 1<<20)
-	if c.StorageUDI() != 1 {
-		t.Errorf("StorageUDI = %d", c.StorageUDI())
-	}
-	if c.StorageKey() == 0 {
-		t.Error("StorageKey should not be the default key")
-	}
 	if c.Capacity() != 1<<20 {
 		t.Errorf("Capacity = %d", c.Capacity())
 	}
@@ -453,13 +428,6 @@ func TestWorkersCannotTouchCacheStorage(t *testing.T) {
 	v, _, hit, _ := cache.Get("secret")
 	if !hit || string(v) != "cache payload" {
 		t.Errorf("cache damaged: %q %v", v, hit)
-	}
-}
-
-func TestServerModeAccessor(t *testing.T) {
-	srv, _ := newServer(t, ModeSDRaD)
-	if srv.Mode() != ModeSDRaD {
-		t.Errorf("Mode = %v", srv.Mode())
 	}
 }
 

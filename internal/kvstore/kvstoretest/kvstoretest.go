@@ -4,6 +4,8 @@
 // the settle rule, DESIGN.md §13 — over a scripted connection that
 // needs no socket. Run it from the loop's own tests with a factory that
 // builds a loop over a fresh, empty store.
+//
+//lint:allow unusedexport a test battery: only the connection loops' tests import it
 package kvstoretest
 
 import (

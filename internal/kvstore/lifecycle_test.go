@@ -35,11 +35,6 @@ func TestLifecycleConformance(t *testing.T) {
 				t.Cleanup(func() { _ = p.Close() })
 				return newNetServer(p, nil)
 			},
-			Resize: func(c lifecycle.Component, n int) error {
-				return c.(*NetServer).ResizeWorkers(n)
-			},
-			Grow:   6,
-			Shrink: 2,
 		},
 	})
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gateway"
-	"repro/internal/lifecycle"
 	"repro/internal/retrofit"
 	"repro/internal/serve"
 	"repro/internal/workload"
@@ -61,25 +60,6 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 		Drain:      p.Drain,
 		Close:      p.Close,
 	}, logger)
-	return n
-}
-
-// NewNetServer wraps srv for TCP serving as a one-shard pool; logger
-// may be nil to disable logging. The single Server owns one simulated
-// core, so request handling is serialized behind the shard lock.
-func NewNetServer(srv *Server, logger *log.Logger) *NetServer {
-	p := &Pool{lc: lifecycle.NewMachine("kvstore.Pool"), Shards: retrofit.Shards[*Server]{newShard(srv)}}
-	_ = p.lc.Init(nil)  //lint:errclass fresh machine; Init from StateInitializing cannot fail
-	_ = p.lc.Start(nil) //lint:errclass inited machine; Start cannot fail
-	return NewNetServerPool(p, logger)
-}
-
-// NewNetServerPool wraps a Pool for TCP serving; logger may be nil. The
-// pool synchronizes internally per shard, so requests for keys on
-// different shards execute in parallel.
-func NewNetServerPool(p *Pool, logger *log.Logger) *NetServer {
-	n := newNetServer(p, logger)
-	_ = n.Serving() //lint:errclass a serial frontend allocates nothing in Init; a fresh machine cannot refuse
 	return n
 }
 

@@ -10,16 +10,11 @@ import (
 	"repro/internal/core"
 )
 
-// startNet spins up a real TCP listener backed by a fresh server and
-// returns its address plus a shutdown func.
+// startNet spins up a real TCP listener backed by a fresh one-shard
+// server and returns its address plus a shutdown func.
 func startNet(t *testing.T, mode Mode) (string, func()) {
 	t.Helper()
-	sys := core.NewSystem(core.DefaultConfig())
-	cache, err := NewCache(sys, 1, 16<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(sys, cache, ServerConfig{Mode: mode})
+	pool, err := NewPool(core.DefaultConfig(), ServerConfig{Mode: mode}, 1, 16<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +22,7 @@ func startNet(t *testing.T, mode Mode) (string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServer(srv, nil)
+	ns := serveQueued(t, pool, nil)
 	done := make(chan error, 1)
 	go func() { done <- ns.Serve(ln) }()
 	return ln.Addr().String(), func() {

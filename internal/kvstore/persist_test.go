@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -411,13 +412,13 @@ func TestPoolPersistsPerShard(t *testing.T) {
 		t.Fatalf("NewPool: %v", err)
 	}
 	for i := 0; i < 50; i++ {
-		if resp := pool.Handle(i, setReq(workload.Key(i), fmt.Sprintf("val-%d", i))); !resp.OK || resp.Err != nil {
+		if resp := pool.HandleContext(context.Background(), i, setReq(workload.Key(i), fmt.Sprintf("val-%d", i))); !resp.OK || resp.Err != nil {
 			t.Fatalf("set %d: %+v", i, resp)
 		}
 	}
 	var want []map[string][]byte
 	for i := 0; i < pool.Workers(); i++ {
-		want = append(want, dumpOrFatal(t, pool.Shard(i).Cache()))
+		want = append(want, dumpOrFatal(t, pool.Shards[i].Srv.Cache()))
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -433,10 +434,10 @@ func TestPoolPersistsPerShard(t *testing.T) {
 		}
 	}()
 	for i := 0; i < pool2.Workers(); i++ {
-		requireSameState(t, want[i], dumpOrFatal(t, pool2.Shard(i).Cache()))
+		requireSameState(t, want[i], dumpOrFatal(t, pool2.Shards[i].Srv.Cache()))
 	}
 	for i := 0; i < 50; i++ {
-		resp := pool2.Handle(i, workload.Request{Op: workload.OpGet, Key: workload.Key(i)})
+		resp := pool2.HandleContext(context.Background(), i, workload.Request{Op: workload.OpGet, Key: workload.Key(i)})
 		if !resp.OK || string(resp.Value) != fmt.Sprintf("val-%d", i) {
 			t.Fatalf("recovered get %d: %+v", i, resp)
 		}

@@ -229,10 +229,6 @@ func (p *Pool) Health() []gateway.ShardHealth {
 	return out
 }
 
-// Shard returns shard i's server, for tests that need to reach a
-// specific shard's durability backend.
-func (p *Pool) Shard(i int) *Server { return p.Shards[i].Srv }
-
 // Capacity returns the pool's effective total cache capacity — the sum
 // of the shard capacities, which exceeds the requested capacity when the
 // per-shard MaxValueSize floor kicked in.
@@ -243,9 +239,6 @@ func (p *Pool) Capacity() uint64 {
 	}
 	return n
 }
-
-// Mode returns the pool's resilience mode.
-func (p *Pool) Mode() Mode { return p.Shards[0].Srv.Mode() }
 
 // FNV-1a constants (hash/fnv), inlined so the per-request dispatch path
 // allocates nothing.
@@ -264,12 +257,6 @@ func (p *Pool) shardIndex(key string) int {
 		h *= fnvPrime32
 	}
 	return int(h % uint32(len(p.Shards)))
-}
-
-// Handle serves one request on the shard owning req.Key. It is
-// HandleContext with a background context.
-func (p *Pool) Handle(clientID int, req workload.Request) Response {
-	return p.HandleContext(context.Background(), clientID, req)
 }
 
 // HandleContext serves one request on the shard owning req.Key; the
@@ -334,43 +321,4 @@ func (p *Pool) CacheItems() int {
 		sh.Unlock()
 	}
 	return n
-}
-
-// Warmup bulk-loads approximately stateBytes of valueSize-byte items,
-// spread across shards by the same key hash Handle uses. A shard that
-// fills is skipped while the others keep loading; Warmup returns the
-// number of items stored once the target or every shard's capacity is
-// reached.
-func (p *Pool) Warmup(stateBytes uint64, valueSize int) (int, error) {
-	if valueSize <= 0 {
-		valueSize = 4096
-	}
-	val := make([]byte, valueSize)
-	items := 0
-	var loaded uint64
-	full := make([]bool, len(p.Shards))
-	fullCount := 0
-	for k := 0; loaded+uint64(valueSize) <= stateBytes && fullCount < len(p.Shards); k++ {
-		key := workload.Key(k)
-		si := p.shardIndex(key)
-		if full[si] {
-			continue
-		}
-		sh := p.Shards[si]
-		sh.Lock()
-		if sh.Srv.cache.Bytes()+uint64(valueSize) > sh.Srv.cache.Capacity() {
-			sh.Unlock()
-			full[si] = true
-			fullCount++
-			continue
-		}
-		err := sh.Srv.cache.Set(key, val)
-		sh.Unlock()
-		if err != nil {
-			return items, fmt.Errorf("kvstore: pool warmup item %d: %w", items, err)
-		}
-		loaded += uint64(valueSize)
-		items++
-	}
-	return items, nil
 }

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -29,11 +30,11 @@ func TestPoolKeyAffinity(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		val := []byte(fmt.Sprintf("value-%d", i))
-		if resp := p.Handle(i, workload.Request{Op: workload.OpSet, Key: key, Value: val}); resp.Err != nil || !resp.OK {
+		if resp := p.HandleContext(context.Background(), i, workload.Request{Op: workload.OpSet, Key: key, Value: val}); resp.Err != nil || !resp.OK {
 			t.Fatalf("set %s: %+v", key, resp)
 		}
 		// A different client reads it back.
-		resp := p.Handle(i+1000, workload.Request{Op: workload.OpGet, Key: key})
+		resp := p.HandleContext(context.Background(), i+1000, workload.Request{Op: workload.OpGet, Key: key})
 		if resp.Err != nil || !resp.OK || string(resp.Value) != string(val) {
 			t.Fatalf("get %s: %+v", key, resp)
 		}
@@ -63,7 +64,7 @@ func TestPoolParallelMixedWorkload(t *testing.T) {
 				key := fmt.Sprintf("g%d-k%d", g, i%10)
 				if i%9 == g%9 {
 					attacks.Add(1)
-					resp := p.Handle(g, workload.Request{Op: workload.OpSet, Key: key,
+					resp := p.HandleContext(context.Background(), g, workload.Request{Op: workload.OpSet, Key: key,
 						Value: []byte("boom"), Malicious: true})
 					if !resp.Contained {
 						t.Errorf("goroutine %d: attack not contained: %+v", g, resp)
@@ -72,12 +73,12 @@ func TestPoolParallelMixedWorkload(t *testing.T) {
 					continue
 				}
 				val := []byte(fmt.Sprintf("g%d-v%d", g, i))
-				if resp := p.Handle(g, workload.Request{Op: workload.OpSet, Key: key, Value: val}); resp.Err != nil {
+				if resp := p.HandleContext(context.Background(), g, workload.Request{Op: workload.OpSet, Key: key, Value: val}); resp.Err != nil {
 					t.Errorf("goroutine %d set: %v", g, resp.Err)
 					failures.Add(1)
 					continue
 				}
-				resp := p.Handle(g, workload.Request{Op: workload.OpGet, Key: key})
+				resp := p.HandleContext(context.Background(), g, workload.Request{Op: workload.OpGet, Key: key})
 				if resp.Err != nil || !resp.OK || string(resp.Value) != string(val) {
 					t.Errorf("goroutine %d get %s: err=%v ok=%v val=%q",
 						g, key, resp.Err, resp.OK, resp.Value)
@@ -115,7 +116,7 @@ func TestPoolNetServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNetServerPool(p, nil)
+	ns := serveQueued(t, p, nil)
 	done := make(chan error, 1)
 	go func() { done <- ns.Serve(ln) }()
 	addr := ln.Addr().String()
@@ -167,45 +168,5 @@ func TestPoolNetServerEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out, "STAT crashes 0") {
 		t.Errorf("unexpected crash: %q", out)
-	}
-}
-
-// TestPoolWarmup bulk-loads across shards.
-func TestPoolWarmup(t *testing.T) {
-	p := newKVPool(t, 4)
-	n, err := p.Warmup(1<<20, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("warmup loaded nothing")
-	}
-	if got := p.CacheItems(); got != n {
-		t.Errorf("CacheItems = %d, want %d", got, n)
-	}
-	if p.CacheBytes() < uint64(n)*4096 {
-		t.Errorf("CacheBytes = %d below payload bytes", p.CacheBytes())
-	}
-}
-
-// TestPoolWarmupContinuesPastFullShard asks for more state than the
-// pool holds: warmup must keep loading other shards after the first one
-// fills, ending well past a single shard's capacity.
-func TestPoolWarmupContinuesPastFullShard(t *testing.T) {
-	// 2 shards, floored at MaxValueSize (1 MiB) each.
-	p, err := NewPool(core.DefaultConfig(), ServerConfig{Mode: ModeSDRaD}, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Capacity(); got != 2*MaxValueSize {
-		t.Fatalf("Capacity = %d, want %d", got, 2*MaxValueSize)
-	}
-	if _, err := p.Warmup(4<<20, 4096); err != nil {
-		t.Fatal(err)
-	}
-	// Key-hash skew fills one shard first; loading must continue on the
-	// other, so the total clearly exceeds one shard's capacity.
-	if got := p.CacheBytes(); got <= MaxValueSize {
-		t.Errorf("CacheBytes = %d, want > one shard's %d", got, MaxValueSize)
 	}
 }

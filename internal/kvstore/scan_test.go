@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -218,7 +219,7 @@ func TestPoolScanMergesShards(t *testing.T) {
 	defer pool.Close()
 	const n = 60
 	for i := 0; i < n; i++ {
-		resp := pool.Handle(0, workload.Request{Op: workload.OpSet, Key: fmt.Sprintf("key-%08d", i), Value: []byte("v")})
+		resp := pool.HandleContext(context.Background(), 0, workload.Request{Op: workload.OpSet, Key: fmt.Sprintf("key-%08d", i), Value: []byte("v")})
 		if !resp.OK || resp.Err != nil {
 			t.Fatalf("set %d: %+v", i, resp)
 		}
@@ -271,9 +272,9 @@ func TestNetServerScanCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	ns := NewNetServerPool(pool, nil)
+	ns := serveQueued(t, pool, nil)
 	for i := 0; i < 6; i++ {
-		resp := pool.Handle(0, workload.Request{Op: workload.OpSet, Key: fmt.Sprintf("key-%d", i), Value: []byte("v")})
+		resp := pool.HandleContext(context.Background(), 0, workload.Request{Op: workload.OpSet, Key: fmt.Sprintf("key-%d", i), Value: []byte("v")})
 		if !resp.OK || resp.Err != nil {
 			t.Fatalf("seed %d: %+v", i, resp)
 		}

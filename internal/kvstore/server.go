@@ -25,8 +25,8 @@ const (
 	// bug crashes the process, which restarts (taking the full
 	// state-dependent restart time during which the service is down).
 	ModeNative Mode = iota + 1
-	// ModeSDRaD runs request handling inside per-connection domains with
-	// secure rewind and discard.
+	// ModeSDRaD runs request handling inside worker domains with secure
+	// rewind and discard; a rewind discards one request.
 	ModeSDRaD
 	// ModeSandbox runs request handling in a separate sandbox process
 	// (conventional process isolation): faults are contained like SDRaD,
@@ -71,8 +71,8 @@ var ErrDrained = errors.New("kvstore: drained; shard stopped accepting requests"
 type ServerConfig struct {
 	// Mode selects native vs SDRaD operation.
 	Mode Mode
-	// Workers is the number of per-connection domains in SDRaD mode
-	// (default 4). Clients map to workers round-robin.
+	// Workers is the number of worker domains in SDRaD mode (default
+	// 4). A client's requests run on worker client id mod Workers.
 	Workers int
 	// FirstWorkerUDI is the UDI of the first worker domain (default 10).
 	FirstWorkerUDI core.UDI
@@ -207,17 +207,6 @@ func (s *Server) observeBatch(rep sdrad.BatchReport) {
 	}
 	s.callsReplayed += uint64(rep.Replayed)
 }
-
-// Mode returns the server's mode.
-func (s *Server) Mode() Mode { return s.cfg.Mode }
-
-// Workers returns the live parser worker-domain count (0 outside SDRaD
-// mode).
-func (s *Server) Workers() int { return s.shell.Workers() }
-
-// ResizeWorkers grows or shrinks the parser worker-domain set to n
-// (SDRaD mode only; see retrofit.Shell.Resize).
-func (s *Server) ResizeWorkers(n int) error { return s.shell.Resize(n) }
 
 // Cache returns the underlying cache.
 func (s *Server) Cache() *Cache { return s.cache }

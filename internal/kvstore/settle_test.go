@@ -73,16 +73,8 @@ func slowKVDServer(t *testing.T) *NetServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewBatchedNetServerPool(pool, nil, 1024, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := serveQueued(t, pool, nil)
 	n.SetRequestTimeout(vclock.DeadlineQuantum)
-	t.Cleanup(func() {
-		if cerr := n.Close(); cerr != nil {
-			t.Errorf("close: %v", cerr)
-		}
-	})
 	return n
 }
 

@@ -183,9 +183,6 @@ func NewMachine(name string) *Machine {
 // in-progress transitions.
 func (m *Machine) State() State { return State(m.state.Load()) }
 
-// Name returns the component name the machine was created with.
-func (m *Machine) Name() string { return m.name }
-
 // set records a transition (caller holds mu).
 func (m *Machine) set(s State) {
 	m.cur = s

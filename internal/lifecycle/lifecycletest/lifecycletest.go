@@ -7,6 +7,8 @@
 // stopped component stays stopped. Run it from a component package's
 // tests with a factory that builds a pristine (deferred, un-Inited)
 // instance per case.
+//
+//lint:allow unusedexport a test battery: only the components' tests import it
 package lifecycletest
 
 import (

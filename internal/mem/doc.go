@@ -26,8 +26,8 @@
 // (see the package tests for the pinned values). Two deliberate
 // accounting changes ride alongside it: Protect/TagKey charge
 // PkeyMprotect per page (the syscall updates every PTE in the range),
-// and Load8/Store8 charge before the permission check, unifying the
-// charge-before-fault ordering LoadBytes/StoreBytes already had.
+// and every access charges before the permission check
+// (charge-before-fault).
 //
 // # Invariants
 //

@@ -14,7 +14,7 @@ func TestTLBHitsOnRepeatAccess(t *testing.T) {
 	m := newMem(t)
 	base, _ := m.Map(1, ProtRW, pku.DefaultKey)
 	for i := 0; i < 10; i++ {
-		if err := m.Store8(pku.PKRUAllowAll, base+Addr(i), byte(i)); err != nil {
+		if err := store8(m, pku.PKRUAllowAll, base+Addr(i), byte(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,13 +32,13 @@ func TestTLBHitsOnRepeatAccess(t *testing.T) {
 func TestTLBInvalidationOnUnmap(t *testing.T) {
 	m := newMem(t)
 	base, _ := m.Map(1, ProtRW, pku.DefaultKey)
-	if _, err := m.Load8(pku.PKRUAllowAll, base); err != nil {
+	if _, err := load8(m, pku.PKRUAllowAll, base); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Unmap(base, 1); err != nil {
 		t.Fatal(err)
 	}
-	_, err := m.Load8(pku.PKRUAllowAll, base)
+	_, err := load8(m, pku.PKRUAllowAll, base)
 	if f, ok := IsFault(err); !ok || f.Kind != FaultUnmapped {
 		t.Errorf("post-unmap load = %v, want FaultUnmapped (stale TLB entry?)", err)
 	}
@@ -49,13 +49,13 @@ func TestTLBInvalidationOnUnmap(t *testing.T) {
 func TestTLBInvalidationOnProtect(t *testing.T) {
 	m := newMem(t)
 	base, _ := m.Map(1, ProtRW, pku.DefaultKey)
-	if err := m.Store8(pku.PKRUAllowAll, base, 1); err != nil {
+	if err := store8(m, pku.PKRUAllowAll, base, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Protect(base, 1, ProtRead); err != nil {
 		t.Fatal(err)
 	}
-	err := m.Store8(pku.PKRUAllowAll, base, 2)
+	err := store8(m, pku.PKRUAllowAll, base, 2)
 	if f, ok := IsFault(err); !ok || f.Kind != FaultProt {
 		t.Errorf("post-Protect store = %v, want FaultProt (stale TLB entry?)", err)
 	}
@@ -70,18 +70,18 @@ func TestTLBInvalidationOnTagKey(t *testing.T) {
 	m := newMem(t)
 	base, _ := m.Map(1, ProtRW, pku.Key(2))
 	pkru := pku.OnlyKeys(pku.DefaultKey, pku.Key(2))
-	if err := m.Store8(pkru, base, 1); err != nil {
+	if err := store8(m, pkru, base, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Re-tag to key 5, which pkru has no rights to.
 	if err := m.TagKey(base, 1, pku.Key(5)); err != nil {
 		t.Fatal(err)
 	}
-	err := m.Store8(pkru, base, 2)
+	err := store8(m, pkru, base, 2)
 	if f, ok := IsFault(err); !ok || f.Kind != FaultPkey {
 		t.Errorf("post-TagKey store = %v, want FaultPkey (stale TLB entry?)", err)
 	}
-	if _, err := m.Load8(pkru, base); err == nil {
+	if _, err := load8(m, pkru, base); err == nil {
 		t.Error("post-TagKey load succeeded, want FaultPkey")
 	}
 }
@@ -93,18 +93,18 @@ func TestTLBKeyedByPKRU(t *testing.T) {
 	m := newMem(t)
 	base, _ := m.Map(1, ProtRW, pku.Key(3))
 	allowed := pku.OnlyKeys(pku.DefaultKey, pku.Key(3))
-	if err := m.Store8(allowed, base, 1); err != nil {
+	if err := store8(m, allowed, base, 1); err != nil {
 		t.Fatal(err)
 	}
 	denied := pku.OnlyKeys(pku.DefaultKey) // no rights to key 3
-	if _, err := m.Load8(denied, base); err == nil {
+	if _, err := load8(m, denied, base); err == nil {
 		t.Error("denied PKRU read succeeded via cached translation")
 	}
 	wd := allowed.WithWriteDisabled(pku.Key(3))
-	if _, err := m.Load8(wd, base); err != nil {
+	if _, err := load8(m, wd, base); err != nil {
 		t.Errorf("WD read should succeed: %v", err)
 	}
-	if err := m.Store8(wd, base, 2); err == nil {
+	if err := store8(m, wd, base, 2); err == nil {
 		t.Error("WD write succeeded via cached translation")
 	}
 }
@@ -118,10 +118,10 @@ func TestDirtyTracking(t *testing.T) {
 		t.Fatalf("fresh mapping DirtyPages = %d, want 0", got)
 	}
 	// Dirty pages 1 and 5.
-	if err := m.Store8(pku.PKRUAllowAll, base+1*PageSize+17, 0xaa); err != nil {
+	if err := store8(m, pku.PKRUAllowAll, base+1*PageSize+17, 0xaa); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Store8(pku.PKRUAllowAll, base+5*PageSize, 0xbb); err != nil {
+	if err := store8(m, pku.PKRUAllowAll, base+5*PageSize, 0xbb); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.DirtyPages(); got != 2 {
@@ -171,7 +171,7 @@ func TestZeroDirtyBoundedIsByteIdenticalToFullScrub(t *testing.T) {
 	if err := m.Zero(base, pages); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Store8(pku.PKRUAllowAll, base+40*PageSize, 1); err != nil {
+	if err := store8(m, pku.PKRUAllowAll, base+40*PageSize, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Zero(base, pages); err != nil {
@@ -207,7 +207,7 @@ func TestZeroChargesFullRange(t *testing.T) {
 		t.Errorf("Zero(clean range) charged %d cycles, want %d", cleanCost, want)
 	}
 	// Second zero: one dirty page — identical charge.
-	_ = m.Store8(pku.PKRUAllowAll, base, 1)
+	_ = store8(m, pku.PKRUAllowAll, base, 1)
 	before = clk.Cycles()
 	if err := m.Zero(base, 16); err != nil {
 		t.Fatal(err)
@@ -218,8 +218,8 @@ func TestZeroChargesFullRange(t *testing.T) {
 }
 
 // TestChargeBeforeFault: the unified charge ordering — every access
-// charges its cycle cost whether or not it faults, for Load8/Store8
-// exactly as for LoadBytes/StoreBytes.
+// charges its cycle cost whether or not it faults, for a one-byte access
+// exactly as for a ten-byte one.
 func TestChargeBeforeFault(t *testing.T) {
 	mdl := vclock.DefaultCostModel()
 	cases := []struct {
@@ -227,8 +227,8 @@ func TestChargeBeforeFault(t *testing.T) {
 		op   func(m *Memory) error
 		want uint64
 	}{
-		{"Load8", func(m *Memory) error { _, err := m.Load8(pku.PKRUAllowAll, 0xdead0000); return err }, mdl.MemLoad},
-		{"Store8", func(m *Memory) error { return m.Store8(pku.PKRUAllowAll, 0xdead0000, 1) }, mdl.MemStore},
+		{"Load8", func(m *Memory) error { _, err := load8(m, pku.PKRUAllowAll, 0xdead0000); return err }, mdl.MemLoad + mdl.MemPerByte},
+		{"Store8", func(m *Memory) error { return store8(m, pku.PKRUAllowAll, 0xdead0000, 1) }, mdl.MemStore + mdl.MemPerByte},
 		{"LoadBytes", func(m *Memory) error {
 			return m.LoadBytes(pku.PKRUAllowAll, 0xdead0000, make([]byte, 10))
 		}, mdl.MemLoad + 10*mdl.MemPerByte},
@@ -325,12 +325,12 @@ func TestRadixSparseAddresses(t *testing.T) {
 		total += 100
 	}
 	for i, b := range bases {
-		if err := m.Store8(pku.PKRUAllowAll, b+Addr(i%100)*PageSize, byte(i)); err != nil {
+		if err := store8(m, pku.PKRUAllowAll, b+Addr(i%100)*PageSize, byte(i)); err != nil {
 			t.Fatalf("region %d: %v", i, err)
 		}
 	}
 	for i, b := range bases {
-		v, err := m.Load8(pku.PKRUAllowAll, b+Addr(i%100)*PageSize)
+		v, err := load8(m, pku.PKRUAllowAll, b+Addr(i%100)*PageSize)
 		if err != nil || v != byte(i) {
 			t.Fatalf("region %d readback = %d, %v", i, v, err)
 		}
@@ -352,7 +352,7 @@ func TestRadixSparseAddresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Store8(pku.PKRUAllowAll, b, 1); err != nil {
+	if err := store8(m, pku.PKRUAllowAll, b, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -364,7 +364,7 @@ func TestFaultsNotCachedByTLB(t *testing.T) {
 	base, _ := m.Map(1, ProtRead, pku.DefaultKey)
 	before := m.Stats().Faults
 	for i := 0; i < 3; i++ {
-		if err := m.Store8(pku.PKRUAllowAll, base, 1); err == nil {
+		if err := store8(m, pku.PKRUAllowAll, base, 1); err == nil {
 			t.Fatal("write to read-only page succeeded")
 		}
 	}
@@ -372,7 +372,7 @@ func TestFaultsNotCachedByTLB(t *testing.T) {
 		t.Errorf("Faults = %d, want 3 (faults must not be TLB-cached)", got)
 	}
 	// Reads still succeed after the faulting writes.
-	if _, err := m.Load8(pku.PKRUAllowAll, base); err != nil {
+	if _, err := load8(m, pku.PKRUAllowAll, base); err != nil {
 		t.Errorf("read after faulting writes: %v", err)
 	}
 }

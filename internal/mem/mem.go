@@ -217,9 +217,6 @@ func New(clock *vclock.Clock) *Memory {
 	return m
 }
 
-// Clock returns the attached virtual clock (may be nil).
-func (m *Memory) Clock() *vclock.Clock { return m.clock }
-
 func (m *Memory) charge(n uint64) {
 	if m.clock != nil {
 		m.clock.Advance(n)
@@ -423,30 +420,6 @@ func (m *Memory) Zero(base Addr, npages int) error {
 	return nil
 }
 
-// KeyOf returns the protection key tag of the page containing addr.
-func (m *Memory) KeyOf(addr Addr) (pku.Key, error) {
-	pg, _ := m.lookup(addr.PageNumber())
-	if pg == nil {
-		return 0, &Fault{Kind: FaultUnmapped, Addr: addr}
-	}
-	return pg.key, nil
-}
-
-// ProtOf returns the protections of the page containing addr.
-func (m *Memory) ProtOf(addr Addr) (Prot, error) {
-	pg, _ := m.lookup(addr.PageNumber())
-	if pg == nil {
-		return 0, &Fault{Kind: FaultUnmapped, Addr: addr}
-	}
-	return pg.prot, nil
-}
-
-// Mapped reports whether the page containing addr is mapped.
-func (m *Memory) Mapped(addr Addr) bool {
-	pg, _ := m.lookup(addr.PageNumber())
-	return pg != nil
-}
-
 // MappedPages returns the number of currently mapped pages.
 func (m *Memory) MappedPages() int { return m.mapped }
 
@@ -568,47 +541,6 @@ func (m *Memory) StoreBytes(pkru pku.PKRU, addr Addr, src []byte) error {
 	return nil
 }
 
-// Load8 loads one byte. Charge-before-fault, like LoadBytes.
-func (m *Memory) Load8(pkru pku.PKRU, addr Addr) (byte, error) {
-	m.charge(m.cost.MemLoad)
-	m.stats.Loads++
-	m.stats.BytesRead++
-	pg, err := m.access(pkru, addr, false)
-	if err != nil {
-		return 0, err
-	}
-	return pg.data[addr.Offset()], nil
-}
-
-// Store8 stores one byte. Charge-before-fault, like StoreBytes.
-func (m *Memory) Store8(pkru pku.PKRU, addr Addr, v byte) error {
-	m.charge(m.cost.MemStore)
-	m.stats.Stores++
-	m.stats.BytesWritten++
-	pg, err := m.access(pkru, addr, true)
-	if err != nil {
-		return err
-	}
-	pg.data[addr.Offset()] = v
-	return nil
-}
-
-// Load32 loads a little-endian uint32 (may span pages).
-func (m *Memory) Load32(pkru pku.PKRU, addr Addr) (uint32, error) {
-	var buf [4]byte
-	if err := m.LoadBytes(pkru, addr, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
-}
-
-// Store32 stores a little-endian uint32 (may span pages).
-func (m *Memory) Store32(pkru pku.PKRU, addr Addr, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	return m.StoreBytes(pkru, addr, buf[:])
-}
-
 // Load64 loads a little-endian uint64 (may span pages).
 func (m *Memory) Load64(pkru pku.PKRU, addr Addr) (uint64, error) {
 	var buf [8]byte
@@ -626,10 +558,10 @@ func (m *Memory) Store64(pkru pku.PKRU, addr Addr, v uint64) error {
 }
 
 // PeekBytes copies bytes out of mapped memory without permission checks
-// or cycle charges — kernel-side metadata access, in the same class as
-// KeyOf/ProtOf. The allocator uses it to walk its in-band chunk headers
-// at the same (zero) virtual cost its former host-side side tables had,
-// keeping cycle accounting identical to the seed.
+// or cycle charges — kernel-side metadata access. The allocator uses it
+// to walk its in-band chunk headers at the same (zero) virtual cost its
+// former host-side side tables had, keeping cycle accounting identical
+// to the seed.
 //
 //lint:uncharged
 func (m *Memory) PeekBytes(addr Addr, dst []byte) error {

@@ -16,6 +16,25 @@ func newMem(t *testing.T) *Memory {
 	return New(vclock.New(vclock.DefaultCostModel()))
 }
 
+// load8 and store8 move one byte through the charged LoadBytes and
+// StoreBytes paths.
+func load8(m *Memory, pkru pku.PKRU, addr Addr) (byte, error) {
+	var b [1]byte
+	err := m.LoadBytes(pkru, addr, b[:])
+	return b[0], err
+}
+
+func store8(m *Memory, pkru pku.PKRU, addr Addr, v byte) error {
+	b := [1]byte{v}
+	return m.StoreBytes(pkru, addr, b[:])
+}
+
+// pageAt returns the page containing addr, or nil if it is unmapped.
+func pageAt(m *Memory, addr Addr) *page {
+	pg, _ := m.lookup(addr.PageNumber())
+	return pg
+}
+
 func TestMapReturnsPageAlignedDistinctRegions(t *testing.T) {
 	m := newMem(t)
 	a, err := m.Map(2, ProtRW, pku.DefaultKey)
@@ -49,10 +68,10 @@ func TestMapRejectsBadArgs(t *testing.T) {
 
 func TestAddressZeroNeverMapped(t *testing.T) {
 	m := newMem(t)
-	if m.Mapped(0) {
+	if pageAt(m, 0) != nil {
 		t.Fatal("address 0 mapped")
 	}
-	_, err := m.Load8(pku.PKRUAllowAll, 0)
+	_, err := load8(m, pku.PKRUAllowAll, 0)
 	f, ok := IsFault(err)
 	if !ok || f.Kind != FaultUnmapped {
 		t.Errorf("null deref err = %v, want FaultUnmapped", err)
@@ -71,13 +90,6 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	}
 	if v != 0xdeadbeefcafe {
 		t.Errorf("Load64 = %#x", v)
-	}
-	if err := m.Store32(pku.PKRUAllowAll, base, 0x1234); err != nil {
-		t.Fatalf("Store32: %v", err)
-	}
-	v32, err := m.Load32(pku.PKRUAllowAll, base)
-	if err != nil || v32 != 0x1234 {
-		t.Errorf("Load32 = %#x, %v", v32, err)
 	}
 }
 
@@ -111,12 +123,12 @@ func TestCrossPageFaultsAtUnmappedSecondPage(t *testing.T) {
 func TestProtNoneGuardPage(t *testing.T) {
 	m := newMem(t)
 	base, _ := m.Map(1, ProtNone, pku.DefaultKey)
-	_, err := m.Load8(pku.PKRUAllowAll, base)
+	_, err := load8(m, pku.PKRUAllowAll, base)
 	f, ok := IsFault(err)
 	if !ok || f.Kind != FaultProt {
 		t.Errorf("read of guard page = %v, want FaultProt", err)
 	}
-	err = m.Store8(pku.PKRUAllowAll, base, 1)
+	err = store8(m, pku.PKRUAllowAll, base, 1)
 	if f, ok = IsFault(err); !ok || f.Kind != FaultProt || !f.Write {
 		t.Errorf("write of guard page = %v, want write FaultProt", err)
 	}
@@ -125,10 +137,10 @@ func TestProtNoneGuardPage(t *testing.T) {
 func TestReadOnlyPage(t *testing.T) {
 	m := newMem(t)
 	base, _ := m.Map(1, ProtRead, pku.DefaultKey)
-	if _, err := m.Load8(pku.PKRUAllowAll, base); err != nil {
+	if _, err := load8(m, pku.PKRUAllowAll, base); err != nil {
 		t.Errorf("read of r-- page: %v", err)
 	}
-	err := m.Store8(pku.PKRUAllowAll, base, 1)
+	err := store8(m, pku.PKRUAllowAll, base, 1)
 	if f, ok := IsFault(err); !ok || f.Kind != FaultProt {
 		t.Errorf("write of r-- page = %v, want FaultProt", err)
 	}
@@ -137,8 +149,8 @@ func TestReadOnlyPage(t *testing.T) {
 func TestPkeyViolationRead(t *testing.T) {
 	m := newMem(t)
 	base, _ := m.Map(1, ProtRW, pku.Key(3))
-	pkru := pku.PKRUAllowAll.WithAccessDisabled(3)
-	_, err := m.Load8(pkru, base)
+	pkru := pku.OnlyKeys(pku.DefaultKey) // no access to key 3
+	_, err := load8(m, pkru, base)
 	f, ok := IsFault(err)
 	if !ok || f.Kind != FaultPkey {
 		t.Fatalf("err = %v, want FaultPkey", err)
@@ -152,10 +164,10 @@ func TestPkeyWriteDisable(t *testing.T) {
 	m := newMem(t)
 	base, _ := m.Map(1, ProtRW, pku.Key(5))
 	pkru := pku.PKRUAllowAll.WithWriteDisabled(5)
-	if _, err := m.Load8(pkru, base); err != nil {
+	if _, err := load8(m, pkru, base); err != nil {
 		t.Errorf("WD read should succeed: %v", err)
 	}
-	err := m.Store8(pkru, base, 7)
+	err := store8(m, pkru, base, 7)
 	if f, ok := IsFault(err); !ok || f.Kind != FaultPkey || !f.Write {
 		t.Errorf("WD write = %v, want write FaultPkey", err)
 	}
@@ -167,12 +179,11 @@ func TestTagKeyChangesEnforcement(t *testing.T) {
 	if err := m.TagKey(base, 1, pku.Key(7)); err != nil {
 		t.Fatalf("TagKey: %v", err)
 	}
-	k, err := m.KeyOf(base)
-	if err != nil || k != 7 {
-		t.Fatalf("KeyOf = %v, %v", k, err)
+	if k := pageAt(m, base).key; k != 7 {
+		t.Fatalf("page key = %v, want 7", k)
 	}
 	pkru := pku.OnlyKeys(pku.DefaultKey) // no access to key 7
-	_, err = m.Load8(pkru, base)
+	_, err := load8(m, pkru, base)
 	if f, ok := IsFault(err); !ok || f.Kind != FaultPkey {
 		t.Errorf("err = %v, want FaultPkey after retag", err)
 	}
@@ -187,7 +198,7 @@ func TestUnmapThenAccessFaults(t *testing.T) {
 	if m.MappedPages() != 0 {
 		t.Errorf("MappedPages = %d after unmap", m.MappedPages())
 	}
-	_, err := m.Load8(pku.PKRUAllowAll, base)
+	_, err := load8(m, pku.PKRUAllowAll, base)
 	if f, ok := IsFault(err); !ok || f.Kind != FaultUnmapped {
 		t.Errorf("err = %v, want FaultUnmapped", err)
 	}
@@ -204,7 +215,7 @@ func TestUnmapBadRange(t *testing.T) {
 	}
 	// Partially-unmapped ranges are rejected atomically: the mapped page
 	// survives a failed Unmap.
-	if !m.Mapped(base) {
+	if pageAt(m, base) == nil {
 		t.Error("failed Unmap removed pages")
 	}
 }
@@ -229,17 +240,16 @@ func TestProtectTransitions(t *testing.T) {
 	if err := m.Protect(base, 1, ProtRead); err != nil {
 		t.Fatalf("Protect: %v", err)
 	}
-	p, err := m.ProtOf(base)
-	if err != nil || p != ProtRead {
-		t.Fatalf("ProtOf = %v, %v", p, err)
+	if p := pageAt(m, base).prot; p != ProtRead {
+		t.Fatalf("page prot = %v, want ProtRead", p)
 	}
-	if err := m.Store8(pku.PKRUAllowAll, base, 1); err == nil {
+	if err := store8(m, pku.PKRUAllowAll, base, 1); err == nil {
 		t.Error("write after Protect(read) should fault")
 	}
 	if err := m.Protect(base, 1, ProtRW); err != nil {
 		t.Fatalf("Protect back: %v", err)
 	}
-	if err := m.Store8(pku.PKRUAllowAll, base, 1); err != nil {
+	if err := store8(m, pku.PKRUAllowAll, base, 1); err != nil {
 		t.Errorf("write after re-enable: %v", err)
 	}
 }
@@ -261,11 +271,11 @@ func TestNilClockIsAllowed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
-	if err := m.Store8(pku.PKRUAllowAll, base, 1); err != nil {
+	if err := store8(m, pku.PKRUAllowAll, base, 1); err != nil {
 		t.Errorf("Store8: %v", err)
 	}
-	if m.Clock() != nil {
-		t.Error("Clock() should be nil")
+	if m.clock != nil {
+		t.Error("clock should be nil")
 	}
 }
 
@@ -329,8 +339,8 @@ func TestIsolationInvariantProperty(t *testing.T) {
 			return true
 		}
 		pkru := pku.OnlyKeys(pku.DefaultKey, a)
-		_, rerr := m.Load8(pkru, pages[b])
-		werr := m.Store8(pkru, pages[b], 0xff)
+		_, rerr := load8(m, pkru, pages[b])
+		werr := store8(m, pkru, pages[b], 0xff)
 		fr, okr := IsFault(rerr)
 		fw, okw := IsFault(werr)
 		return okr && okw && fr.Kind == FaultPkey && fw.Kind == FaultPkey
@@ -365,9 +375,9 @@ func TestStatsCounters(t *testing.T) {
 	_ = m.StoreBytes(pku.PKRUAllowAll, base, make([]byte, 100))
 	buf := make([]byte, 50)
 	_ = m.LoadBytes(pku.PKRUAllowAll, base, buf)
-	_, _ = m.Load8(pku.PKRUAllowAll, base)
-	_ = m.Store8(pku.PKRUAllowAll, base, 1)
-	_, _ = m.Load8(pku.PKRUAllowAll, 0xdead0000) // fault
+	_, _ = load8(m, pku.PKRUAllowAll, base)
+	_ = store8(m, pku.PKRUAllowAll, base, 1)
+	_, _ = load8(m, pku.PKRUAllowAll, 0xdead0000) // fault
 
 	st := m.Stats()
 	// Accesses are counted before the permission check (matching the

@@ -24,9 +24,6 @@ import (
 // maintained and the access hot path is unchanged.
 func (m *Memory) TrackModified(on bool) { m.trackMod = on }
 
-// TrackingModified reports whether modified-page tracking is on.
-func (m *Memory) TrackingModified() bool { return m.trackMod }
-
 // NonZeroPages returns, in ascending order, the page numbers in
 // [base, base+npages) whose contents may be nonzero (the dirty bitmap).
 // This is the page set of a full snapshot: every page it omits is

@@ -16,10 +16,10 @@ func TestModifiedPagesTracksStores(t *testing.T) {
 		t.Fatalf("Map: %v", err)
 	}
 	pkru := pku.PKRUAllowAll
-	if err := m.Store8(pkru, base+PageSize, 0xaa); err != nil {
+	if err := store8(m, pkru, base+PageSize, 0xaa); err != nil {
 		t.Fatalf("Store8: %v", err)
 	}
-	if err := m.Store8(pkru, base+3*PageSize+17, 0xbb); err != nil {
+	if err := store8(m, pkru, base+3*PageSize+17, 0xbb); err != nil {
 		t.Fatalf("Store8: %v", err)
 	}
 	pns, err := m.ModifiedPages(base, 4)
@@ -42,7 +42,7 @@ func TestModifiedPagesTracksStores(t *testing.T) {
 	if len(pns) != 0 {
 		t.Fatalf("after clear, ModifiedPages = %#x", pns)
 	}
-	if err := m.Store8(pkru, base, 1); err != nil {
+	if err := store8(m, pkru, base, 1); err != nil {
 		t.Fatalf("Store8: %v", err)
 	}
 	pns, err = m.ModifiedPages(base, 4)
@@ -64,7 +64,7 @@ func TestModifiedSurvivesZeroScrub(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
-	if err := m.Store8(pku.PKRUAllowAll, base, 0xcc); err != nil {
+	if err := store8(m, pku.PKRUAllowAll, base, 0xcc); err != nil {
 		t.Fatalf("Store8: %v", err)
 	}
 	if err := m.ClearModified(base, 1); err != nil {
@@ -95,7 +95,7 @@ func TestTrackingOffCostsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
-	if err := m.Store8(pku.PKRUAllowAll, base, 1); err != nil {
+	if err := store8(m, pku.PKRUAllowAll, base, 1); err != nil {
 		t.Fatalf("Store8: %v", err)
 	}
 	pns, err := m.ModifiedPages(base, 1)
@@ -105,8 +105,8 @@ func TestTrackingOffCostsNothing(t *testing.T) {
 	if len(pns) != 0 {
 		t.Fatalf("modified set populated with tracking off: %#x", pns)
 	}
-	if m.TrackingModified() {
-		t.Fatal("TrackingModified true by default")
+	if m.trackMod {
+		t.Fatal("modified-page tracking on by default")
 	}
 }
 
@@ -122,7 +122,7 @@ func TestMapAtRestoresOriginalAddresses(t *testing.T) {
 	if err := m.MapAt(a, 2, ProtRW, pku.DefaultKey); err != nil {
 		t.Fatalf("MapAt: %v", err)
 	}
-	if !m.Mapped(a) || !m.Mapped(a+PageSize) {
+	if pageAt(m, a) == nil || pageAt(m, a+PageSize) == nil {
 		t.Fatal("MapAt pages not mapped")
 	}
 	// Double-map rejected.

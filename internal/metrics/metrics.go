@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -90,12 +89,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() int64 { return h.min }
-
-// Max returns the largest sample.
-func (h *Histogram) Max() int64 { return h.max }
-
 // Quantile returns an approximation of the q-quantile (0 <= q <= 1).
 func (h *Histogram) Quantile(q float64) int64 {
 	if h.n == 0 {
@@ -125,78 +118,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// P50, P95, P99, P999 are convenience quantiles.
-func (h *Histogram) P50() int64  { return h.Quantile(0.50) }
-func (h *Histogram) P95() int64  { return h.Quantile(0.95) }
-func (h *Histogram) P99() int64  { return h.Quantile(0.99) }
-func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
-// Merge adds all samples of other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other.n == 0 {
-		return
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.n += other.n
-	h.sum += other.sum
-}
-
-// Summary computes basic statistics over a float64 slice.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs (xs is not modified).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Stddev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}
+// P50, P95 and P99 are convenience quantiles.
+func (h *Histogram) P50() int64 { return h.Quantile(0.50) }
+func (h *Histogram) P95() int64 { return h.Quantile(0.95) }
+func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 
 // FormatDuration renders a duration with paper-style units (µs, ms, s,
 // min) and 3 significant digits.

@@ -20,8 +20,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 100 {
 		t.Errorf("Count = %d", h.Count())
 	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Errorf("min/max = %d/%d", h.Min(), h.Max())
+	if h.min != 1 || h.max != 100 {
+		t.Errorf("min/max = %d/%d", h.min, h.max)
 	}
 	if got := h.Mean(); math.Abs(got-50.5) > 1e-9 {
 		t.Errorf("Mean = %v, want 50.5", got)
@@ -49,45 +49,16 @@ func TestHistogramQuantileEdges(t *testing.T) {
 		t.Error("single-sample quantiles should all be the sample")
 	}
 	h.Observe(-5) // clamped to 0
-	if h.Min() != 0 {
-		t.Errorf("negative clamp: min = %d", h.Min())
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := int64(0); i < 100; i++ {
-		a.Observe(10)
-		b.Observe(1000)
-	}
-	a.Merge(&b)
-	if a.Count() != 200 {
-		t.Errorf("merged count = %d", a.Count())
-	}
-	if a.Min() != 10 || a.Max() != 1000 {
-		t.Errorf("merged min/max = %d/%d", a.Min(), a.Max())
-	}
-	var empty Histogram
-	a.Merge(&empty) // no-op
-	if a.Count() != 200 {
-		t.Error("merge with empty changed count")
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	var h Histogram
-	h.Observe(5)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Error("Reset incomplete")
+	if h.min != 0 {
+		t.Errorf("negative clamp: min = %d", h.min)
 	}
 }
 
 func TestObserveDuration(t *testing.T) {
 	var h Histogram
 	h.ObserveDuration(3 * time.Microsecond)
-	if h.Max() != 3000 {
-		t.Errorf("Max = %d, want 3000", h.Max())
+	if h.max != 3000 {
+		t.Errorf("Max = %d, want 3000", h.max)
 	}
 }
 
@@ -104,7 +75,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		prev := int64(-1)
 		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
 			v := h.Quantile(q)
-			if v < prev || v < h.Min() || v > h.Max() {
+			if v < prev || v < h.min || v > h.max {
 				return false
 			}
 			prev = v
@@ -113,31 +84,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.Stddev-math.Sqrt(2.5)) > 1e-9 {
-		t.Errorf("stddev = %v", s.Stddev)
-	}
-	even := Summarize([]float64{1, 2, 3, 4})
-	if even.Median != 2.5 {
-		t.Errorf("even median = %v", even.Median)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Error("empty summary non-zero")
-	}
-}
-
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	_ = Summarize(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Error("Summarize mutated input")
 	}
 }
 
@@ -181,18 +127,6 @@ func TestTableMarkdown(t *testing.T) {
 	md := tb.Markdown()
 	if !strings.Contains(md, "| a | b |") || !strings.Contains(md, "| x | y |") {
 		t.Errorf("markdown:\n%s", md)
-	}
-}
-
-func TestTableAccessorsCopy(t *testing.T) {
-	tb := NewTable("T", "a")
-	tb.AddRow("v")
-	h := tb.Headers()
-	h[0] = "mutated"
-	r := tb.Rows()
-	r[0][0] = "mutated"
-	if tb.Headers()[0] != "a" || tb.Rows()[0][0] != "v" {
-		t.Error("accessors leaked internal state")
 	}
 }
 

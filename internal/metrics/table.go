@@ -51,18 +51,6 @@ func trimFloat(v float64) string {
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// Headers returns a copy of the column headers.
-func (t *Table) Headers() []string { return append([]string(nil), t.headers...) }
-
-// Rows returns a deep copy of the data rows.
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
-	}
-	return out
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	ncol := len(t.headers)

@@ -58,9 +58,6 @@ func (p PKRU) CanRead(k Key) bool { return p&adBit(k) == 0 }
 // Write permission requires both AD and WD clear, matching hardware.
 func (p PKRU) CanWrite(k Key) bool { return p&(adBit(k)|wdBit(k)) == 0 }
 
-// WithAccessDisabled returns a copy of p with all access to key k denied.
-func (p PKRU) WithAccessDisabled(k Key) PKRU { return p | adBit(k) }
-
 // WithWriteDisabled returns a copy of p with writes to key k denied.
 func (p PKRU) WithWriteDisabled(k Key) PKRU { return p | wdBit(k) }
 
@@ -152,24 +149,3 @@ func (a *Allocator) Free(k Key) error {
 	a.inUse[k] = false
 	return nil
 }
-
-// Allocated reports whether k is currently allocated.
-func (a *Allocator) Allocated(k Key) bool {
-	a.lazyInit()
-	return k.Valid() && a.inUse[k]
-}
-
-// InUse returns the number of allocated keys, including key 0.
-func (a *Allocator) InUse() int {
-	a.lazyInit()
-	n := 0
-	for _, b := range a.inUse {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
-// Available returns the number of keys that Alloc can still hand out.
-func (a *Allocator) Available() int { return NumKeys - a.InUse() }

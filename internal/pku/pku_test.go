@@ -42,13 +42,6 @@ func TestWriteDisableStillAllowsRead(t *testing.T) {
 	}
 }
 
-func TestAccessDisableDeniesBoth(t *testing.T) {
-	p := PKRUAllowAll.WithAccessDisabled(5)
-	if p.CanRead(5) || p.CanWrite(5) {
-		t.Error("AD should deny read and write")
-	}
-}
-
 func TestWithAllowedClearsBothBits(t *testing.T) {
 	p := PKRUDenyAll.WithAllowed(7)
 	if !p.CanRead(7) || !p.CanWrite(7) {
@@ -82,11 +75,20 @@ func TestWriteImpliesReadProperty(t *testing.T) {
 	}
 }
 
-// Property: WithAllowed then WithAccessDisabled round-trips to denied.
+// The access-disable bit denies both reads and writes, whatever the
+// write-disable bit says.
+func TestAccessDisableDeniesBoth(t *testing.T) {
+	p := PKRUAllowAll | adBit(5)
+	if p.CanRead(5) || p.CanWrite(5) {
+		t.Error("AD should deny read and write")
+	}
+}
+
+// Property: setting AD after WithAllowed denies the key again.
 func TestDisableAfterAllowProperty(t *testing.T) {
 	f := func(raw uint32, kRaw uint8) bool {
 		k := Key(kRaw % NumKeys)
-		p := PKRU(raw).WithAllowed(k).WithAccessDisabled(k)
+		p := PKRU(raw).WithAllowed(k) | adBit(k)
 		return !p.CanRead(k) && !p.CanWrite(k)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -121,7 +123,7 @@ func TestAllocatorFreeAndReuse(t *testing.T) {
 	if err := a.Free(k1); err != nil {
 		t.Fatalf("Free: %v", err)
 	}
-	if a.Allocated(k1) {
+	if a.inUse[k1] {
 		t.Error("key still allocated after Free")
 	}
 	k2, err := a.Alloc()
@@ -143,31 +145,6 @@ func TestAllocatorErrors(t *testing.T) {
 	}
 	if err := a.Free(200); !errors.Is(err, ErrKeyNotAllocated) {
 		t.Errorf("Free(invalid) = %v, want ErrKeyNotAllocated", err)
-	}
-}
-
-func TestAllocatorCounts(t *testing.T) {
-	var a Allocator
-	if got := a.InUse(); got != 1 { // key 0
-		t.Fatalf("fresh InUse = %d, want 1", got)
-	}
-	if got := a.Available(); got != 15 {
-		t.Fatalf("fresh Available = %d, want 15", got)
-	}
-	k, _ := a.Alloc()
-	if got := a.InUse(); got != 2 {
-		t.Errorf("InUse after alloc = %d, want 2", got)
-	}
-	_ = a.Free(k)
-	if got := a.Available(); got != 15 {
-		t.Errorf("Available after free = %d, want 15", got)
-	}
-}
-
-func TestDefaultKeyAlwaysAllocated(t *testing.T) {
-	var a Allocator
-	if !a.Allocated(DefaultKey) {
-		t.Error("default key should be permanently allocated")
 	}
 }
 

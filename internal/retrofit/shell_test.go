@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	sdrad "repro"
 	"repro/internal/core"
 	"repro/internal/httpd"
 	"repro/internal/kvstore"
@@ -17,13 +18,16 @@ import (
 	"repro/internal/workload"
 )
 
-// TestResizableShell is the shell's conformance table, run against both
-// servers through their public request paths: resizing is bounded and
-// refused with an error naming the server; grow → shrink → grow reuses
-// the worker UDI prefix and the released protection keys; a native
-// crash opens a restart window whose arrivals are dropped and counted;
-// and a failed domain run is classified — contained, preempted or
-// failed — with the counters moving accordingly.
+// TestResizableShell is the shell's conformance table, run for both
+// servers: resizing is bounded and refused with an error naming the
+// server; grow → shrink → grow reuses the worker UDI prefix and the
+// released protection keys; a native crash opens a restart window whose
+// arrivals are dropped and counted; and a failed domain run is
+// classified — contained, preempted or failed — with the counters
+// moving accordingly. A server resizes only through its pool's shards,
+// so the resize rows run on a shell configured as the server configures
+// its own; the other rows run through the servers' public request
+// paths.
 func TestResizableShell(t *testing.T) {
 	for _, h := range []harness{kvHarness(), httpdHarness()} {
 		t.Run(h.Name, func(t *testing.T) {
@@ -53,9 +57,6 @@ const (
 
 // server is one server under test.
 type server struct {
-	// Resize and Workers are the server's worker-domain resize and count.
-	Resize  func(n int) error
-	Workers func() int
 	// Serve sends one request of kind k from client clientID and returns
 	// the error the client sees (nil for a success).
 	Serve func(ctx context.Context, clientID int, k kind) error
@@ -71,6 +72,8 @@ type harness struct {
 	Name string
 	// FirstUDI is the UDI of the first worker domain.
 	FirstUDI core.UDI
+	// Workers is the server's default worker-domain count.
+	Workers int
 	// Unavailable is the error of a request dropped in a native restart
 	// window.
 	Unavailable error
@@ -84,21 +87,35 @@ func newServer(t *testing.T, h harness, native bool) (server, *core.System) {
 	return h.New(t, sys, native), sys
 }
 
+// newShell builds a shell on sys as h's server builds its own: SDRaD
+// mode with the default worker count, or native mode when native is set.
+func newShell(t *testing.T, h harness, sys *core.System, native bool) *retrofit.Shell {
+	cfg := retrofit.Config{Name: h.Name, FirstUDI: h.FirstUDI}
+	if !native {
+		cfg.Workers = h.Workers
+	}
+	sh, err := retrofit.New(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &sh
+}
+
 // resizeBounds: 0 and MaxWorkers+1 workers are refused, and so is any
-// resize of a native server; each error names the server.
+// resize of a native shell; each error names the server.
 func resizeBounds(t *testing.T, h harness) {
-	srv, _ := newServer(t, h, false)
-	before := srv.Workers()
+	sh := newShell(t, h, core.NewSystem(core.DefaultConfig()), false)
+	before := sh.Workers()
 	for _, n := range []int{0, retrofit.MaxWorkers + 1} {
-		err := srv.Resize(n)
+		err := sh.Resize(n)
 		if err == nil || !strings.HasPrefix(err.Error(), h.Name+":") {
 			t.Errorf("Resize(%d) = %v, want a refusal naming %s", n, err, h.Name)
 		}
-		if got := srv.Workers(); got != before {
+		if got := sh.Workers(); got != before {
 			t.Errorf("Resize(%d) refused but workers %d → %d", n, before, got)
 		}
 	}
-	native, _ := newServer(t, h, true)
+	native := newShell(t, h, core.NewSystem(core.DefaultConfig()), true)
 	if err := native.Resize(2); err == nil || !strings.HasPrefix(err.Error(), h.Name+":") {
 		t.Errorf("native Resize(2) = %v, want a refusal naming %s", err, h.Name)
 	}
@@ -107,15 +124,16 @@ func resizeBounds(t *testing.T, h harness) {
 // resizeReuses: growing to MaxWorkers, shrinking to 2 and growing back
 // keeps the worker domains at the UDI prefix and succeeds only because
 // the shrink released its protection keys (the machine has no keys for
-// ten more domains otherwise); every live worker serves.
+// ten more domains otherwise); every live worker runs a call.
 func resizeReuses(t *testing.T, h harness) {
-	srv, sys := newServer(t, h, false)
-	others := sys.Domains() - srv.Workers()
+	sys := core.NewSystem(core.DefaultConfig())
+	sh := newShell(t, h, sys, false)
+	others := sys.Domains() - sh.Workers()
 	for _, n := range []int{retrofit.MaxWorkers, 2, retrofit.MaxWorkers} {
-		if err := srv.Resize(n); err != nil {
+		if err := sh.Resize(n); err != nil {
 			t.Fatalf("Resize(%d): %v", n, err)
 		}
-		if got := srv.Workers(); got != n || sys.Domains() != others+n {
+		if got := sh.Workers(); got != n || sys.Domains() != others+n {
 			t.Fatalf("after Resize(%d): %d workers, %d domains, want %d and %d", n, got, sys.Domains(), n, others+n)
 		}
 		for i := 0; i < retrofit.MaxWorkers; i++ {
@@ -124,7 +142,7 @@ func resizeReuses(t *testing.T, h harness) {
 			}
 		}
 		for c := 0; c < n; c++ {
-			if err := srv.Serve(context.Background(), c, benign); err != nil {
+			if err := sh.Do(context.Background(), c, func(*sdrad.Ctx) error { return nil }); err != nil {
 				t.Errorf("after Resize(%d): client %d: %v", n, c, err)
 			}
 		}
@@ -275,6 +293,7 @@ func kvHarness() harness {
 	return harness{
 		Name:        "kvstore",
 		FirstUDI:    10,
+		Workers:     4,
 		Unavailable: kvstore.ErrUnavailable,
 		New: func(t *testing.T, sys *core.System, native bool) server {
 			cache, err := kvstore.NewCache(sys, 1, 4<<20)
@@ -295,8 +314,6 @@ func kvHarness() harness {
 				t.Fatal(err)
 			}
 			return server{
-				Resize:  srv.ResizeWorkers,
-				Workers: srv.Workers,
 				Serve: func(ctx context.Context, clientID int, k kind) error {
 					return srv.HandleContext(ctx, clientID, requests[k]).Err
 				},
@@ -324,6 +341,7 @@ func httpdHarness() harness {
 	return harness{
 		Name:        "httpd",
 		FirstUDI:    30,
+		Workers:     4,
 		Unavailable: httpd.ErrUnavailable,
 		New: func(t *testing.T, sys *core.System, native bool) server {
 			cfg := httpd.Config{Mode: httpd.ModeSDRaD, FirstWorkerUDI: 30}
@@ -341,8 +359,6 @@ func httpdHarness() harness {
 				srv.HandleFunc("/bulk", make([]byte, 4<<20))
 			}
 			return server{
-				Resize:  srv.ResizeWorkers,
-				Workers: srv.Workers,
 				Serve: func(ctx context.Context, clientID int, k kind) error {
 					resp := srv.ServeContext(ctx, clientID, requests[k])
 					if want := wireStatus(resp.Err); resp.Status != want {

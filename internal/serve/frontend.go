@@ -295,6 +295,8 @@ func (f *Frontend[Req, Resp]) Gateway() *gateway.Gateway { return f.gw }
 func (f *Frontend[Req, Resp]) SetRequestTimeout(d time.Duration) { f.reqTimeout = d }
 
 // Queues returns the submission layer, nil on a serial frontend.
+//
+//lint:unusedexport the kvstore and httpd tests count, probe and close the submission layer through it, and have no other handle on it
 func (f *Frontend[Req, Resp]) Queues() *submit.Queues { return f.queues }
 
 // Logf logs through the frontend's logger, if it has one.
@@ -435,18 +437,6 @@ func (f *Frontend[Req, Resp]) release(backend func() error) error {
 
 var _ lifecycle.Component = (*Frontend[int, int])(nil)
 
-// ResizeWorkers grows or shrinks every shard's worker-domain set to k.
-// Legal while Healthy or Degraded.
-func (f *Frontend[Req, Resp]) ResizeWorkers(k int) error {
-	if err := f.lc.Resizable(); err != nil {
-		return err
-	}
-	if f.b.Resize == nil {
-		return fmt.Errorf("%s: resize workers: server has no resizable backend", f.b.Name)
-	}
-	return f.b.Resize(k)
-}
-
 // EnableElastic turns on worker-domain autoscaling between min and max
 // per shard: the set doubles when the queued backlog reaches two
 // requests per live worker per shard and halves after a sustained idle
@@ -467,16 +457,6 @@ func (f *Frontend[Req, Resp]) EnableElastic(min, max int) error {
 	}
 	f.scaler.Store(NewScaler(min, max, 2, shrinkIdleEvals, min))
 	return nil
-}
-
-// ElasticStats returns the autoscaler's counters (zero value when
-// elastic mode is off).
-func (f *Frontend[Req, Resp]) ElasticStats() ElasticStats {
-	s := f.scaler.Load()
-	if s == nil {
-		return ElasticStats{}
-	}
-	return s.Stats(f.b.Workers())
 }
 
 // Health assembles the health document: lifecycle and gateway drain

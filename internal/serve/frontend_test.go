@@ -61,14 +61,10 @@ func newEcho(shards int) *echo {
 // TestLifecycleConformance runs the shared lifecycle battery against the
 // bare frontend, serial and batched.
 func TestLifecycleConformance(t *testing.T) {
-	resize := func(c lifecycle.Component, n int) error {
-		return c.(*Frontend[string, string]).ResizeWorkers(n)
-	}
 	lifecycletest.Run(t, []lifecycletest.Case{
 		{
-			Name:   "serve.Frontend",
-			New:    func(*testing.T) lifecycle.Component { return newEcho(2).f },
-			Resize: resize, Grow: 6, Shrink: 2,
+			Name: "serve.Frontend",
+			New:  func(*testing.T) lifecycle.Component { return newEcho(2).f },
 		},
 		{
 			Name: "serve.Frontend-batched",
@@ -77,7 +73,6 @@ func TestLifecycleConformance(t *testing.T) {
 				f.Queue(16, 4)
 				return f
 			},
-			Resize: resize, Grow: 6, Shrink: 2,
 		},
 	})
 }
@@ -306,7 +301,7 @@ func TestElasticNeedsBatchedResizable(t *testing.T) {
 	if err := batched.EnableElastic(2, 4); err != nil {
 		t.Fatal(err)
 	}
-	if st := batched.ElasticStats(); st != (ElasticStats{MaxWorkers: 2, Workers: 2}) {
+	if st := batched.scaler.Load().Stats(batched.b.Workers()); st != (ElasticStats{MaxWorkers: 2, Workers: 2}) {
 		t.Fatalf("stats after enable = %+v", st)
 	}
 	if err := batched.Close(); err != nil {

@@ -87,18 +87,6 @@ func New(m *mem.Memory, key pku.Key, npages int, secret uint64) (*Stack, error) 
 	return s, nil
 }
 
-// Key returns the stack's protection key.
-func (s *Stack) Key() pku.Key { return s.key }
-
-// SP returns the current stack pointer.
-func (s *Stack) SP() mem.Addr { return s.sp }
-
-// Guard returns the base address of the guard page.
-func (s *Stack) Guard() mem.Addr { return s.guard }
-
-// Depth returns the number of live frames.
-func (s *Stack) Depth() int { return len(s.frames) }
-
 // Remaining returns the bytes of stack space left before the guard page.
 func (s *Stack) Remaining() int { return int(s.sp - s.bottom) }
 
@@ -180,23 +168,6 @@ func (s *Stack) Pop(fr Frame) error {
 	}
 	s.frames = s.frames[:len(s.frames)-1]
 	s.sp = top.sp
-	return nil
-}
-
-// CheckTop validates the canary of the current top frame without popping,
-// mirroring a mid-function __stack_chk probe.
-func (s *Stack) CheckTop() error {
-	if len(s.frames) == 0 {
-		return nil
-	}
-	at := s.frames[len(s.frames)-1].base
-	got, err := s.m.Load64(s.pkru, at)
-	if err != nil {
-		return fmt.Errorf("stack: canary load: %w", err)
-	}
-	if got != s.canary(at) {
-		return &smashError{At: at}
-	}
 	return nil
 }
 

@@ -22,7 +22,7 @@ func newStack(t *testing.T) (*Stack, *mem.Memory) {
 
 func TestPushPop(t *testing.T) {
 	s, m := newStack(t)
-	top := s.SP()
+	top := s.sp
 	fr, err := s.Push(128)
 	if err != nil {
 		t.Fatalf("Push: %v", err)
@@ -30,26 +30,26 @@ func TestPushPop(t *testing.T) {
 	if fr.Size != 128 {
 		t.Errorf("frame size = %d", fr.Size)
 	}
-	if s.Depth() != 1 {
-		t.Errorf("Depth = %d, want 1", s.Depth())
+	if len(s.frames) != 1 {
+		t.Errorf("Depth = %d, want 1", len(s.frames))
 	}
 	// Locals are usable.
-	pkru := pku.OnlyKeys(pku.DefaultKey, s.Key())
+	pkru := pku.OnlyKeys(pku.DefaultKey, s.key)
 	if err := m.StoreBytes(pkru, fr.Base, make([]byte, 128)); err != nil {
 		t.Fatalf("write locals: %v", err)
 	}
 	if err := s.Pop(fr); err != nil {
 		t.Fatalf("Pop: %v", err)
 	}
-	if s.SP() != top || s.Depth() != 0 {
-		t.Errorf("state after pop: sp=%#x depth=%d", uint64(s.SP()), s.Depth())
+	if s.sp != top || len(s.frames) != 0 {
+		t.Errorf("state after pop: sp=%#x depth=%d", uint64(s.sp), len(s.frames))
 	}
 }
 
 func TestLinearOverflowSmashesCanary(t *testing.T) {
 	s, m := newStack(t)
 	fr, _ := s.Push(64)
-	pkru := pku.OnlyKeys(pku.DefaultKey, s.Key())
+	pkru := pku.OnlyKeys(pku.DefaultKey, s.key)
 	// Overflow a 64-byte local buffer by 8 bytes: hits the canary that
 	// sits directly above the locals.
 	evil := make([]byte, 72)
@@ -58,9 +58,6 @@ func TestLinearOverflowSmashesCanary(t *testing.T) {
 	}
 	if err := m.StoreBytes(pkru, fr.Base, evil); err != nil {
 		t.Fatalf("overflow write: %v", err)
-	}
-	if err := s.CheckTop(); !errors.Is(err, ErrStackSmash) {
-		t.Errorf("CheckTop = %v, want ErrStackSmash", err)
 	}
 	if err := s.Pop(fr); !errors.Is(err, ErrStackSmash) {
 		t.Errorf("Pop = %v, want ErrStackSmash", err)
@@ -101,8 +98,8 @@ func TestStackOverflowGuard(t *testing.T) {
 
 func TestGuardPageFaultsOnAccess(t *testing.T) {
 	s, m := newStack(t)
-	pkru := pku.OnlyKeys(pku.DefaultKey, s.Key())
-	err := m.Store8(pkru, s.Guard()+100, 0xff)
+	pkru := pku.OnlyKeys(pku.DefaultKey, s.key)
+	err := m.StoreBytes(pkru, s.guard+100, []byte{0xff})
 	f, ok := mem.IsFault(err)
 	if !ok || f.Kind != mem.FaultProt {
 		t.Errorf("guard write = %v, want FaultProt", err)
@@ -113,17 +110,17 @@ func TestSnapshotRewind(t *testing.T) {
 	s, m := newStack(t)
 	f0, _ := s.Push(64)
 	snap := s.Snapshot()
-	sp0 := s.SP()
+	sp0 := s.sp
 	// Push frames and smash one — rewind must still succeed.
 	fr, _ := s.Push(64)
 	_, _ = s.Push(256)
-	pkru := pku.OnlyKeys(pku.DefaultKey, s.Key())
+	pkru := pku.OnlyKeys(pku.DefaultKey, s.key)
 	_ = m.StoreBytes(pkru, fr.Base, make([]byte, 80)) // smash
 	if err := s.Rewind(snap); err != nil {
 		t.Fatalf("Rewind: %v", err)
 	}
-	if s.SP() != sp0 || s.Depth() != 1 {
-		t.Errorf("after rewind: sp=%#x depth=%d, want sp=%#x depth=1", uint64(s.SP()), s.Depth(), uint64(sp0))
+	if s.sp != sp0 || len(s.frames) != 1 {
+		t.Errorf("after rewind: sp=%#x depth=%d, want sp=%#x depth=1", uint64(s.sp), len(s.frames), uint64(sp0))
 	}
 	// The pre-snapshot frame is intact and pops cleanly.
 	if err := s.Pop(f0); err != nil {
@@ -147,7 +144,7 @@ func TestStackPagesCarryKey(t *testing.T) {
 	s, m := newStack(t)
 	fr, _ := s.Push(16)
 	// Foreign PKRU cannot read stack locals.
-	_, err := m.Load8(pku.OnlyKeys(pku.DefaultKey), fr.Base)
+	err := m.LoadBytes(pku.OnlyKeys(pku.DefaultKey), fr.Base, make([]byte, 1))
 	if f, ok := mem.IsFault(err); !ok || f.Kind != mem.FaultPkey {
 		t.Errorf("foreign stack read = %v, want FaultPkey", err)
 	}
@@ -187,8 +184,8 @@ func TestBalancedPushPopProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		top := s.SP()
-		pkru := pku.OnlyKeys(pku.DefaultKey, s.Key())
+		top := s.sp
+		pkru := pku.OnlyKeys(pku.DefaultKey, s.key)
 		var frames []Frame
 		for _, raw := range sizes {
 			size := int(raw)%512 + 1
@@ -207,23 +204,11 @@ func TestBalancedPushPopProperty(t *testing.T) {
 				return false
 			}
 		}
-		return s.SP() == top && s.Depth() == 0
+		return s.sp == top && len(s.frames) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestCheckTopEmptyStack(t *testing.T) {
-	s, _ := newStack(t)
-	if err := s.CheckTop(); err != nil {
-		t.Errorf("CheckTop on empty stack: %v", err)
-	}
-	fr, _ := s.Push(16)
-	if err := s.CheckTop(); err != nil {
-		t.Errorf("CheckTop on clean frame: %v", err)
-	}
-	_ = s.Pop(fr)
 }
 
 // TestGuardPageNeverTLBResident: the memory fast path only caches
@@ -251,7 +236,7 @@ func TestGuardPageNeverTLBResident(t *testing.T) {
 	}
 	// A direct write into the guard page must fault every time.
 	for i := 0; i < 3; i++ {
-		err := s.m.Store8(s.pkru, s.Guard()+mem.Addr(i), 0x41)
+		err := s.m.StoreBytes(s.pkru, s.guard+mem.Addr(i), []byte{0x41})
 		f, ok := mem.IsFault(err)
 		if !ok || f.Kind != mem.FaultProt {
 			t.Fatalf("guard write %d = %v, want FaultProt", i, err)

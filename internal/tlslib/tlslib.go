@@ -12,6 +12,8 @@
 // caller's alternate action producing a clean error instead of a leak or
 // a crash. A fixed handler (the patched bounds check) is provided for the
 // overhead comparison.
+//
+//lint:allow unusedexport only its tests call it; serving it from a binary or deleting it is an open ROADMAP item
 package tlslib
 
 import (

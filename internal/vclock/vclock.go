@@ -138,9 +138,6 @@ func (c *Clock) Cycles() uint64 { return c.cycles }
 // Now returns the virtual time elapsed since cycle zero.
 func (c *Clock) Now() time.Duration { return CyclesToDuration(c.cycles, c.model.CPUHz) }
 
-// Reset rewinds the clock to cycle zero.
-func (c *Clock) Reset() { c.cycles = 0 }
-
 // Since returns the virtual time elapsed since the given earlier cycle
 // count (typically captured with Cycles).
 func (c *Clock) Since(start uint64) time.Duration {

@@ -63,15 +63,6 @@ func TestClockAdvanceTime(t *testing.T) {
 	}
 }
 
-func TestClockReset(t *testing.T) {
-	c := New(DefaultCostModel())
-	c.Advance(42)
-	c.Reset()
-	if c.Cycles() != 0 || c.Now() != 0 {
-		t.Errorf("after Reset: cycles=%d now=%v, want zeros", c.Cycles(), c.Now())
-	}
-}
-
 func TestSinceBeforeStart(t *testing.T) {
 	c := New(DefaultCostModel())
 	c.Advance(10)
