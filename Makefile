@@ -43,8 +43,9 @@ test-cluster:
 # Lint gate: the sdradlint invariant analyzers (internal/analysis) over
 # every package — wall-clock ban, uncharged-accessor containment,
 # deterministic map iteration, typed-error classification,
-# exported-symbol docs, and no internal export without a non-test user
-# (DESIGN.md §10 maps each to its soundness argument). Findings land in LINT_FINDINGS.json; CI publishes the file
+# exported-symbol docs, no internal export without a non-test user,
+# and no serving binary linking the campaign engine (DESIGN.md §10
+# maps each to its soundness argument). Findings land in LINT_FINDINGS.json; CI publishes the file
 # when the gate fails.
 lint:
 	$(GO) run ./cmd/sdradlint -json-out LINT_FINDINGS.json ./...

@@ -68,9 +68,8 @@ func (c *AsyncConfig) fill(workers int) {
 // enqueue into a bounded per-worker queue; one consumer goroutine per
 // worker drains batches and executes them with the amortized batch
 // entry. AsyncPool implements Runner (Do is Submit+Wait) and is safe
-// for concurrent use. Create with NewAsyncPool (or NewDeferredAsyncPool
-// for the lifecycle-managed form); Close stops the async layer but
-// leaves the wrapped Pool open (the caller owns it).
+// for concurrent use. Create with NewAsyncPool; Close stops the async
+// layer but leaves the wrapped Pool open (the caller owns it).
 type AsyncPool struct {
 	pool *Pool
 	cfg  AsyncConfig
@@ -99,7 +98,7 @@ type AsyncPool struct {
 // returned AsyncPool is already serving (Init and Start have run);
 // pool must itself be serving.
 func NewAsyncPool(pool *Pool, cfg AsyncConfig) (*AsyncPool, error) {
-	a := NewDeferredAsyncPool(pool, cfg)
+	a := newDeferredAsyncPool(pool, cfg)
 	if err := a.Init(); err != nil {
 		return nil, err
 	}
@@ -109,10 +108,10 @@ func NewAsyncPool(pool *Pool, cfg AsyncConfig) (*AsyncPool, error) {
 	return a, nil
 }
 
-// NewDeferredAsyncPool constructs the async layer without allocating
+// newDeferredAsyncPool constructs the async layer without allocating
 // its queues: the lifecycle-managed form (DESIGN.md §13). Call Init to
 // build the submission queues and Start to begin serving.
-func NewDeferredAsyncPool(pool *Pool, cfg AsyncConfig) *AsyncPool {
+func newDeferredAsyncPool(pool *Pool, cfg AsyncConfig) *AsyncPool {
 	return &AsyncPool{pool: pool, cfg: cfg, lc: lifecycle.NewMachine("sdrad.AsyncPool")}
 }
 

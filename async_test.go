@@ -240,7 +240,7 @@ func TestAsyncPoolCloseSemantics(t *testing.T) {
 		t.Errorf("Submit after Close = %v, want ErrAsyncClosed", err)
 	}
 	// The wrapped pool stays open.
-	if err := pool.Run(func(c *sdrad.Ctx) error { return nil }); err != nil {
+	if err := pool.Do(context.Background(), func(c *sdrad.Ctx) error { return nil }); err != nil {
 		t.Errorf("wrapped pool unusable after async Close: %v", err)
 	}
 }

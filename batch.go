@@ -37,7 +37,9 @@ import (
 //     cleanly, with the evidence surfacing only at the shared sweep), so
 //     nothing from the aborted attempt is kept; every call's outcome,
 //     including retries and fallbacks from its own policy options, comes
-//     from its serial replay.
+//     from its serial replay. The exception is a persistent backend's
+//     first call: a violation raised while it ran is its serial outcome
+//     (firstCallViolation), and only the calls after it replay.
 //
 // Together with the allocator's reuse-time validation of freed chunks
 // (internal/alloc, the tcache-key check) this makes a clean batch commit
@@ -83,7 +85,8 @@ type batchBackend struct {
 	serial func(c *batchCall) error
 
 	// run's working state: the calls that enter the domain, and where
-	// and how the in-domain loop stopped early. body is that loop
+	// and how the in-domain loop stopped early (appIdx: the call that
+	// was running, -1 if every call returned nil). body is that loop
 	// (inDomain), bound once. A backend kept from batch to batch — a
 	// Domain keeps one — therefore runs a batch without allocating.
 	live   []*batchCall
@@ -171,11 +174,17 @@ func (b *batchBackend) run(calls []*batchCall) batchReport {
 		// A detection aborted the batch (or the enter itself was
 		// refused, e.g. quarantine). The domain — if it was entered — has
 		// been rewound and discarded; nothing from the attempt is
-		// trustworthy, so every call re-derives its outcome serially.
-		for _, c := range live {
+		// trustworthy, so every call re-derives its outcome serially,
+		// bar a persistent backend's first call.
+		replay := live
+		if b.firstCallViolation(appIdx, enterErr) {
+			live[0].err = enterErr
+			replay = live[1:]
+		}
+		for _, c := range replay {
 			c.err = b.serial(c)
 		}
-		return batchReport{Replayed: len(live)}
+		return batchReport{Replayed: len(replay)}
 	}
 
 	// Clean exit: the sweep passed, so the heap is corruption-free and
@@ -227,13 +236,33 @@ func (b *batchBackend) run(calls []*batchCall) batchReport {
 	return batchReport{Committed: false, Replayed: len(live) - appIdx}
 }
 
+// firstCallViolation reports whether an aborted batch's entry error is
+// its first call's serial outcome: a violation raised while call 0 ran
+// (stopped is the loop's appIdx) on a persistent backend, under a
+// policy with no retries, fallback or target probe. The call ran on
+// exactly its serial heap, so the violation names the serial heap word;
+// its replay would run on the domain the violation discarded (DESIGN.md
+// §9). A pool's replay is exact already: every call starts pristine.
+func (b *batchBackend) firstCallViolation(stopped int, enterErr error) bool {
+	if !b.persistent || stopped != 0 {
+		return false
+	}
+	set := b.live[0].set
+	if set.retries != 0 || set.fallback != nil || set.target != nil {
+		return false
+	}
+	_, ok := IsViolation(enterErr)
+	return ok
+}
+
 // inDomain is the batch's single domain entry: it runs the live calls
-// back to back and stops at the first error, recording where (appIdx)
-// and, for an application error, what (appErr).
+// back to back and stops at the first error, recording where (appIdx,
+// -1 once every call returned nil) and, for an application error, what
+// (appErr).
 func (b *batchBackend) inDomain(c *Ctx) error {
 	for i, call := range b.live {
+		b.appIdx = i
 		if err := call.fn(c); err != nil {
-			b.appIdx = i
 			if detect.IsViolation(err) {
 				// A substrate fault propagated as a return value: hand
 				// it to Enter, which classifies and rewinds exactly as
@@ -244,5 +273,6 @@ func (b *batchBackend) inDomain(c *Ctx) error {
 			return nil // exit the batch early; the sweep still runs
 		}
 	}
+	b.appIdx = -1
 	return nil
 }

@@ -94,7 +94,7 @@ func TestPoolDoBatchSweepDetectedFaultIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = pool.Close() }()
-		err = pool.Run(func(c *sdrad.Ctx) error {
+		err = pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 			fault.Inject(c, fault.UseAfterFree, 0)
 			return nil
 		})
@@ -405,7 +405,7 @@ func TestDomainDoBatchAppErrorRunsOnce(t *testing.T) {
 
 	appErr := errors.New("validation failed")
 	var counter sdrad.Addr
-	if err := dom.Run(func(c *sdrad.Ctx) error {
+	if err := dom.Do(context.Background(), func(c *sdrad.Ctx) error {
 		counter = c.MustAlloc(8)
 		return nil
 	}); err != nil {
@@ -440,5 +440,52 @@ func TestDomainDoBatchAppErrorRunsOnce(t *testing.T) {
 	}
 	if got[0] != 4 {
 		t.Errorf("counter = %d, want 4 (each call's in-domain effect applied once)", got[0])
+	}
+}
+
+// TestDomainDoBatchFirstCallViolationIsSerial: on a domain whose heap
+// has history, a batch headed by an overflow must report the heap word
+// a serial Do reports, and run that call once. Replaying it would run
+// it on the domain the violation discarded, not on the heap it ran on.
+func TestDomainDoBatchFirstCallViolationIsSerial(t *testing.T) {
+	// The shape of a server's parse: stage the input, trigger the bug,
+	// free the staging block. With a freed 32-byte chunk below the block
+	// the overflow runs into the block's header, and the free traps.
+	overflow := func(c *sdrad.Ctx) error {
+		buf := c.MustAlloc(64)
+		fault.Inject(c, fault.HeapOverflow, 0)
+		c.MustFree(buf)
+		return nil
+	}
+	history := cheapFn(make([]byte, 32))
+	newDomain := func() *sdrad.Domain {
+		dom, err := sdrad.New().NewDomain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = dom.Close() })
+		if err := dom.Do(context.Background(), history); err != nil {
+			t.Fatal(err)
+		}
+		return dom
+	}
+	serial := newDomain()
+	want := serial.Do(context.Background(), overflow)
+	if _, ok := sdrad.IsViolation(want); !ok {
+		t.Fatalf("serial overflow = %v, want a violation", want)
+	}
+
+	var reports []sdrad.BatchReport
+	batched := newDomain()
+	batched.OnBatch(func(r sdrad.BatchReport) { reports = append(reports, r) })
+	errs := batched.DoBatch(context.Background(), []func(*sdrad.Ctx) error{overflow, history})
+	if errs[0] == nil || errs[0].Error() != want.Error() {
+		t.Errorf("batched overflow = %v, serial %v", errs[0], want)
+	}
+	if errs[1] != nil {
+		t.Errorf("call after the overflow: %v", errs[1])
+	}
+	if len(reports) != 1 || reports[0].Replayed != 1 {
+		t.Errorf("batch reports %+v, want one report replaying only the call after the overflow", reports)
 	}
 }

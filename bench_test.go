@@ -375,7 +375,7 @@ func BenchmarkPoolRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			err := pool.Run(func(c *sdrad.Ctx) error {
+			err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 				p := c.MustAlloc(128)
 				c.MustStore(p, make([]byte, 128))
 				return nil

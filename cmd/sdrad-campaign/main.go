@@ -30,6 +30,12 @@
 // crashes, rolling restarts, and partitions — must produce the same
 // per-request outcomes and survivor digest as one pool, at node counts
 // 1/2/4, serial and batched 8/32. Exit status is 1 if any oracle fails.
+//
+// Everything runs against the real backends: campaign.Backends() for
+// the Domain, Pool and Bridge executors, campaign.RecoveryHarness over a
+// durable kvstore server, and campaign.CheckCluster over cluster
+// routers. This command links the campaign engine; the serving binaries
+// never do (the servedlinks lint).
 package main
 
 import (
@@ -37,11 +43,8 @@ import (
 	"fmt"
 	"os"
 
-	sdrad "repro"
 	"repro/internal/campaign"
 	"repro/internal/campaign/scenarios"
-	"repro/internal/cluster"
-	"repro/internal/kvstore"
 )
 
 func main() {
@@ -93,7 +96,7 @@ func run(args []string, stdout *os.File) int {
 	}
 	cfg := campaign.Config{Seed: *seed, Workers: *workers, Requests: *requests, Batch: *batch, Scenarios: scs}
 
-	trace, err := sdrad.RunCampaign(cfg)
+	trace, err := campaign.Run(cfg, campaign.Backends())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdrad-campaign: %v\n", err)
 		return 1
@@ -125,7 +128,7 @@ func run(args []string, stdout *os.File) int {
 			return 2
 		}
 		for _, gsc := range gscs {
-			gtr, err := sdrad.RunGatewayCampaign(gsc, cfg)
+			gtr, err := campaign.RunGateway(gsc, cfg, campaign.Backends())
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sdrad-campaign: %v\n", err)
 				return 1
@@ -137,7 +140,7 @@ func run(args []string, stdout *os.File) int {
 	if !*oracles {
 		return 0
 	}
-	results, err := sdrad.CheckCampaignOracles(cfg, 1, 4, 8)
+	results, err := campaign.CheckAll(cfg, campaign.Backends(), 1, 4, 8)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
 		return 1
@@ -156,7 +159,7 @@ func run(args []string, stdout *os.File) int {
 		}
 	}()
 	recResults, err := campaign.CheckRecovery(
-		&kvstore.RecoveryHarness{Dir: recDir}, *seed, *requests, nil, nil)
+		&campaign.RecoveryHarness{Dir: recDir}, *seed, *requests, nil, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
 		return 1
@@ -166,7 +169,7 @@ func run(args []string, stdout *os.File) int {
 	// digests must be byte-identical with and without the hostile
 	// co-tenant, serially at worker counts 1/4/8 and batched at 8/32.
 	for _, gsc := range gscs {
-		isoResults, err := sdrad.CheckGatewayIsolation(gsc, cfg, nil, nil)
+		isoResults, err := campaign.CheckIsolation(gsc, cfg, campaign.Backends(), nil, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
 			return 1
@@ -179,7 +182,7 @@ func run(args []string, stdout *os.File) int {
 	// and batched 8/32, through node-crash, rolling-restart, and
 	// partition membership schedules.
 	if *clusterOracle {
-		clResults, err := campaign.CheckCluster(&cluster.Harness{}, *seed, *requests, nil, nil)
+		clResults, err := campaign.CheckCluster(*seed, *requests, nil, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
 			return 1

@@ -54,9 +54,7 @@
 // hardware is not reachable from portable Go; see DESIGN.md §2 for the
 // substitution argument. All isolation semantics — 16 protection keys,
 // AD/WD bits, per-page key tags, fault classification — follow the
-// hardware architecture exactly. DESIGN.md §3 has the v1→v2 API
-// migration table (Run/RunOn/RunWithFallback remain as thin wrappers
-// over Do).
+// hardware architecture exactly.
 //
 // # Concurrency
 //
@@ -110,8 +108,8 @@
 // call's outcome through the serial path (the replay rule), so fault
 // isolation, retries, and fallbacks behave per call. The synchronous
 // doors Domain.DoBatch, Domain.DoBatchItems (Domain.AppendBatchItems
-// for a caller that reuses its result slice), and Pool.DoBatch expose
-// the same engine for callers that already hold a batch. Because an
+// for a caller that reuses its result slice), Pool.DoBatch and
+// Pool.DoBatchItems expose the same engine for callers that already hold a batch. Because an
 // aborted batch re-executes its calls, batched fns are under the same
 // at-least-once contract as WithRetries. See DESIGN.md §9 for queue
 // semantics, the replay rule, and why batched campaign traces are

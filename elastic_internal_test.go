@@ -18,7 +18,7 @@ func TestRetiredWorkerNeverRedispatched(t *testing.T) {
 
 	// Touch every worker so each has a non-zero request history.
 	for w := 0; w < 4; w++ {
-		if err := p.RunOn(w, func(c *Ctx) error { return nil }); err != nil {
+		if err := p.Do(context.Background(), func(c *Ctx) error { return nil }, WithWorker(w)); err != nil {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}

@@ -194,17 +194,17 @@ func TestResizePreservesStats(t *testing.T) {
 	t.Cleanup(func() { _ = pool.Close() })
 
 	for w := 0; w < 4; w++ {
-		if err := pool.RunOn(w, func(c *sdrad.Ctx) error {
+		if err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 			b := c.MustAlloc(16)
 			c.MustFree(b)
 			return nil
-		}); err != nil {
+		}, sdrad.WithWorker(w)); err != nil {
 			t.Fatalf("worker %d benign: %v", w, err)
 		}
-		verr := pool.RunOn(w, func(c *sdrad.Ctx) error {
+		verr := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 			fault.Inject(c, fault.HeapOverflow, 0)
 			return nil
-		})
+		}, sdrad.WithWorker(w))
 		if _, ok := sdrad.IsViolation(verr); !ok {
 			t.Fatalf("worker %d: got %v, want ViolationError", w, verr)
 		}
@@ -226,7 +226,7 @@ func TestResizePreservesStats(t *testing.T) {
 	}
 
 	// The shrunken pool still serves, and new work keeps counting.
-	if err := pool.Run(func(c *sdrad.Ctx) error { return nil }); err != nil {
+	if err := pool.Do(context.Background(), func(c *sdrad.Ctx) error { return nil }); err != nil {
 		t.Fatalf("Run after shrink: %v", err)
 	}
 	if got := pool.DomainStats(); got.Entries != before.Entries+1 {

@@ -1,6 +1,7 @@
 package sdrad_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -20,7 +21,7 @@ func Example() {
 	defer func() { _ = dom.Close() }()
 
 	// Work inside the domain touches only domain memory.
-	err = dom.Run(func(c *sdrad.Ctx) error {
+	err = dom.Do(context.Background(), func(c *sdrad.Ctx) error {
 		p := c.MustAlloc(32)
 		c.MustStore(p, []byte("hello"))
 		return nil
@@ -28,7 +29,7 @@ func Example() {
 	fmt.Println("clean run:", err)
 
 	// A memory bug is contained: the domain rewinds, the program lives.
-	err = dom.Run(func(c *sdrad.Ctx) error {
+	err = dom.Do(context.Background(), func(c *sdrad.Ctx) error {
 		c.MustStore64(0xdead0000, 1)
 		return nil
 	})
@@ -40,20 +41,20 @@ func Example() {
 	// contained: segfault
 }
 
-// RunWithFallback is the paper's "alternate action": the caller supplies
+// WithFallback is the paper's "alternate action": the caller supplies
 // what to do when the domain is rewound.
-func ExampleDomain_RunWithFallback() {
+func ExampleWithFallback() {
 	sup := sdrad.New()
 	dom, _ := sup.NewDomain()
-	err := dom.RunWithFallback(
+	err := dom.Do(context.Background(),
 		func(c *sdrad.Ctx) error {
 			c.Violate(errors.New("corrupt input detected"))
 			return nil
 		},
-		func(v *sdrad.ViolationError) error {
+		sdrad.WithFallback(func(v *sdrad.ViolationError) error {
 			fmt.Println("alternate action after rewind")
 			return nil
-		},
+		}),
 	)
 	fmt.Println("err:", err)
 	// Output:
@@ -86,20 +87,20 @@ func ExampleDomain_ShareReadOnlyWith() {
 	viewer, _ := sup.NewDomain()
 
 	var addr sdrad.Addr
-	_ = owner.Run(func(c *sdrad.Ctx) error {
+	_ = owner.Do(context.Background(), func(c *sdrad.Ctx) error {
 		addr = c.MustAlloc(8)
 		c.MustStore(addr, []byte("shared"))
 		return nil
 	})
 	_ = owner.ShareReadOnlyWith(viewer)
 
-	_ = viewer.Run(func(c *sdrad.Ctx) error {
+	_ = viewer.Do(context.Background(), func(c *sdrad.Ctx) error {
 		buf := make([]byte, 6)
 		c.MustLoad(addr, buf)
 		fmt.Printf("viewer read: %s\n", buf)
 		return nil
 	})
-	err := viewer.Run(func(c *sdrad.Ctx) error {
+	err := viewer.Do(context.Background(), func(c *sdrad.Ctx) error {
 		c.MustStore(addr, []byte("tamper"))
 		return nil
 	})
@@ -116,12 +117,12 @@ func ExampleDomain_SetViolationBudget() {
 	dom, _ := sup.NewDomain()
 	_ = dom.SetViolationBudget(2)
 	for i := 0; i < 2; i++ {
-		_ = dom.Run(func(c *sdrad.Ctx) error {
+		_ = dom.Do(context.Background(), func(c *sdrad.Ctx) error {
 			c.MustStore64(0, 1)
 			return nil
 		})
 	}
-	err := dom.Run(func(*sdrad.Ctx) error { return nil })
+	err := dom.Do(context.Background(), func(*sdrad.Ctx) error { return nil })
 	fmt.Println("quarantined:", errors.Is(err, sdrad.ErrQuarantined))
 	// Output:
 	// quarantined: true
@@ -139,7 +140,7 @@ func ExampleNewPool() {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			err := pool.Run(func(c *sdrad.Ctx) error {
+			err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 				p := c.MustAlloc(32)
 				c.MustStore(p, []byte("parallel work"))
 				if g == 0 {

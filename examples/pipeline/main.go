@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -27,6 +28,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	sup := sdrad.New()
 	ring := sup.StartTrace(128)
 
@@ -36,7 +38,7 @@ func run() error {
 		return err
 	}
 	var cfgAddr sdrad.Addr
-	if err := config.Run(func(c *sdrad.Ctx) error {
+	if err := config.Do(ctx, func(c *sdrad.Ctx) error {
 		cfgAddr = c.MustAlloc(32)
 		c.MustStore(cfgAddr, []byte("max_records=4096"))
 		return nil
@@ -53,7 +55,7 @@ func run() error {
 		return err
 	}
 	var resultAddr sdrad.Addr
-	if err := worker.Run(func(c *sdrad.Ctx) error {
+	if err := worker.Do(ctx, func(c *sdrad.Ctx) error {
 		cfg := make([]byte, 16)
 		c.MustLoad(cfgAddr, cfg) // allowed: read-only grant
 		resultAddr = c.MustAlloc(64)
@@ -65,7 +67,7 @@ func run() error {
 	fmt.Println("1. worker read shared config and computed a result")
 
 	// A write to the shared config is a contained violation.
-	err = worker.Run(func(c *sdrad.Ctx) error {
+	err = worker.Do(ctx, func(c *sdrad.Ctx) error {
 		c.MustStore(cfgAddr, []byte("tampered"))
 		return nil
 	})
@@ -77,7 +79,7 @@ func run() error {
 
 	// 3. Hand the worker's heap to the trusted runtime without copying.
 	// NOTE: the violation above discarded the worker heap, so recompute.
-	if err := worker.Run(func(c *sdrad.Ctx) error {
+	if err := worker.Do(ctx, func(c *sdrad.Ctx) error {
 		resultAddr = c.MustAlloc(64)
 		c.MustStore(resultAddr, []byte("final result: 42"))
 		return nil
@@ -106,12 +108,12 @@ func run() error {
 	}
 	for i := 0; i < 3; i++ {
 		//lint:errclass the violation is the point; the budget check below observes its effect
-		_ = flaky.Run(func(c *sdrad.Ctx) error {
+		_ = flaky.Do(ctx, func(c *sdrad.Ctx) error {
 			c.MustStore64(0, 1) // null write, every time
 			return nil
 		})
 	}
-	err = flaky.Run(func(*sdrad.Ctx) error { return nil })
+	err = flaky.Do(ctx, func(*sdrad.Ctx) error { return nil })
 	if errors.Is(err, sdrad.ErrQuarantined) {
 		fmt.Println("4. crash-looping domain quarantined after 3 violations")
 	} else {

@@ -37,7 +37,7 @@ func run() error {
 
 	// 1. Normal work inside the domain: allocate, write, read back.
 	var out []byte
-	err = dom.Run(func(c *sdrad.Ctx) error {
+	err = dom.Do(context.Background(), func(c *sdrad.Ctx) error {
 		p := c.MustAlloc(64)
 		c.MustStore(p, []byte("resilient hello"))
 		out = make([]byte, 15)

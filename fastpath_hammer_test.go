@@ -1,6 +1,7 @@
 package sdrad_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func TestFastPathPoolHammer(t *testing.T) {
 				case 6:
 					// A violation: wild write, contained by rewind +
 					// dirty-bounded discard.
-					err := pool.Run(func(c *sdrad.Ctx) error {
+					err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 						p := c.MustAlloc(512)
 						c.MustStore(p, make([]byte, 512))
 						c.MustStore64(0xdead0000, 1)
@@ -49,7 +50,7 @@ func TestFastPathPoolHammer(t *testing.T) {
 					}
 				default:
 					size := 64 + (g*131+i*17)%2048
-					err := pool.Run(func(c *sdrad.Ctx) error {
+					err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 						p := c.MustAlloc(size)
 						buf := make([]byte, size)
 						for j := range buf {

@@ -78,6 +78,14 @@ func TestNoUnusedInternalExports(t *testing.T) {
 	expectClean(t, analysis.UnusedExport)
 }
 
+// TestServersLinkNoTestMachinery asserts no package the serving
+// binaries (sdrad-kvd, sdrad-httpd, sdrad-cluster) link imports the
+// campaign engine, the attack generator or the experiment harness: the
+// test engine imports the servers, never the reverse.
+func TestServersLinkNoTestMachinery(t *testing.T) {
+	expectClean(t, analysis.ServedLinks)
+}
+
 // TestSeededViolationsAreCaught writes a deliberately violating package
 // to a temporary fixture tree and asserts each module-gating analyzer
 // still flags it: proof the clean runs above cannot pass vacuously.
@@ -96,6 +104,18 @@ func Stamp() time.Time { return time.Now() }
 // Dead has no user.
 func Dead() {}
 `,
+		// A serving binary that links the campaign engine.
+		"seeded/cmd/sdrad-kvd/main.go": `package main
+
+import "seeded/internal/campaign"
+
+func main() { campaign.Run() }
+`,
+		"seeded/internal/campaign/campaign.go": `package campaign
+
+// Run runs a campaign.
+func Run() {}
+`,
 	}
 	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
@@ -110,7 +130,7 @@ func Dead() {}
 	if err != nil {
 		t.Fatalf("loading seeded fixture: %v", err)
 	}
-	for _, a := range []*analysis.Analyzer{analysis.Wallclock, analysis.DocExport, analysis.UnusedExport} {
+	for _, a := range []*analysis.Analyzer{analysis.Wallclock, analysis.DocExport, analysis.UnusedExport, analysis.ServedLinks} {
 		findings, err := analysis.Run([]*analysis.Analyzer{a}, u)
 		if err != nil {
 			t.Fatalf("running %s over seeded fixture: %v", a.Name, err)

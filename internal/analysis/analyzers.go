@@ -5,7 +5,7 @@ package analysis
 // paper's claims; new analyzers register here so cmd/sdradlint and the
 // guardrail tests pick them up together.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, UnchargedMem, DetOrder, ErrClass, DocExport, UnusedExport}
+	return []*Analyzer{Wallclock, UnchargedMem, DetOrder, ErrClass, DocExport, UnusedExport, ServedLinks}
 }
 
 // ByName returns the named analyzer from All, or nil.

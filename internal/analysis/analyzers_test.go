@@ -22,6 +22,7 @@ var fixturePatterns = map[string]string{
 	"errclass":     "errclass/...",
 	"docexport":    "docexport/...",
 	"unusedexport": "unusedexport/...",
+	"servedlinks":  "servedlinks/...",
 }
 
 func TestWallclockFixtures(t *testing.T) {
@@ -46,6 +47,10 @@ func TestDocExportFixtures(t *testing.T) {
 
 func TestUnusedExportFixtures(t *testing.T) {
 	analysistest.Run(t, srcRoot, analysis.UnusedExport, fixturePatterns["unusedexport"])
+}
+
+func TestServedLinksFixtures(t *testing.T) {
+	analysistest.Run(t, srcRoot, analysis.ServedLinks, fixturePatterns["servedlinks"])
 }
 
 // recorder satisfies analysistest.TB, capturing failures instead of

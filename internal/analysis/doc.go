@@ -23,8 +23,12 @@
 //     comments.
 //   - unusedexport: every exported identifier under internal/ has a
 //     non-test user in the module; an export only tests call is dead.
-//     The one check that reads the whole universe: a package's users
-//     are analyzed after it.
+//     It reads the whole universe: a package's users are analyzed
+//     after it.
+//   - servedlinks: no package a serving binary (cmd/sdrad-kvd,
+//     cmd/sdrad-httpd, cmd/sdrad-cluster) links imports the campaign
+//     engine, the attack generator or the experiment harness. Its
+//     exceptions are one table in the analyzer, not directives.
 //
 // Exemptions are declared in the exempted code itself as directives,
 // never as path lists in a driver:

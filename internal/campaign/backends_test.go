@@ -1,4 +1,4 @@
-package sdrad_test
+package campaign_test
 
 import (
 	"bytes"
@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	sdrad "repro"
 	"repro/internal/campaign"
 	"repro/internal/campaign/scenarios"
 	"repro/internal/core"
@@ -22,11 +21,11 @@ func quickCampaign(seed uint64) campaign.Config {
 // runs with the same seed against the real Domain/Pool/Bridge backends
 // produce byte-identical JSON traces.
 func TestRunCampaignSameSeedBitIdentical(t *testing.T) {
-	t1, err := sdrad.RunCampaign(quickCampaign(42))
+	t1, err := campaign.Run(quickCampaign(42), campaign.Backends())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := sdrad.RunCampaign(quickCampaign(42))
+	t2, err := campaign.Run(quickCampaign(42), campaign.Backends())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestCampaignOracles(t *testing.T) {
 	}
 	cfg := quickCampaign(42)
 	cfg.Requests = 80
-	results, err := sdrad.CheckCampaignOracles(cfg, 1, 4, 8)
+	results, err := campaign.CheckAll(cfg, campaign.Backends(), 1, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestCampaignDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	run := func(procs int) []byte {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		tr, err := sdrad.RunCampaign(cfg)
+		tr, err := campaign.Run(cfg, campaign.Backends())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +103,7 @@ func TestCampaignDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // requests, and malformed payloads — the executors kept serving and the
 // attacked scenarios actually recorded detections.
 func TestCampaignContainmentSurvivesEveryScenario(t *testing.T) {
-	tr, err := sdrad.RunCampaign(quickCampaign(7))
+	tr, err := campaign.Run(quickCampaign(7), campaign.Backends())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +163,11 @@ func TestCampaignContainmentSurvivesEveryScenario(t *testing.T) {
 func TestCampaignBatchedOracle(t *testing.T) {
 	cfg := quickCampaign(42)
 	cfg.Requests = 100
-	base, err := sdrad.RunCampaign(cfg)
+	base, err := campaign.Run(cfg, campaign.Backends())
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := campaign.CheckBatched(base, cfg, sdrad.CampaignFactory(), 8, 32)
+	results, err := campaign.CheckBatched(base, cfg, campaign.Backends(), 8, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +190,12 @@ func TestCampaignBatchedAmortizesCycles(t *testing.T) {
 			Workload: campaign.WorkloadKV,
 			Target:   campaign.TargetPool,
 		}}}
-	serial, err := sdrad.RunCampaign(cfg)
+	serial, err := campaign.Run(cfg, campaign.Backends())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Batch = 32
-	batched, err := sdrad.RunCampaign(cfg)
+	batched, err := campaign.Run(cfg, campaign.Backends())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +215,12 @@ func TestCampaignOraclesTakeSerialBase(t *testing.T) {
 		{Name: "kv-pool-benign", Workload: campaign.WorkloadKV, Target: campaign.TargetPool},
 		{Name: "http-domain-benign", Workload: campaign.WorkloadHTTP, Target: campaign.TargetDomain},
 	}}
-	serial, err := sdrad.CheckCampaignOracles(cfg, 1, 4)
+	serial, err := campaign.CheckAll(cfg, campaign.Backends(), 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Batch = 8
-	batched, err := sdrad.CheckCampaignOracles(cfg, 1, 4)
+	batched, err := campaign.CheckAll(cfg, campaign.Backends(), 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +241,7 @@ func TestCampaignOraclesTakeSerialBase(t *testing.T) {
 	}
 }
 
-// TestGatewayCampaignHonoursBatch pins that RunGatewayCampaign reads
+// TestGatewayCampaignHonoursBatch pins that RunGateway reads
 // cfg.Batch. On gw-noisy-neighbor (pool target, no quarantine) every
 // tenant's trace is wave-size-independent, while the batched run
 // spends fewer virtual cycles because its entries are amortized. The
@@ -255,12 +254,12 @@ func TestGatewayCampaignHonoursBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := campaign.Config{Seed: 42, Requests: 200, Batch: 1}
-	serial, err := sdrad.RunGatewayCampaign(gscs[0], cfg)
+	serial, err := campaign.RunGateway(gscs[0], cfg, campaign.Backends())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Batch = 8
-	batched, err := sdrad.RunGatewayCampaign(gscs[0], cfg)
+	batched, err := campaign.RunGateway(gscs[0], cfg, campaign.Backends())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,13 +293,13 @@ func TestCampaignResizeFollowsScenarioRequests(t *testing.T) {
 		Name: "kv-pool-short", Workload: campaign.WorkloadKV, Target: campaign.TargetPool,
 		Faults: []campaign.FaultClass{campaign.FaultUAF}, AttackEvery: 3, Requests: 10,
 	}}}
-	base, err := sdrad.RunCampaign(cfg)
+	base, err := campaign.Run(cfg, campaign.Backends())
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[int]bool)
 	factory := func(target campaign.Target, workers int) (campaign.Executor, error) {
-		ex, err := sdrad.CampaignFactory()(target, workers)
+		ex, err := campaign.Backends()(target, workers)
 		if err != nil {
 			return nil, err
 		}

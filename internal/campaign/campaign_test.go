@@ -12,7 +12,7 @@ import (
 // coreExecutor is a test executor built directly on internal/core: w
 // domains on one System, entered via EnterWithBudget. It proves the
 // engine against the real detection/rewind substrate without the public
-// Runner wiring (which the root package's tests cover).
+// Runner wiring (which backends_test.go covers).
 type coreExecutor struct {
 	sys  *core.System
 	udis []core.UDI
@@ -290,27 +290,6 @@ func TestParseKVTable(t *testing.T) {
 		}
 		if ok && (key != tc.key || string(val) != tc.val) {
 			t.Errorf("%s: ParseKV(%q) = %q/%q, want %q/%q", tc.desc, tc.in, key, val, tc.key, tc.val)
-		}
-	}
-}
-
-func TestParseHTTPTable(t *testing.T) {
-	cases := []struct {
-		in string
-		ok bool
-	}{
-		{"GET / HTTP/1.1\r\n\r\n", true},
-		{"HEAD /x HTTP/1.1\r\nhost: h\r\n\r\n", true},
-		{"GET /\r\n\r\n", false},
-		{"GET x HTTP/1.1\r\n\r\n", false},
-		{"GET / FTP/1.1\r\n\r\n", false},
-		{"GET / HTTP/1.1\r\nbadheader\r\n\r\n", false},
-		{"GET / HTTP/1.1\r\n", false},
-		{"", false},
-	}
-	for _, tc := range cases {
-		if _, _, ok := ParseHTTP([]byte(tc.in)); ok != tc.ok {
-			t.Errorf("ParseHTTP(%q) ok=%v, want %v", tc.in, ok, tc.ok)
 		}
 	}
 }

@@ -9,10 +9,9 @@ import (
 // observationally equal to one Pool given the same seeded schedule —
 // same per-request outcomes, same survivor state digest — serially and
 // batched, and across membership faults (node crash, rolling restart,
-// partition). The runner lives in the cluster layer (it needs real
-// routers and pools); this file only defines the scenario seeding, the
-// outcome/digest currency, and the verdict, keeping the import
-// direction campaign ← kvstore-free.
+// partition). This file defines the scenario seeding, the
+// outcome/digest currency, and the verdict; clusterharness.go runs it
+// on real routers and pools.
 //
 // Soundness of the comparison rests on three properties the cluster
 // tier maintains (argued in DESIGN.md §14): (1) every request executes
@@ -98,9 +97,9 @@ type ClusterOutcome struct {
 	ValueHash uint64 `json:"v,omitempty"`
 }
 
-// ClusterRun is what a ClusterRunner observed: both sides' per-request
-// outcomes, both survivor digests, and the fault bookkeeping the
-// verdict's vacuousness guards need.
+// ClusterRun is what one cluster differential run observed: both sides'
+// per-request outcomes, both survivor digests, and the fault
+// bookkeeping the verdict's vacuousness guards need.
 type ClusterRun struct {
 	// Cluster and Single hold per-request outcomes, schedule order.
 	Cluster []ClusterOutcome
@@ -114,13 +113,6 @@ type ClusterRun struct {
 	Handoffs      uint64
 	EventsApplied int
 	Unavailable   int
-}
-
-// ClusterRunner executes one cluster differential scenario end to end:
-// build both sides, play the schedule with the fault plan, digest and
-// classify both sides.
-type ClusterRunner interface {
-	RunCluster(ClusterScenario) (ClusterRun, error)
 }
 
 // clusterScenarios builds the scenario families for one node count:
@@ -203,7 +195,7 @@ func clusterScenarios(seed uint64, n, requests, batch int) []ClusterScenario {
 // carry vacuousness guards — a crash that triggered no handoff, a
 // partition that nacked nothing, or a plan event that never fired
 // fails the oracle rather than passing silently.
-func CheckCluster(r ClusterRunner, seed uint64, requests int, nodeCounts, batchSizes []int) ([]OracleResult, error) {
+func CheckCluster(seed uint64, requests int, nodeCounts, batchSizes []int) ([]OracleResult, error) {
 	if len(nodeCounts) == 0 {
 		nodeCounts = []int{1, 2, 4}
 	}
@@ -227,7 +219,7 @@ func CheckCluster(r ClusterRunner, seed uint64, requests int, nodeCounts, batchS
 				req = minReq
 			}
 			for _, sc := range clusterScenarios(seed, n, req, b) {
-				run, err := r.RunCluster(sc)
+				run, err := runCluster(sc)
 				if err != nil {
 					return results, fmt.Errorf("campaign: cluster %s n=%d b=%d: %w", sc.Name, n, b, err)
 				}

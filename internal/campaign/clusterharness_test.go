@@ -1,9 +1,7 @@
-package cluster
+package campaign
 
 import (
 	"testing"
-
-	"repro/internal/campaign"
 )
 
 // TestClusterDifferentialOracle runs the campaign's cluster==pool
@@ -15,7 +13,7 @@ func TestClusterDifferentialOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential oracle is not short")
 	}
-	results, err := campaign.CheckCluster(&Harness{}, 42, 72, []int{1, 2}, []int{0, 8})
+	results, err := CheckCluster(42, 72, []int{1, 2}, []int{0, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

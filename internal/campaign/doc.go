@@ -1,6 +1,6 @@
 // Package campaign is the deterministic resilience-campaign engine: it
-// composes the repo's workloads (kvstore-style text protocol, httpd-style
-// request parsing, FFI codec transfer) with injected memory-safety
+// composes the repo's workloads (the kvstore text protocol, httpd's
+// request-head parser, FFI codec transfer) with injected memory-safety
 // faults across the three public Runner backends (Domain, Pool, Bridge),
 // interleaved by a seeded PRNG schedule, and records a structured
 // outcome trace that differential oracles check:
@@ -11,12 +11,13 @@
 //   - benign-only campaigns ⇒ zero detections and virtual-cycle parity
 //     with a direct replay that bypasses the engine's bookkeeping.
 //
-// The engine deliberately does not construct the public sdrad types
-// itself (that would be an import cycle — the root package re-exports
-// this engine as sdrad.RunCampaign); instead the caller supplies an
-// ExecutorFactory that provisions workers behind one of the three
-// Runner implementations. The root package's CampaignFactory is the
-// production wiring; tests can substitute instrumented executors.
+// The engine runs requests through an ExecutorFactory that provisions
+// workers behind one of the three Runner implementations. Backends is
+// the production wiring; tests substitute instrumented executors. The
+// engine imports what it tests — the root package, the kvstore,
+// cluster and httpd servers (the HTTP workload parses with
+// httpd.Parse) — and none of them imports it: the servedlinks lint
+// keeps the engine out of every serving binary.
 //
 // Everything here is a pure function of (seed, scenario list, worker
 // count): no wall clock, no map-iteration dependence, no goroutines.

@@ -1,4 +1,4 @@
-package kvstore
+package campaign
 
 import (
 	"errors"
@@ -7,14 +7,14 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/kvstore"
 	"repro/internal/persist"
 	"repro/internal/workload"
 )
 
-// RecoveryHarness implements campaign.RecoveryRunner over a real
-// durable server: phase one drives a deterministic malicious-mixed
+// RecoveryHarness implements RecoveryRunner over a real durable
+// kvstore server: phase one drives a deterministic malicious-mixed
 // workload in batches and kills the store mid-group-commit at a
 // seed-derived point; phase two recovers in a fresh server from the
 // same directory. The harness maintains a host-side shadow of every
@@ -28,29 +28,29 @@ type RecoveryHarness struct {
 
 // recoveryCapacity is sized so the scenario never evicts: recovered
 // state is then exactly the acknowledged history (the documented LRU
-// caveat in persist.go never kicks in).
+// caveat in kvstore/persist.go never kicks in).
 const recoveryCapacity = 64 << 20
 
-func (h *RecoveryHarness) newServer(dir string, workers int) (*Server, error) {
+func (h *RecoveryHarness) newServer(dir string, workers int) (*kvstore.Server, error) {
 	sys := core.NewSystem(core.DefaultConfig())
-	cache, err := NewCache(sys, 1, recoveryCapacity)
+	cache, err := kvstore.NewCache(sys, 1, recoveryCapacity)
 	if err != nil {
 		return nil, err
 	}
-	return NewServer(sys, cache, ServerConfig{
-		Mode:         ModeSDRaD,
+	return kvstore.NewServer(sys, cache, kvstore.ServerConfig{
+		Mode:         kvstore.ModeSDRaD,
 		Workers:      workers,
 		InterArrival: time.Nanosecond,
-		Persist:      &PersistConfig{Dir: dir, Fsync: true, SnapshotEvery: 4},
+		Persist:      &kvstore.PersistConfig{Dir: dir, Fsync: true, SnapshotEvery: 4},
 	})
 }
 
-// RunRecovery implements campaign.RecoveryRunner.
-func (h *RecoveryHarness) RunRecovery(sc campaign.RecoveryScenario) (campaign.RecoveryRun, error) {
+// RunRecovery implements RecoveryRunner.
+func (h *RecoveryHarness) RunRecovery(sc RecoveryScenario) (RecoveryRun, error) {
 	h.runs++
 	dir := filepath.Join(h.Dir, fmt.Sprintf("run-%03d", h.runs))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return campaign.RecoveryRun{}, err
+		return RecoveryRun{}, err
 	}
 	workers := sc.Workers
 	if workers <= 0 {
@@ -68,11 +68,11 @@ func (h *RecoveryHarness) RunRecovery(sc campaign.RecoveryScenario) (campaign.Re
 
 	srv, err := h.newServer(dir, workers)
 	if err != nil {
-		return campaign.RecoveryRun{}, fmt.Errorf("kvstore: recovery phase 1: %w", err)
+		return RecoveryRun{}, fmt.Errorf("campaign: recovery phase 1: %w", err)
 	}
 	fs, ok := srv.Store().(*persist.FileStore)
 	if !ok {
-		return campaign.RecoveryRun{}, fmt.Errorf("kvstore: recovery needs a FileStore, got %T", srv.Store())
+		return RecoveryRun{}, fmt.Errorf("campaign: recovery needs a FileStore, got %T", srv.Store())
 	}
 
 	kv, err := workload.NewKV(workload.KVConfig{
@@ -82,7 +82,7 @@ func (h *RecoveryHarness) RunRecovery(sc campaign.RecoveryScenario) (campaign.Re
 		GetFraction: 0.4, // write-heavy: commits to tear
 	})
 	if err != nil {
-		return campaign.RecoveryRun{}, err
+		return RecoveryRun{}, err
 	}
 	// Every 7th request is malicious, so killed commits and rewound
 	// batches interleave — the interaction the oracle exists to check.
@@ -106,9 +106,9 @@ func (h *RecoveryHarness) RunRecovery(sc campaign.RecoveryScenario) (campaign.Re
 		if remain := requests - reqIdx; remain < n {
 			n = remain
 		}
-		batch := make([]BatchRequest, n)
+		batch := make([]kvstore.BatchRequest, n)
 		for i := range batch {
-			batch[i] = BatchRequest{ClientID: reqIdx, Req: gen.Next()}
+			batch[i] = kvstore.BatchRequest{ClientID: reqIdx, Req: gen.Next()}
 			reqIdx++
 		}
 		if b == killBatch {
@@ -140,30 +140,30 @@ func (h *RecoveryHarness) RunRecovery(sc campaign.RecoveryScenario) (campaign.Re
 	}
 	// The doomed process "crashes": its dead store closes without flush.
 	if cerr := srv.Close(); cerr != nil && !errors.Is(cerr, persist.ErrClosed) {
-		return campaign.RecoveryRun{}, fmt.Errorf("kvstore: recovery phase 1 close: %w", cerr)
+		return RecoveryRun{}, fmt.Errorf("campaign: recovery phase 1 close: %w", cerr)
 	}
 
 	// Phase 2: a fresh server recovers from the same directory.
 	srv2, err := h.newServer(dir, workers)
 	if err != nil {
-		return campaign.RecoveryRun{}, fmt.Errorf("kvstore: recovery phase 2: %w", err)
+		return RecoveryRun{}, fmt.Errorf("campaign: recovery phase 2: %w", err)
 	}
 	recovered, err := srv2.Cache().Dump()
 	if err != nil {
-		return campaign.RecoveryRun{}, fmt.Errorf("kvstore: recovery dump: %w", err)
+		return RecoveryRun{}, fmt.Errorf("campaign: recovery dump: %w", err)
 	}
 	fs2, ok := srv2.Store().(*persist.FileStore)
 	if !ok {
-		return campaign.RecoveryRun{}, fmt.Errorf("kvstore: recovery phase 2 store is %T", srv2.Store())
+		return RecoveryRun{}, fmt.Errorf("campaign: recovery phase 2 store is %T", srv2.Store())
 	}
 	info := fs2.Info()
 	if err := srv2.Close(); err != nil {
-		return campaign.RecoveryRun{}, fmt.Errorf("kvstore: recovery phase 2 close: %w", err)
+		return RecoveryRun{}, fmt.Errorf("campaign: recovery phase 2 close: %w", err)
 	}
 
-	return campaign.RecoveryRun{
-		CommittedDigest: campaign.DigestState(shadow),
-		RecoveredDigest: campaign.DigestState(recovered),
+	return RecoveryRun{
+		CommittedDigest: DigestState(shadow),
+		RecoveredDigest: DigestState(recovered),
 		AckedBatches:    acked,
 		TotalBatches:    totalBatches,
 		TornTail:        info.TornBytes > 0,

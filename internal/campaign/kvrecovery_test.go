@@ -1,9 +1,7 @@
-package kvstore
+package campaign
 
 import (
 	"testing"
-
-	"repro/internal/campaign"
 )
 
 // TestCheckRecoveryAllGreen is the acceptance gate for the crash-
@@ -12,7 +10,7 @@ import (
 // survivor state of exactly the acknowledged batches.
 func TestCheckRecoveryAllGreen(t *testing.T) {
 	h := &RecoveryHarness{Dir: t.TempDir()}
-	results, err := campaign.CheckRecovery(h, 42, 200, []int{1, 4, 8}, []int{8, 32})
+	results, err := CheckRecovery(h, 42, 200, []int{1, 4, 8}, []int{8, 32})
 	if err != nil {
 		t.Fatalf("CheckRecovery: %v", err)
 	}
@@ -33,7 +31,7 @@ func TestRecoveryRunTearsTail(t *testing.T) {
 	h := &RecoveryHarness{Dir: t.TempDir()}
 	torn := false
 	for seed := uint64(1); seed <= 5 && !torn; seed++ {
-		run, err := h.RunRecovery(campaign.RecoveryScenario{Seed: seed, Workers: 4, Batch: 8, Requests: 160})
+		run, err := h.RunRecovery(RecoveryScenario{Seed: seed, Workers: 4, Batch: 8, Requests: 160})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

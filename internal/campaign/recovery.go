@@ -9,10 +9,9 @@ import (
 // campaign's other oracles compare executions that all finish; this one
 // compares an execution that is killed mid-batch — the durability
 // engine's torn group commit — against the serially derived survivor
-// state of the committed prefix. The runner lives in the kvstore layer
-// (it needs a real server and store); the oracle here only defines the
-// scenario seeding, the digest currency, and the verdict, keeping the
-// import direction campaign ← kvstore-free.
+// state of the committed prefix. The oracle here defines the scenario
+// seeding, the digest currency, and the verdict; RecoveryHarness
+// (kvrecovery.go) runs it on a real durable kvstore server.
 
 // RecoveryScenario seeds one crash-recovery run: a deterministic
 // workload of Requests requests over Workers worker domains, submitted

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	sdrad "repro"
 	"repro/internal/campaign"
 	"repro/internal/campaign/scenarios"
 	"repro/internal/metrics"
@@ -24,7 +23,7 @@ func (r Runner) runC1() (*Result, error) {
 		Requests:  r.requests(1000),
 		Scenarios: scenarios.All(),
 	}
-	trace, err := sdrad.RunCampaign(cfg)
+	trace, err := campaign.Run(cfg, campaign.Backends())
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +64,7 @@ func (r Runner) runC1() (*Result, error) {
 	// reduced request count (they re-execute every scenario five times).
 	ocfg := cfg
 	ocfg.Requests = r.requests(300)
-	results, err := sdrad.CheckCampaignOracles(ocfg, 1, 4, 8)
+	results, err := campaign.CheckAll(ocfg, campaign.Backends(), 1, 4, 8)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // FuzzParse checks the HTTP head parser never panics, that accepted
-// requests satisfy the structural limits, and that parse and
+// requests satisfy the structural limits, and that Parse and
 // requestPath agree with the Split-based forms they replaced
 // (splitParse, splitRequestPath): same fields, same error text, and
 // Header finds what the reference's header map holds — every name in
@@ -52,20 +52,20 @@ func FuzzParse(f *testing.F) {
 		if got, want := string(requestPath(in)), splitRequestPath(in); got != want {
 			t.Errorf("requestPath(%q) = %q, the Split form says %q", in, got, want)
 		}
-		pr, err := parse(in)
+		pr, err := Parse(in)
 		want, werr := splitParse(in)
 		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
-			t.Fatalf("parse(%q) error %v, the Split form says %v", in, err, werr)
+			t.Fatalf("Parse(%q) error %v, the Split form says %v", in, err, werr)
 		}
 		if err != nil {
 			return
 		}
 		if pr.Method != want.Method || pr.Path != want.Path || pr.Proto != want.Proto {
-			t.Errorf("parse(%q) = %+v, the Split form says %+v", in, pr, want)
+			t.Errorf("Parse(%q) = %+v, the Split form says %+v", in, pr, want)
 		}
 		for name, value := range want.Headers {
 			if got, ok := pr.Header(name); !ok || got != value {
-				t.Errorf("parse(%q).Header(%q) = %q, %v; the Split form says %q", in, name, got, ok, value)
+				t.Errorf("Parse(%q).Header(%q) = %q, %v; the Split form says %q", in, name, got, ok, value)
 			}
 		}
 		absent := "x-absent"
@@ -73,7 +73,7 @@ func FuzzParse(f *testing.F) {
 			absent += "-"
 		}
 		if got, ok := pr.Header(absent); ok {
-			t.Errorf("parse(%q).Header(%q) = %q for a header the request did not send", in, absent, got)
+			t.Errorf("Parse(%q).Header(%q) = %q for a header the request did not send", in, absent, got)
 		}
 		if pr.Method == "" || !strings.HasPrefix(pr.Path, "/") || !strings.HasPrefix(pr.Proto, "HTTP/") {
 			t.Errorf("accepted malformed request line: %+v", pr)
@@ -181,7 +181,7 @@ func FuzzServeSDRaD(f *testing.F) {
 		srv.HandleFunc("/", []byte("home"))
 		srv.HandleFunc("/index.html", []byte("index"))
 
-		pr, perr := parse(in)
+		pr, perr := Parse(in)
 		_, attacked := pr.Header(AttackHeader)
 		attacked = attacked && perr == nil
 

@@ -99,11 +99,11 @@ func lowerEqual(s, lower string) bool {
 	return lower == ""
 }
 
-// parse parses an HTTP/1.1 request head from b. It is deliberately
+// Parse parses an HTTP/1.1 request head from b. It is deliberately
 // strict: any structural error returns ErrMalformed. The head is walked
 // line by line in place; the only garbage is the one string the head is
 // copied into, which the request's fields and Header read.
-func parse(b []byte) (ParsedRequest, error) {
+func Parse(b []byte) (ParsedRequest, error) {
 	text := string(b)
 	head, _, found := strings.Cut(text, "\r\n\r\n")
 	if !found {
@@ -319,7 +319,7 @@ func (s *Server) serveSDRaD(ctx context.Context, clientID int, raw []byte) Respo
 // batched paths.
 func (s *Server) domainParse(c *sdrad.Ctx, r *parseResult) error {
 	buf, tmp := s.shell.Stage(c, len(r.raw)+1, r.raw)
-	r.pr, r.perr = parse(tmp)
+	r.pr, r.perr = Parse(tmp)
 	if r.perr == nil {
 		if _, attacked := r.pr.Header(AttackHeader); attacked {
 			fault.Inject(c, s.cfg.AttackKind, 0)
@@ -426,7 +426,7 @@ func (s *Server) serveNative(raw []byte) Response {
 	if err != nil {
 		return Response{Status: 500, Err: err}
 	}
-	pr, perr := parse(tmp)
+	pr, perr := Parse(tmp)
 	if perr == nil {
 		if _, attacked := pr.Header(AttackHeader); attacked {
 			// The worker dies and restarts, reloading its content.

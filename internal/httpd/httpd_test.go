@@ -13,7 +13,7 @@ import (
 
 func TestParseValidRequest(t *testing.T) {
 	raw := BuildRequest("GET", "/index.html", map[string]string{"accept": "text/html"})
-	pr, err := parse(raw)
+	pr, err := Parse(raw)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -25,11 +25,20 @@ func TestParseValidRequest(t *testing.T) {
 	if accept != "text/html" || host != "localhost" {
 		t.Errorf("headers: accept %q, host %q", accept, host)
 	}
+	for raw, want := range map[string][2]string{
+		"GET / HTTP/1.1\r\n\r\n":              {"GET", "/"},
+		"HEAD /x HTTP/1.1\r\nhost: h\r\n\r\n": {"HEAD", "/x"},
+	} {
+		pr, err := Parse([]byte(raw))
+		if err != nil || pr.Method != want[0] || pr.Path != want[1] {
+			t.Errorf("Parse(%q) = %s %s, %v; want %s %s", raw, pr.Method, pr.Path, err, want[0], want[1])
+		}
+	}
 }
 
 func TestParseHeaderNormalization(t *testing.T) {
 	raw := []byte("GET / HTTP/1.1\r\nX-Custom-Header:   spaced value  \r\n\r\n")
-	pr, err := parse(raw)
+	pr, err := Parse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +56,11 @@ func TestParseMalformed(t *testing.T) {
 		"bad proto":         "GET / FTP/1.1\r\n\r\n",
 		"header no colon":   "GET / HTTP/1.1\r\nbadheader\r\n\r\n",
 		"header empty name": "GET / HTTP/1.1\r\n: value\r\n\r\n",
+		"empty":             "",
 	}
 	for name, raw := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := parse([]byte(raw)); !errors.Is(err, ErrMalformed) {
+			if _, err := Parse([]byte(raw)); !errors.Is(err, ErrMalformed) {
 				t.Errorf("err = %v, want ErrMalformed", err)
 			}
 		})
@@ -59,7 +69,7 @@ func TestParseMalformed(t *testing.T) {
 
 func TestParseLimits(t *testing.T) {
 	long := "GET /" + strings.Repeat("a", MaxRequestLine) + " HTTP/1.1\r\n\r\n"
-	if _, err := parse([]byte(long)); !errors.Is(err, ErrMalformed) {
+	if _, err := Parse([]byte(long)); !errors.Is(err, ErrMalformed) {
 		t.Error("overlong request line accepted")
 	}
 	var b strings.Builder
@@ -68,11 +78,11 @@ func TestParseLimits(t *testing.T) {
 		b.WriteString("h: v\r\n")
 	}
 	b.WriteString("\r\n")
-	if _, err := parse([]byte(b.String())); !errors.Is(err, ErrMalformed) {
+	if _, err := Parse([]byte(b.String())); !errors.Is(err, ErrMalformed) {
 		t.Error("too many headers accepted")
 	}
 	hugeHeader := "GET / HTTP/1.1\r\nh: " + strings.Repeat("v", MaxHeaderLine) + "\r\n\r\n"
-	if _, err := parse([]byte(hugeHeader)); !errors.Is(err, ErrMalformed) {
+	if _, err := Parse([]byte(hugeHeader)); !errors.Is(err, ErrMalformed) {
 		t.Error("overlong header accepted")
 	}
 }
@@ -183,7 +193,7 @@ func TestParseAgainstStdlibOracle(t *testing.T) {
 		[]byte("GET /spaced HTTP/1.1\r\nname:   padded value \r\n\r\n"),
 	}
 	for i, raw := range corpus {
-		ours, ourErr := parse(raw)
+		ours, ourErr := Parse(raw)
 		std, stdErr := http.ReadRequest(bufio.NewReader(bytes.NewReader(raw)))
 		if ourErr != nil || stdErr != nil {
 			t.Fatalf("corpus %d: ours=%v stdlib=%v", i, ourErr, stdErr)
@@ -213,7 +223,7 @@ func TestParseNotLaxerThanStdlibOnRequestLine(t *testing.T) {
 		[]byte("\r\n\r\n"),
 	}
 	for i, raw := range bad {
-		if _, err := parse(raw); err == nil {
+		if _, err := Parse(raw); err == nil {
 			if _, stdErr := http.ReadRequest(bufio.NewReader(bytes.NewReader(raw))); stdErr != nil {
 				t.Errorf("corpus %d: we accepted what stdlib rejects", i)
 			}

@@ -290,3 +290,47 @@ func TestRenderBufferBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestExploitHeadingABatchMatchesSerial feeds a pipelined session's
+// window split to one server: a window holding one SET, then a window
+// the exploit SET heads, on the same worker domain. Each request's
+// reply must be the bytes one request at a time draws — the exploit's
+// SERVER_ERROR names the same heap word — though the domain carries the
+// first window's allocator history into the second.
+func TestExploitHeadingABatchMatchesSerial(t *testing.T) {
+	set := workload.Request{Op: workload.OpSet, Key: "victim", Value: []byte("old")}
+	exploit := workload.Request{Op: workload.OpSet, Key: "victim", Value: []byte(AttackMarker + "-payload"), Malicious: true}
+	get := workload.Request{Op: workload.OpGet, Key: "victim"}
+	reply := func(r Response) string {
+		if r.Err != nil {
+			return "error: " + r.Err.Error()
+		}
+		return fmt.Sprintf("ok=%v %q", r.OK, r.Value)
+	}
+
+	serial, _ := newServer(t, ModeSDRaD)
+	var want []string
+	for _, req := range []workload.Request{set, exploit, get} {
+		want = append(want, reply(serial.Handle(0, req)))
+	}
+
+	split, _ := newServer(t, ModeSDRaD)
+	var got []string
+	for _, window := range [][]workload.Request{{set}, {exploit, get}} {
+		batch := make([]BatchRequest, len(window))
+		for i, req := range window {
+			batch[i] = BatchRequest{ClientID: 0, Req: req}
+		}
+		for _, r := range split.HandleBatch(batch) {
+			got = append(got, reply(r))
+		}
+	}
+	if !strings.Contains(want[1], "violation") {
+		t.Fatalf("the exploit drew %q, want a contained violation", want[1])
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("request %d: windows [set] [exploit get] drew %q, one at a time %q", i, got[i], want[i])
+		}
+	}
+}

@@ -33,8 +33,8 @@ import (
 // domain closes, and the husk is retired — kept for stats aggregation so
 // DetectionCounts/DomainStats never lose the work it did.
 
-// ErrPoolClosed is returned by Run/RunOn after Close (and while the pool
-// is draining: admission has stopped).
+// ErrPoolClosed is returned by Do and DoBatch after Close (and while
+// the pool is draining: admission has stopped).
 var ErrPoolClosed = errors.New("sdrad: pool is closed")
 
 // errWorkerRetired is the internal re-dispatch signal: a call raced a
@@ -67,11 +67,10 @@ type poolWorker struct {
 	closedStatsValid bool
 }
 
-// Pool executes isolated domains on N parallel workers. Unlike Supervisor
-// and Domain, a Pool is safe for concurrent use by any number of
-// goroutines. Create with NewPool (or NewDeferredPool for the
-// lifecycle-managed form); Resize grows or shrinks the worker set at
-// runtime.
+// Pool executes isolated domains on N parallel workers. Unlike
+// Supervisor and Domain, a Pool is safe for concurrent use by any
+// number of goroutines. Create with NewPool or NewPoolWithDomain;
+// Resize grows or shrinks the worker set at runtime.
 type Pool struct {
 	lc *lifecycle.Machine
 	// construction parameters, kept so Resize can build new workers
@@ -130,7 +129,7 @@ var testHookDispatchAttempt func(attempt int)
 // closed before the error returns. The returned pool is already serving
 // (Init and Start have run).
 func NewPoolWithDomain(n int, domOpts []DomainOption, opts ...Option) (*Pool, error) {
-	p := NewDeferredPool(n, domOpts, opts...)
+	p := newDeferredPool(n, domOpts, opts...)
 	if err := p.Init(); err != nil {
 		return nil, err
 	}
@@ -140,11 +139,11 @@ func NewPoolWithDomain(n int, domOpts []DomainOption, opts ...Option) (*Pool, er
 	return p, nil
 }
 
-// NewDeferredPool constructs a pool without allocating its workers: the
+// newDeferredPool constructs a pool without allocating its workers: the
 // lifecycle-managed form (DESIGN.md §13). Call Init to build the worker
 // machines and Start to begin serving; until then the pool is in
 // StateInitializing and rejects work.
-func NewDeferredPool(n int, domOpts []DomainOption, opts ...Option) *Pool {
+func newDeferredPool(n int, domOpts []DomainOption, opts ...Option) *Pool {
 	if n <= 0 {
 		n = runtime.NumCPU()
 	}
@@ -515,13 +514,13 @@ func (p *Pool) attemptLocked(w *poolWorker, budget uint64, fn func(*Ctx) error) 
 // set and executes it, transparently re-dispatching if a shrink retires
 // the chosen worker first. With hasWorker, worker is the stable
 // affinity key (modulo the live size); otherwise the least-loaded
-// worker wins. It is the single batch entry point for DoBatch,
-// AsyncPool, and the campaign executors. A batch arriving after Drain
-// began is shed with ErrPoolClosed: unlike serial Do calls (admitted
-// before the drain, allowed to finish their retries), batch traffic
-// reaches here without pool admission — the async layer feeds batches
-// for as long as it lives, and a drain that honored them would never
-// terminate. A batch already executing on a worker still completes.
+// worker wins. It is the single batch entry point for DoBatchItems and
+// AsyncPool. A batch arriving after Drain began is shed with
+// ErrPoolClosed: unlike serial Do calls (admitted before the drain,
+// allowed to finish their retries), batch traffic reaches here without
+// pool admission — the async layer feeds batches for as long as it
+// lives, and a drain that honored them would never terminate. A batch
+// already executing on a worker still completes.
 func (p *Pool) dispatchBatch(worker int, hasWorker bool, calls []*batchCall) (batchReport, uint64) {
 	p.beginCall()
 	defer p.endCall()
@@ -602,9 +601,20 @@ func (p *Pool) execBatchOn(w *poolWorker, calls []*batchCall) (rep batchReport, 
 // the batch goes to the least-loaded worker; all fns run on that one
 // worker.
 func (p *Pool) DoBatch(ctx context.Context, fns []func(*Ctx) error, opts ...RunOption) []error {
-	set := applyRunOptions(opts)
-	errs := make([]error, len(fns))
-	if len(fns) == 0 {
+	items := make([]BatchItem, len(fns))
+	for i, fn := range fns {
+		items[i] = BatchItem{Ctx: ctx, Fn: fn, Opts: opts}
+	}
+	return p.DoBatchItems(items)
+}
+
+// DoBatchItems is DoBatch for heterogeneous batches: each item carries
+// its own context and options (a budget, retries, a fallback). The
+// batch runs on one worker: the one the first item pins with
+// WithWorker, or the least-loaded worker if it pins none.
+func (p *Pool) DoBatchItems(items []BatchItem) []error {
+	errs := make([]error, len(items))
+	if len(items) == 0 {
 		return errs
 	}
 	if _, err := p.admit(); err != nil {
@@ -613,34 +623,18 @@ func (p *Pool) DoBatch(ctx context.Context, fns []func(*Ctx) error, opts ...RunO
 		}
 		return errs
 	}
-	calls := make([]*batchCall, len(fns))
-	for i, fn := range fns {
-		calls[i] = &batchCall{ctx: ctx, fn: fn, set: set}
+	slab := make([]batchCall, len(items))
+	calls := make([]*batchCall, len(items))
+	for i := range items {
+		slab[i] = items[i].toCall()
+		calls[i] = &slab[i]
 	}
-	p.dispatchBatch(set.worker, set.hasWorker, calls)
+	first := calls[0].set
+	p.dispatchBatch(first.worker, first.hasWorker, calls)
 	for i, c := range calls {
 		errs[i] = c.err
 	}
 	return errs
-}
-
-// Run executes fn inside a pristine isolated domain on the least-loaded
-// worker. It is Do with a background context and no options.
-func (p *Pool) Run(fn func(*Ctx) error) error {
-	return p.Do(context.Background(), fn)
-}
-
-// RunOn is Run pinned to worker (modulo the pool size). It is Do with
-// WithWorker; new code should use Do directly.
-func (p *Pool) RunOn(worker int, fn func(*Ctx) error) error {
-	return p.Do(context.Background(), fn, WithWorker(worker))
-}
-
-// RunWithFallback is Run with the paper's alternate action: on a
-// violation, fallback runs with the *ViolationError. It is Do with
-// WithFallback.
-func (p *Pool) RunWithFallback(fn func(*Ctx) error, fallback func(*ViolationError) error) error {
-	return p.Do(context.Background(), fn, WithFallback(fallback))
 }
 
 // DetectionCounts aggregates the per-mechanism containment counters

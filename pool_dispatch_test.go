@@ -1,6 +1,7 @@
 package sdrad_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func TestPoolDispatchBoundedImbalance(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := pool.Run(func(c *sdrad.Ctx) error {
+			err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 				entered <- struct{}{}
 				<-release
 				return nil

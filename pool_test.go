@@ -1,6 +1,7 @@
 package sdrad_test
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -47,7 +48,7 @@ func TestPoolConcurrentMixedWorkload(t *testing.T) {
 				if attack {
 					attacks.Add(1)
 				}
-				err := pool.Run(func(c *sdrad.Ctx) error {
+				err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 					p := c.MustAlloc(len(payload))
 					c.MustStore(p, payload)
 					if attack {
@@ -135,14 +136,14 @@ func TestPoolDiscardOnReturn(t *testing.T) {
 	defer func() { _ = pool.Close() }()
 
 	var first sdrad.Addr
-	if err := pool.RunOn(0, func(c *sdrad.Ctx) error {
+	if err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 		first = c.MustAlloc(64)
 		c.MustStore(first, []byte("secret from request 1"))
 		return nil
-	}); err != nil {
+	}, sdrad.WithWorker(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.RunOn(0, func(c *sdrad.Ctx) error {
+	if err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
 		p := c.MustAlloc(64)
 		if p != first {
 			t.Errorf("second Run alloc = %#x, want recycled %#x", p, first)
@@ -155,7 +156,7 @@ func TestPoolDiscardOnReturn(t *testing.T) {
 			}
 		}
 		return nil
-	}); err != nil {
+	}, sdrad.WithWorker(0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,16 +169,16 @@ func TestPoolFallbackAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	fellBack := false
-	err = pool.RunWithFallback(
+	err = pool.Do(context.Background(),
 		func(c *sdrad.Ctx) error { c.MustStore64(0xbad000, 1); return nil },
-		func(v *sdrad.ViolationError) error { fellBack = true; return nil },
+		sdrad.WithFallback(func(v *sdrad.ViolationError) error { fellBack = true; return nil }),
 	)
 	if err != nil || !fellBack {
 		t.Errorf("fallback: err=%v fellBack=%v", err, fellBack)
 	}
 
 	appErr := errors.New("app error")
-	if err := pool.Run(func(*sdrad.Ctx) error { return appErr }); !errors.Is(err, appErr) {
+	if err := pool.Do(context.Background(), func(*sdrad.Ctx) error { return appErr }); !errors.Is(err, appErr) {
 		t.Errorf("app error = %v, want passthrough", err)
 	}
 
@@ -187,7 +188,7 @@ func TestPoolFallbackAndClose(t *testing.T) {
 	if err := pool.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	if err := pool.Run(func(*sdrad.Ctx) error { return nil }); !errors.Is(err, sdrad.ErrPoolClosed) {
+	if err := pool.Do(context.Background(), func(*sdrad.Ctx) error { return nil }); !errors.Is(err, sdrad.ErrPoolClosed) {
 		t.Errorf("run after close = %v, want ErrPoolClosed", err)
 	}
 }
@@ -202,13 +203,14 @@ func TestPoolDefaultSize(t *testing.T) {
 	if pool.Workers() < 1 {
 		t.Errorf("Workers = %d", pool.Workers())
 	}
-	// RunOn wraps modulo the pool size, including negative workers (a
-	// signed key hash is a natural caller).
-	if err := pool.RunOn(pool.Workers()+1, func(*sdrad.Ctx) error { return nil }); err != nil {
-		t.Errorf("RunOn wrap: %v", err)
+	// WithWorker wraps modulo the pool size, including negative workers
+	// (a signed key hash is a natural caller).
+	ctx := context.Background()
+	if err := pool.Do(ctx, func(*sdrad.Ctx) error { return nil }, sdrad.WithWorker(pool.Workers()+1)); err != nil {
+		t.Errorf("WithWorker wrap: %v", err)
 	}
-	if err := pool.RunOn(-3, func(*sdrad.Ctx) error { return nil }); err != nil {
-		t.Errorf("RunOn negative: %v", err)
+	if err := pool.Do(ctx, func(*sdrad.Ctx) error { return nil }, sdrad.WithWorker(-3)); err != nil {
+		t.Errorf("WithWorker negative: %v", err)
 	}
 }
 
@@ -221,7 +223,7 @@ func TestPoolDomainStatsSurviveClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := pool.Run(func(c *sdrad.Ctx) error { return nil }); err != nil {
+		if err := pool.Do(context.Background(), func(c *sdrad.Ctx) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

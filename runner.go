@@ -118,9 +118,8 @@ func WithRetries(n int) RunOption {
 	}
 }
 
-// WithWorker pins the call to pool worker i (modulo the pool size),
-// replacing Pool.RunOn: all attempts — including retries — run on that
-// worker, so related calls serialize on one simulated machine. Domain
+// WithWorker pins the call to pool worker i (modulo the pool size):
+// all attempts — including retries — run on that worker, so related calls serialize on one simulated machine. Domain
 // and Bridge runners, which have no workers, ignore it.
 func WithWorker(i int) RunOption {
 	return func(s *runSettings) {

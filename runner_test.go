@@ -129,7 +129,7 @@ func TestDoBudgetRewindsAndDiscards(t *testing.T) {
 
 	// The allocation was discarded: the same address is free again, so a
 	// fresh alloc reuses the heap from its pristine state.
-	err = dom.Run(func(c *sdrad.Ctx) error {
+	err = dom.Do(context.Background(), func(c *sdrad.Ctx) error {
 		p := c.MustAlloc(64)
 		if p != addr {
 			t.Errorf("post-rewind alloc at %v, want pristine heap reusing %v", p, addr)

@@ -125,7 +125,7 @@ func WithStackPages(n int) DomainOption {
 // which is the default key and one of which the supervisor reserves for
 // root-protected pages (adopted heaps).
 func (s *Supervisor) NewDomain(opts ...DomainOption) (*Domain, error) {
-	d := s.DeferDomain(opts...)
+	d := s.deferDomain(opts...)
 	if err := d.Init(); err != nil {
 		return nil, err
 	}
@@ -135,11 +135,11 @@ func (s *Supervisor) NewDomain(opts ...DomainOption) (*Domain, error) {
 	return d, nil
 }
 
-// DeferDomain constructs a domain handle without allocating the domain:
+// deferDomain constructs a domain handle without allocating the domain:
 // the lifecycle-managed form (DESIGN.md §13). Call Init to allocate the
 // domain's pages and protection key and Start to begin serving; until
 // then the handle is in StateInitializing.
-func (s *Supervisor) DeferDomain(opts ...DomainOption) *Domain {
+func (s *Supervisor) deferDomain(opts ...DomainOption) *Domain {
 	var cfg core.DomainConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -193,7 +193,7 @@ type DomainStats struct {
 type Domain struct {
 	sup *Supervisor
 	udi core.UDI
-	// cfg is the deferred-construction configuration DeferDomain stored
+	// cfg is the deferred-construction configuration deferDomain stored
 	// for Init to apply.
 	cfg core.DomainConfig
 	lc  *lifecycle.Machine
@@ -205,8 +205,7 @@ type Domain struct {
 }
 
 // Init allocates the domain's pages and protection key (lifecycle:
-// legal once, from StateInitializing). NewDomain calls it for you; it
-// exists for handles built with DeferDomain.
+// legal once, from StateInitializing). NewDomain calls it for you.
 func (d *Domain) Init() error {
 	return d.lc.Init(func() error {
 		dom, err := d.sup.sys.CreateDomain(d.cfg)
@@ -248,24 +247,6 @@ func (d *Domain) UDI() int { return int(d.udi) }
 // submitting goroutine. Durability layers use it to align group commits
 // with batch boundaries; pass nil to remove the observer.
 func (d *Domain) OnBatch(fn func(BatchReport)) { d.onBatch = fn }
-
-// Run executes fn inside the domain.
-//
-// If fn triggers a memory-safety violation (or panics), the domain is
-// rewound and discarded and Run returns a *ViolationError. Errors
-// returned by fn pass through unchanged, and the domain's memory persists
-// across Runs until a violation or Close. It is Do with a background
-// context and no options.
-func (d *Domain) Run(fn func(*Ctx) error) error {
-	return d.Do(context.Background(), fn)
-}
-
-// RunWithFallback executes fn inside the domain; on a violation, the
-// domain is rewound and fallback runs with the violation (the paper's
-// "alternate action"). It is Do with WithFallback.
-func (d *Domain) RunWithFallback(fn func(*Ctx) error, fallback func(*ViolationError) error) error {
-	return d.Do(context.Background(), fn, WithFallback(fallback))
-}
 
 // Write copies data into the domain's memory at addr with supervisor
 // rights — how the trusted side passes inputs in.

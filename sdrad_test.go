@@ -22,7 +22,7 @@ func TestQuickstartFlow(t *testing.T) {
 	}()
 
 	var got []byte
-	err = dom.Run(func(c *Ctx) error {
+	err = dom.Do(context.Background(), func(c *Ctx) error {
 		p := c.MustAlloc(32)
 		c.MustStore(p, []byte("hello sdrad"))
 		got = make([]byte, 11)
@@ -47,7 +47,7 @@ func TestViolationRewindsAndReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = dom.Run(func(c *Ctx) error {
+	err = dom.Do(context.Background(), func(c *Ctx) error {
 		c.MustStore64(0xdead0000, 1) // wild write
 		return nil
 	})
@@ -75,27 +75,27 @@ func TestRunWithFallback(t *testing.T) {
 	sup := New()
 	dom, _ := sup.NewDomain()
 	var fellBack bool
-	err := dom.RunWithFallback(
+	err := dom.Do(context.Background(),
 		func(c *Ctx) error {
 			c.Violate(errors.New("bad parse"))
 			return nil
 		},
-		func(v *ViolationError) error {
+		WithFallback(func(v *ViolationError) error {
 			fellBack = true
 			return nil
-		},
+		}),
 	)
 	if err != nil || !fellBack {
 		t.Errorf("fallback: err=%v ran=%v", err, fellBack)
 	}
 	// Application errors skip the fallback.
 	sentinel := errors.New("app")
-	err = dom.RunWithFallback(
+	err = dom.Do(context.Background(),
 		func(*Ctx) error { return sentinel },
-		func(*ViolationError) error {
+		WithFallback(func(*ViolationError) error {
 			t.Error("fallback ran for app error")
 			return nil
-		},
+		}),
 	)
 	if !errors.Is(err, sentinel) {
 		t.Errorf("err = %v", err)
@@ -112,7 +112,7 @@ func TestTrustedSideDataExchange(t *testing.T) {
 	if err := dom.Write(addr, []byte("input")); err != nil {
 		t.Fatal(err)
 	}
-	err = dom.Run(func(c *Ctx) error {
+	err = dom.Do(context.Background(), func(c *Ctx) error {
 		buf := make([]byte, 5)
 		c.MustLoad(addr, buf)
 		c.MustStore(addr, []byte("INPUT"))
@@ -137,7 +137,7 @@ func TestDomainOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Max heap 8 pages = 32 KiB: a large allocation must fail.
-	err = dom.Run(func(c *Ctx) error {
+	err = dom.Do(context.Background(), func(c *Ctx) error {
 		_, err := c.Alloc(1 << 20)
 		if err == nil {
 			return errors.New("oversized alloc succeeded")
@@ -155,12 +155,12 @@ func TestSupervisorOptions(t *testing.T) {
 	sup := New(WithCostModel(m), WithIntegrityCheckOnExit(false), WithZeroOnDiscard(false))
 	dom, _ := sup.NewDomain()
 	before := sup.VirtualTime()
-	_ = dom.Run(func(*Ctx) error { return nil })
+	_ = dom.Do(context.Background(), func(*Ctx) error { return nil })
 	if sup.VirtualTime() <= before {
 		t.Error("virtual time did not advance")
 	}
 	// Integrity sweep off: an overflow goes unnoticed at exit.
-	err := dom.Run(func(c *Ctx) error {
+	err := dom.Do(context.Background(), func(c *Ctx) error {
 		p := c.MustAlloc(16)
 		c.MustStore(p, make([]byte, 32))
 		return nil
@@ -207,7 +207,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if got := dom.State(); got != lifecycle.StateStopped {
 		t.Errorf("state after close = %v, want %v", got, lifecycle.StateStopped)
 	}
-	if err := dom.Run(func(*Ctx) error { return nil }); err == nil {
+	if err := dom.Do(context.Background(), func(*Ctx) error { return nil }); err == nil {
 		t.Error("Run on closed domain accepted")
 	}
 	// Stop after Close is still an illegal transition (strict Stop).
@@ -288,7 +288,7 @@ func TestNestedDomainsViaCtx(t *testing.T) {
 	sup := New()
 	outer, _ := sup.NewDomain()
 	inner, _ := sup.NewDomain()
-	err := outer.Run(func(oc *Ctx) error {
+	err := outer.Do(context.Background(), func(oc *Ctx) error {
 		// Nested entry through the inner domain's UDI.
 		nerr := oc.Enter(2, func(ic *Ctx) error {
 			ic.MustStore64(0xbad000, 1)
@@ -317,12 +317,12 @@ func TestMemoryStatsIntrospection(t *testing.T) {
 	if mid.MappedPages <= before.MappedPages || mid.Domains != 1 {
 		t.Errorf("stats after domain: %+v", mid)
 	}
-	_ = dom.Run(func(c *Ctx) error {
+	_ = dom.Do(context.Background(), func(c *Ctx) error {
 		p := c.MustAlloc(128)
 		c.MustStore(p, make([]byte, 128))
 		return nil
 	})
-	_ = dom.Run(func(c *Ctx) error {
+	_ = dom.Do(context.Background(), func(c *Ctx) error {
 		c.MustStore64(0xdead0000, 1)
 		return nil
 	})

@@ -1,6 +1,7 @@
 package sdrad
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestPublicReadOnlySharing(t *testing.T) {
 	}
 
 	var cfg Addr
-	if err := owner.Run(func(c *Ctx) error {
+	if err := owner.Do(context.Background(), func(c *Ctx) error {
 		cfg = c.MustAlloc(16)
 		c.MustStore(cfg, []byte("read-only data"))
 		return nil
@@ -28,7 +29,7 @@ func TestPublicReadOnlySharing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err = viewer.Run(func(c *Ctx) error {
+	err = viewer.Do(context.Background(), func(c *Ctx) error {
 		buf := make([]byte, 14)
 		c.MustLoad(cfg, buf)
 		if string(buf) != "read-only data" {
@@ -44,7 +45,7 @@ func TestPublicReadOnlySharing(t *testing.T) {
 	if err := owner.RevokeReadFrom(viewer); err != nil {
 		t.Fatal(err)
 	}
-	err = viewer.Run(func(c *Ctx) error {
+	err = viewer.Do(context.Background(), func(c *Ctx) error {
 		buf := make([]byte, 1)
 		c.MustLoad(cfg, buf)
 		return nil
@@ -65,7 +66,7 @@ func TestPublicQuarantine(t *testing.T) {
 		return nil
 	}
 	for i := 0; i < 2; i++ {
-		if _, ok := IsViolation(dom.Run(crash)); !ok {
+		if _, ok := IsViolation(dom.Do(context.Background(), crash)); !ok {
 			t.Fatal("violation not delivered")
 		}
 	}
@@ -73,7 +74,7 @@ func TestPublicQuarantine(t *testing.T) {
 	if err != nil || !q {
 		t.Fatalf("Quarantined = %v, %v", q, err)
 	}
-	if err := dom.Run(crash); !errors.Is(err, ErrQuarantined) {
+	if err := dom.Do(context.Background(), crash); !errors.Is(err, ErrQuarantined) {
 		t.Errorf("err = %v, want ErrQuarantined", err)
 	}
 }
@@ -82,7 +83,7 @@ func TestPublicDetachHeap(t *testing.T) {
 	sup := New()
 	dom, _ := sup.NewDomain()
 	var result Addr
-	if err := dom.Run(func(c *Ctx) error {
+	if err := dom.Do(context.Background(), func(c *Ctx) error {
 		result = c.MustAlloc(32)
 		c.MustStore(result, []byte("zero-copy result"))
 		return nil
@@ -97,7 +98,7 @@ func TestPublicDetachHeap(t *testing.T) {
 		t.Fatal("nil heap")
 	}
 	// The domain is closed now.
-	if err := dom.Run(func(*Ctx) error { return nil }); err == nil {
+	if err := dom.Do(context.Background(), func(*Ctx) error { return nil }); err == nil {
 		t.Error("Run on detached domain accepted")
 	}
 	// A new domain can take the freed key and cannot touch the adopted
@@ -106,7 +107,7 @@ func TestPublicDetachHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = dom2.Run(func(c *Ctx) error {
+	err = dom2.Do(context.Background(), func(c *Ctx) error {
 		c.MustStore(result, []byte("overwrite"))
 		return nil
 	})

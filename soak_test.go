@@ -1,6 +1,7 @@
 package sdrad_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -68,7 +69,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 		d := doms[rng.Intn(len(doms))]
 		switch rng.Intn(10) {
 		case 0: // injected bug (rotating class via address pattern)
-			err := d.Run(func(c *sdrad.Ctx) error {
+			err := d.Do(context.Background(), func(c *sdrad.Ctx) error {
 				switch i % 3 {
 				case 0:
 					c.MustStore64(0xdead_0000_0000, 1) // wild write
@@ -112,7 +113,7 @@ func TestSoakMixedWorkload(t *testing.T) {
 			doms[idx] = nd
 		default: // benign work with verification
 			tag := byte(i)
-			err := d.Run(func(c *sdrad.Ctx) error {
+			err := d.Do(context.Background(), func(c *sdrad.Ctx) error {
 				n := rng.Intn(1024) + 1
 				p := c.MustAlloc(n)
 				data := make([]byte, n)
