@@ -25,12 +25,15 @@ check: fmt vet lint build test race report-check
 # barriers, overload retry, the window's allocation pin), the
 # frontend's Submit/Wait and serve.Buffer's settle hook, call and task
 # recycling (a reused task gets its own outcome, published once; the
-# recycling hammer), the pipelined-vs-serial kvd session, and the
+# recycling hammer), the inline entry (RunTask: runs on an idle queue
+# only, queues behind busy ones, holds up Close and Flush, refused by a
+# shrinking queue, and its hammer mixed with SubmitTask, Resize and
+# Flush), the pipelined-vs-serial kvd session, and the
 # retrofit shell's table run against both servers (TestResizableShell:
 # resize bounds and key reuse, the native restart window, the failed-run
 # classifier).
 test-lifecycle:
-	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow' ./...
+	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRunTask|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow' ./...
 
 # Cluster tier gate (DESIGN.md §14): rendezvous placement, lease
 # membership, crash/rolling/partition state-machine tests, the wire
@@ -76,8 +79,10 @@ bench:
 # Fuzz smoke (CI): ten seconds of coverage-guided fuzzing on each target
 # whose parser faces attacker bytes on the trusted side — the HTTP head
 # parser and request path (differential against their Split-based
-# forms), the full SDRaD serve path, bearer-token extraction, the
-# cluster wire codec, the router's bounds check (differential against
+# forms), the full SDRaD serve path, bearer-token extraction, the kv
+# command parser every kvd and cluster command passes through (its
+# field splitter differential against strings.Fields), the cluster wire
+# codec, the router's bounds check (differential against
 # the codec round trip it replaces), WAL recovery over an arbitrary
 # tail and the WAL record decoder (differential against the record
 # encoder) — plus the containment path: the kv SDRaD request path, whose
@@ -89,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/httpd
 	$(GO) test -run '^$$' -fuzz '^FuzzServeSDRaD$$' -fuzztime 10s ./internal/httpd
 	$(GO) test -run '^$$' -fuzz '^FuzzGatewayAuth$$' -fuzztime 10s ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCommand$$' -fuzztime 10s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckRequest$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s ./internal/persist

@@ -29,9 +29,19 @@ func classifyResp(r Response) string {
 }
 
 // TestHandleBatchMatchesSerial drives the same mixed benign/attack
-// request stream through HandleContext and HandleBatch and asserts
-// identical per-request outcomes and identical surviving cache state.
+// request stream through Handle and HandleBatch, renders every response
+// with WriteResponse, and asserts byte-identical replies and identical
+// surviving cache state. A batch runs each worker domain's requests as
+// one group. One exception is allowed, the one DESIGN.md §9 documents:
+// a contained request detected at its group's shared exit sweep or
+// behind another call, on a worker domain that has run requests
+// before, is re-derived on the domain that detection discarded, so its
+// SERVER_ERROR may name a different heap word. Only such a request is
+// held to its outcome class alone. The first batch is headed by an
+// exploit on a domain nothing has run on, and that exploit's full text
+// must match.
 func TestHandleBatchMatchesSerial(t *testing.T) {
+	const n, size = 96, 16
 	build := func() (*Server, *Cache) {
 		sys := core.NewSystem(core.DefaultConfig())
 		cache, err := NewCache(sys, 1, 16<<20)
@@ -44,43 +54,62 @@ func TestHandleBatchMatchesSerial(t *testing.T) {
 		}
 		return srv, cache
 	}
-	requests := func() []workload.Request {
-		gen, err := workload.NewKV(workload.KVConfig{Seed: 7, Keys: 64, ValueSize: 48})
-		if err != nil {
+	gen, err := workload.NewKV(workload.KVConfig{Seed: 7, Keys: 64, ValueSize: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]workload.Request, n)
+	for i := range reqs {
+		reqs[i] = gen.Next()
+		reqs[i].Malicious = i == 0 || i%13 == 5
+	}
+	render := func(req workload.Request, r Response) string {
+		var b strings.Builder
+		if err := WriteResponse(&b, req, r); err != nil {
 			t.Fatal(err)
 		}
-		reqs := make([]workload.Request, 96)
-		for i := range reqs {
-			reqs[i] = gen.Next()
-			if i%13 == 5 {
-				reqs[i].Malicious = true
-			}
-		}
-		return reqs
+		return b.String()
 	}
 
 	serialSrv, serialCache := build()
-	serialOut := make([]string, 0, 96)
-	for i, req := range requests() {
-		serialOut = append(serialOut, classifyResp(serialSrv.Handle(i%8, req)))
+	serial := make([]Response, n)
+	for i, req := range reqs {
+		serial[i] = serialSrv.Handle(i%8, req)
 	}
 
 	batchSrv, batchCache := build()
-	batchOut := make([]string, 0, 96)
-	reqs := requests()
-	for i := 0; i < len(reqs); i += 16 {
-		batch := make([]BatchRequest, 16)
+	batched := make([]Response, 0, n)
+	// exact marks the requests that head their group on a worker domain
+	// no earlier batch ran on.
+	exact := make([]bool, n)
+	used := make(map[int]bool)
+	for i := 0; i < n; i += size {
+		batch := make([]BatchRequest, size)
+		seen := make(map[int]bool)
 		for j := range batch {
 			batch[j] = BatchRequest{ClientID: (i + j) % 8, Req: reqs[i+j]}
+			w := batch[j].ClientID % batchSrv.shell.Workers()
+			exact[i+j] = !seen[w] && !used[w]
+			seen[w] = true
 		}
-		for _, resp := range batchSrv.HandleBatch(batch) {
-			batchOut = append(batchOut, classifyResp(resp))
+		for w := range seen {
+			used[w] = true
 		}
+		batched = append(batched, batchSrv.HandleBatch(batch)...)
 	}
 
-	for i := range serialOut {
-		if serialOut[i] != batchOut[i] {
-			t.Errorf("request %d: serial %q vs batched %q", i, serialOut[i], batchOut[i])
+	if !serial[0].Contained {
+		t.Fatalf("the exploit heading the first batch drew %q, want a contained violation", render(reqs[0], serial[0]))
+	}
+	for i, req := range reqs {
+		if serial[i].Contained && !exact[i] {
+			if s, b := classifyResp(serial[i]), classifyResp(batched[i]); s != b {
+				t.Errorf("request %d (contained, the documented exception): serial %q vs batched %q", i, s, b)
+			}
+			continue
+		}
+		if s, b := render(req, serial[i]), render(req, batched[i]); s != b {
+			t.Errorf("request %d: serial %q vs batched %q", i, s, b)
 		}
 	}
 	if serialCache.Items() != batchCache.Items() || serialCache.Bytes() != batchCache.Bytes() {

@@ -103,7 +103,9 @@ type Session interface {
 // command and submit it through f, or hand it to s; quit, EOF or an
 // error from s ends it. A data command s pipelines is submitted as soon
 // as it is parsed, so a window a client sent in one segment reaches each
-// shard queue as one batch. A reply the loop cannot render at once (see
+// shard queue as one batch; a lone one (nothing pending, nothing
+// buffered behind it) is served by f.Do, on this goroutine when its
+// shard queue is idle. A reply the loop cannot render at once (see
 // handle) waits in a FIFO until the loop settles: before every read of
 // the socket, before a barrier command, before the CLIENT_ERROR of a
 // malformed command, and on the way out, the loop waits for each
@@ -174,20 +176,25 @@ type pendingReply struct {
 }
 
 // handle pipelines cmd or, when it is a barrier, settles and serves it.
-// more reports input already buffered behind cmd. A pipelined request
-// with no reply ahead of it is answered at once when its call has
-// completed (always, on a serial frontend) or when nothing more is
-// buffered — the loop would settle at its next read anyway — so only a
-// window's requests wait in the FIFO.
+// more reports input already buffered behind cmd. A lone request — no
+// reply ahead of it, nothing buffered behind it — is served by Do, so
+// on an idle shard it runs on this goroutine; the loop would settle it
+// at its next read anyway. A window's first request is answered at
+// once when its call has already completed (always, on a serial
+// frontend), so only a window's requests wait in the FIFO.
 func (c *commandLoop) handle(cmd *Command, more bool) {
 	if cmd.data() && !c.demoted {
 		if req, ok := c.s.Pipeline(cmd.Req); ok {
+			if len(c.pending) == 0 && !more {
+				c.reply(req, c.f.Do(c.id, req))
+				return
+			}
 			p := c.f.Submit(c.id, req)
 			if p.Overloaded() && len(c.pending) > 0 && c.settle() == nil {
 				p = c.f.Submit(c.id, req)
 			}
-			if len(c.pending) == 0 && (!more || p.Settled()) {
-				c.reply(req, &p)
+			if len(c.pending) == 0 && p.Settled() {
+				c.reply(req, c.f.Wait(&p))
 				return
 			}
 			c.pending = append(c.pending, pendingReply{req: req, p: p})
@@ -204,17 +211,16 @@ func (c *commandLoop) handle(cmd *Command, more bool) {
 // no request outlives the loop that submitted it.
 func (c *commandLoop) settle() error {
 	for i := range c.pending {
-		c.reply(c.pending[i].req, &c.pending[i].p)
+		c.reply(c.pending[i].req, c.f.Wait(&c.pending[i].p))
 	}
 	clear(c.pending)
 	c.pending = c.pending[:0]
 	return c.err
 }
 
-// reply waits for p, demotes the connection if its response reports a
-// detection, and renders it unless the loop already failed.
-func (c *commandLoop) reply(req workload.Request, p *serve.Pending[workload.Request, Response]) {
-	resp := c.f.Wait(p)
+// reply demotes the connection if resp reports a detection, and renders
+// it unless the loop already failed.
+func (c *commandLoop) reply(req workload.Request, resp Response) {
 	_, preempted := core.IsBudget(resp.Err)
 	c.demoted = c.demoted || resp.Contained || preempted
 	if c.err == nil {

@@ -34,13 +34,15 @@ func settleWindow() (in, replies string) {
 	return i.String(), r.String()
 }
 
-// executorCalls sums the batches every shard queue has run.
-func executorCalls(q *submit.Queues) uint64 {
-	var n uint64
+// executorCalls sums the batches every shard queue has run, and how
+// many of them ran inline, on the goroutine that submitted them.
+func executorCalls(q *submit.Queues) (batches, inline uint64) {
 	for w := 0; w < q.Workers(); w++ {
-		n += q.Stats(w).Batches
+		st := q.Stats(w)
+		batches += st.Batches
+		inline += st.Inline
 	}
-	return n
+	return batches, inline
 }
 
 // windowConn is a scripted connection that counts the executor calls
@@ -51,11 +53,12 @@ type windowConn struct {
 	first    int
 	read     int
 	atSecond uint64
+	inlineAt uint64
 }
 
 func (c *windowConn) Read(p []byte) (int, error) {
 	if c.read == c.first {
-		c.atSecond = executorCalls(c.q)
+		c.atSecond, c.inlineAt = executorCalls(c.q)
 	}
 	n, err := c.Conn.Read(p)
 	c.read += n
@@ -81,7 +84,9 @@ func slowKVDServer(t *testing.T) *NetServer {
 // TestSettleDemotesAfterDetection: once a reply on a connection reports
 // a detection — a contained violation or a budget preemption — every
 // later command on it is a barrier, so the next window runs one request
-// per batch; after a clean window the next is still batched.
+// per batch, each on the connection's goroutine (its shard queue is
+// idle); after a clean window the next is still batched, by the drain
+// loops.
 func TestSettleDemotesAfterDetection(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: a clean window is one batch per shard (see kvstoretest.SettleRule)
 	exploit := AttackMarker + "-payload"
@@ -111,12 +116,13 @@ func TestSettleDemotesAfterDetection(t *testing.T) {
 			if c.name == "preempted" && !strings.Contains(out, "budget") {
 				t.Errorf("the big SET was not preempted: %q", out[:strings.Index(out, "\r\n")])
 			}
-			calls := executorCalls(n.Queues()) - conn.atSecond
+			calls, inline := executorCalls(n.Queues())
+			calls, inline = calls-conn.atSecond, inline-conn.inlineAt
 			switch {
-			case c.demote && calls != 32:
-				t.Errorf("the window after a detection ran in %d batches, want 32 (one per request)", calls)
-			case !c.demote && calls > 4:
-				t.Errorf("the window after a clean one ran in %d batches, want at most 4", calls)
+			case c.demote && (calls != 32 || inline != 32):
+				t.Errorf("the window after a detection ran in %d batches, %d on the connection's goroutine; want 32 (one per request), all 32 there", calls, inline)
+			case !c.demote && (calls > 4 || inline != 0):
+				t.Errorf("the window after a clean one ran in %d batches, %d on the connection's goroutine; want at most 4, none there", calls, inline)
 			}
 		})
 	}
@@ -141,7 +147,7 @@ func TestSettleGatewayOneInFlight(t *testing.T) {
 	if got := gw.Stats().Snapshot(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("tenant counters %+v, want %+v", got, want)
 	}
-	if calls := executorCalls(n.Queues()); calls != 32 {
+	if calls, _ := executorCalls(n.Queues()); calls != 32 {
 		t.Errorf("%d executor calls for 32 barrier commands, want 32", calls)
 	}
 }

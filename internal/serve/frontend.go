@@ -203,6 +203,13 @@ func (p *Pending[Req, Resp]) Overloaded() bool { return p.over }
 // in-domain budget once queued (deadlines that expire while queued
 // surface as preemptions); Wait releases it.
 func (f *Frontend[Req, Resp]) Submit(clientID int, req Req) Pending[Req, Resp] {
+	return f.submit(clientID, req, false)
+}
+
+// submit is Submit; inline lets the call run on the calling goroutine
+// when its queue is idle (submit.Queues.RunTask), for a caller that
+// waits for it next.
+func (f *Frontend[Req, Resp]) submit(clientID int, req Req, inline bool) Pending[Req, Resp] {
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	if f.reqTimeout > 0 {
@@ -215,13 +222,13 @@ func (f *Frontend[Req, Resp]) Submit(clientID int, req Req) Pending[Req, Resp] {
 	c.Ctx, c.ClientID, c.Req = ctx, clientID, req
 	c.task.Ctx = ctx
 	w := f.b.Pick(req, f.load)
-	err := f.queues.SubmitTask(w, &c.task)
+	err := f.enqueue(w, &c.task, inline)
 	if err == nil {
 		return Pending[Req, Resp]{call: c, cancel: cancel}
 	}
 	_, over := submit.IsOverload(err)
 	for i := 1; over && f.b.Failover && i < f.b.Shards; i++ {
-		if err = f.queues.SubmitTask((w+i)%f.b.Shards, &c.task); err == nil {
+		if err = f.enqueue((w+i)%f.b.Shards, &c.task, inline); err == nil {
 			return Pending[Req, Resp]{call: c, cancel: cancel}
 		}
 		_, over = submit.IsOverload(err)
@@ -237,6 +244,15 @@ func (f *Frontend[Req, Resp]) Submit(clientID int, req Req) Pending[Req, Resp] {
 		}
 	}
 	return Pending[Req, Resp]{err: err, over: over}
+}
+
+// enqueue hands t to shard w's queue: RunTask when inline, else
+// SubmitTask.
+func (f *Frontend[Req, Resp]) enqueue(w int, t *submit.Task, inline bool) error {
+	if inline {
+		return f.queues.RunTask(w, t)
+	}
+	return f.queues.SubmitTask(w, t)
 }
 
 // Wait returns p's response, blocking until its call has executed, and
@@ -276,9 +292,13 @@ func (f *Frontend[Req, Resp]) recycle(c *Call[Req, Resp]) {
 	f.calls.Put(c)
 }
 
-// Do serves one request and waits for its response: Submit, then Wait.
+// Do serves one request and waits for its response. On a batched
+// frontend a request whose shard queue is idle runs on the calling
+// goroutine, as a one-request batch, instead of paying the hand-off to
+// the shard's drain loop and back; behind queued or running work it
+// queues as Submit queues it, and Wait takes it from there.
 func (f *Frontend[Req, Resp]) Do(clientID int, req Req) Resp {
-	p := f.Submit(clientID, req)
+	p := f.submit(clientID, req, true)
 	return f.Wait(&p)
 }
 

@@ -3,19 +3,24 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 )
 
 // TestQueuedDoAllocations: once its calls are pooled, a batched
-// frontend queues, executes and answers a request without allocating —
-// the call carries its own task, the task's future needs no channel,
-// and Wait recycles the call.
+// frontend serves a request without allocating — the call carries its
+// own task, the task's future needs no channel, and Wait recycles the
+// call — whether Do finds its shard idle and runs the call on the
+// calling goroutine, or finds the shard busy and queues it.
 func TestQueuedDoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
+	// One P: a request submitted just before a Do is still queued when
+	// the Do reaches its shard.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := newEcho(2)
 	e.f.Queue(16, 4)
 	if err := e.f.Serving(); err != nil {
@@ -26,17 +31,39 @@ func TestQueuedDoAllocations(t *testing.T) {
 			t.Error(err)
 		}
 	}()
+	inline := func() uint64 { return e.f.Queues().Stats(0).Inline + e.f.Queues().Stats(1).Inline }
 	// Upper-case requests: the echo's ToUpper then returns its input.
-	do := func() {
-		for _, req := range []string{"PING", "PONG!"} {
-			if got := e.f.Do(1, req); got != req {
-				t.Fatalf("Do(%q) = %q", req, got)
-			}
+	do := func(t *testing.T, req string) {
+		if got := e.f.Do(1, req); got != req {
+			t.Fatalf("Do(%q) = %q", req, got)
 		}
 	}
-	do()
-	if allocs := testing.AllocsPerRun(100, do); allocs != 0 {
-		t.Errorf("%v allocations per two queued requests, want 0", allocs)
+	for _, c := range []struct {
+		name   string
+		serve  func(t *testing.T)
+		inline uint64 // calls run on the caller per serve
+	}{
+		{"idle shard", func(t *testing.T) { do(t, "PING"); do(t, "PONG!") }, 2},
+		{"busy shard", func(t *testing.T) {
+			// PING and PONG share shard 0: the Do queues behind the call
+			// submitted ahead of it.
+			p := e.f.Submit(1, "PING")
+			do(t, "PONG")
+			if got := e.f.Wait(&p); got != "PING" {
+				t.Fatalf("Wait = %q", got)
+			}
+		}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := inline()
+			c.serve(t)
+			if got := inline() - before; got != c.inline {
+				t.Fatalf("%d calls ran on the caller, want %d", got, c.inline)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { c.serve(t) }); allocs != 0 {
+				t.Errorf("%v allocations per serve, want 0", allocs)
+			}
+		})
 	}
 }
 

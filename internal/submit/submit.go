@@ -45,10 +45,10 @@ func IsOverload(err error) (*OverloadError, bool) {
 }
 
 // Future is the pending result of a submitted task. It is resolved
-// exactly once, by the queue's drain loop. Resolution costs no channel:
-// Settled reads an atomic state and Err waits on a WaitGroup; the Done
-// channel is made only when Done (or Wait with a cancellable context)
-// asks for it.
+// exactly once, by the queue's drain loop or by the inline run that
+// executed it (RunTask). Resolution costs no channel: Settled reads an
+// atomic state and Err waits on a WaitGroup; the Done channel is made
+// only when Done (or Wait with a cancellable context) asks for it.
 type Future struct {
 	state atomic.Bool // set once the outcome is published
 	wg    sync.WaitGroup
@@ -137,7 +137,7 @@ type Task struct {
 	Payload any
 	fut     Future
 	// outcome is what the executor recorded; recorded says it did. Only
-	// the drain loop touches them while the task is queued.
+	// the batch's runner touches them while the task is queued.
 	outcome  error
 	recorded bool
 }
@@ -146,8 +146,9 @@ type Task struct {
 func (t *Task) Future() *Future { return &t.fut }
 
 // Resolve records the task's outcome (first resolution wins). The
-// executor calls it during Exec; the drain loop publishes the recorded
-// outcome to the task's future once Exec returns.
+// executor calls it during Exec; the drain loop (or the inline run)
+// publishes the recorded outcome to the task's future once Exec
+// returns.
 func (t *Task) Resolve(err error) {
 	if !t.recorded {
 		t.outcome, t.recorded = err, true
@@ -176,8 +177,9 @@ type Config struct {
 	// (default 16).
 	MaxBatch int
 	// Exec executes one batch for one worker and must record every
-	// task's outcome (Task.Resolve) before it returns; the drain loop
-	// then publishes them. Batches for the same worker never overlap;
+	// task's outcome (Task.Resolve) before it returns; the drain loop,
+	// or the submitter that ran the batch inline (RunTask), then
+	// publishes them. Batches for the same worker never overlap;
 	// batches for different workers run concurrently.
 	Exec func(worker int, batch []*Task)
 }
@@ -209,6 +211,15 @@ type workerQ struct {
 	// batch is the drain loop's reusable batch slice (a queue's batches
 	// never overlap); only the drain goroutine touches it.
 	batch []*Task
+	// running is set while a batch executes: one the drain loop took, or
+	// an inline run's (RunTask). The drain loop takes no batch while it
+	// is set, and RunTask runs inline only when it is clear. Under mu.
+	running bool
+	// one is the one-task batch an inline run hands Exec. It lives here,
+	// not on the submitter's stack, because Exec is a func value and
+	// would make a stack array escape; only the holder of running
+	// touches it.
+	one [1]*Task
 
 	// closing marks a queue being removed by Resize: new submissions
 	// are rejected (overload, so submitters fail over), the backlog is
@@ -228,6 +239,7 @@ type workerQ struct {
 	submitted uint64
 	rejected  uint64
 	batches   uint64
+	inline    uint64
 	maxBatch  int
 }
 
@@ -352,9 +364,58 @@ func (q *Queues) submitNew(w int, ctx context.Context, payload any, wait bool) (
 	return &t.fut, nil
 }
 
+// RunTask is SubmitTask, except that when worker w's queue is idle —
+// open, not being removed by a shrink, holding no task and running no
+// batch — the caller runs t itself: Exec gets t as a one-task batch on
+// the calling goroutine, and t's future is settled when RunTask
+// returns. A lone request so skips the two goroutine hand-offs (to the
+// drain loop and back) that a queued one pays. Otherwise t queues
+// exactly as SubmitTask queues it, refusals included. Either way t is
+// accounted as a queued task (Load, Flush, Stats), and the queue's
+// guarantees hold: the inline run starts only with nothing queued
+// ahead of it, the drain loop takes no batch while it runs, and Close
+// and a shrink wait for it.
+func (q *Queues) RunTask(w int, t *Task) error {
+	wq, w := at(q.snapshot(), w)
+	wq.mu.Lock()
+	if wq.running || len(wq.items) > 0 || wq.closing || q.closed.Load() {
+		return q.enqueue(wq, w, t, false)
+	}
+	wq.running = true
+	t.fut.reset()
+	q.admit(wq)
+	wq.batches++
+	wq.inline++
+	wq.maxBatch = max(wq.maxBatch, 1)
+	wq.one[0] = t
+	wq.mu.Unlock()
+
+	q.cfg.Exec(w, wq.one[:])
+
+	wq.mu.Lock()
+	wq.one[0] = nil
+	wq.running = false
+	// Wake the drain loop only when it has something to do: tasks
+	// queued behind this run, or a close or shrink to finish.
+	if len(wq.items) > 0 || wq.closing || q.closed.Load() {
+		wq.fill.Signal()
+	}
+	wq.mu.Unlock()
+	wq.load.Add(-1)
+	t.publish()
+	q.finish(1)
+	return nil
+}
+
 func (q *Queues) submit(w int, t *Task, wait bool) error {
 	wq, w := at(q.snapshot(), w)
 	wq.mu.Lock()
+	return q.enqueue(wq, w, t, wait)
+}
+
+// enqueue queues t on worker w's queue wq, whose lock the caller holds;
+// it releases the lock.
+func (q *Queues) enqueue(wq *workerQ, w int, t *Task, wait bool) error {
 	for {
 		if q.closed.Load() {
 			wq.mu.Unlock()
@@ -381,29 +442,39 @@ func (q *Queues) submit(w int, t *Task, wait bool) error {
 	}
 	t.fut.reset()
 	wq.items = append(wq.items, t)
-	wq.submitted++
-	wq.load.Add(1)
-	// Count the task for Flush before releasing the queue lock: the
-	// drain loop needs wq.mu to take the task, so pending can never
-	// lag behind a resolution (which would let Flush return early).
-	q.flushMu.Lock()
-	q.pending++
-	q.flushMu.Unlock()
-	wq.fill.Signal()
+	q.admit(wq)
+	// A running batch's runner comes back for the queue by itself.
+	if !wq.running {
+		wq.fill.Signal()
+	}
 	wq.mu.Unlock()
 	return nil
 }
 
+// admit accounts one accepted task on wq, whose lock the caller holds.
+// It counts the task for Flush before the queue lock is released: the
+// task can be taken only under that lock, so pending can never lag
+// behind a resolution (which would let Flush return early).
+func (q *Queues) admit(wq *workerQ) {
+	wq.submitted++
+	wq.load.Add(1)
+	q.flushMu.Lock()
+	q.pending++
+	q.flushMu.Unlock()
+}
+
 // drain is one queue's loop: block for the first task, take up to
-// MaxBatch, execute, repeat. On Close it fails the remaining backlog
-// with ErrClosed; on a shrink (closing) it executes the full backlog —
-// preserving every admitted task's effects — and then exits.
+// MaxBatch, execute, repeat. It takes no batch while an inline run
+// (RunTask) holds the queue, and waits for one still in flight before
+// it exits. On Close it fails the remaining backlog with ErrClosed; on
+// a shrink (closing) it executes the full backlog — preserving every
+// admitted task's effects — and then exits.
 func (q *Queues) drain(wq *workerQ, w int) {
 	defer q.wg.Done()
 	defer close(wq.done)
+	wq.mu.Lock()
 	for {
-		wq.mu.Lock()
-		for len(wq.items) == 0 && !q.closed.Load() && !wq.closing {
+		for wq.running || (len(wq.items) == 0 && !q.closed.Load() && !wq.closing) {
 			wq.fill.Wait()
 		}
 		if q.closed.Load() {
@@ -431,6 +502,7 @@ func (q *Queues) drain(wq *workerQ, w int) {
 		}
 		batch := append(wq.batch[:0], wq.items[:n]...)
 		wq.items = append(wq.items[:0], wq.items[n:]...)
+		wq.running = true
 		wq.batches++
 		if n > wq.maxBatch {
 			wq.maxBatch = n
@@ -448,6 +520,8 @@ func (q *Queues) drain(wq *workerQ, w int) {
 		}
 		wq.batch = batch
 		q.finish(n)
+		wq.mu.Lock()
+		wq.running = false
 	}
 }
 
@@ -527,8 +601,9 @@ func (q *Queues) Resize(n int) error {
 }
 
 // Close stops accepting submissions, fails the queued backlog with
-// ErrClosed, waits for in-flight batches to finish, and returns. It is
-// idempotent. Call Flush first for a graceful drain.
+// ErrClosed, waits for in-flight batches (inline runs included) to
+// finish, and returns. It is idempotent. Call Flush first for a
+// graceful drain.
 func (q *Queues) Close() {
 	q.resizeMu.Lock()
 	if q.closed.Swap(true) {
@@ -552,8 +627,10 @@ type QueueStats struct {
 	// submissions.
 	Submitted, Rejected uint64
 	// Batches is the number of executor calls; MaxBatch the largest
-	// batch handed to one.
+	// batch handed to one. Inline counts the Batches a submitter ran
+	// itself (RunTask), each of one task.
 	Batches  uint64
+	Inline   uint64
 	MaxBatch int
 }
 
@@ -567,6 +644,7 @@ func (q *Queues) Stats(w int) QueueStats {
 		Submitted: wq.submitted,
 		Rejected:  wq.rejected,
 		Batches:   wq.batches,
+		Inline:    wq.inline,
 		MaxBatch:  wq.maxBatch,
 	}
 }

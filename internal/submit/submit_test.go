@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // echoExec resolves every task with nil and records batches.
@@ -414,4 +416,379 @@ func TestSubmitTaskOutcome(t *testing.T) {
 			t.Fatalf("Wait = %v, want %v", err, want)
 		}
 	})
+}
+
+// onRunTask reports whether the calling goroutine is inside RunTask:
+// an executor that asks this learns whether its batch runs inline, on
+// the submitter's goroutine, or on the drain loop.
+func onRunTask() bool {
+	buf := make([]byte, 16<<10)
+	return strings.Contains(string(buf[:runtime.Stack(buf, false)]), "(*Queues).RunTask(")
+}
+
+// TestRunTaskRunsOnCaller: on an idle queue RunTask executes the task
+// itself — Exec runs on the calling goroutine before RunTask returns,
+// the future is settled — and the task is accounted as one queued
+// task in a one-task batch.
+func TestRunTaskRunsOnCaller(t *testing.T) {
+	var ran, inline bool
+	q, err := New(Config{Workers: 2, Exec: func(w int, batch []*Task) {
+		ran, inline = true, onRunTask()
+		if w != 1 || len(batch) != 1 {
+			t.Errorf("Exec(%d, %d tasks), want worker 1 and one task", w, len(batch))
+		}
+		for _, t := range batch {
+			t.Resolve(nil)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	var task Task
+	if err := q.RunTask(1, &task); err != nil {
+		t.Fatal(err)
+	}
+	if !ran || !inline || !task.Future().Settled() {
+		t.Fatalf("after RunTask returned: executed %v, on the caller %v, settled %v; want all three", ran, inline, task.Future().Settled())
+	}
+	if err := task.Future().Err(); err != nil {
+		t.Errorf("Err = %v", err)
+	}
+	want := QueueStats{Submitted: 1, Batches: 1, Inline: 1, MaxBatch: 1}
+	if st := q.Stats(1); st != want {
+		t.Errorf("Stats = %+v, want %+v", st, want)
+	}
+	if l := q.Load(1); l != 0 {
+		t.Errorf("Load = %d after the run, want 0", l)
+	}
+}
+
+// TestRunTaskQueuesBehindBusyQueue: a queue that runs a batch, or holds
+// a task its drain loop has not yet taken, does not run RunTask's task
+// inline: the task queues and runs after the work ahead of it, in FIFO
+// order, on the drain loop.
+func TestRunTaskQueuesBehindBusyQueue(t *testing.T) {
+	type run struct {
+		ids    []int
+		inline bool
+	}
+	newQueues := func(t *testing.T, gate chan struct{}) (*Queues, *[]run) {
+		var runs []run
+		var mu sync.Mutex
+		q, err := New(Config{Workers: 1, MaxBatch: 8, Exec: func(_ int, batch []*Task) {
+			r := run{inline: onRunTask()}
+			for _, task := range batch {
+				if id := task.Payload.(int); id == 0 && gate != nil {
+					<-gate
+				}
+				r.ids = append(r.ids, task.Payload.(int))
+				task.Resolve(nil)
+			}
+			mu.Lock()
+			runs = append(runs, r)
+			mu.Unlock()
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(q.Close)
+		return q, &runs
+	}
+	check := func(t *testing.T, q *Queues, runs *[]run) {
+		q.Flush()
+		var order []int
+		for _, r := range *runs {
+			if r.inline {
+				t.Errorf("batch %v ran inline on a busy queue", r.ids)
+			}
+			order = append(order, r.ids...)
+		}
+		if fmt.Sprint(order) != "[0 1 2]" {
+			t.Errorf("executed %v, want [0 1 2]", order)
+		}
+		if st := q.Stats(0); st.Inline != 0 || st.Submitted != 3 {
+			t.Errorf("Stats = %+v, want 3 submitted, none inline", st)
+		}
+	}
+
+	t.Run("a batch in Exec", func(t *testing.T) {
+		gate := make(chan struct{})
+		q, runs := newQueues(t, gate)
+		// Cleanups run last-in first-out: a failed run releases the
+		// batch in Exec before Close waits for it.
+		release := sync.OnceFunc(func() { close(gate) })
+		t.Cleanup(release)
+		var tasks [3]Task
+		for i := range tasks {
+			tasks[i].Payload = i
+		}
+		if err := q.SubmitTask(0, &tasks[0]); err != nil {
+			t.Fatal(err)
+		}
+		for q.Load(0) != 1 || q.Stats(0).Batches != 1 {
+			runtime.Gosched() // until the drain loop holds task 0 in Exec
+		}
+		if err := q.RunTask(0, &tasks[1]); err != nil {
+			t.Fatal(err)
+		}
+		if tasks[1].Future().Settled() {
+			t.Fatal("RunTask settled its task while a batch was in Exec")
+		}
+		if err := q.SubmitTask(0, &tasks[2]); err != nil {
+			t.Fatal(err)
+		}
+		release()
+		check(t, q, runs)
+	})
+	t.Run("a task not yet taken", func(t *testing.T) {
+		// One P: the drain loop woken by the first submission cannot run
+		// before this goroutine blocks, so the task is still queued.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		q, runs := newQueues(t, nil)
+		var tasks [3]Task
+		for i := range tasks {
+			tasks[i].Payload = i
+		}
+		if err := q.SubmitTask(0, &tasks[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.RunTask(0, &tasks[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.SubmitTask(0, &tasks[2]); err != nil {
+			t.Fatal(err)
+		}
+		check(t, q, runs)
+	})
+}
+
+// TestRunTaskCloseAndFlushWait: an inline run inside Exec holds up
+// Close — the backend behind Exec must outlive its last batch — and is
+// covered by Flush.
+func TestRunTaskCloseAndFlushWait(t *testing.T) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var returned atomic.Bool
+	q, err := New(Config{Workers: 1, Exec: func(_ int, batch []*Task) {
+		close(entered)
+		<-gate
+		for _, t := range batch {
+			t.Resolve(nil)
+		}
+		returned.Store(true)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var task Task
+	ran := make(chan error, 1)
+	go func() { ran <- q.RunTask(0, &task) }()
+	<-entered
+	flushed, closed := make(chan bool, 1), make(chan bool, 1)
+	go func() { q.Flush(); flushed <- returned.Load() }()
+	go func() { q.Close(); closed <- returned.Load() }()
+	select {
+	case ok := <-flushed:
+		t.Error("Flush returned while the inline run was inside Exec")
+		flushed <- ok
+	case ok := <-closed:
+		t.Error("Close returned while the inline run was inside Exec")
+		closed <- ok
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-ran; err != nil {
+		t.Fatalf("RunTask = %v", err)
+	}
+	if !<-flushed || !<-closed {
+		t.Error("Flush or Close returned before Exec did")
+	}
+	if err := task.Future().Err(); err != nil {
+		t.Errorf("the inline task resolved with %v, want its own outcome", err)
+	}
+}
+
+// TestRunTaskRefusedByShrinkingQueue: a submitter that picked a queue
+// just before a shrink removed it reaches a closing queue. Idle as it
+// is, that queue refuses to run the task inline and rejects it as
+// overloaded, so the submitter fails over to a live queue.
+func TestRunTaskRefusedByShrinkingQueue(t *testing.T) {
+	var ran []int
+	q, err := New(Config{Workers: 2, Exec: func(w int, batch []*Task) {
+		ran = append(ran, w)
+		for _, t := range batch {
+			t.Resolve(nil)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	before := q.snapshot()
+	if err := q.Resize(1); err != nil {
+		t.Fatal(err)
+	}
+	after := q.snapshot()
+	q.qs.Store(&before) // the queue set the submitter loaded
+	var task Task
+	err = q.RunTask(1, &task)
+	q.qs.Store(&after)
+	if _, over := IsOverload(err); !over {
+		t.Fatalf("RunTask on a queue being removed = %v, want *OverloadError", err)
+	}
+	if len(ran) != 0 {
+		t.Fatalf("the removed queue ran the task on worker %v", ran)
+	}
+	if err := q.RunTask(0, &task); err != nil {
+		t.Fatalf("failover RunTask = %v", err)
+	}
+	if err := task.Future().Err(); err != nil || fmt.Sprint(ran) != "[0]" {
+		t.Errorf("failover ran on %v with %v, want worker 0 and nil", ran, err)
+	}
+}
+
+// TestRunTaskHammer mixes RunTask and SubmitTask from several producers
+// over two or three queues while the queue set grows and shrinks and
+// Flush runs, under -race. Exec checks that no two batches of one
+// worker overlap and that each producer's tasks on a worker run in the
+// order it submitted them; every accepted task must run and resolve
+// exactly once.
+func TestRunTaskHammer(t *testing.T) {
+	const producers, perProducer, window = 6, 400, 4
+	type job struct{ producer, seq int }
+	var busy [3]atomic.Int32
+	var inline atomic.Int64 // batches run on their submitter's goroutine
+	var mu sync.Mutex
+	runs := make(map[job]int)
+	last := make(map[[2]int]int) // (producer, worker) -> last seq run
+	q, err := New(Config{Workers: 2, Depth: 1 << 12, MaxBatch: 8, Exec: func(w int, batch []*Task) {
+		if busy[w].Add(1) != 1 {
+			t.Errorf("worker %d: two batches overlap", w)
+		}
+		if onRunTask() {
+			inline.Add(1)
+		}
+		runtime.Gosched()
+		mu.Lock()
+		for _, task := range batch {
+			j := task.Payload.(job)
+			if k := [2]int{j.producer, w}; last[k] >= j.seq+1 {
+				t.Errorf("worker %d ran producer %d's task %d after its task %d", w, j.producer, j.seq, last[k]-1)
+			} else {
+				last[k] = j.seq + 1
+			}
+			runs[j]++
+			task.Resolve(nil)
+		}
+		mu.Unlock()
+		busy[w].Add(-1)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() { // resize between two and three queues
+		defer bg.Done()
+		for n := 3; ; n = 5 - n {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := q.Resize(n); err != nil {
+				t.Errorf("Resize(%d): %v", n, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			q.Flush()
+			runtime.Gosched()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	accepted := make([][]int, producers)
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			var tasks [window]Task
+			var queued [window]bool
+			for seq := 0; seq < perProducer; seq++ {
+				task := &tasks[seq%window]
+				if queued[seq%window] {
+					if err := task.Future().Err(); err != nil {
+						t.Errorf("producer %d: a task resolved with %v", p, err)
+					}
+				}
+				task.Payload = job{p, seq}
+				w, run := seq*7+p, (seq+p)%3 != 0
+				err := ErrClosed
+				for i := 0; i < 3 && err != nil; i++ {
+					if run {
+						err = q.RunTask(w+i, task)
+					} else {
+						err = q.SubmitTask(w+i, task)
+					}
+					if _, over := IsOverload(err); err != nil && !over {
+						t.Errorf("producer %d: %v", p, err)
+						return
+					}
+				}
+				queued[seq%window] = err == nil
+				if err == nil {
+					accepted[p] = append(accepted[p], seq)
+				}
+				if run && err == nil {
+					// A RunTask caller waits for its task next, as Do does.
+					if err := task.Future().Err(); err != nil {
+						t.Errorf("producer %d: a task resolved with %v", p, err)
+					}
+					queued[seq%window] = false
+				}
+			}
+			for i := range tasks {
+				if queued[i] {
+					if err := tasks[i].Future().Err(); err != nil {
+						t.Errorf("producer %d: a task resolved with %v", p, err)
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+	q.Flush()
+
+	mu.Lock()
+	defer mu.Unlock()
+	n := 0
+	for p, seqs := range accepted {
+		for _, seq := range seqs {
+			if runs[job{p, seq}] != 1 {
+				t.Errorf("producer %d's task %d ran %d times, want once", p, seq, runs[job{p, seq}])
+			}
+		}
+		n += len(seqs)
+	}
+	if len(runs) != n {
+		t.Errorf("%d tasks ran, %d were accepted", len(runs), n)
+	}
+	if inline.Load() == 0 {
+		t.Error("no task ran inline: the hammer never reached an idle queue")
+	}
+	t.Logf("%d tasks accepted, %d of them run inline", n, inline.Load())
 }
