@@ -13,27 +13,25 @@ check: fmt vet lint build test race report-check
 # Lifecycle/elasticity conformance tier (DESIGN.md §13): the shared
 # lifecycletest battery against every component (Domain, Pool,
 # AsyncPool, kvstore.Pool, the serving frontend bare and under both
-# protocols), the -race elasticity hammers (concurrent Resize under
-# load with a mid-run drain, the frontends' grow-under-burst runs), the
-# retired-worker and durable-acked-write regressions, the controller
-# grow/shrink cycle, the drain regressions (whole-call drain
-# accounting, controller-teardown deadlock freedom, batch shedding, and
-# the bounded drain: an idle client does not hold SIGTERM — the kvd
-# session and httpd's idle-connection test), the connection loops'
-# flush-rule and settle-rule batteries (kvd and cluster) with the
-# settle rule's exceptions (demotion after a detection, gateway
-# barriers, overload retry, the window's allocation pin), the
-# frontend's Submit/Wait and serve.Buffer's settle hook, call and task
-# recycling (a reused task gets its own outcome, published once; the
-# recycling hammer), the inline entry (RunTask: runs on an idle queue
-# only, queues behind busy ones, holds up Close and Flush, refused by a
-# shrinking queue, and its hammer mixed with SubmitTask, Resize and
-# Flush), the pipelined-vs-serial kvd session, and the
-# retrofit shell's table run against both servers (TestResizableShell:
-# resize bounds and key reuse, the native restart window, the failed-run
-# classifier).
+# protocols), the -race elasticity hammers (concurrent Pool.Resize
+# under Do and DoBatchItems load with a mid-run drain, the frontends'
+# grow-under-burst runs), the retired-worker and durable-acked-write
+# regressions, the drain regressions (whole-call drain accounting,
+# batch shedding, and the bounded drain: an idle client does not hold
+# SIGTERM — the kvd session and httpd's idle-connection test), the
+# connection loops' flush-rule and settle-rule batteries (kvd and
+# cluster) with the settle rule's exceptions (demotion after a
+# detection, gateway barriers, overload retry, the window's allocation
+# pin), the frontend's Submit/Wait and serve.Buffer's settle hook, call
+# and task recycling (a reused task gets its own outcome, published
+# once; the recycling hammer), the inline entry (RunTask: runs on an
+# idle queue only, queues behind busy ones, holds up Close and Flush,
+# and its hammer mixed with SubmitTask and Flush), the
+# pipelined-vs-serial kvd session, and the retrofit shell's table run
+# against both servers (TestResizableShell: resize bounds and key
+# reuse, the native restart window, the failed-run classifier).
 test-lifecycle:
-	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRunTask|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow' ./...
+	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestPoolResizeHammer|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRunTask|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow' ./...
 
 # Cluster tier gate (DESIGN.md §14): rendezvous placement, lease
 # membership, crash/rolling/partition state-machine tests, the wire

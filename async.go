@@ -2,12 +2,10 @@ package sdrad
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dispatch"
 	"repro/internal/lifecycle"
-	"repro/internal/metrics"
 	"repro/internal/submit"
 )
 
@@ -20,10 +18,12 @@ import (
 // serial-equivalent). Backpressure is explicit: a full queue rejects
 // with *OverloadError instead of queueing unboundedly. See DESIGN.md §9.
 //
-// The layer is elastic (DESIGN.md §13): Resize changes the worker count
-// at runtime, and EnableElastic starts the optional controller
-// (elastic.go) that resizes automatically from queue depth and batch-
-// latency pressure.
+// The queue set is fixed when Init builds it, one queue per worker of
+// the wrapped Pool at that time. Resizing the Pool afterwards is legal:
+// each queue's batches pin to worker (queue index modulo the live
+// worker count). The layer has no controller, counters or resize of its
+// own; it is the surface the benchmark ladder's async rung times. The
+// servers queue through serve.Frontend over internal/submit instead.
 
 // Future is the pending result of a Submit. Wait for it with Wait (or
 // select on Done and read Err).
@@ -78,20 +78,6 @@ type AsyncPool struct {
 	// lock-free even while a deferred pool is still initializing).
 	q  atomic.Pointer[submit.Queues]
 	rr atomic.Uint64
-
-	lat metrics.BatchLatency
-
-	// resizeMu serializes Resize calls so the two-step grow/shrink
-	// ordering against the wrapped Pool is never interleaved.
-	resizeMu sync.Mutex
-
-	// ctrl is the optional elastic controller (under ctrlMu).
-	ctrlMu sync.Mutex
-	ctrl   *elasticController
-
-	batches  atomic.Uint64
-	commits  atomic.Uint64
-	replayed atomic.Uint64
 }
 
 // NewAsyncPool wraps pool with the asynchronous submission layer. The
@@ -160,12 +146,6 @@ func (a *AsyncPool) notServing(op string) error {
 	return &lifecycle.LifecycleError{Component: "sdrad.AsyncPool", Op: op, From: a.lc.State(), Reason: "before Init"}
 }
 
-// Workers returns the number of parallel workers (the wrapped Pool's).
-func (a *AsyncPool) Workers() int { return a.pool.Workers() }
-
-// Pool returns the wrapped Pool, for stats aggregation.
-func (a *AsyncPool) Pool() *Pool { return a.pool }
-
 // execBatch is the queue drain callback: it turns one drained batch
 // into one batched domain execution on the matching pool worker.
 func (a *AsyncPool) execBatch(worker int, batch []*submit.Task) {
@@ -173,17 +153,10 @@ func (a *AsyncPool) execBatch(worker int, batch []*submit.Task) {
 	for i, t := range batch {
 		calls[i] = t.Payload.(*batchCall)
 	}
-	rep, cycles := a.pool.dispatchBatch(worker, true, calls)
-	a.batches.Add(1)
-	if rep.Committed {
-		a.commits.Add(1)
-	}
-	a.replayed.Add(uint64(rep.Replayed))
-	a.lat.Observe(len(calls), cycles)
+	a.pool.dispatchBatch(worker, true, calls)
 	for i, t := range batch {
 		t.Resolve(calls[i].err)
 	}
-	a.kickController()
 }
 
 // Submit enqueues fn for batched execution and returns its Future
@@ -201,10 +174,9 @@ func (a *AsyncPool) Submit(ctx context.Context, fn func(*Ctx) error, opts ...Run
 		return submit.Resolved(a.notServing("Submit"))
 	}
 	call := &batchCall{ctx: ctx, fn: fn, set: set}
-	// Dispatch over the queue count, not the pool size: during a resize
-	// the two differ for a moment (grow brings pool workers up before
-	// their queues exist; shrink drains queues before pool workers go),
-	// and the queue set is the one being indexed here.
+	// Dispatch over the queue count, not the pool size: a Pool.Resize
+	// since Init makes the two differ, and the queue set is the one
+	// being indexed here.
 	workers := q.Workers()
 	if set.hasWorker {
 		w := set.worker % workers
@@ -233,9 +205,6 @@ func (a *AsyncPool) Submit(ctx context.Context, fn func(*Ctx) error, opts ...Run
 		}
 	}
 	if err != nil {
-		if _, over := submit.IsOverload(err); over {
-			a.kickController()
-		}
 		return submit.Resolved(err)
 	}
 	return fut
@@ -249,93 +218,6 @@ func (a *AsyncPool) Do(ctx context.Context, fn func(*Ctx) error, opts ...RunOpti
 	return a.Submit(ctx, fn, opts...).Wait(ctx)
 }
 
-// DoBatch submits fns as consecutive entries on one worker's queue
-// (blocking for space rather than rejecting — the caller has already
-// sized its batch) and waits for all of them. Results are positional,
-// like Pool.DoBatch.
-func (a *AsyncPool) DoBatch(ctx context.Context, fns []func(*Ctx) error, opts ...RunOption) []error {
-	set := applyRunOptions(opts)
-	errs := make([]error, len(fns))
-	if len(fns) == 0 {
-		return errs
-	}
-	q := a.queues()
-	if q == nil {
-		err := a.notServing("DoBatch")
-		for i := range errs {
-			errs[i] = err
-		}
-		return errs
-	}
-	workers := q.Workers()
-	var w int
-	if set.hasWorker {
-		w = set.worker % workers
-		if w < 0 {
-			w += workers
-		}
-	} else {
-		w = dispatch.LeastLoaded(workers, int(a.rr.Add(1)-1), q.Load)
-	}
-	futs := make([]*Future, len(fns))
-	for i, fn := range fns {
-		call := &batchCall{ctx: ctx, fn: fn, set: set}
-		fut, err := q.SubmitWait(w, ctx, call)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		futs[i] = fut
-	}
-	for i, fut := range futs {
-		if fut != nil {
-			errs[i] = fut.Err()
-		}
-	}
-	return errs
-}
-
-// Resize grows or shrinks the async layer to n workers (lifecycle:
-// legal only while serving). The two layers move in the order that
-// never strands a submission: growing resizes the wrapped Pool up
-// first and then adds queues (a queue always has a live worker);
-// shrinking drains the removed queues first — their backlogs execute
-// to completion on the still-live workers, preserving every
-// acknowledged call — and only then retires the pool workers.
-func (a *AsyncPool) Resize(n int) error {
-	if err := a.lc.Resizable(); err != nil {
-		return err
-	}
-	a.resizeMu.Lock()
-	defer a.resizeMu.Unlock()
-	q := a.queues()
-	cur := q.Workers()
-	if n == cur {
-		return nil
-	}
-	if n > cur {
-		if err := a.pool.Resize(n); err != nil {
-			return err
-		}
-		return a.resizeQueues(q, n)
-	}
-	if err := a.resizeQueues(q, n); err != nil {
-		return err
-	}
-	return a.pool.Resize(n)
-}
-
-// resizeQueues resizes the queue set. A Drain that lands after Resize's
-// lifecycle gate closes the queues underneath it; that refusal is
-// reported as the typed lifecycle error it is, not as a bare ErrClosed.
-func (a *AsyncPool) resizeQueues(q *submit.Queues, n int) error {
-	err := q.Resize(n)
-	if lerr := a.lc.Resizable(); err != nil && lerr != nil {
-		return lerr
-	}
-	return err
-}
-
 // Flush blocks until every call admitted before it has resolved.
 func (a *AsyncPool) Flush() {
 	if q := a.queues(); q != nil {
@@ -343,22 +225,13 @@ func (a *AsyncPool) Flush() {
 	}
 }
 
-// Drain stops admission gracefully: the elastic controller stops, every
-// admitted call resolves (Flush), then the queues close so later
-// submissions fail with ErrAsyncClosed. Idempotent; legal after Start.
-// The wrapped Pool stays open; when the pool is to be drained too,
-// drain this layer first — Pool.Drain sheds batches that arrive after
-// it starts.
-//
-// stopController runs inside the machine transition (the machine mutex
-// is held), which is deadlock-free only because lifecycle.Resizable is
-// lock-free: the machine publishes StateDraining before this callback
-// runs, so a controller loop concurrently inside Resize observes the
-// typed refusal and returns to its select — where stopController's stop
-// signal reaches it — instead of blocking on the mutex held here.
+// Drain stops admission gracefully: every admitted call resolves
+// (Flush), then the queues close so later submissions fail with
+// ErrAsyncClosed. Idempotent; legal after Start. The wrapped Pool stays
+// open; when the pool is to be drained too, drain this layer first —
+// Pool.Drain sheds batches that arrive after it starts.
 func (a *AsyncPool) Drain() error {
 	return a.lc.Drain(func() error {
-		a.stopController()
 		if q := a.queues(); q != nil {
 			q.Flush()
 			q.Close()
@@ -384,61 +257,17 @@ func (a *AsyncPool) Stop(ctx context.Context) error {
 // Drain) first for a graceful stop.
 func (a *AsyncPool) Close() error { return a.lc.Close(a.teardown) }
 
-// teardown runs under the machine mutex (Stop/Close transition); see
-// the Drain comment for why stopController cannot deadlock there.
+// teardown is what Stop and Close run.
 func (a *AsyncPool) teardown() error {
-	a.stopController()
 	if q := a.queues(); q != nil {
 		q.Close()
 	}
 	return nil
 }
 
-// AsyncStats reports the batching layer's aggregate counters.
-type AsyncStats struct {
-	// Batches counts executed batches; Committed the ones whose
-	// optimistic pass stood; Replayed the calls that fell back to
-	// serial re-execution.
-	Batches, Committed uint64
-	Replayed           uint64
-	// Submitted and Rejected count admitted and overload-rejected
-	// submissions across workers.
-	Submitted, Rejected uint64
-	// MaxBatch is the largest batch any worker executed.
-	MaxBatch int
-}
-
-// Stats returns a snapshot of the async layer's counters.
-func (a *AsyncPool) Stats() AsyncStats {
-	st := AsyncStats{
-		Batches:   a.batches.Load(),
-		Committed: a.commits.Load(),
-		Replayed:  a.replayed.Load(),
-	}
-	q := a.queues()
-	if q == nil {
-		return st
-	}
-	for w := 0; w < q.Workers(); w++ {
-		qs := q.Stats(w)
-		st.Submitted += qs.Submitted
-		st.Rejected += qs.Rejected
-		if qs.MaxBatch > st.MaxBatch {
-			st.MaxBatch = qs.MaxBatch
-		}
-	}
-	return st
-}
-
-// BatchLatency returns per-batch-size virtual-cycle latency summaries
-// (p50/p95/p99 per call), ascending by batch size.
-func (a *AsyncPool) BatchLatency() []metrics.BatchSummary { return a.lat.Summaries() }
-
 // Interface compliance checks.
 var (
 	_ Runner              = (*AsyncPool)(nil)
 	_ lifecycle.Component = (*AsyncPool)(nil)
 	_ lifecycle.Component = (*Pool)(nil)
-	_ lifecycle.Resizer   = (*AsyncPool)(nil)
-	_ lifecycle.Resizer   = (*Pool)(nil)
 )

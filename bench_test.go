@@ -8,7 +8,6 @@ package sdrad_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -254,36 +253,6 @@ func BenchmarkE1HTTPSDRaDBatched(b *testing.B) {
 	for _, k := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("batch=%d", k), func(b *testing.B) { benchHTTPBatched(b, k) })
 	}
-}
-
-// BenchmarkAsyncPoolSubmit measures the public AsyncPool submission
-// path end to end: queue, coalesced batch entry, future resolution.
-func BenchmarkAsyncPoolSubmit(b *testing.B) {
-	pool, err := sdrad.NewPool(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = pool.Close() }()
-	ap, err := sdrad.NewAsyncPool(pool, sdrad.AsyncConfig{MaxBatch: 32, MaxInflight: 1 << 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = ap.Close() }()
-	payload := make([]byte, 128)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			err := ap.Do(context.Background(), func(c *sdrad.Ctx) error {
-				p := c.MustAlloc(128)
-				c.MustStore(p, payload)
-				return nil
-			})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
 }
 
 // ---- E1 parallel: supervisor-pool throughput scaling ----
@@ -699,90 +668,4 @@ func BenchmarkFFICallRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// ---- Elastic controller under burst load ----
-//
-// BenchmarkElasticBurst alternates concurrent submission bursts with a
-// serial trickle against an AsyncPool running the elastic controller.
-// Bursts back the queues up past the grow threshold (the controller
-// doubles the worker set); the trickle's per-batch evaluations see the
-// queues idle and halve it back. The custom metrics pin the controller's
-// activity in the JSON report: workers_max is the burst high-water
-// count, workers_final the post-trickle count, grown/shrunk the resize
-// totals, and sheds/op the overload rejections per request.
-func BenchmarkElasticBurst(b *testing.B) {
-	pool, err := sdrad.NewPool(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = pool.Close() }()
-	ap, err := sdrad.NewAsyncPool(pool, sdrad.AsyncConfig{MaxBatch: 8, MaxInflight: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = ap.Close() }()
-	if err := ap.EnableElastic(sdrad.ElasticConfig{Min: 2, Max: 8, GrowDepthPerWorker: 2, ShrinkIdleEvals: 4}); err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 64)
-	work := func(c *sdrad.Ctx) error {
-		p := c.MustAlloc(64)
-		c.MustStore(p, payload)
-		return nil
-	}
-	var sheds atomic.Int64
-	b.ResetTimer()
-	done := 0
-	futs := make([]*sdrad.Future, 0, 192)
-	for done < b.N {
-		// Burst: fire-and-forget submissions well past the admission
-		// bound, then wait. The backed-up queues are the grow signal;
-		// overload rejections are the admission layer doing its job
-		// under the burst — shed load, not errors.
-		burst := b.N - done
-		if burst > 192 {
-			burst = 192
-		}
-		futs = futs[:0]
-		for i := 0; i < burst; i++ {
-			futs = append(futs, ap.Submit(context.Background(), work))
-		}
-		for _, f := range futs {
-			if err := f.Err(); err != nil {
-				if _, ok := sdrad.IsOverload(err); ok {
-					sheds.Add(1)
-					continue
-				}
-				b.Fatal(err)
-			}
-		}
-		done += burst
-		// Trickle: serial requests whose batch completions give the
-		// controller its idle evaluations.
-		for j := 0; j < 48 && done < b.N; j++ {
-			if err := ap.Do(context.Background(), work); err != nil {
-				b.Fatal(err)
-			}
-			done++
-		}
-	}
-	b.StopTimer()
-	// Untimed settle: idle evaluations after the last burst, so
-	// workers_final reports the shrunk-back steady state. The yield
-	// after each call lets the coalesced-kick controller goroutine run
-	// between completions; without it a tight serial loop outpaces the
-	// evaluations and the shrink lands after the loop gives up.
-	for i := 0; i < 500 && ap.ElasticStats().Workers > 2; i++ {
-		if err := ap.Do(context.Background(), work); err != nil {
-			b.Fatal(err)
-		}
-		runtime.Gosched()
-	}
-	st := ap.ElasticStats()
-	b.ReportMetric(float64(st.MaxWorkers), "workers_max")
-	b.ReportMetric(float64(st.Workers), "workers_final")
-	b.ReportMetric(float64(st.Grown), "grown")
-	b.ReportMetric(float64(st.Shrunk), "shrunk")
-	b.ReportMetric(float64(sheds.Load())/float64(b.N), "sheds/op")
 }

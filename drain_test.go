@@ -12,79 +12,6 @@ import (
 	sdrad "repro"
 )
 
-// TestAsyncDrainWithBusyElasticController pins the teardown liveness of
-// the elastic layer: AsyncPool.Drain runs stopController inside the
-// lifecycle machine transition and waits for the controller loop to
-// exit, while the loop may concurrently be inside Resize probing the
-// same machine. With a mutex-taking Resizable that probe blocked on the
-// mutex the drain held — a permanent deadlock of every graceful
-// shutdown. The config oscillates the controller (grow on any depth,
-// shrink after one idle evaluation) so it is almost always mid-
-// evaluation when the drain lands; the watchdog turns a regression into
-// a test failure with stacks instead of a hung suite.
-func TestAsyncDrainWithBusyElasticController(t *testing.T) {
-	for round := 0; round < 8; round++ {
-		pool, err := sdrad.NewPool(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ap, err := sdrad.NewAsyncPool(pool, sdrad.AsyncConfig{MaxBatch: 2, MaxInflight: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ap.EnableElastic(sdrad.ElasticConfig{Min: 1, Max: 4, GrowDepthPerWorker: 1, ShrinkIdleEvals: 1}); err != nil {
-			t.Fatal(err)
-		}
-
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					// Errors are expected once the drain lands (typed
-					// overload/closed rejections); the producers only
-					// exist to keep the controller's kick channel hot.
-					_ = ap.Do(context.Background(), func(c *sdrad.Ctx) error { return nil })
-					if i%64 == 0 {
-						runtime.Gosched() // let depth collapse so shrink evaluations fire too
-					}
-				}
-			}()
-		}
-		for i := 0; i < 200; i++ {
-			runtime.Gosched()
-		}
-
-		done := make(chan error, 1)
-		go func() { done <- ap.Drain() }()
-		select {
-		case derr := <-done:
-			if derr != nil {
-				t.Fatalf("round %d: Drain: %v", round, derr)
-			}
-		case <-time.After(60 * time.Second):
-			buf := make([]byte, 1<<20)
-			t.Fatalf("round %d: Drain deadlocked against the elastic controller:\n%s",
-				round, buf[:runtime.Stack(buf, true)])
-		}
-		close(stop)
-		wg.Wait()
-		if err := ap.Close(); err != nil {
-			t.Fatalf("round %d: Close: %v", round, err)
-		}
-		if err := pool.Close(); err != nil {
-			t.Fatalf("round %d: pool Close: %v", round, err)
-		}
-	}
-}
-
 // TestPoolDrainUnderSustainedAsyncTraffic pins the two halves of the
 // hardened Pool.Drain contract against a still-serving async layer:
 // the drain terminates even though the layer keeps feeding batches

@@ -141,16 +141,6 @@ type Component interface {
 	State() State
 }
 
-// Resizer is implemented by elastic components whose worker count can
-// change at runtime. Resize is legal only while Healthy or Degraded —
-// resizing a Draining or Stopped component returns a *LifecycleError.
-type Resizer interface {
-	// Resize grows or shrinks to n workers.
-	Resize(n int) error
-	// Workers returns the current worker count.
-	Workers() int
-}
-
 // Machine is the one lifecycle state machine every component embeds.
 // Transitions run their work function under the machine's mutex, so a
 // component's Init/Start/Drain/Stop bodies are mutually serialized;
@@ -334,11 +324,10 @@ func (m *Machine) Close(fn func() error) error {
 // Resizable is deliberately lock-free: it reads the atomic state mirror
 // and never takes the machine mutex. Drain and Stop hold that mutex
 // while their work functions run, and those work functions may wait for
-// an elastic controller goroutine to exit — a goroutine whose resize
-// loop probes Resizable. Because the state is published before the work
-// function starts, such a probe observes the Draining/Stopped refusal
-// immediately instead of deadlocking against the transition waiting for
-// it.
+// a goroutine that is resizing and so probes Resizable. Because the
+// state is published before the work function starts, such a probe
+// observes the Draining/Stopped refusal immediately instead of
+// deadlocking against the transition waiting for it.
 func (m *Machine) Resizable() error {
 	s := m.State()
 	if s == StateHealthy || s == StateDegraded {

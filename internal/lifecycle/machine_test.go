@@ -7,15 +7,14 @@ import (
 	"repro/internal/lifecycle"
 )
 
-// TestResizableDuringTransition pins the lock-freedom contract the
-// elastic layers' teardown depends on: while a Drain/Stop/Close work
-// function is still running (the machine mutex is held for the whole
-// transition), State already reports the new state and Resizable
-// returns the typed refusal immediately instead of blocking on the
-// mutex. The AsyncPool stops its elastic controller from inside those
-// work functions and waits for the controller loop to exit; if the
-// loop's Resizable probe blocked here, the drain would wait on the
-// loop and the loop on the drain's mutex — a permanent deadlock.
+// TestResizableDuringTransition pins the lock-freedom contract: while a
+// Drain/Stop/Close work function is still running (the machine mutex is
+// held for the whole transition), State already reports the new state
+// and Resizable returns the typed refusal immediately instead of
+// blocking on the mutex. A work function that waits for a goroutine
+// which is resizing, and so probes Resizable, would otherwise deadlock:
+// the transition waiting on the goroutine and the goroutine on the
+// transition's mutex.
 func TestResizableDuringTransition(t *testing.T) {
 	cases := []struct {
 		name string

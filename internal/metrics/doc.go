@@ -1,10 +1,4 @@
 // Package metrics provides the small measurement toolkit used by the
 // experiment harness: log-linear latency histograms, summary statistics,
 // and fixed-width table rendering for paper-style output.
-//
-// BatchLatency extends the kit for the asynchronous batched execution
-// layer: per-batch-size histograms of per-call virtual-cycle latency
-// (p50/p95/p99), so the amortization of the domain-entry toll is
-// directly visible as falling percentiles at larger batch sizes
-// (DESIGN.md §9).
 package metrics

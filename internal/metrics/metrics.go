@@ -13,7 +13,6 @@ import (
 type Histogram struct {
 	counts [64 * subBuckets]uint64
 	n      uint64
-	sum    int64
 	min    int64
 	max    int64
 }
@@ -72,22 +71,10 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.counts[bucketOf(v)]++
 	h.n++
-	h.sum += v
 }
 
 // ObserveDuration records a duration sample in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()) }
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.n }
-
-// Mean returns the arithmetic mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
 
 // Quantile returns an approximation of the q-quantile (0 <= q <= 1).
 func (h *Histogram) Quantile(q float64) int64 {
@@ -118,9 +105,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// P50, P95 and P99 are convenience quantiles.
-func (h *Histogram) P50() int64 { return h.Quantile(0.50) }
-func (h *Histogram) P95() int64 { return h.Quantile(0.95) }
+// P99 is the 0.99-quantile.
 func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 
 // FormatDuration renders a duration with paper-style units (µs, ms, s,

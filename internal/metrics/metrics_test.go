@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,20 +10,17 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.n != 0 || h.Quantile(0.5) != 0 {
 		t.Error("zero-value histogram not empty")
 	}
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(i)
 	}
-	if h.Count() != 100 {
-		t.Errorf("Count = %d", h.Count())
+	if h.n != 100 {
+		t.Errorf("n = %d", h.n)
 	}
 	if h.min != 1 || h.max != 100 {
 		t.Errorf("min/max = %d/%d", h.min, h.max)
-	}
-	if got := h.Mean(); math.Abs(got-50.5) > 1e-9 {
-		t.Errorf("Mean = %v, want 50.5", got)
 	}
 }
 
@@ -45,7 +41,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 func TestHistogramQuantileEdges(t *testing.T) {
 	var h Histogram
 	h.Observe(42)
-	if h.Quantile(0) != 42 || h.Quantile(1) != 42 || h.P50() != 42 {
+	if h.Quantile(0) != 42 || h.Quantile(1) != 42 || h.Quantile(0.5) != 42 {
 		t.Error("single-sample quantiles should all be the sample")
 	}
 	h.Observe(-5) // clamped to 0
@@ -149,63 +145,12 @@ func TestP95Quantile(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(int64(i) * 100)
 	}
-	p95 := h.P95()
+	p95 := h.Quantile(0.95)
 	// Log-linear buckets give <6.25% relative error around 9500.
 	if p95 < 8800 || p95 > 10000 {
 		t.Errorf("P95 = %d, want ~9500", p95)
 	}
-	if h.P50() > p95 || p95 > h.P99() {
-		t.Errorf("quantiles not monotone: p50=%d p95=%d p99=%d", h.P50(), p95, h.P99())
-	}
-}
-
-func TestBatchLatencySummaries(t *testing.T) {
-	var b BatchLatency
-	// Batches of 1 cost 1000 cycles/call; batches of 8 amortize to 300.
-	for i := 0; i < 50; i++ {
-		b.Observe(1, 1000)
-		b.Observe(8, 8*300)
-	}
-	b.Observe(0, 999) // ignored
-	rows := b.Summaries()
-	if len(rows) != 2 {
-		t.Fatalf("got %d summaries, want 2", len(rows))
-	}
-	if rows[0].Size != 1 || rows[1].Size != 8 {
-		t.Fatalf("sizes = %d,%d, want ascending 1,8", rows[0].Size, rows[1].Size)
-	}
-	if rows[0].Batches != 50 || rows[0].Calls != 50 {
-		t.Errorf("size 1: batches=%d calls=%d, want 50/50", rows[0].Batches, rows[0].Calls)
-	}
-	if rows[1].Batches != 50 || rows[1].Calls != 400 {
-		t.Errorf("size 8: batches=%d calls=%d, want 50/400", rows[1].Batches, rows[1].Calls)
-	}
-	if !(rows[1].P50 < rows[0].P50) {
-		t.Errorf("amortization not visible: p50(size 8)=%d !< p50(size 1)=%d", rows[1].P50, rows[0].P50)
-	}
-	if b.String() == "" || (&BatchLatency{}).String() != "(no batches observed)\n" {
-		t.Error("String rendering broken")
-	}
-}
-
-func TestBatchLatencyConcurrent(t *testing.T) {
-	var b BatchLatency
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				b.Observe(1+g%4, uint64(1000+i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	var batches uint64
-	for _, r := range b.Summaries() {
-		batches += r.Batches
-	}
-	if batches != 1600 {
-		t.Errorf("recorded %d batches, want 1600", batches)
+	if p50 := h.Quantile(0.5); p50 > p95 || p95 > h.P99() {
+		t.Errorf("quantiles not monotone: p50=%d p95=%d p99=%d", p50, p95, h.P99())
 	}
 }

@@ -164,7 +164,7 @@ func (f *Frontend[Req, Resp]) exec(shard int, tasks []*submit.Task) {
 	clear(calls)
 	f.scratch[shard] = calls
 	if s := f.scaler.Load(); s != nil {
-		s.Eval(f.b.Workers, f.queues.TotalLoad()/int64(f.b.Shards), false, f.b.Resize)
+		s.Eval(f.b.Workers, f.queues.TotalLoad()/int64(f.b.Shards), f.b.Resize)
 	}
 }
 
@@ -475,7 +475,7 @@ func (f *Frontend[Req, Resp]) EnableElastic(min, max int) error {
 	if err := f.b.Resize(min); err != nil {
 		return err
 	}
-	f.scaler.Store(NewScaler(min, max, 2, shrinkIdleEvals, min))
+	f.scaler.Store(NewScaler(min, max, 2, shrinkIdleEvals))
 	return nil
 }
 

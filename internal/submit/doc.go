@@ -17,6 +17,10 @@
 // one-task batch executed on the submitter's goroutine, with no hand-off
 // to the drain loop and back.
 //
+// The queue set is fixed when New makes it, so a submission indexes its
+// queue directly. An elastic server resizes the worker domains behind
+// its queues, never the queues.
+//
 // Invariants:
 //
 //   - Per-worker FIFO: tasks submitted to one worker are handed to the
@@ -34,9 +38,8 @@
 //     as soon as its Future's Err returns; a request queued that way
 //     allocates nothing here.
 //   - Flush returns only when every task accepted before the call has
-//     been resolved, inline runs included; Close and a shrink return
-//     only after every batch of the queues they stop has returned from
-//     Exec, inline runs included.
+//     been resolved, inline runs included; Close returns only after
+//     every batch has returned from Exec, inline runs included.
 //
 // The package is deliberately free of simulated-machine dependencies:
 // batching policy lives here, batch *semantics* (the replay rule that

@@ -21,9 +21,7 @@ var errUnresolved = errors.New("submit: executor did not resolve task")
 // OverloadError reports that a submission was rejected because the
 // target worker's queue was full — the admission-control signal. It is
 // an error value (not a panic or a block) so servers can translate it
-// into a load-shedding response. A queue that is being removed by a
-// shrink rejects with the same error: the submitter fails over exactly
-// as it would from a full queue.
+// into a load-shedding response.
 type OverloadError struct {
 	// Worker is the queue that rejected the submission.
 	Worker int
@@ -201,12 +199,11 @@ func (c *Config) fill() error {
 }
 
 // workerQ is one bounded FIFO plus its synchronization. A mutex/cond
-// pair (rather than a channel) lets Close, Resize, and blocking submits
-// interact without send-on-closed races.
+// pair (rather than a channel) lets Close and submits interact without
+// send-on-closed races.
 type workerQ struct {
 	mu    sync.Mutex
 	fill  sync.Cond // signaled when a task arrives or the queue closes
-	space sync.Cond // signaled when the drain loop takes tasks
 	items []*Task
 	// batch is the drain loop's reusable batch slice (a queue's batches
 	// never overlap); only the drain goroutine touches it.
@@ -221,16 +218,6 @@ type workerQ struct {
 	// touches it.
 	one [1]*Task
 
-	// closing marks a queue being removed by Resize: new submissions
-	// are rejected (overload, so submitters fail over), the backlog is
-	// executed to completion, then the drain loop exits. Under mu.
-	closing bool
-	// done is closed when the drain loop has exited; Resize waits on
-	// it so the removed queue's backlog is fully executed — every
-	// admitted task resolved, every durable effect committed — before
-	// Resize returns.
-	done chan struct{}
-
 	// load counts queued plus executing tasks; read lock-free by
 	// dispatch policies.
 	load atomic.Int64
@@ -243,26 +230,13 @@ type workerQ struct {
 	maxBatch  int
 }
 
-func newWorkerQ() *workerQ {
-	wq := &workerQ{done: make(chan struct{})}
-	wq.fill.L = &wq.mu
-	wq.space.L = &wq.mu
-	return wq
-}
-
 // Queues is a set of per-worker bounded submission queues with one drain
-// goroutine per worker. The queue set is elastic: Resize adds queues
-// (fresh drain loops) or removes them from the tail (backlog executed,
-// then the loop exits). Create with New; safe for concurrent use.
+// goroutine per worker. The queue set is fixed when New makes it. Create
+// with New; safe for concurrent use.
 type Queues struct {
-	cfg Config
-	// qs is the published queue snapshot: readers (Submit, Load,
-	// Stats) load it atomically, Resize swaps it under resizeMu.
-	qs     atomic.Pointer[[]*workerQ]
+	cfg    Config
+	qs     []*workerQ
 	closed atomic.Bool
-
-	// resizeMu serializes Resize and Close against each other.
-	resizeMu sync.Mutex
 
 	// pending tracks accepted-but-unresolved tasks for Flush.
 	flushMu   sync.Mutex
@@ -277,34 +251,20 @@ func New(cfg Config) (*Queues, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	q := &Queues{cfg: cfg}
+	q := &Queues{cfg: cfg, qs: make([]*workerQ, cfg.Workers)}
 	q.flushCond.L = &q.flushMu
-	qs := make([]*workerQ, cfg.Workers)
-	for i := range qs {
-		qs[i] = newWorkerQ()
-	}
-	q.qs.Store(&qs)
-	for i, wq := range qs {
+	for i := range q.qs {
+		wq := &workerQ{}
+		wq.fill.L = &wq.mu
+		q.qs[i] = wq
 		q.wg.Add(1)
 		go q.drain(wq, i)
 	}
 	return q, nil
 }
 
-// snapshot returns the published queue set.
-func (q *Queues) snapshot() []*workerQ { return *q.qs.Load() }
-
-// at maps a possibly stale worker index onto the current snapshot.
-func at(qs []*workerQ, w int) (*workerQ, int) {
-	w %= len(qs)
-	if w < 0 {
-		w += len(qs)
-	}
-	return qs[w], w
-}
-
-// Workers returns the current number of queues.
-func (q *Queues) Workers() int { return len(q.snapshot()) }
+// Workers returns the number of queues.
+func (q *Queues) Workers() int { return len(q.qs) }
 
 // Depth returns the per-worker queue capacity. Servers use it to derive
 // deterministic retry hints: the capacity is configuration, not load, so
@@ -312,38 +272,29 @@ func (q *Queues) Workers() int { return len(q.snapshot()) }
 func (q *Queues) Depth() int { return q.cfg.Depth }
 
 // Load returns worker w's current occupancy (queued + executing),
-// suitable as a least-loaded dispatch signal. A stale index (from a
-// concurrent shrink) maps onto the current queue set.
-func (q *Queues) Load(w int) int64 {
-	wq, _ := at(q.snapshot(), w)
-	return wq.load.Load()
-}
+// suitable as a least-loaded dispatch signal.
+func (q *Queues) Load(w int) int64 { return q.qs[w].load.Load() }
 
 // TotalLoad returns the summed occupancy across all queues — the
-// queue-depth pressure signal elastic controllers scale on.
+// queue-depth signal the serving frontend's elastic rule scales on.
 func (q *Queues) TotalLoad() int64 {
 	var n int64
-	for _, wq := range q.snapshot() {
+	for _, wq := range q.qs {
 		n += wq.load.Load()
 	}
 	return n
 }
 
 // Submit enqueues a task for worker w without blocking. It returns the
-// task's future, an *OverloadError when the queue is full (or being
-// removed by a shrink), or ErrClosed after Close. ctx is attached to
-// the task for the executor; a ctx already cancelled is still accepted
-// (the executor resolves it).
+// task's future, an *OverloadError when the queue is full, or ErrClosed
+// after Close. ctx is attached to the task for the executor; a ctx
+// already cancelled is still accepted (the executor resolves it).
 func (q *Queues) Submit(w int, ctx context.Context, payload any) (*Future, error) {
-	return q.submitNew(w, ctx, payload, false)
-}
-
-// SubmitWait is Submit, but when the queue is full it blocks until space
-// frees up (or the queue closes or shrinks away) instead of rejecting.
-// It exists for callers that provide their own admission control, like
-// DoBatch.
-func (q *Queues) SubmitWait(w int, ctx context.Context, payload any) (*Future, error) {
-	return q.submitNew(w, ctx, payload, true)
+	t := &Task{Ctx: ctx, Payload: payload}
+	if err := q.SubmitTask(w, t); err != nil {
+		return nil, err
+	}
+	return &t.fut, nil
 }
 
 // SubmitTask is Submit for a task the caller owns, so that a submitter
@@ -353,33 +304,27 @@ func (q *Queues) SubmitWait(w int, ctx context.Context, payload any) (*Future, e
 // untouched and still the caller's. An accepted task is the queue's
 // until its future resolves and the caller's again once t.Future().Err()
 // has returned: only then may it be submitted again.
-func (q *Queues) SubmitTask(w int, t *Task) error { return q.submit(w, t, false) }
-
-// submitNew submits a fresh task carrying payload.
-func (q *Queues) submitNew(w int, ctx context.Context, payload any, wait bool) (*Future, error) {
-	t := &Task{Ctx: ctx, Payload: payload}
-	if err := q.submit(w, t, wait); err != nil {
-		return nil, err
-	}
-	return &t.fut, nil
+func (q *Queues) SubmitTask(w int, t *Task) error {
+	wq := q.qs[w]
+	wq.mu.Lock()
+	return q.enqueue(wq, w, t)
 }
 
 // RunTask is SubmitTask, except that when worker w's queue is idle —
-// open, not being removed by a shrink, holding no task and running no
-// batch — the caller runs t itself: Exec gets t as a one-task batch on
-// the calling goroutine, and t's future is settled when RunTask
-// returns. A lone request so skips the two goroutine hand-offs (to the
-// drain loop and back) that a queued one pays. Otherwise t queues
-// exactly as SubmitTask queues it, refusals included. Either way t is
-// accounted as a queued task (Load, Flush, Stats), and the queue's
-// guarantees hold: the inline run starts only with nothing queued
-// ahead of it, the drain loop takes no batch while it runs, and Close
-// and a shrink wait for it.
+// open, holding no task and running no batch — the caller runs t
+// itself: Exec gets t as a one-task batch on the calling goroutine, and
+// t's future is settled when RunTask returns. A lone request so skips
+// the two goroutine hand-offs (to the drain loop and back) that a
+// queued one pays. Otherwise t queues exactly as SubmitTask queues it,
+// refusals included. Either way t is accounted as a queued task (Load,
+// Flush, Stats), and the queue's guarantees hold: the inline run starts
+// only with nothing queued ahead of it, the drain loop takes no batch
+// while it runs, and Close waits for it.
 func (q *Queues) RunTask(w int, t *Task) error {
-	wq, w := at(q.snapshot(), w)
+	wq := q.qs[w]
 	wq.mu.Lock()
-	if wq.running || len(wq.items) > 0 || wq.closing || q.closed.Load() {
-		return q.enqueue(wq, w, t, false)
+	if wq.running || len(wq.items) > 0 || q.closed.Load() {
+		return q.enqueue(wq, w, t)
 	}
 	wq.running = true
 	t.fut.reset()
@@ -396,8 +341,8 @@ func (q *Queues) RunTask(w int, t *Task) error {
 	wq.one[0] = nil
 	wq.running = false
 	// Wake the drain loop only when it has something to do: tasks
-	// queued behind this run, or a close or shrink to finish.
-	if len(wq.items) > 0 || wq.closing || q.closed.Load() {
+	// queued behind this run, or a close to finish.
+	if len(wq.items) > 0 || q.closed.Load() {
 		wq.fill.Signal()
 	}
 	wq.mu.Unlock()
@@ -407,38 +352,17 @@ func (q *Queues) RunTask(w int, t *Task) error {
 	return nil
 }
 
-func (q *Queues) submit(w int, t *Task, wait bool) error {
-	wq, w := at(q.snapshot(), w)
-	wq.mu.Lock()
-	return q.enqueue(wq, w, t, wait)
-}
-
 // enqueue queues t on worker w's queue wq, whose lock the caller holds;
 // it releases the lock.
-func (q *Queues) enqueue(wq *workerQ, w int, t *Task, wait bool) error {
-	for {
-		if q.closed.Load() {
-			wq.mu.Unlock()
-			return ErrClosed
-		}
-		if wq.closing {
-			// The queue is being removed: reject as overload so the
-			// submitter's failover path re-dispatches to a live queue.
-			depth := len(wq.items)
-			wq.rejected++
-			wq.mu.Unlock()
-			return &OverloadError{Worker: w, Depth: depth, Capacity: q.cfg.Depth}
-		}
-		if len(wq.items) < q.cfg.Depth {
-			break
-		}
-		if !wait {
-			depth := len(wq.items)
-			wq.rejected++
-			wq.mu.Unlock()
-			return &OverloadError{Worker: w, Depth: depth, Capacity: q.cfg.Depth}
-		}
-		wq.space.Wait()
+func (q *Queues) enqueue(wq *workerQ, w int, t *Task) error {
+	if q.closed.Load() {
+		wq.mu.Unlock()
+		return ErrClosed
+	}
+	if depth := len(wq.items); depth >= q.cfg.Depth {
+		wq.rejected++
+		wq.mu.Unlock()
+		return &OverloadError{Worker: w, Depth: depth, Capacity: q.cfg.Depth}
 	}
 	t.fut.reset()
 	wq.items = append(wq.items, t)
@@ -466,15 +390,12 @@ func (q *Queues) admit(wq *workerQ) {
 // drain is one queue's loop: block for the first task, take up to
 // MaxBatch, execute, repeat. It takes no batch while an inline run
 // (RunTask) holds the queue, and waits for one still in flight before
-// it exits. On Close it fails the remaining backlog with ErrClosed; on
-// a shrink (closing) it executes the full backlog — preserving every
-// admitted task's effects — and then exits.
+// it exits. On Close it fails the remaining backlog with ErrClosed.
 func (q *Queues) drain(wq *workerQ, w int) {
 	defer q.wg.Done()
-	defer close(wq.done)
 	wq.mu.Lock()
 	for {
-		for wq.running || (len(wq.items) == 0 && !q.closed.Load() && !wq.closing) {
+		for wq.running || (len(wq.items) == 0 && !q.closed.Load()) {
 			wq.fill.Wait()
 		}
 		if q.closed.Load() {
@@ -489,13 +410,6 @@ func (q *Queues) drain(wq *workerQ, w int) {
 			q.finish(len(rest))
 			return
 		}
-		if wq.closing && len(wq.items) == 0 {
-			// Shrink exit: the backlog has fully executed (admitted
-			// tasks resolved, their batches committed) — only now may
-			// the queue disappear.
-			wq.mu.Unlock()
-			return
-		}
 		n := len(wq.items)
 		if n > q.cfg.MaxBatch {
 			n = q.cfg.MaxBatch
@@ -507,7 +421,6 @@ func (q *Queues) drain(wq *workerQ, w int) {
 		if n > wq.maxBatch {
 			wq.maxBatch = n
 		}
-		wq.space.Broadcast()
 		wq.mu.Unlock()
 
 		q.cfg.Exec(w, batch)
@@ -549,75 +462,18 @@ func (q *Queues) Flush() {
 	q.flushMu.Unlock()
 }
 
-// Resize grows or shrinks the queue set to n. Growing appends fresh
-// queues with their own drain loops; shrinking removes queues from the
-// tail in the acked-work-preserving order: the queue is first
-// unpublished (new submissions cannot reach it; racing stale
-// submissions are rejected as overload and fail over), then its entire
-// backlog executes through Exec — so every admitted task resolves and
-// every durable effect its batch carries commits — and only then does
-// its drain loop exit. Resize returns once every removed queue has
-// fully drained. Returns ErrClosed after Close.
-func (q *Queues) Resize(n int) error {
-	if n < 1 {
-		return fmt.Errorf("submit: resize to %d queues (want >= 1)", n)
-	}
-	q.resizeMu.Lock()
-	defer q.resizeMu.Unlock()
-	if q.closed.Load() {
-		return ErrClosed
-	}
-	cur := q.snapshot()
-	if n == len(cur) {
-		return nil
-	}
-	if n > len(cur) {
-		next := make([]*workerQ, n)
-		copy(next, cur)
-		for i := len(cur); i < n; i++ {
-			wq := newWorkerQ()
-			next[i] = wq
-			q.wg.Add(1)
-			go q.drain(wq, i)
-		}
-		q.qs.Store(&next)
-		return nil
-	}
-	next := make([]*workerQ, n)
-	copy(next, cur[:n])
-	q.qs.Store(&next)
-	removed := cur[n:]
-	for _, wq := range removed {
-		wq.mu.Lock()
-		wq.closing = true
-		wq.fill.Broadcast()
-		wq.space.Broadcast()
-		wq.mu.Unlock()
-	}
-	for _, wq := range removed {
-		<-wq.done
-	}
-	return nil
-}
-
 // Close stops accepting submissions, fails the queued backlog with
 // ErrClosed, waits for in-flight batches (inline runs included) to
 // finish, and returns. It is idempotent. Call Flush first for a
 // graceful drain.
 func (q *Queues) Close() {
-	q.resizeMu.Lock()
-	if q.closed.Swap(true) {
-		q.resizeMu.Unlock()
-		q.wg.Wait()
-		return
+	if !q.closed.Swap(true) {
+		for _, wq := range q.qs {
+			wq.mu.Lock()
+			wq.fill.Broadcast()
+			wq.mu.Unlock()
+		}
 	}
-	for _, wq := range q.snapshot() {
-		wq.mu.Lock()
-		wq.fill.Broadcast()
-		wq.space.Broadcast()
-		wq.mu.Unlock()
-	}
-	q.resizeMu.Unlock()
 	q.wg.Wait()
 }
 
@@ -634,10 +490,9 @@ type QueueStats struct {
 	MaxBatch int
 }
 
-// Stats returns a snapshot of worker w's queue counters. A stale index
-// maps onto the current queue set.
+// Stats returns a snapshot of worker w's queue counters.
 func (q *Queues) Stats(w int) QueueStats {
-	wq, _ := at(q.snapshot(), w)
+	wq := q.qs[w]
 	wq.mu.Lock()
 	defer wq.mu.Unlock()
 	return QueueStats{

@@ -40,11 +40,6 @@ func TestLifecycleConformance(t *testing.T) {
 				t.Cleanup(func() { _ = pool.Close() })
 				return sdrad.NewDeferredAsyncPool(pool, sdrad.AsyncConfig{MaxBatch: 8, MaxInflight: 64})
 			},
-			Resize: func(c lifecycle.Component, n int) error {
-				return c.(*sdrad.AsyncPool).Resize(n)
-			},
-			Grow:   4,
-			Shrink: 2,
 		},
 	})
 }

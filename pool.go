@@ -515,13 +515,13 @@ func (p *Pool) attemptLocked(w *poolWorker, budget uint64, fn func(*Ctx) error) 
 // the chosen worker first. With hasWorker, worker is the stable
 // affinity key (modulo the live size); otherwise the least-loaded
 // worker wins. It is the single batch entry point for DoBatchItems and
-// AsyncPool. A batch arriving after Drain began is shed with
-// ErrPoolClosed: unlike serial Do calls (admitted before the drain,
-// allowed to finish their retries), batch traffic reaches here without
-// pool admission — the async layer feeds batches for as long as it
-// lives, and a drain that honored them would never terminate. A batch
-// already executing on a worker still completes.
-func (p *Pool) dispatchBatch(worker int, hasWorker bool, calls []*batchCall) (batchReport, uint64) {
+// AsyncPool, and it fills each call's err. A batch arriving after Drain
+// began is shed with ErrPoolClosed: unlike serial Do calls (admitted
+// before the drain, allowed to finish their retries), batch traffic
+// reaches here without pool admission — the async layer feeds batches
+// for as long as it lives, and a drain that honored them would never
+// terminate. A batch already executing on a worker still completes.
+func (p *Pool) dispatchBatch(worker int, hasWorker bool, calls []*batchCall) {
 	p.beginCall()
 	defer p.endCall()
 	for {
@@ -530,7 +530,7 @@ func (p *Pool) dispatchBatch(worker int, hasWorker bool, calls []*batchCall) (ba
 			for _, c := range calls {
 				c.err = ErrPoolClosed
 			}
-			return batchReport{}, 0
+			return
 		}
 		var w *poolWorker
 		if hasWorker {
@@ -538,30 +538,29 @@ func (p *Pool) dispatchBatch(worker int, hasWorker bool, calls []*batchCall) (ba
 		} else {
 			w = p.pickFrom(ws)
 		}
-		if rep, cycles, ok := p.execBatchOn(w, calls); ok {
-			return rep, cycles
+		if p.execBatchOn(w, calls) {
+			return
 		}
 	}
 }
 
 // execBatchOn executes calls as one batch on worker w under the replay
-// rule of batch.go, returning the batch report and the virtual cycles
-// the worker's machine spent on it. The caller has reserved the
-// worker's inflight slot; execBatchOn releases it. ok is false when the
-// worker was retired before the batch acquired its lock (the caller
-// re-dispatches; nothing ran).
-func (p *Pool) execBatchOn(w *poolWorker, calls []*batchCall) (rep batchReport, cycles uint64, ok bool) {
+// rule of batch.go. The caller has reserved the worker's inflight slot;
+// execBatchOn releases it. It returns false when the worker was retired
+// before the batch acquired its lock (the caller re-dispatches; nothing
+// ran).
+func (p *Pool) execBatchOn(w *poolWorker, calls []*batchCall) bool {
 	defer w.inflight.Add(-1)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.retired {
-		return batchReport{}, 0, false
+		return false
 	}
 	if p.closed.Load() {
 		for _, c := range calls {
 			c.err = ErrPoolClosed
 		}
-		return batchReport{}, 0, true
+		return true
 	}
 	// Count only calls that will actually be attempted: a call whose
 	// context is already done never enters a domain on the serial path
@@ -586,9 +585,8 @@ func (p *Pool) execBatchOn(w *poolWorker, calls []*batchCall) (rep batchReport, 
 			})
 		},
 	}
-	start := w.sup.sys.Clock().Cycles()
-	rep = b.run(calls)
-	return rep, w.sup.sys.Clock().Cycles() - start, true
+	b.run(calls)
+	return true
 }
 
 // DoBatch executes fns as one coalesced batch on a single worker: one
