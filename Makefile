@@ -11,9 +11,10 @@ GO ?= go
 check: fmt vet lint build test race report-check
 
 # Lifecycle/elasticity conformance tier (DESIGN.md §13): the shared
-# lifecycletest battery against every component (Domain, Pool,
-# AsyncPool, kvstore.Pool, the serving frontend bare and under both
-# protocols), the -race elasticity hammers (concurrent Pool.Resize
+# lifecycletest battery — construct serving, resize, drain, close, and
+# the typed refusals once serving ends — against every component
+# (Domain, Pool, AsyncPool, kvstore.Pool, the serving frontend bare and
+# under both protocols, the cluster router and registry), the -race elasticity hammers (concurrent Pool.Resize
 # under Do and DoBatchItems load with a mid-run drain, the frontends'
 # grow-under-burst runs), the retired-worker and durable-acked-write
 # regressions, the drain regressions (whole-call drain accounting,
@@ -36,8 +37,10 @@ test-lifecycle:
 # Cluster tier gate (DESIGN.md §14): rendezvous placement, lease
 # membership, crash/rolling/partition state-machine tests, the wire
 # fuzz seeds, the churn dispatch hammer (no acked write lost, no nacked
-# write executed), and the cluster==single-pool differential oracle —
-# all under the race detector.
+# write executed), the replica write-order regression (two SETs of one
+# key reach every holder in the primary's order, on both dispatch
+# paths), and the cluster==single-pool differential oracle — all under
+# the race detector.
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/...
 
@@ -83,9 +86,11 @@ bench:
 # codec, the router's bounds check (differential against
 # the codec round trip it replaces), WAL recovery over an arbitrary
 # tail and the WAL record decoder (differential against the record
-# encoder) — plus the containment path: the kv SDRaD request path, whose
-# malicious inputs run detect → trap → rewind → classify, and the
-# allocation-free error classifier (differential against errors.As).
+# encoder), the SDRaD-FFI argument decoder (serde), the tlslib record
+# decoder and the root package's typed Exec round trip — plus the
+# containment path: the kv SDRaD request path, whose malicious inputs
+# run detect → trap → rewind → classify, and the allocation-free error
+# classifier (differential against errors.As).
 # `make test` only replays the seed corpora; this explores past them. A
 # failing input lands under the package's testdata/fuzz/.
 fuzz-smoke:
@@ -97,6 +102,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckRequest$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/serde
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/tlslib
+	$(GO) test -run '^$$' -fuzz '^FuzzExecRoundTrip$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleSDRaD$$' -fuzztime 10s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzAsMatchesErrorsAs$$' -fuzztime 10s ./internal/errtype
 

@@ -18,8 +18,8 @@ import (
 // serial-equivalent). Backpressure is explicit: a full queue rejects
 // with *OverloadError instead of queueing unboundedly. See DESIGN.md §9.
 //
-// The queue set is fixed when Init builds it, one queue per worker of
-// the wrapped Pool at that time. Resizing the Pool afterwards is legal:
+// The queue set is fixed at construction, one queue per worker of the
+// wrapped Pool at that time. Resizing the Pool afterwards is legal:
 // each queue's batches pin to worker (queue index modulo the live
 // worker count). The layer has no controller, counters or resize of its
 // own; it is the surface the benchmark ladder's async rung times. The
@@ -72,79 +72,32 @@ func (c *AsyncConfig) fill(workers int) {
 // layer but leaves the wrapped Pool open (the caller owns it).
 type AsyncPool struct {
 	pool *Pool
-	cfg  AsyncConfig
 	lc   *lifecycle.Machine
-	// q is set by Init (atomically, so the hot submission paths read it
-	// lock-free even while a deferred pool is still initializing).
-	q  atomic.Pointer[submit.Queues]
-	rr atomic.Uint64
+	q    *submit.Queues
+	rr   atomic.Uint64
 }
 
 // NewAsyncPool wraps pool with the asynchronous submission layer. The
-// returned AsyncPool is already serving (Init and Start have run);
-// pool must itself be serving.
+// returned AsyncPool is serving; pool must itself be serving.
 func NewAsyncPool(pool *Pool, cfg AsyncConfig) (*AsyncPool, error) {
-	a := newDeferredAsyncPool(pool, cfg)
-	if err := a.Init(); err != nil {
+	a := &AsyncPool{pool: pool, lc: lifecycle.NewMachine("sdrad.AsyncPool")}
+	workers := pool.Workers()
+	cfg.fill(workers)
+	q, err := submit.New(submit.Config{
+		Workers:  workers,
+		Depth:    max(cfg.MaxInflight/workers, 1),
+		MaxBatch: cfg.MaxBatch,
+		Exec:     a.execBatch,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := a.Start(); err != nil {
-		return nil, err
-	}
+	a.q = q
 	return a, nil
 }
 
-// newDeferredAsyncPool constructs the async layer without allocating
-// its queues: the lifecycle-managed form (DESIGN.md §13). Call Init to
-// build the submission queues and Start to begin serving.
-func newDeferredAsyncPool(pool *Pool, cfg AsyncConfig) *AsyncPool {
-	return &AsyncPool{pool: pool, cfg: cfg, lc: lifecycle.NewMachine("sdrad.AsyncPool")}
-}
-
-// Init allocates the submission queues (lifecycle: legal once, from
-// StateInitializing). NewAsyncPool calls it for you.
-func (a *AsyncPool) Init() error {
-	return a.lc.Init(func() error {
-		workers := a.pool.Workers()
-		if workers == 0 {
-			// Deferred wrapped pool: size the queue set from its
-			// configured worker count instead.
-			workers = a.pool.n
-		}
-		a.cfg.fill(workers)
-		depth := a.cfg.MaxInflight / workers
-		if depth < 1 {
-			depth = 1
-		}
-		q, err := submit.New(submit.Config{
-			Workers:  workers,
-			Depth:    depth,
-			MaxBatch: a.cfg.MaxBatch,
-			Exec:     a.execBatch,
-		})
-		if err != nil {
-			return err
-		}
-		a.q.Store(q)
-		return nil
-	})
-}
-
-// Start moves the async layer to StateHealthy (lifecycle: legal once,
-// after Init).
-func (a *AsyncPool) Start() error { return a.lc.Start(nil) }
-
 // State returns the async layer's lifecycle state.
 func (a *AsyncPool) State() lifecycle.State { return a.lc.State() }
-
-// queues returns the submission queues (nil before Init).
-func (a *AsyncPool) queues() *submit.Queues { return a.q.Load() }
-
-// notServing is the resolved-future rejection for a submission to an
-// async layer whose queues do not exist yet.
-func (a *AsyncPool) notServing(op string) error {
-	return &lifecycle.LifecycleError{Component: "sdrad.AsyncPool", Op: op, From: a.lc.State(), Reason: "before Init"}
-}
 
 // execBatch is the queue drain callback: it turns one drained batch
 // into one batched domain execution on the matching pool worker.
@@ -169,14 +122,11 @@ func (a *AsyncPool) execBatch(worker int, batch []*submit.Task) {
 // at-least-once contract as WithRetries.
 func (a *AsyncPool) Submit(ctx context.Context, fn func(*Ctx) error, opts ...RunOption) *Future {
 	set := applyRunOptions(opts)
-	q := a.queues()
-	if q == nil {
-		return submit.Resolved(a.notServing("Submit"))
-	}
+	q := a.q
 	call := &batchCall{ctx: ctx, fn: fn, set: set}
 	// Dispatch over the queue count, not the pool size: a Pool.Resize
-	// since Init makes the two differ, and the queue set is the one
-	// being indexed here.
+	// since construction makes the two differ, and the queue set is the
+	// one being indexed here.
 	workers := q.Workers()
 	if set.hasWorker {
 		w := set.worker % workers
@@ -219,50 +169,30 @@ func (a *AsyncPool) Do(ctx context.Context, fn func(*Ctx) error, opts ...RunOpti
 }
 
 // Flush blocks until every call admitted before it has resolved.
-func (a *AsyncPool) Flush() {
-	if q := a.queues(); q != nil {
-		q.Flush()
-	}
-}
+func (a *AsyncPool) Flush() { a.q.Flush() }
 
 // Drain stops admission gracefully: every admitted call resolves
 // (Flush), then the queues close so later submissions fail with
-// ErrAsyncClosed. Idempotent; legal after Start. The wrapped Pool stays
+// ErrAsyncClosed. Idempotent; refused after Close. The wrapped Pool stays
 // open; when the pool is to be drained too, drain this layer first —
 // Pool.Drain sheds batches that arrive after it starts.
 func (a *AsyncPool) Drain() error {
 	return a.lc.Drain(func() error {
-		if q := a.queues(); q != nil {
-			q.Flush()
-			q.Close()
-		}
+		a.q.Flush()
+		a.q.Close()
 		return nil
 	})
-}
-
-// Stop tears down the async layer (lifecycle: legal once; Close is the
-// idempotent form). Queued calls that were not flushed first fail with
-// ErrAsyncClosed; in-flight batches finish. The wrapped Pool stays
-// open.
-func (a *AsyncPool) Stop(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return a.lc.Stop(a.teardown)
 }
 
 // Close stops the async layer: new submissions fail with
 // ErrAsyncClosed, the queued backlog is failed, in-flight batches
 // finish. The wrapped Pool stays open. Idempotent; call Flush (or
 // Drain) first for a graceful stop.
-func (a *AsyncPool) Close() error { return a.lc.Close(a.teardown) }
-
-// teardown is what Stop and Close run.
-func (a *AsyncPool) teardown() error {
-	if q := a.queues(); q != nil {
-		q.Close()
-	}
-	return nil
+func (a *AsyncPool) Close() error {
+	return a.lc.Close(func() error {
+		a.q.Close()
+		return nil
+	})
 }
 
 // Interface compliance checks.

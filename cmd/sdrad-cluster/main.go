@@ -72,9 +72,6 @@ func run(addr string, cfg cluster.RouterConfig) error {
 			log.Printf("close router: %v", cerr)
 		}
 	}()
-	if err := srv.Serving(); err != nil {
-		return err
-	}
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -85,7 +82,7 @@ func run(addr string, cfg cluster.RouterConfig) error {
 	return srv.ServeUntilSignal(ln)
 }
 
-// newFrontend returns the Initializing serving frontend over router. The
+// newFrontend returns the serving frontend over router. The
 // router places each request itself, so the frontend is serial (no
 // submission queues) and has nothing to resize.
 func newFrontend(router *cluster.Router, logger *log.Logger) *kvstore.Frontend {

@@ -39,9 +39,6 @@ func newTestCluster(t *testing.T) (*cluster.Router, *kvstore.Frontend) {
 		t.Fatal(err)
 	}
 	f := newFrontend(router, nil)
-	if err := f.Serving(); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
 		if cerr := f.Close(); cerr != nil {
 			t.Errorf("close: %v", cerr)

@@ -78,13 +78,7 @@ func memberState(r *Registry, id NodeID) MemberState {
 // machine: Healthy within the lease, Degraded in the grace window,
 // Dead beyond it, and rejoin-only-by-reregistering afterwards.
 func TestRegistryLeaseTransitions(t *testing.T) {
-	r := NewDeferredRegistry(4)
-	if err := r.Init(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
+	r := NewRegistry(4)
 	defer r.Close()
 	if err := r.Register(0); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@
 //
 //   - Lifecycle. Router, Registry, and Node all embed
 //     lifecycle.Machine and pass the shared lifecycletest conformance
-//     battery (deferred construction, Init → Start → Drain → Stop,
-//     typed *LifecycleError refusals). A node's lease state reuses the
+//     battery (serving from construction, Drain → Close, typed
+//     *LifecycleError refusals). A node's lease state reuses the
 //     lifecycle vocabulary — Healthy / Degraded (lease stale, grace
 //     window) / Stopped (lease expired, node dead).
 //

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -24,16 +25,16 @@ type NodeConfig struct {
 	// Capacity is the node's total cache capacity in bytes (default
 	// 64 MiB).
 	Capacity uint64
-	// Registry, when set, is where Start registers the node's session
+	// Registry, when set, is where NewNode registers the node's session
 	// and Drain deregisters it.
 	Registry *Registry
 }
 
 // Node is one cluster member: a full kvstore.Pool (its own simulated
 // machines, storage domains, and parser worker domains) plus a
-// registry session. It implements lifecycle.Component with the
-// deferred-construction pattern: NewNode is cheap, Init builds the
-// pool, Start begins serving and registers the session.
+// registry session. It implements lifecycle.Component: NewNode builds
+// the pool and opens the session, so a node is serving from
+// construction.
 //
 // Node is safe for concurrent use to the extent the pool is (per-shard
 // locking); the router's membership lock serializes lifecycle events
@@ -45,52 +46,34 @@ type Node struct {
 	pool *kvstore.Pool
 }
 
-// NewNode constructs a node without allocating its pool. Call Init and
-// Start (or let the router do it).
-func NewNode(cfg NodeConfig) *Node {
+// NewNode builds the node's pool and registers its session in
+// cfg.Registry (if any). A node whose registration is refused has its
+// pool released before the error returns.
+func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
 	if cfg.Capacity == 0 {
 		cfg.Capacity = 64 << 20
 	}
-	return &Node{
-		lc:  lifecycle.NewMachine(fmt.Sprintf("cluster.Node[%d]", cfg.ID)),
-		cfg: cfg,
+	p, err := kvstore.NewPool(cfg.Sys, cfg.Server, cfg.Shards, cfg.Capacity)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: node %d: %w", cfg.ID, err)
 	}
+	if cfg.Registry != nil {
+		if err := cfg.Registry.Register(cfg.ID); err != nil {
+			return nil, errors.Join(err, p.Close())
+		}
+	}
+	return &Node{
+		lc:   lifecycle.NewMachine(fmt.Sprintf("cluster.Node[%d]", cfg.ID)),
+		cfg:  cfg,
+		pool: p,
+	}, nil
 }
 
 // ID returns the node's identity.
 func (n *Node) ID() NodeID { return n.cfg.ID }
-
-// Init builds the node's pool. Legal exactly once, from
-// StateInitializing.
-func (n *Node) Init() error {
-	return n.lc.Init(func() error {
-		p := kvstore.NewDeferredPool(n.cfg.Sys, n.cfg.Server, n.cfg.Shards, n.cfg.Capacity)
-		if err := p.Init(); err != nil {
-			return fmt.Errorf("cluster: node %d: %w", n.cfg.ID, err)
-		}
-		if err := p.Start(); err != nil {
-			return fmt.Errorf("cluster: node %d: %w", n.cfg.ID, err)
-		}
-		n.pool = p
-		return nil
-	})
-}
-
-// Start makes the node serve and opens its registry session. Legal
-// exactly once, after Init.
-func (n *Node) Start() error {
-	return n.lc.Start(func() error {
-		if n.cfg.Registry != nil {
-			if err := n.cfg.Registry.Register(n.cfg.ID); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
 
 // Heartbeat renews the node's registry lease. The router calls it for
 // every reachable node as the membership clock advances; a crashed or
@@ -121,23 +104,8 @@ func (n *Node) Drain() error {
 	})
 }
 
-// Stop tears the node down. A second Stop returns a typed
-// *LifecycleError (use Close for the idempotent form).
-func (n *Node) Stop(ctx context.Context) error {
-	_ = ctx
-	return n.lc.Stop(n.teardown)
-}
-
-// Close is the idempotent form of Stop.
-func (n *Node) Close() error { return n.lc.Close(n.teardown) }
-
-// teardown releases the pool.
-func (n *Node) teardown() error {
-	if n.pool == nil {
-		return nil
-	}
-	return n.pool.Close()
-}
+// Close tears the node down, releasing its pool. Idempotent.
+func (n *Node) Close() error { return n.lc.Close(n.pool.Close) }
 
 // State returns the node's lifecycle state.
 func (n *Node) State() lifecycle.State { return n.lc.State() }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/lifecycle"
@@ -64,54 +63,30 @@ type session struct {
 	dead      bool
 }
 
-// NewDeferredRegistry constructs a registry without allocating its
-// member table: the lifecycle pattern's cheap construction. Call Init
-// and Start before registering nodes.
-func NewDeferredRegistry(leaseCycles uint64) *Registry {
+// NewRegistry returns a serving registry with an empty member table.
+func NewRegistry(leaseCycles uint64) *Registry {
 	if leaseCycles == 0 {
 		leaseCycles = DefaultLeaseCycles
 	}
 	return &Registry{
-		lc:    lifecycle.NewMachine("cluster.Registry"),
-		lease: leaseCycles,
+		lc:      lifecycle.NewMachine("cluster.Registry"),
+		lease:   leaseCycles,
+		members: make(map[NodeID]*session),
 	}
 }
-
-// Init allocates the member table. Legal exactly once, from
-// StateInitializing.
-func (r *Registry) Init() error {
-	return r.lc.Init(func() error {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		r.members = make(map[NodeID]*session)
-		return nil
-	})
-}
-
-// Start makes the registry accept registrations. Legal exactly once,
-// after Init.
-func (r *Registry) Start() error { return r.lc.Start(nil) }
 
 // Drain stops admission of new registrations; existing sessions keep
 // renewing (their work is being preserved elsewhere). Idempotent.
 func (r *Registry) Drain() error { return r.lc.Drain(nil) }
 
-// Stop tears the registry down, dropping every session. A second Stop
-// returns a typed *LifecycleError (use Close for the idempotent form).
-func (r *Registry) Stop(ctx context.Context) error {
-	_ = ctx
-	return r.lc.Stop(r.teardown)
-}
-
-// Close is the idempotent form of Stop.
-func (r *Registry) Close() error { return r.lc.Close(r.teardown) }
-
-// teardown drops every session.
-func (r *Registry) teardown() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.members, r.ids = nil, nil
-	return nil
+// Close tears the registry down, dropping every session. Idempotent.
+func (r *Registry) Close() error {
+	return r.lc.Close(func() error {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.members, r.ids = nil, nil
+		return nil
+	})
 }
 
 // State returns the registry's lifecycle state.

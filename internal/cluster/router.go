@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -54,13 +56,22 @@ type RouterConfig struct {
 // A request therefore never interleaves with a membership change — an
 // acked request is fully replicated under the placement it was routed
 // with, and a nacked request was never executed anywhere. The churn
-// hammer test asserts exactly this invariant.
+// hammer test asserts exactly this invariant. Within the read lock, a
+// mutation holds its slot's lock (slotMu) from the primary apply
+// through its replication, so two mutations of one slot reach every
+// holder in the order the primary applied them; a wave takes the slots
+// it mutates in ascending order. GETs take no slot lock. The replica
+// write-order regression asserts this.
 //
-// Router implements lifecycle.Component with deferred construction (the
-// conformance battery runs against it).
+// Router implements lifecycle.Component (the conformance battery runs
+// against it).
 type Router struct {
 	lc  *lifecycle.Machine
 	cfg RouterConfig
+
+	// slotMu[s] orders slot s's mutations (see the concurrency
+	// contract).
+	slotMu [NumSlots]sync.Mutex
 
 	mu    sync.RWMutex
 	reg   *Registry
@@ -81,22 +92,21 @@ type Router struct {
 	unavailable atomic.Uint64
 }
 
-// NewRouter builds, initializes, and starts a router.
-func NewRouter(cfg RouterConfig) (*Router, error) {
-	r := NewDeferredRouter(cfg)
-	if err := r.Init(); err != nil {
-		return nil, err
-	}
-	if err := r.Start(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
+// A wave's slot set is a uint64 mask (HandleBatch); this fails to
+// compile if NumSlots outgrows it.
+const _ uint64 = 1 << (NumSlots - 1)
 
-// NewDeferredRouter constructs a router without allocating its registry
-// or nodes: the lifecycle pattern's cheap construction. Call Init and
-// Start before dispatching.
-func NewDeferredRouter(cfg RouterConfig) *Router {
+// testHookAfterPrimary, when non-nil, observes each mutation after its
+// primary apply and before its replication, on both dispatch paths. It
+// is a test seam: the replica write-order regression parks a SET there.
+var testHookAfterPrimary func(workload.Request)
+
+// NewRouter builds the registry and the node fleet — each node's pool,
+// then its session, in ascending id order — and computes the initial
+// placement. The returned router is serving. If a node cannot be
+// built, the nodes already built and the registry are closed before the
+// error returns.
+func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
@@ -112,44 +122,31 @@ func NewDeferredRouter(cfg RouterConfig) *Router {
 	if cfg.ShardsPerNode <= 0 {
 		cfg.ShardsPerNode = 1
 	}
-	return &Router{
-		lc:  lifecycle.NewMachine("cluster.Router"),
-		cfg: cfg,
+	r := &Router{
+		lc:          lifecycle.NewMachine("cluster.Router"),
+		cfg:         cfg,
+		reg:         NewRegistry(cfg.LeaseCycles),
+		nodes:       make(map[NodeID]*Node, cfg.Nodes),
+		partitioned: make(map[NodeID]bool),
+		leaving:     make(map[NodeID]bool),
 	}
+	for i := 0; i < cfg.Nodes; i++ {
+		n, err := r.newNodeLocked(NodeID(i))
+		if err != nil {
+			return nil, errors.Join(err, r.Close())
+		}
+		r.nodes[n.ID()] = n
+		r.ids = append(r.ids, n.ID())
+	}
+	if err := r.rebalanceLocked(); err != nil {
+		return nil, errors.Join(err, r.Close())
+	}
+	return r, nil
 }
 
-// Init builds the registry and the node fleet. Legal exactly once, from
-// StateInitializing.
-func (r *Router) Init() error {
-	return r.lc.Init(func() error {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		reg := NewDeferredRegistry(r.cfg.LeaseCycles)
-		if err := reg.Init(); err != nil {
-			return err
-		}
-		if err := reg.Start(); err != nil {
-			return err
-		}
-		r.reg = reg
-		r.nodes = make(map[NodeID]*Node, r.cfg.Nodes)
-		r.partitioned = make(map[NodeID]bool)
-		r.leaving = make(map[NodeID]bool)
-		for i := 0; i < r.cfg.Nodes; i++ {
-			n := r.newNodeLocked(NodeID(i))
-			if err := n.Init(); err != nil {
-				return err
-			}
-			r.nodes[n.ID()] = n
-			r.ids = sortedIDs(r.nodes)
-		}
-		return nil
-	})
-}
-
-// newNodeLocked builds (without initializing) a node from the router's
-// config (caller holds mu).
-func (r *Router) newNodeLocked(id NodeID) *Node {
+// newNodeLocked builds a node from the router's config and registers
+// its session (caller holds mu).
+func (r *Router) newNodeLocked(id NodeID) (*Node, error) {
 	return NewNode(NodeConfig{
 		ID:       id,
 		Sys:      r.cfg.Sys,
@@ -157,21 +154,6 @@ func (r *Router) newNodeLocked(id NodeID) *Node {
 		Shards:   r.cfg.ShardsPerNode,
 		Capacity: r.cfg.Capacity,
 		Registry: r.reg,
-	})
-}
-
-// Start opens every node's registry session and computes the initial
-// placement. Legal exactly once, after Init.
-func (r *Router) Start() error {
-	return r.lc.Start(func() error {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		for _, id := range r.ids {
-			if err := r.nodes[id].Start(); err != nil {
-				return err
-			}
-		}
-		return r.rebalanceLocked()
 	})
 }
 
@@ -191,33 +173,24 @@ func (r *Router) Drain() error {
 	})
 }
 
-// Stop tears the cluster down. A second Stop returns a typed
-// *LifecycleError (use Close for the idempotent form).
-func (r *Router) Stop(ctx context.Context) error {
-	_ = ctx
-	return r.lc.Stop(r.teardown)
-}
-
-// Close is the idempotent form of Stop.
-func (r *Router) Close() error { return r.lc.Close(r.teardown) }
-
-// teardown closes every node and the registry.
-func (r *Router) teardown() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var first error
-	for _, id := range r.ids {
-		if err := r.nodes[id].Close(); err != nil && first == nil {
-			first = err
+// Close tears the cluster down: every node, then the registry.
+// Idempotent.
+func (r *Router) Close() error {
+	return r.lc.Close(func() error {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		var first error
+		for _, id := range r.ids {
+			if err := r.nodes[id].Close(); err != nil && first == nil {
+				first = err
+			}
 		}
-	}
-	r.nodes, r.ids = nil, nil
-	if r.reg != nil {
+		r.nodes, r.ids = nil, nil
 		if err := r.reg.Close(); err != nil && first == nil {
 			first = err
 		}
-	}
-	return first
+		return first
+	})
 }
 
 // State returns the router's lifecycle state.
@@ -364,9 +337,10 @@ func (r *Router) replicateLocked(holders []NodeID, req workload.Request) {
 // (checkRequest), routes the key to its slot's primary (or a read
 // replica for GETs when enabled), executes there, and synchronously
 // replicates an acknowledged mutation to the slot's remaining holders
-// before returning the ack. A request whose slot has
-// no reachable primary gets a typed *UnavailableError in Response.Err
-// and was not executed anywhere.
+// before returning the ack — holding the slot's lock from the primary
+// apply through the replication. A request whose slot has no reachable
+// primary gets a typed *UnavailableError in Response.Err and was not
+// executed anywhere.
 func (r *Router) HandleContext(ctx context.Context, clientID int, req workload.Request) kvstore.Response {
 	if err := r.serving("HandleContext"); err != nil {
 		return kvstore.Response{Err: err}
@@ -377,18 +351,22 @@ func (r *Router) HandleContext(ctx context.Context, clientID int, req workload.R
 	if err := checkRequest(clientID, req); err != nil {
 		return kvstore.Response{Err: err}
 	}
-	_, holders, err := r.routeLocked(req.Key)
+	slot, holders, err := r.routeLocked(req.Key)
 	if err != nil {
 		r.unavailable.Add(1)
 		return kvstore.Response{Err: err}
 	}
 	seq := r.dispatched.Add(1)
-	target := holders[0]
 	if req.Op == workload.OpGet {
-		target = r.readTargetLocked(holders, seq)
+		return r.nodes[r.readTargetLocked(holders, seq)].HandleContext(ctx, clientID, req)
 	}
-	resp := r.nodes[target].HandleContext(ctx, clientID, req)
-	if req.Op != workload.OpGet && resp.OK && resp.Err == nil && !resp.Contained {
+	r.slotMu[slot].Lock()
+	defer r.slotMu[slot].Unlock()
+	resp := r.nodes[holders[0]].HandleContext(ctx, clientID, req)
+	if testHookAfterPrimary != nil {
+		testHookAfterPrimary(req)
+	}
+	if resp.OK && resp.Err == nil && !resp.Contained {
 		r.replicateLocked(holders, req)
 	}
 	return resp
@@ -400,8 +378,11 @@ func (r *Router) HandleContext(ctx context.Context, clientID int, req workload.R
 // sub-batches execute as pipelined units (preserving every key's
 // arrival order, since a key maps to one slot and a slot to one
 // primary), and acknowledged mutations replicate to their slots'
-// remaining holders in arrival order before the wave returns. Unroutable requests get typed
-// *UnavailableError responses and are not executed.
+// remaining holders in arrival order before the wave returns. The wave
+// holds the locks of the slots it mutates, taken in ascending slot
+// order, from before the primary applies until the replication ends.
+// Unroutable requests get typed *UnavailableError responses and are not
+// executed.
 func (r *Router) HandleBatch(batch []kvstore.BatchRequest) []kvstore.Response {
 	out := make([]kvstore.Response, len(batch))
 	if len(batch) == 0 {
@@ -418,12 +399,13 @@ func (r *Router) HandleBatch(batch []kvstore.BatchRequest) []kvstore.Response {
 	r.tickLocked(uint64(len(batch)))
 	routed := make([][]NodeID, len(batch))
 	groups := make(map[NodeID][]int)
+	var mutated uint64 // the slots the wave mutates, one bit each
 	for i, br := range batch {
 		if err := checkRequest(br.ClientID, br.Req); err != nil {
 			out[i] = kvstore.Response{Err: err}
 			continue
 		}
-		_, holders, err := r.routeLocked(br.Req.Key)
+		slot, holders, err := r.routeLocked(br.Req.Key)
 		if err != nil {
 			r.unavailable.Add(1)
 			out[i] = kvstore.Response{Err: err}
@@ -431,6 +413,12 @@ func (r *Router) HandleBatch(batch []kvstore.BatchRequest) []kvstore.Response {
 		}
 		routed[i] = holders
 		groups[holders[0]] = append(groups[holders[0]], i)
+		if br.Req.Op != workload.OpGet {
+			mutated |= 1 << slot
+		}
+	}
+	for m := mutated; m != 0; m &= m - 1 {
+		r.slotMu[bits.TrailingZeros64(m)].Lock()
 	}
 	gids := make([]NodeID, 0, len(groups))
 	for id := range groups {
@@ -452,9 +440,15 @@ func (r *Router) HandleBatch(batch []kvstore.BatchRequest) []kvstore.Response {
 		if routed[i] == nil || batch[i].Req.Op == workload.OpGet {
 			continue
 		}
+		if testHookAfterPrimary != nil {
+			testHookAfterPrimary(batch[i].Req)
+		}
 		if out[i].OK && out[i].Err == nil && !out[i].Contained {
 			r.replicateLocked(routed[i], batch[i].Req)
 		}
+	}
+	for m := mutated; m != 0; m &= m - 1 {
+		r.slotMu[bits.TrailingZeros64(m)].Unlock()
 	}
 	return out
 }
@@ -590,11 +584,8 @@ func (r *Router) JoinNode(id NodeID) error {
 	if _, ok := r.nodes[id]; ok {
 		return &MembershipError{Node: id, Op: "JoinNode", Reason: "already a member"}
 	}
-	n := r.newNodeLocked(id)
-	if err := n.Init(); err != nil {
-		return err
-	}
-	if err := n.Start(); err != nil {
+	n, err := r.newNodeLocked(id)
+	if err != nil {
 		return err
 	}
 	r.nodes[id] = n

@@ -183,3 +183,68 @@ func TestReadTargetRotation(t *testing.T) {
 	}
 	check("every holder partitioned")
 }
+
+// TestReplicasApplyWritesInPrimaryOrder is the replica write-order
+// regression: SET k=a parks between its primary apply and its
+// replication, SET k=b of the same key is sent meanwhile, and once a is
+// released both holders must hold the same value. Without the slot lock
+// b overtakes a on the replica — b is acked while a is parked — and the
+// holders disagree for good. Each row drives one dispatch path.
+func TestReplicasApplyWritesInPrimaryOrder(t *testing.T) {
+	set := func(val string) workload.Request {
+		return workload.Request{Op: workload.OpSet, Key: "k", Value: []byte(val)}
+	}
+	for _, tc := range []struct {
+		name string
+		do   func(r *Router, req workload.Request) kvstore.Response
+	}{
+		{"HandleContext", func(r *Router, req workload.Request) kvstore.Response {
+			return r.HandleContext(context.Background(), 0, req)
+		}},
+		{"HandleBatch", func(r *Router, req workload.Request) kvstore.Response {
+			return r.HandleBatch([]kvstore.BatchRequest{{Req: req}})[0]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := testRouter(t, 2, 1, false)
+			parked, release := make(chan struct{}), make(chan struct{})
+			testHookAfterPrimary = func(req workload.Request) {
+				if string(req.Value) == "a" {
+					close(parked)
+					<-release
+				}
+			}
+			t.Cleanup(func() { testHookAfterPrimary = nil })
+			doneA, doneB := make(chan kvstore.Response, 1), make(chan kvstore.Response, 1)
+			go func() { doneA <- tc.do(r, set("a")) }()
+			<-parked
+			go func() { doneB <- tc.do(r, set("b")) }()
+			var respB kvstore.Response
+			bDone := false
+			select {
+			case respB = <-doneB:
+				bDone = true
+			case <-time.After(100 * time.Millisecond):
+			}
+			close(release)
+			respA := <-doneA
+			if !bDone {
+				respB = <-doneB
+			}
+			if !respA.OK || respA.Err != nil || !respB.OK || respB.Err != nil {
+				t.Fatalf("SETs failed: a ok=%v err=%v, b ok=%v err=%v", respA.OK, respA.Err, respB.OK, respB.Err)
+			}
+			var held []string
+			for _, id := range r.NodeIDs() {
+				dump, err := r.nodes[id].Dump()
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, string(dump["k"]))
+			}
+			if held[0] != held[1] {
+				t.Fatalf("holders disagree: %v (b acked while a was parked: %v)", held, bDone)
+			}
+		})
+	}
+}

@@ -9,8 +9,7 @@ import (
 )
 
 // TestLifecycleConformance runs the shared lifecycle battery against the
-// deferred network server. Resize exercises the per-worker parsing-domain
-// set (dispatch is least-loaded, so the count is a pure concurrency knob).
+// network server.
 func TestLifecycleConformance(t *testing.T) {
 	lifecycletest.Run(t, []lifecycletest.Case{
 		{
@@ -21,7 +20,11 @@ func TestLifecycleConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				p.HandleFunc("/", []byte("ok\n"))
-				return newNetServer(p, nil)
+				n, err := NewBatchedNetServerPool(p, nil, 16, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
 			},
 		},
 	})

@@ -27,8 +27,16 @@ type NetServer struct {
 	*serve.Frontend[[]byte, Response]
 }
 
-// newNetServer returns an Initializing server over p.
-func newNetServer(p *Pool, logger *log.Logger) *NetServer {
+// NewBatchedNetServerPool wraps a Pool for TCP serving through the
+// asynchronous submission layer (serve.Frontend.Queue): one drain loop
+// per worker coalesces up to maxBatch queued requests into a single
+// pipelined Server.ServeBatch — one domain Enter per parsing-domain
+// group instead of per request. maxInflight bounds
+// admitted-but-unanswered requests across the pool (<= 0 means 1024);
+// at capacity new requests are answered 503 immediately with a
+// deterministic Retry-After hint. Call Close after Serve returns to
+// stop the drain loops.
+func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch int) (*NetServer, error) {
 	n := &NetServer{}
 	var rr atomic.Uint64
 	// scratch[i] is worker i's reusable batch (batches for one worker
@@ -37,7 +45,6 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 	n.Frontend = serve.New(serve.Backend[[]byte, Response]{
 		Name:      "httpd",
 		ServeConn: n.serveConn,
-		Handle:    p.ServeContext,
 		Batch: func(si int, calls []*serve.Call[[]byte, Response]) {
 			batch := scratch[si][:0]
 			for _, c := range calls {
@@ -64,22 +71,7 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 		Resize:     p.ResizeWorkers,
 		MaxWorkers: retrofit.MaxWorkers,
 	}, logger)
-	return n
-}
-
-// NewBatchedNetServerPool wraps a Pool for TCP serving through the
-// asynchronous submission layer (serve.Frontend.Queue): one drain loop
-// per worker coalesces up to maxBatch queued requests into a single
-// pipelined Server.ServeBatch — one domain Enter per parsing-domain
-// group instead of per request. maxInflight bounds
-// admitted-but-unanswered requests across the pool (<= 0 means 1024);
-// at capacity new requests are answered 503 immediately with a
-// deterministic Retry-After hint. Call Close after Serve returns to
-// stop the drain loops.
-func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch int) (*NetServer, error) {
-	n := newNetServer(p, logger)
-	n.Queue(maxInflight, maxBatch)
-	if err := n.Serving(); err != nil {
+	if err := n.Queue(maxInflight, maxBatch); err != nil {
 		return nil, err
 	}
 	return n, nil

@@ -9,7 +9,7 @@ import (
 )
 
 // TestLifecycleConformance runs the shared lifecycle battery against the
-// sharded KV pool and the deferred network server wrapping it. Resize
+// sharded KV pool and the network server wrapping it. Resize
 // exercises the per-shard parser worker-domain set (key placement is
 // untouched, so resizing is invisible to stored data).
 func TestLifecycleConformance(t *testing.T) {
@@ -17,7 +17,11 @@ func TestLifecycleConformance(t *testing.T) {
 		{
 			Name: "kvstore.Pool",
 			New: func(t *testing.T) lifecycle.Component {
-				return NewDeferredPool(core.DefaultConfig(), ServerConfig{Mode: ModeSDRaD}, 2, 16<<20)
+				p, err := NewPool(core.DefaultConfig(), ServerConfig{Mode: ModeSDRaD}, 2, 16<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
 			},
 			Resize: func(c lifecycle.Component, n int) error {
 				return c.(*Pool).ResizeWorkers(n)
@@ -33,7 +37,11 @@ func TestLifecycleConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { _ = p.Close() })
-				return newNetServer(p, nil)
+				n, err := NewBatchedNetServerPool(p, nil, 16, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
 			},
 		},
 	})

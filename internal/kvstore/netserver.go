@@ -29,9 +29,16 @@ type NetServer struct {
 	pool *Pool
 }
 
-// newNetServer returns an Initializing server over p (which must be
-// initialized: the shard count is fixed here).
-func newNetServer(p *Pool, logger *log.Logger) *NetServer {
+// NewBatchedNetServerPool wraps a Pool for TCP serving through the
+// asynchronous submission layer (serve.Frontend.Queue): one drain loop
+// per shard coalesces up to maxBatch queued requests into a single
+// pipelined Server.HandleBatch — one domain Enter per worker group
+// instead of per request. maxInflight bounds admitted-but-unanswered
+// requests across the pool (<= 0 means 1024); at capacity new requests
+// are answered SERVER_ERROR immediately with a deterministic
+// cycles-quantized retry hint. Call Close after Serve returns to stop
+// the drain loops.
+func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch int) (*NetServer, error) {
 	n := &NetServer{pool: p}
 	// scratch[i] is shard i's reusable batch (batches for one shard never
 	// overlap).
@@ -39,7 +46,6 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 	n.Frontend = serve.New(serve.Backend[workload.Request, Response]{
 		Name:      "kvstore",
 		ServeConn: n.serveConn,
-		Handle:    p.HandleContext,
 		Batch: func(si int, calls []*serve.Call[workload.Request, Response]) {
 			batch := scratch[si][:0]
 			for _, c := range calls {
@@ -60,22 +66,7 @@ func newNetServer(p *Pool, logger *log.Logger) *NetServer {
 		Drain:      p.Drain,
 		Close:      p.Close,
 	}, logger)
-	return n
-}
-
-// NewBatchedNetServerPool wraps a Pool for TCP serving through the
-// asynchronous submission layer (serve.Frontend.Queue): one drain loop
-// per shard coalesces up to maxBatch queued requests into a single
-// pipelined Server.HandleBatch — one domain Enter per worker group
-// instead of per request. maxInflight bounds admitted-but-unanswered
-// requests across the pool (<= 0 means 1024); at capacity new requests
-// are answered SERVER_ERROR immediately with a deterministic
-// cycles-quantized retry hint. Call Close after Serve returns to stop
-// the drain loops.
-func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch int) (*NetServer, error) {
-	n := newNetServer(p, logger)
-	n.Queue(maxInflight, maxBatch)
-	if err := n.Serving(); err != nil {
+	if err := n.Queue(maxInflight, maxBatch); err != nil {
 		return nil, err
 	}
 	return n, nil

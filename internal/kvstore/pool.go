@@ -32,12 +32,6 @@ type Pool struct {
 	// report the same outcome as the first), memoizes Drain, and rejects
 	// illegal transitions with a typed *LifecycleError.
 	lc *lifecycle.Machine
-
-	// Deferred-construction inputs, consumed by Init.
-	syscfg   core.Config
-	cfg      ServerConfig
-	n        int
-	capacity uint64
 }
 
 // StorageUDIForPool is the UDI each shard's storage domain uses.
@@ -50,78 +44,49 @@ const StorageUDIForPool core.UDI = 1
 // MaxValueSize (a shard that cannot hold one maximum item would reject
 // valid requests), so total capacity is at least n*MaxValueSize.
 func NewPool(syscfg core.Config, cfg ServerConfig, n int, capacity uint64) (*Pool, error) {
-	p := NewDeferredPool(syscfg, cfg, n, capacity)
-	if err := p.Init(); err != nil {
-		return nil, err
-	}
-	if err := p.Start(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// NewDeferredPool constructs a pool without allocating its shards: the
-// lifecycle pattern's cheap construction. Call Init to build the shards
-// and Start to serve; NewPool does all three.
-func NewDeferredPool(syscfg core.Config, cfg ServerConfig, n int, capacity uint64) *Pool {
 	if n <= 0 {
 		n = 1
 	}
 	if capacity == 0 {
 		capacity = 64 << 20
 	}
-	return &Pool{
-		lc:       lifecycle.NewMachine("kvstore.Pool"),
-		syscfg:   syscfg,
-		cfg:      cfg,
-		n:        n,
-		capacity: capacity,
+	perShard := capacity / uint64(n)
+	if perShard < MaxValueSize {
+		perShard = MaxValueSize
 	}
-}
-
-// Init builds the pool's shards — each a fresh core.System, cache
-// shard, and Server. Legal exactly once, from StateInitializing; a
-// failed Init releases the shards it built and may be retried.
-func (p *Pool) Init() error {
-	return p.lc.Init(func() error {
-		perShard := p.capacity / uint64(p.n)
-		if perShard < MaxValueSize {
-			perShard = MaxValueSize
+	shards := make(retrofit.Shards[*Server], n)
+	for i := range shards {
+		sys := core.NewSystem(syscfg)
+		cache, err := NewCache(sys, StorageUDIForPool, perShard)
+		if err != nil {
+			closeShards(shards[:i])
+			return nil, fmt.Errorf("kvstore: pool shard %d: %w", i, err)
 		}
-		shards := make(retrofit.Shards[*Server], p.n)
-		for i := range shards {
-			sys := core.NewSystem(p.syscfg)
-			cache, err := NewCache(sys, StorageUDIForPool, perShard)
-			if err != nil {
-				closeShards(shards[:i])
-				return fmt.Errorf("kvstore: pool shard %d: %w", i, err)
-			}
-			// Persistence shards with the keys: each shard owns a private
-			// store directory (its keys never migrate, so its WAL+snapshot
-			// are self-contained and shards recover independently).
-			shardCfg := p.cfg
-			if p.cfg.Persist != nil && p.cfg.Persist.Dir != "" {
-				pc := *p.cfg.Persist
-				pc.Dir = filepath.Join(p.cfg.Persist.Dir, fmt.Sprintf("shard-%02d", i))
-				shardCfg.Persist = &pc
-			}
-			srv, err := NewServer(sys, cache, shardCfg)
-			if err != nil {
-				closeShards(shards[:i])
-				return fmt.Errorf("kvstore: pool shard %d: %w", i, err)
-			}
-			shards[i] = newShard(srv)
+		// Persistence shards with the keys: each shard owns a private
+		// store directory (its keys never migrate, so its WAL+snapshot
+		// are self-contained and shards recover independently).
+		shardCfg := cfg
+		if cfg.Persist != nil && cfg.Persist.Dir != "" {
+			pc := *cfg.Persist
+			pc.Dir = filepath.Join(cfg.Persist.Dir, fmt.Sprintf("shard-%02d", i))
+			shardCfg.Persist = &pc
 		}
-		p.Shards = shards
-		return nil
-	})
+		srv, err := NewServer(sys, cache, shardCfg)
+		if err != nil {
+			closeShards(shards[:i])
+			return nil, fmt.Errorf("kvstore: pool shard %d: %w", i, err)
+		}
+		shards[i] = newShard(srv)
+	}
+	return &Pool{Shards: shards, lc: lifecycle.NewMachine("kvstore.Pool")}, nil
 }
 
 // newShard returns the pool shard of srv.
 func newShard(srv *Server) *retrofit.Shard[*Server] { return retrofit.NewShard(srv, &srv.shell) }
 
 // closeShards best-effort-releases partially built shards after a
-// failed Init; the init failure is the error callers must see.
+// failed NewPool; the construction failure is the error callers must
+// see.
 func closeShards(shards retrofit.Shards[*Server]) {
 	for _, sh := range shards {
 		if sh != nil {
@@ -129,11 +94,6 @@ func closeShards(shards retrofit.Shards[*Server]) {
 		}
 	}
 }
-
-// Start moves the pool to StateHealthy. Legal exactly once, after Init;
-// the shards themselves serve from construction, so Start is purely a
-// lifecycle transition.
-func (p *Pool) Start() error { return p.lc.Start(nil) }
 
 // State returns the pool's lifecycle state.
 func (p *Pool) State() lifecycle.State { return p.lc.State() }
@@ -143,15 +103,6 @@ func (p *Pool) State() lifecycle.State { return p.lc.State() }
 // closed. Idempotent: later calls return the first call's outcome
 // without touching the shards again.
 func (p *Pool) Close() error { return p.lc.Close(p.teardown) }
-
-// Stop is the strict lifecycle form of Close: same teardown, but a
-// second Stop returns a typed *LifecycleError instead of the memoized
-// outcome. ctx is accepted for interface symmetry; shard teardown is
-// bounded by the store backends, not the context.
-func (p *Pool) Stop(ctx context.Context) error {
-	_ = ctx
-	return p.lc.Stop(p.teardown)
-}
 
 // teardown closes every shard; first error wins.
 func (p *Pool) teardown() error {

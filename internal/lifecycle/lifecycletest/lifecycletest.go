@@ -1,18 +1,17 @@
 // Package lifecycletest is the table-driven conformance suite for
 // lifecycle.Component implementations. Every component that embeds a
-// lifecycle.Machine runs the same battery: illegal transitions are
-// rejected with a typed *LifecycleError (Start before Init, double
-// Start, double Stop, Resize while Draining), the observed state
-// sequence is rank-monotone, Drain and Close are idempotent, and a
-// stopped component stays stopped. Run it from a component package's
-// tests with a factory that builds a pristine (deferred, un-Inited)
-// instance per case.
+// lifecycle.Machine runs the same battery: a freshly constructed
+// component is serving, illegal transitions are rejected with a typed
+// *LifecycleError (Resize while Draining or after Close, Drain after
+// Close), the observed state sequence is rank-monotone, Drain and Close
+// are idempotent, and a closed component stays closed. Run it from a
+// component package's tests with a factory that calls the component's
+// constructor once per case.
 //
 //lint:allow unusedexport a test battery: only the components' tests import it
 package lifecycletest
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/lifecycle"
@@ -22,9 +21,9 @@ import (
 type Case struct {
 	// Name labels the subtest.
 	Name string
-	// New builds a pristine component: constructed, Init not yet
-	// called. It is invoked several times per case, so it must not
-	// share state across invocations.
+	// New builds a fresh component through its constructor. It is
+	// invoked once per subtest, so it must not share state across
+	// invocations.
 	New func(t *testing.T) lifecycle.Component
 	// Resize, when non-nil, resizes the component (which must then
 	// also reject resizes while draining/stopped). Grow and Shrink are
@@ -41,7 +40,6 @@ func Run(t *testing.T, cases []Case) {
 	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.Name, func(t *testing.T) {
-			t.Run("illegal-before-init", tc.illegalBeforeInit)
 			t.Run("full-lifecycle", tc.fullLifecycle)
 			t.Run("close-idempotent", tc.closeIdempotent)
 		})
@@ -79,49 +77,15 @@ func (st *stateTracker) check(after string) {
 	st.prev = cur
 }
 
-// illegalBeforeInit: a pristine component refuses Start, Drain, and
-// Resize, and stays Initializing through the refusals.
-func (tc Case) illegalBeforeInit(t *testing.T) {
-	c := tc.New(t)
-	if got := c.State(); got != lifecycle.StateInitializing {
-		t.Fatalf("fresh component state = %s, want %s", got, lifecycle.StateInitializing)
-	}
-	wantLifecycleErr(t, c.Start(), "Start-before-Init")
-	wantLifecycleErr(t, c.Drain(), "Drain-before-Init")
-	if tc.Resize != nil {
-		wantLifecycleErr(t, tc.Resize(c, 2), "Resize-before-Init")
-	}
-	if got := c.State(); got != lifecycle.StateInitializing {
-		t.Fatalf("state after refused transitions = %s, want %s", got, lifecycle.StateInitializing)
-	}
-	// Teardown of the husk must not leak: Stop on an un-inited
-	// component is a typed refusal, not a crash.
-	wantLifecycleErr(t, c.Stop(context.Background()), "Stop-before-Init")
-}
-
-// fullLifecycle: Init → Start → (Resize) → Drain → Stop, with every
-// double transition rejected and the state sequence monotone.
+// fullLifecycle: construct → (Resize) → Drain → Close, with the
+// double calls memoized, Resize refused once serving ends, and the
+// state sequence monotone.
 func (tc Case) fullLifecycle(t *testing.T) {
 	c := tc.New(t)
-	st := &stateTracker{t: t, c: c, prev: c.State()}
-
-	if err := c.Init(); err != nil {
-		t.Fatalf("Init: %v", err)
-	}
-	st.check("Init")
-	wantLifecycleErr(t, c.Init(), "double-Init")
-	if got := c.State(); got != lifecycle.StateInitializing {
-		t.Fatalf("state after Init = %s, want %s (Start flips to healthy)", got, lifecycle.StateInitializing)
-	}
-
-	if err := c.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	st.check("Start")
 	if got := c.State(); got != lifecycle.StateHealthy {
-		t.Fatalf("state after Start = %s, want %s", got, lifecycle.StateHealthy)
+		t.Fatalf("constructed component state = %s, want %s", got, lifecycle.StateHealthy)
 	}
-	wantLifecycleErr(t, c.Start(), "double-Start")
+	st := &stateTracker{t: t, c: c, prev: c.State()}
 
 	if tc.Resize != nil && tc.Grow > 0 {
 		if err := tc.Resize(c, tc.Grow); err != nil {
@@ -153,44 +117,35 @@ func (tc Case) fullLifecycle(t *testing.T) {
 		wantLifecycleErr(t, tc.Resize(c, 4), "Resize-while-Draining")
 	}
 
-	if err := c.Stop(context.Background()); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
-	st.check("Stop")
-	if got := c.State(); got != lifecycle.StateStopped {
-		t.Fatalf("state after Stop = %s, want %s", got, lifecycle.StateStopped)
-	}
-	wantLifecycleErr(t, c.Stop(context.Background()), "double-Stop")
-	if tc.Resize != nil {
-		wantLifecycleErr(t, tc.Resize(c, 4), "Resize-after-Stop")
-	}
-	st.check("double-Stop")
-}
-
-// closeIdempotent: a component that also has a legacy Close must make
-// it idempotent (second Close returns the first outcome, here nil) and
-// terminal.
-func (tc Case) closeIdempotent(t *testing.T) {
-	c := tc.New(t)
-	if err := c.Init(); err != nil {
-		t.Fatalf("Init: %v", err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	cl, ok := c.(interface{ Close() error })
-	if !ok {
-		t.Skip("component has no Close")
-	}
-	if err := cl.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := cl.Close(); err != nil {
+	st.check("Close")
+	if got := c.State(); got != lifecycle.StateStopped {
+		t.Fatalf("state after Close = %s, want %s", got, lifecycle.StateStopped)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("second Close (must return the first outcome): %v", err)
+	}
+	if tc.Resize != nil {
+		wantLifecycleErr(t, tc.Resize(c, 4), "Resize-after-Close")
+	}
+	st.check("double-Close")
+}
+
+// closeIdempotent: Close straight from serving is idempotent (the
+// second Close returns the first outcome, here nil) and terminal — a
+// closed component refuses Drain.
+func (tc Case) closeIdempotent(t *testing.T) {
+	c := tc.New(t)
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := c.Close(); err != nil {
 		t.Fatalf("second Close (must be idempotent): %v", err)
 	}
 	if got := c.State(); got != lifecycle.StateStopped {
 		t.Fatalf("state after Close = %s, want %s", got, lifecycle.StateStopped)
 	}
-	// Stop after Close is the strict form: typed refusal.
-	wantLifecycleErr(t, c.Stop(context.Background()), "Stop-after-Close")
+	wantLifecycleErr(t, c.Drain(), "Drain-after-Close")
 }

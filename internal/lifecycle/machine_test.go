@@ -8,7 +8,7 @@ import (
 )
 
 // TestResizableDuringTransition pins the lock-freedom contract: while a
-// Drain/Stop/Close work function is still running (the machine mutex is
+// Drain/Close work function is still running (the machine mutex is
 // held for the whole transition), State already reports the new state
 // and Resizable returns the typed refusal immediately instead of
 // blocking on the mutex. A work function that waits for a goroutine
@@ -22,18 +22,11 @@ func TestResizableDuringTransition(t *testing.T) {
 		want lifecycle.State
 	}{
 		{"Drain", func(m *lifecycle.Machine, fn func() error) error { return m.Drain(fn) }, lifecycle.StateDraining},
-		{"Stop", func(m *lifecycle.Machine, fn func() error) error { return m.Stop(fn) }, lifecycle.StateStopped},
 		{"Close", func(m *lifecycle.Machine, fn func() error) error { return m.Close(fn) }, lifecycle.StateStopped},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := lifecycle.NewMachine("lifecycletest.machine")
-			if err := m.Init(nil); err != nil {
-				t.Fatalf("Init: %v", err)
-			}
-			if err := m.Start(nil); err != nil {
-				t.Fatalf("Start: %v", err)
-			}
 
 			entered := make(chan struct{})
 			release := make(chan struct{})

@@ -1,6 +1,6 @@
 // Package serve is the one socket frontend of the repository: the
-// accept loop, the lifecycle (Init/Start/Drain/Stop/Close and the drain
-// order), the optional gateway and request deadline, the submission-
+// accept loop, the lifecycle (Drain/Close and the drain order), the
+// optional gateway and request deadline, the submission-
 // queue wiring with its overload and closed-queue responses, worker
 // resizing and the elastic grow/shrink rule. Everything a protocol or a
 // store must decide is handed in through Backend, so internal/kvstore,
@@ -88,8 +88,7 @@ type Backend[Req, Resp any] struct {
 	Drain, Close func() error
 }
 
-// Frontend serves a Backend over sockets. New returns it Initializing;
-// Init and Start (or Serving, for both) make it serve.
+// Frontend serves a Backend over sockets. New returns it serving.
 type Frontend[Req, Resp any] struct {
 	b   Backend[Req, Resp]
 	log *log.Logger
@@ -98,8 +97,7 @@ type Frontend[Req, Resp any] struct {
 	gw         *gateway.Gateway
 	reqTimeout time.Duration
 
-	// qcfg is set by Queue; Init builds queues from it.
-	qcfg   *submit.Config
+	// queues is built by Queue; nil on a serial frontend.
 	queues *submit.Queues
 	// load is queues.Load, bound once so Submit allocates no method value.
 	load func(int) int64
@@ -121,9 +119,9 @@ type Frontend[Req, Resp any] struct {
 	conns  map[int]net.Conn
 }
 
-// New returns an Initializing frontend that calls b.Handle directly,
-// once per request (Queue switches it to batched serving). logger may
-// be nil to disable logging.
+// New returns a serving frontend that calls b.Handle directly, once per
+// request (Queue switches it to batched serving). logger may be nil to
+// disable logging.
 func New[Req, Resp any](b Backend[Req, Resp], logger *log.Logger) *Frontend[Req, Resp] {
 	return &Frontend[Req, Resp]{b: b, log: logger, lc: lifecycle.NewMachine(b.Name + ".NetServer")}
 }
@@ -134,9 +132,9 @@ func New[Req, Resp any](b Backend[Req, Resp], logger *log.Logger) *Frontend[Req,
 // maxBatch queued requests into a single b.Batch. maxInflight bounds
 // admitted-but-unanswered requests across the frontend (<= 0 means
 // 1024); at capacity new requests are shed immediately with a
-// deterministic cycles-quantized retry hint. Call before Init, which
-// starts the drain loops; Close stops them.
-func (f *Frontend[Req, Resp]) Queue(maxInflight, maxBatch int) {
+// deterministic cycles-quantized retry hint. Queue starts the drain
+// loops, and Close stops them; call it before Serve.
+func (f *Frontend[Req, Resp]) Queue(maxInflight, maxBatch int) error {
 	if maxInflight <= 0 {
 		maxInflight = 1024
 	}
@@ -146,7 +144,12 @@ func (f *Frontend[Req, Resp]) Queue(maxInflight, maxBatch int) {
 		c.task.Payload = c
 		return c
 	}
-	f.qcfg = &submit.Config{Workers: f.b.Shards, Depth: max(maxInflight/f.b.Shards, 1), MaxBatch: maxBatch, Exec: f.exec}
+	q, err := submit.New(submit.Config{Workers: f.b.Shards, Depth: max(maxInflight/f.b.Shards, 1), MaxBatch: maxBatch, Exec: f.exec})
+	if err != nil {
+		return err
+	}
+	f.queues, f.load = q, q.Load
+	return nil
 }
 
 // exec is the drain loops' executor: one batch on one shard, then one
@@ -373,37 +376,10 @@ func (f *Frontend[Req, Resp]) LogPaced(ev Event, conn int, tenant string, cause 
 	f.Logf("conn %d%s: %s%s, %d on this server so far", conn, tenant, eventText[ev], why, n)
 }
 
-// Init allocates the frontend's own resources: a batched frontend's
-// queues and drain loops (the backend was built by its owner).
-func (f *Frontend[Req, Resp]) Init() error {
-	return f.lc.Init(func() error {
-		if f.qcfg == nil {
-			return nil
-		}
-		q, err := submit.New(*f.qcfg)
-		if err != nil {
-			return err
-		}
-		f.queues, f.load = q, q.Load
-		return nil
-	})
-}
-
-// Start moves the frontend to StateHealthy.
-func (f *Frontend[Req, Resp]) Start() error { return f.lc.Start(nil) }
-
-// Serving runs Init then Start: the eager-constructor form.
-func (f *Frontend[Req, Resp]) Serving() error {
-	if err := f.Init(); err != nil {
-		return err
-	}
-	return f.Start()
-}
-
 // State returns the frontend's lifecycle state.
 func (f *Frontend[Req, Resp]) State() lifecycle.State { return f.lc.State() }
 
-// Draining reports whether Drain has been called (and Stop has not yet
+// Draining reports whether Drain has been called (and Close has not yet
 // superseded it).
 func (f *Frontend[Req, Resp]) Draining() bool { return f.lc.State() == lifecycle.StateDraining }
 
@@ -429,19 +405,9 @@ func (f *Frontend[Req, Resp]) Drain() error {
 // loops exit) and closes the backend, propagating its error.
 // Idempotent: later calls return the first outcome. Serve must have
 // returned (or never been called).
-func (f *Frontend[Req, Resp]) Close() error { return f.lc.Close(f.teardown) }
-
-// Stop is the strict lifecycle form of Close: same teardown, but a
-// second Stop returns a typed *LifecycleError instead of the memoized
-// outcome. ctx is accepted for interface symmetry; teardown is bounded
-// by the queue flush and the backend, not the context.
-func (f *Frontend[Req, Resp]) Stop(ctx context.Context) error {
-	_ = ctx
-	return f.lc.Stop(f.teardown)
+func (f *Frontend[Req, Resp]) Close() error {
+	return f.lc.Close(func() error { return f.release(f.b.Close) })
 }
-
-// teardown is what Close and Stop run: queues, then the backend's close.
-func (f *Frontend[Req, Resp]) teardown() error { return f.release(f.b.Close) }
 
 // release flushes and closes the queues, then runs the backend step.
 func (f *Frontend[Req, Resp]) release(backend func() error) error {

@@ -68,9 +68,11 @@ func TestLifecycleConformance(t *testing.T) {
 		},
 		{
 			Name: "serve.Frontend-batched",
-			New: func(*testing.T) lifecycle.Component {
+			New: func(t *testing.T) lifecycle.Component {
 				f := newEcho(2).f
-				f.Queue(16, 4)
+				if err := f.Queue(16, 4); err != nil {
+					t.Fatal(err)
+				}
 				return f
 			},
 		},
@@ -82,15 +84,14 @@ func TestLifecycleConformance(t *testing.T) {
 // typed ErrClosed, and Close after Drain closes the backend once.
 func TestDrainOrder(t *testing.T) {
 	e := newEcho(2)
-	e.f.Queue(16, 4)
+	if err := e.f.Queue(16, 4); err != nil {
+		t.Fatal(err)
+	}
 	gw, err := gateway.New(gateway.Config{Table: mustTable(t, "alice tok\n")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.f.SetGateway(gw)
-	if err := e.f.Serving(); err != nil {
-		t.Fatal(err)
-	}
 	if got := e.f.Do(1, "hi"); got != "HI" {
 		t.Fatalf("Do = %q, want HI", got)
 	}
@@ -182,9 +183,8 @@ func TestSubmitQueuesWithoutWaiting(t *testing.T) {
 		<-release
 		batch(shard, calls)
 	}
-	e.f.Queue(16, 4)
 	e.f.SetRequestTimeout(time.Hour)
-	if err := e.f.Serving(); err != nil {
+	if err := e.f.Queue(16, 4); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -233,8 +233,7 @@ func TestSubmitOverload(t *testing.T) {
 		<-release
 		batch(shard, calls)
 	}
-	e.f.Queue(1, 1)
-	if err := e.f.Serving(); err != nil {
+	if err := e.f.Queue(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -277,20 +276,11 @@ func TestSubmitOverload(t *testing.T) {
 // TestElasticNeedsBatchedResizable pins EnableElastic's preconditions.
 func TestElasticNeedsBatchedResizable(t *testing.T) {
 	serial := newEcho(1).f
-	if err := serial.Serving(); err != nil {
-		t.Fatal(err)
-	}
 	if err := serial.EnableElastic(1, 4); err == nil {
 		t.Fatal("serial frontend accepted elastic mode")
 	}
 	batched := newEcho(1).f
-	batched.Queue(8, 2)
-	if err := batched.EnableElastic(1, 4); err == nil {
-		t.Fatal("EnableElastic before Start was accepted")
-	} else if _, ok := lifecycle.IsLifecycle(err); !ok {
-		t.Fatalf("EnableElastic before Start: %v, want a lifecycle refusal", err)
-	}
-	if err := batched.Serving(); err != nil {
+	if err := batched.Queue(8, 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range [][2]int{{0, 4}, {3, 2}, {1, 9}} {
@@ -307,6 +297,11 @@ func TestElasticNeedsBatchedResizable(t *testing.T) {
 	if err := batched.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := batched.EnableElastic(2, 4); err == nil {
+		t.Fatal("EnableElastic after Close was accepted")
+	} else if _, ok := lifecycle.IsLifecycle(err); !ok {
+		t.Fatalf("EnableElastic after Close: %v, want a lifecycle refusal", err)
+	}
 }
 
 // TestServeAcceptLoop drives the one accept loop over a real socket:
@@ -314,8 +309,7 @@ func TestElasticNeedsBatchedResizable(t *testing.T) {
 // closes and every connection has finished.
 func TestServeAcceptLoop(t *testing.T) {
 	e := newEcho(2)
-	e.f.Queue(16, 4)
-	if err := e.f.Serving(); err != nil {
+	if err := e.f.Queue(16, 4); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

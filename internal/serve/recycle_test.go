@@ -22,8 +22,7 @@ func TestQueuedDoAllocations(t *testing.T) {
 	// the Do reaches its shard.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := newEcho(2)
-	e.f.Queue(16, 4)
-	if err := e.f.Serving(); err != nil {
+	if err := e.f.Queue(16, 4); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -87,8 +86,7 @@ func TestRecycledCallsKeepTheirOutcome(t *testing.T) {
 			}
 		}
 	}
-	e.f.Queue(32, 4)
-	if err := e.f.Serving(); err != nil {
+	if err := e.f.Queue(32, 4); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {

@@ -9,20 +9,28 @@ import (
 )
 
 // TestLifecycleConformance runs the shared lifecycle battery against the
-// root package's three components. Each case builds a pristine deferred
-// instance per subtest, so illegal-transition probes never share state.
+// root package's three components. Each case builds a fresh instance
+// through its constructor per subtest, so the probes never share state.
 func TestLifecycleConformance(t *testing.T) {
 	lifecycletest.Run(t, []lifecycletest.Case{
 		{
 			Name: "Domain",
 			New: func(t *testing.T) lifecycle.Component {
-				return sdrad.New().DeferDomain(sdrad.WithHeapPages(2), sdrad.WithStackPages(2))
+				d, err := sdrad.New().NewDomain(sdrad.WithHeapPages(2), sdrad.WithStackPages(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
 			},
 		},
 		{
 			Name: "Pool",
 			New: func(t *testing.T) lifecycle.Component {
-				return sdrad.NewDeferredPool(2, nil)
+				p, err := sdrad.NewPool(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
 			},
 			Resize: func(c lifecycle.Component, n int) error {
 				return c.(*sdrad.Pool).Resize(n)
@@ -38,7 +46,11 @@ func TestLifecycleConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { _ = pool.Close() })
-				return sdrad.NewDeferredAsyncPool(pool, sdrad.AsyncConfig{MaxBatch: 8, MaxInflight: 64})
+				a, err := sdrad.NewAsyncPool(pool, sdrad.AsyncConfig{MaxBatch: 8, MaxInflight: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
 			},
 		},
 	})

@@ -77,7 +77,6 @@ type Pool struct {
 	// identical to the originals.
 	supOpts []Option
 	domOpts []DomainOption
-	n       int
 
 	// workers is the published worker-set snapshot: dispatch paths load
 	// it atomically; Resize/teardown swap it under retireMu.
@@ -126,24 +125,8 @@ var testHookDispatchAttempt func(attempt int)
 // NewPoolWithDomain is NewPool with explicit configuration for the warm
 // domain of every worker (heap pages, stack pages, ...). If any worker
 // fails to initialize, the domains of the workers already brought up are
-// closed before the error returns. The returned pool is already serving
-// (Init and Start have run).
+// closed before the error returns. The returned pool is serving.
 func NewPoolWithDomain(n int, domOpts []DomainOption, opts ...Option) (*Pool, error) {
-	p := newDeferredPool(n, domOpts, opts...)
-	if err := p.Init(); err != nil {
-		return nil, err
-	}
-	if err := p.Start(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// newDeferredPool constructs a pool without allocating its workers: the
-// lifecycle-managed form (DESIGN.md §13). Call Init to build the worker
-// machines and Start to begin serving; until then the pool is in
-// StateInitializing and rejects work.
-func newDeferredPool(n int, domOpts []DomainOption, opts ...Option) *Pool {
 	if n <= 0 {
 		n = runtime.NumCPU()
 	}
@@ -151,10 +134,24 @@ func newDeferredPool(n int, domOpts []DomainOption, opts ...Option) *Pool {
 		lc:      lifecycle.NewMachine("sdrad.Pool"),
 		supOpts: opts,
 		domOpts: domOpts,
-		n:       n,
 	}
 	p.drainCond = sync.NewCond(&p.drainMu)
-	return p
+	ws := make([]*poolWorker, n)
+	for i := range ws {
+		w, err := p.newWorker()
+		if err != nil {
+			for _, u := range ws[:i] {
+				_ = u.dom.Close() //lint:errclass best-effort unwind; the construction failure is the error callers must see
+			}
+			return nil, fmt.Errorf("sdrad: pool worker %d: %w", i, err)
+		}
+		ws[i] = w
+		if testHookWorkerCreated != nil {
+			testHookWorkerCreated(i, w)
+		}
+	}
+	p.workers.Store(&ws)
+	return p, nil
 }
 
 // newWorker builds one worker: a private Supervisor plus its warm
@@ -183,34 +180,6 @@ func (w *poolWorker) warmUp() error {
 	return err
 }
 
-// Init allocates the pool's workers (lifecycle: legal once, from
-// StateInitializing). NewPool calls it for you; it exists for deferred
-// pools.
-func (p *Pool) Init() error {
-	return p.lc.Init(func() error {
-		ws := make([]*poolWorker, p.n)
-		for i := range ws {
-			w, err := p.newWorker()
-			if err != nil {
-				for _, u := range ws[:i] {
-					_ = u.dom.Close() //lint:errclass best-effort unwind; the construction failure is the error callers must see
-				}
-				return fmt.Errorf("sdrad: pool worker %d: %w", i, err)
-			}
-			ws[i] = w
-			if testHookWorkerCreated != nil {
-				testHookWorkerCreated(i, w)
-			}
-		}
-		p.workers.Store(&ws)
-		return nil
-	})
-}
-
-// Start moves the pool to StateHealthy and opens dispatch (lifecycle:
-// legal once, after Init).
-func (p *Pool) Start() error { return p.lc.Start(nil) }
-
 // State returns the pool's lifecycle state.
 func (p *Pool) State() lifecycle.State { return p.lc.State() }
 
@@ -223,7 +192,7 @@ func (p *Pool) State() lifecycle.State { return p.lc.State() }
 // ErrPoolClosed, so an async layer still feeding the pool cannot extend
 // the drain indefinitely; for the graceful order, drain the AsyncPool
 // first (its backlog then executes before admission closes here).
-// Idempotent; legal after Start.
+// Idempotent; refused after Close.
 func (p *Pool) Drain() error {
 	return p.lc.Drain(func() error {
 		p.draining.Store(true)
@@ -252,15 +221,6 @@ func (p *Pool) endCall() {
 		p.drainCond.Broadcast()
 		p.drainMu.Unlock()
 	}
-}
-
-// Stop tears down every worker's warm domain (lifecycle: legal once;
-// Close is the idempotent form legacy call sites use).
-func (p *Pool) Stop(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return p.lc.Stop(p.teardown)
 }
 
 // Close tears down every worker's warm domain. Runs that lost the race
@@ -298,14 +258,8 @@ func retireWorker(w *poolWorker) error {
 	return w.dom.Close()
 }
 
-// snapshot returns the published worker set (nil before Init).
-func (p *Pool) snapshot() []*poolWorker {
-	ws := p.workers.Load()
-	if ws == nil {
-		return nil
-	}
-	return *ws
-}
+// snapshot returns the published worker set.
+func (p *Pool) snapshot() []*poolWorker { return *p.workers.Load() }
 
 // allWorkers returns the live workers plus the retired husks, for stats
 // aggregators: a shrink must never make completed work disappear from
@@ -420,11 +374,7 @@ func (p *Pool) admit() ([]*poolWorker, error) {
 	if p.closed.Load() || p.draining.Load() {
 		return nil, ErrPoolClosed
 	}
-	ws := p.snapshot()
-	if len(ws) == 0 {
-		return nil, &lifecycle.LifecycleError{Component: "sdrad.Pool", Op: "Do", From: p.lc.State(), Reason: "before Init"}
-	}
-	return ws, nil
+	return p.snapshot(), nil
 }
 
 // Do implements Runner: it executes fn inside a pristine isolated domain
@@ -452,7 +402,7 @@ func (p *Pool) Do(ctx context.Context, fn func(*Ctx) error, opts ...RunOption) e
 				testHookDispatchAttempt(attempt)
 			}
 			cur := p.snapshot()
-			if len(cur) == 0 || p.closed.Load() {
+			if p.closed.Load() {
 				return nil, 0, ErrPoolClosed
 			}
 			var w *poolWorker
@@ -526,7 +476,7 @@ func (p *Pool) dispatchBatch(worker int, hasWorker bool, calls []*batchCall) {
 	defer p.endCall()
 	for {
 		ws := p.snapshot()
-		if len(ws) == 0 || p.closed.Load() || p.draining.Load() {
+		if p.closed.Load() || p.draining.Load() {
 			for _, c := range calls {
 				c.err = ErrPoolClosed
 			}

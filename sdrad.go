@@ -1,7 +1,6 @@
 package sdrad
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -87,18 +86,7 @@ func (s *Supervisor) DomainAt(udi int) (*Domain, error) {
 	if _, err := s.sys.Domain(core.UDI(udi)); err != nil {
 		return nil, err
 	}
-	return &Domain{sup: s, udi: core.UDI(udi), lc: servingMachine("sdrad.Domain")}, nil
-}
-
-// servingMachine builds a lifecycle machine pre-advanced to Healthy,
-// for the eager constructors whose resources are allocated inline
-// (NewDomain, DomainAt): the handle they return is already serving.
-func servingMachine(name string) *lifecycle.Machine {
-	m := lifecycle.NewMachine(name)
-	// Both transitions are infallible with nil work functions.
-	_ = m.Init(nil)  //lint:errclass fresh machine; Init from StateInitializing cannot fail
-	_ = m.Start(nil) //lint:errclass inited machine; Start cannot fail
-	return m
+	return &Domain{sup: s, udi: core.UDI(udi), lc: lifecycle.NewMachine("sdrad.Domain")}, nil
 }
 
 // DomainOption configures a domain.
@@ -125,26 +113,15 @@ func WithStackPages(n int) DomainOption {
 // which is the default key and one of which the supervisor reserves for
 // root-protected pages (adopted heaps).
 func (s *Supervisor) NewDomain(opts ...DomainOption) (*Domain, error) {
-	d := s.deferDomain(opts...)
-	if err := d.Init(); err != nil {
-		return nil, err
-	}
-	if err := d.Start(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// deferDomain constructs a domain handle without allocating the domain:
-// the lifecycle-managed form (DESIGN.md §13). Call Init to allocate the
-// domain's pages and protection key and Start to begin serving; until
-// then the handle is in StateInitializing.
-func (s *Supervisor) deferDomain(opts ...DomainOption) *Domain {
 	var cfg core.DomainConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &Domain{sup: s, cfg: cfg, lc: lifecycle.NewMachine("sdrad.Domain")}
+	dom, err := s.sys.CreateDomain(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Domain{sup: s, udi: dom.UDI(), lc: lifecycle.NewMachine("sdrad.Domain")}, nil
 }
 
 // VirtualTime returns the elapsed virtual time on the simulated machine.
@@ -193,9 +170,6 @@ type DomainStats struct {
 type Domain struct {
 	sup *Supervisor
 	udi core.UDI
-	// cfg is the deferred-construction configuration deferDomain stored
-	// for Init to apply.
-	cfg core.DomainConfig
 	lc  *lifecycle.Machine
 	// onBatch, when set, observes every DoBatch/DoBatchItems resolution
 	// on this handle — the batch commit hook (see BatchReport).
@@ -204,40 +178,14 @@ type Domain struct {
 	batch *domainBatch
 }
 
-// Init allocates the domain's pages and protection key (lifecycle:
-// legal once, from StateInitializing). NewDomain calls it for you.
-func (d *Domain) Init() error {
-	return d.lc.Init(func() error {
-		dom, err := d.sup.sys.CreateDomain(d.cfg)
-		if err != nil {
-			return err
-		}
-		d.udi = dom.UDI()
-		return nil
-	})
-}
-
-// Start moves the domain to StateHealthy (lifecycle: legal once, after
-// Init).
-func (d *Domain) Start() error { return d.lc.Start(nil) }
-
 // State returns the domain's lifecycle state.
 func (d *Domain) State() lifecycle.State { return d.lc.State() }
 
 // Drain marks the domain as no longer admitting work. A domain has a
 // single owner and no queue, so the transition is the whole drain: the
 // owner stops submitting, and the state change makes that observable to
-// health aggregators. Idempotent; legal after Start.
+// health aggregators. Idempotent; refused after Close.
 func (d *Domain) Drain() error { return d.lc.Drain(nil) }
-
-// Stop tears the domain down (lifecycle: legal once; Close is the
-// idempotent form).
-func (d *Domain) Stop(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return d.lc.Stop(d.teardown)
-}
 
 // UDI returns the domain's index (its handle in the C API).
 func (d *Domain) UDI() int { return int(d.udi) }
