@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race test-lifecycle test-cluster report-check bench bench-smoke fuzz-smoke campaign-smoke
+.PHONY: check fmt vet lint build test race test-lifecycle test-cluster report-check bench fuzz-smoke campaign-smoke
 
 check: fmt vet lint build test race report-check
 
@@ -92,26 +92,25 @@ bench:
 # run detect → trap → rewind → classify, and the allocation-free error
 # classifier (differential against errors.As).
 # `make test` only replays the seed corpora; this explores past them. A
-# failing input lands under the package's testdata/fuzz/.
-fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/httpd
-	$(GO) test -run '^$$' -fuzz '^FuzzServeSDRaD$$' -fuzztime 10s ./internal/httpd
-	$(GO) test -run '^$$' -fuzz '^FuzzGatewayAuth$$' -fuzztime 10s ./internal/gateway
-	$(GO) test -run '^$$' -fuzz '^FuzzReadCommand$$' -fuzztime 10s ./internal/kvstore
-	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckRequest$$' -fuzztime 10s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s ./internal/persist
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/kvstore
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/serde
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s ./internal/tlslib
-	$(GO) test -run '^$$' -fuzz '^FuzzExecRoundTrip$$' -fuzztime 10s .
-	$(GO) test -run '^$$' -fuzz '^FuzzHandleSDRaD$$' -fuzztime 10s ./internal/kvstore
-	$(GO) test -run '^$$' -fuzz '^FuzzAsMatchesErrorsAs$$' -fuzztime 10s ./internal/errtype
+# failing input lands under the package's testdata/fuzz/. FUZZFLAGS
+# bounds minimization: at Go's default (60 s per new interesting input)
+# a worker spends most of each window minimizing at 0 execs/s.
+FUZZFLAGS = -fuzztime 10s -fuzzminimizetime 50x
 
-# One-iteration pass over the go-test benchmarks (CI): its only job is
-# proving they still run; numbers come from `make bench`.
-bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' $(FUZZFLAGS) ./internal/httpd
+	$(GO) test -run '^$$' -fuzz '^FuzzServeSDRaD$$' $(FUZZFLAGS) ./internal/httpd
+	$(GO) test -run '^$$' -fuzz '^FuzzGatewayAuth$$' $(FUZZFLAGS) ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCommand$$' $(FUZZFLAGS) ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' $(FUZZFLAGS) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckRequest$$' $(FUZZFLAGS) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzWALDecode$$' $(FUZZFLAGS) ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' $(FUZZFLAGS) ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' $(FUZZFLAGS) ./internal/serde
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' $(FUZZFLAGS) ./internal/tlslib
+	$(GO) test -run '^$$' -fuzz '^FuzzExecRoundTrip$$' $(FUZZFLAGS) .
+	$(GO) test -run '^$$' -fuzz '^FuzzHandleSDRaD$$' $(FUZZFLAGS) ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzAsMatchesErrorsAs$$' $(FUZZFLAGS) ./internal/errtype
 
 # Deterministic resilience-campaign smoke (CI): fixed seed, five
 # scenarios — three attacked ones, one benign control (so every oracle —

@@ -1,17 +1,22 @@
 // Command sdrad-report regenerates the measured sections of
-// EXPERIMENTS.md: it runs every experiment and writes a markdown report
+// EXPERIMENTS.md: it runs the experiments and writes a markdown report
 // with the paper-vs-measured comparison, suitable for committing next to
 // the code.
 //
 // Usage:
 //
-//	sdrad-report [-o EXPERIMENTS.md] [-quick]
+//	sdrad-report [-o EXPERIMENTS.md] [-exp E1,E4] [-quick] [-seed N]
+//
+// With no -exp flag every experiment runs in order; -exp takes
+// comma-separated ids in any case. The exit status is 1 when an id is
+// unknown, an experiment fails to run, or any shape check fails (the
+// report is still written), and 2 on a bad flag.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
@@ -19,32 +24,63 @@ import (
 )
 
 func main() {
-	out := flag.String("o", "", "output file (default: stdout)")
-	quick := flag.Bool("quick", false, "reduced-size experiments")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	flag.Parse()
-
-	report, err := build(exp.Runner{Quick: *quick, Seed: *seed})
-	if err != nil {
-		log.SetFlags(0)
-		log.Fatalf("sdrad-report: %v", err)
-	}
-	if *out == "" {
-		fmt.Print(report)
-		return
-	}
-	if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-		log.SetFlags(0)
-		log.Fatalf("sdrad-report: %v", err)
-	}
-	fmt.Printf("wrote %s (%d bytes)\n", *out, len(report))
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func build(r exp.Runner) (string, error) {
-	results, err := r.RunAll()
-	if err != nil {
-		return "", err
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("sdrad-report", flag.ContinueOnError)
+	out := fs.String("o", "", "output file (default: stdout)")
+	expFlag := fs.String("exp", "", "comma-separated experiment ids (default: all)")
+	quick := fs.Bool("quick", false, "reduced-size experiments")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+
+	ids := exp.IDs()
+	if *expFlag != "" {
+		ids = strings.Split(*expFlag, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(strings.ToUpper(ids[i]))
+		}
+	}
+	r := exp.Runner{Quick: *quick, Seed: *seed}
+	results := make([]*exp.Result, 0, len(ids))
+	for _, id := range ids {
+		res, err := r.Run(id)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sdrad-report: %v\n", err)
+			return 1
+		}
+		results = append(results, res)
+	}
+	return emit(stdout, *out, r, results)
+}
+
+// emit writes the report for results to path (stdout when path is
+// empty) and returns the exit status: 1 when the write fails or any
+// shape check fails.
+func emit(stdout io.Writer, path string, r exp.Runner, results []*exp.Result) int {
+	report, failed := build(r, results)
+	if path == "" {
+		fmt.Fprint(stdout, report)
+	} else {
+		if err := os.WriteFile(path, []byte(report), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "sdrad-report: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", path, len(report))
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "sdrad-report: %d shape checks fail\n", failed)
+		return 1
+	}
+	return 0
+}
+
+// build renders results in the EXPERIMENTS.md format and returns the
+// report with the number of shape checks that fail.
+func build(r exp.Runner, results []*exp.Result) (string, int) {
 	var b strings.Builder
 	b.WriteString("# EXPERIMENTS — paper vs measured\n\n")
 	b.WriteString("Generated by `go run ./cmd/sdrad-report`. Every table below is the\n")
@@ -79,5 +115,5 @@ func build(r exp.Runner) (string, error) {
 		b.WriteString("\n")
 	}
 	fmt.Fprintf(&b, "---\n\n**Shape verdict: %d/%d checks pass.**\n", passTotal, checkTotal)
-	return b.String(), nil
+	return b.String(), checkTotal - passTotal
 }

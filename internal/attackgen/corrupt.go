@@ -1,3 +1,11 @@
+// Package attackgen synthesizes deterministic malformed payloads:
+// protocol lines and serialized codec buffers mutated the way a fuzzer
+// or a hostile client would mutate them, so the campaign engine
+// (internal/campaign) and the parsers' fuzz seeds can exercise the
+// reject paths without a network in the loop.
+//
+// Every mutation is a pure function of the Corruptor's PRNG stream, so a
+// campaign seeded twice produces bit-identical malformed payloads.
 package attackgen
 
 import (
@@ -5,17 +13,6 @@ import (
 
 	"repro/internal/workload"
 )
-
-// This file is the offline half of the attack generator: deterministic
-// malformed-payload synthesis. Where attackgen.Run drives a live server
-// over TCP, the Corruptor produces the byte-level garbage itself —
-// protocol lines and serialized codec buffers mutated the way a fuzzer
-// or a hostile client would mutate them — so the campaign engine
-// (internal/campaign) and the parsers' fuzz seeds can exercise the
-// reject paths without a network in the loop.
-//
-// Every mutation is a pure function of the Corruptor's PRNG stream, so a
-// campaign seeded twice produces bit-identical malformed payloads.
 
 // Mutation identifies one way a payload can be malformed.
 type Mutation uint8

@@ -79,14 +79,3 @@ func TestMutationStrings(t *testing.T) {
 		}
 	}
 }
-
-// TestConfigDefaults lives in-package (Config.fill is unexported); the
-// TCP attack tests are external to avoid a test-only import cycle
-// through kvstore -> repro -> campaign -> attackgen.
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}
-	c.fill()
-	if c.Requests <= 0 || c.Clients <= 0 {
-		t.Errorf("defaults not applied: %+v", c)
-	}
-}

@@ -4,8 +4,7 @@
 //
 // Each experiment builds fresh simulated systems, drives deterministic
 // workloads, and reports virtual-time measurements plus model outputs.
-// The harness is shared by cmd/sdrad-bench, cmd/sdrad-report, and the
-// root-level testing.B benchmarks.
+// cmd/sdrad-report renders the results as EXPERIMENTS.md.
 package exp
 
 import (
@@ -112,17 +111,4 @@ func (r Runner) Run(id string) (*Result, error) {
 	known := IDs()
 	sort.Strings(known)
 	return nil, fmt.Errorf("exp: unknown experiment %q (known: %v)", id, known)
-}
-
-// RunAll executes every experiment in order.
-func (r Runner) RunAll() ([]*Result, error) {
-	var out []*Result
-	for _, id := range IDs() {
-		res, err := r.Run(id)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }

@@ -13,6 +13,20 @@ import (
 
 func quick() Runner { return Runner{Quick: true} }
 
+// runAll runs every experiment in order, as sdrad-report does.
+func runAll(t *testing.T, r Runner) []*Result {
+	t.Helper()
+	var out []*Result
+	for _, id := range IDs() {
+		res, err := r.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
 // rows returns tb's data rows as its Markdown rendering prints them.
 func rows(tb *metrics.Table) [][]string {
 	var out [][]string
@@ -40,10 +54,7 @@ func TestIDsAndClaims(t *testing.T) {
 }
 
 func TestRunAllProducesTables(t *testing.T) {
-	results, err := quick().RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runAll(t, quick())
 	if len(results) != 13 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -262,10 +273,7 @@ func TestAblationShapes(t *testing.T) {
 // TestEveryShapeCheckPasses is the conformance test: every paper-shape
 // assertion must hold on a quick run.
 func TestEveryShapeCheckPasses(t *testing.T) {
-	results, err := quick().RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runAll(t, quick())
 	for _, res := range results {
 		for _, c := range Verify(res) {
 			if !c.Pass {

@@ -117,12 +117,27 @@ func TestNetServerMalformedCommand(t *testing.T) {
 	}
 }
 
+// TestNetServerConcurrentClients runs benign clients alone and beside
+// an attacker: every benign transcript stays exact, every exploit gets
+// SERVER_ERROR, and stats count each one contained with no crash.
 func TestNetServerConcurrentClients(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		attacks int
+	}{
+		{"benign only", 0},
+		{"beside an attacker", 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) { concurrentClients(t, tc.attacks) })
+	}
+}
+
+func concurrentClients(t *testing.T, attacks int) {
 	addr, stop := startNet(t, ModeSDRaD)
 	defer stop()
 
 	const clients = 8
-	errs := make(chan error, clients)
+	errs := make(chan error, clients+1)
 	for c := 0; c < clients; c++ {
 		go func(c int) {
 			key := fmt.Sprintf("k%d", c)
@@ -141,9 +156,30 @@ func TestNetServerConcurrentClients(t *testing.T) {
 			errs <- nil
 		}(c)
 	}
-	for c := 0; c < clients; c++ {
+	go func() {
+		evil := fmt.Sprintf("set x 0 0 %d\r\n%s\r\nquit\r\n", len(AttackMarker), AttackMarker)
+		for i := 0; i < attacks; i++ {
+			out, err := talkErr(addr, evil)
+			if err != nil {
+				errs <- fmt.Errorf("attack %d: %w", i, err)
+				return
+			}
+			if !strings.HasPrefix(out, "SERVER_ERROR") || strings.Count(out, "\r\n") != 1 {
+				errs <- fmt.Errorf("attack %d: %q, want one SERVER_ERROR line", i, out)
+				return
+			}
+		}
+		errs <- nil
+	}()
+	for c := 0; c < clients+1; c++ {
 		if err := <-errs; err != nil {
 			t.Error(err)
+		}
+	}
+	out := talk(t, addr, "stats\r\nquit\r\n")
+	for _, want := range []string{fmt.Sprintf("STAT contained_violations %d\r\n", attacks), "STAT crashes 0\r\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stats missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -118,13 +118,25 @@ func TestServerPersistSnapshotCadence(t *testing.T) {
 			}
 		}
 	}
+	// A GET-only batch stages no records, so it costs no append and no
+	// sync.
+	reads := make([]BatchRequest, 8)
+	for i := range reads {
+		reads[i] = BatchRequest{ClientID: i, Req: workload.Request{Op: workload.OpGet, Key: fmt.Sprintf("k-%02d", i)}}
+	}
+	for i, resp := range srv.HandleBatch(reads) {
+		if resp.Err != nil {
+			t.Fatalf("read batch req %d: %v", i, resp.Err)
+		}
+	}
 	snaps := pm.Snapshot()
 	if snaps.Snapshots < 2 {
 		t.Fatalf("cadence never fired: %+v", snaps)
 	}
-	// One group commit per batch, not per op: 6 batches, 6 appends.
+	// One group commit per mutating batch, not per op: 6 batches, 6
+	// appends.
 	if snaps.Appends != 6 {
-		t.Fatalf("appends = %d, want 6 (one per batch)", snaps.Appends)
+		t.Fatalf("appends = %d, want 6 (one per mutating batch)", snaps.Appends)
 	}
 	if snaps.Fsyncs != snaps.Appends {
 		t.Fatalf("fsync-on store: fsyncs %d != appends %d", snaps.Fsyncs, snaps.Appends)

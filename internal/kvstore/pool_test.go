@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -105,6 +106,44 @@ func TestPoolParallelMixedWorkload(t *testing.T) {
 	}
 	if shardSum != st.Violations {
 		t.Errorf("shard violations sum to %d, aggregate says %d", shardSum, st.Violations)
+	}
+}
+
+// TestPoolShardScaling is the pool's scaling figure: one seeded stream,
+// served serially, finishes in less virtual time (the slowest shard's
+// clock) at every step from 1 to 8 shards, and 4 shards run it at least
+// 3x in parallel. The 8-shard ratio stays below 8 because keys hash
+// unevenly across shards.
+func TestPoolShardScaling(t *testing.T) {
+	const requests = 4000
+	var prev time.Duration
+	for _, shards := range []int{1, 2, 4, 8} {
+		p, err := NewPool(core.DefaultConfig(), ServerConfig{Mode: ModeSDRaD, InterArrival: time.Nanosecond}, shards, 16<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.NewKV(workload.KVConfig{Seed: 1, Keys: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < requests; i++ {
+			if resp := p.HandleContext(context.Background(), i%8, gen.Next()); resp.Err != nil {
+				t.Fatalf("%d shards, request %d: %v", shards, i, resp.Err)
+			}
+		}
+		makespan, total := p.Shards.VirtualTime(), p.Shards.TotalVirtualTime()
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ratio := float64(total) / float64(makespan)
+		t.Logf("%d shards: makespan %v, total/makespan %.2f", shards, makespan, ratio)
+		if prev != 0 && makespan >= prev {
+			t.Errorf("%d shards: makespan %v, not below %v", shards, makespan, prev)
+		}
+		if shards == 4 && ratio < 3 {
+			t.Errorf("4 shards: total/makespan %.2f, want >= 3", ratio)
+		}
+		prev = makespan
 	}
 }
 

@@ -1,6 +1,9 @@
 package serde
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzDecode checks that no codec panics on arbitrary input, and that
 // anything a codec accepts re-encodes and re-decodes stably.
@@ -15,6 +18,10 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
+	// The property: re-encoding a decoded buffer is a fixed point, so
+	// encode(decode(encode(decode(in)))) is byte-identical to
+	// encode(decode(in)). It compares bytes, not values: a decoded NaN
+	// is never equal to itself.
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, c := range Codecs() {
 			vals, err := c.Decode(in)
@@ -26,8 +33,18 @@ func FuzzDecode(f *testing.F) {
 				t.Errorf("%s: decoded values failed to re-encode: %v", c.Name(), err)
 				continue
 			}
-			if _, err := c.Decode(enc); err != nil {
+			again, err := c.Decode(enc)
+			if err != nil {
 				t.Errorf("%s: re-encoded bytes failed to decode: %v", c.Name(), err)
+				continue
+			}
+			enc2, err := c.Encode(again)
+			if err != nil {
+				t.Errorf("%s: second decode failed to re-encode: %v", c.Name(), err)
+				continue
+			}
+			if !bytes.Equal(enc, enc2) {
+				t.Errorf("%s: re-encoding is not a fixed point: %x then %x", c.Name(), enc, enc2)
 			}
 		}
 	})
