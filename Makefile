@@ -38,11 +38,12 @@ test-lifecycle:
 # membership, crash/rolling/partition state-machine tests, the wire
 # fuzz seeds, the churn dispatch hammer (no acked write lost, no nacked
 # write executed), the replica write-order regression (two SETs of one
-# key reach every holder in the primary's order, on both dispatch
-# paths), and the cluster==single-pool differential oracle — all under
-# the race detector.
+# key reach every holder in the primary's order), and the
+# cluster==single-pool differential oracle (internal/campaign) — all
+# under the race detector.
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/...
+	$(GO) test -race -count=1 -run '^TestClusterDifferentialOracle$$' ./internal/campaign
 
 # Lint gate: the sdradlint invariant analyzers (internal/analysis) over
 # every package — wall-clock ban, uncharged-accessor containment,
@@ -118,8 +119,8 @@ fuzz-smoke:
 # the elastic-resize scenario (so the resize oracle replays its
 # grow/shrink schedule) — plus one gateway scenario with its isolation
 # oracle, the crash-recovery oracle, and the cluster==single-pool
-# differential oracle at node counts 1/2/4, serial and batched 8/32,
-# through node-crash, rolling-restart, and partition schedules. The
+# differential oracle at node counts 1/2/4, through node-crash,
+# rolling-restart, and partition schedules. The
 # JSON trace is byte-pinned: the target regenerates CAMPAIGN_CI.json
 # and fails if it differs from the committed file, so a trace change
 # lands only as a deliberate commit of the new file.

@@ -29,7 +29,7 @@
 // N-node sharded cluster fed the same seeded schedule — through node
 // crashes, rolling restarts, and partitions — must produce the same
 // per-request outcomes and survivor digest as one pool, at node counts
-// 1/2/4, serial and batched 8/32. Exit status is 1 if any oracle fails.
+// 1/2/4. Exit status is 1 if any oracle fails.
 //
 // Everything runs against the real backends: campaign.Backends() for
 // the Domain, Pool and Bridge executors, campaign.RecoveryHarness over a
@@ -60,7 +60,7 @@ func run(args []string, stdout *os.File) int {
 	asJSON := fs.Bool("json", false, "emit the full JSON trace instead of the text summary")
 	batch := fs.Int("batch", 0, "drive requests through the batched pipeline in waves of this size (0 = serial)")
 	oracles := fs.Bool("oracles", false, "also run the differential oracles (same-seed, worker counts 1/4/8, benign parity, batched==serial, crash recovery, gateway isolation)")
-	clusterOracle := fs.Bool("cluster", false, "with -oracles, also run the cluster==single-pool differential oracle (node counts 1/2/4, serial and batched 8/32, including node-crash, rolling-restart, and partition scenarios)")
+	clusterOracle := fs.Bool("cluster", false, "with -oracles, also run the cluster==single-pool differential oracle (node counts 1/2/4, including node-crash, rolling-restart, and partition scenarios)")
 	gatewayList := fs.String("gateway", "", "comma-separated gateway scenario names, or 'all' (empty = skip the gateway tier)")
 	showList := fs.Bool("list", false, "list shipped scenarios and exit")
 	out := fs.String("out", "", "also write the JSON trace to this file")
@@ -178,11 +178,10 @@ func run(args []string, stdout *os.File) int {
 	}
 	// Cluster differential oracle: an N-node cluster and a single pool
 	// fed the same seeded schedule must produce identical per-request
-	// outcomes and survivor digests — across node counts 1/2/4, serial
-	// and batched 8/32, through node-crash, rolling-restart, and
-	// partition membership schedules.
+	// outcomes and survivor digests — across node counts 1/2/4, through
+	// node-crash, rolling-restart, and partition membership schedules.
 	if *clusterOracle {
-		clResults, err := campaign.CheckCluster(*seed, *requests, nil, nil)
+		clResults, err := campaign.CheckCluster(*seed, *requests, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
 			return 1

@@ -7,8 +7,8 @@ import (
 // This file defines the cluster differential oracle: a cluster of N
 // sharded nodes behind the consistent-hash router must be
 // observationally equal to one Pool given the same seeded schedule —
-// same per-request outcomes, same survivor state digest — serially and
-// batched, and across membership faults (node crash, rolling restart,
+// same per-request outcomes, same survivor state digest — in steady
+// state and across membership faults (node crash, rolling restart,
 // partition). This file defines the scenario seeding, the
 // outcome/digest currency, and the verdict; clusterharness.go runs it
 // on real routers and pools.
@@ -48,8 +48,7 @@ const (
 )
 
 // ClusterEvent is one membership fault, fired immediately before the
-// request at index At (batched runs snap it to that request's wave
-// boundary).
+// request at index At.
 type ClusterEvent struct {
 	// At is the request index the event precedes.
 	At int
@@ -73,8 +72,6 @@ type ClusterScenario struct {
 	Replicas int
 	// Requests is the schedule length.
 	Requests int
-	// Batch is the wave size; 0 means serial dispatch.
-	Batch int
 	// AttackEvery marks every Nth request malicious (0 = benign run).
 	AttackEvery int
 	// ReadReplicas routes cluster-side GETs across slot holders.
@@ -121,12 +118,11 @@ type ClusterRun struct {
 // Fault families need a second node to be non-vacuous, so n=1 runs
 // steady only — which is itself the heart of the oracle: a one-node
 // cluster IS a pool behind a router.
-func clusterScenarios(seed uint64, n, requests, batch int) []ClusterScenario {
+func clusterScenarios(seed uint64, n, requests int) []ClusterScenario {
 	base := ClusterScenario{
 		Seed:        seed,
 		Nodes:       n,
 		Requests:    requests,
-		Batch:       batch,
 		AttackEvery: 7,
 	}
 	steady := base
@@ -187,44 +183,31 @@ func clusterScenarios(seed uint64, n, requests, batch int) []ClusterScenario {
 	return out
 }
 
-// CheckCluster runs the cluster differential oracle across node counts
-// and dispatch modes: for every combination the same seeded schedule
-// plays into a cluster and into one Pool, and the two must agree on
-// every request's outcome and on the survivor state digest. Defaults:
-// nodes 1/2/4; dispatch serial plus batched 8/32. Fault scenarios
-// carry vacuousness guards — a crash that triggered no handoff, a
-// partition that nacked nothing, or a plan event that never fired
-// fails the oracle rather than passing silently.
-func CheckCluster(seed uint64, requests int, nodeCounts, batchSizes []int) ([]OracleResult, error) {
+// CheckCluster runs the cluster differential oracle across node counts:
+// for every count and scenario the same seeded schedule plays into a
+// cluster and into one Pool, and the two must agree on every request's
+// outcome and on the survivor state digest. Default nodes 1/2/4. Fault
+// scenarios carry vacuousness guards — a crash that triggered no
+// handoff, a partition that nacked nothing, or a plan event that never
+// fired fails the oracle rather than passing silently.
+func CheckCluster(seed uint64, requests int, nodeCounts []int) ([]OracleResult, error) {
 	if len(nodeCounts) == 0 {
 		nodeCounts = []int{1, 2, 4}
-	}
-	if len(batchSizes) == 0 {
-		batchSizes = []int{0, 8, 32}
 	}
 	if requests <= 0 {
 		requests = 120
 	}
 	var results []OracleResult
 	for _, n := range nodeCounts {
-		for _, b := range batchSizes {
-			// Floors: a batched run needs several waves, and a fault plan
-			// needs room for every event window, or the scenario checks
-			// nothing.
-			req := requests
-			if minReq := 4 * b; req < minReq {
-				req = minReq
+		// Floor: a fault plan needs room for every event window, or the
+		// scenario checks nothing.
+		req := max(requests, 24*n)
+		for _, sc := range clusterScenarios(seed, n, req) {
+			run, err := runCluster(sc)
+			if err != nil {
+				return results, fmt.Errorf("campaign: cluster %s n=%d: %w", sc.Name, n, err)
 			}
-			if minReq := 24 * n; req < minReq {
-				req = minReq
-			}
-			for _, sc := range clusterScenarios(seed, n, req, b) {
-				run, err := runCluster(sc)
-				if err != nil {
-					return results, fmt.Errorf("campaign: cluster %s n=%d b=%d: %w", sc.Name, n, b, err)
-				}
-				results = append(results, judgeClusterRun(sc, run))
-			}
+			results = append(results, judgeClusterRun(sc, run))
 		}
 	}
 	return results, nil
@@ -236,7 +219,7 @@ func CheckCluster(seed uint64, requests int, nodeCounts, batchSizes []int) ([]Or
 func judgeClusterRun(sc ClusterScenario, run ClusterRun) OracleResult {
 	res := OracleResult{
 		Oracle:   "cluster",
-		Scenario: fmt.Sprintf("kv-cluster-%s(n=%d,r=%d,b=%d)", sc.Name, sc.Nodes, sc.Replicas, sc.Batch),
+		Scenario: fmt.Sprintf("kv-cluster-%s(n=%d,r=%d)", sc.Name, sc.Nodes, sc.Replicas),
 		Pass:     true,
 	}
 	fail := func(format string, args ...any) OracleResult {

@@ -14,9 +14,9 @@ import (
 // This file runs the cluster differential oracle over real cluster
 // routers and kvstore pools: the same pre-generated seeded schedule
 // plays into a cluster of N nodes (with the scenario's membership fault
-// plan fired between requests, or between waves when batched) and into
-// one Pool, and both sides' per-request outcomes and survivor dumps are
-// returned for the oracle's verdict.
+// plan fired between requests) and into one Pool, and both sides'
+// per-request outcomes and survivor dumps are returned for the oracle's
+// verdict.
 //
 // The single-pool side mirrors cluster-side unavailable nacks by
 // skipping those indices (shadow-skip): an unavailable nack is the
@@ -103,41 +103,26 @@ func hashBytes(b []byte) uint64 {
 	return d.h
 }
 
-// playCluster drives the schedule through one side of the differential:
-// one request at a time through one when batch <= 0, otherwise waves of
-// batch through many, so both dispatch paths stay covered. before
-// (cluster side) fires ahead of each request or wave; indices in skip
-// (single side) are recorded unavailable and never executed.
-func playCluster(reqs []workload.Request, batch int,
-	one func(context.Context, int, workload.Request) kvstore.Response,
-	many func([]kvstore.BatchRequest) []kvstore.Response,
+// playCluster drives the schedule through one side of the differential,
+// one request at a time through handle. before (cluster side) fires
+// ahead of each request; indices in skip (single side) are recorded
+// unavailable and never executed.
+func playCluster(reqs []workload.Request,
+	handle func(context.Context, int, workload.Request) kvstore.Response,
 	before func(i int) error, skip map[int]bool) ([]ClusterOutcome, error) {
 	ctx := context.Background()
 	out := make([]ClusterOutcome, len(reqs))
-	wave := max(batch, 1)
-	for ws := 0; ws < len(reqs); ws += wave {
+	for i, req := range reqs {
 		if before != nil {
-			if err := before(ws); err != nil {
+			if err := before(i); err != nil {
 				return nil, err
 			}
 		}
-		var calls []kvstore.BatchRequest
-		for i := ws; i < min(ws+wave, len(reqs)); i++ {
-			if skip[i] {
-				out[i] = ClusterOutcome{I: i, Outcome: OutcomeUnavailable}
-				continue
-			}
-			calls = append(calls, kvstore.BatchRequest{Ctx: ctx, ClientID: i, Req: reqs[i]})
-		}
-		if batch <= 0 {
-			for _, c := range calls {
-				out[c.ClientID] = classifyCluster(c.ClientID, one(ctx, c.ClientID, c.Req))
-			}
+		if skip[i] {
+			out[i] = ClusterOutcome{I: i, Outcome: OutcomeUnavailable}
 			continue
 		}
-		for k, resp := range many(calls) {
-			out[calls[k].ClientID] = classifyCluster(calls[k].ClientID, resp)
-		}
+		out[i] = classifyCluster(i, handle(ctx, i, req))
 	}
 	return out, nil
 }
@@ -182,7 +167,7 @@ func runCluster(sc ClusterScenario) (ClusterRun, error) {
 		}
 		return nil
 	}
-	if run.Cluster, err = playCluster(reqs, sc.Batch, router.HandleContext, router.HandleBatch, fire, nil); err != nil {
+	if run.Cluster, err = playCluster(reqs, router.HandleContext, fire, nil); err != nil {
 		return run, err
 	}
 	// Any plan events past the last request fire before the final dump.
@@ -212,7 +197,7 @@ func runCluster(sc ClusterScenario) (ClusterRun, error) {
 	defer func() {
 		_ = pool.Close() //lint:errclass harness teardown after the run's state is captured
 	}()
-	if run.Single, err = playCluster(reqs, sc.Batch, pool.HandleContext, pool.HandleBatchMixed, nil, skip); err != nil {
+	if run.Single, err = playCluster(reqs, pool.HandleContext, nil, skip); err != nil {
 		return run, err
 	}
 	singleState, err := pool.DumpAll()

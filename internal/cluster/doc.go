@@ -23,11 +23,10 @@
 //
 //   - The differential oracle. A cluster of N nodes must produce the
 //     same per-request outcomes and the same survivor digest as a
-//     single kvstore.Pool given the same seeded schedule — serially
-//     and batched, through node crashes and rolling restarts. The
-//     oracle, which drives this package, lives in internal/campaign
-//     (CheckCluster); cmd/sdrad-campaign wires it into
-//     `make campaign-smoke`.
+//     single kvstore.Pool given the same seeded schedule, through
+//     node crashes and rolling restarts. The oracle, which drives
+//     this package, lives in internal/campaign (CheckCluster);
+//     cmd/sdrad-campaign wires it into `make campaign-smoke`.
 //
 // Placement: keys hash onto NumSlots fixed virtual slots (FNV-1a, the
 // same hash family the pool uses for shards); each slot's owner and

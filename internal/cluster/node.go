@@ -119,12 +119,6 @@ func (n *Node) HandleContext(ctx context.Context, clientID int, req workload.Req
 	return n.pool.HandleContext(ctx, clientID, req)
 }
 
-// HandleBatch serves a mixed-key batch on the node's pool as pipelined
-// per-shard units, preserving arrival order per key.
-func (n *Node) HandleBatch(batch []kvstore.BatchRequest) []kvstore.Response {
-	return n.pool.HandleBatchMixed(batch)
-}
-
 // Apply performs a trusted-side replica apply: the mutation was parsed,
 // admitted, and acknowledged by the slot's primary, so the replica
 // applies it directly to its cache (and, on durable nodes, commits it

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -59,9 +58,8 @@ type RouterConfig struct {
 // hammer test asserts exactly this invariant. Within the read lock, a
 // mutation holds its slot's lock (slotMu) from the primary apply
 // through its replication, so two mutations of one slot reach every
-// holder in the order the primary applied them; a wave takes the slots
-// it mutates in ascending order. GETs take no slot lock. The replica
-// write-order regression asserts this.
+// holder in the order the primary applied them. GETs take no slot
+// lock. The replica write-order regression asserts this.
 //
 // Router implements lifecycle.Component (the conformance battery runs
 // against it).
@@ -92,13 +90,9 @@ type Router struct {
 	unavailable atomic.Uint64
 }
 
-// A wave's slot set is a uint64 mask (HandleBatch); this fails to
-// compile if NumSlots outgrows it.
-const _ uint64 = 1 << (NumSlots - 1)
-
 // testHookAfterPrimary, when non-nil, observes each mutation after its
-// primary apply and before its replication, on both dispatch paths. It
-// is a test seam: the replica write-order regression parks a SET there.
+// primary apply and before its replication. It is a test seam: the
+// replica write-order regression parks a SET there.
 var testHookAfterPrimary func(workload.Request)
 
 // NewRouter builds the registry and the node fleet — each node's pool,
@@ -370,87 +364,6 @@ func (r *Router) HandleContext(ctx context.Context, clientID int, req workload.R
 		r.replicateLocked(holders, req)
 	}
 	return resp
-}
-
-// HandleBatch serves a wave of requests: the membership clock advances
-// by the wave's arrival count, each request is checked against the
-// wire bounds (checkRequest) and routed to its slot's primary, per-node
-// sub-batches execute as pipelined units (preserving every key's
-// arrival order, since a key maps to one slot and a slot to one
-// primary), and acknowledged mutations replicate to their slots'
-// remaining holders in arrival order before the wave returns. The wave
-// holds the locks of the slots it mutates, taken in ascending slot
-// order, from before the primary applies until the replication ends.
-// Unroutable requests get typed *UnavailableError responses and are not
-// executed.
-func (r *Router) HandleBatch(batch []kvstore.BatchRequest) []kvstore.Response {
-	out := make([]kvstore.Response, len(batch))
-	if len(batch) == 0 {
-		return out
-	}
-	if err := r.serving("HandleBatch"); err != nil {
-		for i := range out {
-			out[i] = kvstore.Response{Err: err}
-		}
-		return out
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	r.tickLocked(uint64(len(batch)))
-	routed := make([][]NodeID, len(batch))
-	groups := make(map[NodeID][]int)
-	var mutated uint64 // the slots the wave mutates, one bit each
-	for i, br := range batch {
-		if err := checkRequest(br.ClientID, br.Req); err != nil {
-			out[i] = kvstore.Response{Err: err}
-			continue
-		}
-		slot, holders, err := r.routeLocked(br.Req.Key)
-		if err != nil {
-			r.unavailable.Add(1)
-			out[i] = kvstore.Response{Err: err}
-			continue
-		}
-		routed[i] = holders
-		groups[holders[0]] = append(groups[holders[0]], i)
-		if br.Req.Op != workload.OpGet {
-			mutated |= 1 << slot
-		}
-	}
-	for m := mutated; m != 0; m &= m - 1 {
-		r.slotMu[bits.TrailingZeros64(m)].Lock()
-	}
-	gids := make([]NodeID, 0, len(groups))
-	for id := range groups {
-		gids = append(gids, id)
-	}
-	slices.Sort(gids)
-	for _, id := range gids {
-		idxs := groups[id]
-		sub := make([]kvstore.BatchRequest, len(idxs))
-		for k, i := range idxs {
-			sub[k] = batch[i]
-		}
-		for k, resp := range r.nodes[id].HandleBatch(sub) {
-			out[idxs[k]] = resp
-		}
-	}
-	r.dispatched.Add(uint64(len(batch)))
-	for i := range batch {
-		if routed[i] == nil || batch[i].Req.Op == workload.OpGet {
-			continue
-		}
-		if testHookAfterPrimary != nil {
-			testHookAfterPrimary(batch[i].Req)
-		}
-		if out[i].OK && out[i].Err == nil && !out[i].Contained {
-			r.replicateLocked(routed[i], batch[i].Req)
-		}
-	}
-	for m := mutated; m != 0; m &= m - 1 {
-		r.slotMu[bits.TrailingZeros64(m)].Unlock()
-	}
-	return out
 }
 
 // FailNode crash-kills a node: its process state vanishes, its lease

@@ -15,8 +15,8 @@ import (
 
 // TestRouterRefusesOutOfBoundRequests: the router checks every request
 // against the wire bounds before it routes it, and a refusal carries the
-// typed ErrWire text DecodeRequest gives the same request's frame — on
-// the single-request and the batched path alike. Nothing refused runs.
+// typed ErrWire text DecodeRequest gives the same request's frame.
+// Nothing refused runs.
 func TestRouterRefusesOutOfBoundRequests(t *testing.T) {
 	r := testRouter(t, 3, 1, false)
 	for _, tc := range []struct {
@@ -36,16 +36,8 @@ func TestRouterRefusesOutOfBoundRequests(t *testing.T) {
 		if !errors.Is(resp.Err, ErrWire) || resp.Err.Error() != tc.want {
 			t.Errorf("%s: HandleContext err = %v, want %q", tc.name, resp.Err, tc.want)
 		}
-		good := workload.Request{Op: workload.OpSet, Key: "fine", Value: []byte("v")}
-		out := r.HandleBatch([]kvstore.BatchRequest{{Req: good}, {Req: tc.req}, {Req: good}})
-		if !errors.Is(out[1].Err, ErrWire) || out[1].Err.Error() != tc.want {
-			t.Errorf("%s: HandleBatch err = %v, want %q", tc.name, out[1].Err, tc.want)
-		}
-		if !out[0].OK || !out[2].OK {
-			t.Errorf("%s: the batch's valid requests failed: %+v, %+v", tc.name, out[0], out[2])
-		}
-		if got := r.Stats().Requests - before; got != 2 {
-			t.Errorf("%s: %d requests reached a node, want the batch's 2 valid ones", tc.name, got)
+		if got := r.Stats().Requests - before; got != 0 {
+			t.Errorf("%s: %d refused requests reached a node, want 0", tc.name, got)
 		}
 	}
 }
@@ -189,62 +181,51 @@ func TestReadTargetRotation(t *testing.T) {
 // replication, SET k=b of the same key is sent meanwhile, and once a is
 // released both holders must hold the same value. Without the slot lock
 // b overtakes a on the replica — b is acked while a is parked — and the
-// holders disagree for good. Each row drives one dispatch path.
+// holders disagree for good. The subtest names the dispatch path it
+// drives.
 func TestReplicasApplyWritesInPrimaryOrder(t *testing.T) {
 	set := func(val string) workload.Request {
 		return workload.Request{Op: workload.OpSet, Key: "k", Value: []byte(val)}
 	}
-	for _, tc := range []struct {
-		name string
-		do   func(r *Router, req workload.Request) kvstore.Response
-	}{
-		{"HandleContext", func(r *Router, req workload.Request) kvstore.Response {
-			return r.HandleContext(context.Background(), 0, req)
-		}},
-		{"HandleBatch", func(r *Router, req workload.Request) kvstore.Response {
-			return r.HandleBatch([]kvstore.BatchRequest{{Req: req}})[0]
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := testRouter(t, 2, 1, false)
-			parked, release := make(chan struct{}), make(chan struct{})
-			testHookAfterPrimary = func(req workload.Request) {
-				if string(req.Value) == "a" {
-					close(parked)
-					<-release
-				}
+	t.Run("HandleContext", func(t *testing.T) {
+		r := testRouter(t, 2, 1, false)
+		parked, release := make(chan struct{}), make(chan struct{})
+		testHookAfterPrimary = func(req workload.Request) {
+			if string(req.Value) == "a" {
+				close(parked)
+				<-release
 			}
-			t.Cleanup(func() { testHookAfterPrimary = nil })
-			doneA, doneB := make(chan kvstore.Response, 1), make(chan kvstore.Response, 1)
-			go func() { doneA <- tc.do(r, set("a")) }()
-			<-parked
-			go func() { doneB <- tc.do(r, set("b")) }()
-			var respB kvstore.Response
-			bDone := false
-			select {
-			case respB = <-doneB:
-				bDone = true
-			case <-time.After(100 * time.Millisecond):
+		}
+		t.Cleanup(func() { testHookAfterPrimary = nil })
+		doneA, doneB := make(chan kvstore.Response, 1), make(chan kvstore.Response, 1)
+		go func() { doneA <- r.HandleContext(context.Background(), 0, set("a")) }()
+		<-parked
+		go func() { doneB <- r.HandleContext(context.Background(), 0, set("b")) }()
+		var respB kvstore.Response
+		bDone := false
+		select {
+		case respB = <-doneB:
+			bDone = true
+		case <-time.After(100 * time.Millisecond):
+		}
+		close(release)
+		respA := <-doneA
+		if !bDone {
+			respB = <-doneB
+		}
+		if !respA.OK || respA.Err != nil || !respB.OK || respB.Err != nil {
+			t.Fatalf("SETs failed: a ok=%v err=%v, b ok=%v err=%v", respA.OK, respA.Err, respB.OK, respB.Err)
+		}
+		var held []string
+		for _, id := range r.NodeIDs() {
+			dump, err := r.nodes[id].Dump()
+			if err != nil {
+				t.Fatal(err)
 			}
-			close(release)
-			respA := <-doneA
-			if !bDone {
-				respB = <-doneB
-			}
-			if !respA.OK || respA.Err != nil || !respB.OK || respB.Err != nil {
-				t.Fatalf("SETs failed: a ok=%v err=%v, b ok=%v err=%v", respA.OK, respA.Err, respB.OK, respB.Err)
-			}
-			var held []string
-			for _, id := range r.NodeIDs() {
-				dump, err := r.nodes[id].Dump()
-				if err != nil {
-					t.Fatal(err)
-				}
-				held = append(held, string(dump["k"]))
-			}
-			if held[0] != held[1] {
-				t.Fatalf("holders disagree: %v (b acked while a was parked: %v)", held, bDone)
-			}
-		})
-	}
+			held = append(held, string(dump["k"]))
+		}
+		if held[0] != held[1] {
+			t.Fatalf("holders disagree: %v (b acked while a was parked: %v)", held, bDone)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,18 +14,31 @@ import (
 
 func quick() Runner { return Runner{Quick: true} }
 
-// runAll runs every experiment in order, as sdrad-report does.
-func runAll(t *testing.T, r Runner) []*Result {
+var (
+	quickAllOnce sync.Once
+	quickAll     []*Result
+	quickAllErr  error
+)
+
+// runAllQuick runs every experiment in quick mode, in order, as
+// sdrad-report does — once per test binary: every caller gets the same
+// results, which it must not modify.
+func runAllQuick(t *testing.T) []*Result {
 	t.Helper()
-	var out []*Result
-	for _, id := range IDs() {
-		res, err := r.Run(id)
-		if err != nil {
-			t.Fatal(err)
+	quickAllOnce.Do(func() {
+		for _, id := range IDs() {
+			res, err := quick().Run(id)
+			if err != nil {
+				quickAllErr = err
+				return
+			}
+			quickAll = append(quickAll, res)
 		}
-		out = append(out, res)
+	})
+	if quickAllErr != nil {
+		t.Fatal(quickAllErr)
 	}
-	return out
+	return quickAll
 }
 
 // rows returns tb's data rows as its Markdown rendering prints them.
@@ -54,7 +68,7 @@ func TestIDsAndClaims(t *testing.T) {
 }
 
 func TestRunAllProducesTables(t *testing.T) {
-	results := runAll(t, quick())
+	results := runAllQuick(t)
 	if len(results) != 13 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -273,7 +287,7 @@ func TestAblationShapes(t *testing.T) {
 // TestEveryShapeCheckPasses is the conformance test: every paper-shape
 // assertion must hold on a quick run.
 func TestEveryShapeCheckPasses(t *testing.T) {
-	results := runAll(t, quick())
+	results := runAllQuick(t)
 	for _, res := range results {
 		for _, c := range Verify(res) {
 			if !c.Pass {

@@ -11,8 +11,7 @@ import (
 // builds on: trusted-side replica application (log shipping — a
 // mutation the primary already parsed, admitted, and acknowledged is
 // applied without re-execution), whole-pool state dumps for handoff
-// syncs and survivor digests, and mixed-key batch handling for the
-// cluster router's batched dispatch path.
+// syncs and survivor digests.
 
 // Apply performs a trusted-side apply of an acknowledged mutation: the
 // cache operation plus, on durable servers, its WAL group commit — but
@@ -79,34 +78,4 @@ func (p *Pool) DumpAll() (map[string][]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-// HandleBatchMixed serves a batch whose keys may span shards: requests
-// are partitioned by the pool's key→shard hash, each shard group runs
-// as one pipelined Server.HandleBatch (preserving the group's arrival
-// order, which is every key's arrival order since a key maps to one
-// shard), and responses return in the original positions. This is the
-// cluster router's batched dispatch surface; the batched NetServer
-// keeps its per-shard submission queues, which pre-partition instead.
-func (p *Pool) HandleBatchMixed(batch []BatchRequest) []Response {
-	out := make([]Response, len(batch))
-	if len(batch) == 0 {
-		return out
-	}
-	groups := make([][]int, len(p.Shards))
-	for i, r := range batch {
-		si := p.shardIndex(r.Req.Key)
-		groups[si] = append(groups[si], i)
-	}
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		sub := make([]BatchRequest, len(idxs))
-		for k, i := range idxs {
-			sub[k] = batch[i]
-		}
-		p.handleBatch(si, sub, func(k int, resp Response) { out[idxs[k]] = resp })
-	}
-	return out
 }
