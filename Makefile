@@ -14,10 +14,10 @@ check: fmt vet lint build test race report-check
 # lifecycletest battery — construct serving, resize, drain, close, and
 # the typed refusals once serving ends — against every component
 # (Domain, Pool, AsyncPool, kvstore.Pool, the serving frontend bare and
-# under both protocols, the cluster router and registry), the -race elasticity hammers (concurrent Pool.Resize
-# under Do and DoBatchItems load with a mid-run drain, the frontends'
-# grow-under-burst runs), the retired-worker and durable-acked-write
-# regressions, the drain regressions (whole-call drain accounting,
+# under both protocols, the cluster router and registry), the -race
+# hammers (Pool.Do and DoBatchItems load with a mid-run drain, the
+# frontends' grow-under-burst runs), the durable-acked-write
+# regression, the drain regressions (whole-call drain accounting,
 # batch shedding, and the bounded drain: an idle client does not hold
 # SIGTERM — the kvd session and httpd's idle-connection test), the
 # connection loops' flush-rule and settle-rule batteries (kvd and
@@ -32,7 +32,7 @@ check: fmt vet lint build test race report-check
 # against both servers (TestResizableShell: resize bounds and key
 # reuse, the native restart window, the failed-run classifier).
 test-lifecycle:
-	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestPoolResizeHammer|TestRetiredWorkerNeverRedispatched|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRunTask|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow' ./...
+	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestPoolDrainHammer|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRunTask|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow' ./...
 
 # Cluster tier gate (DESIGN.md §14): rendezvous placement, lease
 # membership, crash/rolling/partition state-machine tests, the wire
@@ -116,12 +116,11 @@ fuzz-smoke:
 # Deterministic resilience-campaign smoke (CI): fixed seed, five
 # scenarios — three attacked ones, one benign control (so every oracle —
 # same seed, worker counts, benign cycle parity — actually runs), and
-# the elastic-resize scenario (so the resize oracle replays its
-# grow/shrink schedule) — plus one gateway scenario with its isolation
-# oracle, the crash-recovery oracle, and the cluster==single-pool
-# differential oracle at node counts 1/2/4, through node-crash,
-# rolling-restart, and partition schedules. The
-# JSON trace is byte-pinned: the target regenerates CAMPAIGN_CI.json
+# kv-pool-resize, the only pool scenario with a budget fault — plus one
+# gateway scenario with its isolation oracle, the crash-recovery
+# oracle, and the cluster==single-pool differential oracle at node
+# counts 1/2/4, through node-crash, rolling-restart, and partition
+# schedules. The JSON trace is byte-pinned: the target regenerates CAMPAIGN_CI.json
 # and fails if it differs from the committed file, so a trace change
 # lands only as a deliberate commit of the new file.
 campaign-smoke:

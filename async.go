@@ -19,9 +19,8 @@ import (
 // with *OverloadError instead of queueing unboundedly. See DESIGN.md §9.
 //
 // The queue set is fixed at construction, one queue per worker of the
-// wrapped Pool at that time. Resizing the Pool afterwards is legal:
-// each queue's batches pin to worker (queue index modulo the live
-// worker count). The layer has no controller, counters or resize of its
+// wrapped Pool, whose worker set is fixed too: each queue's batches pin
+// to its worker. The layer has no controller, counters or resize of its
 // own; it is the surface the benchmark ladder's async rung times. The
 // servers queue through serve.Frontend over internal/submit instead.
 
@@ -124,9 +123,7 @@ func (a *AsyncPool) Submit(ctx context.Context, fn func(*Ctx) error, opts ...Run
 	set := applyRunOptions(opts)
 	q := a.q
 	call := &batchCall{ctx: ctx, fn: fn, set: set}
-	// Dispatch over the queue count, not the pool size: a Pool.Resize
-	// since construction makes the two differ, and the queue set is the
-	// one being indexed here.
+	// One queue per pool worker, both fixed at construction.
 	workers := q.Workers()
 	if set.hasWorker {
 		w := set.worker % workers

@@ -46,6 +46,36 @@ func TestPoolDoBatchAllCleanAmortizesEntries(t *testing.T) {
 	}
 }
 
+// TestPoolDoBatchItemsAllocations pins the host cost of a committed
+// pool batch at DoBatchItems' own three slices (errs, the call slab and
+// its pointers): each worker keeps its batch engine from batch to
+// batch, so the engine, its closures and its live list are not rebuilt
+// per batch. The pin holds under -race too.
+func TestPoolDoBatchItemsAllocations(t *testing.T) {
+	pool, err := sdrad.NewPool(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = pool.Close() }()
+
+	items := make([]sdrad.BatchItem, 8)
+	for i := range items {
+		items[i] = sdrad.BatchItem{Ctx: context.Background(), Fn: func(*sdrad.Ctx) error { return nil }}
+	}
+	run := func() {
+		for i, err := range pool.DoBatchItems(items) {
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+		}
+	}
+	run() // grow each worker's live list
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 3 {
+		t.Errorf("a committed pool batch of %d allocates %v times, want 3", len(items), allocs)
+	}
+}
+
 // TestPoolDoBatchViolationIsolation: a violation in the middle of a
 // batch must not poison the other calls — they resolve exactly as if
 // executed serially.

@@ -12,9 +12,8 @@
 // produces byte-identical output, which is the property the campaign's
 // differential oracles (-oracles) verify — same-seed determinism,
 // worker-count invariance (1/4/8), benign cycle parity, batched==serial
-// outcome/digest equality at batch sizes 8 and 32, resize invisibility
-// on pool scenarios (workers 1→4→8→2 mid-run), and crash recovery (a
-// durable server killed mid-group-commit must recover exactly the
+// outcome/digest equality at batch sizes 8 and 32, and crash recovery
+// (a durable server killed mid-group-commit must recover exactly the
 // acknowledged prefix, across worker counts 1/4/8 and batches 8/32).
 // -batch K sets the wave size of the printed campaign and gateway runs
 // (campaign.Config.Batch; coalesced domain entries on pool targets).

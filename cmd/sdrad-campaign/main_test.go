@@ -118,21 +118,6 @@ func TestGatewayIsolationOracleWired(t *testing.T) {
 	}
 }
 
-// TestResizeOracleAtTinyRequestCounts is the regression test for a
-// resize schedule whose quarter steps coincided below four requests
-// and aborted the oracle suite.
-func TestResizeOracleAtTinyRequestCounts(t *testing.T) {
-	for _, n := range []string{"1", "2"} {
-		code, out := capture(t, "-scenarios", "kv-pool-resize", "-requests", n, "-oracles")
-		if code != 0 {
-			t.Fatalf("-requests %s: exit %d:\n%s", n, code, out)
-		}
-		if !strings.Contains(out, `PASS oracle "resize" scenario "kv-pool-resize"`) {
-			t.Errorf("-requests %s: resize verdict missing in:\n%s", n, out)
-		}
-	}
-}
-
 func TestOutFileAndOracles(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	code, out := capture(t, "-seed", "3", "-requests", "30",

@@ -62,8 +62,9 @@
 // Domains created from it must be confined to a single goroutine at a
 // time. To execute domains in parallel, use Pool, which is safe for
 // concurrent use by any number of goroutines: it shards work across N
-// workers, each owning a private Supervisor and a warm pre-initialized
-// domain that is discarded (not deinitialized) between requests.
+// workers, fixed at construction, each owning a private Supervisor and
+// a warm pre-initialized domain that is discarded (not deinitialized)
+// between requests.
 //
 //	pool, err := sdrad.NewPool(runtime.NumCPU())
 //	if err != nil { ... }

@@ -155,9 +155,22 @@ func ExampleNewPool() {
 	}
 	wg.Wait()
 
+	// WithWorker pins a call to one worker (affinity for related
+	// requests), and the alternate action still composes with it.
+	fellBack := false
+	err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
+		c.MustStore64(0xbad000, 1)
+		return nil
+	}, sdrad.WithWorker(2), sdrad.WithFallback(func(*sdrad.ViolationError) error {
+		fellBack = true
+		return nil
+	}))
+
 	fmt.Println("workers:", pool.Workers())
 	fmt.Println("contained:", contained.Load())
+	fmt.Println("pinned call fell back:", fellBack, err)
 	// Output:
 	// workers: 4
 	// contained: 1
+	// pinned call fell back: true <nil>
 }

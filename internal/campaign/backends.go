@@ -127,23 +127,8 @@ func (e *poolExecutor) ExecBatch(worker int, calls []BatchCall) []error {
 	return e.pool.DoBatchItems(items)
 }
 
-// Resize implements ResizableExecutor: the engine's resize schedule
-// maps directly onto the pool's elastic worker set. The engine's
-// dispatch stream stays keyed by the configured worker count (scheduled
-// worker indices are affinity keys, mapped onto the live set modulo its
-// size), which is what makes a resize behaviorally invisible — the
-// resize oracle proves it.
-func (e *poolExecutor) Resize(n int) error { return e.pool.Resize(n) }
-
-// Workers returns the pool's live worker count.
-func (e *poolExecutor) Workers() int { return e.pool.Workers() }
-
-// Interface compliance checks: the pool backend supports batching and
-// elastic resizing.
-var (
-	_ BatchExecutor     = (*poolExecutor)(nil)
-	_ ResizableExecutor = (*poolExecutor)(nil)
-)
+// Interface compliance check: the pool backend supports batching.
+var _ BatchExecutor = (*poolExecutor)(nil)
 
 func (e *poolExecutor) Detections() map[string]uint64 { return e.pool.DetectionCounts() }
 

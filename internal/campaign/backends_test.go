@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/scenarios"
-	"repro/internal/core"
 )
 
 // quickCampaign is the shipped scenario table at a CI-friendly request
@@ -270,54 +269,5 @@ func TestGatewayCampaignHonoursBatch(t *testing.T) {
 	if batched.VirtualCycles >= serial.VirtualCycles {
 		t.Errorf("batch 8 spent %d virtual cycles vs %d at batch 1 — cfg.Batch ignored",
 			batched.VirtualCycles, serial.VirtualCycles)
-	}
-}
-
-// workerSpy records the executor's live worker count at every Exec.
-type workerSpy struct {
-	campaign.ResizableExecutor
-	seen map[int]bool
-}
-
-func (s workerSpy) Exec(w int, budget uint64, fn func(*core.DomainCtx) error) error {
-	s.seen[s.Workers()] = true
-	return s.ResizableExecutor.Exec(w, budget, fn)
-}
-
-// TestCampaignResizeFollowsScenarioRequests is the regression test for
-// a resize oracle that checked nothing: the grow/shrink schedule must
-// be laid out over each scenario's own request count, so a 10-request
-// scenario under a 400-request campaign really walks workers 1→4→8→2.
-func TestCampaignResizeFollowsScenarioRequests(t *testing.T) {
-	cfg := campaign.Config{Seed: 3, Requests: 400, Scenarios: []campaign.Scenario{{
-		Name: "kv-pool-short", Workload: campaign.WorkloadKV, Target: campaign.TargetPool,
-		Faults: []campaign.FaultClass{campaign.FaultUAF}, AttackEvery: 3, Requests: 10,
-	}}}
-	base, err := campaign.Run(cfg, campaign.Backends())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int]bool)
-	factory := func(target campaign.Target, workers int) (campaign.Executor, error) {
-		ex, err := campaign.Backends()(target, workers)
-		if err != nil {
-			return nil, err
-		}
-		return workerSpy{ResizableExecutor: ex.(campaign.ResizableExecutor), seen: seen}, nil
-	}
-	results, err := campaign.CheckResize(base, cfg, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d resize verdicts, want 3: %v", len(results), results)
-	}
-	for _, r := range campaign.Failures(results) {
-		t.Errorf("%s", r)
-	}
-	for _, n := range []int{1, 4, 8, 2} {
-		if !seen[n] {
-			t.Errorf("no request ran at %d live workers (saw %v): the schedule never fired", n, seen)
-		}
 	}
 }

@@ -25,7 +25,7 @@
 //
 // # One wave loop
 //
-// Every run — plain, batched, resized, gateway — goes through one wave
+// Every run — plain, batched, gateway — goes through one wave
 // loop: requests are drawn in arrival order into waves of Config.Batch
 // (1 = serial), admitted through the gateway if there is one, executed
 // in per-worker groups sharing one domain entry where the executor is a

@@ -518,19 +518,13 @@ func (a *ffiAdapter) digest() string {
 // requests in waves of cfg.Batch (1 = serial). It is a pure function of
 // (cfg, factory behavior): same seed, same trace bytes.
 func Run(cfg Config, factory ExecutorFactory) (*Trace, error) {
-	return runCampaign(cfg, factory, false)
-}
-
-// runCampaign is Run, optionally replaying every scenario under the
-// canonical grow/shrink schedule (resize.go) — the resize oracle's run.
-func runCampaign(cfg Config, factory ExecutorFactory, resized bool) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	tr := &Trace{Seed: cfg.Seed, Workers: cfg.Workers, Requests: cfg.Requests}
 	for _, sc := range cfg.Scenarios {
-		st, err := runScenario(sc, cfg, factory, resized)
+		st, err := runScenario(sc, cfg, factory)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: scenario %q: %w", sc.Name, err)
 		}
@@ -588,8 +582,7 @@ func newStream(sc Scenario, seed uint64) (*stream, error) {
 }
 
 // waves is the campaign's one request loop. Requests are drawn in
-// arrival order into waves of batch; a resize step ends a wave early,
-// so a resize always lands between waves. Each arrival is admitted
+// arrival order into waves of batch. Each arrival is admitted
 // through the gateway if there is one, otherwise always. The wave then
 // executes grouped per worker — ExecBatch when the executor batches and
 // the window is longer than 1, Exec otherwise — and completes in
@@ -597,12 +590,9 @@ func newStream(sc Scenario, seed uint64) (*stream, error) {
 // loop would, so serial runs need no loop of their own.
 type waves struct {
 	ex Executor
-	// workers is the dispatch key space: the configured worker count,
-	// whatever the live count is after a resize.
+	// workers is the dispatch key space: the configured worker count.
 	workers int
 	batch   int
-	// resize is the grow/shrink schedule (nil = fixed size).
-	resize *resizer
 	// gw admits arrivals (nil = every arrival is admitted).
 	gw *gateway.Gateway
 	// next returns arrival i's stream, or nil when its slot stays empty.
@@ -628,10 +618,7 @@ type arrival struct {
 func (l *waves) run(n int) error {
 	bex, batchable := l.ex.(BatchExecutor)
 	for base := 0; base < n; {
-		if err := l.resize.before(base); err != nil {
-			return err
-		}
-		end := l.resize.cut(min(base+l.batch, n))
+		end := min(base+l.batch, n)
 		// Draw and admit in arrival order: stream consumption and every
 		// admission decision are a pure function of the arrival sequence,
 		// whatever the wave shape.
@@ -709,8 +696,8 @@ func (l *waves) run(n int) error {
 }
 
 // runScenario runs one plain scenario: a single arrival stream through
-// the wave loop, optionally under the canonical resize schedule.
-func runScenario(sc Scenario, cfg Config, factory ExecutorFactory, resized bool) (ScenarioTrace, error) {
+// the wave loop.
+func runScenario(sc Scenario, cfg Config, factory ExecutorFactory) (ScenarioTrace, error) {
 	s, err := newStream(sc, cfg.Seed)
 	if err != nil {
 		return ScenarioTrace{}, err
@@ -737,12 +724,6 @@ func runScenario(sc Scenario, cfg Config, factory ExecutorFactory, resized bool)
 					st.Preemptions++
 				}
 			},
-		}
-		if resized {
-			var err error
-			if l.resize, err = newResizer(ex, n); err != nil {
-				return err
-			}
 		}
 		if err := l.run(n); err != nil {
 			return err

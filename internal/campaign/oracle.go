@@ -262,75 +262,13 @@ func diffBatched(serial, batched ScenarioTrace, k int) string {
 	return ""
 }
 
-// CheckResize replays the campaign's resizable scenarios under the
-// canonical grow/shrink schedule (workers 1→4→8→2 across each
-// scenario's quarters) and asserts per-request outcomes, survivor
-// digests, and detection totals identical to the fixed-size base trace
-// — serially and at each batch size (default 8 and 32). This is the
-// resize-invisibility contract (DESIGN.md §13): growing or shrinking a
-// live pool must not change what any single request experiences or
-// what state survives. Virtual cycles are NOT compared — hot-added
-// workers pay a warm-up entry. Scenarios whose executor cannot resize
-// are skipped; with none left the result set is empty.
-func CheckResize(base *Trace, cfg Config, factory ExecutorFactory, batchSizes ...int) ([]OracleResult, error) {
-	cfg = cfg.withDefaults()
-	if len(batchSizes) == 0 {
-		batchSizes = []int{8, 32}
-	}
-	// Keep only scenarios whose executor actually supports resizing:
-	// probe one executor per distinct target (a factory may serve
-	// TargetPool with a fixed-size backend, e.g. the in-package test
-	// executor) and skip the rest.
-	resizable := make(map[Target]bool)
-	sub := cfg
-	sub.Scenarios = nil
-	var names []string
-	for _, sc := range cfg.Scenarios {
-		ok, probed := resizable[sc.Target]
-		if !probed {
-			ex, err := factory(sc.Target, cfg.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: resize oracle probing %s executor: %w", sc.Target, err)
-			}
-			_, ok = ex.(ResizableExecutor)
-			if err := ex.Close(); err != nil {
-				return nil, fmt.Errorf("campaign: resize oracle closing %s probe: %w", sc.Target, err)
-			}
-			resizable[sc.Target] = ok
-		}
-		if ok {
-			sub.Scenarios = append(sub.Scenarios, sc)
-			names = append(names, sc.Name)
-		}
-	}
-	if len(names) == 0 {
-		return nil, nil
-	}
-	var out []OracleResult
-	for i, k := range append([]int{1}, batchSizes...) {
-		sub.Batch = k
-		rt, err := runCampaign(sub, factory, true)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: resize oracle at batch %d: %w", k, err)
-		}
-		if i == 0 {
-			out = append(out, diffTraces("resize", names, base, rt,
-				func(b, o ScenarioTrace) string { return diffOutcomes(b, o, cfg.Workers, -1) })...)
-			continue
-		}
-		out = append(out, diffTraces(fmt.Sprintf("resize-batched(%d)", k), names, base, rt,
-			func(b, o ScenarioTrace) string { return diffBatched(b, o, k) })...)
-	}
-	return out, nil
-}
-
 // CheckAll runs the serial base once and then every oracle over it:
 // same-seed determinism, worker-count invariance at the given counts
 // (default 1/4/8), the benign zero-detection + cycle-parity check, the
-// batched==serial check at batch sizes 8 and 32, and the elastic-resize
-// invariance check. cfg.Batch is ignored: the oracles always compare
-// against a serial base (benign parity replays serially), and the
-// batched and resize oracles set their own batch sizes.
+// and the batched==serial check at batch sizes 8 and 32. cfg.Batch is
+// ignored: the oracles always compare against a serial base (benign
+// parity replays serially), and the batched oracle sets its own batch
+// sizes.
 func CheckAll(cfg Config, factory ExecutorFactory, counts ...int) ([]OracleResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.Batch = 1
@@ -344,7 +282,6 @@ func CheckAll(cfg Config, factory ExecutorFactory, counts ...int) ([]OracleResul
 		func() ([]OracleResult, error) { return CheckWorkerCounts(cfg, factory, counts...) },
 		func() ([]OracleResult, error) { return CheckBenign(base, cfg, factory) },
 		func() ([]OracleResult, error) { return CheckBatched(base, cfg, factory) },
-		func() ([]OracleResult, error) { return CheckResize(base, cfg, factory) },
 	} {
 		res, err := check()
 		if err != nil {

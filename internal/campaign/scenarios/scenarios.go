@@ -50,11 +50,10 @@ func All() []campaign.Scenario {
 			Target:   campaign.TargetPool,
 		},
 		{
-			// kv-pool-resize carries the elastic-resize dimension: as a
-			// pool-target scenario it is picked up by the resize oracle
-			// (CheckResize), which replays it under the canonical
-			// 1→4→8→2 grow/shrink schedule and pins outcome + digest
-			// equality with the fixed-size run.
+			// kv-pool-resize is the campaign smoke's only pool scenario
+			// with a budget fault (three preemptions in the committed
+			// CAMPAIGN_CI.json). Nothing resizes it; it keeps its name
+			// so that trace stays byte-identical.
 			Name:     "kv-pool-resize",
 			Workload: campaign.WorkloadKV,
 			Target:   campaign.TargetPool,

@@ -32,11 +32,6 @@ func TestLifecycleConformance(t *testing.T) {
 				}
 				return p
 			},
-			Resize: func(c lifecycle.Component, n int) error {
-				return c.(*sdrad.Pool).Resize(n)
-			},
-			Grow:   4,
-			Shrink: 2,
 		},
 		{
 			Name: "AsyncPool",

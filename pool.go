@@ -25,23 +25,13 @@ import (
 // warm domain, and the domain is discarded on return, so every Run starts
 // from pristine memory without paying domain init/deinit per request.
 //
-// The worker set is elastic (DESIGN.md §13): Resize publishes a new
-// worker-set snapshot atomically. A hot-added worker enters dispatch
-// only after a clean warm-up Enter/sweep proved its fresh domain
-// pristine; a removed worker is first unpublished (no new dispatch can
-// reach it), then its in-flight work finishes under its lock, its
-// domain closes, and the husk is retired — kept for stats aggregation so
-// DetectionCounts/DomainStats never lose the work it did.
+// The worker set is fixed at construction. A server that needs an
+// elastic worker set resizes its shards through retrofit.Shell
+// (DESIGN.md §13); a Pool never changes size under a request.
 
 // ErrPoolClosed is returned by Do and DoBatch after Close (and while
 // the pool is draining: admission has stopped).
 var ErrPoolClosed = errors.New("sdrad: pool is closed")
-
-// errWorkerRetired is the internal re-dispatch signal: a call raced a
-// shrink onto a worker that was retired before the call acquired its
-// lock. The dispatcher retries against the current worker set; the
-// sentinel never escapes to callers.
-var errWorkerRetired = errors.New("sdrad: pool worker retired")
 
 // poolWorker is one shard: a private simulated machine plus its warm
 // domain. The mutex serializes all access to the worker's Supervisor,
@@ -50,17 +40,17 @@ type poolWorker struct {
 	mu  sync.Mutex
 	sup *Supervisor
 	dom *Domain
+	// batch is the worker's batch engine, built with the worker and kept
+	// from batch to batch (as Domain.batcher does), so a batch allocates
+	// no engine of its own. Used under mu.
+	batch batchBackend
 	// inflight counts requests dispatched to this worker that have not
 	// finished (including those waiting on mu); it drives least-loaded
 	// dispatch and is read without the lock.
 	inflight atomic.Int64
 	requests atomic.Uint64
-	// retired marks a worker removed by Resize or Close: its domain is
-	// gone and it must never execute again — a racing call that lands
-	// here re-dispatches. Written and read under mu.
-	retired bool
 	// closedStats snapshots the warm domain's lifecycle counters just
-	// before the domain is torn down (Close or a shrink), so post-Close
+	// before Close tears the domain down, so post-Close
 	// accounting (DomainStats) reports the work done instead of silently
 	// reading zero. Written and read under mu.
 	closedStats      DomainStats
@@ -69,18 +59,10 @@ type poolWorker struct {
 
 // Pool executes isolated domains on N parallel workers. Unlike
 // Supervisor and Domain, a Pool is safe for concurrent use by any
-// number of goroutines. Create with NewPool or NewPoolWithDomain;
-// Resize grows or shrinks the worker set at runtime.
+// number of goroutines. Create with NewPool or NewPoolWithDomain.
 type Pool struct {
-	lc *lifecycle.Machine
-	// construction parameters, kept so Resize can build new workers
-	// identical to the originals.
-	supOpts []Option
-	domOpts []DomainOption
-
-	// workers is the published worker-set snapshot: dispatch paths load
-	// it atomically; Resize/teardown swap it under retireMu.
-	workers  atomic.Pointer[[]*poolWorker]
+	lc       *lifecycle.Machine
+	workers  []*poolWorker
 	rr       atomic.Uint64
 	closed   atomic.Bool
 	draining atomic.Bool
@@ -93,12 +75,6 @@ type Pool struct {
 	calls     atomic.Int64
 	drainMu   sync.Mutex
 	drainCond *sync.Cond
-
-	// retireMu serializes worker-set mutations (Resize, teardown) and
-	// guards retired.
-	retireMu sync.Mutex
-	// retired holds workers removed by shrinks, for stats aggregation.
-	retired []*poolWorker
 }
 
 // NewPool creates a pool of n workers (n <= 0 means runtime.NumCPU()),
@@ -110,14 +86,14 @@ func NewPool(n int, opts ...Option) (*Pool, error) {
 }
 
 // testHookWorkerCreated, when non-nil, observes each worker as pool
-// construction (or a grow) brings it up. It is a test seam: the
+// construction brings it up. It is a test seam: the
 // partial-failure cleanup test uses it to reach workers that a failed
 // NewPoolWithDomain never returns.
 var testHookWorkerCreated func(i int, w *poolWorker)
 
 // testHookDispatchAttempt, when non-nil, observes each dispatch attempt
-// of Pool.Do before a worker is picked (attempt starts at 1; policy
-// retries and errWorkerRetired re-dispatches each count). It is a test
+// of Pool.Do before a worker is picked (attempt starts at 1; each policy
+// retry counts). It is a test
 // seam: the drain regression uses it to park a call between attempts —
 // the window in which it holds no worker inflight slot.
 var testHookDispatchAttempt func(attempt int)
@@ -130,54 +106,47 @@ func NewPoolWithDomain(n int, domOpts []DomainOption, opts ...Option) (*Pool, er
 	if n <= 0 {
 		n = runtime.NumCPU()
 	}
-	p := &Pool{
-		lc:      lifecycle.NewMachine("sdrad.Pool"),
-		supOpts: opts,
-		domOpts: domOpts,
-	}
+	p := &Pool{lc: lifecycle.NewMachine("sdrad.Pool"), workers: make([]*poolWorker, n)}
 	p.drainCond = sync.NewCond(&p.drainMu)
-	ws := make([]*poolWorker, n)
-	for i := range ws {
-		w, err := p.newWorker()
+	for i := range p.workers {
+		w, err := p.newWorker(opts, domOpts)
 		if err != nil {
-			for _, u := range ws[:i] {
+			for _, u := range p.workers[:i] {
 				_ = u.dom.Close() //lint:errclass best-effort unwind; the construction failure is the error callers must see
 			}
 			return nil, fmt.Errorf("sdrad: pool worker %d: %w", i, err)
 		}
-		ws[i] = w
+		p.workers[i] = w
 		if testHookWorkerCreated != nil {
 			testHookWorkerCreated(i, w)
 		}
 	}
-	p.workers.Store(&ws)
 	return p, nil
 }
 
-// newWorker builds one worker: a private Supervisor plus its warm
-// domain, from the pool's construction parameters.
-func (p *Pool) newWorker() (*poolWorker, error) {
-	sup := New(p.supOpts...)
-	dom, err := sup.NewDomain(p.domOpts...)
+// newWorker builds one worker: a private Supervisor built with opts, its
+// warm domain built with domOpts, and the batch engine bound to both.
+func (p *Pool) newWorker(opts []Option, domOpts []DomainOption) (*poolWorker, error) {
+	sup := New(opts...)
+	dom, err := sup.NewDomain(domOpts...)
 	if err != nil {
 		return nil, err
 	}
-	return &poolWorker{sup: sup, dom: dom}, nil
-}
-
-// warmUp is the clean warm-up pass a hot-added worker must survive
-// before entering dispatch: one Enter with a trivial body (paying entry,
-// integrity sweep, and exit on the worker's own virtual clock) followed
-// by the same discard-on-return scrub real calls get, proving the fresh
-// domain starts pristine.
-func (w *poolWorker) warmUp() error {
-	err := w.sup.sys.EnterWithBudget(w.dom.udi, 0, func(*Ctx) error { return nil })
-	if !core.RewoundBy(err, w.sup.sys, w.dom.udi) {
-		if derr := w.dom.Discard(); derr != nil && err == nil {
-			err = derr
-		}
+	w := &poolWorker{sup: sup, dom: dom}
+	hz := sup.sys.Clock().Model().CPUHz
+	w.batch = batchBackend{
+		hz: hz,
+		enter: func(budget uint64, fn func(*Ctx) error) error {
+			return sup.sys.EnterWithBudget(dom.udi, budget, fn)
+		},
+		discard: dom.Discard,
+		serial: func(c *batchCall) error {
+			return runPolicy(c.ctx, c.set, hz, func(budget uint64) (*core.System, core.UDI, error) {
+				return sup.sys, dom.udi, p.attemptLocked(w, budget, c.fn)
+			})
+		},
 	}
-	return err
+	return w, nil
 }
 
 // State returns the pool's lifecycle state.
@@ -185,13 +154,13 @@ func (p *Pool) State() lifecycle.State { return p.lc.State() }
 
 // Drain stops admission (new calls return ErrPoolClosed) and blocks
 // until every in-flight call has returned — whole calls, not attempts:
-// a call parked between retry attempts (or between an errWorkerRetired
-// re-dispatch) holds no worker slot, but Drain still waits for it, so
-// no admitted call can execute after Drain returns. Batches arriving
-// through dispatchBatch once draining has begun are shed with
-// ErrPoolClosed, so an async layer still feeding the pool cannot extend
-// the drain indefinitely; for the graceful order, drain the AsyncPool
-// first (its backlog then executes before admission closes here).
+// a call parked between retry attempts holds no worker slot, but Drain
+// still waits for it, so no admitted call can execute after Drain
+// returns. Batches arriving through dispatchBatch once draining has
+// begun are shed with ErrPoolClosed, so an async layer still feeding
+// the pool cannot extend the drain indefinitely; for the graceful
+// order, drain the AsyncPool first (its backlog then executes before
+// admission closes here).
 // Idempotent; refused after Close.
 func (p *Pool) Drain() error {
 	return p.lc.Drain(func() error {
@@ -228,153 +197,65 @@ func (p *Pool) endCall() {
 // outcome.
 func (p *Pool) Close() error { return p.lc.Close(p.teardown) }
 
-// teardown closes every live worker's domain (retired workers already
-// closed theirs during the shrink that removed them).
+// teardown closes every worker's domain. A call that takes a worker's
+// lock after closed is set sees it and never enters the domain.
 func (p *Pool) teardown() error {
-	p.retireMu.Lock()
-	defer p.retireMu.Unlock()
 	p.closed.Store(true)
 	var first error
-	for i, w := range p.snapshot() {
-		if err := retireWorker(w); err != nil && first == nil {
+	for i, w := range p.workers {
+		if err := w.close(); err != nil && first == nil {
 			first = fmt.Errorf("sdrad: pool worker %d: %w", i, err)
 		}
 	}
 	return first
 }
 
-// retireWorker waits out the worker's current call, snapshots its
-// domain counters, closes the domain, and marks it retired.
-func retireWorker(w *poolWorker) error {
+// close waits out the worker's current call, snapshots its domain
+// counters, and closes the domain.
+func (w *poolWorker) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.retired {
-		return nil
-	}
 	if st, err := w.dom.Stats(); err == nil {
 		w.closedStats, w.closedStatsValid = st, true
 	}
-	w.retired = true
 	return w.dom.Close()
 }
 
-// snapshot returns the published worker set.
-func (p *Pool) snapshot() []*poolWorker { return *p.workers.Load() }
+// Workers returns the number of parallel workers.
+func (p *Pool) Workers() int { return len(p.workers) }
 
-// allWorkers returns the live workers plus the retired husks, for stats
-// aggregators: a shrink must never make completed work disappear from
-// DetectionCounts/DomainStats/VirtualCycles.
-func (p *Pool) allWorkers() []*poolWorker {
-	ws := p.snapshot()
-	p.retireMu.Lock()
-	if len(p.retired) > 0 {
-		all := make([]*poolWorker, 0, len(ws)+len(p.retired))
-		all = append(all, ws...)
-		all = append(all, p.retired...)
-		ws = all
-	}
-	p.retireMu.Unlock()
-	return ws
-}
-
-// Workers returns the current number of parallel workers.
-func (p *Pool) Workers() int { return len(p.snapshot()) }
-
-// Resize grows or shrinks the worker set to n (lifecycle: legal only
-// while serving — Healthy or Degraded). Growing builds fresh workers
-// from the pool's construction parameters and publishes them only after
-// each passes its clean warm-up Enter/sweep. Shrinking removes workers
-// from the tail: the worker is first unpublished (new dispatch cannot
-// reach it; a racing call that already picked it transparently
-// re-dispatches), then its in-flight call finishes, its domain closes,
-// and the husk is retired into the stats aggregation set. Worker
-// indices of the surviving prefix are stable, so WithWorker affinity
-// keys stay meaningful across resizes.
-func (p *Pool) Resize(n int) error {
-	if n < 1 {
-		return fmt.Errorf("sdrad: pool resize to %d workers (want >= 1)", n)
-	}
-	if err := p.lc.Resizable(); err != nil {
-		return err
-	}
-	p.retireMu.Lock()
-	defer p.retireMu.Unlock()
-	if p.closed.Load() {
-		return ErrPoolClosed
-	}
-	cur := p.snapshot()
-	if n == len(cur) {
-		return nil
-	}
-	if n > len(cur) {
-		added := make([]*poolWorker, 0, n-len(cur))
-		for i := len(cur); i < n; i++ {
-			w, err := p.newWorker()
-			if err == nil {
-				err = w.warmUp()
-			}
-			if err != nil {
-				for _, u := range added {
-					_ = u.dom.Close() //lint:errclass best-effort unwind; the grow failure is the error callers must see
-				}
-				return fmt.Errorf("sdrad: pool grow worker %d: %w", i, err)
-			}
-			if testHookWorkerCreated != nil {
-				testHookWorkerCreated(i, w)
-			}
-			added = append(added, w)
-		}
-		next := make([]*poolWorker, 0, n)
-		next = append(next, cur...)
-		next = append(next, added...)
-		p.workers.Store(&next)
-		return nil
-	}
-	next := make([]*poolWorker, n)
-	copy(next, cur[:n])
-	p.workers.Store(&next)
-	var first error
-	for i, w := range cur[n:] {
-		if err := retireWorker(w); err != nil && first == nil {
-			first = fmt.Errorf("sdrad: pool shrink worker %d: %w", n+i, err)
-		}
-		p.retired = append(p.retired, w)
-	}
-	return first
-}
-
-// pickFrom chooses the least-loaded worker of ws, breaking ties
-// round-robin so idle workers rotate instead of piling onto worker 0,
-// and reserves an inflight slot on the winner in the same atomic step.
+// pick chooses the least-loaded worker, breaking ties round-robin so
+// idle workers rotate instead of piling onto worker 0, and reserves an
+// inflight slot on the winner in the same atomic step.
 // Reserving inside the pick (dispatch.Acquire) rather than later in
 // runOn closes the window where a burst of concurrent Dos all observed
 // the same idle worker and piled onto it; the caller owns the
 // reservation and runOn releases it.
-func (p *Pool) pickFrom(ws []*poolWorker) *poolWorker {
+func (p *Pool) pick() *poolWorker {
+	ws := p.workers
 	return ws[dispatch.Acquire(len(ws), int(p.rr.Add(1)-1), func(i int) *atomic.Int64 {
 		return &ws[i].inflight
 	})]
 }
 
-// pin maps a WithWorker affinity key onto ws and reserves the worker's
-// inflight slot.
-func pin(ws []*poolWorker, worker int) *poolWorker {
-	idx := worker % len(ws)
+// pin maps a WithWorker affinity key onto the worker set and reserves
+// the worker's inflight slot.
+func (p *Pool) pin(worker int) *poolWorker {
+	idx := worker % len(p.workers)
 	if idx < 0 {
-		idx += len(ws)
+		idx += len(p.workers)
 	}
-	w := ws[idx]
+	w := p.workers[idx]
 	w.inflight.Add(1)
 	return w
 }
 
-// admit loads the current worker set, rejecting when the pool is not
-// serving.
-func (p *Pool) admit() ([]*poolWorker, error) {
+// admit rejects a call when the pool is not serving.
+func (p *Pool) admit() error {
 	if p.closed.Load() || p.draining.Load() {
-		return nil, ErrPoolClosed
+		return ErrPoolClosed
 	}
-	return p.snapshot(), nil
+	return nil
 }
 
 // Do implements Runner: it executes fn inside a pristine isolated domain
@@ -389,58 +270,45 @@ func (p *Pool) Do(ctx context.Context, fn func(*Ctx) error, opts ...RunOption) e
 	set := applyRunOptions(opts)
 	p.beginCall()
 	defer p.endCall()
-	ws, err := p.admit()
-	if err != nil {
+	if err := p.admit(); err != nil {
 		return err
 	}
-	hz := ws[0].sup.sys.Clock().Model().CPUHz
+	hz := p.workers[0].sup.sys.Clock().Model().CPUHz
 	attempt := 0
 	return runPolicy(ctx, set, hz, func(budget uint64) (*core.System, core.UDI, error) {
-		for {
-			attempt++
-			if testHookDispatchAttempt != nil {
-				testHookDispatchAttempt(attempt)
-			}
-			cur := p.snapshot()
-			if p.closed.Load() {
-				return nil, 0, ErrPoolClosed
-			}
-			var w *poolWorker
-			if set.hasWorker {
-				w = pin(cur, set.worker)
-			} else {
-				w = p.pickFrom(cur)
-			}
-			err := p.runOn(w, budget, fn)
-			if errors.Is(err, errWorkerRetired) {
-				// The worker was removed by a shrink between pick and
-				// lock; re-dispatch against the current set.
-				continue
-			}
-			return w.sup.sys, w.dom.udi, err
+		attempt++
+		if testHookDispatchAttempt != nil {
+			testHookDispatchAttempt(attempt)
 		}
+		if p.closed.Load() {
+			return nil, 0, ErrPoolClosed
+		}
+		var w *poolWorker
+		if set.hasWorker {
+			w = p.pin(set.worker)
+		} else {
+			w = p.pick()
+		}
+		return w.sup.sys, w.dom.udi, p.runOn(w, budget, fn)
 	})
 }
 
 // runOn executes one attempt on worker w with the given cycle budget,
 // upholding the worker's single-goroutine contract and the discard-on-
 // return invariant. The caller has already reserved the worker's
-// inflight slot (pickFrom for least-loaded dispatch, pin for pinned
+// inflight slot (pick for least-loaded dispatch, pin for pinned
 // calls); runOn releases it.
 func (p *Pool) runOn(w *poolWorker, budget uint64, fn func(*Ctx) error) error {
 	defer w.inflight.Add(-1)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.retired {
-		return errWorkerRetired
-	}
 	w.requests.Add(1)
 	return p.attemptLocked(w, budget, fn)
 }
 
 // attemptLocked is one domain entry plus the discard-on-return
 // invariant, with worker w's lock already held (runOn for serial calls,
-// execBatchOn for batch replays).
+// the worker's batch engine for batch replays).
 func (p *Pool) attemptLocked(w *poolWorker, budget uint64, fn func(*Ctx) error) error {
 	if p.closed.Load() {
 		return ErrPoolClosed
@@ -460,57 +328,46 @@ func (p *Pool) attemptLocked(w *poolWorker, budget uint64, fn func(*Ctx) error) 
 	return err
 }
 
-// dispatchBatch resolves a batch's worker against the current worker
-// set and executes it, transparently re-dispatching if a shrink retires
-// the chosen worker first. With hasWorker, worker is the stable
-// affinity key (modulo the live size); otherwise the least-loaded
-// worker wins. It is the single batch entry point for DoBatchItems and
-// AsyncPool, and it fills each call's err. A batch arriving after Drain
-// began is shed with ErrPoolClosed: unlike serial Do calls (admitted
-// before the drain, allowed to finish their retries), batch traffic
-// reaches here without pool admission — the async layer feeds batches
-// for as long as it lives, and a drain that honored them would never
-// terminate. A batch already executing on a worker still completes.
+// dispatchBatch picks a batch's worker and executes the batch there.
+// With hasWorker, worker is the affinity key (modulo the worker count);
+// otherwise the least-loaded worker wins. It is the single batch entry
+// point for DoBatchItems and AsyncPool, and it fills each call's err. A
+// batch arriving after Drain began is shed with ErrPoolClosed: unlike
+// serial Do calls (admitted before the drain, allowed to finish their
+// retries), batch traffic reaches here without pool admission — the
+// async layer feeds batches for as long as it lives, and a drain that
+// honored them would never terminate. A batch already executing on a
+// worker still completes.
 func (p *Pool) dispatchBatch(worker int, hasWorker bool, calls []*batchCall) {
 	p.beginCall()
 	defer p.endCall()
-	for {
-		ws := p.snapshot()
-		if p.closed.Load() || p.draining.Load() {
-			for _, c := range calls {
-				c.err = ErrPoolClosed
-			}
-			return
+	if p.closed.Load() || p.draining.Load() {
+		for _, c := range calls {
+			c.err = ErrPoolClosed
 		}
-		var w *poolWorker
-		if hasWorker {
-			w = pin(ws, worker)
-		} else {
-			w = p.pickFrom(ws)
-		}
-		if p.execBatchOn(w, calls) {
-			return
-		}
+		return
 	}
+	var w *poolWorker
+	if hasWorker {
+		w = p.pin(worker)
+	} else {
+		w = p.pick()
+	}
+	p.execBatchOn(w, calls)
 }
 
 // execBatchOn executes calls as one batch on worker w under the replay
 // rule of batch.go. The caller has reserved the worker's inflight slot;
-// execBatchOn releases it. It returns false when the worker was retired
-// before the batch acquired its lock (the caller re-dispatches; nothing
-// ran).
-func (p *Pool) execBatchOn(w *poolWorker, calls []*batchCall) bool {
+// execBatchOn releases it.
+func (p *Pool) execBatchOn(w *poolWorker, calls []*batchCall) {
 	defer w.inflight.Add(-1)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.retired {
-		return false
-	}
 	if p.closed.Load() {
 		for _, c := range calls {
 			c.err = ErrPoolClosed
 		}
-		return true
+		return
 	}
 	// Count only calls that will actually be attempted: a call whose
 	// context is already done never enters a domain on the serial path
@@ -522,21 +379,8 @@ func (p *Pool) execBatchOn(w *poolWorker, calls []*batchCall) bool {
 		}
 	}
 	w.requests.Add(attempted)
-	hz := w.sup.sys.Clock().Model().CPUHz
-	b := &batchBackend{
-		hz: hz,
-		enter: func(budget uint64, fn func(*Ctx) error) error {
-			return w.sup.sys.EnterWithBudget(w.dom.udi, budget, fn)
-		},
-		discard: w.dom.Discard,
-		serial: func(c *batchCall) error {
-			return runPolicy(c.ctx, c.set, hz, func(budget uint64) (*core.System, core.UDI, error) {
-				return w.sup.sys, w.dom.udi, p.attemptLocked(w, budget, c.fn)
-			})
-		},
-	}
-	b.run(calls)
-	return true
+	w.batch.run(calls)
+	clear(w.batch.live) // hold no caller's call past its batch
 }
 
 // DoBatch executes fns as one coalesced batch on a single worker: one
@@ -565,7 +409,7 @@ func (p *Pool) DoBatchItems(items []BatchItem) []error {
 	if len(items) == 0 {
 		return errs
 	}
-	if _, err := p.admit(); err != nil {
+	if err := p.admit(); err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
@@ -586,10 +430,10 @@ func (p *Pool) DoBatchItems(items []BatchItem) []error {
 }
 
 // DetectionCounts aggregates the per-mechanism containment counters
-// across all workers, including workers retired by shrinks.
+// across all workers.
 func (p *Pool) DetectionCounts() map[string]uint64 {
 	out := make(map[string]uint64)
-	for _, w := range p.allWorkers() {
+	for _, w := range p.workers {
 		w.mu.Lock()
 		//lint:detorder commutative per-mechanism sums into a map; no order-dependent state
 		for mech, n := range w.sup.DetectionCounts() {
@@ -600,13 +444,11 @@ func (p *Pool) DetectionCounts() map[string]uint64 {
 	return out
 }
 
-// WorkerDetectionCounts returns each live worker's containment counters
-// individually (index = worker). Workers retired by shrinks are not
-// listed here — their counters remain in the DetectionCounts aggregate.
+// WorkerDetectionCounts returns each worker's containment counters
+// individually (index = worker).
 func (p *Pool) WorkerDetectionCounts() []map[string]uint64 {
-	ws := p.snapshot()
-	out := make([]map[string]uint64, len(ws))
-	for i, w := range ws {
+	out := make([]map[string]uint64, len(p.workers))
+	for i, w := range p.workers {
 		w.mu.Lock()
 		out[i] = w.sup.DetectionCounts()
 		w.mu.Unlock()
@@ -615,10 +457,10 @@ func (p *Pool) WorkerDetectionCounts() []map[string]uint64 {
 }
 
 // MemoryStats aggregates the simulated-memory accounting across all
-// workers' machines, including workers retired by shrinks.
+// workers' machines.
 func (p *Pool) MemoryStats() MemoryStats {
 	var agg MemoryStats
-	for _, w := range p.allWorkers() {
+	for _, w := range p.workers {
 		w.mu.Lock()
 		ms := w.sup.MemoryStats()
 		w.mu.Unlock()
@@ -638,11 +480,10 @@ func (p *Pool) MemoryStats() MemoryStats {
 
 // VirtualTime returns the elapsed virtual time of the pool as a parallel
 // machine: the maximum across workers (they run concurrently, so the
-// slowest worker bounds the makespan). Retired workers count: their
-// elapsed time bounded the makespan while they were live.
+// slowest worker bounds the makespan).
 func (p *Pool) VirtualTime() time.Duration {
 	var max time.Duration
-	for _, w := range p.allWorkers() {
+	for _, w := range p.workers {
 		w.mu.Lock()
 		vt := w.sup.VirtualTime()
 		w.mu.Unlock()
@@ -653,13 +494,13 @@ func (p *Pool) VirtualTime() time.Duration {
 	return max
 }
 
-// TotalVirtualTime returns the summed virtual time across workers
-// (including retired ones) — the aggregate simulated CPU time consumed,
+// TotalVirtualTime returns the summed virtual time across workers —
+// the aggregate simulated CPU time consumed,
 // the basis of the sustainability accounting. TotalVirtualTime/
 // VirtualTime measures achieved parallelism.
 func (p *Pool) TotalVirtualTime() time.Duration {
 	var sum time.Duration
-	for _, w := range p.allWorkers() {
+	for _, w := range p.workers {
 		w.mu.Lock()
 		sum += w.sup.VirtualTime()
 		w.mu.Unlock()
@@ -668,13 +509,13 @@ func (p *Pool) TotalVirtualTime() time.Duration {
 }
 
 // VirtualCycles returns the summed virtual cycles across all workers'
-// machines (including retired ones) — the aggregate simulated CPU time
+// machines — the aggregate simulated CPU time
 // as an exact integer (TotalVirtualTime rounds through the cost model's
 // frequency; the campaign engine's parity oracles need the cycles
 // themselves).
 func (p *Pool) VirtualCycles() uint64 {
 	var sum uint64
-	for _, w := range p.allWorkers() {
+	for _, w := range p.workers {
 		w.mu.Lock()
 		sum += w.sup.sys.Clock().Cycles()
 		w.mu.Unlock()
@@ -683,13 +524,13 @@ func (p *Pool) VirtualCycles() uint64 {
 }
 
 // DomainStats aggregates the warm domains' lifecycle counters across all
-// workers, including retired ones (entries, clean exits, violations,
-// rewinds, preemptions). After a worker's domain is torn down (Close or
-// a shrink) its counters come from the snapshot taken at teardown, so
-// final accounting still reflects the work done.
+// workers (entries, clean exits, violations, rewinds, preemptions).
+// After Close tears the domains down, the counters come from the
+// snapshot taken at teardown, so final accounting still reflects the
+// work done.
 func (p *Pool) DomainStats() DomainStats {
 	var agg DomainStats
-	for _, w := range p.allWorkers() {
+	for _, w := range p.workers {
 		w.mu.Lock()
 		st, err := w.dom.Stats()
 		if err != nil && w.closedStatsValid {
@@ -711,19 +552,17 @@ func (p *Pool) DomainStats() DomainStats {
 
 // PoolStats reports per-worker dispatch accounting.
 type PoolStats struct {
-	// Requests counts calls dispatched per live worker: one per serial
+	// Requests counts calls dispatched per worker: one per serial
 	// Do attempt (retries count each attempt) and one per batched call
 	// admitted with a live context (a batch's serial replays do not
 	// count again).
 	Requests []uint64
 }
 
-// Stats returns a snapshot of the dispatch counters for the live
-// workers.
+// Stats returns a snapshot of the workers' dispatch counters.
 func (p *Pool) Stats() PoolStats {
-	ws := p.snapshot()
-	st := PoolStats{Requests: make([]uint64, len(ws))}
-	for i, w := range ws {
+	st := PoolStats{Requests: make([]uint64, len(p.workers))}
+	for i, w := range p.workers {
 		st.Requests[i] = w.requests.Load()
 	}
 	return st

@@ -3,7 +3,6 @@ package sdrad_test
 import (
 	"context"
 	"errors"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -244,15 +243,14 @@ func TestPoolDomainStatsSurviveClose(t *testing.T) {
 	}
 }
 
-// TestPoolResizeHammer drives Pool.Do and Pool.DoBatchItems from many
-// goroutines while a resizer cycles the worker count and a drain fires
-// mid-run (run under -race). The acked-call invariant is checked per
-// call: an acknowledged call must have executed (no acked write lost),
-// and a rejected call must not have (no unacked write surviving). The
-// batched producers cover the batch path's re-dispatch: a batch whose
-// worker a shrink retired between pick and lock must run elsewhere, not
-// be acknowledged unrun.
-func TestPoolResizeHammer(t *testing.T) {
+// TestPoolDrainHammer drives Pool.Do and Pool.DoBatchItems from many
+// goroutines while a drain fires mid-run (run under -race). The
+// acked-call invariant is checked per call: an acknowledged call must
+// have executed (no acked write lost), and a rejected call must not
+// have (no unacked write surviving). The batched producers cover the
+// batch path's shedding: a batch that arrives once the drain began is
+// rejected unrun, never acknowledged.
+func TestPoolDrainHammer(t *testing.T) {
 	pool, err := sdrad.NewPool(2)
 	if err != nil {
 		t.Fatal(err)
@@ -262,30 +260,6 @@ func TestPoolResizeHammer(t *testing.T) {
 	const producers, per, batch = 8, 480, 2
 	const total = producers * per
 	applied := make([]atomic.Bool, total) // host-side "row written" flags
-
-	// Resizer: cycle grow/shrink until the producers finish. Once the
-	// mid-run drain lands, resizes are refused with a typed lifecycle
-	// error — any other failure is a bug.
-	stopResize := make(chan struct{})
-	var resizeWG sync.WaitGroup
-	resizeWG.Add(1)
-	go func() {
-		defer resizeWG.Done()
-		sizes := []int{4, 8, 2, 6, 1, 5, 3}
-		for i := 0; ; i++ {
-			select {
-			case <-stopResize:
-				return
-			default:
-			}
-			if rerr := pool.Resize(sizes[i%len(sizes)]); rerr != nil {
-				if _, ok := lifecycle.IsLifecycle(rerr); !ok {
-					t.Errorf("Resize(%d): %v", sizes[i%len(sizes)], rerr)
-				}
-			}
-			runtime.Gosched()
-		}
-	}()
 
 	var submitted atomic.Int64
 	var drainOnce sync.Once
@@ -301,9 +275,8 @@ func TestPoolResizeHammer(t *testing.T) {
 			}
 			c.MustFree(b)
 			applied[id].Store(true)
-			// Yield while holding the worker: other producers pick it
-			// and the resizer retires it meanwhile, so batches meet
-			// the retired-worker re-dispatch often.
+			// Yield while holding the worker, so other producers queue
+			// on it and the drain lands while calls are in flight.
 			runtime.Gosched()
 			return nil
 		}, malicious
@@ -383,8 +356,6 @@ func TestPoolResizeHammer(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	close(stopResize)
-	resizeWG.Wait()
 	<-drainDone
 
 	// The drained pool refuses new work without executing it — counted
@@ -411,8 +382,7 @@ func TestPoolResizeHammer(t *testing.T) {
 			acked.Load(), contained.Load(), rejected.Load())
 	}
 
-	// Aggregate counters stay consistent across the resizes: retired
-	// workers' work is still accounted for.
+	// Aggregate counters stay consistent with the per-call classes.
 	ds := pool.DomainStats()
 	if ds.Rewinds != ds.Violations+ds.Preemptions {
 		t.Errorf("Rewinds = %d, want Violations+Preemptions = %d", ds.Rewinds, ds.Violations+ds.Preemptions)
@@ -429,56 +399,5 @@ func TestPoolResizeHammer(t *testing.T) {
 	}
 	if detections < uint64(contained.Load()) {
 		t.Errorf("DetectionCounts total = %d < %d contained calls", detections, contained.Load())
-	}
-}
-
-// TestResizePreservesStats pins the stats-aggregation contract of
-// shrink: DomainStats and DetectionCounts are byte-identical across the
-// retirement of workers that did the work.
-func TestResizePreservesStats(t *testing.T) {
-	pool, err := sdrad.NewPool(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = pool.Close() })
-
-	for w := 0; w < 4; w++ {
-		if err := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
-			b := c.MustAlloc(16)
-			c.MustFree(b)
-			return nil
-		}, sdrad.WithWorker(w)); err != nil {
-			t.Fatalf("worker %d benign: %v", w, err)
-		}
-		verr := pool.Do(context.Background(), func(c *sdrad.Ctx) error {
-			fault.Inject(c, fault.HeapOverflow, 0)
-			return nil
-		}, sdrad.WithWorker(w))
-		if _, ok := sdrad.IsViolation(verr); !ok {
-			t.Fatalf("worker %d: got %v, want ViolationError", w, verr)
-		}
-	}
-
-	before := pool.DomainStats()
-	beforeDet := pool.DetectionCounts()
-	if err := pool.Resize(2); err != nil {
-		t.Fatalf("Resize(2): %v", err)
-	}
-	if got := pool.Workers(); got != 2 {
-		t.Fatalf("Workers after shrink = %d, want 2", got)
-	}
-	if after := pool.DomainStats(); after != before {
-		t.Errorf("DomainStats changed across shrink:\n before %+v\n after  %+v", before, after)
-	}
-	if afterDet := pool.DetectionCounts(); !reflect.DeepEqual(beforeDet, afterDet) {
-		t.Errorf("DetectionCounts changed across shrink:\n before %v\n after  %v", beforeDet, afterDet)
-	}
-
-	// The shrunken pool still serves, and new work keeps counting.
-	if err := pool.Do(context.Background(), func(c *sdrad.Ctx) error { return nil }); err != nil {
-		t.Fatalf("Run after shrink: %v", err)
-	}
-	if got := pool.DomainStats(); got.Entries != before.Entries+1 {
-		t.Errorf("Entries after shrink+1 run = %d, want %d", got.Entries, before.Entries+1)
 	}
 }
