@@ -10,16 +10,18 @@ GO ?= go
 
 check: fmt vet lint build test race report-check
 
-# Lifecycle/elasticity conformance tier (DESIGN.md §13): the shared
-# lifecycletest battery — construct serving, resize, drain, close, and
-# the typed refusals once serving ends — against every component
-# (Domain, Pool, AsyncPool, kvstore.Pool, the serving frontend bare and
-# under both protocols, the cluster router and registry), the -race
-# hammers (Pool.Do and DoBatchItems load with a mid-run drain, the
-# frontends' grow-under-burst runs), the durable-acked-write
+# Lifecycle conformance tier (DESIGN.md §13): the shared lifecycletest
+# battery — construct serving, drain, close, and the typed refusals
+# once serving ends — against every component (Domain, Pool,
+# AsyncPool, kvstore.Pool, the serving frontend bare and under both
+# protocols, the cluster router and registry), the machine's lock-free
+# State during a transition, the -race hammer (Pool.Do and
+# DoBatchItems load with a mid-run drain), the durable-acked-write
 # regression, the drain regressions (whole-call drain accounting,
-# batch shedding, and the bounded drain: an idle client does not hold
-# SIGTERM — the kvd session and httpd's idle-connection test), the
+# batch shedding — a batch parked between admission and dispatch
+# while a drain starts — and the bounded drain: an idle client does
+# not hold SIGTERM — the kvd session and httpd's idle-connection
+# test), the
 # connection loops' flush-rule and settle-rule batteries (kvd and
 # cluster) with the settle rule's exceptions (demotion after a
 # detection, gateway barriers, overload retry, the window's allocation
@@ -29,10 +31,10 @@ check: fmt vet lint build test race report-check
 # idle queue only, queues behind busy ones, holds up Close and Flush,
 # and its hammer mixed with SubmitTask and Flush), the
 # pipelined-vs-serial kvd session, and the retrofit shell's table run
-# against both servers (TestResizableShell: resize bounds and key
-# reuse, the native restart window, the failed-run classifier).
+# against both servers (TestShell: the protection-key limit, the
+# native restart window, the failed-run classifier).
 test-lifecycle:
-	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestPoolDrainHammer|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRunTask|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow' ./...
+	$(GO) test -race -run 'TestLifecycleConformance|TestStateDuringTransition|TestShell|TestPoolDrainHammer|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRunTask|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow' ./...
 
 # Cluster tier gate (DESIGN.md §14): rendezvous placement, lease
 # membership, crash/rolling/partition state-machine tests, the wire

@@ -20,8 +20,7 @@ import (
 //
 // The queue set is fixed at construction, one queue per worker of the
 // wrapped Pool, whose worker set is fixed too: each queue's batches pin
-// to its worker. The layer has no controller, counters or resize of its
-// own; it is the surface the benchmark ladder's async rung times. The
+// to its worker. The layer has no controller or counters of its own; it is the surface the benchmark ladder's async rung times. The
 // servers queue through serve.Frontend over internal/submit instead.
 
 // Future is the pending result of a Submit. Wait for it with Wait (or

@@ -84,7 +84,7 @@ func run(addr string, cfg cluster.RouterConfig) error {
 
 // newFrontend returns the serving frontend over router. The
 // router places each request itself, so the frontend is serial (no
-// submission queues) and has nothing to resize.
+// submission queues).
 func newFrontend(router *cluster.Router, logger *log.Logger) *kvstore.Frontend {
 	var f *kvstore.Frontend
 	f = serve.New(serve.Backend[workload.Request, kvstore.Response]{

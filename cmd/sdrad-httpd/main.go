@@ -20,15 +20,10 @@
 // /healthz and /drainz lifecycle endpoints come alive (SIGINT/SIGTERM
 // also drains gracefully).
 //
-// With -elastic the per-worker parsing-domain sets autoscale between
-// -min-workers and -max-workers: the set doubles when the submission
-// queues back up and halves again after a sustained idle stretch.
-//
 // Usage:
 //
 //	sdrad-httpd [-addr 127.0.0.1:8080] [-mode sdrad|native] [-workers N] [-req-timeout 0] [-max-inflight 1024] [-max-batch 32]
 //	            [-tenants FILE] [-tenant-burst 8] [-tenant-refill-every 2] [-tenant-max-inflight 64] [-quarantine-after 3]
-//	            [-elastic] [-min-workers 1] [-max-workers 8]
 //
 // Try it:
 //
@@ -62,9 +57,6 @@ func main() {
 	tenantRefill := flag.Uint64("tenant-refill-every", 2, "grant one admission token per N tenant arrivals (with -tenants)")
 	tenantInflight := flag.Int("tenant-max-inflight", 64, "per-tenant inflight quota (with -tenants)")
 	quarantineAfter := flag.Int("quarantine-after", 3, "detections in the sliding window that quarantine a tenant (with -tenants; -1 disables)")
-	elastic := flag.Bool("elastic", false, "autoscale the per-worker parsing domains between -min-workers and -max-workers from queue backlog")
-	minWorkers := flag.Int("min-workers", 1, "elastic lower bound on parsing domains per worker (with -elastic)")
-	maxWorkers := flag.Int("max-workers", 8, "elastic upper bound on parsing domains per worker (with -elastic)")
 	flag.Parse()
 	if *maxInflight < 1 {
 		fmt.Fprintf(os.Stderr, "sdrad-httpd: -max-inflight must be at least 1, got %d\n", *maxInflight)
@@ -79,13 +71,13 @@ func main() {
 			QuarantineAfter: *quarantineAfter,
 		}
 	}
-	if err := run(*addr, *mode, *workers, *reqTimeout, *maxInflight, *maxBatch, *tenants, gcfg, *elastic, *minWorkers, *maxWorkers); err != nil {
+	if err := run(*addr, *mode, *workers, *reqTimeout, *maxInflight, *maxBatch, *tenants, gcfg); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("sdrad-httpd: %v", err)
 	}
 }
 
-func run(addr, modeName string, workers int, reqTimeout time.Duration, maxInflight, maxBatch int, tenantsFile string, gcfg *gateway.Config, elastic bool, minWorkers, maxWorkers int) error {
+func run(addr, modeName string, workers int, reqTimeout time.Duration, maxInflight, maxBatch int, tenantsFile string, gcfg *gateway.Config) error {
 	var mode httpd.Mode
 	switch modeName {
 	case "sdrad":
@@ -119,12 +111,6 @@ func run(addr, modeName string, workers int, reqTimeout time.Duration, maxInflig
 		}
 	}()
 	log.Printf("async submission queues on (max-inflight=%d, max-batch=%d)", maxInflight, maxBatch)
-	if elastic {
-		if err := srv.EnableElastic(minWorkers, maxWorkers); err != nil {
-			return err
-		}
-		log.Printf("elastic parsing domains on (min=%d, max=%d per worker)", minWorkers, maxWorkers)
-	}
 	if gcfg != nil {
 		gw, gerr := gateway.LoadFile(tenantsFile, *gcfg)
 		if gerr != nil {

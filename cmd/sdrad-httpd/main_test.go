@@ -126,7 +126,7 @@ func TestServesAuthenticatedRequestsAndDrains(t *testing.T) {
 	defer log.SetOutput(os.Stderr)
 	done := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", "sdrad", 2, 0, 1024, 32, tenants, gcfg, false, 1, 8)
+		done <- run("127.0.0.1:0", "sdrad", 2, 0, 1024, 32, tenants, gcfg)
 	}()
 	var addr string
 	select {
@@ -183,7 +183,7 @@ func TestIdleConnectionDoesNotHoldDrain(t *testing.T) {
 	defer log.SetOutput(os.Stderr)
 	done := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", "sdrad", 2, 0, 1024, 32, "", nil, false, 1, 8)
+		done <- run("127.0.0.1:0", "sdrad", 2, 0, 1024, 32, "", nil)
 	}()
 	var addr string
 	select {

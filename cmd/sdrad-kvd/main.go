@@ -3,7 +3,7 @@
 //
 // It speaks a subset of the memcached text protocol (get/set/delete/
 // stats/quit). Request handling runs inside SDRaD worker domains — each
-// client is placed on one of at most 12 per shard, pristine between
+// client is placed on one of the shard's four, pristine between
 // requests, so a rewind discards one request. A value whose payload
 // starts with the attack marker "!!exploit" makes the parser trigger a
 // heap overflow, which is contained — the connection gets SERVER_ERROR,
@@ -36,17 +36,11 @@
 // queued requests finish, the WAL commits, a final snapshot lands, and
 // no acknowledged write is lost.
 //
-// With -elastic the per-shard parser worker-domain sets autoscale
-// between -min-workers and -max-workers: the set doubles when the
-// submission queues back up and halves again after a sustained idle
-// stretch.
-//
 // Usage:
 //
 //	sdrad-kvd [-addr 127.0.0.1:11211] [-mode sdrad|native] [-capacity 67108864] [-workers N] [-req-timeout 0] [-max-inflight 1024] [-max-batch 32]
 //	          [-data-dir DIR] [-fsync] [-snapshot-every N]
 //	          [-tenants FILE] [-tenant-burst 8] [-tenant-refill-every 2] [-tenant-max-inflight 64] [-quarantine-after 3]
-//	          [-elastic] [-min-workers 1] [-max-workers 8]
 //
 // Try it:
 //
@@ -83,9 +77,6 @@ func main() {
 	tenantRefill := flag.Uint64("tenant-refill-every", 2, "grant one admission token per N tenant arrivals (with -tenants)")
 	tenantInflight := flag.Int("tenant-max-inflight", 64, "per-tenant inflight quota (with -tenants)")
 	quarantineAfter := flag.Int("quarantine-after", 3, "detections in the sliding window that quarantine a tenant (with -tenants; -1 disables)")
-	elastic := flag.Bool("elastic", false, "autoscale the per-shard parser worker domains between -min-workers and -max-workers from queue backlog")
-	minWorkers := flag.Int("min-workers", 1, "elastic lower bound on parser workers per shard (with -elastic)")
-	maxWorkers := flag.Int("max-workers", 8, "elastic upper bound on parser workers per shard (with -elastic)")
 	flag.Parse()
 	if *maxInflight < 1 {
 		fmt.Fprintf(os.Stderr, "sdrad-kvd: -max-inflight must be at least 1, got %d\n", *maxInflight)
@@ -104,13 +95,13 @@ func main() {
 			QuarantineAfter: *quarantineAfter,
 		}
 	}
-	if err := run(*addr, *mode, *capacity, *workers, *reqTimeout, *maxInflight, *maxBatch, pcfg, *tenants, gcfg, *elastic, *minWorkers, *maxWorkers); err != nil {
+	if err := run(*addr, *mode, *capacity, *workers, *reqTimeout, *maxInflight, *maxBatch, pcfg, *tenants, gcfg); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("sdrad-kvd: %v", err)
 	}
 }
 
-func run(addr, modeName string, capacity uint64, workers int, reqTimeout time.Duration, maxInflight, maxBatch int, pcfg *kvstore.PersistConfig, tenantsFile string, gcfg *gateway.Config, elastic bool, minWorkers, maxWorkers int) error {
+func run(addr, modeName string, capacity uint64, workers int, reqTimeout time.Duration, maxInflight, maxBatch int, pcfg *kvstore.PersistConfig, tenantsFile string, gcfg *gateway.Config) error {
 	var mode kvstore.Mode
 	switch modeName {
 	case "sdrad":
@@ -150,12 +141,6 @@ func run(addr, modeName string, capacity uint64, workers int, reqTimeout time.Du
 		return err
 	}
 	log.Printf("async submission queues on (max-inflight=%d, max-batch=%d)", maxInflight, maxBatch)
-	if elastic {
-		if err := srv.EnableElastic(minWorkers, maxWorkers); err != nil {
-			return err
-		}
-		log.Printf("elastic parser workers on (min=%d, max=%d per shard)", minWorkers, maxWorkers)
-	}
 	// NetServer.Close closes the pool too (idempotently), so it subsumes
 	// the pool's own deferred close above.
 	defer func() {

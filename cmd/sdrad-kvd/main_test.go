@@ -42,7 +42,7 @@ func session(t *testing.T, script []string, oneSegment bool) []string {
 	defer log.SetOutput(os.Stderr)
 	done := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", "sdrad", 64<<20, 2, 0, 1024, 32, nil, "", nil, false, 1, 8)
+		done <- run("127.0.0.1:0", "sdrad", 64<<20, 2, 0, 1024, 32, nil, "", nil)
 	}()
 	var addr string
 	select {

@@ -2,6 +2,7 @@ package sdrad
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -88,5 +89,53 @@ func TestDrainWaitsForMidRetryCall(t *testing.T) {
 	}
 	if ranAfterDrain.Load() {
 		t.Error("admitted call executed after Drain returned")
+	}
+}
+
+// TestDrainShedsBatchAdmittedBeforeDrain pins the window between
+// DoBatchItems's admission check and dispatchBatch: a batch admitted
+// before Drain that reaches dispatch after it must be shed whole with
+// ErrPoolClosed, no item executed. The batch holds no call count while
+// it sits there, so Drain returns without waiting for it; only
+// dispatchBatch's draining check keeps it from running after Drain
+// returned.
+func TestDrainShedsBatchAdmittedBeforeDrain(t *testing.T) {
+	p, err := NewPool(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+
+	admitted := make(chan struct{})
+	resume := make(chan struct{})
+	testHookBatchAdmitted = func() {
+		close(admitted)
+		<-resume
+	}
+	t.Cleanup(func() { testHookBatchAdmitted = nil })
+
+	var ran atomic.Int32
+	items := make([]BatchItem, 4)
+	for i := range items {
+		items[i] = BatchItem{Ctx: context.Background(), Fn: func(*Ctx) error {
+			ran.Add(1)
+			return nil
+		}}
+	}
+	errsCh := make(chan []error, 1)
+	go func() { errsCh <- p.DoBatchItems(items) }()
+	<-admitted // admitted, not yet dispatched
+
+	if err := p.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	close(resume)
+	for i, err := range <-errsCh {
+		if !errors.Is(err, ErrPoolClosed) {
+			t.Errorf("item %d: %v, want ErrPoolClosed", i, err)
+		}
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d items executed after Drain returned", n)
 	}
 }

@@ -467,8 +467,8 @@ type retrofitCount struct{ Files, Lines int }
 // TestRetrofitCounts (which fails, printing the new counts, when the
 // code drifts from these). Constants keep sdrad-report hermetic.
 var (
-	kvRetrofit    = retrofitCount{Files: 6, Lines: 71}
-	httpdRetrofit = retrofitCount{Files: 3, Lines: 39}
+	kvRetrofit    = retrofitCount{Files: 6, Lines: 67}
+	httpdRetrofit = retrofitCount{Files: 3, Lines: 35}
 )
 
 func (r Runner) runE5() (*Result, error) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -79,7 +80,9 @@ func TestServeBatchMatchesSerial(t *testing.T) {
 }
 
 // TestBatchedHTTPNetServerEndToEnd: the pipelined TCP path serves,
-// contains exploits, and keeps serving under concurrent clients.
+// contains exploits, keeps serving under concurrent clients, and
+// answers every request of a burst queued behind held workers once
+// they are released.
 func TestBatchedHTTPNetServerEndToEnd(t *testing.T) {
 	pool, err := NewPool(core.DefaultConfig(), Config{Mode: ModeSDRaD, Workers: 2}, 2)
 	if err != nil {
@@ -154,5 +157,24 @@ func TestBatchedHTTPNetServerEndToEnd(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+
+	// A burst against held workers: each GET queues (the drain loops
+	// block on the worker locks), and each is answered 200 once the
+	// workers are released.
+	for _, sh := range pool.Shards {
+		sh.Lock()
+	}
+	var burst [8]serve.Pending[[]byte, Response]
+	for c := range burst {
+		burst[c] = ns.Submit(c, BuildRequest("GET", "/", nil))
+	}
+	for _, sh := range pool.Shards {
+		sh.Unlock()
+	}
+	for c := range burst {
+		if resp := ns.Wait(&burst[c]); resp.Status != 200 {
+			t.Errorf("burst client %d: %+v, want 200", c, resp)
+		}
 	}
 }

@@ -13,16 +13,15 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/gateway"
-	"repro/internal/retrofit"
 	"repro/internal/serve"
 )
 
 // NetServer serves HTTP/1.1 over TCP on top of a Pool, one request per
 // connection (Connection: close semantics). The embedded serve.Frontend
-// owns the sockets, the lifecycle, the gateway, the submission queues
-// and the elastic controller; this type adds the protocol: head
-// parsing, response rendering, the admission status mapping, the
-// /healthz and /drainz endpoints, and the least-loaded worker pick.
+// owns the sockets, the lifecycle, the gateway and the submission
+// queues; this type adds the protocol: head parsing, response
+// rendering, the admission status mapping, the /healthz and /drainz
+// endpoints, and the least-loaded worker pick.
 type NetServer struct {
 	*serve.Frontend[[]byte, Response]
 }
@@ -66,10 +65,7 @@ func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch 
 			cycles, _ := gateway.RetryAfterCycles(err)
 			return Response{Status: 503, Err: err, RetryAfterCycles: cycles}
 		},
-		Shards:     p.Workers(),
-		Workers:    p.ShardWorkers,
-		Resize:     p.ResizeWorkers,
-		MaxWorkers: retrofit.MaxWorkers,
+		Shards: p.Workers(),
 	}, logger)
 	if err := n.Queue(maxInflight, maxBatch); err != nil {
 		return nil, err

@@ -19,7 +19,7 @@ import (
 //
 // Pool is safe for concurrent use; per-worker locking upholds each
 // simulated machine's single-goroutine contract. The embedded Shards
-// supply the aggregates (counters, virtual time, worker resizing).
+// supply the aggregates (counters, virtual time).
 type Pool struct {
 	retrofit.Shards[*Server]
 	// inflight[i] drives least-loaded dispatch to worker i; read without

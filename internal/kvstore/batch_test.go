@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/serve"
 	"repro/internal/submit"
 	"repro/internal/workload"
 )
@@ -88,7 +89,7 @@ func TestHandleBatchMatchesSerial(t *testing.T) {
 		seen := make(map[int]bool)
 		for j := range batch {
 			batch[j] = BatchRequest{ClientID: (i + j) % 8, Req: reqs[i+j]}
-			w := batch[j].ClientID % batchSrv.shell.Workers()
+			w := batch[j].ClientID % batchSrv.cfg.Workers
 			exact[i+j] = !seen[w] && !used[w]
 			seen[w] = true
 		}
@@ -147,7 +148,7 @@ func TestHandleBatchAmortizesEntries(t *testing.T) {
 		}
 	}
 	// All 16 requests map to worker 3%4; its domain saw one entry.
-	d, err := sys.Domain(srv.cfg.FirstWorkerUDI + core.UDI(3%srv.shell.Workers()))
+	d, err := sys.Domain(srv.cfg.FirstWorkerUDI + core.UDI(3%srv.cfg.Workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestHandleBatchAmortizesEntries(t *testing.T) {
 }
 
 // startBatchedNet spins up the pipelined (submission-queue) TCP server.
-func startBatchedNet(t *testing.T, workers, maxInflight, maxBatch int) (string, *Pool, func()) {
+func startBatchedNet(t *testing.T, workers, maxInflight, maxBatch int) (string, *NetServer, func()) {
 	t.Helper()
 	pool, err := NewPool(core.DefaultConfig(), ServerConfig{Mode: ModeSDRaD}, workers, 16<<20)
 	if err != nil {
@@ -173,7 +174,7 @@ func startBatchedNet(t *testing.T, workers, maxInflight, maxBatch int) (string, 
 	}
 	done := make(chan error, 1)
 	go func() { done <- ns.Serve(ln) }()
-	return ln.Addr().String(), pool, func() {
+	return ln.Addr().String(), ns, func() {
 		if err := ln.Close(); err != nil {
 			t.Errorf("close listener: %v", err)
 		}
@@ -185,11 +186,14 @@ func startBatchedNet(t *testing.T, workers, maxInflight, maxBatch int) (string, 
 }
 
 // TestBatchedNetServerEndToEnd exercises the full pipelined path over
-// real sockets: set/get round trip, contained wire attack, and
-// concurrent clients pipelining through the queues.
+// real sockets: set/get round trip, contained wire attack, concurrent
+// clients pipelining through the queues, and a burst queued behind
+// held shards, every request of which is answered once they are
+// released.
 func TestBatchedNetServerEndToEnd(t *testing.T) {
-	addr, pool, stop := startBatchedNet(t, 2, 256, 8)
+	addr, ns, stop := startBatchedNet(t, 2, 256, 8)
 	defer stop()
+	pool := ns.pool
 
 	out := talk(t, addr, "set k1 0 0 5\r\nhello\r\nget k1\r\nquit\r\n")
 	if !strings.Contains(out, "STORED") || !strings.Contains(out, "hello") {
@@ -234,6 +238,25 @@ func TestBatchedNetServerEndToEnd(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+
+	// A burst against held shards: each SET queues (the drain loops
+	// block on the shard locks), and each is STORED once the shards are
+	// released.
+	for _, sh := range pool.Shards {
+		sh.Lock()
+	}
+	var burst [8]serve.Pending[workload.Request, Response]
+	for c := range burst {
+		burst[c] = ns.Submit(c, setReq(fmt.Sprintf("burst%d", c), "v"))
+	}
+	for _, sh := range pool.Shards {
+		sh.Unlock()
+	}
+	for c := range burst {
+		if resp := ns.Wait(&burst[c]); !resp.OK || resp.Err != nil {
+			t.Errorf("burst client %d: %+v, want STORED", c, resp)
+		}
 	}
 }
 

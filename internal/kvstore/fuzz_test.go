@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,8 +18,12 @@ import (
 	"repro/internal/workload"
 )
 
-// FuzzReadCommand checks the protocol parser never panics and that every
-// accepted command is structurally sound.
+// FuzzReadCommand checks the protocol parser never panics, that every
+// accepted command is structurally sound, and that ReadCommand agrees
+// with the strings.Split/strings.Fields form it replaced
+// (splitReadCommand): the same accept/reject verdict on every input,
+// and for an accepted command the same op, key, flags, TTL, value and
+// command flags.
 func FuzzReadCommand(f *testing.F) {
 	seeds := []string{
 		"get k\r\n",
@@ -42,6 +48,19 @@ func FuzzReadCommand(f *testing.F) {
 		"set k 0 0 5 extra\u0085\r\nhello\r\n",
 		"get k\xa0\r\n",
 		"0 0 0 0 0 \xc6 0\r\n",
+		// Appended after the seeds above so their names do not move.
+		"set k 7 30 5\r\nhello\r\n",
+		"set k 4294967296 0 1\r\nx\r\n",
+		"set k 0 0 3\r\nabcd\r\n",
+		"set k 0 0 3\r\nab",
+		"scan * 5\r\n",
+		"scan p 100000 k\r\n",
+		"scan p 0\r\n",
+		"auth tok\r\n",
+		"health\r\n",
+		"get k", // no newline
+		strings.Repeat("k", MaxCommandLine-1) + "\n",
+		strings.Repeat("k", MaxCommandLine) + "\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -57,19 +76,111 @@ func FuzzReadCommand(f *testing.F) {
 			t.Errorf("splitFields(%q) = %q, want %q", line, got, want)
 		}
 		cmd, err := ReadCommand(bufio.NewReader(strings.NewReader(in)))
+		ref, ok := splitReadCommand(in)
+		if (err == nil) != ok {
+			t.Fatalf("ReadCommand(%q) error %v, the Split form accepts: %v", in, err, ok)
+		}
 		if err != nil {
 			return
 		}
-		if cmd.Stats || cmd.Quit {
-			return
+		if !bytes.Equal(cmd.Req.Value, ref.Req.Value) {
+			t.Errorf("ReadCommand(%q) value %q, the Split form says %q", in, cmd.Req.Value, ref.Req.Value)
 		}
-		if cmd.Req.Key == "" {
+		cmd.Req.Value, ref.Req.Value = nil, nil
+		if !reflect.DeepEqual(cmd, ref) {
+			t.Errorf("ReadCommand(%q) = %+v, the Split form says %+v", in, cmd, ref)
+		}
+		if cmd.data() && cmd.Req.Key == "" {
 			t.Errorf("accepted command with empty key: %q", in)
 		}
 		if len(cmd.Req.Value) > MaxValueSize {
 			t.Errorf("accepted oversized value: %d", len(cmd.Req.Value))
 		}
 	})
+}
+
+// splitReadCommand is ReadCommand restated over the whole input with
+// strings.SplitN and strings.Fields: the reference the buffered reader
+// and the allocation-free splitter must agree with. The command
+// line is everything before the first newline (at most MaxCommandLine
+// bytes with it), and a set's data block is the n+2 bytes after it. It
+// reports only whether the input is accepted, not why not.
+func splitReadCommand(in string) (Command, bool) {
+	parts := strings.SplitN(in, "\n", 2)
+	if len(parts) != 2 || len(parts[0])+1 > MaxCommandLine {
+		return Command{}, false
+	}
+	fields := strings.Fields(strings.TrimRight(parts[0], "\r"))
+	if len(fields) == 0 {
+		return Command{}, false
+	}
+	switch fields[0] {
+	case "get", "gets":
+		if len(fields) != 2 {
+			return Command{}, false
+		}
+		return Command{Req: workload.Request{Op: workload.OpGet, Key: fields[1]}}, true
+	case "delete":
+		if len(fields) != 2 {
+			return Command{}, false
+		}
+		return Command{Req: workload.Request{Op: workload.OpDelete, Key: fields[1]}}, true
+	case "set":
+		if len(fields) != 5 {
+			return Command{}, false
+		}
+		flags, err := strconv.ParseUint(fields[2], 10, 32)
+		if err != nil {
+			return Command{}, false
+		}
+		exp, err := strconv.Atoi(fields[3])
+		if err != nil || exp < 0 {
+			return Command{}, false
+		}
+		n, err := strconv.Atoi(fields[4])
+		if err != nil || n < 0 || n > MaxValueSize {
+			return Command{}, false
+		}
+		data := parts[1]
+		if len(data) < n+2 || data[n:n+2] != "\r\n" {
+			return Command{}, false
+		}
+		return Command{Req: workload.Request{
+			Op:    workload.OpSet,
+			Key:   fields[1],
+			Value: []byte(data[:n]),
+			TTL:   time.Duration(exp) * time.Second,
+			Flags: uint32(flags),
+		}}, true
+	case "stats":
+		return Command{Stats: true}, true
+	case "auth":
+		if len(fields) != 2 {
+			return Command{}, false
+		}
+		return Command{Auth: true, Token: fields[1]}, true
+	case "health":
+		return Command{Health: true}, true
+	case "scan":
+		if len(fields) != 3 && len(fields) != 4 {
+			return Command{}, false
+		}
+		limit, err := strconv.Atoi(fields[2])
+		if err != nil || limit <= 0 {
+			return Command{}, false
+		}
+		cmd := Command{Scan: true, ScanPrefix: fields[1], ScanLimit: min(limit, MaxScanPage)}
+		if cmd.ScanPrefix == "*" {
+			cmd.ScanPrefix = ""
+		}
+		if len(fields) == 4 {
+			cmd.ScanCursor = fields[3]
+		}
+		return cmd, true
+	case "quit":
+		return Command{Quit: true}, true
+	}
+	return Command{}, false
 }
 
 // FuzzHandleSDRaD drives arbitrary wire bytes through the full SDRaD

@@ -9,9 +9,7 @@ import (
 )
 
 // TestLifecycleConformance runs the shared lifecycle battery against the
-// sharded KV pool and the network server wrapping it. Resize
-// exercises the per-shard parser worker-domain set (key placement is
-// untouched, so resizing is invisible to stored data).
+// sharded KV pool and the network server wrapping it.
 func TestLifecycleConformance(t *testing.T) {
 	lifecycletest.Run(t, []lifecycletest.Case{
 		{
@@ -23,11 +21,6 @@ func TestLifecycleConformance(t *testing.T) {
 				}
 				return p
 			},
-			Resize: func(c lifecycle.Component, n int) error {
-				return c.(*Pool).ResizeWorkers(n)
-			},
-			Grow:   6,
-			Shrink: 2,
 		},
 		{
 			Name: "kvstore.NetServer",

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gateway"
-	"repro/internal/retrofit"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -21,9 +20,9 @@ const AttackMarker = "!!exploit"
 
 // NetServer serves the memcached text protocol over TCP on top of a
 // Pool. The embedded serve.Frontend owns the sockets, the lifecycle,
-// the gateway, the submission queues and the elastic controller; this
-// type adds the protocol: the command loop, the auth/health/scan
-// rendering, and the key-hash shard pick.
+// the gateway and the submission queues; this type adds the protocol:
+// the command loop, the auth/health/scan rendering, and the key-hash
+// shard pick.
 type NetServer struct {
 	*Frontend
 	pool *Pool
@@ -56,15 +55,12 @@ func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch 
 			scratch[si] = batch
 		},
 		// Every operation on a key lands on the shard that owns it.
-		Pick:       func(req workload.Request, _ func(int) int64) int { return p.shardIndex(req.Key) },
-		Shed:       func(err error) Response { return Response{Err: err} },
-		Shards:     p.Workers(),
-		Workers:    p.ShardWorkers,
-		Resize:     p.ResizeWorkers,
-		MaxWorkers: retrofit.MaxWorkers,
-		Health:     p.Health,
-		Drain:      p.Drain,
-		Close:      p.Close,
+		Pick:   func(req workload.Request, _ func(int) int64) int { return p.shardIndex(req.Key) },
+		Shed:   func(err error) Response { return Response{Err: err} },
+		Shards: p.Workers(),
+		Health: p.Health,
+		Drain:  p.Drain,
+		Close:  p.Close,
 	}, logger)
 	if err := n.Queue(maxInflight, maxBatch); err != nil {
 		return nil, err

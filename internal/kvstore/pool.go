@@ -18,11 +18,14 @@ import (
 // simulated core; the pool gives each shard its own core, so requests for
 // keys on different shards execute concurrently (the memcached scale-out
 // pattern). Keys map to shards by hash, which keeps every key's reads and
-// writes on one cache shard — the consistency invariant.
+// writes on one cache shard — the consistency invariant. Both counts are
+// fixed when the pool is built: the shards, and each shard's
+// ServerConfig.Workers worker domains. A shard serves on one goroutine
+// under its lock, so more worker domains would add no parallelism.
 //
 // Pool is safe for concurrent use; per-shard locking upholds each
 // simulated machine's single-goroutine contract. The embedded Shards
-// supply the aggregates (counters, virtual time, worker counts).
+// supply the aggregates (counters, virtual time, shard count).
 type Pool struct {
 	retrofit.Shards[*Server]
 
@@ -137,19 +140,6 @@ func (p *Pool) Drain() error {
 		}
 		return first
 	})
-}
-
-// ResizeWorkers grows or shrinks every shard's parser worker-domain set
-// to n (SDRaD mode only). Shards themselves cannot resize — key
-// placement is part of the store's identity — but the per-client parser
-// domains are pristine between requests, so their count is purely a
-// concurrency knob. Legal while Healthy or Degraded; a partial failure
-// leaves shards at different counts and reports the first error.
-func (p *Pool) ResizeWorkers(n int) error {
-	if err := p.lc.Resizable(); err != nil {
-		return err
-	}
-	return p.Shards.ResizeWorkers(n)
 }
 
 // Interface compliance: the pool implements the shared lifecycle

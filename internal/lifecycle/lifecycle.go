@@ -7,16 +7,14 @@
 // A component has one constructor, and it returns the component
 // serving: construction allocates its resources, Drain stops admission
 // while preserving acknowledged work, and Close tears it down. Illegal
-// transitions — Drain after Close, Resize while Draining — fail with a
+// transitions — Drain after Close, a call after Drain — fail with a
 // typed *LifecycleError instead of corrupting state, and health only
 // moves forward: the state rank is monotone, so observers never see a
 // component "un-drain" or "un-stop".
 //
 // Machine is the one implementation every component embeds; the
 // conformance suite in lifecycletest asserts the contract against each
-// of them. DESIGN.md §13 develops the full argument, including why
-// elastic pool resizing hangs off this machine's Healthy/Degraded
-// states.
+// of them. DESIGN.md §13 develops the full argument.
 package lifecycle
 
 import (
@@ -83,7 +81,7 @@ func (s State) rank() int {
 type LifecycleError struct {
 	// Component names the refusing component (e.g. "sdrad.Pool").
 	Component string
-	// Op is the refused operation ("Drain", "Resize", ...).
+	// Op is the refused operation ("Drain", "Register", ...).
 	Op string
 	// From is the state the component was in when it refused.
 	From State
@@ -173,10 +171,9 @@ func (m *Machine) Degrade() bool {
 // illegal after Close.
 //
 // The machine moves to StateDraining before fn runs, so the lock-free
-// observers (State, Resizable) report the transition while the drain
-// work is still in progress. Components rely on that ordering to stop
-// helper goroutines from inside fn: a helper probing Resizable sees an
-// immediate refusal instead of blocking on the mutex fn's caller holds.
+// State reports the transition while the drain work is still in
+// progress: a helper goroutine fn waits for, or a health probe, sees
+// Draining at once instead of blocking on the mutex fn's caller holds.
 func (m *Machine) Drain(fn func() error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -212,25 +209,6 @@ func (m *Machine) Close(fn func() error) error {
 		m.stopErr = fn()
 	}
 	return m.stopErr
-}
-
-// Resizable returns nil when a resize is legal (serving: Healthy or
-// Degraded) and the typed refusal otherwise — the gate every elastic
-// component's Resize calls first.
-//
-// Resizable is deliberately lock-free: it reads the atomic state mirror
-// and never takes the machine mutex. Drain and Close hold that mutex
-// while their work functions run, and those work functions may wait for
-// a goroutine that is resizing and so probes Resizable. Because the
-// state is published before the work function starts, such a probe
-// observes the Draining/Stopped refusal immediately instead of
-// deadlocking against the transition waiting for it.
-func (m *Machine) Resizable() error {
-	s := m.State()
-	if s == StateHealthy || s == StateDegraded {
-		return nil
-	}
-	return &LifecycleError{Component: m.name, Op: "Resize", From: s}
 }
 
 // Monotone reports whether a transition from s to t respects the

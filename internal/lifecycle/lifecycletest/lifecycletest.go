@@ -1,12 +1,11 @@
 // Package lifecycletest is the table-driven conformance suite for
 // lifecycle.Component implementations. Every component that embeds a
 // lifecycle.Machine runs the same battery: a freshly constructed
-// component is serving, illegal transitions are rejected with a typed
-// *LifecycleError (Resize while Draining or after Close, Drain after
-// Close), the observed state sequence is rank-monotone, Drain and Close
-// are idempotent, and a closed component stays closed. Run it from a
-// component package's tests with a factory that calls the component's
-// constructor once per case.
+// component is serving, an illegal transition is rejected with a typed
+// *LifecycleError (Drain after Close), the observed state sequence is
+// rank-monotone, Drain and Close are idempotent, and a closed component
+// stays closed. Run it from a component package's tests with a factory
+// that calls the component's constructor once per case.
 //
 //lint:allow unusedexport a test battery: only the components' tests import it
 package lifecycletest
@@ -25,14 +24,6 @@ type Case struct {
 	// invoked once per subtest, so it must not share state across
 	// invocations.
 	New func(t *testing.T) lifecycle.Component
-	// Resize, when non-nil, resizes the component (which must then
-	// also reject resizes while draining/stopped). Grow and Shrink are
-	// the worker counts exercised while healthy; both default to
-	// skipping the healthy-resize probe when zero.
-	Resize func(c lifecycle.Component, n int) error
-	// Grow and Shrink are the counts passed to Resize while Healthy
-	// (ignored when Resize is nil).
-	Grow, Shrink int
 }
 
 // Run executes the conformance battery for every case.
@@ -77,28 +68,14 @@ func (st *stateTracker) check(after string) {
 	st.prev = cur
 }
 
-// fullLifecycle: construct → (Resize) → Drain → Close, with the
-// double calls memoized, Resize refused once serving ends, and the
-// state sequence monotone.
+// fullLifecycle: construct → Drain → Close, with the double calls
+// memoized and the state sequence monotone.
 func (tc Case) fullLifecycle(t *testing.T) {
 	c := tc.New(t)
 	if got := c.State(); got != lifecycle.StateHealthy {
 		t.Fatalf("constructed component state = %s, want %s", got, lifecycle.StateHealthy)
 	}
 	st := &stateTracker{t: t, c: c, prev: c.State()}
-
-	if tc.Resize != nil && tc.Grow > 0 {
-		if err := tc.Resize(c, tc.Grow); err != nil {
-			t.Fatalf("Resize(grow=%d) while healthy: %v", tc.Grow, err)
-		}
-		st.check("Resize-grow")
-	}
-	if tc.Resize != nil && tc.Shrink > 0 {
-		if err := tc.Resize(c, tc.Shrink); err != nil {
-			t.Fatalf("Resize(shrink=%d) while healthy: %v", tc.Shrink, err)
-		}
-		st.check("Resize-shrink")
-	}
 
 	if err := c.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
@@ -113,9 +90,6 @@ func (tc Case) fullLifecycle(t *testing.T) {
 		t.Fatalf("second Drain: %v", err)
 	}
 	st.check("double-Drain")
-	if tc.Resize != nil {
-		wantLifecycleErr(t, tc.Resize(c, 4), "Resize-while-Draining")
-	}
 
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -126,9 +100,6 @@ func (tc Case) fullLifecycle(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("second Close (must return the first outcome): %v", err)
-	}
-	if tc.Resize != nil {
-		wantLifecycleErr(t, tc.Resize(c, 4), "Resize-after-Close")
 	}
 	st.check("double-Close")
 }

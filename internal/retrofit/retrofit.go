@@ -4,12 +4,12 @@
 // their own work — parse the untrusted bytes, apply the request to
 // trusted state (the cache, the routing table), render the response.
 //
-// The shell owns the worker domains at a UDI range and their resizing;
-// the per-domain batch partition; the native restart model (scratch
-// heap, restart window, dropped arrivals); the request counters and the
-// classifier that sorts a failed domain run; the staging of request and
-// response bytes across the domain boundary; and, in Shards, the
-// aggregate half of a shard pool.
+// The shell owns the worker domains at a UDI range, a set fixed when
+// the shell is built; the per-domain batch partition; the native
+// restart model (scratch heap, restart window, dropped arrivals); the
+// request counters and the classifier that sorts a failed domain run;
+// the staging of request and response bytes across the domain
+// boundary; and, in Shards, the aggregate half of a shard pool.
 //
 // Every server runs on one goroutine under its shard lock, so the shell
 // is plain data: concrete types, counters as fields, no interface call,
@@ -30,11 +30,6 @@ import (
 	"repro/internal/procmodel"
 	"repro/internal/vclock"
 )
-
-// MaxWorkers caps Resize: each worker domain consumes one of the
-// simulated machine's 16 protection keys, and the default key, the
-// root-protected key and (kvstore's) storage domain are spoken for.
-const MaxWorkers = 12
 
 // Counters is a server's request accounting.
 type Counters struct {
@@ -125,7 +120,7 @@ func New(sys *core.System, cfg Config) (Shell, error) {
 		slot:         cfg.Slot,
 	}
 	if cfg.Workers > 0 {
-		return sh, sh.grow(cfg.Workers)
+		return sh, sh.initWorkers(cfg.Workers)
 	}
 	h, err := alloc.New(sys.Mem(), pku.DefaultKey, alloc.Config{InitialPages: 8})
 	if err != nil {
@@ -135,10 +130,11 @@ func New(sys *core.System, cfg Config) (Shell, error) {
 	return sh, nil
 }
 
-// grow initializes worker domains at the next UDIs until there are n.
-func (sh *Shell) grow(n int) error {
+// initWorkers initializes n worker domains at the UDIs from the first.
+func (sh *Shell) initWorkers(n int) error {
 	sup := sdrad.Attach(sh.sys)
-	for i := len(sh.workers); i < n; i++ {
+	sh.groups = make([]group, n)
+	for i := 0; i < n; i++ {
 		udi := sh.first + core.UDI(i)
 		if _, err := sh.sys.InitDomain(udi, core.DomainConfig{HeapPages: 8, StackPages: 4}); err != nil {
 			return fmt.Errorf("%s: worker %d: %w", sh.name, i, err)
@@ -149,35 +145,6 @@ func (sh *Shell) grow(n int) error {
 		}
 		d.OnBatch(sh.onBatch)
 		sh.workers = append(sh.workers, d)
-	}
-	return nil
-}
-
-// Workers returns the live worker-domain count (0 for a native shell).
-func (sh *Shell) Workers() int { return len(sh.workers) }
-
-// Resize grows or shrinks the worker-domain set to n, within [1,
-// MaxWorkers]. Worker domains are pristine between requests — each
-// request stages, parses and discards — so the count is purely a
-// concurrency/placement knob: a request's result is identical whichever
-// worker runs it. Grown workers are fresh domains at the next UDIs;
-// shrinking deinitializes the tail workers, releasing their protection
-// keys and pages, so client→worker placement keeps its stable prefix.
-func (sh *Shell) Resize(n int) error {
-	if sh.scratch != nil {
-		return fmt.Errorf("%s: resize workers: no worker domains outside SDRaD mode", sh.name)
-	}
-	if n < 1 || n > MaxWorkers {
-		return fmt.Errorf("%s: resize workers: %d out of range [1, %d]", sh.name, n, MaxWorkers)
-	}
-	if err := sh.grow(n); err != nil {
-		return err
-	}
-	for i := len(sh.workers) - 1; i >= n; i-- {
-		if err := sh.workers[i].Close(); err != nil {
-			return fmt.Errorf("%s: retire worker %d: %w", sh.name, i, err)
-		}
-		sh.workers = sh.workers[:i]
 	}
 	return nil
 }
@@ -241,9 +208,6 @@ func (sh *Shell) Do(ctx context.Context, clientID int, fn func(*sdrad.Ctx) error
 // Queue since the last RunBatch runs Config.Slot(c, i) in client
 // clientID's worker domain, under ctx (nil means no deadline).
 func (sh *Shell) Queue(ctx context.Context, clientID int) {
-	if n := len(sh.workers); len(sh.groups) < n {
-		sh.groups = append(sh.groups, make([]group, n-len(sh.groups))...)
-	}
 	if i := sh.queued; i == len(sh.slotFns) {
 		sh.slotFns = append(sh.slotFns, func(c *sdrad.Ctx) error { return sh.slot(c, i) })
 	}

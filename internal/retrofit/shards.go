@@ -1,7 +1,6 @@
 package retrofit
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -28,31 +27,6 @@ type Shards[S any] []*Shard[S]
 
 // Workers returns the number of shards.
 func (p Shards[S]) Workers() int { return len(p) }
-
-// ResizeWorkers grows or shrinks every shard's worker-domain set to n
-// (Shell.Resize). The shards themselves are fixed; a partial failure
-// leaves shards at different counts and reports the first error.
-func (p Shards[S]) ResizeWorkers(n int) error {
-	var first error
-	for i, sh := range p {
-		sh.Lock()
-		err := sh.shell.Resize(n)
-		sh.Unlock()
-		if err != nil && first == nil {
-			first = fmt.Errorf("%s: pool shard %d resize: %w", sh.shell.name, i, err)
-		}
-	}
-	return first
-}
-
-// ShardWorkers returns shard 0's worker-domain count (ResizeWorkers
-// keeps every shard at the same count).
-func (p Shards[S]) ShardWorkers() int {
-	sh := p[0]
-	sh.Lock()
-	defer sh.Unlock()
-	return sh.shell.Workers()
-}
 
 // Stats sums the shards' counters.
 func (p Shards[S]) Stats() Counters {

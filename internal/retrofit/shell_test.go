@@ -8,31 +8,28 @@ import (
 	"testing"
 	"time"
 
-	sdrad "repro"
 	"repro/internal/core"
 	"repro/internal/httpd"
 	"repro/internal/kvstore"
+	"repro/internal/pku"
 	"repro/internal/procmodel"
 	"repro/internal/retrofit"
 	"repro/internal/vclock"
 	"repro/internal/workload"
 )
 
-// TestResizableShell is the shell's conformance table, run for both
-// servers: resizing is bounded and refused with an error naming the
-// server; grow → shrink → grow reuses the worker UDI prefix and the
-// released protection keys; a native crash opens a restart window whose
-// arrivals are dropped and counted; and a failed domain run is
-// classified — contained, preempted or failed — with the counters
-// moving accordingly. A server resizes only through its pool's shards,
-// so the resize rows run on a shell configured as the server configures
-// its own; the other rows run through the servers' public request
-// paths.
-func TestResizableShell(t *testing.T) {
+// TestShell is the shell's conformance table, run for both servers: a
+// shell asked for more worker domains than the machine has protection
+// keys is refused with an error naming the server; a native crash
+// opens a restart window whose arrivals are dropped and counted; and a
+// failed domain run is classified — contained, preempted or failed —
+// with the counters moving accordingly. The key-limit row builds a
+// shell configured as the server configures its own; the other rows
+// run through the servers' public request paths.
+func TestShell(t *testing.T) {
 	for _, h := range []harness{kvHarness(), httpdHarness()} {
 		t.Run(h.Name, func(t *testing.T) {
-			t.Run("resize-bounds", func(t *testing.T) { resizeBounds(t, h) })
-			t.Run("resize-reuses-prefix-and-keys", func(t *testing.T) { resizeReuses(t, h) })
+			t.Run("key-limit", func(t *testing.T) { keyLimit(t, h) })
 			t.Run("native-restart-window", func(t *testing.T) { restartWindow(t, h) })
 			for _, c := range classifierRows(h) {
 				t.Run("classify-"+c.name, func(t *testing.T) { classify(t, h, c) })
@@ -72,8 +69,6 @@ type harness struct {
 	Name string
 	// FirstUDI is the UDI of the first worker domain.
 	FirstUDI core.UDI
-	// Workers is the server's default worker-domain count.
-	Workers int
 	// Unavailable is the error of a request dropped in a native restart
 	// window.
 	Unavailable error
@@ -87,65 +82,14 @@ func newServer(t *testing.T, h harness, native bool) (server, *core.System) {
 	return h.New(t, sys, native), sys
 }
 
-// newShell builds a shell on sys as h's server builds its own: SDRaD
-// mode with the default worker count, or native mode when native is set.
-func newShell(t *testing.T, h harness, sys *core.System, native bool) *retrofit.Shell {
-	cfg := retrofit.Config{Name: h.Name, FirstUDI: h.FirstUDI}
-	if !native {
-		cfg.Workers = h.Workers
-	}
-	sh, err := retrofit.New(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &sh
-}
-
-// resizeBounds: 0 and MaxWorkers+1 workers are refused, and so is any
-// resize of a native shell; each error names the server.
-func resizeBounds(t *testing.T, h harness) {
-	sh := newShell(t, h, core.NewSystem(core.DefaultConfig()), false)
-	before := sh.Workers()
-	for _, n := range []int{0, retrofit.MaxWorkers + 1} {
-		err := sh.Resize(n)
-		if err == nil || !strings.HasPrefix(err.Error(), h.Name+":") {
-			t.Errorf("Resize(%d) = %v, want a refusal naming %s", n, err, h.Name)
-		}
-		if got := sh.Workers(); got != before {
-			t.Errorf("Resize(%d) refused but workers %d → %d", n, before, got)
-		}
-	}
-	native := newShell(t, h, core.NewSystem(core.DefaultConfig()), true)
-	if err := native.Resize(2); err == nil || !strings.HasPrefix(err.Error(), h.Name+":") {
-		t.Errorf("native Resize(2) = %v, want a refusal naming %s", err, h.Name)
-	}
-}
-
-// resizeReuses: growing to MaxWorkers, shrinking to 2 and growing back
-// keeps the worker domains at the UDI prefix and succeeds only because
-// the shrink released its protection keys (the machine has no keys for
-// ten more domains otherwise); every live worker runs a call.
-func resizeReuses(t *testing.T, h harness) {
+// keyLimit: a shell asked for a worker domain per protection key — more
+// than the machine has once the default and root-protected keys are
+// spoken for — is refused, and the error names the server.
+func keyLimit(t *testing.T, h harness) {
 	sys := core.NewSystem(core.DefaultConfig())
-	sh := newShell(t, h, sys, false)
-	others := sys.Domains() - sh.Workers()
-	for _, n := range []int{retrofit.MaxWorkers, 2, retrofit.MaxWorkers} {
-		if err := sh.Resize(n); err != nil {
-			t.Fatalf("Resize(%d): %v", n, err)
-		}
-		if got := sh.Workers(); got != n || sys.Domains() != others+n {
-			t.Fatalf("after Resize(%d): %d workers, %d domains, want %d and %d", n, got, sys.Domains(), n, others+n)
-		}
-		for i := 0; i < retrofit.MaxWorkers; i++ {
-			if _, err := sys.Domain(h.FirstUDI + core.UDI(i)); (err == nil) != (i < n) {
-				t.Errorf("after Resize(%d): worker UDI %d live = %v", n, h.FirstUDI+core.UDI(i), err == nil)
-			}
-		}
-		for c := 0; c < n; c++ {
-			if err := sh.Do(context.Background(), c, func(*sdrad.Ctx) error { return nil }); err != nil {
-				t.Errorf("after Resize(%d): client %d: %v", n, c, err)
-			}
-		}
+	_, err := retrofit.New(sys, retrofit.Config{Name: h.Name, FirstUDI: h.FirstUDI, Workers: pku.NumKeys})
+	if !errors.Is(err, pku.ErrNoKeys) || !strings.HasPrefix(err.Error(), h.Name+":") {
+		t.Errorf("New with %d workers = %v, want ErrNoKeys naming %s", pku.NumKeys, err, h.Name)
 	}
 }
 
@@ -293,7 +237,6 @@ func kvHarness() harness {
 	return harness{
 		Name:        "kvstore",
 		FirstUDI:    10,
-		Workers:     4,
 		Unavailable: kvstore.ErrUnavailable,
 		New: func(t *testing.T, sys *core.System, native bool) server {
 			cache, err := kvstore.NewCache(sys, 1, 4<<20)
@@ -341,7 +284,6 @@ func httpdHarness() harness {
 	return harness{
 		Name:        "httpd",
 		FirstUDI:    30,
-		Workers:     4,
 		Unavailable: httpd.ErrUnavailable,
 		New: func(t *testing.T, sys *core.System, native bool) server {
 			cfg := httpd.Config{Mode: httpd.ModeSDRaD, FirstWorkerUDI: 30}

@@ -1,12 +1,11 @@
 // Package serve is the one socket frontend of the repository: the
 // accept loop, the lifecycle (Drain/Close and the drain order), the
-// optional gateway and request deadline, the submission-
-// queue wiring with its overload and closed-queue responses, worker
-// resizing and the elastic grow/shrink rule. Everything a protocol or a
-// store must decide is handed in through Backend, so internal/kvstore,
-// internal/httpd and cmd/sdrad-cluster keep only parsing, rendering and
-// their shard pick. DESIGN.md §13 ("Serving frontend") has the seam and
-// the drain-order argument.
+// optional gateway and request deadline, and the submission-queue
+// wiring with its overload and closed-queue responses. Everything a
+// protocol or a store must decide is handed in through Backend, so
+// internal/kvstore, internal/httpd and cmd/sdrad-cluster keep only
+// parsing, rendering and their shard pick. DESIGN.md §13 ("Serving
+// frontend") has the seam and the drain-order argument.
 package serve
 
 import (
@@ -38,10 +37,6 @@ import (
 // OverloadError's occupancy detail depends on host timing and must
 // never reach the wire).
 const OverloadRetryCyclesPerSlot = 300_000
-
-// shrinkIdleEvals is the number of consecutive low-backlog batch
-// evaluations before a frontend's elastic controller shrinks.
-const shrinkIdleEvals = 16
 
 // Call is one request in flight: the record a batched frontend queues.
 // The drain loop fills Resp before the call's task resolves. A call
@@ -77,11 +72,6 @@ type Backend[Req, Resp any] struct {
 	Shed func(err error) Resp
 	// Shards is the number of backend shards, one queue each.
 	Shards int
-	// Workers and Resize read and set the per-shard worker-domain count
-	// (Resize nil: the backend cannot resize); MaxWorkers caps it.
-	Workers    func() int
-	Resize     func(k int) error
-	MaxWorkers int
 	// Health reports shard states for the health document (may be nil).
 	Health func() []gateway.ShardHealth
 	// Drain and Close release the backend (either may be nil).
@@ -108,7 +98,6 @@ type Frontend[Req, Resp any] struct {
 	// pointing back at it.
 	calls sync.Pool
 
-	scaler atomic.Pointer[Scaler]
 	nextID atomic.Int64
 	// paced counts LogPaced calls per event; it only paces the log.
 	paced [numEvents]atomic.Uint64
@@ -152,9 +141,7 @@ func (f *Frontend[Req, Resp]) Queue(maxInflight, maxBatch int) error {
 	return nil
 }
 
-// exec is the drain loops' executor: one batch on one shard, then one
-// elastic evaluation (event-driven — no wall-clock timers on the
-// simulated-machine side).
+// exec is the drain loops' executor: one batch on one shard.
 func (f *Frontend[Req, Resp]) exec(shard int, tasks []*submit.Task) {
 	calls := f.scratch[shard][:0]
 	for _, t := range tasks {
@@ -166,9 +153,6 @@ func (f *Frontend[Req, Resp]) exec(shard int, tasks []*submit.Task) {
 	}
 	clear(calls)
 	f.scratch[shard] = calls
-	if s := f.scaler.Load(); s != nil {
-		s.Eval(f.b.Workers, f.queues.TotalLoad()/int64(f.b.Shards), f.b.Resize)
-	}
 }
 
 // Pending is a submitted request: what Submit returns and Wait settles.
@@ -422,28 +406,6 @@ func (f *Frontend[Req, Resp]) release(backend func() error) error {
 }
 
 var _ lifecycle.Component = (*Frontend[int, int])(nil)
-
-// EnableElastic turns on worker-domain autoscaling between min and max
-// per shard: the set doubles when the queued backlog reaches two
-// requests per live worker per shard and halves after a sustained idle
-// stretch (see Scaler). Requires a batched frontend over a resizable
-// backend; call before Serve. The frontend starts at min workers.
-func (f *Frontend[Req, Resp]) EnableElastic(min, max int) error {
-	if err := f.lc.Resizable(); err != nil {
-		return err
-	}
-	if f.queues == nil || f.b.Resize == nil {
-		return fmt.Errorf("%s: elastic mode needs a batched pool server", f.b.Name)
-	}
-	if min < 1 || max < min || max > f.b.MaxWorkers {
-		return fmt.Errorf("%s: elastic bounds [%d, %d] out of range [1, %d]", f.b.Name, min, max, f.b.MaxWorkers)
-	}
-	if err := f.b.Resize(min); err != nil {
-		return err
-	}
-	f.scaler.Store(NewScaler(min, max, 2, shrinkIdleEvals))
-	return nil
-}
 
 // Health assembles the health document: lifecycle and gateway drain
 // state, the backend's shard rows, and (with a gateway) per-tenant

@@ -23,13 +23,11 @@ import (
 // httpd so the frontend is tested without either.
 type echo struct {
 	f               *Frontend[string, string]
-	workers         atomic.Int64
 	drained, closed atomic.Int64
 }
 
 func newEcho(shards int) *echo {
 	e := &echo{}
-	e.workers.Store(1)
 	e.f = New(Backend[string, string]{
 		Name: "echo",
 		ServeConn: func(id int, conn io.ReadWriter) {
@@ -46,14 +44,11 @@ func newEcho(shards int) *echo {
 				c.Resp = strings.ToUpper(c.Req)
 			}
 		},
-		Pick:       func(req string, _ func(int) int64) int { return len(req) % shards },
-		Shed:       func(err error) string { return "ERR " + err.Error() },
-		Shards:     shards,
-		Workers:    func() int { return int(e.workers.Load()) },
-		Resize:     func(k int) error { e.workers.Store(int64(k)); return nil },
-		MaxWorkers: 8,
-		Drain:      func() error { e.drained.Add(1); return nil },
-		Close:      func() error { e.closed.Add(1); return nil },
+		Pick:   func(req string, _ func(int) int64) int { return len(req) % shards },
+		Shed:   func(err error) string { return "ERR " + err.Error() },
+		Shards: shards,
+		Drain:  func() error { e.drained.Add(1); return nil },
+		Close:  func() error { e.closed.Add(1); return nil },
 	}, nil)
 	return e
 }
@@ -270,37 +265,6 @@ func TestSubmitOverload(t *testing.T) {
 	}
 	if got := e.f.Wait(&again); got != "C" {
 		t.Fatalf("resubmitted request answered %q", got)
-	}
-}
-
-// TestElasticNeedsBatchedResizable pins EnableElastic's preconditions.
-func TestElasticNeedsBatchedResizable(t *testing.T) {
-	serial := newEcho(1).f
-	if err := serial.EnableElastic(1, 4); err == nil {
-		t.Fatal("serial frontend accepted elastic mode")
-	}
-	batched := newEcho(1).f
-	if err := batched.Queue(8, 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range [][2]int{{0, 4}, {3, 2}, {1, 9}} {
-		if err := batched.EnableElastic(b[0], b[1]); err == nil {
-			t.Fatalf("bounds %v accepted", b)
-		}
-	}
-	if err := batched.EnableElastic(2, 4); err != nil {
-		t.Fatal(err)
-	}
-	if w := batched.b.Workers(); w != 2 || batched.scaler.Load() == nil {
-		t.Fatalf("after enable: %d workers, scaler set %v; want 2 and true", w, batched.scaler.Load() != nil)
-	}
-	if err := batched.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := batched.EnableElastic(2, 4); err == nil {
-		t.Fatal("EnableElastic after Close was accepted")
-	} else if _, ok := lifecycle.IsLifecycle(err); !ok {
-		t.Fatalf("EnableElastic after Close: %v, want a lifecycle refusal", err)
 	}
 }
 

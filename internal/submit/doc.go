@@ -18,8 +18,7 @@
 // to the drain loop and back.
 //
 // The queue set is fixed when New makes it, so a submission indexes its
-// queue directly. An elastic server resizes the worker domains behind
-// its queues, never the queues.
+// queue directly.
 //
 // Invariants:
 //

@@ -275,16 +275,6 @@ func (q *Queues) Depth() int { return q.cfg.Depth }
 // suitable as a least-loaded dispatch signal.
 func (q *Queues) Load(w int) int64 { return q.qs[w].load.Load() }
 
-// TotalLoad returns the summed occupancy across all queues — the
-// queue-depth signal the serving frontend's elastic rule scales on.
-func (q *Queues) TotalLoad() int64 {
-	var n int64
-	for _, wq := range q.qs {
-		n += wq.load.Load()
-	}
-	return n
-}
-
 // Submit enqueues a task for worker w without blocking. It returns the
 // task's future, an *OverloadError when the queue is full, or ErrClosed
 // after Close. ctx is attached to the task for the executor; a ctx

@@ -25,9 +25,9 @@ import (
 // warm domain, and the domain is discarded on return, so every Run starts
 // from pristine memory without paying domain init/deinit per request.
 //
-// The worker set is fixed at construction. A server that needs an
-// elastic worker set resizes its shards through retrofit.Shell
-// (DESIGN.md §13); a Pool never changes size under a request.
+// The worker set is fixed at construction, as every server's
+// worker-domain set is (DESIGN.md §13): a Pool never changes size under
+// a request.
 
 // ErrPoolClosed is returned by Do and DoBatch after Close (and while
 // the pool is draining: admission has stopped).
@@ -97,6 +97,12 @@ var testHookWorkerCreated func(i int, w *poolWorker)
 // seam: the drain regression uses it to park a call between attempts —
 // the window in which it holds no worker inflight slot.
 var testHookDispatchAttempt func(attempt int)
+
+// testHookBatchAdmitted, when non-nil, runs in DoBatchItems between
+// admission and dispatch. It is a test seam: the drain-shed regression
+// parks a batch there while a Drain starts, the window dispatchBatch's
+// draining check closes.
+var testHookBatchAdmitted func()
 
 // NewPoolWithDomain is NewPool with explicit configuration for the warm
 // domain of every worker (heap pages, stack pages, ...). If any worker
@@ -420,6 +426,9 @@ func (p *Pool) DoBatchItems(items []BatchItem) []error {
 	for i := range items {
 		slab[i] = items[i].toCall()
 		calls[i] = &slab[i]
+	}
+	if testHookBatchAdmitted != nil {
+		testHookBatchAdmitted()
 	}
 	first := calls[0].set
 	p.dispatchBatch(first.worker, first.hasWorker, calls)
