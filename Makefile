@@ -30,11 +30,15 @@ check: fmt vet lint build test race report-check
 # once; the recycling hammer), the inline entry (RunTask: runs on an
 # idle queue only, queues behind busy ones, holds up Close and Flush,
 # and its hammer mixed with SubmitTask and Flush), the
-# pipelined-vs-serial kvd session, and the retrofit shell's table run
+# pipelined-vs-serial kvd session, the retrofit shell's table run
 # against both servers (TestShell: the protection-key limit, the
-# native restart window, the failed-run classifier).
+# native restart window, the failed-run classifier), and the accept
+# loop's warm connection goroutines (TestServeWorkers: sequential
+# connections reuse one worker, at most the idle bound stay parked
+# after a burst, none outlives Serve; a connection handed to a parked
+# worker still has its read expired by a drain).
 test-lifecycle:
-	$(GO) test -race -run 'TestLifecycleConformance|TestStateDuringTransition|TestShell|TestPoolDrainHammer|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRunTask|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow' ./...
+	$(GO) test -race -run 'TestLifecycleConformance|TestStateDuringTransition|TestShell|TestPoolDrainHammer|Drain|TestFlushRule|TestSettle|TestSubmitQueues|TestSubmitOverload|TestSubmitTaskOutcome|TestRunTask|TestRecycledCallsKeepTheirOutcome|TestBuffer|TestPipelinedWindow|TestServeWorkers' ./...
 
 # Cluster tier gate (DESIGN.md §14): rendezvous placement, lease
 # membership, crash/rolling/partition state-machine tests, the wire

@@ -177,6 +177,8 @@ func TestServesAuthenticatedRequestsAndDrains(t *testing.T) {
 // TestIdleConnectionDoesNotHoldDrain: a client that connects and never
 // sends its head does not keep SIGTERM from returning run. The drain
 // expires the connection's read; the server hangs up without a reply.
+// The idle client connects after a served request, so the connection
+// goroutine that request leaves parked is the one that waits on it.
 func TestIdleConnectionDoesNotHoldDrain(t *testing.T) {
 	sink := &logSink{addr: make(chan string, 1)}
 	log.SetOutput(sink)
@@ -190,6 +192,9 @@ func TestIdleConnectionDoesNotHoldDrain(t *testing.T) {
 	case addr = <-sink.addr:
 	case err := <-done:
 		t.Fatalf("run returned before listening: %v", err)
+	}
+	if rep := get(t, addr, "/health", nil); rep.status != 200 {
+		t.Fatalf("GET /health: %+v", rep)
 	}
 	idle, err := net.Dial("tcp", addr)
 	if err != nil {

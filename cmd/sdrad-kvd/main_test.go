@@ -31,10 +31,12 @@ func (w addrWriter) Write(p []byte) (int, error) {
 }
 
 // session starts the server exactly as main does — run, on a free port,
-// the flag defaults at two shards — plays script on its first
+// the flag defaults at two shards — plays script on its second
 // connection, either as one segment or one command at a time, and shuts
 // the server down with SIGTERM while the client is still connected. It
-// returns each command's reply.
+// returns each command's reply. The first connection only quits, so the
+// script's connection is served by the connection goroutine it left
+// parked.
 func session(t *testing.T, script []string, oneSegment bool) []string {
 	t.Helper()
 	sink := addrWriter{addr: make(chan string, 1)}
@@ -49,6 +51,20 @@ func session(t *testing.T, script []string, oneSegment bool) []string {
 	case addr = <-sink.addr:
 	case err := <-done:
 		t.Fatalf("run returned before listening: %v", err)
+	}
+	quit, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = quit.Close() }() // read to EOF below; closing twice is harmless
+	if err := quit.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(quit, "quit\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := quit.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("after quit: read %d bytes, %v; want EOF", n, err)
 	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

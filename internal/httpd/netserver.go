@@ -167,17 +167,8 @@ func (n *NetServer) dispatch(id int, raw []byte) Response {
 
 // do serves one request and reports a contained exploit to the
 // frontend's paced log (tenant is "" without a gateway).
-//
-// It submits and waits rather than calling Do, which would run the
-// request on this goroutine when its queue is idle: a connection
-// goroutine here lives for one request, so the domain work would grow
-// a fresh stack on every connection. Measured on http-gateway, that
-// raised runtime.newstack from about 8 % to 17–20 % of the server's CPU
-// and server_cpu_us_per_req by 6–13 % (at most 2 of 6 alternating pairs
-// better); a drain loop's stack is grown once.
 func (n *NetServer) do(id int, raw []byte, tenant string) Response {
-	p := n.Submit(id, raw)
-	resp := n.Wait(&p)
+	resp := n.Do(id, raw)
 	if resp.Contained {
 		n.LogPaced(serve.EventContained, id, tenant, nil)
 	}

@@ -1,11 +1,14 @@
 // Package serve is the one socket frontend of the repository: the
-// accept loop, the lifecycle (Drain/Close and the drain order), the
-// optional gateway and request deadline, and the submission-queue
-// wiring with its overload and closed-queue responses. Everything a
-// protocol or a store must decide is handed in through Backend, so
-// internal/kvstore, internal/httpd and cmd/sdrad-cluster keep only
-// parsing, rendering and their shard pick. DESIGN.md §13 ("Serving
-// frontend") has the seam and the drain-order argument.
+// accept loop with its warm connection goroutines (a worker that
+// finishes a connection parks for the next, so a goroutine and the
+// stack it grew outlive a one-request connection), the lifecycle
+// (Drain/Close and the drain order), the optional gateway and request
+// deadline, and the submission-queue wiring with its overload and
+// closed-queue responses. Everything a protocol or a store must decide
+// is handed in through Backend, so internal/kvstore, internal/httpd and
+// cmd/sdrad-cluster keep only parsing, rendering and their shard pick.
+// DESIGN.md §13 ("Serving frontend") has the seam, the hand-off and the
+// drain-order argument.
 package serve
 
 import (
@@ -99,6 +102,8 @@ type Frontend[Req, Resp any] struct {
 	calls sync.Pool
 
 	nextID atomic.Int64
+	// idle counts the workers parked for their next connection.
+	idle atomic.Int32
 	// paced counts LogPaced calls per event; it only paces the log.
 	paced [numEvents]atomic.Uint64
 	wg    sync.WaitGroup
@@ -424,14 +429,38 @@ func (f *Frontend[Req, Resp]) Health() *gateway.Health {
 	return gateway.BuildHealth(draining, f.b.Shards, shards, tenants)
 }
 
+// maxIdleWorkers bounds the connection goroutines parked between
+// connections. A parked worker keeps the stack its earlier connections
+// grew, so the next connection it serves — on sdrad-httpd, one request
+// run on that goroutine through Do — grows none; the bound caps what a
+// burst of connections leaves parked once it has passed, and a
+// connection beyond it costs what every connection cost before, one
+// fresh goroutine. It is a constant because the trade it sets, one
+// parked stack per idle worker against one goroutine start and stack
+// growth per connection, is the same for every protocol and store, and
+// no caller has a reason to choose another.
+const maxIdleWorkers = 64
+
+// accepted is one accepted connection with its id, as the accept loop
+// hands it to a worker.
+type accepted struct {
+	id   int
+	conn net.Conn
+}
+
 // Serve accepts connections on ln until it is closed, then waits for
-// in-flight connections to finish. If the frontend is draining by then
+// in-flight connections to finish. Each connection is served by a
+// worker goroutine: a parked one when there is one, else a new one, and
+// a worker that finishes its connection parks for the next (up to
+// maxIdleWorkers parked). If the frontend is draining by then
 // (ServeUntilSignal drains before it closes ln), every open
 // connection's reads are expired first, so a loop waiting for a client
 // that sends nothing answers what it has and returns instead of holding
-// the drain forever.
+// the drain forever. No worker outlives Serve.
 func (f *Frontend[Req, Resp]) Serve(ln net.Listener) error {
+	handoff := make(chan accepted)
 	defer f.wg.Wait()
+	defer close(handoff)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -443,19 +472,40 @@ func (f *Frontend[Req, Resp]) Serve(ln net.Listener) error {
 			}
 			return fmt.Errorf("%s: accept: %w", f.b.Name, err)
 		}
-		id := int(f.nextID.Add(1))
-		f.track(id, conn)
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			defer func() {
-				f.track(id, nil)
-				if cerr := conn.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
-					f.Logf("conn %d close: %v", id, cerr)
-				}
-			}()
-			f.b.ServeConn(id, conn)
-		}()
+		// Tracked before the hand-off: once the loop goes back to
+		// Accept, expireReads must reach this connection even if its
+		// worker has not run yet.
+		c := accepted{id: int(f.nextID.Add(1)), conn: conn}
+		f.track(c.id, conn)
+		select {
+		case handoff <- c:
+		default:
+			f.wg.Add(1)
+			go f.work(handoff, c)
+		}
+	}
+}
+
+// work serves c, then every connection handed to it while it is parked,
+// until handoff closes or maxIdleWorkers other workers are parked.
+func (f *Frontend[Req, Resp]) work(handoff <-chan accepted, c accepted) {
+	defer f.wg.Done()
+	for {
+		f.b.ServeConn(c.id, c.conn)
+		f.track(c.id, nil)
+		if err := c.conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+			f.Logf("conn %d close: %v", c.id, err)
+		}
+		if f.idle.Add(1) > maxIdleWorkers {
+			f.idle.Add(-1)
+			return
+		}
+		var ok bool
+		c, ok = <-handoff
+		f.idle.Add(-1)
+		if !ok {
+			return
+		}
 	}
 }
 

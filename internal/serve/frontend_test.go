@@ -3,11 +3,13 @@ package serve
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -306,6 +308,240 @@ func TestServeAcceptLoop(t *testing.T) {
 	}
 	if got := e.f.nextID.Load(); got != 3 {
 		t.Fatalf("assigned %d connection ids, want 3", got)
+	}
+	if err := e.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serveWorkers starts e serving on a fresh listener, with ServeConn
+// wrapped to record the goroutine that serves each connection; workers
+// counts the distinct ones so far. stop closes the listener and returns
+// Serve's error, or an error of its own if Serve has not returned 10 s
+// later.
+func serveWorkers(t *testing.T, e *echo) (addr string, workers func() int, stop func() error) {
+	t.Helper()
+	if err := e.f.Queue(16, 4); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	serveConn := e.f.b.ServeConn
+	e.f.b.ServeConn = func(id int, conn io.ReadWriter) {
+		mu.Lock()
+		seen[goroutineID()] = true
+		mu.Unlock()
+		serveConn(id, conn)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.f.Serve(ln) }()
+	workers = func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen)
+	}
+	stop = func() error {
+		if err := ln.Close(); err != nil {
+			return err
+		}
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			return errors.New("Serve did not return within 10 s of its listener closing")
+		}
+	}
+	return ln.Addr().String(), workers, stop
+}
+
+// goroutineID returns the calling goroutine's id, the second field of
+// its stack header ("goroutine 18 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// liveWorkers counts the goroutines that are in Frontend.work.
+func liveWorkers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), ").work(")
+}
+
+// ping dials addr and has the echo server answer one line on the new
+// connection, which it returns open.
+func ping(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(conn, "ping\n"); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := bufio.NewReader(conn).ReadString('\n'); err != nil || line != "PING\n" {
+		t.Fatalf("ping: %q, %v", line, err)
+	}
+	return conn
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// TestServeWorkersReused: connections served one after another reuse
+// the worker that served the one before, instead of a goroutine each.
+func TestServeWorkersReused(t *testing.T) {
+	e := newEcho(2)
+	addr, workers, stop := serveWorkers(t, e)
+	const conns = 32
+	for i := 0; i < conns; i++ {
+		if err := ping(t, addr).Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the worker parks", func() bool { return e.f.idle.Load() > 0 })
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if n := workers(); n > conns/8 {
+		t.Fatalf("%d sequential connections ran on %d workers, want at most %d", conns, n, conns/8)
+	}
+	if err := e.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeWorkersIdleBound: after a burst of more concurrent
+// connections than maxIdleWorkers, each on a worker of its own, at most
+// maxIdleWorkers workers stay parked once every connection has closed;
+// the others exit.
+func TestServeWorkersIdleBound(t *testing.T) {
+	e := newEcho(2)
+	addr, workers, stop := serveWorkers(t, e)
+	const conns = maxIdleWorkers + 8
+	open := make([]net.Conn, conns)
+	for i := range open {
+		open[i] = ping(t, addr)
+	}
+	if n := workers(); n != conns {
+		t.Fatalf("%d concurrent connections ran on %d workers, want one each", conns, n)
+	}
+	for _, c := range open {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the burst's workers park or exit", func() bool {
+		return e.f.idle.Load() == maxIdleWorkers && liveWorkers() == maxIdleWorkers
+	})
+	if err := stop(); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if err := e.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeWorkersExitWithServe: once Serve has returned, no worker is
+// left — neither the parked ones nor those whose connection was still
+// open when the listener closed.
+func TestServeWorkersExitWithServe(t *testing.T) {
+	e := newEcho(2)
+	addr, _, stop := serveWorkers(t, e)
+	parked := ping(t, addr)
+	if err := parked.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the worker parks", func() bool { return e.f.idle.Load() > 0 })
+	busy := ping(t, addr)
+	stopped := make(chan error, 1)
+	go func() { stopped <- stop() }()
+	// Serve waits for the open connection; hanging up lets it return.
+	if err := busy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-stopped; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	// A worker is done once its deferred Done has run; let it return.
+	waitFor(t, "every worker has exited", func() bool { return liveWorkers() == 0 })
+	if n := e.f.idle.Load(); n != 0 {
+		t.Fatalf("%d workers still counted idle after Serve returned", n)
+	}
+	if err := e.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// closingListener accepts n connections from its listener and then
+// reports itself closed, so Serve's next Accept fails at once.
+type closingListener struct {
+	net.Listener
+	n int
+}
+
+func (l *closingListener) Accept() (net.Conn, error) {
+	if l.n == 0 {
+		return nil, net.ErrClosed
+	}
+	l.n--
+	return l.Listener.Accept()
+}
+
+// TestDrainExpiresConnectionNotYetServed: a connection handed to a
+// parked worker whose listener closes before that worker has run still
+// has its read expired by the drain, so its worker returns and Serve
+// with it. On one P the accept loop runs from the hand-off to
+// expireReads without yielding, so the connection must be tracked
+// before it is handed off.
+func TestDrainExpiresConnectionNotYetServed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := newEcho(2)
+	if err := e.f.Queue(16, 4); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }() // Serve never closes a wrapped listener
+	done := make(chan error, 1)
+	go func() { done <- e.f.Serve(&closingListener{Listener: ln, n: 2}) }()
+	if err := ping(t, ln.Addr().String()).Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the worker parks", func() bool { return e.f.idle.Load() > 0 })
+	if err := e.f.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	idle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = idle.Close() }() // the server hangs up first; closing twice is harmless
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return: the drain missed the connection handed to a parked worker")
+	}
+	if err := idle.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := idle.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("idle connection read %d bytes, %v; want EOF", n, err)
 	}
 	if err := e.f.Close(); err != nil {
 		t.Fatal(err)
