@@ -123,17 +123,19 @@ fuzz-smoke:
 # scenarios — three attacked ones, one benign control (so every oracle —
 # same seed, worker counts, benign cycle parity — actually runs), and
 # kv-pool-resize, the only pool scenario with a budget fault — plus one
-# gateway scenario with its isolation oracle, the crash-recovery
-# oracle, and the cluster==single-pool differential oracle at node
-# counts 1/2/4, through node-crash, rolling-restart, and partition
-# schedules. The JSON trace is byte-pinned: the target regenerates CAMPAIGN_CI.json
+# gateway scenario, and -oracles walks the whole oracle table: the four
+# base-diffing rows, crash recovery, that scenario's isolation oracle,
+# and the cluster==single-pool differential at node counts 1/2/4,
+# through node-crash, rolling-restart, and partition schedules. The
+# JSON trace is byte-pinned: the target regenerates CAMPAIGN_CI.json
 # and fails if it differs from the committed file, so a trace change
-# lands only as a deliberate commit of the new file.
+# lands only as a deliberate commit of the new file. The verdict lines
+# are pinned by TestSmokeVerdictRows (cmd/sdrad-campaign).
 campaign-smoke:
 	$(GO) run ./cmd/sdrad-campaign -seed 42 -requests 100 \
 		-scenarios kv-pool-mixed,http-domain-malformed,ffi-bridge-binary,kv-pool-benign,kv-pool-resize \
 		-gateway gw-attack-tenants \
-		-oracles -cluster -out CAMPAIGN_CI.json
+		-oracles -out CAMPAIGN_CI.json
 	git diff --exit-code CAMPAIGN_CI.json
 
 # The paper's tables, byte-pinned: the target regenerates EXPERIMENTS.md

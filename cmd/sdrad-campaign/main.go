@@ -6,35 +6,34 @@
 // Usage:
 //
 //	sdrad-campaign [-seed N] [-scenarios a,b|all] [-workers N]
-//	               [-requests N] [-batch K] [-gateway a,b|all] [-json] [-oracles] [-cluster] [-list] [-out FILE]
+//	               [-requests N] [-batch K] [-gateway a,b|all] [-json] [-oracles] [-list] [-out FILE]
 //
 // The trace is a pure function of the flags: the same invocation
 // produces byte-identical output, which is the property the campaign's
-// differential oracles (-oracles) verify — same-seed determinism,
-// worker-count invariance (1/4/8), benign cycle parity, batched==serial
-// outcome/digest equality at batch sizes 8 and 32, and crash recovery
-// (a durable server killed mid-group-commit must recover exactly the
-// acknowledged prefix, across worker counts 1/4/8 and batches 8/32).
-// -batch K sets the wave size of the printed campaign and gateway runs
-// (campaign.Config.Batch; coalesced domain entries on pool targets).
-// The oracles always diff against a serial base and pick their own
+// differential oracles (-oracles) verify. -oracles walks the one oracle
+// table, campaign.CheckAll, and prints one verdict per line in table
+// order: same-seed determinism, worker-count invariance (1/4/8), benign
+// cycle parity, batched==serial outcome/digest equality at batch sizes
+// 8 and 32, crash recovery (a durable server killed mid-group-commit
+// must recover exactly the acknowledged prefix), gateway isolation for
+// each -gateway scenario (every benign tenant's outcomes and survivor
+// digest must be byte-identical with and without the hostile
+// co-tenant), and cluster==single-pool (an N-node sharded cluster fed
+// the same seeded schedule through node crashes, rolling restarts and
+// partitions must match one pool, at node counts 1/2/4). -batch K sets
+// the wave size of the printed campaign and gateway runs
+// (campaign.Config.Batch; coalesced domain entries on pool targets);
+// the oracles always diff against a serial base and pick their own
 // batch sizes, so their verdicts do not depend on -batch. -gateway runs
 // the selected multi-tenant gateway scenarios (noisy neighbor, tenant
-// attacks, mid-run drain, quarantine/probe) and, with -oracles, their
-// isolation oracle: every benign tenant's outcomes and survivor digest
-// must be byte-identical with and without the hostile co-tenant, across
-// worker counts 1/4/8 serially and batch sizes 8/32. -cluster (with
-// -oracles) adds the cluster==single-pool differential oracle: an
-// N-node sharded cluster fed the same seeded schedule — through node
-// crashes, rolling restarts, and partitions — must produce the same
-// per-request outcomes and survivor digest as one pool, at node counts
-// 1/2/4. Exit status is 1 if any oracle fails.
+// attacks, mid-run drain, quarantine/probe). Exit status is 1 if any
+// oracle fails.
 //
 // Everything runs against the real backends: campaign.Backends() for
-// the Domain, Pool and Bridge executors, campaign.RecoveryHarness over a
-// durable kvstore server, and campaign.CheckCluster over cluster
-// routers. This command links the campaign engine; the serving binaries
-// never do (the servedlinks lint).
+// the Domain, Pool and Bridge executors, a durable kvstore server for
+// recovery, and cluster routers for the cluster oracle. This command
+// links the campaign engine; the serving binaries never do (the
+// servedlinks lint).
 package main
 
 import (
@@ -58,8 +57,7 @@ func run(args []string, stdout *os.File) int {
 	requests := fs.Int("requests", 400, "requests per scenario")
 	asJSON := fs.Bool("json", false, "emit the full JSON trace instead of the text summary")
 	batch := fs.Int("batch", 0, "drive requests through the batched pipeline in waves of this size (0 = serial)")
-	oracles := fs.Bool("oracles", false, "also run the differential oracles (same-seed, worker counts 1/4/8, benign parity, batched==serial, crash recovery, gateway isolation)")
-	clusterOracle := fs.Bool("cluster", false, "with -oracles, also run the cluster==single-pool differential oracle (node counts 1/2/4, including node-crash, rolling-restart, and partition scenarios)")
+	oracles := fs.Bool("oracles", false, "also run the differential oracles (same-seed, worker counts 1/4/8, benign parity, batched==serial, crash recovery, gateway isolation, cluster==single-pool)")
 	gatewayList := fs.String("gateway", "", "comma-separated gateway scenario names, or 'all' (empty = skip the gateway tier)")
 	showList := fs.Bool("list", false, "list shipped scenarios and exit")
 	out := fs.String("out", "", "also write the JSON trace to this file")
@@ -139,62 +137,15 @@ func run(args []string, stdout *os.File) int {
 	if !*oracles {
 		return 0
 	}
-	results, err := campaign.CheckAll(cfg, campaign.Backends(), 1, 4, 8)
+	results, err := campaign.CheckAll(cfg, campaign.Backends(), gscs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
 		return 1
 	}
-	// Crash-recovery oracle: seeded mid-commit kills over a durable
-	// server, recovered state diffed against the acknowledged prefix,
-	// across worker counts 1/4/8 and batch sizes 8/32.
-	recDir, err := os.MkdirTemp("", "sdrad-recovery-")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if rerr := os.RemoveAll(recDir); rerr != nil {
-			fmt.Fprintf(os.Stderr, "sdrad-campaign: cleanup: %v\n", rerr)
-		}
-	}()
-	recResults, err := campaign.CheckRecovery(
-		&campaign.RecoveryHarness{Dir: recDir}, *seed, *requests, nil, nil)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
-		return 1
-	}
-	results = append(results, recResults...)
-	// Gateway isolation oracle: benign tenants' outcomes and survivor
-	// digests must be byte-identical with and without the hostile
-	// co-tenant, serially at worker counts 1/4/8 and batched at 8/32.
-	for _, gsc := range gscs {
-		isoResults, err := campaign.CheckIsolation(gsc, cfg, campaign.Backends(), nil, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
-			return 1
-		}
-		results = append(results, isoResults...)
-	}
-	// Cluster differential oracle: an N-node cluster and a single pool
-	// fed the same seeded schedule must produce identical per-request
-	// outcomes and survivor digests — across node counts 1/2/4, through
-	// node-crash, rolling-restart, and partition membership schedules.
-	if *clusterOracle {
-		clResults, err := campaign.CheckCluster(*seed, *requests, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdrad-campaign: oracles: %v\n", err)
-			return 1
-		}
-		results = append(results, clResults...)
-	}
-	failed := 0
 	for _, r := range results {
 		fmt.Fprintf(stdout, "%s\n", r)
-		if !r.Pass {
-			failed++
-		}
 	}
-	if failed > 0 {
+	if failed := len(campaign.Failures(results)); failed > 0 {
 		fmt.Fprintf(stdout, "oracles: %d/%d FAILED\n", failed, len(results))
 		return 1
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -134,5 +135,76 @@ func TestOutFileAndOracles(t *testing.T) {
 	}
 	if !strings.Contains(out, "oracles: ") || strings.Contains(out, "FAILED") {
 		t.Errorf("oracle output unexpected:\n%s", out)
+	}
+}
+
+// smokeArgs are `make campaign-smoke`'s flags, minus its -out file.
+var smokeArgs = []string{"-seed", "42", "-requests", "100",
+	"-scenarios", "kv-pool-mixed,http-domain-malformed,ffi-bridge-binary,kv-pool-benign,kv-pool-resize",
+	"-gateway", "gw-attack-tenants", "-oracles"}
+
+// TestSmokeVerdictRows pins the oracle table as the CLI prints it:
+// every (verdict, oracle, scenario) line of the campaign smoke, in
+// order. Dropping, adding or reordering a row of the table, or a
+// scenario of a row, fails it.
+func TestSmokeVerdictRows(t *testing.T) {
+	code, out := capture(t, append(smokeArgs, "-out", filepath.Join(t.TempDir(), "trace.json"))...)
+	if code != 0 {
+		t.Errorf("exit %d", code)
+	}
+	var got []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "PASS oracle ") || strings.HasPrefix(line, "FAIL oracle ") {
+			line, _, _ = strings.Cut(line, ": ") // drop a failure's detail
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		`PASS oracle "same-seed"`,
+		`PASS oracle "worker-count" scenario "kv-pool-mixed"`,
+		`PASS oracle "worker-count" scenario "kv-pool-benign"`,
+		`PASS oracle "worker-count" scenario "kv-pool-resize"`,
+		`PASS oracle "worker-count" scenario "http-domain-malformed"`,
+		`PASS oracle "worker-count" scenario "ffi-bridge-binary"`,
+		`PASS oracle "benign" scenario "kv-pool-benign"`,
+		`PASS oracle "batched(8)" scenario "kv-pool-mixed"`,
+		`PASS oracle "batched(8)" scenario "kv-pool-benign"`,
+		`PASS oracle "batched(8)" scenario "kv-pool-resize"`,
+		`PASS oracle "batched(8)" scenario "http-domain-malformed"`,
+		`PASS oracle "batched(8)" scenario "ffi-bridge-binary"`,
+		`PASS oracle "batched(32)" scenario "kv-pool-mixed"`,
+		`PASS oracle "batched(32)" scenario "kv-pool-benign"`,
+		`PASS oracle "batched(32)" scenario "kv-pool-resize"`,
+		`PASS oracle "batched(32)" scenario "http-domain-malformed"`,
+		`PASS oracle "batched(32)" scenario "ffi-bridge-binary"`,
+		`PASS oracle "recovery" scenario "kv-crash(w=1,b=8)"`,
+		`PASS oracle "recovery" scenario "kv-crash(w=1,b=32)"`,
+		`PASS oracle "recovery" scenario "kv-crash(w=4,b=8)"`,
+		`PASS oracle "recovery" scenario "kv-crash(w=4,b=32)"`,
+		`PASS oracle "recovery" scenario "kv-crash(w=8,b=8)"`,
+		`PASS oracle "recovery" scenario "kv-crash(w=8,b=32)"`,
+		`PASS oracle "isolation" scenario "gw-attack-tenants(w=1)"`,
+		`PASS oracle "isolation" scenario "gw-attack-tenants(w=4)"`,
+		`PASS oracle "isolation" scenario "gw-attack-tenants(w=8)"`,
+		`PASS oracle "isolation(batch=8)" scenario "gw-attack-tenants(w=1)"`,
+		`PASS oracle "isolation(batch=32)" scenario "gw-attack-tenants(w=1)"`,
+		`PASS oracle "isolation(batch=8)" scenario "gw-attack-tenants(w=4)"`,
+		`PASS oracle "isolation(batch=32)" scenario "gw-attack-tenants(w=4)"`,
+		`PASS oracle "isolation(batch=8)" scenario "gw-attack-tenants(w=8)"`,
+		`PASS oracle "isolation(batch=32)" scenario "gw-attack-tenants(w=8)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-steady(n=1,r=0)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-steady(n=2,r=1)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-crash(n=2,r=1)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-rolling(n=2,r=0)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-partition(n=2,r=1)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-read-replica(n=2,r=1)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-steady(n=4,r=1)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-crash(n=4,r=2)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-rolling(n=4,r=0)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-partition(n=4,r=1)"`,
+		`PASS oracle "cluster" scenario "kv-cluster-read-replica(n=4,r=2)"`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("verdict rows differ:\ngot:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

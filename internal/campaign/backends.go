@@ -12,7 +12,7 @@ import (
 // one Supervisor (for the bridge target, the backing domains of
 // per-worker FFI Bridges) and a Pool with worker-pinned dispatch.
 // Backends provisions them; cmd/sdrad-campaign and the experiment
-// harness hand it to Run, CheckAll, RunGateway and CheckIsolation.
+// harness hand it to Run, RunGateway and CheckAll.
 // Tests substitute instrumented factories.
 
 // Backends provisions campaign executors over the public Runner

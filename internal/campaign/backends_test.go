@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -41,16 +42,15 @@ func TestRunCampaignSameSeedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCampaignOracles runs the full differential-oracle suite — same
-// seed, worker counts 1/4/8, benign zero-detection + cycle parity — on
-// every shipped scenario against the real backends.
+// TestCampaignOracles runs the whole differential-oracle table on every
+// shipped scenario and gateway scenario against the real backends.
 func TestCampaignOracles(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full oracle suite re-runs every scenario five times")
+		t.Skip("full oracle suite re-runs every scenario seven times")
 	}
 	cfg := quickCampaign(42)
 	cfg.Requests = 80
-	results, err := campaign.CheckAll(cfg, campaign.Backends(), 1, 4, 8)
+	results, err := campaign.CheckAll(cfg, campaign.Backends(), scenarios.Gateway())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,19 +162,21 @@ func TestCampaignContainmentSurvivesEveryScenario(t *testing.T) {
 func TestCampaignBatchedOracle(t *testing.T) {
 	cfg := quickCampaign(42)
 	cfg.Requests = 100
-	base, err := campaign.Run(cfg, campaign.Backends())
+	results, err := campaign.CheckAll(cfg, campaign.Backends(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := campaign.CheckBatched(base, cfg, campaign.Backends(), 8, 32)
-	if err != nil {
-		t.Fatal(err)
+	batched := 0
+	for _, r := range results {
+		if strings.HasPrefix(r.Oracle, "batched(") {
+			batched++
+			if !r.Pass {
+				t.Errorf("%s", r)
+			}
+		}
 	}
-	if len(results) != 2*len(cfg.Scenarios) {
-		t.Fatalf("got %d oracle rows, want %d", len(results), 2*len(cfg.Scenarios))
-	}
-	for _, r := range campaign.Failures(results) {
-		t.Errorf("%s", r)
+	if batched != 2*len(cfg.Scenarios) {
+		t.Fatalf("got %d batched rows, want %d", batched, 2*len(cfg.Scenarios))
 	}
 }
 
@@ -214,12 +216,12 @@ func TestCampaignOraclesTakeSerialBase(t *testing.T) {
 		{Name: "kv-pool-benign", Workload: campaign.WorkloadKV, Target: campaign.TargetPool},
 		{Name: "http-domain-benign", Workload: campaign.WorkloadHTTP, Target: campaign.TargetDomain},
 	}}
-	serial, err := campaign.CheckAll(cfg, campaign.Backends(), 1, 4)
+	serial, err := campaign.CheckAll(cfg, campaign.Backends(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Batch = 8
-	batched, err := campaign.CheckAll(cfg, campaign.Backends(), 1, 4)
+	batched, err := campaign.CheckAll(cfg, campaign.Backends(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 // same per-request outcomes, same survivor state digest — in steady
 // state and across membership faults (node crash, rolling restart,
 // partition). This file defines the scenario seeding, the
-// outcome/digest currency, and the verdict; clusterharness.go runs it
-// on real routers and pools.
+// outcome/digest currency, and the verdict; runCluster (kvharness.go)
+// runs it on real routers and pools.
 //
 // Soundness of the comparison rests on three properties the cluster
 // tier maintains (argued in DESIGN.md §14): (1) every request executes
@@ -72,8 +72,6 @@ type ClusterScenario struct {
 	Replicas int
 	// Requests is the schedule length.
 	Requests int
-	// AttackEvery marks every Nth request malicious (0 = benign run).
-	AttackEvery int
 	// ReadReplicas routes cluster-side GETs across slot holders.
 	ReadReplicas bool
 	// Events is the membership fault plan, ascending by At.
@@ -119,12 +117,7 @@ type ClusterRun struct {
 // steady only — which is itself the heart of the oracle: a one-node
 // cluster IS a pool behind a router.
 func clusterScenarios(seed uint64, n, requests int) []ClusterScenario {
-	base := ClusterScenario{
-		Seed:        seed,
-		Nodes:       n,
-		Requests:    requests,
-		AttackEvery: 7,
-	}
+	base := ClusterScenario{Seed: seed, Nodes: n, Requests: requests}
 	steady := base
 	steady.Name = "steady"
 	if n > 1 {
@@ -183,26 +176,19 @@ func clusterScenarios(seed uint64, n, requests int) []ClusterScenario {
 	return out
 }
 
-// CheckCluster runs the cluster differential oracle across node counts:
-// for every count and scenario the same seeded schedule plays into a
-// cluster and into one Pool, and the two must agree on every request's
-// outcome and on the survivor state digest. Default nodes 1/2/4. Fault
+// checkCluster runs the cluster differential oracle at every oracle
+// node count: for every count and scenario the same seeded schedule
+// plays into a cluster and into one Pool, and the two must agree on
+// every request's outcome and on the survivor state digest. Fault
 // scenarios carry vacuousness guards — a crash that triggered no
 // handoff, a partition that nacked nothing, or a plan event that never
 // fired fails the oracle rather than passing silently.
-func CheckCluster(seed uint64, requests int, nodeCounts []int) ([]OracleResult, error) {
-	if len(nodeCounts) == 0 {
-		nodeCounts = []int{1, 2, 4}
-	}
-	if requests <= 0 {
-		requests = 120
-	}
+func checkCluster(s *suite) ([]OracleResult, error) {
 	var results []OracleResult
-	for _, n := range nodeCounts {
+	for _, n := range oracleNodes {
 		// Floor: a fault plan needs room for every event window, or the
 		// scenario checks nothing.
-		req := max(requests, 24*n)
-		for _, sc := range clusterScenarios(seed, n, req) {
+		for _, sc := range clusterScenarios(s.cfg.Seed, n, max(s.cfg.Requests, 24*n)) {
 			run, err := runCluster(sc)
 			if err != nil {
 				return results, fmt.Errorf("campaign: cluster %s n=%d: %w", sc.Name, n, err)

@@ -390,7 +390,21 @@ func runGateway(sc GatewayScenario, cfg Config, factory ExecutorFactory, skipHos
 	return tr, nil
 }
 
-// CheckIsolation is the gateway tier's differential oracle: for every
+// checkIsolation runs the isolation oracle on every gateway scenario
+// of the suite.
+func checkIsolation(s *suite) ([]OracleResult, error) {
+	var out []OracleResult
+	for _, sc := range s.gateways {
+		res, err := isolation(sc, s.cfg, s.factory)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, res...)
+	}
+	return out, nil
+}
+
+// isolation is the gateway tier's differential oracle: at every oracle
 // worker count (serial) and every worker-count × batch-size combination
 // (batched), the scenario runs twice — once in full, once with every
 // hostile tenant's arrivals removed — and each non-hostile tenant's
@@ -398,8 +412,8 @@ func runGateway(sc GatewayScenario, cfg Config, factory ExecutorFactory, skipHos
 // runs. A divergence means a hostile co-tenant moved a benign tenant's
 // admission decisions, stream draws, or surviving state — the isolation
 // property the gateway exists to provide. Each check sets its own
-// cfg.Workers and cfg.Batch. Defaults: workers 1/4/8, batches 8/32.
-func CheckIsolation(sc GatewayScenario, cfg Config, factory ExecutorFactory, workerCounts, batchSizes []int) ([]OracleResult, error) {
+// cfg.Workers and cfg.Batch.
+func isolation(sc GatewayScenario, cfg Config, factory ExecutorFactory) ([]OracleResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -409,12 +423,6 @@ func CheckIsolation(sc GatewayScenario, cfg Config, factory ExecutorFactory, wor
 	}
 	if !hostile {
 		return nil, fmt.Errorf("campaign: isolation oracle on %q: no hostile tenant to remove", sc.Name)
-	}
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 4, 8}
-	}
-	if len(batchSizes) == 0 {
-		batchSizes = []int{8, 32}
 	}
 	var out []OracleResult
 	check := func(oracle string, w, batch int) error {
@@ -434,13 +442,13 @@ func CheckIsolation(sc GatewayScenario, cfg Config, factory ExecutorFactory, wor
 		out = append(out, res)
 		return nil
 	}
-	for _, w := range workerCounts {
+	for _, w := range oracleWorkers {
 		if err := check("isolation", w, 1); err != nil {
 			return out, err
 		}
 	}
-	for _, w := range workerCounts {
-		for _, b := range batchSizes {
+	for _, w := range oracleWorkers {
+		for _, b := range oracleBatches {
 			if err := check(fmt.Sprintf("isolation(batch=%d)", b), w, b); err != nil {
 				return out, err
 			}

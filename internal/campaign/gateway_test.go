@@ -170,11 +170,11 @@ func TestGatewayDrain(t *testing.T) {
 func TestGatewayIsolationOracle(t *testing.T) {
 	sc := testGatewayScenario()
 	cfg := Config{Seed: 21, Requests: 160}
-	results, err := CheckIsolation(sc, cfg, coreFactory(t), []int{1, 2}, []int{4})
+	results, err := isolation(sc, cfg, coreFactory(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 + 2; len(results) != want {
+	if want := len(oracleWorkers) * (1 + len(oracleBatches)); len(results) != want {
 		t.Fatalf("got %d oracle results, want %d: %+v", len(results), want, results)
 	}
 	for _, r := range results {
@@ -189,7 +189,7 @@ func TestGatewayIsolationOracle(t *testing.T) {
 func TestGatewayIsolationRejectsHostileFree(t *testing.T) {
 	sc := testGatewayScenario()
 	sc.Tenants[1].Hostile = false
-	_, err := CheckIsolation(sc, Config{Seed: 1, Requests: 20}, coreFactory(t), []int{1}, []int{4})
+	_, err := isolation(sc, Config{Seed: 1, Requests: 20}, coreFactory(t))
 	if err == nil || !strings.Contains(err.Error(), "no hostile tenant") {
 		t.Fatalf("got %v, want hostile-free rejection", err)
 	}
@@ -202,7 +202,7 @@ func TestGatewayIsolationRejectsHostileFree(t *testing.T) {
 func TestGatewayDrainIsolation(t *testing.T) {
 	sc := testGatewayScenario()
 	sc.DrainAt = 80
-	results, err := CheckIsolation(sc, Config{Seed: 9, Requests: 160}, coreFactory(t), []int{2}, []int{8})
+	results, err := isolation(sc, Config{Seed: 9, Requests: 160}, coreFactory(t))
 	if err != nil {
 		t.Fatal(err)
 	}

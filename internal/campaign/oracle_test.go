@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestOraclesPassOnCoreExecutor(t *testing.T) {
 	cfg := Config{Seed: 21, Requests: 80, Scenarios: testScenarios()}
-	results, err := CheckAll(cfg, coreFactory(t), 1, 3, 5)
+	results, err := CheckAll(cfg, coreFactory(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,20 +21,19 @@ func TestOraclesPassOnCoreExecutor(t *testing.T) {
 		t.Errorf("%s", r)
 	}
 	// Shape: one same-seed check, one worker-count check per scenario,
-	// one benign check per benign scenario.
-	var sameSeed, workerCount, benign int
+	// one benign check per benign scenario, one batched check per
+	// scenario and batch size; no gateway scenario, so no isolation.
+	count := map[string]int{}
 	for _, r := range results {
-		switch r.Oracle {
-		case "same-seed":
-			sameSeed++
-		case "worker-count":
-			workerCount++
-		case "benign":
-			benign++
-		}
+		count[r.Oracle]++
 	}
-	if sameSeed != 1 || workerCount != len(cfg.Scenarios) || benign != 3 {
-		t.Errorf("oracle shape: same-seed=%d worker-count=%d benign=%d", sameSeed, workerCount, benign)
+	want := map[string]int{
+		"same-seed": 1, "worker-count": len(cfg.Scenarios), "benign": 3,
+		"batched(8)": len(cfg.Scenarios), "batched(32)": len(cfg.Scenarios),
+		"recovery": 6, "cluster": 11,
+	}
+	if !reflect.DeepEqual(count, want) {
+		t.Errorf("oracle shape: got %v, want %v", count, want)
 	}
 }
 
@@ -62,11 +62,11 @@ func TestBenignOracleCatchesPhantomDetections(t *testing.T) {
 	cfg := Config{Seed: 5, Requests: 40, Scenarios: []Scenario{
 		{Name: "kv-benign", Workload: WorkloadKV, Target: TargetDomain},
 	}}
-	base, err := Run(cfg, factory)
+	s, err := newSuite(cfg, factory, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := CheckBenign(base, cfg, factory)
+	results, err := checkBenign(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,11 @@ func TestWorkerCountOracleCatchesDrift(t *testing.T) {
 		{Name: "kv-attack", Workload: WorkloadKV, Target: TargetDomain,
 			Faults: []FaultClass{FaultUAF}, AttackEvery: 4},
 	}}
-	results, err := CheckWorkerCounts(cfg, factory, 1, 4)
+	s, err := newSuite(cfg, factory, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := checkWorkerCounts(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +140,11 @@ func TestSameSeedOracleCatchesNondeterminism(t *testing.T) {
 		{Name: "kv-attack", Workload: WorkloadKV, Target: TargetDomain,
 			Faults: []FaultClass{FaultCrash}, AttackEvery: 3},
 	}}
-	base, err := Run(cfg, factory)
+	s, err := newSuite(cfg, factory, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := CheckSameSeed(base, cfg, factory)
+	results, err := checkSameSeed(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 // compares an execution that is killed mid-batch — the durability
 // engine's torn group commit — against the serially derived survivor
 // state of the committed prefix. The oracle here defines the scenario
-// seeding, the digest currency, and the verdict; RecoveryHarness
-// (kvrecovery.go) runs it on a real durable kvstore server.
+// seeding, the digest currency, and the verdict; runRecovery
+// (kvharness.go) runs it on a real durable kvstore server.
 
 // RecoveryScenario seeds one crash-recovery run: a deterministic
 // workload of Requests requests over Workers worker domains, submitted
@@ -24,10 +24,10 @@ type RecoveryScenario struct {
 	Requests int
 }
 
-// RecoveryRun is what a RecoveryRunner observed: the survivor digest of
-// the state every acknowledged batch built (maintained host-side as the
-// run progressed), and the digest of the state a fresh process
-// recovered from the store after the kill.
+// RecoveryRun is what one crash-recovery run observed: the survivor
+// digest of the state every acknowledged batch built (maintained
+// host-side as the run progressed), and the digest of the state a fresh
+// process recovered from the store after the kill.
 type RecoveryRun struct {
 	// CommittedDigest is DigestState of the acknowledged prefix's
 	// expected state.
@@ -43,14 +43,8 @@ type RecoveryRun struct {
 	TornTail bool
 }
 
-// RecoveryRunner executes one crash-recovery scenario end to end:
-// run, kill mid-commit, recover in a fresh process, digest both sides.
-type RecoveryRunner interface {
-	RunRecovery(RecoveryScenario) (RecoveryRun, error)
-}
-
 // DigestState deterministically digests a key→value state map — the
-// shared currency between a runner's shadow survivor state and its
+// shared currency between a run's shadow survivor state and its
 // recovered dump.
 func DigestState(items map[string][]byte) string {
 	keys := make([]string, 0, len(items))
@@ -68,58 +62,54 @@ func DigestState(items map[string][]byte) string {
 	return d.hex()
 }
 
-// CheckRecovery runs the crash-recovery oracle across worker counts and
-// batch sizes: for every combination the runner is killed mid-commit at
-// a seeded point, recovered, and the recovered state must equal the
-// survivor state of exactly the acknowledged batches — no committed
-// write lost, no aborted write surviving. Defaults: workers 1/4/8,
-// batches 8/32.
-func CheckRecovery(r RecoveryRunner, seed uint64, requests int, workerCounts, batchSizes []int) ([]OracleResult, error) {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 4, 8}
-	}
-	if len(batchSizes) == 0 {
-		batchSizes = []int{8, 32}
-	}
-	if requests <= 0 {
-		requests = 200
-	}
+// checkRecovery runs the crash-recovery oracle at every oracle worker
+// count and batch size: each run is killed mid-commit at a seeded
+// point, recovered, and the recovered state must equal the survivor
+// state of exactly the acknowledged batches — no committed write lost,
+// no aborted write surviving.
+func checkRecovery(s *suite) ([]OracleResult, error) {
 	var results []OracleResult
-	for _, w := range workerCounts {
-		for _, b := range batchSizes {
+	for _, w := range oracleWorkers {
+		for _, b := range oracleBatches {
 			// The kill lands in the run's second half, and the verdict
 			// requires at least one committed batch before it and one
 			// killed after: a run shorter than four batches cannot place
-			// that, so small -requests values are floored per batch size
+			// that, so small request counts are floored per batch size
 			// rather than silently producing a vacuous scenario.
-			n := requests
-			if minReq := 4 * b; n < minReq {
-				n = minReq
-			}
-			sc := RecoveryScenario{Seed: seed, Workers: w, Batch: b, Requests: n}
-			run, err := r.RunRecovery(sc)
+			sc := RecoveryScenario{Seed: s.cfg.Seed, Workers: w, Batch: b, Requests: max(s.cfg.Requests, 4*b)}
+			run, err := runRecovery(sc)
 			if err != nil {
 				return results, fmt.Errorf("campaign: recovery w=%d b=%d: %w", w, b, err)
 			}
-			res := OracleResult{
-				Oracle:   "recovery",
-				Scenario: fmt.Sprintf("kv-crash(w=%d,b=%d)", w, b),
-				Pass:     true,
-			}
-			switch {
-			case run.RecoveredDigest != run.CommittedDigest:
-				res.Pass = false
-				res.Detail = fmt.Sprintf("recovered state %s != committed prefix %s (acked %d/%d batches)",
-					run.RecoveredDigest, run.CommittedDigest, run.AckedBatches, run.TotalBatches)
-			case run.AckedBatches >= run.TotalBatches:
-				res.Pass = false
-				res.Detail = fmt.Sprintf("kill never fired: acked %d of %d batches", run.AckedBatches, run.TotalBatches)
-			case run.AckedBatches == 0:
-				res.Pass = false
-				res.Detail = "no batch committed before the kill; scenario checks nothing"
-			}
-			results = append(results, res)
+			results = append(results, judgeRecovery(sc, run))
 		}
 	}
 	return results, nil
+}
+
+// judgeRecovery renders one run's verdict: digest equality, then the
+// guards that make a pass mean something — the kill fired, after a
+// committed batch, and tore the log's tail.
+func judgeRecovery(sc RecoveryScenario, run RecoveryRun) OracleResult {
+	res := OracleResult{
+		Oracle:   "recovery",
+		Scenario: fmt.Sprintf("kv-crash(w=%d,b=%d)", sc.Workers, sc.Batch),
+		Pass:     true,
+	}
+	switch {
+	case run.RecoveredDigest != run.CommittedDigest:
+		res.Pass = false
+		res.Detail = fmt.Sprintf("recovered state %s != committed prefix %s (acked %d/%d batches)",
+			run.RecoveredDigest, run.CommittedDigest, run.AckedBatches, run.TotalBatches)
+	case run.AckedBatches >= run.TotalBatches:
+		res.Pass = false
+		res.Detail = fmt.Sprintf("kill never fired: acked %d of %d batches", run.AckedBatches, run.TotalBatches)
+	case run.AckedBatches == 0:
+		res.Pass = false
+		res.Detail = "no batch committed before the kill; scenario checks nothing"
+	case !run.TornTail:
+		res.Pass = false
+		res.Detail = "kill left no torn tail; scenario checks nothing"
+	}
+	return res
 }

@@ -1,109 +1,50 @@
 package campaign
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 )
 
-// stubRecoveryRunner returns canned runs, recording the scenarios it
-// was asked to execute.
-type stubRecoveryRunner struct {
-	run  func(RecoveryScenario) RecoveryRun
-	seen []RecoveryScenario
-	fail bool
-}
-
-func (s *stubRecoveryRunner) RunRecovery(sc RecoveryScenario) (RecoveryRun, error) {
-	s.seen = append(s.seen, sc)
-	if s.fail {
-		return RecoveryRun{}, fmt.Errorf("boom")
-	}
-	return s.run(sc), nil
-}
-
-func healthyRun(RecoveryScenario) RecoveryRun {
-	return RecoveryRun{
-		CommittedDigest: "d1", RecoveredDigest: "d1",
-		AckedBatches: 3, TotalBatches: 10, TornTail: true,
-	}
-}
-
-func TestCheckRecoveryMatrixAndDefaults(t *testing.T) {
-	s := &stubRecoveryRunner{run: healthyRun}
-	results, err := CheckRecovery(s, 7, 0, nil, nil)
-	if err != nil {
-		t.Fatalf("CheckRecovery: %v", err)
-	}
-	// Defaults: workers 1/4/8 × batch 8/32.
-	if len(results) != 6 || len(s.seen) != 6 {
-		t.Fatalf("got %d results over %d runs, want 6", len(results), len(s.seen))
-	}
-	for _, r := range results {
-		if !r.Pass || r.Oracle != "recovery" {
-			t.Errorf("unexpected result: %s", r)
-		}
-	}
-	wantScenarios := map[string]bool{}
-	for _, sc := range s.seen {
-		wantScenarios[fmt.Sprintf("w=%d,b=%d", sc.Workers, sc.Batch)] = true
-		if sc.Seed != 7 || sc.Requests != 200 {
-			t.Errorf("scenario not seeded/defaulted: %+v", sc)
-		}
-	}
-	for _, w := range []int{1, 4, 8} {
-		for _, b := range []int{8, 32} {
-			if !wantScenarios[fmt.Sprintf("w=%d,b=%d", w, b)] {
-				t.Errorf("matrix missing w=%d b=%d", w, b)
-			}
-		}
-	}
-}
-
 func TestCheckRecoveryVerdicts(t *testing.T) {
+	sc := RecoveryScenario{Seed: 1, Workers: 4, Batch: 8, Requests: 40}
 	cases := []struct {
 		name string
 		run  RecoveryRun
-		pass bool
+		want string // "" = pass, else a substring of the failure detail
 	}{
-		{"digest mismatch", RecoveryRun{CommittedDigest: "a", RecoveredDigest: "b", AckedBatches: 2, TotalBatches: 5}, false},
-		{"kill never fired", RecoveryRun{CommittedDigest: "a", RecoveredDigest: "a", AckedBatches: 5, TotalBatches: 5}, false},
-		{"nothing committed", RecoveryRun{CommittedDigest: "a", RecoveredDigest: "a", AckedBatches: 0, TotalBatches: 5}, false},
-		{"healthy", RecoveryRun{CommittedDigest: "a", RecoveredDigest: "a", AckedBatches: 2, TotalBatches: 5}, true},
+		{"healthy", RecoveryRun{CommittedDigest: "a", RecoveredDigest: "a", AckedBatches: 2, TotalBatches: 5, TornTail: true}, ""},
+		{"digest mismatch", RecoveryRun{CommittedDigest: "a", RecoveredDigest: "b", AckedBatches: 2, TotalBatches: 5, TornTail: true}, "!= committed prefix"},
+		{"kill never fired", RecoveryRun{CommittedDigest: "a", RecoveredDigest: "a", AckedBatches: 5, TotalBatches: 5, TornTail: true}, "kill never fired"},
+		{"nothing committed", RecoveryRun{CommittedDigest: "a", RecoveredDigest: "a", AckedBatches: 0, TotalBatches: 5, TornTail: true}, "no batch committed"},
+		{"no torn tail", RecoveryRun{CommittedDigest: "a", RecoveredDigest: "a", AckedBatches: 2, TotalBatches: 5}, "no torn tail"},
 	}
 	for _, tc := range cases {
-		s := &stubRecoveryRunner{run: func(RecoveryScenario) RecoveryRun { return tc.run }}
-		results, err := CheckRecovery(s, 1, 10, []int{1}, []int{4})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		res := judgeRecovery(sc, tc.run)
+		if res.Oracle != "recovery" || res.Scenario != "kv-crash(w=4,b=8)" {
+			t.Errorf("%s: verdict labelled %q %q", tc.name, res.Oracle, res.Scenario)
 		}
-		if len(results) != 1 || results[0].Pass != tc.pass {
-			t.Errorf("%s: got %v", tc.name, results)
-		}
-		if !tc.pass && results[0].Detail == "" {
-			t.Errorf("%s: failure carries no detail", tc.name)
+		if res.Pass != (tc.want == "") || !strings.Contains(res.Detail, tc.want) {
+			t.Errorf("%s: got %s, want detail %q", tc.name, res, tc.want)
 		}
 	}
 }
 
+// TestCheckRecoveryFloorsShortRuns runs the oracle on real servers at a
+// request count too short for any batch size: every run is floored to
+// four batches, so each row still kills after a committed batch and
+// tears the tail — the verdict's guards would fail a vacuous row.
 func TestCheckRecoveryFloorsShortRuns(t *testing.T) {
-	s := &stubRecoveryRunner{run: healthyRun}
-	if _, err := CheckRecovery(s, 1, 30, []int{1}, []int{8, 32}); err != nil {
-		t.Fatalf("CheckRecovery: %v", err)
+	results, err := checkRecovery(&suite{cfg: Config{Seed: 1, Requests: 1}})
+	if err != nil {
+		t.Fatalf("checkRecovery: %v", err)
 	}
-	// 30 requests fit under four batches at both sizes: floored so the
-	// seeded kill always has a committed prefix to land behind.
-	want := map[int]int{8: 32, 32: 128}
-	for _, sc := range s.seen {
-		if sc.Requests != want[sc.Batch] {
-			t.Errorf("batch %d ran %d requests, want %d", sc.Batch, sc.Requests, want[sc.Batch])
+	if len(results) != len(oracleWorkers)*len(oracleBatches) {
+		t.Fatalf("got %d results, want %d", len(results), len(oracleWorkers)*len(oracleBatches))
+	}
+	for _, r := range results {
+		if !r.Pass {
+			t.Errorf("%s", r)
 		}
-	}
-}
-
-func TestCheckRecoveryRunnerError(t *testing.T) {
-	s := &stubRecoveryRunner{fail: true}
-	if _, err := CheckRecovery(s, 1, 10, []int{1}, []int{4}); err == nil {
-		t.Fatal("runner error swallowed")
 	}
 }
 

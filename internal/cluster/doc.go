@@ -25,8 +25,8 @@
 //     same per-request outcomes and the same survivor digest as a
 //     single kvstore.Pool given the same seeded schedule, through
 //     node crashes and rolling restarts. The oracle, which drives
-//     this package, lives in internal/campaign (CheckCluster);
-//     cmd/sdrad-campaign wires it into `make campaign-smoke`.
+//     this package, is the cluster row of internal/campaign's oracle
+//     table, which `make campaign-smoke` walks.
 //
 // Placement: keys hash onto NumSlots fixed virtual slots (FNV-1a, the
 // same hash family the pool uses for shards); each slot's owner and

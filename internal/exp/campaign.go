@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/scenarios"
@@ -13,9 +14,10 @@ import (
 // injected UAFs, overflows, freed-header smashes, crashes, runaway
 // requests, and malformed payloads across the Domain, Pool, and Bridge
 // backends — runs under the resilience-campaign engine, and the table
-// reports what each recorded. The differential oracles (same-seed
-// determinism, worker-count invariance, benign cycle parity) run as
-// part of the experiment; their verdict is a shape check.
+// reports what each recorded. The whole differential-oracle table —
+// the one `sdrad-campaign -oracles` walks, with every shipped gateway
+// scenario in its isolation row — runs as part of the experiment; its
+// verdict is a shape check.
 func (r Runner) runC1() (*Result, error) {
 	cfg := campaign.Config{
 		Seed:      r.seed(),
@@ -61,10 +63,10 @@ func (r Runner) runC1() (*Result, error) {
 	}
 
 	// The oracles are the experiment's real product: run them at a
-	// reduced request count (they re-execute every scenario five times).
+	// reduced request count (they re-execute every scenario seven times).
 	ocfg := cfg
 	ocfg.Requests = r.requests(300)
-	results, err := campaign.CheckAll(ocfg, campaign.Backends(), 1, 4, 8)
+	results, err := campaign.CheckAll(ocfg, campaign.Backends(), scenarios.Gateway())
 	if err != nil {
 		return nil, err
 	}
@@ -78,8 +80,8 @@ func (r Runner) runC1() (*Result, error) {
 	res.metric("benign_clean", float64(benignClean))
 	res.metric("oracle_checks", float64(len(results)))
 	res.metric("oracle_failures", float64(len(failures)))
-	res.Notes = fmt.Sprintf("differential oracles: %d/%d pass (same-seed, worker counts 1/4/8, benign cycle parity)",
-		len(results)-len(failures), len(results))
+	res.Notes = fmt.Sprintf("differential oracles: %d/%d pass (%s)",
+		len(results)-len(failures), len(results), strings.Join(campaign.OracleNames(), ", "))
 	if len(failures) > 0 {
 		res.Notes += fmt.Sprintf("; first failure: %s", failures[0])
 	}
